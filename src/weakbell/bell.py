@@ -17,8 +17,20 @@ at the tangent geometry u=Z, w=-X, v=Z sin(t) - X cos(t), the outcome
 (1,-1,1) has probability (1 - F sin(t) - G cos(t))/8, so F sin(t) +
 G cos(t) <= 1 for every t.
 
-Chain states are propagated with input-averaged channels: averaging the
-state first is exact because every stage map is linear in the state.
+Chain states are carried as real 4x4 Pauli coefficients
+R_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: R_00 = 1, Alice's Bloch
+vector fills column 0, Bob's fills row 0, and the correlation tensor T
+fills the 3x3 block (T = -I for the singlet).  An input-averaged Bob
+stage acts on Bob's index alone, as the real map
+
+    M = diag(1, F I + (1-F) sum_y r_y d_y d_y^T),    R -> R M^T,
+
+where d_y are the stage's directions and r_y its input weights.
+Averaging the state first is exact because every stage map is linear in
+the state.  A correlator is E_xy = G u_x^T T w_y, so CHSH is
+G (E00 + E01 + E10 - E11).  propagate applies the stage maps to whole
+grids of chains at once; the scans and sequential_average_state all go
+through it.
 """
 
 from __future__ import annotations
@@ -30,19 +42,20 @@ import numpy as np
 
 from .errors import InvalidParameterError, PhysicalityError
 from .channel import (
+    IDENTITY_2,
+    PAULI_XYZ,
     Direction,
     as_density,
-    decohere,
-    on_second_qubit,
     projectors,
     spin_operator,
     strength_pair,
-    symmetrize,
     weak_conditional,
 )
 from .pointer import MeasurementStrength, PointerState
 
 _SQ2 = math.sqrt(2.0)
+# sigma_0 = I, sigma_1..3 = X, Y, Z: the basis of the Pauli coefficients
+_PAULI = np.stack([IDENTITY_2, *PAULI_XYZ])
 
 
 def singlet() -> np.ndarray:
@@ -216,19 +229,68 @@ class CorrelationTable:
 
     @property
     def chsh(self) -> float:
-        e = self.values
-        return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+        return float(_chsh_of(self.values))
+
+
+def pauli_coefficients(rho) -> np.ndarray:
+    """Real R_ij = tr(rho sigma_i (x) sigma_j) of a 4x4 two-qubit state."""
+    blocks = as_density(rho, 4).reshape(2, 2, 2, 2)  # [a, c, b, d]: row (a c), column (b d)
+    return np.einsum("acbd,iba,jdc->ij", blocks, _PAULI, _PAULI).real
+
+
+def density_from_pauli(pauli) -> np.ndarray:
+    """The 4x4 state sum_ij R_ij sigma_i (x) sigma_j / 4 of Pauli coefficients R."""
+    return np.einsum("ij,iab,jcd->acbd", pauli, _PAULI, _PAULI).reshape(4, 4) / 4.0
+
+
+def _bob_maps(quality_factors, bob_dirs, bias: float = 0.5) -> np.ndarray:
+    """Bob-index maps of input-averaged stages, one per quality factor.
+
+    Returns diag(1, F I + (1-F) D) with D = (1-bias) d0 d0^T + bias d1 d1^T,
+    shaped (..., 4, 4) after the shape of quality_factors.
+    """
+    d0, d1 = (d.vector for d in bob_dirs)
+    decohered = (1.0 - bias) * np.outer(d0, d0) + bias * np.outer(d1, d1)
+    quality = np.asarray(quality_factors, dtype=float)[..., None, None]
+    maps = np.zeros(quality.shape[:-2] + (4, 4))
+    maps[..., 0, 0] = 1.0
+    maps[..., 1:, 1:] = quality * np.eye(3) + (1.0 - quality) * decohered
+    return maps
+
+
+def propagate(pauli, maps) -> list[np.ndarray]:
+    """Chain states before Bob_1 .. Bob_{k+1} for k stage maps, in Pauli coefficients.
+
+    pauli is one (4, 4) state or a stack (..., 4, 4); each map is (4, 4)
+    or a stack that broadcasts against the states, so one call
+    propagates a whole grid of chains.  Stage k sends R to R M_k^T.
+    """
+    states = [np.asarray(pauli, dtype=float)]
+    for bob_map in maps:
+        states.append(states[-1] @ np.swapaxes(bob_map, -1, -2))
+    return states
+
+
+def _correlators(pauli, alice_dirs, bob_dirs) -> np.ndarray:
+    """u_x^T T w_y for every (x, y), over the leading axes of the states: (..., 2, 2)."""
+    u = np.stack([d.vector for d in alice_dirs])
+    w = np.stack([d.vector for d in bob_dirs])
+    return u @ np.asarray(pauli)[..., 1:, 1:] @ w.T
+
+
+def _chsh_of(values) -> np.ndarray:
+    return values[..., 0, 0] + values[..., 0, 1] + values[..., 1, 0] - values[..., 1, 1]
+
+
+def _chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
+    """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together."""
+    precision = np.asarray(precision, dtype=float)[..., None, None]
+    return _chsh_of(precision * _correlators(pauli, alice_dirs, bob_dirs))
 
 
 def correlation_table(state, alice_dirs, bob_dirs, precision: float = 1.0) -> CorrelationTable:
-    """E[x][y] = G tr(rho sigma_ux (x) sigma_wy) on a two-qubit state."""
-    state = as_density(state, 4)
-    values = np.empty((2, 2))
-    for x, u in enumerate(alice_dirs):
-        su = spin_operator(u)
-        for y, w in enumerate(bob_dirs):
-            observable = np.kron(su, spin_operator(w))
-            values[x, y] = precision * float(np.trace(state @ observable).real)
+    """E[x][y] = G tr(rho sigma_ux (x) sigma_wy) = G u_x^T T w_y on a two-qubit state."""
+    values = precision * _correlators(pauli_coefficients(state), alice_dirs, bob_dirs)
     return CorrelationTable(values)
 
 
@@ -237,32 +299,22 @@ def chsh(state, alice_dirs, bob_dirs, precision: float = 1.0) -> float:
     return correlation_table(state, alice_dirs, bob_dirs, precision).chsh
 
 
-def _stage_channel(stage: BobStage):
-    """Input-averaged unconditional channel of one stage, on a 2x2 state."""
-    F = stage.resolved_strength().quality_factor
-    r = stage.bias
-    d0, d1 = stage.dir0, stage.dir1
-
-    def channel(rho):
-        mixed = (1.0 - r) * decohere(rho, d0) + r * decohere(rho, d1)
-        return F * rho + (1.0 - F) * mixed
-
-    return channel
-
-
 def sequential_average_state(cfg: BellChainConfig, n: int) -> np.ndarray:
-    """State of Alice and Bob_n before their measurements.
+    """State of Alice and Bob_n before their measurements, as a 4x4 density.
 
     Averages over the prior Bobs' inputs with their biases; exact by
-    linearity of the stage channels, replacing the 2^(n-1)-branch sum
-    with n-1 channel applications.
+    linearity of the stage maps, replacing the 2^(n-1)-branch sum
+    with n-1 map applications.
     """
     if not 1 <= n <= len(cfg.stages) + 1:
         raise InvalidParameterError(f"stage index {n} outside 1..{len(cfg.stages) + 1}")
-    state = np.array(cfg.initial_state, dtype=complex)
-    for stage in cfg.stages[: n - 1]:
-        state = symmetrize(on_second_qubit(_stage_channel(stage), state))
-    return state
+    if n == 1:
+        return np.array(cfg.initial_state, dtype=complex)
+    maps = [
+        _bob_maps(stage.resolved_strength().quality_factor, (stage.dir0, stage.dir1), stage.bias)
+        for stage in cfg.stages[: n - 1]
+    ]
+    return density_from_pauli(propagate(pauli_coefficients(cfg.initial_state), maps)[-1])
 
 
 # --- named settings ---------------------------------------------------------
@@ -325,27 +377,19 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
     gaussian or optimal pointer matched to the target precision).
     Reported G is the actual stage precision.
     """
-    alice = tsirelson_alice()
-    bob = tsirelson_bob()
-    strong = MeasurementStrength(0.0, 1.0)
-    rows = []
-    for target in precision_grid:
-        target = float(target)
+    targets = [float(target) for target in precision_grid]
+    for target in targets:
         if not 0.0 < target < 1.0:
             raise InvalidParameterError(f"precision grid values must lie in (0, 1), got {target}")
-        stage_strength = _strength_for_target(family, target)
-        cfg = BellChainConfig(
-            alice[0],
-            alice[1],
-            stages=(
-                BobStage(bob[0], bob[1], stage_strength, bias=0.5),
-                BobStage(bob[0], bob[1], strong, bias=0.5),
-            ),
-        )
-        first = chsh(sequential_average_state(cfg, 1), alice, bob, stage_strength.precision)
-        second = chsh(sequential_average_state(cfg, 2), alice, bob, 1.0)
-        rows.append((stage_strength.precision, first, second))
-    return rows
+    strengths = [_strength_for_target(family, target) for target in targets]
+    quality = np.array([s.quality_factor for s in strengths])
+    precision = np.array([s.precision for s in strengths])
+    alice = tsirelson_alice()
+    bob = tsirelson_bob()
+    before_first, before_second = propagate(pauli_coefficients(singlet()), [_bob_maps(quality, bob)])
+    first = _chsh_values(before_first, alice, bob, precision)
+    second = _chsh_values(before_second, alice, bob, 1.0)
+    return list(zip(precision.tolist(), first.tolist(), second.tolist()))
 
 
 DOUBLE_CSV_HEADER = "G,I1,I2"
@@ -384,42 +428,38 @@ def unbiased_triple_scan(f1_grid, f2_grid, settings: str = "tsirelson") -> Tripl
 
     Restricted to the standard settings family: all Bobs share the
     Tsirelson directions, inputs unbiased.  Reports the largest
-    min(I1, I2, I3) found; no scanned cell is expected to exceed 2.
+    min(I1, I2, I3) found, the first such cell in row-major (F1, F2)
+    order; no scanned cell is expected to exceed 2.
     """
     if settings != "tsirelson":
         raise InvalidParameterError(f"unsupported settings strategy {settings!r}")
+    f1 = np.array([float(v) for v in f1_grid])
+    f2 = np.array([float(v) for v in f2_grid])
+    for value in (*f1.tolist(), *f2.tolist()):
+        if not 0.0 < value < 1.0:
+            raise InvalidParameterError(f"quality-factor grid values must lie in (0, 1), got {value}")
+    cells = f1.size * f2.size
+    if cells == 0:
+        return TripleScanReport((0.0, 0.0), (0.0, 0.0, 0.0), -math.inf, 0)
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    strong = MeasurementStrength(0.0, 1.0)
-    best = (-math.inf, (0.0, 0.0), (0.0, 0.0, 0.0))
-    cells = 0
-    f1_grid = [float(v) for v in f1_grid]
-    f2_grid = [float(v) for v in f2_grid]
-    for f1 in f1_grid:
-        if not 0.0 < f1 < 1.0:
-            raise InvalidParameterError(f"quality-factor grid values must lie in (0, 1), got {f1}")
-        g1 = math.sqrt((1.0 - f1) * (1.0 + f1))
-        s1 = MeasurementStrength(f1, g1)
-        stage1 = BobStage(bob[0], bob[1], s1, bias=0.5)
-        # I1 and the post-stage-1 state do not depend on F2
-        cfg1 = BellChainConfig(alice[0], alice[1], stages=(stage1,))
-        first = chsh(sequential_average_state(cfg1, 1), alice, bob, g1)
-        state_after_1 = sequential_average_state(cfg1, 2)
-        for f2 in f2_grid:
-            if not 0.0 < f2 < 1.0:
-                raise InvalidParameterError(f"quality-factor grid values must lie in (0, 1), got {f2}")
-            cells += 1
-            g2 = math.sqrt((1.0 - f2) * (1.0 + f2))
-            stage2 = BobStage(bob[0], bob[1], MeasurementStrength(f2, g2), bias=0.5)
-            second = chsh(state_after_1, alice, bob, g2)
-            state_after_2 = symmetrize(on_second_qubit(_stage_channel(stage2), state_after_1))
-            third = chsh(state_after_2, alice, bob, 1.0)
-            score = min(first, second, third)
-            if score > best[0]:
-                best = (score, (f1, f2), (first, second, third))
+    g1 = np.sqrt((1.0 - f1) * (1.0 + f1))[:, None]
+    g2 = np.sqrt((1.0 - f2) * (1.0 + f2))[None, :]
+    # F1 along the rows, F2 along the columns: states are (F1, F2, 4, 4)
+    states = propagate(
+        pauli_coefficients(singlet()),
+        [_bob_maps(f1[:, None], bob), _bob_maps(f2[None, :], bob)],
+    )
+    values = np.broadcast_arrays(
+        _chsh_values(states[0], alice, bob, g1),
+        _chsh_values(states[1], alice, bob, g2),
+        _chsh_values(states[2], alice, bob, 1.0),
+    )
+    scores = np.minimum(np.minimum(values[0], values[1]), values[2])
+    row, col = np.unravel_index(int(np.argmax(scores)), scores.shape)
     return TripleScanReport(
-        best_quality_factors=best[1],
-        best_values=best[2],
-        max_min_chsh=best[0],
+        best_quality_factors=(float(f1[row]), float(f2[col])),
+        best_values=tuple(float(v[row, col]) for v in values),
+        max_min_chsh=float(scores[row, col]),
         cells=cells,
     )

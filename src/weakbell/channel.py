@@ -1,9 +1,7 @@
 """The weak von Neumann measurement as a channel on spin-1/2 states.
 
-All operations act on density matrices given as plain numpy arrays
-(2x2, or 4x4 when a channel is embedded on the second qubit of a pair).
 A measurement along direction d with quality factor F and precision G
-acts as
+acts on a density matrix rho as
 
     unconditional:   rho -> F rho + (1-F) (pi+ rho pi+ + pi- rho pi-)
     outcome probs:   P(b) = G tr(pi_b rho) + (1-G)/2
@@ -13,6 +11,13 @@ acts as
 where pi+/- are the projectors along +/-d.  The conditional map is
 positive exactly when F^2 + G^2 <= 1.  Per-reading collapse uses the
 Kraus operator K_q = phi(q-1) pi+ + phi(q+1) pi-.
+
+The functions taking plain 2x2 (or 4x4, for on_second_qubit) complex
+arrays are the reference forms.  The simulation paths carry a qubit as
+its real Bloch vector r, rho = (I + r.sigma)/2, and a pair as its Pauli
+coefficients (see bell).  In that form the unconditional map is the
+linear map r -> F r + (1-F) d (d.r), and the collapse through
+K = a pi+ + b pi- has the closed form implemented by collapse_bloch.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_XYZ = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 _UNIT_TOL = 1e-12
 
@@ -137,16 +143,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def symmetrize(rho: np.ndarray) -> np.ndarray:
-    """Restore exact Hermiticity of a full state after floating-point drift.
-
-    Conjugate-linear, so it is applied to whole density matrices between
-    chain steps, never inside the linear single-qubit maps (those must
-    stay linear for on_second_qubit to extend them to tensor factors).
-    """
-    return (rho + rho.conj().T) / 2.0
-
-
 def strength_pair(strength) -> tuple[float, float]:
     """(quality factor, precision) from a MeasurementStrength or a PointerState."""
     if isinstance(strength, PointerState):
@@ -206,6 +202,28 @@ def kraus_at_reading(pointer: PointerState, d, reading: float) -> np.ndarray:
     """
     pp, pm = projectors(d)
     return pointer.value_at(reading - 1.0) * pp + pointer.value_at(reading + 1.0) * pm
+
+
+def collapse_bloch(bloch, directions, a, b) -> np.ndarray:
+    """Normalized Bloch vectors after the Kraus operator K = a pi+ + b pi-.
+
+    bloch and directions are (..., 3) arrays, a and b the (...) arrays of
+    real amplitudes.  With c = d.r the collapsed state K rho K has trace
+    N = ((a^2 + b^2) + (a^2 - b^2) c) / 2 and Bloch vector
+
+        r' = (a b (r - c d) + ((a^2 + b^2) c + a^2 - b^2) / 2 d) / N,
+
+    so K rho K / tr(K rho K) is formed without any 2x2 product.
+    """
+    r = np.asarray(bloch, dtype=float)
+    d = np.asarray(directions, dtype=float)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    c = np.sum(d * r, axis=-1, keepdims=True)
+    total = a * a + b * b
+    diff = a * a - b * b
+    along = (total * c + diff) / 2.0
+    return (a * b * (r - c * d) + along * d) / ((total + diff * c) / 2.0)
 
 
 def decohere(rho, d) -> np.ndarray:

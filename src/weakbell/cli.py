@@ -198,6 +198,8 @@ def _montecarlo_config(scenario: str, target_precision: float) -> bell.BellChain
 
 
 def cmd_montecarlo(args) -> int:
+    if not (math.isfinite(args.trials) and args.trials == int(args.trials)):
+        raise InvalidParameterError(f"--trials must be an integer, got {args.trials}")
     if args.trials < 1:
         raise InvalidParameterError(f"--trials must be >= 1, got {args.trials}")
     if not 0.0 < args.g <= 1.0:
@@ -220,14 +222,7 @@ def cmd_pointer_dump(args) -> int:
     value = getattr(args, flag)
     if value is None:
         raise InvalidParameterError(f"family {args.family!r} needs --{flag}")
-    builder = {
-        "square": pointer.make_square,
-        "gaussian": pointer.make_gaussian,
-        "exponential": pointer.make_exponential,
-        "optimal": pointer.make_optimal,
-        "worst": pointer.make_worst,
-    }[args.family]
-    state = builder(float(value), grid_spacing=args.spacing)
+    state = pointer._FAMILY_BUILDERS[args.family](float(value), grid_spacing=args.spacing)
     _emit(args, pointer.samples_to_csv(state), f"pointer_{args.family}.csv")
     return 0
 

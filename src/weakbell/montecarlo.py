@@ -5,9 +5,13 @@ the pointer reading q is drawn from the exact discrete density
 
     p(q) = tr(pi+ rho) phi(q-1)^2 + tr(pi- rho) phi(q+1)^2
 
-by inverse CDF on the pointer grid (the CDF is exact there), the state
-collapses through K_q = phi(q-1) pi+ + phi(q+1) pi-, and the outcome is
-the sign of q (the half-offset grid makes q = 0 impossible).
+by inverse CDF on the pointer grid (the CDF is exact there and cached
+on the pointer), the state collapses through K_q = phi(q-1) pi+ +
+phi(q+1) pi-, and the outcome is the sign of q (the half-offset grid
+makes q = 0 impossible).  run_chain carries each trial's state as a real
+Bloch vector r, so tr(pi+ rho) = (1 + d.r)/2 and the collapse is the
+closed-form update channel.collapse_bloch.  analytic_joint stays on
+complex density matrices, independent of the sampling path.
 
 Randomness comes from a Philox counter-based generator keyed by the
 seed.  run_chain consumes the stream in a fixed documented order
@@ -30,7 +34,7 @@ from scipy.special import gammaincc
 
 from .errors import InvalidParameterError, InvalidStateError
 from .bell import BellChainConfig, BobStage
-from .channel import as_density, projectors, strength_pair, weak_conditional
+from .channel import PAULI_XYZ, as_density, collapse_bloch, projectors, strength_pair, weak_conditional
 from .pointer import PointerState
 
 # --- reading distribution ----------------------------------------------------
@@ -38,13 +42,7 @@ from .pointer import PointerState
 
 def reading_distribution(pointer: PointerState) -> tuple[np.ndarray, np.ndarray]:
     """(node positions, exact discrete CDF) of the undisplaced pointer density."""
-    masses = pointer.samples**2 * pointer.grid_spacing
-    total = float(np.sum(masses))
-    if total <= 0.0:
-        raise InvalidStateError("pointer carries no probability mass")
-    cdf = np.cumsum(masses) / total
-    cdf[-1] = 1.0
-    return pointer.positions, cdf
+    return pointer.positions, pointer.reading_cdf
 
 
 def sample_reading(rho, pointer: PointerState, direction, rng) -> tuple[float, np.ndarray]:
@@ -59,10 +57,10 @@ def sample_reading(rho, pointer: PointerState, direction, rng) -> tuple[float, n
         raise InvalidStateError("degenerate pointer: all amplitudes vanish")
     pp, pm = projectors(direction)
     p_plus = float(np.trace(pp @ rho).real)
-    _, cdf = reading_distribution(pointer)
     shift = 1.0 if rng.random() < p_plus else -1.0
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    reading = float(pointer.positions[idx] + shift)
+    idx = int(np.searchsorted(pointer.reading_cdf, rng.random(), side="right"))
+    # equals pointer.positions[idx] without building the positions array
+    reading = float(pointer.grid_origin + idx * pointer.grid_spacing + shift)
     amp_minus = pointer.value_at(reading - 1.0)
     amp_plus = pointer.value_at(reading + 1.0)
     kraus = amp_minus * pp + amp_plus * pm
@@ -185,7 +183,8 @@ def run_chain(
     p_plus_by_x, steered = _alice_tables(cfg)
     a = np.where(alice_uniform < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
     a_index = ((1 - a) // 2).astype(np.int8)
-    rho = steered[x_bits, a_index]  # (T, 2, 2)
+    # Bloch vectors tr(rho sigma_k) of the steered states, gathered per trial: (T, 3)
+    bloch = np.einsum("xaij,kji->xak", steered, PAULI_XYZ).real[x_bits, a_index]
 
     stage_inputs = []
     stage_readings = []
@@ -199,12 +198,8 @@ def run_chain(
         positions, cdf = reading_distribution(pointer)
         samples = pointer.samples
 
-        proj_plus = np.stack([projectors(d)[0] for d in (stage.dir0, stage.dir1)])
-        proj_minus = np.stack([projectors(d)[1] for d in (stage.dir0, stage.dir1)])
-        pp = proj_plus[y]
-        pm = proj_minus[y]
-
-        p_plus = np.einsum("tij,tji->t", pp, rho).real
+        directions = np.stack([stage.dir0.vector, stage.dir1.vector])[y]  # (T, 3)
+        p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
         shifts = np.where(branch_uniform < p_plus, 1, -1).astype(np.int64)
         idx = np.searchsorted(cdf, position_uniform, side="right")
         readings = positions[idx] + shifts
@@ -218,12 +213,8 @@ def run_chain(
         amp_plus = np.where(
             (idx_plus >= 0) & (idx_plus < samples.size), samples[np.clip(idx_plus, 0, samples.size - 1)], 0.0
         )
-
-        kraus = amp_minus[:, None, None] * pp + amp_plus[:, None, None] * pm
-        rho = np.einsum("tij,tjk,tkl->til", kraus, rho, kraus)
-        norm = np.einsum("tii->t", rho).real
-        rho = rho / norm[:, None, None]
-        rho = (rho + np.conj(np.swapaxes(rho, 1, 2))) / 2.0
+        # K_q = phi(q-1) pi+ + phi(q+1) pi-
+        bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
 
         stage_inputs.append(y)
         stage_readings.append(readings)

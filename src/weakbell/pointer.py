@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,18 @@ class PointerState:
         """Amplitude at the node nearest q; zero outside the grid."""
         idx = self.index_of(q)
         return float(self.samples[idx]) if idx is not None else 0.0
+
+    @cached_property
+    def reading_cdf(self) -> np.ndarray:
+        """Exact discrete CDF of phi(q)^2 over the nodes; built once, read-only."""
+        masses = self.samples**2 * self.grid_spacing
+        total = float(np.sum(masses))
+        if total <= 0.0:
+            raise InvalidStateError("pointer carries no probability mass")
+        cdf = np.cumsum(masses) / total
+        cdf[-1] = 1.0
+        cdf.flags.writeable = False
+        return cdf
 
 
 @dataclass(frozen=True)

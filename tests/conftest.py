@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from weakbell import BobStage, Direction, MeasurementStrength
-from weakbell.channel import on_second_qubit, projectors
+from weakbell import BellChainConfig, BobStage, Direction, MeasurementStrength
+from weakbell.channel import on_second_qubit, projectors, spin_operator
 
 
 def random_direction(rng) -> Direction:
@@ -67,3 +67,31 @@ def enumerate_chain_state(cfg, n: int) -> np.ndarray:
                     weight *= quality
             total += weight * rho
     return total
+
+
+def kron_chsh(state, alice_dirs, bob_dirs, precision: float) -> float:
+    """CHSH at Bob precision G from np.kron observables on a complex 4x4 state."""
+    e = [
+        [
+            precision * float(np.trace(state @ np.kron(spin_operator(u), spin_operator(w))).real)
+            for w in bob_dirs
+        ]
+        for u in alice_dirs
+    ]
+    return e[0][0] + e[0][1] + e[1][0] - e[1][1]
+
+
+def oracle_chain_chsh(alice, bob, strengths) -> list[float]:
+    """CHSH of every Bob in an unbiased chain sharing one pair of settings.
+
+    strengths are the prior Bobs' strengths (at least one); the last Bob
+    is strong.  Each state comes from enumerate_chain_state, each
+    correlator from np.kron.
+    """
+    stages = tuple(BobStage(bob[0], bob[1], s, bias=0.5) for s in strengths)
+    cfg = BellChainConfig(alice[0], alice[1], stages=stages)
+    precisions = [s.precision for s in strengths] + [1.0]
+    return [
+        kron_chsh(enumerate_chain_state(cfg, n), alice, bob, g)
+        for n, g in enumerate(precisions, 1)
+    ]

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enumerate_chain_state, random_direction, random_stage, random_strength
+from conftest import (
+    enumerate_chain_state,
+    oracle_chain_chsh,
+    random_direction,
+    random_stage,
+    random_strength,
+)
 
 from weakbell import (
     BellChainConfig,
@@ -34,12 +40,13 @@ from weakbell.bell import (
     DOUBLE_CSV_HEADER,
     POSITIVITY_CSV_HEADER,
     TripleGeometry,
+    _strength_for_target,
     double_curve_to_csv,
     positivity_scan_to_csv,
     protocol_alice,
     protocol_bob,
 )
-from weakbell.channel import DIR_X, DIR_Z
+from weakbell.channel import DIR_X, DIR_Z, PAULI_XYZ
 
 SQ2 = math.sqrt(2.0)
 
@@ -289,6 +296,31 @@ def test_correlation_table_bounds():
         CorrelationTable(np.array([[1.5, 0.0], [0.0, 0.0]]))
 
 
+def test_chsh_within_horodecki_bound_on_random_chains():
+    # max CHSH of a state is 2 sqrt(t1^2 + t2^2) over the two largest singular
+    # values of its correlation tensor (Horodecki, Horodecki & Horodecki 1995)
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        stages = tuple(random_stage(rng) for _ in range(4))
+        cfg = BellChainConfig(random_direction(rng), random_direction(rng), stages=stages)
+        for n in range(1, 6):
+            state = sequential_average_state(cfg, n)
+            tensor = np.array(
+                [[np.trace(state @ np.kron(a, b)).real for b in PAULI_XYZ] for a in PAULI_XYZ]
+            )
+            t1, t2, _ = np.linalg.svd(tensor, compute_uv=False)
+            bound = 2.0 * math.sqrt(t1 * t1 + t2 * t2)
+            for _ in range(20):
+                alice = (random_direction(rng), random_direction(rng))
+                bob = (random_direction(rng), random_direction(rng))
+                g = float(rng.random())
+                assert abs(chsh(state, alice, bob, g)) <= g * bound + 1e-12
+    # the bound is attained by the singlet at the Tsirelson settings
+    assert chsh(singlet(), tsirelson_alice(), tsirelson_bob(), 1.0) == pytest.approx(
+        2.0 * SQ2, abs=1e-12
+    )
+
+
 # --- double violations ----------------------------------------------------------------------
 
 
@@ -326,6 +358,20 @@ def test_double_violation_optimal_pointer_matches_analytic():
     assert second == pytest.approx(1.6 * SQ2, abs=1e-6)
 
 
+@pytest.mark.parametrize("family", ["analytic", "optimal", "gaussian", "square"])
+def test_double_curve_matches_per_cell_complex_oracle(family):
+    grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+    rows = double_violation_curve(family, grid)
+    assert len(rows) == len(grid)
+    alice, bob = tsirelson_alice(), tsirelson_bob()
+    for target, (g, first, second) in zip(grid, rows):
+        strength = _strength_for_target(family, target)
+        assert g == strength.precision
+        expected = oracle_chain_chsh(alice, bob, [strength])
+        assert first == pytest.approx(expected[0], abs=1e-12)
+        assert second == pytest.approx(expected[1], abs=1e-12)
+
+
 def test_double_curve_csv():
     rows = double_violation_curve("analytic", [0.5])
     text = double_curve_to_csv(rows)
@@ -341,6 +387,25 @@ def test_triple_scan_reports_no_triple_violation_on_coarse_grid():
     assert report.cells == len(grid) ** 2
     assert report.max_min_chsh <= 2.0
     assert min(report.best_values) == pytest.approx(report.max_min_chsh, abs=1e-12)
+
+
+def test_triple_scan_matches_per_cell_complex_oracle():
+    grid = [0.1 * k for k in range(1, 10)]
+    alice, bob = tsirelson_alice(), tsirelson_bob()
+    best = (-math.inf, None, None)
+    for f1 in grid:
+        for f2 in grid:
+            strengths = [MeasurementStrength(f, math.sqrt((1.0 - f) * (1.0 + f))) for f in (f1, f2)]
+            expected = oracle_chain_chsh(alice, bob, strengths)
+            cell = unbiased_triple_scan([f1], [f2])
+            np.testing.assert_allclose(cell.best_values, expected, rtol=0.0, atol=1e-12)
+            if min(expected) > best[0]:
+                best = (min(expected), (f1, f2), expected)
+    report = unbiased_triple_scan(grid, grid)
+    assert report.cells == len(grid) ** 2
+    assert report.best_quality_factors == best[1]
+    assert report.max_min_chsh == pytest.approx(best[0], abs=1e-12)
+    np.testing.assert_allclose(report.best_values, best[2], rtol=0.0, atol=1e-12)
 
 
 def test_triple_scan_symmetric_double_point_third_value():

@@ -30,7 +30,7 @@ from weakbell import (
     weak_conditional,
     weak_unconditional,
 )
-from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, spin_operator
+from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, collapse_bloch, spin_operator
 
 
 # --- projectors -----------------------------------------------------------------
@@ -219,6 +219,37 @@ def test_kraus_outside_domain_is_zero():
     pointer = make_square(1.0)
     k = kraus_at_reading(pointer, DIR_Z, 1e6)
     np.testing.assert_allclose(k, np.zeros((2, 2)), atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "pointer",
+    [make_optimal(0.8), make_gaussian(1.2), make_square(1.5)],
+    ids=["optimal", "gaussian", "square"],
+)
+def test_bloch_collapse_matches_kraus_product(pointer):
+    # K rho K / tr(K rho K) from the 2x2 Kraus operator, against the
+    # closed-form Bloch update, on random states and sampled readings
+    rng = np.random.default_rng(45)
+    states = [random_density(rng) for _ in range(300)]
+    directions = [random_direction(rng) for _ in states]
+    nodes = np.searchsorted(pointer.reading_cdf, rng.random(len(states)), side="right")
+    readings = pointer.positions[nodes] + rng.choice([-1.0, 1.0], size=len(states))
+
+    def bloch(rho):
+        return np.array([np.trace(rho @ s).real for s in PAULI_XYZ])
+
+    expected = []
+    for rho, d, q in zip(states, directions, readings):
+        kraus = kraus_at_reading(pointer, d, q)
+        collapsed = kraus @ rho @ kraus
+        expected.append(bloch(collapsed) / np.trace(collapsed).real)
+    got = collapse_bloch(
+        np.array([bloch(rho) for rho in states]),
+        np.array([d.vector for d in directions]),
+        [pointer.value_at(q - 1.0) for q in readings],
+        [pointer.value_at(q + 1.0) for q in readings],
+    )
+    np.testing.assert_allclose(got, np.array(expected), rtol=0.0, atol=1e-12)
 
 
 # --- decoherence -----------------------------------------------------------------------

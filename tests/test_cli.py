@@ -153,6 +153,21 @@ def test_montecarlo_rejects_unknown_scenario(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["1.5", "nan", "inf"])
+def test_montecarlo_rejects_non_integer_trials(tmp_path, trials):
+    out = tmp_path / "mc.json"
+    code = run_cli("montecarlo", "--scenario", "single", "--trials", trials, "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
+def test_montecarlo_accepts_exponent_trial_count(tmp_path):
+    out = tmp_path / "mc.json"
+    args = ("montecarlo", "--scenario", "single", "--g", "1.0", "--trials", "1e6", "--seed", "2")
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["trials"] == 1_000_000
+
+
 def test_montecarlo_single_scenario_strong(tmp_path):
     out = tmp_path / "single.json"
     args = ("montecarlo", "--scenario", "single", "--g", "1.0", "--trials", "20000", "--seed", "4")
