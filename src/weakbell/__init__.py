@@ -17,14 +17,10 @@ from .pointer import (
     tradeoff_curve,
 )
 from .channel import (
-    DensityOperator,
     Direction,
     decohere,
-    density_from_json,
-    density_to_json,
     distinguishability,
     kraus_at_reading,
-    on_second_qubit,
     outcome_probabilities,
     projectors,
     spin_operator,
@@ -34,7 +30,6 @@ from .channel import (
 from .bell import (
     BellChainConfig,
     BobStage,
-    CorrelationTable,
     TripleGeometry,
     chsh,
     correlation_table,
@@ -61,11 +56,9 @@ from .protocol import (
 )
 from .montecarlo import (
     EmpiricalReport,
-    TrialRecord,
     analytic_joint,
     chi_square_report,
     run_chain,
-    sample_reading,
 )
 
 __version__ = "0.1.0"

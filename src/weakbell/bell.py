@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, PhysicalityError
+from .errors import InvalidParameterError
 from .channel import (
     IDENTITY_2,
     PAULI_XYZ,
@@ -212,26 +212,6 @@ class BellChainConfig:
         object.__setattr__(self, "initial_state", state)
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
-    """Correlators E[x][y] of Alice and one Bob, |E| <= 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (2, 2):
-            raise InvalidParameterError(f"correlation table must be 2x2, got {values.shape}")
-        if np.max(np.abs(values)) > 1.0 + 1e-9:
-            raise PhysicalityError("correlator magnitude exceeds 1")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def chsh(self) -> float:
-        return float(_chsh_of(self.values))
-
-
 def pauli_coefficients(rho) -> np.ndarray:
     """Real R_ij = tr(rho sigma_i (x) sigma_j) of a 4x4 two-qubit state."""
     blocks = as_density(rho, 4).reshape(2, 2, 2, 2)  # [a, c, b, d]: row (a c), column (b d)
@@ -243,19 +223,37 @@ def density_from_pauli(pauli) -> np.ndarray:
     return np.einsum("ij,iab,jcd->acbd", pauli, _PAULI, _PAULI).reshape(4, 4) / 4.0
 
 
-def _bob_maps(quality_factors, bob_dirs, bias: float = 0.5) -> np.ndarray:
-    """Bob-index maps of input-averaged stages, one per quality factor.
+def _stage_maps(quality_factors, precisions, bob_dirs) -> np.ndarray:
+    """Conditional Bob-index maps C_{y,b} of a stage, shaped (..., input, outcome, 4, 4).
 
-    Returns diag(1, F I + (1-F) D) with D = (1-bias) d0 d0^T + bias d1 d1^T,
-    shaped (..., 4, 4) after the shape of quality_factors.
+    C_{y,b} = (diag(1, F I + (1-F) d_y d_y^T) + b G (e_0 d_y^T + d_y e_0^T)) / 2
+    is the conditional weak channel on Bob's coefficients (tr rho, tr rho sigma);
+    outcome index 0 is b = +1, index 1 is b = -1.  Quality factors and
+    precisions broadcast together into the leading axes.
     """
-    d0, d1 = (d.vector for d in bob_dirs)
-    decohered = (1.0 - bias) * np.outer(d0, d0) + bias * np.outer(d1, d1)
-    quality = np.asarray(quality_factors, dtype=float)[..., None, None]
-    maps = np.zeros(quality.shape[:-2] + (4, 4))
-    maps[..., 0, 0] = 1.0
-    maps[..., 1:, 1:] = quality * np.eye(3) + (1.0 - quality) * decohered
+    d = np.stack([direction.vector for direction in bob_dirs])  # (input, 3)
+    quality = np.asarray(quality_factors, dtype=float)[..., None, None, None, None]
+    precision = np.asarray(precisions, dtype=float)[..., None, None, None]
+    shape = np.broadcast_shapes(quality.shape[:-4], precision.shape[:-3]) + (2, 2, 4, 4)
+    maps = np.zeros(shape)
+    maps[..., 0, 0] = 0.5
+    projector = d[:, None, :, None] * d[:, None, None, :]  # d_y d_y^T: (input, 1, 3, 3)
+    maps[..., 1:, 1:] = (quality * np.eye(3) + (1.0 - quality) * projector) / 2.0
+    coupling = precision * np.array([1.0, -1.0])[:, None] * d[:, None, :] / 2.0  # (..., input, outcome, 3)
+    maps[..., 0, 1:] = coupling
+    maps[..., 1:, 0] = coupling
     return maps
+
+
+def _bob_maps(quality_factors, bob_dirs, bias: float = 0.5) -> np.ndarray:
+    """Bob-index maps of input-averaged stages, one per quality factor: (..., 4, 4).
+
+    The bias-weighted sum of the conditional maps over inputs and
+    outcomes, diag(1, F I + (1-F) sum_y r_y d_y d_y^T); the precision
+    terms cancel between the outcomes, so none is needed.
+    """
+    per_input = _stage_maps(quality_factors, 0.0, bob_dirs).sum(axis=-3)
+    return (1.0 - bias) * per_input[..., 0, :, :] + bias * per_input[..., 1, :, :]
 
 
 def propagate(pauli, maps) -> list[np.ndarray]:
@@ -288,15 +286,14 @@ def _chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
     return _chsh_of(precision * _correlators(pauli, alice_dirs, bob_dirs))
 
 
-def correlation_table(state, alice_dirs, bob_dirs, precision: float = 1.0) -> CorrelationTable:
-    """E[x][y] = G tr(rho sigma_ux (x) sigma_wy) = G u_x^T T w_y on a two-qubit state."""
-    values = precision * _correlators(pauli_coefficients(state), alice_dirs, bob_dirs)
-    return CorrelationTable(values)
+def correlation_table(state, alice_dirs, bob_dirs, precision: float = 1.0) -> np.ndarray:
+    """E[x][y] = G tr(rho sigma_ux (x) sigma_wy) = G u_x^T T w_y on a two-qubit state: (2, 2)."""
+    return precision * _correlators(pauli_coefficients(state), alice_dirs, bob_dirs)
 
 
 def chsh(state, alice_dirs, bob_dirs, precision: float = 1.0) -> float:
     """CHSH combination E00 + E01 + E10 - E11 at Bob precision G."""
-    return correlation_table(state, alice_dirs, bob_dirs, precision).chsh
+    return float(_chsh_of(correlation_table(state, alice_dirs, bob_dirs, precision)))
 
 
 def sequential_average_state(cfg: BellChainConfig, n: int) -> np.ndarray:

@@ -12,12 +12,13 @@ where pi+/- are the projectors along +/-d.  The conditional map is
 positive exactly when F^2 + G^2 <= 1.  Per-reading collapse uses the
 Kraus operator K_q = phi(q-1) pi+ + phi(q+1) pi-.
 
-The functions taking plain 2x2 (or 4x4, for on_second_qubit) complex
-arrays are the reference forms.  The simulation paths carry a qubit as
-its real Bloch vector r, rho = (I + r.sigma)/2, and a pair as its Pauli
-coefficients (see bell).  In that form the unconditional map is the
-linear map r -> F r + (1-F) d (d.r), and the collapse through
-K = a pi+ + b pi- has the closed form implemented by collapse_bloch.
+The functions taking plain 2x2 complex arrays are the reference forms
+of the paper.  The simulation paths carry a qubit as its real Bloch
+vector r, rho = (I + r.sigma)/2, and a pair as its Pauli coefficients
+(see bell, whose stage maps are these channels on Bob's index).  In
+that form the unconditional map is the linear map
+r -> F r + (1-F) d (d.r), and the collapse through K = a pi+ + b pi-
+has the closed form implemented by collapse_bloch.
 """
 
 from __future__ import annotations
@@ -87,60 +88,12 @@ def projectors(d) -> tuple[np.ndarray, np.ndarray]:
 
 def as_density(rho, dim: int | None = None) -> np.ndarray:
     """Coerce a density-matrix argument to a complex square array."""
-    if isinstance(rho, DensityOperator):
-        rho = rho.matrix
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {rho.shape[0]}x{rho.shape[0]}")
     return rho
-
-
-def validate_density(rho, atol: float = 1e-10) -> None:
-    """Check Hermiticity, unit trace and positivity; raises InvalidStateError."""
-    rho = as_density(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise InvalidStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        raise InvalidStateError(f"density matrix trace is {np.trace(rho)!r}, expected 1")
-    if float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0))) < -atol:
-        raise InvalidStateError("density matrix has a negative eigenvalue")
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Validated density matrix; unnormalized variants carry weight = trace."""
-
-    matrix: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        matrix = as_density(self.matrix)
-        if matrix.shape[0] not in (2, 4):
-            raise InvalidStateError(f"supported dimensions are 2 and 4, got {matrix.shape[0]}")
-        weight = float(np.trace(matrix).real)
-        if weight <= 0:
-            raise InvalidStateError(f"density matrix has non-positive trace {weight!r}")
-        if abs(weight - self.weight) > 1e-10:
-            raise InvalidStateError(f"weight {self.weight!r} does not match trace {weight!r}")
-        validate_density(matrix / weight)
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def normalized(cls, matrix) -> "DensityOperator":
-        return cls(as_density(matrix), 1.0)
-
-    @classmethod
-    def unnormalized(cls, matrix) -> "DensityOperator":
-        matrix = as_density(matrix)
-        return cls(matrix, float(np.trace(matrix).real))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def strength_pair(strength) -> tuple[float, float]:
@@ -233,17 +186,6 @@ def decohere(rho, d) -> np.ndarray:
     return pp @ rho @ pp + pm @ rho @ pm
 
 
-def on_second_qubit(channel, rho4) -> np.ndarray:
-    """Apply a linear single-qubit map to the second factor of a 4x4 state."""
-    rho4 = as_density(rho4, 4)
-    blocks = rho4.reshape(2, 2, 2, 2)
-    out = np.empty_like(blocks)
-    for i in range(2):
-        for j in range(2):
-            out[i, :, j, :] = channel(blocks[i, :, j, :])
-    return out.reshape(4, 4)
-
-
 def distinguishability(strength) -> tuple[float, float]:
     """(sign-strategy success, trace-distance bound) for the displaced pointer states.
 
@@ -253,14 +195,3 @@ def distinguishability(strength) -> tuple[float, float]:
     """
     F, G = strength_pair(strength)
     return (1.0 + G) / 2.0, (1.0 + math.sqrt(max(0.0, 1.0 - F * F))) / 2.0
-
-
-def density_to_json(rho) -> list:
-    """Row-major [re, im] pairs, for debugging dumps."""
-    rho = as_density(rho)
-    return [[[float(c.real), float(c.imag)] for c in row] for row in rho]
-
-
-def density_from_json(obj) -> np.ndarray:
-    rows = [[complex(c[0], c[1]) for c in row] for row in obj]
-    return as_density(np.array(rows, dtype=complex))

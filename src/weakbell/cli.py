@@ -24,18 +24,37 @@ OUTDIR_ENV = "WEAKBELL_OUTDIR"
 
 _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError, ValueError)
 
+# bounds on the work one command may ask for
+MAX_RANGE_POINTS = 100_000
+MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
+MAX_PROTOCOL_STAGES = 10_000
+
+
+def _finite(text: str, spec: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidParameterError(f"bad number {text!r} in range {spec!r}") from None
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"range {spec!r} has a non-finite value {text!r}")
+    return value
+
 
 def parse_range(spec: str) -> list[float]:
     """Parse start:stop:step into an inclusive grid, or a single value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise InvalidParameterError(f"range must be start:stop:step, got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
+    numbers = [_finite(part, spec) for part in parts]
+    if len(numbers) == 1:
+        return numbers
+    start, stop, step = numbers
     if step <= 0 or stop < start:
         raise InvalidParameterError(f"bad range {spec!r}: need stop >= start and step > 0")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    steps = (stop - start) / step + 0.5  # inf when the quotient overflows
+    if not steps < MAX_RANGE_POINTS:
+        raise InvalidParameterError(f"range {spec!r} has more than {MAX_RANGE_POINTS} points")
+    count = int(math.floor(steps)) + 1
     values = [start + k * step for k in range(count)]
     return [v for v in values if v <= stop + step / 2.0]
 
@@ -74,7 +93,10 @@ def _emit(args, text: str, default_name: str) -> None:
 
 def load_config(path: str) -> dict:
     """Read a JSON or key=value config file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read config file {path!r}: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
@@ -161,8 +183,8 @@ def cmd_double(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    if args.n < 1:
-        raise InvalidParameterError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_PROTOCOL_STAGES:
+        raise InvalidParameterError(f"--n must lie in 1..{MAX_PROTOCOL_STAGES}, got {args.n}")
     modes = sum(bool(v) for v in (args.auto_bias, args.limit, args.bias is not None))
     if modes > 1:
         raise InvalidParameterError("choose one of --bias, --auto-bias, --limit")
@@ -228,8 +250,10 @@ def cmd_pointer_dump(args) -> int:
 
 
 def cmd_triple_scan(args) -> int:
-    if not 0.0 < args.resolution < 0.5:
-        raise InvalidParameterError(f"--resolution must lie in (0, 0.5), got {args.resolution}")
+    if not MIN_TRIPLE_RESOLUTION <= args.resolution < 0.5:
+        raise InvalidParameterError(
+            f"--resolution must lie in [{MIN_TRIPLE_RESOLUTION}, 0.5), got {args.resolution}"
+        )
     step = args.resolution
     grid = [step * k for k in range(1, int(round(1.0 / step)))]
     grid = [v for v in grid if 0.0 < v < 1.0]

@@ -10,8 +10,13 @@ on the pointer), the state collapses through K_q = phi(q-1) pi+ +
 phi(q+1) pi-, and the outcome is the sign of q (the half-offset grid
 makes q = 0 impossible).  run_chain carries each trial's state as a real
 Bloch vector r, so tr(pi+ rho) = (1 + d.r)/2 and the collapse is the
-closed-form update channel.collapse_bloch.  analytic_joint stays on
-complex density matrices, independent of the sampling path.
+closed-form update channel.collapse_bloch.  Alice's strong outcome is
+steered in closed form from the Pauli coefficients R of the initial
+state: P(a=+1|x) = (1 + u_x.R_{1:,0})/2 and Bob's Bloch vector is
+(R_{0,1:} + a u_x^T T)/(1 + a u_x.R_{1:,0}).  analytic_joint propagates
+the same coefficients through the conditional stage maps of bell over
+the whole (y_k, b_k) branch grid; the tests check it against a complex
+branch enumeration.
 
 Randomness comes from a Philox counter-based generator keyed by the
 seed.  run_chain consumes the stream in a fixed documented order
@@ -32,52 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .errors import InvalidParameterError, InvalidStateError
-from .bell import BellChainConfig, BobStage
-from .channel import PAULI_XYZ, as_density, collapse_bloch, projectors, strength_pair, weak_conditional
+from .errors import InvalidParameterError
+from .bell import BellChainConfig, BobStage, _stage_maps, pauli_coefficients, propagate
+from .channel import collapse_bloch, strength_pair
 from .pointer import PointerState
 
-# --- reading distribution ----------------------------------------------------
+# --- reports --------------------------------------------------------------------
 
 
-def reading_distribution(pointer: PointerState) -> tuple[np.ndarray, np.ndarray]:
-    """(node positions, exact discrete CDF) of the undisplaced pointer density."""
-    return pointer.positions, pointer.reading_cdf
-
-
-def sample_reading(rho, pointer: PointerState, direction, rng) -> tuple[float, np.ndarray]:
-    """Draw one pointer reading and return (q, collapsed unnormalized state).
-
-    The reading is a node of the pointer grid displaced by +1 or -1; the
-    collapsed state is K_q rho K_q with trace equal to the reading
-    density at q times the grid spacing, up to normalization of rho.
-    """
-    rho = as_density(rho, 2)
-    if not np.any(pointer.samples):
-        raise InvalidStateError("degenerate pointer: all amplitudes vanish")
-    pp, pm = projectors(direction)
-    p_plus = float(np.trace(pp @ rho).real)
-    shift = 1.0 if rng.random() < p_plus else -1.0
-    idx = int(np.searchsorted(pointer.reading_cdf, rng.random(), side="right"))
-    # equals pointer.positions[idx] without building the positions array
-    reading = float(pointer.grid_origin + idx * pointer.grid_spacing + shift)
-    amp_minus = pointer.value_at(reading - 1.0)
-    amp_plus = pointer.value_at(reading + 1.0)
-    kraus = amp_minus * pp + amp_plus * pm
-    return reading, kraus @ rho @ kraus
-
-
-# --- trial records and reports ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial: inputs (x, y_1..y_n), readings q_1..q_n, outcomes (a, b_1..b_n)."""
-
-    seed: int
-    inputs: tuple[int, ...]
-    readings: tuple[float, ...]
-    outcomes: tuple[int, ...]
+def _json_number(value: float) -> float | None:
+    """value, or None (JSON null) where it is NaN or infinite."""
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -98,18 +68,18 @@ class EmpiricalReport:
     trials: int
     per_bob: tuple[BobReport, ...]
     outcome_counts: dict
-    records: tuple[TrialRecord, ...] | None = None
 
     def to_dict(self) -> dict:
+        """JSON-ready summary; empty cells and the CHSH they leave undefined are None."""
         return {
             "config_digest": self.config_digest,
             "seed": self.seed,
             "trials": self.trials,
             "per_bob": [
                 {
-                    "E": {f"{x}{y}": bob.correlations[(x, y)] for x, y in bob.correlations},
-                    "chsh": bob.chsh,
-                    "stderr": bob.chsh_stderr,
+                    "E": {f"{x}{y}": _json_number(e) for (x, y), e in bob.correlations.items()},
+                    "chsh": _json_number(bob.chsh),
+                    "stderr": _json_number(bob.chsh_stderr),
                 }
                 for bob in self.per_bob
             ],
@@ -134,24 +104,18 @@ def _config_digest(cfg: BellChainConfig) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _alice_tables(cfg: BellChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """P(a=+1|x) and the normalized steered 2x2 states for (x, a) combos."""
-    rho0 = np.asarray(cfg.initial_state, dtype=complex)
-    p_plus = np.zeros(2)
-    steered = np.zeros((2, 2, 2, 2), dtype=complex)  # [x, a_index] with a_index 0 -> +1
-    eye2 = np.eye(2, dtype=complex)
-    for x, direction in enumerate((cfg.alice_dir0, cfg.alice_dir1)):
-        pp, pm = projectors(direction)
-        for a_index, projector in enumerate((pp, pm)):
-            big = np.kron(projector, eye2)
-            collapsed = big @ rho0 @ big
-            reduced = collapsed[0:2, 0:2] + collapsed[2:4, 2:4]
-            weight = float(np.trace(reduced).real)
-            if a_index == 0:
-                p_plus[x] = weight
-            if weight > 0.0:
-                steered[x, a_index] = reduced / weight
-    return p_plus, steered
+def _alice_steering(cfg: BellChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """P(a=+1|x), shaped (2,), and Bob's steered Bloch vectors, shaped (x, a_index, 3).
+
+    a_index 0 is a = +1.  An outcome of zero probability gets the zero vector.
+    """
+    pauli = pauli_coefficients(cfg.initial_state)
+    u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])  # (x, 3)
+    signs = np.array([1.0, -1.0])  # a for a_index 0, 1
+    weight = 1.0 + np.outer(u @ pauli[1:, 0], signs)  # 1 + a u_x.R_{1:,0} = 2 P(a|x): (x, a_index)
+    bloch = pauli[0, 1:] + signs[:, None] * (u @ pauli[1:, 1:])[:, None, :]  # (x, a_index, 3)
+    steered = np.divide(bloch, weight[..., None], out=np.zeros_like(bloch), where=weight[..., None] > 0.0)
+    return weight[:, 0] / 2.0, steered
 
 
 def _stage_pointer(stage: BobStage) -> PointerState:
@@ -162,16 +126,10 @@ def _stage_pointer(stage: BobStage) -> PointerState:
     return stage.strength
 
 
-def run_chain(
-    cfg: BellChainConfig,
-    trials: int,
-    seed: int,
-    keep_records: bool = False,
-) -> EmpiricalReport:
+def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     """Simulate the full chain and report per-Bob correlators and CHSH values.
 
-    All trials are vectorized; keep_records materializes per-trial
-    TrialRecord tuples and is intended for small runs.
+    All trials are vectorized.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
@@ -180,14 +138,12 @@ def run_chain(
 
     x_bits = (rng.random(trials) < 0.5).astype(np.int8)
     alice_uniform = rng.random(trials)
-    p_plus_by_x, steered = _alice_tables(cfg)
+    p_plus_by_x, steered = _alice_steering(cfg)
     a = np.where(alice_uniform < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
     a_index = ((1 - a) // 2).astype(np.int8)
-    # Bloch vectors tr(rho sigma_k) of the steered states, gathered per trial: (T, 3)
-    bloch = np.einsum("xaij,kji->xak", steered, PAULI_XYZ).real[x_bits, a_index]
+    bloch = steered[x_bits, a_index]  # (T, 3)
 
     stage_inputs = []
-    stage_readings = []
     stage_outcomes = []
     for stage, pointer in zip(cfg.stages, pointers):
         y = (rng.random(trials) < stage.bias).astype(np.int8)
@@ -195,14 +151,13 @@ def run_chain(
         position_uniform = rng.random(trials)
 
         cells = round(1.0 / pointer.grid_spacing)
-        positions, cdf = reading_distribution(pointer)
         samples = pointer.samples
 
         directions = np.stack([stage.dir0.vector, stage.dir1.vector])[y]  # (T, 3)
         p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
         shifts = np.where(branch_uniform < p_plus, 1, -1).astype(np.int64)
-        idx = np.searchsorted(cdf, position_uniform, side="right")
-        readings = positions[idx] + shifts
+        idx = np.searchsorted(pointer.reading_cdf, position_uniform, side="right")
+        readings = pointer.positions[idx] + shifts
 
         # phi(q -/+ 1) as integer index gathers on the pointer grid
         idx_minus = idx + (shifts - 1) * cells
@@ -217,7 +172,6 @@ def run_chain(
         bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
 
         stage_inputs.append(y)
-        stage_readings.append(readings)
         stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
 
     per_bob = []
@@ -254,27 +208,12 @@ def run_chain(
             )
         )
 
-    outcome_counts = _count_outcomes(x_bits, stage_inputs, a, stage_outcomes)
-
-    records = None
-    if keep_records:
-        records = tuple(
-            TrialRecord(
-                seed=seed,
-                inputs=(int(x_bits[t]), *(int(y[t]) for y in stage_inputs)),
-                readings=tuple(float(r[t]) for r in stage_readings),
-                outcomes=(int(a[t]), *(int(b[t]) for b in stage_outcomes)),
-            )
-            for t in range(trials)
-        )
-
     return EmpiricalReport(
         config_digest=_config_digest(cfg),
         seed=seed,
         trials=trials,
         per_bob=tuple(per_bob),
-        outcome_counts=outcome_counts,
-        records=records,
+        outcome_counts=_count_outcomes(x_bits, stage_inputs, a, stage_outcomes),
     )
 
 
@@ -306,31 +245,35 @@ def _count_outcomes(x_bits, stage_inputs, a, stage_outcomes) -> dict:
 def analytic_joint(cfg: BellChainConfig) -> dict:
     """Exact joint distribution over (x, y_1..y_n, a, b_1..b_n).
 
-    Propagates conditional unnormalized states through the chain with
-    the conditional weak channel; strengths come from the stages
-    (pointer-backed stages are measured by quadrature).  Independent of
-    the sampling path, so it doubles as the chi-square reference.
+    One propagate call takes the Pauli coefficients of the initial state
+    through the conditional stage maps over the whole (y_k, b_k) branch
+    grid; strengths come from the stages (pointer-backed stages are
+    measured by quadrature).  Alice's strong outcome a along u_x then
+    has weight (R'_00 + a u_x.R'_{1:,0}) / 2 on each branch state R'.
+    Shares no sampling code with run_chain, so it serves as the
+    chi-square reference.
     """
     n_stages = len(cfg.stages)
-    p_plus_by_x, steered = _alice_tables(cfg)
+    maps = []
+    for k, stage in enumerate(cfg.stages):
+        quality, prec = strength_pair(stage.strength)
+        stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))
+        # stage k's (input, outcome) axes are axes 2k, 2k+1 of the branch grid
+        maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
+    branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]  # (y1, b1, .., yn, bn, 4, 4)
+    u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
+    alice = np.einsum("xi,...i->x...", u, branches[..., 1:, 0])  # (x, y1, b1, .., yn, bn)
     out = {}
-    strengths = [stage.resolved_strength() for stage in cfg.stages]
     for x in (0, 1):
-        p_x = 0.5
         for ys in itertools.product((0, 1), repeat=n_stages):
-            p_inputs = p_x
+            p_inputs = 0.5
             for stage, y in zip(cfg.stages, ys):
                 p_inputs *= stage.bias if y == 1 else 1.0 - stage.bias
             for a_val in (1, -1):
-                p_a = p_plus_by_x[x] if a_val == 1 else 1.0 - p_plus_by_x[x]
-                rho = steered[x, (1 - a_val) // 2]
                 for bs in itertools.product((1, -1), repeat=n_stages):
-                    state = np.array(rho)
-                    for stage, strength, y, b in zip(cfg.stages, strengths, ys, bs):
-                        direction = stage.dir1 if y == 1 else stage.dir0
-                        state = weak_conditional(state, direction, strength, b)
-                    prob = p_inputs * p_a * float(np.trace(state).real)
-                    out[(x, *ys, a_val, *bs)] = prob
+                    branch = tuple(i for y, b in zip(ys, bs) for i in (y, (1 - b) // 2))
+                    weight = branches[branch][0, 0] + a_val * alice[(x, *branch)]
+                    out[(x, *ys, a_val, *bs)] = p_inputs * float(weight) / 2.0
     return out
 
 
@@ -347,7 +290,7 @@ class ChiSquareReport:
 
     def to_dict(self) -> dict:
         return {
-            "statistic": self.statistic,
+            "statistic": _json_number(self.statistic),
             "dof": self.dof,
             "p_value": self.p_value,
             "passed": self.passed,

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from weakbell import BellChainConfig, BobStage, Direction, MeasurementStrength
-from weakbell.channel import on_second_qubit, projectors, spin_operator
+from weakbell import BellChainConfig, BobStage, Direction, MeasurementStrength, weak_conditional
+from weakbell.channel import as_density, projectors, spin_operator
 
 
 def random_direction(rng) -> Direction:
@@ -36,6 +36,47 @@ def random_stage(rng) -> BobStage:
         random_strength(rng),
         bias=float(rng.random()),
     )
+
+
+def on_second_qubit(channel, rho4) -> np.ndarray:
+    """Apply a linear single-qubit map to the second factor of a 4x4 state."""
+    rho4 = as_density(rho4, 4)
+    blocks = rho4.reshape(2, 2, 2, 2)
+    out = np.empty_like(blocks)
+    for i in range(2):
+        for j in range(2):
+            out[i, :, j, :] = channel(blocks[i, :, j, :])
+    return out.reshape(4, 4)
+
+
+def enumerate_joint(cfg) -> dict:
+    """Brute-force oracle for the joint distribution over (x, y_1..y_n, a, b_1..b_n).
+
+    Steers Bob's qubit with np.kron projectors of Alice's outcome, then
+    applies the complex conditional weak channel branch by branch.
+    Exponential in the number of stages; for cross-checking
+    montecarlo.analytic_joint only.
+    """
+    n_stages = len(cfg.stages)
+    strengths = [stage.resolved_strength() for stage in cfg.stages]
+    rho0 = np.asarray(cfg.initial_state, dtype=complex)
+    out = {}
+    for x, alice_dir in enumerate((cfg.alice_dir0, cfg.alice_dir1)):
+        for a_val, projector in zip((1, -1), projectors(alice_dir)):
+            big = np.kron(projector, np.eye(2))
+            collapsed = big @ rho0 @ big
+            steered = collapsed[0:2, 0:2] + collapsed[2:4, 2:4]  # unnormalized, trace P(a|x)
+            for ys in itertools.product((0, 1), repeat=n_stages):
+                p_inputs = 0.5
+                for stage, y in zip(cfg.stages, ys):
+                    p_inputs *= stage.bias if y == 1 else 1.0 - stage.bias
+                for bs in itertools.product((1, -1), repeat=n_stages):
+                    state = steered
+                    for stage, strength, y, b in zip(cfg.stages, strengths, ys, bs):
+                        direction = stage.dir1 if y == 1 else stage.dir0
+                        state = weak_conditional(state, direction, strength, b)
+                    out[(x, *ys, a_val, *bs)] = p_inputs * float(np.trace(state).real)
+    return out
 
 
 def enumerate_chain_state(cfg, n: int) -> np.ndarray:

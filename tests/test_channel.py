@@ -3,30 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_direction, random_strength
+from conftest import on_second_qubit, random_density, random_direction, random_strength
 
 from weakbell import (
-    DensityOperator,
     Direction,
     InvalidParameterError,
     InvalidStateError,
     MeasurementStrength,
     PhysicalityError,
     decohere,
-    density_from_json,
-    density_to_json,
     distinguishability,
     kraus_at_reading,
     make_exponential,
     make_gaussian,
     make_optimal,
     make_square,
-    on_second_qubit,
     outcome_probabilities,
     precision,
     projectors,
     quality_factor,
     singlet,
+    strength_of,
     weak_conditional,
     weak_unconditional,
 )
@@ -204,15 +201,17 @@ def test_kraus_positive_readings_reproduce_outcome_probability():
     h = pointer.grid_spacing
     lo = pointer.grid_origin - 1.0
     n = pointer.samples.size + 2 * round(1.0 / h)
-    mass = 0.0
+    kept = np.zeros((2, 2), dtype=complex)
     for j in range(n):
         q = lo + j * h
         if q <= 0:
             continue
         k = kraus_at_reading(pointer, d, q)
-        mass += float(np.trace(k @ rho @ k.conj().T).real) * h
+        kept += k @ rho @ k.conj().T * h
     p_plus, _ = outcome_probabilities(rho, d, precision(pointer))
-    assert mass == pytest.approx(p_plus, abs=1e-8)
+    assert float(np.trace(kept).real) == pytest.approx(p_plus, abs=1e-8)
+    # the whole post-selected state, not just its trace, is the conditional channel
+    np.testing.assert_allclose(kept, weak_conditional(rho, d, strength_of(pointer), 1), rtol=0.0, atol=1e-8)
 
 
 def test_kraus_outside_domain_is_zero():
@@ -316,27 +315,3 @@ def test_distinguishability_sign_never_beats_bound():
     for _ in range(50):
         sign, bound = distinguishability(random_strength(rng))
         assert sign <= bound + 1e-12
-
-
-# --- density-operator plumbing ----------------------------------------------------------------
-
-
-def test_density_operator_validation():
-    rho = DensityOperator.normalized(np.eye(2) / 2)
-    assert rho.dim == 2
-    with pytest.raises(InvalidStateError):
-        DensityOperator.normalized(np.array([[0.5, 0.5], [0.2, 0.5]]))  # not Hermitian
-    with pytest.raises(InvalidStateError):
-        DensityOperator.normalized(np.eye(2))  # trace 2
-    with pytest.raises(InvalidStateError):
-        DensityOperator.normalized(np.diag([1.5, -0.5]))  # negative eigenvalue
-    un = DensityOperator.unnormalized(np.diag([0.3, 0.1]))
-    assert un.weight == pytest.approx(0.4)
-
-
-def test_density_json_round_trip():
-    rng = np.random.default_rng(12)
-    rho = random_density(rng, dim=4)
-    encoded = density_to_json(rho)
-    assert isinstance(encoded, list) and len(encoded) == 4
-    np.testing.assert_allclose(density_from_json(encoded), rho, atol=0.0)

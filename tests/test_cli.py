@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weakbell.cli import main, parse_range
+from weakbell.cli import MAX_PROTOCOL_STAGES, MAX_RANGE_POINTS, MIN_TRIPLE_RESOLUTION, main, parse_range
 from weakbell.errors import InvalidParameterError
 
 
@@ -34,6 +34,27 @@ def test_parse_range_inclusive_endpoints():
         parse_range("3:1:0.5")
     with pytest.raises(InvalidParameterError):
         parse_range("1:2:-0.5")
+
+
+@pytest.mark.parametrize("spec", ["inf", "nan", "0.1:inf:0.1", "-inf:0.5:0.1", "0:1:nan", "0:1:x", ""])
+def test_parse_range_rejects_non_finite_and_malformed_parts(spec):
+    with pytest.raises(InvalidParameterError):
+        parse_range(spec)
+
+
+def test_parse_range_caps_the_point_count():
+    assert len(parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+    with pytest.raises(InvalidParameterError, match="more than"):
+        parse_range(f"0:{MAX_RANGE_POINTS}:1")
+    with pytest.raises(InvalidParameterError, match="more than"):
+        parse_range("-1e308:1e308:1e-300")  # the span overflows to inf
+
+
+def test_double_rejects_infinite_range_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_cli("double", "--g", "0.1:inf:0.1", "--out", str(out)) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- tradeoff ---------------------------------------------------------------------
@@ -168,6 +189,22 @@ def test_montecarlo_accepts_exponent_trial_count(tmp_path):
     assert json.loads(out.read_text())["trials"] == 1_000_000
 
 
+def test_montecarlo_json_has_no_bare_nan(tmp_path):
+    # three trials leave input cells empty; their E, chsh and stderr are null
+    out = tmp_path / "mc.json"
+    args = ("montecarlo", "--scenario", "double", "--trials", "3", "--seed", "1")
+    assert run_cli(*args, "--out", str(out)) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    for bob in payload["per_bob"]:
+        assert set(bob) == {"E", "chsh", "stderr"}
+        assert set(bob["E"]) == {"00", "01", "10", "11"}
+    assert any(bob["chsh"] is None for bob in payload["per_bob"])
+
+
 def test_montecarlo_single_scenario_strong(tmp_path):
     out = tmp_path / "single.json"
     args = ("montecarlo", "--scenario", "single", "--g", "1.0", "--trials", "20000", "--seed", "4")
@@ -196,6 +233,18 @@ def test_triple_scan_coarse(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["max_min_chsh"] <= 2.0
     assert payload["cells"] == 16
+
+
+def test_triple_scan_resolution_floor(tmp_path):
+    out = tmp_path / "scan.json"
+    assert run_cli("triple-scan", "--resolution", repr(MIN_TRIPLE_RESOLUTION * 0.999), "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_protocol_stage_cap(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run_cli("protocol", "--n", str(MAX_PROTOCOL_STAGES + 1), "--limit", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 # --- config files, env var, entry point --------------------------------------------------
@@ -236,6 +285,12 @@ def test_config_file_json_and_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_flag": 1}))
     assert run_cli("tradeoff", "--family", "optimal", "--g", "0.5", "--config", str(bad)) == 2
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "such.cfg"
+    assert run_cli("tradeoff", "--family", "optimal", "--g", "0.5", "--config", str(missing)) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_default_output_directory_env(tmp_path, monkeypatch):

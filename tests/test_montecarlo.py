@@ -9,15 +9,14 @@ from weakbell import (
     BellChainConfig,
     BobStage,
     InvalidParameterError,
-    InvalidStateError,
     MeasurementStrength,
     analytic_joint,
     chi_square_report,
     make_optimal,
     make_square,
+    kraus_at_reading,
     outcome_probabilities,
     run_chain,
-    sample_reading,
     triple_probability,
     tsirelson_alice,
     tsirelson_bob,
@@ -25,7 +24,6 @@ from weakbell import (
 )
 from weakbell.bell import TripleGeometry
 from weakbell.channel import DIR_X, DIR_Z
-from weakbell.montecarlo import reading_distribution
 
 
 def double_config(target_precision=0.8):
@@ -44,24 +42,6 @@ def double_config(target_precision=0.8):
 # --- single readings -----------------------------------------------------------
 
 
-def test_sample_reading_strong_pointer_is_deterministic_on_eigenstates():
-    pointer = make_square(1.0)
-    up = np.diag([1.0, 0.0]).astype(complex)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        reading, collapsed = sample_reading(up, pointer, DIR_Z, rng)
-        assert 0.0 < reading < 2.0
-        assert np.trace(collapsed).real > 0.0
-
-
-def test_sample_reading_rejects_degenerate_pointer():
-    pointer = make_square(1.0)
-    rng = np.random.default_rng(0)
-    with pytest.raises(InvalidStateError):
-        zeroed = type("Fake", (), {"samples": np.zeros(4), "positions": np.zeros(4)})()
-        sample_reading(np.eye(2) / 2, zeroed, DIR_Z, rng)
-
-
 def test_digitized_frequencies_match_outcome_probabilities():
     # independent sampler written here against the same discrete density
     rng = np.random.default_rng(42)
@@ -74,7 +54,7 @@ def test_digitized_frequencies_match_outcome_probabilities():
 
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)
-    positions, cdf = reading_distribution(pointer)
+    positions, cdf = pointer.positions, pointer.reading_cdf
     for trials in (10_000, 100_000, 1_000_000):
         shifts = np.where(rng.random(trials) < branch_plus, 1.0, -1.0)
         idx = np.searchsorted(cdf, rng.random(trials), side="right")
@@ -94,7 +74,7 @@ def test_reading_first_moment_matches_discrete_mean():
 
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)
-    positions, cdf = reading_distribution(pointer)
+    positions, cdf = pointer.positions, pointer.reading_cdf
     masses = np.diff(np.concatenate([[0.0], cdf]))
     analytic_mean = branch_plus * float(np.sum((positions + 1.0) * masses)) + (
         1.0 - branch_plus
@@ -109,6 +89,7 @@ def test_reading_first_moment_matches_discrete_mean():
 
 
 def test_post_selected_states_match_conditional_channel():
+    # readings sampled here from the pointer density; each is collapsed by K_q
     rng = np.random.default_rng(44)
     pointer = make_optimal(0.8)
     rho = random_density(rng)
@@ -118,14 +99,22 @@ def test_post_selected_states_match_conditional_channel():
     p_plus = float(np.trace(conditional).real)
     expected = conditional / p_plus
 
-    total = np.zeros((2, 2), dtype=complex)
-    kept = 0
+    from weakbell.channel import projectors
+
+    pp, _ = projectors(d)
+    branch_plus = float(np.trace(pp @ rho).real)
     trials = 40_000
-    for _ in range(trials):
-        reading, collapsed = sample_reading(rho, pointer, d, rng)
-        if reading > 0.0:
-            total += collapsed / np.trace(collapsed).real
-            kept += 1
+    shifts = np.where(rng.random(trials) < branch_plus, 1.0, -1.0)
+    idx = np.searchsorted(pointer.reading_cdf, rng.random(trials), side="right")
+    readings = pointer.positions[idx] + shifts
+    kept_readings, multiplicity = np.unique(readings[readings > 0.0], return_counts=True)
+
+    total = np.zeros((2, 2), dtype=complex)
+    for reading, count in zip(kept_readings, multiplicity):
+        k = kraus_at_reading(pointer, d, float(reading))
+        collapsed = k @ rho @ k
+        total += count * collapsed / np.trace(collapsed).real
+    kept = int(np.sum(multiplicity))
     averaged = total / kept
     stderr = 4.0 / math.sqrt(kept)
     assert np.max(np.abs(averaged - expected)) < stderr
@@ -136,21 +125,38 @@ def test_post_selected_states_match_conditional_channel():
 
 def test_run_chain_is_deterministic():
     cfg = double_config()
-    first = run_chain(cfg, 500, seed=99, keep_records=True)
-    second = run_chain(cfg, 500, seed=99, keep_records=True)
-    assert first.records == second.records
+    first = run_chain(cfg, 500, seed=99)
+    second = run_chain(cfg, 500, seed=99)
+    assert first.to_dict() == second.to_dict()
     assert first.outcome_counts == second.outcome_counts
     assert first.config_digest == second.config_digest
-    third = run_chain(cfg, 500, seed=100, keep_records=True)
-    assert third.records != first.records
+    third = run_chain(cfg, 500, seed=100)
+    assert third.outcome_counts != first.outcome_counts
+    assert third.to_dict() != first.to_dict()
 
 
 def test_records_digitize_readings_by_sign():
-    report = run_chain(double_config(), 500, seed=5, keep_records=True)
-    for record in report.records:
-        for reading, outcome in zip(record.readings, record.outcomes[1:]):
-            assert reading != 0.0
-            assert outcome == (1 if reading > 0.0 else -1)
+    cfg = double_config()
+    report = run_chain(cfg, 500, seed=5)
+    # readings are pointer nodes displaced by +/-1: none is 0, so sign(q) is never tied
+    for stage in cfg.stages:
+        for shift in (1.0, -1.0):
+            assert np.all(stage.strength.positions + shift != 0.0)
+    # every trial is digitized to one outcome +/-1 per Bob
+    assert sum(report.outcome_counts.values()) == 500
+    for key in report.outcome_counts:
+        assert all(b in (-1, 1) for b in key[-len(cfg.stages) :])
+
+
+def test_run_chain_strong_aligned_bob_anticorrelates_exactly():
+    # a strong Bob measuring along Alice's own directions sees b = -a on the singlet
+    cfg = BellChainConfig(
+        DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, make_square(1.0), bias=0.5),)
+    )
+    bob = run_chain(cfg, 20_000, seed=6).per_bob[0]
+    assert bob.correlations[(0, 0)] == -1.0
+    assert bob.correlations[(1, 1)] == -1.0
+    assert abs(bob.correlations[(0, 1)]) < 4.0 * math.sqrt(1.0 / bob.counts[(0, 1)])
 
 
 def test_run_chain_double_scenario_reproduces_analytic_chsh():

@@ -258,6 +258,9 @@ def test_constructed_pointers_are_normalized_and_symmetric():
         np.testing.assert_allclose(
             np.abs(state.samples), np.abs(state.samples[::-1]), atol=1e-9
         )
+        # readings are nodes displaced by +/-1: none is 0, so sign(q) is never tied
+        for shift in (1.0, -1.0):
+            assert np.all(state.positions + shift != 0.0)
 
 
 def test_pointer_state_rejects_invariant_violations():

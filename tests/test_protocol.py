@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import on_second_qubit
+
 from weakbell import (
     BellChainConfig,
     BobStage,
@@ -17,7 +19,6 @@ from weakbell import (
     decohere,
     feasible_uniform_bias,
     limit_chsh,
-    on_second_qubit,
     sequential_average_state,
     singlet,
 )
