@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvalidStateError
 from .channel import (
     IDENTITY_2,
     PAULI_XYZ,
@@ -54,6 +54,8 @@ from .channel import (
 from .pointer import MeasurementStrength, PointerState
 
 _SQ2 = math.sqrt(2.0)
+# Hermiticity, trace and positivity tolerance of an initial chain state
+_STATE_TOL = 1e-9
 # sigma_0 = I, sigma_1..3 = X, Y, Z: the basis of the Pauli coefficients
 _PAULI = np.stack([IDENTITY_2, *PAULI_XYZ])
 
@@ -195,7 +197,12 @@ class BobStage:
 
 @dataclass(frozen=True)
 class BellChainConfig:
-    """Alice's two directions plus the ordered Bob stages and initial state."""
+    """Alice's two directions plus the ordered Bob stages and initial state.
+
+    initial_state defaults to the singlet; a given one must be a density
+    matrix: Hermitian, of unit trace and positive semidefinite, each
+    within 1e-9.
+    """
 
     alice_dir0: Direction
     alice_dir1: Direction
@@ -206,10 +213,25 @@ class BellChainConfig:
         if not self.stages:
             raise InvalidParameterError("a Bell chain needs at least one Bob stage")
         object.__setattr__(self, "stages", tuple(self.stages))
-        state = singlet() if self.initial_state is None else as_density(self.initial_state, 4)
+        state = singlet() if self.initial_state is None else _checked_density(self.initial_state)
         state = state.copy()
         state.flags.writeable = False
         object.__setattr__(self, "initial_state", state)
+
+
+def _checked_density(rho) -> np.ndarray:
+    """A 4x4 initial state, refused unless it is a density matrix within _STATE_TOL."""
+    rho = as_density(rho, 4)
+    drift = float(np.max(np.abs(rho - rho.conj().T)))
+    if not drift <= _STATE_TOL:
+        raise InvalidStateError(f"initial state is not Hermitian: max |rho - rho^H| = {drift:.3e}")
+    trace = float(np.trace(rho).real)
+    if not abs(trace - 1.0) <= _STATE_TOL:
+        raise InvalidStateError(f"initial state has trace {trace!r}, not 1")
+    lowest = float(np.linalg.eigvalsh(rho)[0])
+    if not lowest >= -_STATE_TOL:
+        raise InvalidStateError(f"initial state is not positive semidefinite: eigenvalue {lowest:.3e}")
+    return rho
 
 
 def pauli_coefficients(rho) -> np.ndarray:

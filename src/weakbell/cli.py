@@ -95,11 +95,14 @@ def load_config(path: str) -> dict:
     """Read a JSON or key=value config file."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read config file {path!r}: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameterError(f"config file {path!r} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidParameterError("config file must hold a JSON object")
         return data
@@ -115,36 +118,61 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _explicit_flags(argv) -> set[str]:
-    """Destination names of flags spelled out on the command line."""
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return explicit
+_SWITCH_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
-def apply_config(args: argparse.Namespace, argv) -> None:
-    """Merge config-file values under explicit flags (flags win over config)."""
-    if not getattr(args, "config", None):
-        return
+def _config_text(key: str, value) -> str:
+    """The text a config value stands for on the command line.
+
+    Strings stand for themselves, booleans for true/false and finite
+    numbers for their repr; anything else is refused.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
+        return repr(value)
+    raise InvalidParameterError(f"config key {key!r} needs a string, boolean or finite number, got {value!r}")
+
+
+def config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's entries as command-line flags.
+
+    Each value is turned into the text it stands for and parsed by the
+    same argparse action as the flag, so a config value is checked
+    exactly as the flag would be (an int flag rejects 1.9 and 7.0).
+    Switches such as --auto-bias take true/false, yes/no, on/off or 1/0.
+    """
     data = load_config(args.config)
-    explicit = _explicit_flags(argv)
     allowed = {k for k in vars(args) if k not in ("config", "func", "command")}
+    flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in allowed:
             raise InvalidParameterError(f"unknown config key {key!r}")
-        if dest in explicit:
-            continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            value = str(value).lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, dest, value)
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool):
+            on = _SWITCH_WORDS.get(_config_text(key, value).lower())
+            if on is None:
+                raise InvalidParameterError(f"config key {key!r} must be true or false, got {value!r}")
+            if on:
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={_config_text(key, value)}")
+    return flags
+
+
+def parse_command_line(argv) -> argparse.Namespace:
+    """Parse argv; a --config file's flags go before argv's own, so explicit flags win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args([argv[0], *config_flags(args), *argv[1:]])
+    return args
 
 
 # --- commands -----------------------------------------------------------------
@@ -327,12 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        apply_config(args, argv)
+        args = parse_command_line(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors already printed
         return 2 if exc.code not in (0, None) else 0

@@ -22,10 +22,21 @@ unit shifts are exact integer index shifts, piecewise-constant profiles
 are integrated exactly, and sign digitization never sees a tie at q=0.
 Integrals are uniform-weight sums h * sum(...) (composite trapezoid
 with vanishing boundary terms).
+
+Frontier pointers are built interval by interval: the envelope is one
+power per interval (2n-1, 2n+1], and the samples are the row-major
+outer product of the envelope with the central profile, so a row of
+the reshaped sample array is one interval.  The worst pointer zeroes
+rows of that array.  The precision sums only the contiguous run of
+nodes inside (-1, 1), located by bisection on the node positions
+origin + j h, so no per-node position array is built.  No grid may
+have more than MAX_POINTER_NODES nodes; builders check the count
+before they allocate.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +46,8 @@ import numpy as np
 from .errors import InvalidParameterError, InvalidStateError, PhysicalityError
 
 DEFAULT_GRID_SPACING = 1.0 / 512
+# largest grid a builder allocates: 128 MB of float64 samples per array
+MAX_POINTER_NODES = 2**24
 
 _NORM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
@@ -43,14 +56,28 @@ _CIRCLE_TOL = 1e-9
 
 def _cells_per_unit(grid_spacing: float) -> int:
     """Number of grid cells per unit length; spacing must be 1/2^k."""
-    if not grid_spacing > 0:
-        raise InvalidParameterError(f"grid spacing must be positive, got {grid_spacing}")
+    if not (grid_spacing > 0 and math.isfinite(1.0 / grid_spacing)):
+        raise InvalidParameterError(f"grid spacing must be positive with a finite reciprocal, got {grid_spacing}")
     cells = round(1.0 / grid_spacing)
     if cells < 2 or cells & (cells - 1) or cells * grid_spacing != 1.0:
         raise InvalidParameterError(
             f"grid spacing must be 1/2^k so unit shifts stay on the grid, got {grid_spacing}"
         )
     return cells
+
+
+def _check_node_count(nodes: int) -> None:
+    """Refuse a grid of more than MAX_POINTER_NODES nodes before it is allocated."""
+    if nodes > MAX_POINTER_NODES:
+        raise InvalidParameterError(
+            f"a pointer grid of at least {nodes} nodes exceeds the cap of {MAX_POINTER_NODES}; "
+            "use a coarser spacing or a parameter nearer the strong limit"
+        )
+
+
+def _radius_cells(radius: float, grid_spacing: float) -> int:
+    """ceil(radius / spacing), clipped so a radius past the node cap never overflows."""
+    return math.ceil(min(MAX_POINTER_NODES, radius / grid_spacing))
 
 
 def _symmetric_positions(radius_cells: int, grid_spacing: float) -> np.ndarray:
@@ -65,6 +92,9 @@ class PointerState:
 
     Invariants checked at construction: real 1-D samples, unit norm
     (sum samples^2 * spacing = 1 within 1e-9) and symmetric modulus.
+    The samples are held read-only.  A read-only float array that owns
+    its memory is kept as given (the builders pass their own arrays so);
+    any other array is copied first.
     """
 
     samples: np.ndarray
@@ -76,15 +106,22 @@ class PointerState:
         samples = np.asarray(self.samples)
         if np.iscomplexobj(samples):
             raise InvalidStateError("pointer amplitudes must be real")
-        samples = samples.astype(float, copy=True)
+        if samples.flags.writeable or not samples.flags.owndata or samples.dtype != np.float64:
+            samples = samples.astype(float, copy=True)
         if samples.ndim != 1 or samples.size < 2:
             raise InvalidStateError("pointer samples must be a 1-D array")
         _cells_per_unit(self.grid_spacing)
-        norm = float(np.sum(samples * samples) * self.grid_spacing)
-        if abs(norm - 1.0) > _NORM_TOL:
+        # einsum, not the BLAS np.dot: the threaded BLAS call left the
+        # next builds several ms slower per pointer on two cores
+        norm = float(np.einsum("i,i->", samples, samples) * self.grid_spacing)
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise InvalidStateError(f"pointer not normalized on the grid: norm^2 = {norm!r}")
-        asym = float(np.max(np.abs(np.abs(samples) - np.abs(samples[::-1]))))
-        if asym > _SYMMETRY_TOL:
+        # |phi| is symmetric when each node of the first half matches its mirror
+        half = samples.size // 2
+        gap = np.abs(samples[:half])
+        gap -= np.abs(samples[::-1][:half])
+        asym = float(np.max(np.abs(gap, out=gap)))
+        if not asym <= _SYMMETRY_TOL:
             raise InvalidStateError(f"pointer modulus not symmetric: max asymmetry {asym:.3e}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -145,12 +182,15 @@ class MeasurementStrength:
 
 
 def _normalized_state(samples: np.ndarray, grid_spacing: float, label: str) -> PointerState:
+    """Normalize a builder's own fresh samples in place and freeze them into a state."""
     norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
     if norm == 0.0:
         raise InvalidStateError("pointer has zero norm")
+    samples /= norm
+    samples.flags.writeable = False
     n = samples.size
     origin = -(n / 2 - 0.5) * grid_spacing
-    return PointerState(samples / norm, grid_spacing, origin, label)
+    return PointerState(samples, grid_spacing, origin, label)
 
 
 def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -167,7 +207,8 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
         raise InvalidParameterError(
             f"grid spacing {grid_spacing} too coarse for half width {half_width} (need <= width/50)"
         )
-    radius_cells = math.ceil(half_width / grid_spacing) + cells
+    radius_cells = _radius_cells(half_width, grid_spacing) + cells
+    _check_node_count(2 * radius_cells)
     q = _symmetric_positions(radius_cells, grid_spacing)
     samples = np.where(np.abs(q) < half_width, 1.0, 0.0)
     return _normalized_state(samples, grid_spacing, f"square(half_width={half_width})")
@@ -192,7 +233,9 @@ def make_gaussian(
         raise InvalidParameterError(
             f"truncation radius {truncation_radius} must be at least 8 width = {8.0 * width}"
         )
-    radius_cells = math.ceil(truncation_radius / grid_spacing)
+    _cells_per_unit(grid_spacing)
+    radius_cells = _radius_cells(truncation_radius, grid_spacing)
+    _check_node_count(2 * radius_cells)
     q = _symmetric_positions(radius_cells, grid_spacing)
     samples = np.exp(-(q * q) / (4.0 * width * width))
     return _normalized_state(samples, grid_spacing, f"gaussian(width={width})")
@@ -208,16 +251,30 @@ def make_exponential(
         raise InvalidParameterError(f"scale must be positive, got {scale}")
     if truncation_radius is None:
         truncation_radius = max(40.0 * scale, 2.0)
-    radius_cells = math.ceil(truncation_radius / grid_spacing)
+    _cells_per_unit(grid_spacing)
+    radius_cells = _radius_cells(truncation_radius, grid_spacing)
+    _check_node_count(2 * radius_cells)
     q = _symmetric_positions(radius_cells, grid_spacing)
     samples = np.exp(-np.abs(q) / (2.0 * scale))
     return _normalized_state(samples, grid_spacing, f"exponential(scale={scale})")
 
 
-def _interval_indices(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split positions into (interval index n, offset x) with q in (2n-1, 2n+1]."""
-    n = np.rint(q / 2.0)
-    return n, q - 2.0 * n
+def _envelope_intervals(target_precision: float, envelope_cutoff: float, cells: int) -> int:
+    """Number N of intervals kept on each side of the central one, within the node cap.
+
+    Intervals whose envelope weight ((1-G)/(1+G))^|n| relative to the
+    central interval drops below envelope_cutoff are dropped.
+    """
+    if not 0.0 < target_precision < 1.0:
+        raise InvalidParameterError(f"target precision must lie in (0, 1), got {target_precision}")
+    if not 0.0 < envelope_cutoff < 1.0:
+        raise InvalidParameterError(f"envelope cutoff must lie in (0, 1), got {envelope_cutoff}")
+    ratio = (1.0 - target_precision) / (1.0 + target_precision)
+    log_ratio = math.log(ratio)  # 0.0 once G is below half an ulp of 1
+    span = math.log(envelope_cutoff) / log_ratio if log_ratio < 0.0 else math.inf
+    n_intervals = max(1, math.ceil(min(MAX_POINTER_NODES, span)))
+    _check_node_count(2 * (2 * n_intervals + 1) * cells)
+    return n_intervals
 
 
 def optimal_from_central(
@@ -237,11 +294,8 @@ def optimal_from_central(
     the state is renormalized.  The resulting quality factor is
     sqrt(1 - G^2) for any admissible profile.
     """
-    if not 0.0 < target_precision < 1.0:
-        raise InvalidParameterError(f"target precision must lie in (0, 1), got {target_precision}")
-    if not 0.0 < envelope_cutoff < 1.0:
-        raise InvalidParameterError(f"envelope cutoff must lie in (0, 1), got {envelope_cutoff}")
     cells = _cells_per_unit(grid_spacing)
+    n_intervals = _envelope_intervals(target_precision, envelope_cutoff, cells)
     central = np.asarray(central_samples, dtype=float)
     if central.shape != (2 * cells,):
         raise InvalidParameterError(
@@ -253,13 +307,12 @@ def optimal_from_central(
     central = central * math.sqrt(target_precision / mass)
 
     ratio = (1.0 - target_precision) / (1.0 + target_precision)
-    n_intervals = max(1, math.ceil(math.log(envelope_cutoff) / math.log(ratio)))
-    radius_cells = (2 * n_intervals + 1) * cells
-    q = _symmetric_positions(radius_cells, grid_spacing)
-    n, _ = _interval_indices(q)
-    # with the grid radius an odd number of units, node j sits at central
-    # offset j mod 2*cells within its interval
-    samples = central[np.arange(q.size) % (2 * cells)] * np.power(ratio, np.abs(n) / 2.0)
+    n = np.arange(-n_intervals, n_intervals + 1, dtype=float)
+    envelope = np.power(ratio, np.abs(n) / 2.0)
+    # the grid radius is an odd number of units, so row n of the
+    # (2N+1, 2/h) sample array is the interval (2n-1, 2n+1]
+    samples = np.empty(envelope.size * central.size)
+    np.multiply(central[None, :], envelope[:, None], out=samples.reshape(envelope.size, central.size))
     return _normalized_state(samples, grid_spacing, label)
 
 
@@ -277,6 +330,7 @@ def make_optimal(
     integers and yields an infinitely differentiable wavefunction.
     """
     cells = _cells_per_unit(grid_spacing)
+    _envelope_intervals(target_precision, envelope_cutoff, cells)  # size the grid before building
     x = _symmetric_positions(cells, grid_spacing)
     if profile == "flat":
         central = np.ones_like(x)
@@ -307,9 +361,10 @@ def make_worst(
     renormalized state is larger than the generating target.
     """
     base = make_optimal(target_precision, "flat", grid_spacing, envelope_cutoff)
-    q = base.positions
-    n, _ = _interval_indices(q)
-    samples = np.where(np.abs(n) % 2 == 1, 0.0, base.samples)
+    samples = base.samples.copy()
+    rows = samples.reshape(-1, 2 * _cells_per_unit(grid_spacing))
+    n_intervals = rows.shape[0] // 2
+    rows[(n_intervals + 1) % 2 :: 2] = 0.0  # row i is interval n = i - N
     return _normalized_state(samples, grid_spacing, f"worst(G_target={target_precision})")
 
 
@@ -326,9 +381,14 @@ def quality_factor(state: PointerState) -> float:
 
 def precision(state: PointerState) -> float:
     """Pointer mass on the central interval (-1, +1), by grid quadrature."""
-    q = state.positions
-    inside = np.abs(q) < 1.0
-    value = float(np.sum(state.samples[inside] ** 2) * state.grid_spacing)
+    origin, h = float(state.grid_origin), float(state.grid_spacing)
+    # node positions origin + j h never decrease with j, so the nodes
+    # with -1 < q < 1 are one run [first, stop) and bisection finds its ends
+    nodes = range(state.samples.size)
+    first = bisect.bisect_left(nodes, True, key=lambda j: origin + j * h > -1.0)
+    stop = bisect.bisect_left(nodes, True, key=lambda j: origin + j * h >= 1.0)
+    run = state.samples[first:stop]
+    value = float(np.sum(run**2) * h)
     return _clamp_unit(value, "precision")
 
 

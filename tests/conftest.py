@@ -5,7 +5,14 @@ import math
 
 import numpy as np
 
-from weakbell import BellChainConfig, BobStage, Direction, MeasurementStrength, weak_conditional
+from weakbell import (
+    BellChainConfig,
+    BobStage,
+    Direction,
+    MeasurementStrength,
+    PointerState,
+    weak_conditional,
+)
 from weakbell.channel import as_density, projectors, spin_operator
 
 
@@ -136,3 +143,50 @@ def oracle_chain_chsh(alice, bob, strengths) -> list[float]:
         kron_chsh(enumerate_chain_state(cfg, n), alice, bob, g)
         for n, g in enumerate(precisions, 1)
     ]
+
+
+# --- per-node pointer oracles -------------------------------------------------------
+# The node-by-node constructions that pointer.py replaced with per-interval
+# ones; the pointer tests require the two to agree bit for bit.
+
+
+def _oracle_interval_indices(q: np.ndarray) -> np.ndarray:
+    """Interval index n of each position, q in (2n-1, 2n+1]."""
+    return np.rint(q / 2.0)
+
+
+def _oracle_normalized(samples: np.ndarray, grid_spacing: float, label: str) -> PointerState:
+    norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
+    origin = -(samples.size / 2 - 0.5) * grid_spacing
+    return PointerState(samples / norm, grid_spacing, origin, label)
+
+
+def oracle_optimal_from_central(
+    central_samples, target_precision: float, grid_spacing: float, envelope_cutoff: float = 1e-14
+) -> PointerState:
+    """Frontier pointer built node by node: positions, rint, modulo gather and one pow per node."""
+    cells = round(1.0 / grid_spacing)
+    central = np.asarray(central_samples, dtype=float)
+    mass = float(np.sum(central * central)) * grid_spacing
+    central = central * math.sqrt(target_precision / mass)
+    ratio = (1.0 - target_precision) / (1.0 + target_precision)
+    n_intervals = max(1, math.ceil(math.log(envelope_cutoff) / math.log(ratio)))
+    radius_cells = (2 * n_intervals + 1) * cells
+    q = (np.arange(2 * radius_cells, dtype=float) - radius_cells + 0.5) * grid_spacing
+    n = _oracle_interval_indices(q)
+    samples = central[np.arange(q.size) % (2 * cells)] * np.power(ratio, np.abs(n) / 2.0)
+    return _oracle_normalized(samples, grid_spacing, "oracle")
+
+
+def oracle_make_worst(base: PointerState) -> PointerState:
+    """Worst pointer from its frontier base, zeroing odd-|n| nodes one by one."""
+    n = _oracle_interval_indices(base.positions)
+    samples = np.where(np.abs(n) % 2 == 1, 0.0, base.samples)
+    return _oracle_normalized(samples, base.grid_spacing, "oracle worst")
+
+
+def oracle_precision(state: PointerState) -> float:
+    """Mass on (-1, 1) by masking the whole grid, clamped as pointer.precision clamps."""
+    inside = np.abs(state.positions) < 1.0
+    value = float(np.sum(state.samples[inside] ** 2) * state.grid_spacing)
+    return min(1.0, max(0.0, value))

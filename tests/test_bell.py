@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     enumerate_chain_state,
     oracle_chain_chsh,
+    random_density,
     random_direction,
     random_stage,
     random_strength,
@@ -17,6 +18,7 @@ from weakbell import (
     BobStage,
     Direction,
     InvalidParameterError,
+    InvalidStateError,
     MeasurementStrength,
     PhysicalityError,
     chsh,
@@ -237,6 +239,19 @@ def test_sequential_state_trivial_cases():
         sequential_average_state(cfg, 6)
     with pytest.raises(InvalidParameterError):
         sequential_average_state(cfg, 0)
+
+
+def test_chain_config_accepts_only_density_matrices():
+    rng = np.random.default_rng(11)
+    stage = random_stage(rng)
+    BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=singlet())
+    BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=random_density(rng, dim=4))
+    not_hermitian = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    not_hermitian[0, 1] = 0.1
+    negative = np.diag([0.6, 0.6, -0.1, -0.1])
+    for bad in (np.eye(4), not_hermitian, negative):
+        with pytest.raises(InvalidStateError):
+            BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=bad)
 
 
 def test_sequential_state_matches_four_term_expansion():

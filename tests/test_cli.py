@@ -247,6 +247,24 @@ def test_protocol_stage_cap(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tradeoff", "--family", "optimal", "--g", "0.0015"),
+        ("tradeoff", "--family", "optimal", "--g", "0.8", "--spacing", repr(2.0**-19)),
+        ("tradeoff", "--family", "gaussian", "--delta", "1e4"),
+        ("tradeoff", "--family", "optimal", "--g", "1e-300"),
+        ("tradeoff", "--family", "square", "--delta", "1", "--spacing", "5e-324"),
+        ("pointer-dump", "--family", "exponential", "--scale", "1e308"),
+    ],
+)
+def test_pointer_grid_past_the_cap_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "p.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- config files, env var, entry point --------------------------------------------------
 
 
@@ -285,6 +303,51 @@ def test_config_file_json_and_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_flag": 1}))
     assert run_cli("tradeoff", "--family", "optimal", "--g", "0.5", "--config", str(bad)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("montecarlo", "--scenario", "single", "--trials", "10"), {"seed": 1.9}),
+        (("montecarlo", "--scenario", "single", "--trials", "10"), {"seed": 7.0}),
+        (("montecarlo", "--scenario", "single", "--trials", "10"), {"seed": True}),
+        (("montecarlo", "--scenario", "single", "--trials", "10"), {"g": [1]}),
+        (("montecarlo", "--scenario", "single", "--trials", "10"), {"trials": float("inf")}),
+        (("tradeoff", "--family", "optimal"), {"g": None}),
+        (("tradeoff", "--family", "optimal"), {"g": {"start": 0.5}}),
+        (("tradeoff", "--family", "optimal", "--g", "0.5"), {"family": "bogus"}),
+        (("protocol", "--n", "3"), {"limit": "maybe"}),
+        (("protocol", "--n", "3"), {"bias": "abc"}),
+    ],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numbers_for_text_flags_become_their_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"g": 0.5, "out": 5}))
+    assert run_cli("tradeoff", "--family", "optimal", "--config", "g.json") == 0
+    assert run_cli("tradeoff", "--family", "optimal", "--g", "0.5", "--out", "flag.csv") == 0
+    assert (tmp_path / "5").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    (tmp_path / "switch.cfg").write_text("auto-bias = yes\nseed_unused_line = 1\n")
+    assert run_cli("protocol", "--n", "3", "--config", "switch.cfg", "--out", "p.csv") == 2
+    (tmp_path / "switch.cfg").write_text("auto-bias = yes\n")
+    assert run_cli("protocol", "--n", "3", "--config", "switch.cfg", "--out", "p.csv") == 0
+    assert run_cli("protocol", "--n", "3", "--auto-bias", "--out", "flag.csv") == 0
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+def test_deeply_nested_json_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"g": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run_cli("tradeoff", "--family", "optimal", "--config", str(cfg)) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

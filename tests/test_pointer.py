@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import oracle_make_worst, oracle_optimal_from_central, oracle_precision
 
 from weakbell import (
     InvalidParameterError,
@@ -20,8 +22,10 @@ from weakbell import (
     strength_of,
     tradeoff_curve,
 )
+from weakbell import pointer
 from weakbell.pointer import (
     DEFAULT_GRID_SPACING,
+    MAX_POINTER_NODES,
     POINTER_CSV_HEADER,
     TRADEOFF_CSV_HEADER,
     samples_to_csv,
@@ -212,6 +216,78 @@ def test_smooth_bump_vanishes_at_odd_integers():
         assert abs(state.value_at(q)) < 1e-6
 
 
+# --- per-interval construction against the per-node oracles ----------------------
+
+# G = 0.005 at spacing 1/1024 (13 M nodes) is left out: the per-node oracle
+# would hold about 0.8 GB of temporaries
+_EXACT_CASES = [
+    (target, spacing, cutoff)
+    for target in (0.005, 0.05, 0.3, 0.8, 0.995)
+    for spacing in (1.0 / 64, 1.0 / 256, 1.0 / 1024)
+    for cutoff in (1e-14, 1e-6)
+    if not (target == 0.005 and spacing < 1.0 / 256)
+]
+
+
+def _central_profile(profile: str, spacing: float) -> np.ndarray:
+    cells = round(1.0 / spacing)
+    x = (np.arange(2 * cells) - cells + 0.5) * spacing
+    return np.ones_like(x) if profile == "flat" else np.exp(-1.0 / (1.0 - x * x))
+
+
+@pytest.mark.parametrize("target, spacing, cutoff", _EXACT_CASES)
+@pytest.mark.parametrize("profile", ["flat", "smooth_bump"])
+def test_optimal_matches_the_per_node_construction_exactly(target, spacing, cutoff, profile):
+    state = make_optimal(target, profile, spacing, cutoff)
+    oracle = oracle_optimal_from_central(_central_profile(profile, spacing), target, spacing, cutoff)
+    assert np.array_equal(state.samples, oracle.samples)
+    assert state.grid_origin == oracle.grid_origin
+    assert quality_factor(state) == quality_factor(oracle)
+    assert precision(state) == oracle_precision(oracle)
+
+
+@pytest.mark.parametrize("target, spacing, cutoff", _EXACT_CASES)
+def test_worst_matches_the_per_node_construction_exactly(target, spacing, cutoff):
+    state = make_worst(target, spacing, cutoff)
+    oracle = oracle_make_worst(make_optimal(target, "flat", spacing, cutoff))
+    assert np.array_equal(state.samples, oracle.samples)
+    assert quality_factor(state) == quality_factor(oracle)
+    assert precision(state) == oracle_precision(oracle)
+
+
+def test_builders_refuse_grids_past_the_node_cap_before_allocating():
+    # at the default spacing G = 0.002 fits (16.5 M nodes) and G = 0.0015 (22 M) does not
+    cells = round(1.0 / SPACING)
+    n_intervals = pointer._envelope_intervals(0.002, 1e-14, cells)
+    assert 2 * (2 * n_intervals + 1) * cells <= MAX_POINTER_NODES
+    too_big = [
+        lambda: make_optimal(0.0015),
+        lambda: make_worst(0.0015),
+        lambda: make_optimal(0.8, grid_spacing=2.0**-19),
+        lambda: make_optimal(1e-300),  # (1-G)/(1+G) rounds to 1
+        lambda: make_gaussian(1e4),
+        lambda: make_gaussian(1e308),
+        lambda: make_exponential(1e308),
+        lambda: make_square(2.0**15),
+        lambda: make_square(1.0, grid_spacing=2.0**-24),
+    ]
+    tracemalloc.start()
+    try:
+        for build in too_big:
+            with pytest.raises(InvalidParameterError, match="cap"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_grid_spacing_needs_a_finite_reciprocal():
+    for build in (make_square, make_gaussian, make_exponential):
+        with pytest.raises(InvalidParameterError, match="finite reciprocal"):
+            build(1.0, grid_spacing=5e-324)
+
+
 # --- worst pointers -------------------------------------------------------------
 
 
@@ -278,6 +354,24 @@ def test_pointer_state_rejects_invariant_violations():
         PointerState(bad / math.sqrt(float(np.sum(bad**2)) * SPACING), SPACING, origin)
     with pytest.raises(InvalidStateError):
         PointerState(good.astype(complex), SPACING, origin)
+    with pytest.raises(InvalidStateError):
+        bad = good.copy()
+        bad[[0, -1]] = np.nan
+        PointerState(bad, SPACING, origin)
+
+
+def test_pointer_state_copies_all_but_frozen_owned_arrays():
+    state = make_gaussian(1.0)
+    source = np.array(state.samples)
+    copied = PointerState(source, SPACING, state.grid_origin)
+    assert copied.samples is not source and source.flags.writeable
+    assert not copied.samples.flags.writeable
+    frozen = np.array(state.samples)
+    frozen.flags.writeable = False
+    assert PointerState(frozen, SPACING, state.grid_origin).samples is frozen
+    view = np.array(state.samples)[:]
+    view.flags.writeable = False
+    assert PointerState(view, SPACING, state.grid_origin).samples is not view
 
 
 def test_measurement_strength_validation():

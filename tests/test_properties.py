@@ -1,11 +1,13 @@
 """Property tests: the physical invariants on generated inputs (hypothesis, derandomized)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_joint, random_density, random_direction, random_strength
+from conftest import enumerate_joint, oracle_precision, random_density, random_direction, random_strength
 
 from weakbell import (
     BellChainConfig,
@@ -17,7 +19,7 @@ from weakbell import (
     precision,
     quality_factor,
 )
-from weakbell.cli import MAX_RANGE_POINTS, parse_range
+from weakbell.cli import MAX_RANGE_POINTS, main, parse_command_line, parse_range
 
 SPACING = 1.0 / 64
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -48,6 +50,26 @@ def test_any_pointer_stays_inside_the_unit_circle(half):
     state = PointerState(samples, SPACING, -(half.size - 0.5) * SPACING)
     f, g = quality_factor(state), precision(state)
     assert f * f + g * g <= 1.0 + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    half=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=200),
+    spacing_exponent=st.integers(min_value=1, max_value=60),
+    origin=st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-1.0, max_value=1.0).map(lambda x: x - 1.0),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+)
+def test_precision_equals_the_masked_quadrature_at_any_origin(half, spacing_exponent, origin):
+    spacing = 2.0**-spacing_exponent
+    half = np.array(half)
+    assume(float(np.sum(half * half)) > 1e-6)
+    samples = np.concatenate([half[::-1], half])
+    samples /= np.sqrt(float(np.sum(samples * samples)) * spacing)
+    state = PointerState(samples, spacing, origin)
+    assert precision(state) == oracle_precision(state)
 
 
 def _joint_array(joint: dict, n_stages: int) -> np.ndarray:
@@ -132,3 +154,76 @@ def test_parse_range_fuzz_raises_only_invalid_parameter(spec):
     assert 1 <= len(values) <= MAX_RANGE_POINTS
     assert all(np.isfinite(values))
     assert values == sorted(values)
+
+
+# --- config files --------------------------------------------------------------------
+
+# values a key=value line can carry unchanged: no surrounding blanks, no line breaks
+config_values = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="0123456789.:-+eEinfaxyz_/", max_size=12),
+    st.sampled_from(["single", "double", "true", "off", "0.5", "0.1:0.3:0.1", "-"]),
+)
+CONFIG_COMMANDS = {
+    "protocol": (["protocol", "--n", "3"], ["n", "bias", "auto_bias", "auto-bias", "limit", "out", "seed"]),
+    "montecarlo": (["montecarlo", "--scenario", "single"], ["g", "trials", "seed", "scenario", "out", "n"]),
+    "tradeoff": (["tradeoff", "--family", "optimal"], ["g", "delta", "spacing", "family", "out"]),
+}
+
+
+def _config_line_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _parsed(argv):
+    """repr of every namespace entry, or None when the command line is refused."""
+    try:
+        args = parse_command_line(argv)
+    except (SystemExit, InvalidParameterError):
+        return None
+    return {key: repr(value) for key, value in vars(args).items() if key != "config"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    command=st.sampled_from(sorted(CONFIG_COMMANDS)),
+    data=st.data(),
+)
+def test_json_and_key_value_configs_give_the_same_namespace(tmp_path_factory, command, data):
+    base, keys = CONFIG_COMMANDS[command]
+    config = data.draw(st.dictionaries(st.sampled_from(keys), config_values, max_size=4))
+    folder = tmp_path_factory.mktemp("cfg")
+    as_json = folder / "c.json"
+    as_json.write_text(json.dumps(config))
+    as_lines = folder / "c.cfg"
+    as_lines.write_text("".join(f"{key} = {_config_line_text(value)}\n" for key, value in config.items()))
+    from_json = _parsed([*base, "--config", str(as_json)])
+    from_lines = _parsed([*base, "--config", str(as_lines)])
+    assert from_json == from_lines
+
+
+config_text = st.one_of(
+    st.text(max_size=80),
+    st.text(max_size=80).map(lambda t: "{" + t),
+    st.dictionaries(st.sampled_from(["n", "bias", "limit", "auto_bias", "out", "x"]), st.text(max_size=8))
+    .map(lambda d: "".join(f"{k}={v}\n" for k, v in d.items())),
+    st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    ).map(lambda v: json.dumps({"bias": v})),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(text=config_text)
+def test_any_config_text_exits_0_or_2(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("cfg")
+    cfg = folder / "any.cfg"
+    cfg.write_text(text, encoding="utf-8", errors="surrogatepass")
+    code = main(["protocol", "--n", "2", "--config", str(cfg), "--out", str(folder / "p.csv")])
+    assert code in (0, 2)
