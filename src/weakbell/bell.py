@@ -373,7 +373,6 @@ def protocol_bob(angle: float) -> tuple[Direction, Direction]:
 
 def _strength_for_target(family: str, target: float) -> MeasurementStrength:
     from . import pointer as pt
-    from scipy.special import erfinv
 
     if family in ("analytic", "analytic-optimal"):
         return MeasurementStrength.optimal(target)
@@ -382,6 +381,8 @@ def _strength_for_target(family: str, target: float) -> MeasurementStrength:
     if family == "square":
         return pt.strength_of(pt.make_square(1.0 / target))
     if family == "gaussian":
+        from scipy.special import erfinv  # only this family loads scipy.special
+
         width = 1.0 / (_SQ2 * float(erfinv(target)))
         return pt.strength_of(pt.make_gaussian(width))
     raise InvalidParameterError(f"unknown stage family {family!r}")

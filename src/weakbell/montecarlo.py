@@ -18,6 +18,14 @@ the same coefficients through the conditional stage maps of bell over
 the whole (y_k, b_k) branch grid; the tests check it against a complex
 branch enumeration.
 
+run_chain tallies each trial once, with one np.bincount, into an
+outcome table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
+outcome index 1 for +1.  The per-Bob reports are its marginals and
+outcome_counts its non-zero cells in index order.  analytic_joint keys
+run in index order with +1 first.  Both orders must stay:
+chi_square_report sums over a set of the keys, which iterates in
+insertion order, so another order would move the statistic's last bits.
+
 Randomness comes from a Philox counter-based generator keyed by the
 seed.  run_chain consumes the stream in a fixed documented order
 (Alice's input bits, Alice's outcome uniforms, then per stage: input
@@ -29,13 +37,11 @@ identical seed and config reproduce trials bit for bit.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import InvalidParameterError
 from .bell import BellChainConfig, BobStage, _stage_maps, pauli_coefficients, propagate
@@ -174,72 +180,57 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
         stage_inputs.append(y)
         stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
 
-    per_bob = []
-    for y, b in zip(stage_inputs, stage_outcomes):
-        correlations = {}
-        counts = {}
-        variance = 0.0
-        insufficient = False
-        for x_val in (0, 1):
-            for y_val in (0, 1):
-                mask = (x_bits == x_val) & (y == y_val)
-                n_cell = int(np.sum(mask))
-                counts[(x_val, y_val)] = n_cell
-                if n_cell == 0:
-                    correlations[(x_val, y_val)] = math.nan
-                    insufficient = True
-                    continue
-                e_val = float(np.mean(a[mask] * b[mask]))
-                correlations[(x_val, y_val)] = e_val
-                variance += (1.0 - e_val * e_val) / n_cell
-        if insufficient:
-            chsh_val, stderr = math.nan, math.nan
-        else:
-            e = correlations
-            chsh_val = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
-            stderr = math.sqrt(variance)
-        per_bob.append(
-            BobReport(
-                correlations=correlations,
-                counts=counts,
-                chsh=chsh_val,
-                chsh_stderr=stderr,
-                insufficient=insufficient,
-            )
-        )
-
+    per_bob, outcome_counts = _tally(x_bits, a, stage_inputs, stage_outcomes)
     return EmpiricalReport(
         config_digest=_config_digest(cfg),
         seed=seed,
         trials=trials,
-        per_bob=tuple(per_bob),
-        outcome_counts=_count_outcomes(x_bits, stage_inputs, a, stage_outcomes),
+        per_bob=per_bob,
+        outcome_counts=outcome_counts,
     )
 
 
-def _count_outcomes(x_bits, stage_inputs, a, stage_outcomes) -> dict:
-    """Counts keyed by (x, y_1..y_n, a, b_1..b_n)."""
+def _keyed(table: np.ndarray, cells: np.ndarray, outcome_signs: tuple[int, int]) -> dict:
+    """{(x, y_1..y_n, a, b_1..b_n): table[cell]} for the index rows cells, in their order.
+
+    outcome_signs[i] is the outcome that index i of an outcome axis stands for.
+    """
+    n_inputs = table.ndim // 2
+    keys = np.concatenate([cells[:, :n_inputs], np.array(outcome_signs)[cells[:, n_inputs:]]], axis=1)
+    return dict(zip(map(tuple, keys.tolist()), table[tuple(cells.T)].tolist()))
+
+
+def _tally(x_bits, a, stage_inputs, stage_outcomes) -> tuple[tuple[BobReport, ...], dict]:
+    """Per-Bob reports and outcome counts from the outcome table of the trials."""
     n_stages = len(stage_inputs)
     code = x_bits.astype(np.int64)
     for y in stage_inputs:
         code = code * 2 + y
-    code = code * 2 + ((1 + a) // 2)
+    code = code * 2 + (1 + a) // 2
     for b in stage_outcomes:
-        code = code * 2 + ((1 + b) // 2)
-    values, counts = np.unique(code, return_counts=True)
-    out = {}
-    for value, count in zip(values.tolist(), counts.tolist()):
-        bits = []
-        for _ in range(2 * n_stages + 2):
-            bits.append(value & 1)
-            value >>= 1
-        bits.reverse()
-        x = bits[0]
-        ys = tuple(bits[1 : 1 + n_stages])
-        a_val = 2 * bits[1 + n_stages] - 1
-        bs = tuple(2 * bit - 1 for bit in bits[2 + n_stages :])
-        out[(x, *ys, a_val, *bs)] = count
-    return out
+        code = code * 2 + (1 + b) // 2
+    table = np.bincount(code, minlength=4 ** (n_stages + 1)).reshape((2,) * (2 * n_stages + 2))
+
+    per_bob = []
+    for k in range(1, n_stages + 1):
+        kept = (0, k, n_stages + 1, n_stages + 1 + k)
+        marginal = table.sum(axis=tuple(i for i in range(table.ndim) if i not in kept))  # (x, y_k, a, b_k)
+        n_xy = marginal.sum(axis=(2, 3)).tolist()
+        # sum of a b over each input cell: agreements minus disagreements
+        net = (marginal[..., 0, 0] + marginal[..., 1, 1] - marginal[..., 0, 1] - marginal[..., 1, 0]).tolist()
+        counts = {(x, y): n_xy[x][y] for x, y in np.ndindex(2, 2)}
+        # an integer ratio rounds once, to the same float as the mean of the +-1 products
+        e = {(x, y): net[x][y] / n if n else math.nan for (x, y), n in counts.items()}
+        insufficient = 0 in counts.values()
+        chsh_val, stderr = math.nan, math.nan
+        if not insufficient:
+            variance = 0.0
+            for key, n in counts.items():
+                variance += (1.0 - e[key] * e[key]) / n
+            chsh_val = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
+            stderr = math.sqrt(variance)
+        per_bob.append(BobReport(e, counts, chsh_val, stderr, insufficient))
+    return tuple(per_bob), _keyed(table, np.argwhere(table), (-1, 1))
 
 
 def analytic_joint(cfg: BellChainConfig) -> dict:
@@ -263,18 +254,14 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
     branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]  # (y1, b1, .., yn, bn, 4, 4)
     u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
     alice = np.einsum("xi,...i->x...", u, branches[..., 1:, 0])  # (x, y1, b1, .., yn, bn)
-    out = {}
-    for x in (0, 1):
-        for ys in itertools.product((0, 1), repeat=n_stages):
-            p_inputs = 0.5
-            for stage, y in zip(cfg.stages, ys):
-                p_inputs *= stage.bias if y == 1 else 1.0 - stage.bias
-            for a_val in (1, -1):
-                for bs in itertools.product((1, -1), repeat=n_stages):
-                    branch = tuple(i for y, b in zip(ys, bs) for i in (y, (1 - b) // 2))
-                    weight = branches[branch][0, 0] + a_val * alice[(x, *branch)]
-                    out[(x, *ys, a_val, *bs)] = p_inputs * float(weight) / 2.0
-    return out
+    a_sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (2 * n_stages))
+    weight = branches[..., 0, 0] + a_sign * alice[:, None]  # (x, a, y1, b1, .., yn, bn)
+    # to (x, y1, .., yn, a, b1, .., bn)
+    weight = weight.transpose(0, *range(2, 2 * n_stages + 2, 2), 1, *range(3, 2 * n_stages + 2, 2))
+    # p(x) p(y_1) .. p(y_n) over the (x, y_1..y_n) grid, multiplied in stage order
+    p_inputs = math.prod(np.ix_([0.5, 0.5], *([1.0 - stage.bias, stage.bias] for stage in cfg.stages)))
+    probs = p_inputs.reshape(p_inputs.shape + (1,) * (n_stages + 1)) * weight / 2.0
+    return _keyed(probs, np.argwhere(np.ones(probs.shape, dtype=bool)), (1, -1))
 
 
 # --- chi-square comparison ----------------------------------------------------
@@ -326,5 +313,8 @@ def chi_square_report(
         used += 1
         statistic += (count - expected) ** 2 / expected
     dof = max(1, used - 1)
+    # imported here: scipy.special alone would more than double the start-up time of every command
+    from scipy.special import gammaincc
+
     p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
     return ChiSquareReport(statistic, dof, p_value, p_value > significance, dropped)

@@ -27,18 +27,16 @@ Frontier pointers are built interval by interval: the envelope is one
 power per interval (2n-1, 2n+1], and the samples are the row-major
 outer product of the envelope with the central profile, so a row of
 the reshaped sample array is one interval.  The worst pointer zeroes
-rows of that array.  The precision sums only the contiguous run of
-nodes inside (-1, 1), located by bisection on the node positions
-origin + j h, so no per-node position array is built.  No grid may
-have more than MAX_POINTER_NODES nodes; builders check the count
-before they allocate.
+rows of that array.  A grid is fixed by its even node count and its
+spacing h, so the nodes inside (-1, 1) are the central 2/h and the
+precision sums that slice.  No grid may have more than
+MAX_POINTER_NODES nodes; builders check the count before they allocate.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -90,7 +88,8 @@ def _symmetric_positions(radius_cells: int, grid_spacing: float) -> np.ndarray:
 class PointerState:
     """Real pointer wavefunction sampled on a uniform symmetric grid.
 
-    Invariants checked at construction: real 1-D samples, unit norm
+    Node j of n sits at (j - n/2 + 1/2) * grid_spacing.  Invariants checked
+    at construction: real 1-D samples of even count n, unit norm
     (sum samples^2 * spacing = 1 within 1e-9) and symmetric modulus.
     The samples are held read-only.  A read-only float array that owns
     its memory is kept as given (the builders pass their own arrays so);
@@ -99,8 +98,7 @@ class PointerState:
 
     samples: np.ndarray
     grid_spacing: float
-    grid_origin: float
-    label: str = ""
+    label: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -108,8 +106,9 @@ class PointerState:
             raise InvalidStateError("pointer amplitudes must be real")
         if samples.flags.writeable or not samples.flags.owndata or samples.dtype != np.float64:
             samples = samples.astype(float, copy=True)
-        if samples.ndim != 1 or samples.size < 2:
-            raise InvalidStateError("pointer samples must be a 1-D array")
+        # an odd count would put a node on q = 0, where sign digitization ties
+        if samples.ndim != 1 or samples.size < 2 or samples.size % 2:
+            raise InvalidStateError(f"pointer samples must be a 1-D array of even length, got {samples.shape}")
         _cells_per_unit(self.grid_spacing)
         # einsum, not the BLAS np.dot: the threaded BLAS call left the
         # next builds several ms slower per pointer on two cores
@@ -125,6 +124,11 @@ class PointerState:
             raise InvalidStateError(f"pointer modulus not symmetric: max asymmetry {asym:.3e}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
+
+    @property
+    def grid_origin(self) -> float:
+        """Position of node 0."""
+        return -(self.samples.size / 2 - 0.5) * self.grid_spacing
 
     @property
     def positions(self) -> np.ndarray:
@@ -188,9 +192,7 @@ def _normalized_state(samples: np.ndarray, grid_spacing: float, label: str) -> P
         raise InvalidStateError("pointer has zero norm")
     samples /= norm
     samples.flags.writeable = False
-    n = samples.size
-    origin = -(n / 2 - 0.5) * grid_spacing
-    return PointerState(samples, grid_spacing, origin, label)
+    return PointerState(samples, grid_spacing, label=label)
 
 
 def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -381,14 +383,11 @@ def quality_factor(state: PointerState) -> float:
 
 def precision(state: PointerState) -> float:
     """Pointer mass on the central interval (-1, +1), by grid quadrature."""
-    origin, h = float(state.grid_origin), float(state.grid_spacing)
-    # node positions origin + j h never decrease with j, so the nodes
-    # with -1 < q < 1 are one run [first, stop) and bisection finds its ends
-    nodes = range(state.samples.size)
-    first = bisect.bisect_left(nodes, True, key=lambda j: origin + j * h > -1.0)
-    stop = bisect.bisect_left(nodes, True, key=lambda j: origin + j * h >= 1.0)
-    run = state.samples[first:stop]
-    value = float(np.sum(run**2) * h)
+    cells = _cells_per_unit(state.grid_spacing)
+    # the nodes with -1 < q < 1 are the central 2/h, clipped to the grid
+    half = state.samples.size // 2
+    run = state.samples[max(0, half - cells) : half + cells]
+    value = float(np.sum(run**2) * state.grid_spacing)
     return _clamp_unit(value, "precision")
 
 

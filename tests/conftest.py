@@ -13,7 +13,9 @@ from weakbell import (
     PointerState,
     weak_conditional,
 )
-from weakbell.channel import as_density, projectors, spin_operator
+from weakbell.bell import _stage_maps, pauli_coefficients, propagate
+from weakbell.channel import as_density, projectors, spin_operator, strength_pair
+from weakbell.montecarlo import BobReport
 
 
 def random_direction(rng) -> Direction:
@@ -157,8 +159,7 @@ def _oracle_interval_indices(q: np.ndarray) -> np.ndarray:
 
 def _oracle_normalized(samples: np.ndarray, grid_spacing: float, label: str) -> PointerState:
     norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
-    origin = -(samples.size / 2 - 0.5) * grid_spacing
-    return PointerState(samples / norm, grid_spacing, origin, label)
+    return PointerState(samples / norm, grid_spacing, label=label)
 
 
 def oracle_optimal_from_central(
@@ -190,3 +191,88 @@ def oracle_precision(state: PointerState) -> float:
     inside = np.abs(state.positions) < 1.0
     value = float(np.sum(state.samples[inside] ** 2) * state.grid_spacing)
     return min(1.0, max(0.0, value))
+
+
+# --- Monte Carlo tally and joint oracles ----------------------------------------------
+# The per-cell mask loop, np.unique count and key-by-key joint that
+# montecarlo.py replaced with one outcome table; the tests require equal results.
+
+
+def oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes) -> tuple:
+    """Per-Bob reports from boolean masks, one pass per input cell and Bob."""
+    per_bob = []
+    for y, b in zip(stage_inputs, stage_outcomes):
+        correlations = {}
+        counts = {}
+        variance = 0.0
+        insufficient = False
+        for x_val in (0, 1):
+            for y_val in (0, 1):
+                mask = (x_bits == x_val) & (y == y_val)
+                n_cell = int(np.sum(mask))
+                counts[(x_val, y_val)] = n_cell
+                if n_cell == 0:
+                    correlations[(x_val, y_val)] = math.nan
+                    insufficient = True
+                    continue
+                e_val = float(np.mean(a[mask] * b[mask]))
+                correlations[(x_val, y_val)] = e_val
+                variance += (1.0 - e_val * e_val) / n_cell
+        if insufficient:
+            chsh_val, stderr = math.nan, math.nan
+        else:
+            e = correlations
+            chsh_val = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
+            stderr = math.sqrt(variance)
+        per_bob.append(BobReport(correlations, counts, chsh_val, stderr, insufficient))
+    return tuple(per_bob)
+
+
+def oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes) -> dict:
+    """Counts keyed by (x, y_1..y_n, a, b_1..b_n), decoded bit by bit from np.unique."""
+    n_stages = len(stage_inputs)
+    code = x_bits.astype(np.int64)
+    for y in stage_inputs:
+        code = code * 2 + y
+    code = code * 2 + ((1 + a) // 2)
+    for b in stage_outcomes:
+        code = code * 2 + ((1 + b) // 2)
+    values, counts = np.unique(code, return_counts=True)
+    out = {}
+    for value, count in zip(values.tolist(), counts.tolist()):
+        bits = []
+        for _ in range(2 * n_stages + 2):
+            bits.append(value & 1)
+            value >>= 1
+        bits.reverse()
+        x = bits[0]
+        ys = tuple(bits[1 : 1 + n_stages])
+        a_val = 2 * bits[1 + n_stages] - 1
+        bs = tuple(2 * bit - 1 for bit in bits[2 + n_stages :])
+        out[(x, *ys, a_val, *bs)] = count
+    return out
+
+
+def oracle_analytic_joint(cfg) -> dict:
+    """The propagated joint read out key by key over nested itertools loops."""
+    n_stages = len(cfg.stages)
+    maps = []
+    for k, stage in enumerate(cfg.stages):
+        quality, prec = strength_pair(stage.strength)
+        stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))
+        maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
+    branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]
+    u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
+    alice = np.einsum("xi,...i->x...", u, branches[..., 1:, 0])
+    out = {}
+    for x in (0, 1):
+        for ys in itertools.product((0, 1), repeat=n_stages):
+            p_inputs = 0.5
+            for stage, y in zip(cfg.stages, ys):
+                p_inputs *= stage.bias if y == 1 else 1.0 - stage.bias
+            for a_val in (1, -1):
+                for bs in itertools.product((1, -1), repeat=n_stages):
+                    branch = tuple(i for y, b in zip(ys, bs) for i in (y, (1 - b) // 2))
+                    weight = branches[branch][0, 0] + a_val * alice[(x, *branch)]
+                    out[(x, *ys, a_val, *bs)] = p_inputs * float(weight) / 2.0
+    return out

@@ -375,3 +375,16 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "weakbell", "no-such-command"], capture_output=True, text=True
     )
     assert usage.returncode == 2
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded(tmp_path):
+    # scipy.special is loaded only when a chi-square p-value or a gaussian width is computed
+    script = (
+        "import sys, weakbell.cli\n"
+        "print('scipy.special' in sys.modules)\n"
+        f"weakbell.cli.main(['double', '--family', 'analytic', '--g', '0.5', '--out', {str(tmp_path / 'd.csv')!r}])\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_direction
+from conftest import oracle_bob_reports, oracle_count_outcomes, random_density, random_direction
 
 from weakbell import (
     BellChainConfig,
@@ -24,6 +24,7 @@ from weakbell import (
 )
 from weakbell.bell import TripleGeometry
 from weakbell.channel import DIR_X, DIR_Z
+from weakbell.montecarlo import _tally
 
 
 def double_config(target_precision=0.8):
@@ -186,6 +187,37 @@ def test_run_chain_flags_missing_input_combinations():
     report = run_chain(cfg, 200, seed=3)
     assert report.per_bob[0].insufficient
     assert math.isnan(report.per_bob[0].chsh)
+
+
+def _report_fields(bob) -> list:
+    # repr round-trips every float bit, and NaN reads the same on both sides
+    return [
+        repr(list(bob.correlations.items())),
+        list(bob.counts.items()),
+        repr(bob.chsh),
+        repr(bob.chsh_stderr),
+        bob.insufficient,
+    ]
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+@pytest.mark.parametrize(
+    "trials, bias", [(1, 0.5), (7, 0.5), (5_000, 0.5), (5_000, 0.0), (5_000, 1.0), (5_000, 0.97)]
+)
+def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
+    # few trials or a one-sided bias leave input cells empty
+    rng = np.random.default_rng(1000 * n_stages + trials + round(100 * bias))
+    x_bits = (rng.random(trials) < 0.5).astype(np.int8)
+    a = np.where(rng.random(trials) < 0.3, 1, -1).astype(np.int8)
+    stage_inputs = [(rng.random(trials) < bias).astype(np.int8) for _ in range(n_stages)]
+    stage_outcomes = [
+        (a * np.where(rng.random(trials) < agree, 1, -1)).astype(np.int8) for agree in rng.random(n_stages)
+    ]
+    per_bob, outcome_counts = _tally(x_bits, a, stage_inputs, stage_outcomes)
+    oracle = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
+    assert [_report_fields(bob) for bob in per_bob] == [_report_fields(bob) for bob in oracle]
+    oracle_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)
+    assert list(outcome_counts.items()) == list(oracle_counts.items())
 
 
 def test_run_chain_requires_pointer_backed_stages():

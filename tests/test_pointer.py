@@ -205,7 +205,7 @@ def test_optimal_cannot_be_beaten_by_perturbations():
         noise = (noise + noise[::-1]) / 2.0  # keep the modulus symmetric
         perturbed = base + noise
         perturbed = perturbed / math.sqrt(float(np.sum(perturbed**2)) * h)
-        trial = PointerState(perturbed, h, state.grid_origin)
+        trial = PointerState(perturbed, h)
         fq, gp = quality_factor(trial), precision(trial)
         assert gp <= math.sqrt(max(0.0, 1.0 - fq * fq)) + 1e-4
 
@@ -344,34 +344,41 @@ def test_pointer_state_rejects_invariant_violations():
     q = (np.arange(2 * cells) - cells + 0.5) * SPACING
     good = np.exp(-q * q)
     good /= math.sqrt(float(np.sum(good**2)) * SPACING)
-    origin = float(q[0])
-    PointerState(good, SPACING, origin)  # sanity: this one is fine
+    state = PointerState(good, SPACING)  # sanity: this one is fine
+    assert state.grid_origin == float(q[0])
     with pytest.raises(InvalidStateError):
-        PointerState(2.0 * good, SPACING, origin)
+        PointerState(2.0 * good, SPACING)
     with pytest.raises(InvalidStateError):
         bad = good.copy()
         bad[: cells // 2] *= 1.5
-        PointerState(bad / math.sqrt(float(np.sum(bad**2)) * SPACING), SPACING, origin)
+        PointerState(bad / math.sqrt(float(np.sum(bad**2)) * SPACING), SPACING)
     with pytest.raises(InvalidStateError):
-        PointerState(good.astype(complex), SPACING, origin)
+        PointerState(good.astype(complex), SPACING)
     with pytest.raises(InvalidStateError):
         bad = good.copy()
         bad[[0, -1]] = np.nan
-        PointerState(bad, SPACING, origin)
+        PointerState(bad, SPACING)
+    # an odd node count would put a node on q = 0
+    odd = np.concatenate([good[:cells], [1.0], good[cells:]])
+    with pytest.raises(InvalidStateError):
+        PointerState(odd / math.sqrt(float(np.sum(odd**2)) * SPACING), SPACING)
+    # label is keyword-only, so a third positional argument is refused
+    with pytest.raises(TypeError):
+        PointerState(good, SPACING, float(q[0]))
 
 
 def test_pointer_state_copies_all_but_frozen_owned_arrays():
     state = make_gaussian(1.0)
     source = np.array(state.samples)
-    copied = PointerState(source, SPACING, state.grid_origin)
+    copied = PointerState(source, SPACING)
     assert copied.samples is not source and source.flags.writeable
     assert not copied.samples.flags.writeable
     frozen = np.array(state.samples)
     frozen.flags.writeable = False
-    assert PointerState(frozen, SPACING, state.grid_origin).samples is frozen
+    assert PointerState(frozen, SPACING).samples is frozen
     view = np.array(state.samples)[:]
     view.flags.writeable = False
-    assert PointerState(view, SPACING, state.grid_origin).samples is not view
+    assert PointerState(view, SPACING).samples is not view
 
 
 def test_measurement_strength_validation():
