@@ -28,6 +28,8 @@ _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError
 MAX_RANGE_POINTS = 100_000
 MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
 MAX_PROTOCOL_STAGES = 10_000
+# ~0.2-0.4 us a trial (double scenario, one or two cores): 3-6 minutes at the cap
+MAX_TRIALS = 10**9
 
 
 def _finite(text: str, spec: str) -> float:
@@ -252,6 +254,8 @@ def cmd_montecarlo(args) -> int:
         raise InvalidParameterError(f"--trials must be an integer, got {args.trials}")
     if args.trials < 1:
         raise InvalidParameterError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise InvalidParameterError(f"--trials must be at most {MAX_TRIALS}, got {int(args.trials)}")
     if not 0.0 < args.g <= 1.0:
         raise InvalidParameterError(f"--g must lie in (0, 1], got {args.g}")
     cfg = _montecarlo_config(args.scenario, args.g)

@@ -18,8 +18,8 @@ the same coefficients through the conditional stage maps of bell over
 the whole (y_k, b_k) branch grid; the tests check it against a complex
 branch enumeration.
 
-run_chain tallies each trial once, with one np.bincount, into an
-outcome table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
+run_chain tallies each trial once, with np.bincount, into an outcome
+table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
 outcome index 1 for +1.  The per-Bob reports are its marginals and
 outcome_counts its non-zero cells in index order.  analytic_joint keys
 run in index order with +1 first.  Both orders must stay:
@@ -27,11 +27,22 @@ chi_square_report sums over a set of the keys, which iterates in
 insertion order, so another order would move the statistic's last bits.
 
 Randomness comes from a Philox counter-based generator keyed by the
-seed.  run_chain consumes the stream in a fixed documented order
-(Alice's input bits, Alice's outcome uniforms, then per stage: input
-bits, branch uniforms, position uniforms), each as one length-T block,
-so trial t always sees the same counters for a given configuration:
-identical seed and config reproduce trials bit for bit.
+seed.  A run of T trials reads the stream as length-T blocks: block 0
+holds Alice's input bits, block 1 her outcome uniforms, and stage k
+(from 0) reads its input bits from block 2+3k, its branch uniforms from
+block 3+3k and its position uniforms from block 4+3k.  Trial t of block
+b is double b*T + t of the stream, so trial t always sees the same
+counters for a given configuration.  Philox yields four doubles per
+counter step, and a chunk of trials [t0, t1) starts each block at
+counter (b*T + t0) // 4 and drops the (b*T + t0) % 4 doubles before it
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+
+run_chain samples, collapses and tallies chunks of CHUNK_TRIALS trials
+and sums their outcome tables, so its memory is bounded by a few chunks
+(a few MB) whatever T is.  The chunks run on min(usable CPUs, chunks)
+threads; numpy releases the interpreter lock in the array kernels.  The
+tables are integer counts, so identical seed and config reproduce the
+report bit for bit whatever the chunk size or the number of threads.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +59,10 @@ from .errors import InvalidParameterError
 from .bell import BellChainConfig, BobStage, _stage_maps, pauli_coefficients, propagate
 from .channel import collapse_bloch, strength_pair
 from .pointer import PointerState
+
+# trials drawn, collapsed and tallied together; a chunk's arrays take a
+# few MB, so a run's memory does not grow with its trial count
+CHUNK_TRIALS = 2**15
 
 # --- reports --------------------------------------------------------------------
 
@@ -132,55 +148,105 @@ def _stage_pointer(stage: BobStage) -> PointerState:
     return stage.strength
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _uniforms(seed: int, trials: int, block: int, start: int, count: int) -> np.ndarray:
+    """Doubles start .. start+count-1 of block `block` of a run of `trials` trials.
+
+    Block b is doubles b*trials .. (b+1)*trials - 1 of the Philox stream
+    keyed by seed.  Each counter step yields four doubles, so the draw
+    starts at counter offset // 4 and drops the offset % 4 doubles before
+    the first one it needs.
+    """
+    offset = block * trials + start
+    skip = offset % 4
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=offset // 4))
+    return rng.random(skip + count)[skip:]
+
+
 def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     """Simulate the full chain and report per-Bob correlators and CHSH values.
 
-    All trials are vectorized.
+    Trials run in chunks of CHUNK_TRIALS on one thread per usable CPU;
+    the report does not depend on either.
     """
+    return _run_chain(cfg, trials, seed, CHUNK_TRIALS, _usable_cpus())
+
+
+def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, cpus: int) -> EmpiricalReport:
+    """run_chain in chunks of chunk_trials on min(cpus, chunks) threads."""
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
     pointers = [_stage_pointer(stage) for stage in cfg.stages]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-
-    x_bits = (rng.random(trials) < 0.5).astype(np.int8)
-    alice_uniform = rng.random(trials)
     p_plus_by_x, steered = _alice_steering(cfg)
-    a = np.where(alice_uniform < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
-    a_index = ((1 - a) // 2).astype(np.int8)
-    bloch = steered[x_bits, a_index]  # (T, 3)
-
-    stage_inputs = []
-    stage_outcomes = []
-    for stage, pointer in zip(cfg.stages, pointers):
-        y = (rng.random(trials) < stage.bias).astype(np.int8)
-        branch_uniform = rng.random(trials)
-        position_uniform = rng.random(trials)
-
-        cells = round(1.0 / pointer.grid_spacing)
-        samples = pointer.samples
-
-        directions = np.stack([stage.dir0.vector, stage.dir1.vector])[y]  # (T, 3)
-        p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
-        shifts = np.where(branch_uniform < p_plus, 1, -1).astype(np.int64)
-        idx = np.searchsorted(pointer.reading_cdf, position_uniform, side="right")
-        readings = pointer.positions[idx] + shifts
-
-        # phi(q -/+ 1) as integer index gathers on the pointer grid
-        idx_minus = idx + (shifts - 1) * cells
-        idx_plus = idx + (shifts + 1) * cells
-        amp_minus = np.where(
-            (idx_minus >= 0) & (idx_minus < samples.size), samples[np.clip(idx_minus, 0, samples.size - 1)], 0.0
+    # read before any thread starts: positions is rebuilt on every access, reading_cdf built on the first
+    stages = [
+        (
+            stage.bias,
+            np.stack([stage.dir0.vector, stage.dir1.vector]),
+            pointer.reading_cdf,
+            pointer.positions,
+            pointer.samples,
+            round(1.0 / pointer.grid_spacing),
         )
-        amp_plus = np.where(
-            (idx_plus >= 0) & (idx_plus < samples.size), samples[np.clip(idx_plus, 0, samples.size - 1)], 0.0
-        )
-        # K_q = phi(q-1) pi+ + phi(q+1) pi-
-        bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
+        for stage, pointer in zip(cfg.stages, pointers)
+    ]
 
-        stage_inputs.append(y)
-        stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
+    def chunk_table(start: int) -> np.ndarray:
+        count = min(chunk_trials, trials - start)
 
-    per_bob, outcome_counts = _tally(x_bits, a, stage_inputs, stage_outcomes)
+        def draw(block: int) -> np.ndarray:
+            return _uniforms(seed, trials, block, start, count)
+
+        x_bits = (draw(0) < 0.5).astype(np.int8)
+        a = np.where(draw(1) < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
+        a_index = ((1 - a) // 2).astype(np.int8)
+        bloch = steered[x_bits, a_index]  # (count, 3)
+
+        stage_inputs = []
+        stage_outcomes = []
+        for k, (bias, stage_directions, cdf, positions, samples, cells) in enumerate(stages):
+            y = (draw(2 + 3 * k) < bias).astype(np.int8)
+            directions = stage_directions[y]  # (count, 3)
+            p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
+            shifts = np.where(draw(3 + 3 * k) < p_plus, 1, -1).astype(np.int64)
+            idx = np.searchsorted(cdf, draw(4 + 3 * k), side="right")
+            readings = positions[idx] + shifts
+
+            # phi(q -/+ 1) as integer index gathers on the pointer grid
+            idx_minus = idx + (shifts - 1) * cells
+            idx_plus = idx + (shifts + 1) * cells
+            amp_minus = np.where(
+                (idx_minus >= 0) & (idx_minus < samples.size), samples[np.clip(idx_minus, 0, samples.size - 1)], 0.0
+            )
+            amp_plus = np.where(
+                (idx_plus >= 0) & (idx_plus < samples.size), samples[np.clip(idx_plus, 0, samples.size - 1)], 0.0
+            )
+            # K_q = phi(q-1) pi+ + phi(q+1) pi-
+            bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
+
+            stage_inputs.append(y)
+            stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
+        return _outcome_table(x_bits, a, stage_inputs, stage_outcomes)
+
+    chunks = -(-trials // chunk_trials)
+    workers = min(cpus, chunks)
+
+    def worker_table(worker: int) -> np.ndarray:
+        # every workers-th chunk; each worker gets at least one
+        return sum(chunk_table(start) for start in range(worker * chunk_trials, trials, workers * chunk_trials))
+
+    # imported here: concurrent.futures would add ~4 ms to the start-up of every command
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        table = sum(pool.map(worker_table, range(workers)))
+    per_bob, outcome_counts = _reports(table)
     return EmpiricalReport(
         config_digest=_config_digest(cfg),
         seed=seed,
@@ -200,8 +266,8 @@ def _keyed(table: np.ndarray, cells: np.ndarray, outcome_signs: tuple[int, int])
     return dict(zip(map(tuple, keys.tolist()), table[tuple(cells.T)].tolist()))
 
 
-def _tally(x_bits, a, stage_inputs, stage_outcomes) -> tuple[tuple[BobReport, ...], dict]:
-    """Per-Bob reports and outcome counts from the outcome table of the trials."""
+def _outcome_table(x_bits, a, stage_inputs, stage_outcomes) -> np.ndarray:
+    """Trial counts over (x, y_1..y_n, a, b_1..b_n), shaped (2,)*(2n+2); index 1 is outcome +1."""
     n_stages = len(stage_inputs)
     code = x_bits.astype(np.int64)
     for y in stage_inputs:
@@ -209,8 +275,12 @@ def _tally(x_bits, a, stage_inputs, stage_outcomes) -> tuple[tuple[BobReport, ..
     code = code * 2 + (1 + a) // 2
     for b in stage_outcomes:
         code = code * 2 + (1 + b) // 2
-    table = np.bincount(code, minlength=4 ** (n_stages + 1)).reshape((2,) * (2 * n_stages + 2))
+    return np.bincount(code, minlength=4 ** (n_stages + 1)).reshape((2,) * (2 * n_stages + 2))
 
+
+def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:
+    """Per-Bob reports and outcome counts from an outcome table."""
+    n_stages = table.ndim // 2 - 1
     per_bob = []
     for k in range(1, n_stages + 1):
         kept = (0, k, n_stages + 1, n_stages + 1 + k)

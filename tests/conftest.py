@@ -14,8 +14,16 @@ from weakbell import (
     weak_conditional,
 )
 from weakbell.bell import _stage_maps, pauli_coefficients, propagate
-from weakbell.channel import as_density, projectors, spin_operator, strength_pair
-from weakbell.montecarlo import BobReport
+from weakbell.channel import as_density, collapse_bloch, projectors, spin_operator, strength_pair
+from weakbell.montecarlo import (
+    BobReport,
+    EmpiricalReport,
+    _alice_steering,
+    _config_digest,
+    _outcome_table,
+    _reports,
+    _stage_pointer,
+)
 
 
 def random_direction(rng) -> Direction:
@@ -193,9 +201,10 @@ def oracle_precision(state: PointerState) -> float:
     return min(1.0, max(0.0, value))
 
 
-# --- Monte Carlo tally and joint oracles ----------------------------------------------
+# --- Monte Carlo tally, joint and sampling oracles -------------------------------------
 # The per-cell mask loop, np.unique count and key-by-key joint that
-# montecarlo.py replaced with one outcome table; the tests require equal results.
+# montecarlo.py replaced with one outcome table, and the whole-run
+# sampler it replaced with chunks; the tests require equal results.
 
 
 def oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes) -> tuple:
@@ -276,3 +285,48 @@ def oracle_analytic_joint(cfg) -> dict:
                     weight = branches[branch][0, 0] + a_val * alice[(x, *branch)]
                     out[(x, *ys, a_val, *bs)] = p_inputs * float(weight) / 2.0
     return out
+
+
+def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
+    """run_chain as one whole-run pass: every block drawn in stream order from one generator."""
+    pointers = [_stage_pointer(stage) for stage in cfg.stages]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    x_bits = (rng.random(trials) < 0.5).astype(np.int8)
+    alice_uniform = rng.random(trials)
+    p_plus_by_x, steered = _alice_steering(cfg)
+    a = np.where(alice_uniform < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
+    a_index = ((1 - a) // 2).astype(np.int8)
+    bloch = steered[x_bits, a_index]
+
+    stage_inputs = []
+    stage_outcomes = []
+    for stage, pointer in zip(cfg.stages, pointers):
+        y = (rng.random(trials) < stage.bias).astype(np.int8)
+        branch_uniform = rng.random(trials)
+        position_uniform = rng.random(trials)
+
+        cells = round(1.0 / pointer.grid_spacing)
+        samples = pointer.samples
+
+        directions = np.stack([stage.dir0.vector, stage.dir1.vector])[y]
+        p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
+        shifts = np.where(branch_uniform < p_plus, 1, -1).astype(np.int64)
+        idx = np.searchsorted(pointer.reading_cdf, position_uniform, side="right")
+        readings = pointer.positions[idx] + shifts
+
+        idx_minus = idx + (shifts - 1) * cells
+        idx_plus = idx + (shifts + 1) * cells
+        amp_minus = np.where(
+            (idx_minus >= 0) & (idx_minus < samples.size), samples[np.clip(idx_minus, 0, samples.size - 1)], 0.0
+        )
+        amp_plus = np.where(
+            (idx_plus >= 0) & (idx_plus < samples.size), samples[np.clip(idx_plus, 0, samples.size - 1)], 0.0
+        )
+        bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
+
+        stage_inputs.append(y)
+        stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
+
+    per_bob, outcome_counts = _reports(_outcome_table(x_bits, a, stage_inputs, stage_outcomes))
+    return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, outcome_counts)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from weakbell.cli import MAX_PROTOCOL_STAGES, MAX_RANGE_POINTS, MIN_TRIPLE_RESOLUTION, main, parse_range
+from weakbell import montecarlo
+from weakbell.cli import MAX_PROTOCOL_STAGES, MAX_RANGE_POINTS, MAX_TRIALS, MIN_TRIPLE_RESOLUTION, main, parse_range
 from weakbell.errors import InvalidParameterError
 
 
@@ -179,6 +180,19 @@ def test_montecarlo_rejects_non_integer_trials(tmp_path, trials):
     out = tmp_path / "mc.json"
     code = run_cli("montecarlo", "--scenario", "single", "--trials", trials, "--out", str(out))
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["1e12", str(MAX_TRIALS + 1)])
+def test_montecarlo_refuses_trials_past_the_cap(tmp_path, monkeypatch, trials, capsys):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(montecarlo, "run_chain", no_trials)
+    out = tmp_path / "mc.json"
+    code = run_cli("montecarlo", "--scenario", "single", "--trials", trials, "--out", str(out))
+    assert code == 2
+    assert "at most" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -378,13 +392,15 @@ def test_module_entry_point(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_special_unloaded(tmp_path):
-    # scipy.special is loaded only when a chi-square p-value or a gaussian width is computed
+    # scipy.special is loaded only when a chi-square p-value or a gaussian width is computed,
+    # and concurrent.futures only when montecarlo runs its trials
     script = (
         "import sys, weakbell.cli\n"
         "print('scipy.special' in sys.modules)\n"
+        "print('concurrent.futures' in sys.modules)\n"
         f"weakbell.cli.main(['double', '--family', 'analytic', '--g', '0.5', '--out', {str(tmp_path / 'd.csv')!r}])\n"
         "print('scipy.special' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False", "False", "False"]

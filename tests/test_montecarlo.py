@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_bob_reports, oracle_count_outcomes, random_density, random_direction
+from conftest import (
+    oracle_bob_reports,
+    oracle_count_outcomes,
+    oracle_run_chain,
+    random_density,
+    random_direction,
+)
 
 from weakbell import (
     BellChainConfig,
@@ -24,7 +30,7 @@ from weakbell import (
 )
 from weakbell.bell import TripleGeometry
 from weakbell.channel import DIR_X, DIR_Z
-from weakbell.montecarlo import _tally
+from weakbell.montecarlo import CHUNK_TRIALS, _outcome_table, _reports, _run_chain, _uniforms
 
 
 def double_config(target_precision=0.8):
@@ -213,11 +219,50 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
     stage_outcomes = [
         (a * np.where(rng.random(trials) < agree, 1, -1)).astype(np.int8) for agree in rng.random(n_stages)
     ]
-    per_bob, outcome_counts = _tally(x_bits, a, stage_inputs, stage_outcomes)
+    per_bob, outcome_counts = _reports(_outcome_table(x_bits, a, stage_inputs, stage_outcomes))
     oracle = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
     assert [_report_fields(bob) for bob in per_bob] == [_report_fields(bob) for bob in oracle]
     oracle_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)
     assert list(outcome_counts.items()) == list(oracle_counts.items())
+
+
+def chain_config(n_stages: int) -> BellChainConfig:
+    # a weak optimal Bob first, strong square Bobs after; the last one biased
+    alice = tsirelson_alice()
+    bob = tsirelson_bob()
+    strengths = [make_optimal(0.8)] + [make_square(1.0)] * (n_stages - 1)
+    biases = [0.5] * (n_stages - 1) + [0.3]
+    return BellChainConfig(
+        alice[0],
+        alice[1],
+        stages=tuple(BobStage(bob[0], bob[1], s, bias=b) for s, b in zip(strengths, biases)),
+    )
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
+@pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
+def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
+    # the report must not depend on the chunk size or the number of threads
+    cfg = chain_config(n_stages)
+    trials = whole_chunks * chunk + extra
+    seed = 20240817 + trials
+    oracle = oracle_run_chain(cfg, trials, seed)
+    for workers in (1, 2):
+        report = _run_chain(cfg, trials, seed, chunk, workers)
+        assert report.to_dict() == oracle.to_dict()
+        assert [_report_fields(bob) for bob in report.per_bob] == [_report_fields(bob) for bob in oracle.per_bob]
+        assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
+
+
+@pytest.mark.parametrize(
+    "trials, block, start, count", [(10, 0, 1, 9), (10, 1, 3, 5), (7, 2, 0, 7), (13, 3, 4, 9), (5, 4, 2, 3)]
+)
+def test_block_addressing_matches_one_sequential_stream(trials, block, start, count):
+    offset = block * trials + start
+    assert offset % 4 != 0
+    stream = np.random.Generator(np.random.Philox(key=1302)).random(5 * trials)
+    np.testing.assert_array_equal(_uniforms(1302, trials, block, start, count), stream[offset : offset + count])
 
 
 def test_run_chain_requires_pointer_backed_stages():
