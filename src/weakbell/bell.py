@@ -377,7 +377,7 @@ def _strength_for_target(family: str, target: float) -> MeasurementStrength:
     if family in ("analytic", "analytic-optimal"):
         return MeasurementStrength.optimal(target)
     if family == "optimal":
-        return pt.strength_of(pt.make_optimal(target))
+        return MeasurementStrength(*pt._frontier_strength(target))
     if family == "square":
         return pt.strength_of(pt.make_square(1.0 / target))
     if family == "gaussian":
@@ -393,8 +393,9 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
 
     Both Bobs use the Tsirelson settings with unbiased inputs; family
     selects how the weak stage's strength is produced ("analytic" for
-    the frontier pair (sqrt(1-G^2), G), or a constructed square,
-    gaussian or optimal pointer matched to the target precision).
+    the frontier pair (sqrt(1-G^2), G), a constructed square or gaussian
+    pointer, or the optimal pointer's interval rows, matched to the
+    target precision).
     Reported G is the actual stage precision.
     """
     targets = [float(target) for target in precision_grid]

@@ -22,9 +22,8 @@ run_chain tallies each trial once, with np.bincount, into an outcome
 table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
 outcome index 1 for +1.  The per-Bob reports are its marginals and
 outcome_counts its non-zero cells in index order.  analytic_joint keys
-run in index order with +1 first.  Both orders must stay:
-chi_square_report sums over a set of the keys, which iterates in
-insertion order, so another order would move the statistic's last bits.
+run in index order with +1 first.  chi_square_report sums its cells in
+sorted key order, so neither order reaches its statistic.
 
 Randomness comes from a Philox counter-based generator keyed by the
 seed.  A run of T trials reads the stream as length-T blocks: block 0
@@ -92,7 +91,10 @@ class EmpiricalReport:
     outcome_counts: dict
 
     def to_dict(self) -> dict:
-        """JSON-ready summary; empty cells and the CHSH they leave undefined are None."""
+        """JSON-ready summary; empty cells and the CHSH they leave undefined are None.
+
+        Each Bob's trial counts per input pair are keyed "xy", as E is.
+        """
         return {
             "config_digest": self.config_digest,
             "seed": self.seed,
@@ -102,6 +104,8 @@ class EmpiricalReport:
                     "E": {f"{x}{y}": _json_number(e) for (x, y), e in bob.correlations.items()},
                     "chsh": _json_number(bob.chsh),
                     "stderr": _json_number(bob.chsh_stderr),
+                    "counts": {f"{x}{y}": n for (x, y), n in bob.counts.items()},
+                    "insufficient": bob.insufficient,
                 }
                 for bob in self.per_bob
             ],
@@ -364,15 +368,18 @@ def chi_square_report(
     """Pearson goodness of fit of observed counts against exact cell weights.
 
     Cells with zero expected mass and zero observations are dropped; an
-    observation in a zero-mass cell fails outright (p = 0).
+    observation in a zero-mass cell fails outright (p = 0).  Cells are
+    visited in sorted key order (keys must be mutually comparable, as
+    the outcome tuples are), so the report depends only on the contents
+    of the two dicts, not on their insertion order or on hash
+    randomization.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    keys = set(observed) | set(expected_probs)
     statistic = 0.0
     dropped = 0
     used = 0
-    for key in keys:
+    for key in sorted(set(observed) | set(expected_probs)):
         count = observed.get(key, 0)
         expected = expected_probs.get(key, 0.0) * trials
         if expected <= 0.0:

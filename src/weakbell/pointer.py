@@ -31,6 +31,14 @@ rows of that array.  A grid is fixed by its even node count and its
 spacing h, so the nodes inside (-1, 1) are the central 2/h and the
 precision sums that slice.  No grid may have more than
 MAX_POINTER_NODES nodes; builders check the count before they allocate.
+
+A unit shift of the +1/-1 copies is one whole row, so a frontier
+pointer's F and G are closed forms in its rows: with central mass
+c = h sum(central^2) and envelope e_n, N = c sum(e_n^2),
+G = e_0^2 c / N and F = c sum(e_n e_{n+1}) / N.  The trade-off curves
+and the optimal double scan read them so and build no grid; only a
+pointer dump or a Monte Carlo stage materialises one.  The rows make
+the checks the grid would (node cap, norm, symmetry, [0, 1]).
 """
 
 from __future__ import annotations
@@ -279,6 +287,42 @@ def _envelope_intervals(target_precision: float, envelope_cutoff: float, cells: 
     return n_intervals
 
 
+def _frontier_rows(
+    central_samples: np.ndarray,
+    target_precision: float,
+    grid_spacing: float,
+    envelope_cutoff: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a frontier pointer: the scaled central profile and the envelope.
+
+    The central profile is rescaled so its mass is the target precision;
+    envelope[i] = ((1-G)/(1+G))^(|n|/2) is the amplitude factor of
+    interval n = i - N.  The grid these rows generate is checked against
+    the node cap, so the rows are refused exactly where the grid is.
+    """
+    cells = _cells_per_unit(grid_spacing)
+    n_intervals = _envelope_intervals(target_precision, envelope_cutoff, cells)
+    central = np.asarray(central_samples, dtype=float)
+    if central.shape != (2 * cells,):
+        raise InvalidParameterError(
+            f"central profile must have {2 * cells} samples for spacing {grid_spacing}"
+        )
+    mass = float(np.sum(central * central)) * grid_spacing
+    if mass <= 0.0:
+        raise InvalidParameterError("central profile has zero mass")
+    central = central * math.sqrt(target_precision / mass)
+
+    ratio = (1.0 - target_precision) / (1.0 + target_precision)
+    n = np.arange(-n_intervals, n_intervals + 1, dtype=float)
+    envelope = np.power(ratio, np.abs(n) / 2.0)
+    return central, envelope
+
+
+def _odd_rows(n_rows: int) -> slice:
+    """Rows i of a (2N+1)-row frontier whose interval n = i - N is odd."""
+    return slice((n_rows // 2 + 1) % 2, None, 2)
+
+
 def optimal_from_central(
     central_samples: np.ndarray,
     target_precision: float,
@@ -296,26 +340,32 @@ def optimal_from_central(
     the state is renormalized.  The resulting quality factor is
     sqrt(1 - G^2) for any admissible profile.
     """
-    cells = _cells_per_unit(grid_spacing)
-    n_intervals = _envelope_intervals(target_precision, envelope_cutoff, cells)
-    central = np.asarray(central_samples, dtype=float)
-    if central.shape != (2 * cells,):
-        raise InvalidParameterError(
-            f"central profile must have {2 * cells} samples for spacing {grid_spacing}"
-        )
-    mass = float(np.sum(central * central)) * grid_spacing
-    if mass <= 0.0:
-        raise InvalidParameterError("central profile has zero mass")
-    central = central * math.sqrt(target_precision / mass)
-
-    ratio = (1.0 - target_precision) / (1.0 + target_precision)
-    n = np.arange(-n_intervals, n_intervals + 1, dtype=float)
-    envelope = np.power(ratio, np.abs(n) / 2.0)
+    central, envelope = _frontier_rows(central_samples, target_precision, grid_spacing, envelope_cutoff)
     # the grid radius is an odd number of units, so row n of the
     # (2N+1, 2/h) sample array is the interval (2n-1, 2n+1]
     samples = np.empty(envelope.size * central.size)
     np.multiply(central[None, :], envelope[:, None], out=samples.reshape(envelope.size, central.size))
     return _normalized_state(samples, grid_spacing, label)
+
+
+def _central_profile(
+    profile: str,
+    target_precision: float,
+    grid_spacing: float,
+    envelope_cutoff: float,
+    bump_sharpness: float,
+) -> np.ndarray:
+    """make_optimal's central profile, once the grid it generates is known to fit the cap."""
+    cells = _cells_per_unit(grid_spacing)
+    _envelope_intervals(target_precision, envelope_cutoff, cells)  # size the grid before building
+    x = _symmetric_positions(cells, grid_spacing)
+    if profile == "flat":
+        return np.ones_like(x)
+    if profile == "smooth_bump":
+        if not bump_sharpness > 0:
+            raise InvalidParameterError(f"bump sharpness must be positive, got {bump_sharpness}")
+        return np.exp(-bump_sharpness / (1.0 - x * x))
+    raise InvalidParameterError(f"unknown central profile {profile!r}")
 
 
 def make_optimal(
@@ -331,19 +381,8 @@ def make_optimal(
     exp(-alpha/(1-q^2)), which vanishes with all derivatives at the odd
     integers and yields an infinitely differentiable wavefunction.
     """
-    cells = _cells_per_unit(grid_spacing)
-    _envelope_intervals(target_precision, envelope_cutoff, cells)  # size the grid before building
-    x = _symmetric_positions(cells, grid_spacing)
-    if profile == "flat":
-        central = np.ones_like(x)
-    elif profile == "smooth_bump":
-        if not bump_sharpness > 0:
-            raise InvalidParameterError(f"bump sharpness must be positive, got {bump_sharpness}")
-        central = np.exp(-bump_sharpness / (1.0 - x * x))
-    else:
-        raise InvalidParameterError(f"unknown central profile {profile!r}")
     return optimal_from_central(
-        central,
+        _central_profile(profile, target_precision, grid_spacing, envelope_cutoff, bump_sharpness),
         target_precision,
         grid_spacing,
         envelope_cutoff,
@@ -365,9 +404,46 @@ def make_worst(
     base = make_optimal(target_precision, "flat", grid_spacing, envelope_cutoff)
     samples = base.samples.copy()
     rows = samples.reshape(-1, 2 * _cells_per_unit(grid_spacing))
-    n_intervals = rows.shape[0] // 2
-    rows[(n_intervals + 1) % 2 :: 2] = 0.0  # row i is interval n = i - N
+    rows[_odd_rows(rows.shape[0])] = 0.0
     return _normalized_state(samples, grid_spacing, f"worst(G_target={target_precision})")
+
+
+def _rows_strength(central: np.ndarray, envelope: np.ndarray, grid_spacing: float) -> tuple[float, float]:
+    """(F, G) of the normalized frontier pointer with these rows, by the closed forms above.
+
+    The checks are those of the grid path: a finite non-zero norm, a
+    symmetric modulus (the central row, whose envelope factor is the
+    largest, bounds the asymmetry of every row) and F, G in [0, 1].
+    """
+    mass = grid_spacing * float(np.sum(central * central))
+    norm = mass * float(np.sum(envelope * envelope))
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise InvalidStateError(f"pointer norm^2 must be finite and non-zero, got {norm!r}")
+    row = np.abs(central / math.sqrt(norm))
+    asym = float(np.max(np.abs(row - row[::-1])))
+    if not asym <= _SYMMETRY_TOL:
+        raise InvalidStateError(f"pointer modulus not symmetric: max asymmetry {asym:.3e}")
+    centre = float(envelope[envelope.size // 2])
+    quality = mass * float(np.sum(envelope[1:] * envelope[:-1])) / norm
+    return _clamp_unit(quality, "quality factor"), _clamp_unit(centre * centre * mass / norm, "precision")
+
+
+def _frontier_strength(
+    target_precision: float,
+    *,
+    worst: bool = False,
+    grid_spacing: float = DEFAULT_GRID_SPACING,
+    envelope_cutoff: float = 1e-14,
+) -> tuple[float, float]:
+    """(F, G) of make_optimal(target) (flat profile), or of make_worst(target), from its rows.
+
+    Refuses exactly the inputs the builder refuses, the node cap included.
+    """
+    central = _central_profile("flat", target_precision, grid_spacing, envelope_cutoff, 1.0)
+    central, envelope = _frontier_rows(central, target_precision, grid_spacing, envelope_cutoff)
+    if worst:
+        envelope[_odd_rows(envelope.size)] = 0.0
+    return _rows_strength(central, envelope, grid_spacing)
 
 
 def quality_factor(state: PointerState) -> float:
@@ -419,19 +495,23 @@ def tradeoff_curve(
     """Rows (parameter, F, G) for one pointer family.
 
     The parameter is the half width (square), width (gaussian), scale
-    (exponential) or target precision (optimal, worst).
+    (exponential) or target precision (optimal, worst).  The frontier
+    families are read from their rows; the others are built and
+    integrated on the grid.
     """
-    try:
-        builder = _FAMILY_BUILDERS[family]
-    except KeyError:
-        raise InvalidParameterError(f"unknown pointer family {family!r}") from None
+    if family not in _FAMILY_BUILDERS:
+        raise InvalidParameterError(f"unknown pointer family {family!r}")
     parameters = [float(p) for p in parameters]
     if not parameters:
         raise InvalidParameterError("parameter grid is empty")
     rows = []
     for value in parameters:
-        state = builder(value, grid_spacing=grid_spacing)
-        rows.append((value, quality_factor(state), precision(state)))
+        if family in ("optimal", "worst"):
+            fq, gp = _frontier_strength(value, worst=family == "worst", grid_spacing=grid_spacing)
+        else:
+            state = _FAMILY_BUILDERS[family](value, grid_spacing=grid_spacing)
+            fq, gp = quality_factor(state), precision(state)
+        rows.append((value, fq, gp))
     return rows
 
 

@@ -6,7 +6,15 @@ import sys
 import pytest
 
 from weakbell import montecarlo
-from weakbell.cli import MAX_PROTOCOL_STAGES, MAX_RANGE_POINTS, MAX_TRIALS, MIN_TRIPLE_RESOLUTION, main, parse_range
+from weakbell.cli import (
+    MAX_PROTOCOL_STAGES,
+    MAX_RANGE_POINTS,
+    MAX_TRIALS,
+    MIN_TRIPLE_RESOLUTION,
+    _montecarlo_config,
+    main,
+    parse_range,
+)
 from weakbell.errors import InvalidParameterError
 
 
@@ -214,9 +222,24 @@ def test_montecarlo_json_has_no_bare_nan(tmp_path):
 
     payload = json.loads(out.read_text(), parse_constant=reject)
     for bob in payload["per_bob"]:
-        assert set(bob) == {"E", "chsh", "stderr"}
+        assert set(bob) == {"E", "chsh", "stderr", "counts", "insufficient"}
         assert set(bob["E"]) == {"00", "01", "10", "11"}
+        assert set(bob["counts"]) == {"00", "01", "10", "11"}
+        assert sum(bob["counts"].values()) == 3
     assert any(bob["chsh"] is None for bob in payload["per_bob"])
+    assert all(bob["insufficient"] == (bob["chsh"] is None) for bob in payload["per_bob"])
+
+
+def test_montecarlo_json_round_trips_per_bob_counts(tmp_path):
+    out = tmp_path / "mc.json"
+    assert run_cli("montecarlo", "--scenario", "double", "--trials", "500", "--seed", "3", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    report = montecarlo.run_chain(_montecarlo_config("double", 0.8), 500, 3)
+    assert len(payload["per_bob"]) == len(report.per_bob) == 2
+    for bob_json, bob in zip(payload["per_bob"], report.per_bob):
+        assert {(int(key[0]), int(key[1])): n for key, n in bob_json["counts"].items()} == bob.counts
+        assert bob_json["insufficient"] is bob.insufficient is False
+        assert sum(bob_json["counts"].values()) == 500
 
 
 def test_montecarlo_single_scenario_strong(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -348,9 +351,43 @@ def test_chi_square_cell_handling():
         chi_square_report(observed, expected, 0)
 
 
+def test_chi_square_ignores_insertion_order():
+    # summing in set order moved the statistic's last bits on 6 of these 20 seeds
+    cfg = double_config()
+    joint = analytic_joint(cfg)
+    for seed in range(20):
+        report = run_chain(cfg, 20_000, seed)
+        forward = chi_square_report(report.outcome_counts, joint, report.trials)
+        backward = chi_square_report(
+            dict(reversed(report.outcome_counts.items())), dict(reversed(joint.items())), report.trials
+        )
+        assert repr(forward) == repr(backward)
+
+
+def test_chi_square_early_return_ignores_hash_seed():
+    # string keys hash differently under each PYTHONHASHSEED; the impossible
+    # cell "z" sorts last, so all five possible cells are counted before it
+    script = (
+        "from weakbell import chi_square_report\n"
+        "cells = 'abcde'\n"
+        "observed = {**{c: 2 for c in cells}, 'z': 1}\n"
+        "expected = {**{c: 0.2 for c in cells}, 'z': 0.0}\n"
+        "print(repr(chi_square_report(observed, expected, 11)))\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "dof=4," in outputs[0] and "passed=False" in outputs[0]
+
+
 def test_report_json_shape():
     report = run_chain(double_config(), 1000, seed=1)
     payload = report.to_dict()
     assert set(payload) == {"config_digest", "seed", "trials", "per_bob"}
-    assert {"E", "chsh", "stderr"} == set(payload["per_bob"][0])
+    assert {"E", "chsh", "stderr", "counts", "insufficient"} == set(payload["per_bob"][0])
     assert set(payload["per_bob"][0]["E"]) == {"00", "01", "10", "11"}
+    assert set(payload["per_bob"][0]["counts"]) == {"00", "01", "10", "11"}

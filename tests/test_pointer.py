@@ -23,6 +23,8 @@ from weakbell import (
     tradeoff_curve,
 )
 from weakbell import pointer
+from weakbell.bell import double_violation_curve
+from weakbell.cli import parse_range
 from weakbell.pointer import (
     DEFAULT_GRID_SPACING,
     MAX_POINTER_NODES,
@@ -253,6 +255,112 @@ def test_worst_matches_the_per_node_construction_exactly(target, spacing, cutoff
     assert np.array_equal(state.samples, oracle.samples)
     assert quality_factor(state) == quality_factor(oracle)
     assert precision(state) == oracle_precision(oracle)
+
+
+# --- frontier (F, G) from rows ----------------------------------------------------
+# double --family optimal and tradeoff --family optimal|worst read F and G
+# from the rows; the materialised grids and the per-node builders are the
+# oracles.
+
+_FRONTIER_TOL = 1e-14
+
+
+def _rows_strength(central, target, spacing, cutoff):
+    return pointer._rows_strength(*pointer._frontier_rows(central, target, spacing, cutoff), spacing)
+
+
+def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
+    for target in parse_range("0.005:0.995:0.005"):
+        fq, gp = pointer._frontier_strength(target)
+        state = make_optimal(target)
+        assert abs(fq - quality_factor(state)) <= _FRONTIER_TOL, target
+        assert abs(gp - precision(state)) <= _FRONTIER_TOL, target
+
+
+def test_frontier_rows_agree_with_the_worst_grid():
+    for target in parse_range("0.1:0.9:0.1"):
+        fq, gp = pointer._frontier_strength(target, worst=True)
+        assert fq == 0.0
+        assert abs(gp - precision(make_worst(target))) <= _FRONTIER_TOL, target
+
+
+@pytest.mark.parametrize("spacing", [1.0 / 64, 1.0 / 1024])
+@pytest.mark.parametrize("cutoff", [1e-14, 1e-6])
+@pytest.mark.parametrize("profile", ["flat", "smooth_bump"])
+def test_frontier_rows_agree_with_the_per_node_construction(spacing, cutoff, profile):
+    targets = (0.005, 0.05, 0.3, 0.8, 0.995) if spacing == 1.0 / 64 else (0.05, 0.3, 0.8, 0.995)
+    for target in targets:
+        central = _central_profile(profile, spacing)
+        oracle = oracle_optimal_from_central(central, target, spacing, cutoff)
+        fq, gp = _rows_strength(central, target, spacing, cutoff)
+        assert abs(fq - quality_factor(oracle)) <= _FRONTIER_TOL, target
+        assert abs(gp - oracle_precision(oracle)) <= _FRONTIER_TOL, target
+        if profile == "flat":
+            assert pointer._frontier_strength(target, grid_spacing=spacing, envelope_cutoff=cutoff) == (fq, gp)
+
+
+def test_frontier_strength_builds_no_grid(monkeypatch):
+    grid = parse_range("0.005:0.995:0.005")
+    expected = double_violation_curve("optimal", grid)
+    tracemalloc.start()
+    try:
+        double_violation_curve("optimal", [0.005])  # make_optimal(0.005) holds 6.6 M nodes, 53 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+    def refuse(self):
+        raise AssertionError("a pointer grid was built")
+
+    monkeypatch.setattr(PointerState, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="grid was built"):
+        make_optimal(0.5)
+    assert double_violation_curve("optimal", grid) == expected
+    for family in ("optimal", "worst"):
+        rows = tradeoff_curve(family, parse_range("0.1:0.9:0.1"))
+        assert len(rows) == 9
+        assert all(fq == 0.0 for _, fq, _ in rows) == (family == "worst")
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "target, cutoff",
+    [
+        *((target, 1e-14) for target in (0.0, 1.0, -0.2, 1.5, math.nan)),  # G outside (0, 1)
+        *((0.5, cutoff) for cutoff in (0.0, 1.0, math.nan)),  # cutoff outside (0, 1)
+        (0.0015, 1e-14),  # 22 M nodes at the default spacing, past the cap
+        (1e-300, 1e-14),  # (1-G)/(1+G) rounds to 1: no finite interval count
+    ],
+)
+def test_frontier_strength_refuses_what_the_builders_refuse(target, cutoff):
+    for worst, build in ((False, make_optimal), (True, make_worst)):
+        expected = _refusal(lambda: build(target, envelope_cutoff=cutoff))
+        assert expected[0] is InvalidParameterError
+        assert _refusal(lambda: pointer._frontier_strength(target, worst=worst, envelope_cutoff=cutoff)) == expected
+
+
+def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
+    cells = round(1.0 / SPACING)
+    flat = np.ones(2 * cells)
+    lopsided = flat.copy()
+    lopsided[0] = 2.0
+    nan = flat.copy()
+    nan[3] = math.nan
+    huge = np.full(2 * cells, 1e200)  # its mass overflows, so it scales to zero
+    for central in (np.zeros(2 * cells), np.ones(cells), lopsided, nan, huge):
+        with np.errstate(over="ignore"):
+            kind, message = _refusal(lambda: optimal_from_central(central, 0.5, SPACING))
+            refused = _refusal(lambda: _rows_strength(central, 0.5, SPACING, 1e-14))
+        assert kind in (InvalidParameterError, InvalidStateError)
+        # the same error type, and a norm failure named as one
+        assert refused[0] is kind
+        assert ("norm" in refused[1]) == ("norm" in message), (message, refused[1])
 
 
 def test_builders_refuse_grids_past_the_node_cap_before_allocating():
