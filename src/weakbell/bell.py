@@ -161,16 +161,6 @@ def positivity_bound_scan(angle_grid, quality_factor: float, precision: float):
     return rows
 
 
-POSITIVITY_CSV_HEADER = "theta,min_prob,tangent_value"
-
-
-def positivity_scan_to_csv(rows) -> str:
-    lines = [POSITIVITY_CSV_HEADER]
-    for angle, min_prob, tangent in rows:
-        lines.append(f"{angle!r},{min_prob!r},{tangent!r}")
-    return "\n".join(lines) + "\n"
-
-
 # --- chain configuration ---------------------------------------------------
 
 
@@ -374,7 +364,7 @@ def protocol_bob(angle: float) -> tuple[Direction, Direction]:
 def _strength_for_target(family: str, target: float) -> MeasurementStrength:
     from . import pointer as pt
 
-    if family in ("analytic", "analytic-optimal"):
+    if family == "analytic":
         return MeasurementStrength.optimal(target)
     if family == "optimal":
         return MeasurementStrength(*pt._frontier_strength(target))
@@ -444,16 +434,13 @@ class TripleScanReport:
         }
 
 
-def unbiased_triple_scan(f1_grid, f2_grid, settings: str = "tsirelson") -> TripleScanReport:
+def unbiased_triple_scan(f1_grid, f2_grid) -> TripleScanReport:
     """Scan two weak frontier stages plus a strong third for a triple violation.
 
-    Restricted to the standard settings family: all Bobs share the
-    Tsirelson directions, inputs unbiased.  Reports the largest
-    min(I1, I2, I3) found, the first such cell in row-major (F1, F2)
-    order; no scanned cell is expected to exceed 2.
+    All Bobs share the Tsirelson directions, inputs unbiased.  Reports
+    the largest min(I1, I2, I3) found, the first such cell in row-major
+    (F1, F2) order; no scanned cell is expected to exceed 2.
     """
-    if settings != "tsirelson":
-        raise InvalidParameterError(f"unsupported settings strategy {settings!r}")
     f1 = np.array([float(v) for v in f1_grid])
     f2 = np.array([float(v) for v in f2_grid])
     for value in (*f1.tolist(), *f2.tolist()):

@@ -189,17 +189,20 @@ _FAMILY_PARAM_FLAG = {
 }
 
 
-def cmd_tradeoff(args) -> int:
-    flag = _FAMILY_PARAM_FLAG.get(args.family)
-    if flag is None:
-        raise InvalidParameterError(f"unknown pointer family {args.family!r}")
-    spec = getattr(args, flag)
-    if spec is None:
+def _family_parameter(args) -> str:
+    """The text of the one parameter flag args.family takes; the other families' flags are refused."""
+    flag = _FAMILY_PARAM_FLAG[args.family]
+    text = getattr(args, flag)
+    if text is None:
         raise InvalidParameterError(f"family {args.family!r} needs --{flag}")
     for other in ("delta", "scale", "g"):
         if other != flag and getattr(args, other) is not None:
             raise InvalidParameterError(f"family {args.family!r} does not take --{other}")
-    grid = parse_range(spec)
+    return text
+
+
+def cmd_tradeoff(args) -> int:
+    grid = parse_range(_family_parameter(args))
     rows = pointer.tradeoff_curve(args.family, grid, grid_spacing=args.spacing)
     _emit(args, pointer.tradeoff_to_csv(args.family, rows), f"tradeoff_{args.family}.csv")
     return 0
@@ -270,13 +273,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_pointer_dump(args) -> int:
-    flag = _FAMILY_PARAM_FLAG.get(args.family)
-    if flag is None:
-        raise InvalidParameterError(f"unknown pointer family {args.family!r}")
-    value = getattr(args, flag)
-    if value is None:
-        raise InvalidParameterError(f"family {args.family!r} needs --{flag}")
-    state = pointer._FAMILY_BUILDERS[args.family](float(value), grid_spacing=args.spacing)
+    value = float(_family_parameter(args))
+    state = pointer._FAMILY_BUILDERS[args.family](value, grid_spacing=args.spacing)
     _emit(args, pointer.samples_to_csv(state), f"pointer_{args.family}.csv")
     return 0
 

@@ -188,17 +188,19 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
     pointers = [_stage_pointer(stage) for stage in cfg.stages]
     p_plus_by_x, steered = _alice_steering(cfg)
-    # read before any thread starts: positions is rebuilt on every access, reading_cdf built on the first
+    # read before any thread starts: positions is rebuilt on every access, reading_cdf built on the first;
+    # the samples are zero-padded by two units on each side, so phi(q -/+ 1) is a plain gather
+    cells = [round(1.0 / pointer.grid_spacing) for pointer in pointers]
     stages = [
         (
             stage.bias,
             np.stack([stage.dir0.vector, stage.dir1.vector]),
             pointer.reading_cdf,
             pointer.positions,
-            pointer.samples,
-            round(1.0 / pointer.grid_spacing),
+            np.pad(pointer.samples, 2 * unit),
+            unit,
         )
-        for stage, pointer in zip(cfg.stages, pointers)
+        for stage, pointer, unit in zip(cfg.stages, pointers, cells)
     ]
 
     def chunk_table(start: int) -> np.ndarray:
@@ -214,7 +216,7 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
 
         stage_inputs = []
         stage_outcomes = []
-        for k, (bias, stage_directions, cdf, positions, samples, cells) in enumerate(stages):
+        for k, (bias, stage_directions, cdf, positions, padded, unit) in enumerate(stages):
             y = (draw(2 + 3 * k) < bias).astype(np.int8)
             directions = stage_directions[y]  # (count, 3)
             p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
@@ -222,15 +224,9 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
             idx = np.searchsorted(cdf, draw(4 + 3 * k), side="right")
             readings = positions[idx] + shifts
 
-            # phi(q -/+ 1) as integer index gathers on the pointer grid
-            idx_minus = idx + (shifts - 1) * cells
-            idx_plus = idx + (shifts + 1) * cells
-            amp_minus = np.where(
-                (idx_minus >= 0) & (idx_minus < samples.size), samples[np.clip(idx_minus, 0, samples.size - 1)], 0.0
-            )
-            amp_plus = np.where(
-                (idx_plus >= 0) & (idx_plus < samples.size), samples[np.clip(idx_plus, 0, samples.size - 1)], 0.0
-            )
+            # phi(q -/+ 1) sits (shifts -/+ 1) units from node idx, shifted by the two-unit padding
+            amp_minus = padded[idx + (shifts + 1) * unit]
+            amp_plus = padded[idx + (shifts + 3) * unit]
             # K_q = phi(q-1) pi+ + phi(q+1) pi-
             bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
 
@@ -359,20 +355,15 @@ class ChiSquareReport:
         }
 
 
-def chi_square_report(
-    observed: dict,
-    expected_probs: dict,
-    trials: int,
-    significance: float = 1e-3,
-) -> ChiSquareReport:
+def chi_square_report(observed: dict, expected_probs: dict, trials: int) -> ChiSquareReport:
     """Pearson goodness of fit of observed counts against exact cell weights.
 
-    Cells with zero expected mass and zero observations are dropped; an
-    observation in a zero-mass cell fails outright (p = 0).  Cells are
-    visited in sorted key order (keys must be mutually comparable, as
-    the outcome tuples are), so the report depends only on the contents
-    of the two dicts, not on their insertion order or on hash
-    randomization.
+    The fit passes when p > 1e-3.  Cells with zero expected mass and zero
+    observations are dropped; an observation in a zero-mass cell fails
+    outright (p = 0).  Cells are visited in sorted key order (keys must
+    be mutually comparable, as the outcome tuples are), so the report
+    depends only on the contents of the two dicts, not on their
+    insertion order or on hash randomization.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
@@ -394,4 +385,4 @@ def chi_square_report(
     from scipy.special import gammaincc
 
     p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
-    return ChiSquareReport(statistic, dof, p_value, p_value > significance, dropped)
+    return ChiSquareReport(statistic, dof, p_value, p_value > 1e-3, dropped)

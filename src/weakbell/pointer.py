@@ -39,12 +39,17 @@ G = e_0^2 c / N and F = c sum(e_n e_{n+1}) / N.  The trade-off curves
 and the optimal double scan read them so and build no grid; only a
 pointer dump or a Monte Carlo stage materialises one.  The rows make
 the checks the grid would (node cap, norm, symmetry, [0, 1]).
+
+The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
+relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
+dropped.  The gaussian is cut at 8 widths (mass < 1e-14 beyond) and the
+exponential at max(40 scales, 2), and both are renormalized on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +59,8 @@ from .errors import InvalidParameterError, InvalidStateError, PhysicalityError
 DEFAULT_GRID_SPACING = 1.0 / 512
 # largest grid a builder allocates: 128 MB of float64 samples per array
 MAX_POINTER_NODES = 2**24
+# relative envelope weight below which a frontier interval is dropped
+ENVELOPE_CUTOFF = 1e-14
 
 _NORM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
@@ -106,7 +113,6 @@ class PointerState:
 
     samples: np.ndarray
     grid_spacing: float
-    label: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -193,14 +199,14 @@ class MeasurementStrength:
         return cls(math.sqrt(max(0.0, (1.0 - precision) * (1.0 + precision))), precision)
 
 
-def _normalized_state(samples: np.ndarray, grid_spacing: float, label: str) -> PointerState:
+def _normalized_state(samples: np.ndarray, grid_spacing: float) -> PointerState:
     """Normalize a builder's own fresh samples in place and freeze them into a state."""
     norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
     if norm == 0.0:
         raise InvalidStateError("pointer has zero norm")
     samples /= norm
     samples.flags.writeable = False
-    return PointerState(samples, grid_spacing, label=label)
+    return PointerState(samples, grid_spacing)
 
 
 def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -221,77 +227,56 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     _check_node_count(2 * radius_cells)
     q = _symmetric_positions(radius_cells, grid_spacing)
     samples = np.where(np.abs(q) < half_width, 1.0, 0.0)
-    return _normalized_state(samples, grid_spacing, f"square(half_width={half_width})")
+    return _normalized_state(samples, grid_spacing)
 
 
-def make_gaussian(
-    width: float,
-    grid_spacing: float = DEFAULT_GRID_SPACING,
-    truncation_radius: float | None = None,
-) -> PointerState:
+def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
     """Gaussian pointer whose probability density phi^2 is normal(0, width^2).
 
     The width convention is the standard deviation of phi^2.  The tail is
-    truncated at truncation_radius (default 8 width, mass < 1e-14 beyond)
-    and the state renormalized on the grid.
+    truncated at 8 width (mass < 1e-14 beyond) and the state renormalized
+    on the grid.
     """
     if not width > 0:
         raise InvalidParameterError(f"width must be positive, got {width}")
-    if truncation_radius is None:
-        truncation_radius = 8.0 * width
-    if truncation_radius < 8.0 * width:
-        raise InvalidParameterError(
-            f"truncation radius {truncation_radius} must be at least 8 width = {8.0 * width}"
-        )
     _cells_per_unit(grid_spacing)
-    radius_cells = _radius_cells(truncation_radius, grid_spacing)
+    radius_cells = _radius_cells(8.0 * width, grid_spacing)
     _check_node_count(2 * radius_cells)
     q = _symmetric_positions(radius_cells, grid_spacing)
     samples = np.exp(-(q * q) / (4.0 * width * width))
-    return _normalized_state(samples, grid_spacing, f"gaussian(width={width})")
+    return _normalized_state(samples, grid_spacing)
 
 
-def make_exponential(
-    scale: float,
-    grid_spacing: float = DEFAULT_GRID_SPACING,
-    truncation_radius: float | None = None,
-) -> PointerState:
-    """Pointer with phi^2 proportional to exp(-|q|/scale), truncated and renormalized."""
+def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
+    """Pointer with phi^2 proportional to exp(-|q|/scale), truncated at max(40 scale, 2) and renormalized."""
     if not scale > 0:
         raise InvalidParameterError(f"scale must be positive, got {scale}")
-    if truncation_radius is None:
-        truncation_radius = max(40.0 * scale, 2.0)
     _cells_per_unit(grid_spacing)
-    radius_cells = _radius_cells(truncation_radius, grid_spacing)
+    radius_cells = _radius_cells(max(40.0 * scale, 2.0), grid_spacing)
     _check_node_count(2 * radius_cells)
     q = _symmetric_positions(radius_cells, grid_spacing)
     samples = np.exp(-np.abs(q) / (2.0 * scale))
-    return _normalized_state(samples, grid_spacing, f"exponential(scale={scale})")
+    return _normalized_state(samples, grid_spacing)
 
 
-def _envelope_intervals(target_precision: float, envelope_cutoff: float, cells: int) -> int:
+def _envelope_intervals(target_precision: float, cells: int) -> int:
     """Number N of intervals kept on each side of the central one, within the node cap.
 
     Intervals whose envelope weight ((1-G)/(1+G))^|n| relative to the
-    central interval drops below envelope_cutoff are dropped.
+    central interval drops below ENVELOPE_CUTOFF are dropped.
     """
     if not 0.0 < target_precision < 1.0:
         raise InvalidParameterError(f"target precision must lie in (0, 1), got {target_precision}")
-    if not 0.0 < envelope_cutoff < 1.0:
-        raise InvalidParameterError(f"envelope cutoff must lie in (0, 1), got {envelope_cutoff}")
     ratio = (1.0 - target_precision) / (1.0 + target_precision)
     log_ratio = math.log(ratio)  # 0.0 once G is below half an ulp of 1
-    span = math.log(envelope_cutoff) / log_ratio if log_ratio < 0.0 else math.inf
+    span = math.log(ENVELOPE_CUTOFF) / log_ratio if log_ratio < 0.0 else math.inf
     n_intervals = max(1, math.ceil(min(MAX_POINTER_NODES, span)))
     _check_node_count(2 * (2 * n_intervals + 1) * cells)
     return n_intervals
 
 
 def _frontier_rows(
-    central_samples: np.ndarray,
-    target_precision: float,
-    grid_spacing: float,
-    envelope_cutoff: float,
+    central_samples: np.ndarray, target_precision: float, grid_spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a frontier pointer: the scaled central profile and the envelope.
 
@@ -301,15 +286,15 @@ def _frontier_rows(
     the node cap, so the rows are refused exactly where the grid is.
     """
     cells = _cells_per_unit(grid_spacing)
-    n_intervals = _envelope_intervals(target_precision, envelope_cutoff, cells)
+    n_intervals = _envelope_intervals(target_precision, cells)
     central = np.asarray(central_samples, dtype=float)
     if central.shape != (2 * cells,):
         raise InvalidParameterError(
             f"central profile must have {2 * cells} samples for spacing {grid_spacing}"
         )
     mass = float(np.sum(central * central)) * grid_spacing
-    if mass <= 0.0:
-        raise InvalidParameterError("central profile has zero mass")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise InvalidParameterError(f"central profile mass must be finite and positive, got {mass!r}")
     central = central * math.sqrt(target_precision / mass)
 
     ratio = (1.0 - target_precision) / (1.0 + target_precision)
@@ -324,11 +309,7 @@ def _odd_rows(n_rows: int) -> slice:
 
 
 def optimal_from_central(
-    central_samples: np.ndarray,
-    target_precision: float,
-    grid_spacing: float = DEFAULT_GRID_SPACING,
-    envelope_cutoff: float = 1e-14,
-    label: str = "optimal(custom)",
+    central_samples: np.ndarray, target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACING
 ) -> PointerState:
     """Frontier pointer generated by an explicit central profile.
 
@@ -336,76 +317,55 @@ def optimal_from_central(
     interval (-1, 1]; they are rescaled so their mass is the target
     precision, then copied to interval n with amplitude factor
     ((1-G)/(1+G))^(|n|/2).  Intervals whose envelope weight (relative to
-    the central interval) drops below envelope_cutoff are dropped, and
+    the central interval) drops below ENVELOPE_CUTOFF are dropped, and
     the state is renormalized.  The resulting quality factor is
     sqrt(1 - G^2) for any admissible profile.
     """
-    central, envelope = _frontier_rows(central_samples, target_precision, grid_spacing, envelope_cutoff)
+    central, envelope = _frontier_rows(central_samples, target_precision, grid_spacing)
     # the grid radius is an odd number of units, so row n of the
     # (2N+1, 2/h) sample array is the interval (2n-1, 2n+1]
     samples = np.empty(envelope.size * central.size)
     np.multiply(central[None, :], envelope[:, None], out=samples.reshape(envelope.size, central.size))
-    return _normalized_state(samples, grid_spacing, label)
+    return _normalized_state(samples, grid_spacing)
 
 
-def _central_profile(
-    profile: str,
-    target_precision: float,
-    grid_spacing: float,
-    envelope_cutoff: float,
-    bump_sharpness: float,
-) -> np.ndarray:
+def _central_profile(profile: str, target_precision: float, grid_spacing: float) -> np.ndarray:
     """make_optimal's central profile, once the grid it generates is known to fit the cap."""
     cells = _cells_per_unit(grid_spacing)
-    _envelope_intervals(target_precision, envelope_cutoff, cells)  # size the grid before building
+    _envelope_intervals(target_precision, cells)  # size the grid before building
     x = _symmetric_positions(cells, grid_spacing)
     if profile == "flat":
         return np.ones_like(x)
     if profile == "smooth_bump":
-        if not bump_sharpness > 0:
-            raise InvalidParameterError(f"bump sharpness must be positive, got {bump_sharpness}")
-        return np.exp(-bump_sharpness / (1.0 - x * x))
+        return np.exp(-1.0 / (1.0 - x * x))
     raise InvalidParameterError(f"unknown central profile {profile!r}")
 
 
 def make_optimal(
-    target_precision: float,
-    profile: str = "flat",
-    grid_spacing: float = DEFAULT_GRID_SPACING,
-    envelope_cutoff: float = 1e-14,
-    bump_sharpness: float = 1.0,
+    target_precision: float, profile: str = "flat", grid_spacing: float = DEFAULT_GRID_SPACING
 ) -> PointerState:
     """Frontier pointer with a flat or smooth-bump central profile.
 
     profile "flat" uses a constant on (-1, 1]; "smooth_bump" uses
-    exp(-alpha/(1-q^2)), which vanishes with all derivatives at the odd
+    exp(-1/(1-q^2)), which vanishes with all derivatives at the odd
     integers and yields an infinitely differentiable wavefunction.
     """
-    return optimal_from_central(
-        _central_profile(profile, target_precision, grid_spacing, envelope_cutoff, bump_sharpness),
-        target_precision,
-        grid_spacing,
-        envelope_cutoff,
-        label=f"optimal(G={target_precision}, {profile})",
-    )
+    central = _central_profile(profile, target_precision, grid_spacing)
+    return optimal_from_central(central, target_precision, grid_spacing)
 
 
-def make_worst(
-    target_precision: float,
-    grid_spacing: float = DEFAULT_GRID_SPACING,
-    envelope_cutoff: float = 1e-14,
-) -> PointerState:
+def make_worst(target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
     """Maximally disturbing pointer: frontier state with alternate intervals zeroed.
 
     Zeroing every odd interval makes the +1/-1 displaced copies disjoint,
     so the quality factor vanishes identically.  The precision of the
     renormalized state is larger than the generating target.
     """
-    base = make_optimal(target_precision, "flat", grid_spacing, envelope_cutoff)
+    base = make_optimal(target_precision, "flat", grid_spacing)
     samples = base.samples.copy()
     rows = samples.reshape(-1, 2 * _cells_per_unit(grid_spacing))
     rows[_odd_rows(rows.shape[0])] = 0.0
-    return _normalized_state(samples, grid_spacing, f"worst(G_target={target_precision})")
+    return _normalized_state(samples, grid_spacing)
 
 
 def _rows_strength(central: np.ndarray, envelope: np.ndarray, grid_spacing: float) -> tuple[float, float]:
@@ -429,18 +389,14 @@ def _rows_strength(central: np.ndarray, envelope: np.ndarray, grid_spacing: floa
 
 
 def _frontier_strength(
-    target_precision: float,
-    *,
-    worst: bool = False,
-    grid_spacing: float = DEFAULT_GRID_SPACING,
-    envelope_cutoff: float = 1e-14,
+    target_precision: float, *, worst: bool = False, grid_spacing: float = DEFAULT_GRID_SPACING
 ) -> tuple[float, float]:
     """(F, G) of make_optimal(target) (flat profile), or of make_worst(target), from its rows.
 
     Refuses exactly the inputs the builder refuses, the node cap included.
     """
-    central = _central_profile("flat", target_precision, grid_spacing, envelope_cutoff, 1.0)
-    central, envelope = _frontier_rows(central, target_precision, grid_spacing, envelope_cutoff)
+    central = _central_profile("flat", target_precision, grid_spacing)
+    central, envelope = _frontier_rows(central, target_precision, grid_spacing)
     if worst:
         envelope[_odd_rows(envelope.size)] = 0.0
     return _rows_strength(central, envelope, grid_spacing)

@@ -165,33 +165,34 @@ def _oracle_interval_indices(q: np.ndarray) -> np.ndarray:
     return np.rint(q / 2.0)
 
 
-def _oracle_normalized(samples: np.ndarray, grid_spacing: float, label: str) -> PointerState:
+def _oracle_normalized(samples: np.ndarray, grid_spacing: float) -> PointerState:
     norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
-    return PointerState(samples / norm, grid_spacing, label=label)
+    return PointerState(samples / norm, grid_spacing)
 
 
-def oracle_optimal_from_central(
-    central_samples, target_precision: float, grid_spacing: float, envelope_cutoff: float = 1e-14
-) -> PointerState:
-    """Frontier pointer built node by node: positions, rint, modulo gather and one pow per node."""
+def oracle_optimal_from_central(central_samples, target_precision: float, grid_spacing: float) -> PointerState:
+    """Frontier pointer built node by node: positions, rint, modulo gather and one pow per node.
+
+    Intervals of relative weight below 1e-14, the builders' envelope cutoff, are dropped.
+    """
     cells = round(1.0 / grid_spacing)
     central = np.asarray(central_samples, dtype=float)
     mass = float(np.sum(central * central)) * grid_spacing
     central = central * math.sqrt(target_precision / mass)
     ratio = (1.0 - target_precision) / (1.0 + target_precision)
-    n_intervals = max(1, math.ceil(math.log(envelope_cutoff) / math.log(ratio)))
+    n_intervals = max(1, math.ceil(math.log(1e-14) / math.log(ratio)))
     radius_cells = (2 * n_intervals + 1) * cells
     q = (np.arange(2 * radius_cells, dtype=float) - radius_cells + 0.5) * grid_spacing
     n = _oracle_interval_indices(q)
     samples = central[np.arange(q.size) % (2 * cells)] * np.power(ratio, np.abs(n) / 2.0)
-    return _oracle_normalized(samples, grid_spacing, "oracle")
+    return _oracle_normalized(samples, grid_spacing)
 
 
 def oracle_make_worst(base: PointerState) -> PointerState:
     """Worst pointer from its frontier base, zeroing odd-|n| nodes one by one."""
     n = _oracle_interval_indices(base.positions)
     samples = np.where(np.abs(n) % 2 == 1, 0.0, base.samples)
-    return _oracle_normalized(samples, base.grid_spacing, "oracle worst")
+    return _oracle_normalized(samples, base.grid_spacing)
 
 
 def oracle_precision(state: PointerState) -> float:

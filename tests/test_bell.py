@@ -39,11 +39,9 @@ from weakbell import (
 )
 from weakbell.bell import (
     DOUBLE_CSV_HEADER,
-    POSITIVITY_CSV_HEADER,
     TripleGeometry,
     _strength_for_target,
     double_curve_to_csv,
-    positivity_scan_to_csv,
     protocol_alice,
     protocol_bob,
 )
@@ -218,8 +216,6 @@ def test_positivity_scan_inside_and_outside_the_circle():
     assert on_circle[0][2] == pytest.approx(1.0, abs=1e-12)
     unphysical = positivity_bound_scan(grid, 0.9, 0.9)
     assert min(row[1] for row in unphysical) < -1e-3
-    text = positivity_scan_to_csv(inside)
-    assert text.splitlines()[0] == POSITIVITY_CSV_HEADER
 
 
 # --- sequential chains -----------------------------------------------------------------
@@ -429,11 +425,11 @@ def test_triple_scan_symmetric_double_point_third_value():
     assert report.best_values[2] < 2.0
 
 
-def test_triple_scan_validates_grids_and_settings():
+def test_triple_scan_validates_grids():
     with pytest.raises(InvalidParameterError):
         unbiased_triple_scan([1.0], [0.5])
     with pytest.raises(InvalidParameterError):
-        unbiased_triple_scan([0.5], [0.5], settings="adaptive")
+        unbiased_triple_scan([0.5], [0.0])
 
 
 # --- protocol geometry is exposed for the schedule cross-checks ------------------------------

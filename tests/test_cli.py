@@ -264,6 +264,13 @@ def test_pointer_dump(tmp_path):
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+def test_pointer_dump_refuses_another_familys_flag(tmp_path, capsys):
+    out = tmp_path / "pointer.csv"
+    assert run_cli("pointer-dump", "--family", "optimal", "--g", "0.8", "--delta", "3", "--out", str(out)) == 2
+    assert "does not take --delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_triple_scan_coarse(tmp_path):
     out = tmp_path / "scan.json"
     assert run_cli("triple-scan", "--resolution", "0.2", "--out", str(out)) == 0

@@ -19,6 +19,7 @@ from weakbell import (
     BobStage,
     InvalidParameterError,
     MeasurementStrength,
+    PointerState,
     analytic_joint,
     chi_square_report,
     make_optimal,
@@ -255,6 +256,22 @@ def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, 
         report = _run_chain(cfg, trials, seed, chunk, workers)
         assert report.to_dict() == oracle.to_dict()
         assert [_report_fields(bob) for bob in report.per_bob] == [_report_fields(bob) for bob in oracle.per_bob]
+        assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
+
+
+def test_run_chain_reads_zero_beyond_both_grid_edges():
+    # a flat pointer filling its grid (-2, 2): every reading displaced
+    # outwards looks up phi up to two units past an edge
+    cells = 64
+    edge_to_edge = PointerState(np.full(4 * cells, 0.5), 1.0 / cells)
+    alice = tsirelson_alice()
+    bob = tsirelson_bob()
+    for n_stages in (1, 2):
+        stages = tuple(BobStage(bob[0], bob[1], edge_to_edge) for _ in range(n_stages))
+        cfg = BellChainConfig(alice[0], alice[1], stages=stages)
+        oracle = oracle_run_chain(cfg, 5_000, 11)
+        report = _run_chain(cfg, 5_000, 11, 1_000, 2)
+        assert report.to_dict() == oracle.to_dict()
         assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
 
 

@@ -97,9 +97,9 @@ def test_gaussian_strong_limit():
     assert precision(state) > 1.0 - 1e-6
 
 
-def test_gaussian_rejects_tight_truncation():
-    with pytest.raises(InvalidParameterError):
-        make_gaussian(1.0, truncation_radius=4.0)
+def test_gaussian_truncates_at_eight_widths():
+    assert make_gaussian(1.0).domain_radius == 8.0
+    assert make_gaussian(0.25).domain_radius == 2.0
     with pytest.raises(InvalidParameterError):
         make_gaussian(0.0)
 
@@ -171,8 +171,6 @@ def test_optimal_rejects_bad_targets():
             make_optimal(bad)
     with pytest.raises(InvalidParameterError):
         make_optimal(0.5, profile="sawtooth")
-    with pytest.raises(InvalidParameterError):
-        make_optimal(0.5, profile="smooth_bump", bump_sharpness=0.0)
 
 
 def test_optimal_piecewise_recurrence():
@@ -223,10 +221,9 @@ def test_smooth_bump_vanishes_at_odd_integers():
 # G = 0.005 at spacing 1/1024 (13 M nodes) is left out: the per-node oracle
 # would hold about 0.8 GB of temporaries
 _EXACT_CASES = [
-    (target, spacing, cutoff)
+    (target, spacing)
     for target in (0.005, 0.05, 0.3, 0.8, 0.995)
     for spacing in (1.0 / 64, 1.0 / 256, 1.0 / 1024)
-    for cutoff in (1e-14, 1e-6)
     if not (target == 0.005 and spacing < 1.0 / 256)
 ]
 
@@ -237,21 +234,21 @@ def _central_profile(profile: str, spacing: float) -> np.ndarray:
     return np.ones_like(x) if profile == "flat" else np.exp(-1.0 / (1.0 - x * x))
 
 
-@pytest.mark.parametrize("target, spacing, cutoff", _EXACT_CASES)
+@pytest.mark.parametrize("target, spacing", _EXACT_CASES)
 @pytest.mark.parametrize("profile", ["flat", "smooth_bump"])
-def test_optimal_matches_the_per_node_construction_exactly(target, spacing, cutoff, profile):
-    state = make_optimal(target, profile, spacing, cutoff)
-    oracle = oracle_optimal_from_central(_central_profile(profile, spacing), target, spacing, cutoff)
+def test_optimal_matches_the_per_node_construction_exactly(target, spacing, profile):
+    state = make_optimal(target, profile, spacing)
+    oracle = oracle_optimal_from_central(_central_profile(profile, spacing), target, spacing)
     assert np.array_equal(state.samples, oracle.samples)
     assert state.grid_origin == oracle.grid_origin
     assert quality_factor(state) == quality_factor(oracle)
     assert precision(state) == oracle_precision(oracle)
 
 
-@pytest.mark.parametrize("target, spacing, cutoff", _EXACT_CASES)
-def test_worst_matches_the_per_node_construction_exactly(target, spacing, cutoff):
-    state = make_worst(target, spacing, cutoff)
-    oracle = oracle_make_worst(make_optimal(target, "flat", spacing, cutoff))
+@pytest.mark.parametrize("target, spacing", _EXACT_CASES)
+def test_worst_matches_the_per_node_construction_exactly(target, spacing):
+    state = make_worst(target, spacing)
+    oracle = oracle_make_worst(make_optimal(target, "flat", spacing))
     assert np.array_equal(state.samples, oracle.samples)
     assert quality_factor(state) == quality_factor(oracle)
     assert precision(state) == oracle_precision(oracle)
@@ -265,8 +262,8 @@ def test_worst_matches_the_per_node_construction_exactly(target, spacing, cutoff
 _FRONTIER_TOL = 1e-14
 
 
-def _rows_strength(central, target, spacing, cutoff):
-    return pointer._rows_strength(*pointer._frontier_rows(central, target, spacing, cutoff), spacing)
+def _rows_strength(central, target, spacing):
+    return pointer._rows_strength(*pointer._frontier_rows(central, target, spacing), spacing)
 
 
 def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
@@ -285,18 +282,17 @@ def test_frontier_rows_agree_with_the_worst_grid():
 
 
 @pytest.mark.parametrize("spacing", [1.0 / 64, 1.0 / 1024])
-@pytest.mark.parametrize("cutoff", [1e-14, 1e-6])
 @pytest.mark.parametrize("profile", ["flat", "smooth_bump"])
-def test_frontier_rows_agree_with_the_per_node_construction(spacing, cutoff, profile):
+def test_frontier_rows_agree_with_the_per_node_construction(spacing, profile):
     targets = (0.005, 0.05, 0.3, 0.8, 0.995) if spacing == 1.0 / 64 else (0.05, 0.3, 0.8, 0.995)
     for target in targets:
         central = _central_profile(profile, spacing)
-        oracle = oracle_optimal_from_central(central, target, spacing, cutoff)
-        fq, gp = _rows_strength(central, target, spacing, cutoff)
+        oracle = oracle_optimal_from_central(central, target, spacing)
+        fq, gp = _rows_strength(central, target, spacing)
         assert abs(fq - quality_factor(oracle)) <= _FRONTIER_TOL, target
         assert abs(gp - oracle_precision(oracle)) <= _FRONTIER_TOL, target
         if profile == "flat":
-            assert pointer._frontier_strength(target, grid_spacing=spacing, envelope_cutoff=cutoff) == (fq, gp)
+            assert pointer._frontier_strength(target, grid_spacing=spacing) == (fq, gp)
 
 
 def test_frontier_strength_builds_no_grid(monkeypatch):
@@ -330,19 +326,18 @@ def _refusal(call):
 
 
 @pytest.mark.parametrize(
-    "target, cutoff",
+    "target",
     [
-        *((target, 1e-14) for target in (0.0, 1.0, -0.2, 1.5, math.nan)),  # G outside (0, 1)
-        *((0.5, cutoff) for cutoff in (0.0, 1.0, math.nan)),  # cutoff outside (0, 1)
-        (0.0015, 1e-14),  # 22 M nodes at the default spacing, past the cap
-        (1e-300, 1e-14),  # (1-G)/(1+G) rounds to 1: no finite interval count
+        0.0, 1.0, -0.2, 1.5, math.nan,  # G outside (0, 1)
+        0.0015,  # 22 M nodes at the default spacing, past the cap
+        1e-300,  # (1-G)/(1+G) rounds to 1: no finite interval count
     ],
 )
-def test_frontier_strength_refuses_what_the_builders_refuse(target, cutoff):
+def test_frontier_strength_refuses_what_the_builders_refuse(target):
     for worst, build in ((False, make_optimal), (True, make_worst)):
-        expected = _refusal(lambda: build(target, envelope_cutoff=cutoff))
+        expected = _refusal(lambda: build(target))
         assert expected[0] is InvalidParameterError
-        assert _refusal(lambda: pointer._frontier_strength(target, worst=worst, envelope_cutoff=cutoff)) == expected
+        assert _refusal(lambda: pointer._frontier_strength(target, worst=worst)) == expected
 
 
 def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
@@ -352,21 +347,25 @@ def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
     lopsided[0] = 2.0
     nan = flat.copy()
     nan[3] = math.nan
-    huge = np.full(2 * cells, 1e200)  # its mass overflows, so it scales to zero
-    for central in (np.zeros(2 * cells), np.ones(cells), lopsided, nan, huge):
+    huge = np.full(2 * cells, 1e200)  # its mass overflows
+    infinite = np.full(2 * cells, math.inf)
+    for central in (np.zeros(2 * cells), np.ones(cells), lopsided, nan, huge, infinite):
         with np.errstate(over="ignore"):
             kind, message = _refusal(lambda: optimal_from_central(central, 0.5, SPACING))
-            refused = _refusal(lambda: _rows_strength(central, 0.5, SPACING, 1e-14))
+            refused = _refusal(lambda: _rows_strength(central, 0.5, SPACING))
         assert kind in (InvalidParameterError, InvalidStateError)
         # the same error type, and a norm failure named as one
         assert refused[0] is kind
         assert ("norm" in refused[1]) == ("norm" in message), (message, refused[1])
+        # a non-finite mass is named as the fault, not found later as a bad norm
+        if central is nan or central is huge or central is infinite:
+            assert kind is InvalidParameterError and "mass" in message and "mass" in refused[1]
 
 
 def test_builders_refuse_grids_past_the_node_cap_before_allocating():
     # at the default spacing G = 0.002 fits (16.5 M nodes) and G = 0.0015 (22 M) does not
     cells = round(1.0 / SPACING)
-    n_intervals = pointer._envelope_intervals(0.002, 1e-14, cells)
+    n_intervals = pointer._envelope_intervals(0.002, cells)
     assert 2 * (2 * n_intervals + 1) * cells <= MAX_POINTER_NODES
     too_big = [
         lambda: make_optimal(0.0015),
@@ -470,7 +469,7 @@ def test_pointer_state_rejects_invariant_violations():
     odd = np.concatenate([good[:cells], [1.0], good[cells:]])
     with pytest.raises(InvalidStateError):
         PointerState(odd / math.sqrt(float(np.sum(odd**2)) * SPACING), SPACING)
-    # label is keyword-only, so a third positional argument is refused
+    # the origin follows from the node count, so a third argument is refused
     with pytest.raises(TypeError):
         PointerState(good, SPACING, float(q[0]))
 
