@@ -219,10 +219,12 @@ def test_smooth_bump_vanishes_at_odd_integers():
 # --- per-interval construction against the per-node oracles ----------------------
 
 # G = 0.005 at spacing 1/1024 (13 M nodes) is left out: the per-node oracle
-# would hold about 0.8 GB of temporaries
+# would hold about 0.8 GB of temporaries. The targets span envelope interval
+# counts from 3,224 (G = 0.005) through 161, 30, 9 and 4 down to the single
+# interval of G = 1 - 2^-47, whose ratio (1-G)/(1+G) is already below the cutoff.
 _EXACT_CASES = [
     (target, spacing)
-    for target in (0.005, 0.05, 0.3, 0.8, 0.995)
+    for target in (0.005, 0.05, 0.1, 0.3, 0.5, 0.8, 0.95, 0.995, 0.9999, 1.0 - 2.0**-47)
     for spacing in (1.0 / 64, 1.0 / 256, 1.0 / 1024)
     if not (target == 0.005 and spacing < 1.0 / 256)
 ]
@@ -328,9 +330,9 @@ def _refusal(call):
 @pytest.mark.parametrize(
     "target",
     [
-        0.0, 1.0, -0.2, 1.5, math.nan,  # G outside (0, 1)
+        0.0, 1.0, -0.2, 1.5, math.nan, math.inf, -math.inf,  # G outside (0, 1)
         0.0015,  # 22 M nodes at the default spacing, past the cap
-        1e-300,  # (1-G)/(1+G) rounds to 1: no finite interval count
+        1e-300, 1e-17,  # (1-G)/(1+G) rounds to 1: no finite interval count
     ],
 )
 def test_frontier_strength_refuses_what_the_builders_refuse(target):
