@@ -157,11 +157,17 @@ def kraus_at_reading(pointer: PointerState, d, reading: float) -> np.ndarray:
     return pointer.value_at(reading - 1.0) * pp + pointer.value_at(reading + 1.0) * pm
 
 
-def collapse_bloch(bloch, directions, a, b) -> np.ndarray:
+def bloch_dot(directions, bloch) -> np.ndarray:
+    """d.r for (3, ...) arrays, summed d_x r_x + d_y r_y + d_z r_z in that order."""
+    return directions[0] * bloch[0] + directions[1] * bloch[1] + directions[2] * bloch[2]
+
+
+def collapse_bloch(bloch, directions, a, b, c=None) -> np.ndarray:
     """Normalized Bloch vectors after the Kraus operator K = a pi+ + b pi-.
 
-    bloch and directions are (..., 3) arrays, a and b the (...) arrays of
-    real amplitudes.  With c = d.r the collapsed state K rho K has trace
+    bloch and directions are component-first (3, ...) arrays, a and b
+    the (...) arrays of real amplitudes, and c, when given, is
+    bloch_dot(directions, bloch).  The collapsed state K rho K has trace
     N = ((a^2 + b^2) + (a^2 - b^2) c) / 2 and Bloch vector
 
         r' = (a b (r - c d) + ((a^2 + b^2) c + a^2 - b^2) / 2 d) / N,
@@ -170,13 +176,21 @@ def collapse_bloch(bloch, directions, a, b) -> np.ndarray:
     """
     r = np.asarray(bloch, dtype=float)
     d = np.asarray(directions, dtype=float)
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
-    c = np.sum(d * r, axis=-1, keepdims=True)
-    total = a * a + b * b
-    diff = a * a - b * b
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if c is None:
+        c = bloch_dot(d, r)
+    a_sq = a * a
+    b_sq = b * b
+    total = a_sq + b_sq
+    diff = a_sq - b_sq
     along = (total * c + diff) / 2.0
-    return (a * b * (r - c * d) + along * d) / ((total + diff * c) / 2.0)
+    out = c * d
+    np.subtract(r, out, out=out)
+    out *= a * b
+    out += along * d
+    out /= (total + diff * c) / 2.0
+    return out
 
 
 def decohere(rho, d) -> np.ndarray:

@@ -8,8 +8,19 @@ the pointer reading q is drawn from the exact discrete density
 by inverse CDF on the pointer grid (the CDF is exact there and cached
 on the pointer), the state collapses through K_q = phi(q-1) pi+ +
 phi(q+1) pi-, and the outcome is the sign of q (the half-offset grid
-makes q = 0 impossible).  run_chain carries each trial's state as a real
-Bloch vector r, so tr(pi+ rho) = (1 + d.r)/2 and the collapse is the
+makes q = 0 impossible, and q > 0 exactly when its node index is at
+least half the node count, so the sign is read from the index).  The
+inverse CDF is searched through a guide table of GUIDE_SIZE buckets
+per stage (Chen & Asau, AIIE Trans. 6, 163 (1974)): a bucket that holds
+no CDF value stores the one search result of all its uniforms, and only
+uniforms in the other buckets are searched in full, so every reading is
+the one np.searchsorted(cdf, u, side="right") would give.
+
+run_chain carries each trial's state as a real Bloch vector r, held
+component-first as a (3, count) array so every step runs over the
+trials, not over the three components.  tr(pi+ rho) = (1 + c)/2 with
+c = d.r summed d_x r_x + d_y r_y + d_z r_z in that fixed order (np.einsum
+sums in an order of its own choosing), and the same c feeds the
 closed-form update channel.collapse_bloch.  Alice's strong outcome is
 steered in closed form from the Pauli coefficients R of the initial
 state: P(a=+1|x) = (1 + u_x.R_{1:,0})/2 and Bob's Bloch vector is
@@ -56,12 +67,15 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .bell import BellChainConfig, BobStage, _stage_maps, pauli_coefficients, propagate
-from .channel import collapse_bloch, strength_pair
+from .channel import bloch_dot, collapse_bloch, strength_pair
 from .pointer import PointerState
 
 # trials drawn, collapsed and tallied together; a chunk's arrays take a
 # few MB, so a run's memory does not grow with its trial count
 CHUNK_TRIALS = 2**15
+
+# buckets of a stage's guide table; a power of two, so u * GUIDE_SIZE is exact
+GUIDE_SIZE = 2**16
 
 # --- reports --------------------------------------------------------------------
 
@@ -131,7 +145,7 @@ def _config_digest(cfg: BellChainConfig) -> str:
 
 
 def _alice_steering(cfg: BellChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """P(a=+1|x), shaped (2,), and Bob's steered Bloch vectors, shaped (x, a_index, 3).
+    """P(a=+1|x), shaped (2,), and Bob's steered Bloch vectors, shaped (3, x, a_index).
 
     a_index 0 is a = +1.  An outcome of zero probability gets the zero vector.
     """
@@ -141,7 +155,7 @@ def _alice_steering(cfg: BellChainConfig) -> tuple[np.ndarray, np.ndarray]:
     weight = 1.0 + np.outer(u @ pauli[1:, 0], signs)  # 1 + a u_x.R_{1:,0} = 2 P(a|x): (x, a_index)
     bloch = pauli[0, 1:] + signs[:, None] * (u @ pauli[1:, 1:])[:, None, :]  # (x, a_index, 3)
     steered = np.divide(bloch, weight[..., None], out=np.zeros_like(bloch), where=weight[..., None] > 0.0)
-    return weight[:, 0] / 2.0, steered
+    return weight[:, 0] / 2.0, np.ascontiguousarray(np.moveaxis(steered, -1, 0))
 
 
 def _stage_pointer(stage: BobStage) -> PointerState:
@@ -182,26 +196,57 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     return _run_chain(cfg, trials, seed, CHUNK_TRIALS, _usable_cpus())
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of cdf: searchsorted(cdf, u, "right") for every u in a bucket, or -1.
+
+    Bucket k holds u in [k, k+1) / GUIDE_SIZE.  Where no CDF value lies
+    in the bucket, every u in it has the same search result, that of its
+    lower edge; a bucket that holds a CDF value is marked -1 and its u
+    are searched in full (Chen & Asau, AIIE Trans. 6, 163 (1974)).
+    """
+    table = np.searchsorted(cdf, np.arange(GUIDE_SIZE) / GUIDE_SIZE, side="right").astype(np.int32)
+    table[(cdf[cdf < 1.0] * GUIDE_SIZE).astype(np.intp)] = -1
+    return table
+
+
+def _reading_nodes(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right"), through the guide table of cdf."""
+    nodes = guide[(u * GUIDE_SIZE).astype(np.intp)].astype(np.intp)
+    miss = np.flatnonzero(nodes < 0)
+    nodes[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return nodes
+
+
+def _signs(positive: np.ndarray) -> np.ndarray:
+    """+1 where positive is true and -1 elsewhere, as int8."""
+    return positive.astype(np.int8) * 2 - 1
+
+
 def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, cpus: int) -> EmpiricalReport:
     """run_chain in chunks of chunk_trials on min(cpus, chunks) threads."""
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
     pointers = [_stage_pointer(stage) for stage in cfg.stages]
     p_plus_by_x, steered = _alice_steering(cfg)
-    # read before any thread starts: positions is rebuilt on every access, reading_cdf built on the first;
-    # the samples are zero-padded by two units on each side, so phi(q -/+ 1) is a plain gather
-    cells = [round(1.0 / pointer.grid_spacing) for pointer in pointers]
-    stages = [
-        (
-            stage.bias,
-            np.stack([stage.dir0.vector, stage.dir1.vector]),
-            pointer.reading_cdf,
-            pointer.positions,
-            np.pad(pointer.samples, 2 * unit),
-            unit,
+    # built before any thread starts: reading_cdf is built on its first access; the samples
+    # are zero-padded by two units on each side, so phi(q -/+ 1) is a plain gather
+    stages = []
+    for stage, pointer in zip(cfg.stages, pointers):
+        unit = round(1.0 / pointer.grid_spacing)
+        cdf = pointer.reading_cdf
+        stages.append(
+            (
+                stage.bias,
+                np.array([stage.dir0.vector, stage.dir1.vector]).T,  # (3, y)
+                cdf,
+                _guide_table(cdf),
+                np.pad(pointer.samples, 2 * unit),
+                unit,
+                # q > 0 on the half-offset grid exactly when its node is at least
+                # nodes/2, that is when lower is at least nodes/2 + unit
+                pointer.samples.size // 2 + unit,
+            )
         )
-        for stage, pointer, unit in zip(cfg.stages, pointers, cells)
-    ]
 
     def chunk_table(start: int) -> np.ndarray:
         count = min(chunk_trials, trials - start)
@@ -210,29 +255,29 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
             return _uniforms(seed, trials, block, start, count)
 
         x_bits = (draw(0) < 0.5).astype(np.int8)
-        a = np.where(draw(1) < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
-        a_index = ((1 - a) // 2).astype(np.int8)
-        bloch = steered[x_bits, a_index]  # (count, 3)
+        a_plus = draw(1) < np.take(p_plus_by_x, x_bits)
+        # column 2x + a_index of the (3, x, a_index) table; a_index 0 is a = +1
+        bloch = np.take(steered.reshape(3, 4), 2 * x_bits + ~a_plus, axis=1)  # (3, count)
 
         stage_inputs = []
         stage_outcomes = []
-        for k, (bias, stage_directions, cdf, positions, padded, unit) in enumerate(stages):
+        for k, (bias, stage_directions, cdf, guide, padded, unit, positive) in enumerate(stages):
             y = (draw(2 + 3 * k) < bias).astype(np.int8)
-            directions = stage_directions[y]  # (count, 3)
-            p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
-            shifts = np.where(draw(3 + 3 * k) < p_plus, 1, -1).astype(np.int64)
-            idx = np.searchsorted(cdf, draw(4 + 3 * k), side="right")
-            readings = positions[idx] + shifts
-
-            # phi(q -/+ 1) sits (shifts -/+ 1) units from node idx, shifted by the two-unit padding
-            amp_minus = padded[idx + (shifts + 1) * unit]
-            amp_plus = padded[idx + (shifts + 3) * unit]
+            directions = np.take(stage_directions, y, axis=1)  # (3, count)
+            c = bloch_dot(directions, bloch)
+            plus = draw(3 + 3 * k) < (1.0 + c) / 2.0  # branch +1 with probability tr(pi+ rho)
+            # q sits one unit from the sampled node, towards its branch; lower is the
+            # padded index of q - 1, past the two units of padding
+            lower = _reading_nodes(cdf, guide, draw(4 + 3 * k))
+            lower += plus * (2 * unit)
+            amp_minus = padded[lower]
+            amp_plus = padded[2 * unit :][lower]
             # K_q = phi(q-1) pi+ + phi(q+1) pi-
-            bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
+            bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus, c)
 
             stage_inputs.append(y)
-            stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
-        return _outcome_table(x_bits, a, stage_inputs, stage_outcomes)
+            stage_outcomes.append(_signs(lower >= positive))
+        return _outcome_table(x_bits, _signs(a_plus), stage_inputs, stage_outcomes)
 
     chunks = -(-trials // chunk_trials)
     workers = min(cpus, chunks)

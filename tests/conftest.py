@@ -298,7 +298,7 @@ def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
     p_plus_by_x, steered = _alice_steering(cfg)
     a = np.where(alice_uniform < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
     a_index = ((1 - a) // 2).astype(np.int8)
-    bloch = steered[x_bits, a_index]
+    bloch = steered[:, x_bits, a_index].T  # (trials, 3)
 
     stage_inputs = []
     stage_outcomes = []
@@ -324,7 +324,7 @@ def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
         amp_plus = np.where(
             (idx_plus >= 0) & (idx_plus < samples.size), samples[np.clip(idx_plus, 0, samples.size - 1)], 0.0
         )
-        bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus)
+        bloch = collapse_bloch(bloch.T, directions.T, amp_minus, amp_plus).T
 
         stage_inputs.append(y)
         stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))

@@ -243,12 +243,13 @@ def test_bloch_collapse_matches_kraus_product(pointer):
         collapsed = kraus @ rho @ kraus
         expected.append(bloch(collapsed) / np.trace(collapsed).real)
     got = collapse_bloch(
-        np.array([bloch(rho) for rho in states]),
-        np.array([d.vector for d in directions]),
+        np.array([bloch(rho) for rho in states]).T,
+        np.array([d.vector for d in directions]).T,
         [pointer.value_at(q - 1.0) for q in readings],
         [pointer.value_at(q + 1.0) for q in readings],
     )
-    np.testing.assert_allclose(got, np.array(expected), rtol=0.0, atol=1e-12)
+    assert got.shape == (3, len(states))
+    np.testing.assert_allclose(got, np.array(expected).T, rtol=0.0, atol=1e-12)
 
 
 # --- decoherence -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     oracle_bob_reports,
@@ -24,6 +27,7 @@ from weakbell import (
     chi_square_report,
     make_optimal,
     make_square,
+    make_worst,
     kraus_at_reading,
     outcome_probabilities,
     run_chain,
@@ -34,7 +38,16 @@ from weakbell import (
 )
 from weakbell.bell import TripleGeometry
 from weakbell.channel import DIR_X, DIR_Z
-from weakbell.montecarlo import CHUNK_TRIALS, _outcome_table, _reports, _run_chain, _uniforms
+from weakbell.montecarlo import (
+    CHUNK_TRIALS,
+    GUIDE_SIZE,
+    _guide_table,
+    _outcome_table,
+    _reading_nodes,
+    _reports,
+    _run_chain,
+    _uniforms,
+)
 
 
 def double_config(target_precision=0.8):
@@ -230,11 +243,24 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
     assert list(outcome_counts.items()) == list(oracle_counts.items())
 
 
-def chain_config(n_stages: int) -> BellChainConfig:
-    # a weak optimal Bob first, strong square Bobs after; the last one biased
+@functools.cache
+def guided_pointers() -> dict:
+    """Pointers whose CDFs stress the guide table: bucket edges, flat runs and zero-mass tails."""
+    return {
+        "optimal-0.8": make_optimal(0.8),
+        "optimal-0.05": make_optimal(0.05),
+        "worst-0.5": make_worst(0.5),
+        "square-1": make_square(1.0),
+        "square-3": make_square(3.0),
+    }
+
+
+def chain_config(n_stages: int, later: tuple = ()) -> BellChainConfig:
+    # a weak optimal Bob first, then the later pointers (strong square ones
+    # by default); the last Bob biased
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    strengths = [make_optimal(0.8)] + [make_square(1.0)] * (n_stages - 1)
+    strengths = [make_optimal(0.8), *(later or (make_square(1.0),) * 2)][:n_stages]
     biases = [0.5] * (n_stages - 1) + [0.3]
     return BellChainConfig(
         alice[0],
@@ -243,20 +269,34 @@ def chain_config(n_stages: int) -> BellChainConfig:
     )
 
 
-@pytest.mark.parametrize("n_stages", [1, 2, 3])
-@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
-@pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
-def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
+def assert_matches_the_whole_run(cfg, trials: int, seed: int, chunk: int) -> None:
     # the report must not depend on the chunk size or the number of threads
-    cfg = chain_config(n_stages)
-    trials = whole_chunks * chunk + extra
-    seed = 20240817 + trials
     oracle = oracle_run_chain(cfg, trials, seed)
     for workers in (1, 2):
         report = _run_chain(cfg, trials, seed, chunk, workers)
         assert report.to_dict() == oracle.to_dict()
         assert [_report_fields(bob) for bob in report.per_bob] == [_report_fields(bob) for bob in oracle.per_bob]
         assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
+@pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
+def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
+    trials = whole_chunks * chunk + extra
+    assert_matches_the_whole_run(chain_config(n_stages), trials, 20240817 + trials, chunk)
+
+
+@pytest.mark.parametrize("n_stages", [2, 3])
+@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
+@pytest.mark.parametrize("whole_chunks, extra", [(0, 3), (1, 1), (2, 5)])
+def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
+    # a worst-case pointer (every other interval row zeroed, so its CDF has flat
+    # runs), then a G = 0.05 frontier pointer (662,528 nodes; most of its guide
+    # buckets hold a CDF value and fall back to the full search)
+    cfg = chain_config(n_stages, (guided_pointers()["worst-0.5"], guided_pointers()["optimal-0.05"]))
+    trials = whole_chunks * chunk + extra
+    assert_matches_the_whole_run(cfg, trials, 1302 + trials, chunk)
 
 
 def test_run_chain_reads_zero_beyond_both_grid_edges():
@@ -268,11 +308,44 @@ def test_run_chain_reads_zero_beyond_both_grid_edges():
     bob = tsirelson_bob()
     for n_stages in (1, 2):
         stages = tuple(BobStage(bob[0], bob[1], edge_to_edge) for _ in range(n_stages))
-        cfg = BellChainConfig(alice[0], alice[1], stages=stages)
-        oracle = oracle_run_chain(cfg, 5_000, 11)
-        report = _run_chain(cfg, 5_000, 11, 1_000, 2)
-        assert report.to_dict() == oracle.to_dict()
-        assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
+        assert_matches_the_whole_run(BellChainConfig(alice[0], alice[1], stages=stages), 5_000, 11, 1_000)
+
+
+@functools.cache
+def guided_search(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reading CDF of a guided pointer and its guide table."""
+    cdf = guided_pointers()[name].reading_cdf
+    return cdf, _guide_table(cdf)
+
+
+@pytest.mark.parametrize("name", ["optimal-0.8", "optimal-0.05", "worst-0.5", "square-1", "square-3"])
+def test_guide_search_matches_searchsorted(name):
+    cdf, guide = guided_search(name)
+    assert guide.dtype == np.int32 and guide.shape == (GUIDE_SIZE,)
+    # both kinds of bucket occur, so both paths of the search run
+    assert 0 < np.count_nonzero(guide < 0) < GUIDE_SIZE
+    edges = np.arange(GUIDE_SIZE) / GUIDE_SIZE
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            edges,
+            np.nextafter(edges, 0.0),
+            inner,
+            np.nextafter(inner, 0.0),
+            np.nextafter(inner, 1.0),
+        ]
+    )
+    u = u[(u >= 0.0) & (u < 1.0)]
+    np.testing.assert_array_equal(_reading_nodes(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_guide_search_matches_searchsorted_anywhere_in_the_unit_interval(u):
+    for name in guided_pointers():
+        cdf, guide = guided_search(name)
+        assert _reading_nodes(cdf, guide, np.array([u])).tolist() == [np.searchsorted(cdf, u, side="right")]
 
 
 @pytest.mark.parametrize(
