@@ -16,17 +16,7 @@ from .pointer import (
     strength_of,
     tradeoff_curve,
 )
-from .channel import (
-    Direction,
-    decohere,
-    distinguishability,
-    kraus_at_reading,
-    outcome_probabilities,
-    projectors,
-    spin_operator,
-    weak_conditional,
-    weak_unconditional,
-)
+from .channel import Direction, distinguishability
 from .bell import (
     BellChainConfig,
     BobStage,
@@ -37,10 +27,8 @@ from .bell import (
     positivity_bound_scan,
     sequential_average_state,
     singlet,
-    steered_state,
     tangent_geometry,
     triple_probability,
-    triple_probability_oracle,
     tsirelson_alice,
     tsirelson_bob,
     unbiased_triple_scan,
@@ -49,10 +37,8 @@ from .protocol import (
     ProtocolSchedule,
     build_schedule,
     chi,
-    chsh_lower_bound,
     decay_ratio_sequence,
     feasible_uniform_bias,
-    limit_chsh,
 )
 from .montecarlo import (
     EmpiricalReport,

@@ -30,7 +30,11 @@ Averaging the state first is exact because every stage map is linear in
 the state.  A correlator is E_xy = G u_x^T T w_y, so CHSH is
 G (E00 + E01 + E10 - E11).  propagate applies the stage maps to whole
 grids of chains at once; the scans and sequential_average_state all go
-through it.
+through it.  A complex 4x4 density appears only where a state enters or
+leaves a chain (singlet, a given initial state, the state that
+sequential_average_state returns), through pauli_coefficients and
+density_from_pauli.  The tests check triple_probability and the chain
+against the paper's complex steering and conditional channel.
 """
 
 from __future__ import annotations
@@ -41,17 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .channel import (
-    IDENTITY_2,
-    PAULI_XYZ,
-    Direction,
-    as_density,
-    projectors,
-    spin_operator,
-    strength_pair,
-    weak_conditional,
-)
-from .pointer import MeasurementStrength, PointerState
+from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, strength_pair
+from .pointer import MeasurementStrength, PointerState, _frontier_strength, make_gaussian, make_square, strength_of
 
 _SQ2 = math.sqrt(2.0)
 # Hermiticity, trace and positivity tolerance of an initial chain state
@@ -66,13 +61,6 @@ def singlet() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def steered_state(direction, outcome: int) -> np.ndarray:
-    """Bob's state after Alice's strong outcome a along u: (I - a u.sigma)/2."""
-    if outcome not in (1, -1):
-        raise InvalidParameterError(f"outcome must be +1 or -1, got {outcome}")
-    return (np.eye(2, dtype=complex) - outcome * spin_operator(direction)) / 2.0
-
-
 @dataclass(frozen=True)
 class TripleGeometry:
     """Directions for Alice, the weak stage and the strong stage (inputs 0/1)."""
@@ -85,11 +73,11 @@ class TripleGeometry:
 def tangent_geometry(angle: float) -> TripleGeometry:
     """Geometry whose zero-probability outcome traces the unit-circle tangents."""
     return TripleGeometry(
-        alice=(DIRECTIONS["z"], DIRECTIONS["x"]),
-        first=(Direction(-1.0, 0.0, 0.0), DIRECTIONS["z"]),
+        alice=(DIR_Z, DIR_X),
+        first=(Direction(-1.0, 0.0, 0.0), DIR_Z),
         second=(
             Direction(-math.cos(angle), 0.0, math.sin(angle)),
-            DIRECTIONS["x"],
+            DIR_X,
         ),
     )
 
@@ -120,20 +108,6 @@ def triple_probability(a, b1, b2, x, y1, y2, geometry: TripleGeometry, strength)
     w = geometry.first[y1].vector
     v = geometry.second[y2].vector
     return _triple_formula(a, b1, b2, u, w, v, F, G)
-
-
-def triple_probability_oracle(a, b1, b2, x, y1, y2, geometry: TripleGeometry, strength) -> float:
-    """Same probability by explicit state propagation.
-
-    Composes Alice's steering, the conditional weak channel and a strong
-    projective measurement; used to cross-check the closed form.
-    """
-    _check_outcomes_inputs(a, b1, b2, x, y1, y2)
-    rho = steered_state(geometry.alice[x], a)
-    conditional = weak_conditional(rho, geometry.first[y1], strength, b1)
-    pp, pm = projectors(geometry.second[y2])
-    pi_b2 = pp if b2 == 1 else pm
-    return 0.5 * float(np.trace(pi_b2 @ conditional).real)
 
 
 def positivity_bound_scan(angle_grid, quality_factor: float, precision: float):
@@ -329,15 +303,9 @@ def sequential_average_state(cfg: BellChainConfig, n: int) -> np.ndarray:
 # --- named settings ---------------------------------------------------------
 
 
-DIRECTIONS = {
-    "x": Direction(1.0, 0.0, 0.0),
-    "z": Direction(0.0, 0.0, 1.0),
-}
-
-
 def tsirelson_alice() -> tuple[Direction, Direction]:
     """Alice's settings attaining the Tsirelson bound on the singlet: Z, X."""
-    return DIRECTIONS["z"], DIRECTIONS["x"]
+    return DIR_Z, DIR_X
 
 
 def tsirelson_bob() -> tuple[Direction, Direction]:
@@ -350,31 +318,29 @@ def tsirelson_bob() -> tuple[Direction, Direction]:
 
 def protocol_alice() -> tuple[Direction, Direction]:
     """Alice's settings in the biased-input protocol: -Z, X."""
-    return Direction(0.0, 0.0, -1.0), DIRECTIONS["x"]
+    return Direction(0.0, 0.0, -1.0), DIR_X
 
 
 def protocol_bob(angle: float) -> tuple[Direction, Direction]:
     """Bob_n's settings in the biased-input protocol: Z, cos(t) Z + sin(t) X."""
-    return DIRECTIONS["z"], Direction(math.sin(angle), 0.0, math.cos(angle))
+    return DIR_Z, Direction(math.sin(angle), 0.0, math.cos(angle))
 
 
 # --- double and triple violation scans --------------------------------------
 
 
 def _strength_for_target(family: str, target: float) -> MeasurementStrength:
-    from . import pointer as pt
-
     if family == "analytic":
         return MeasurementStrength.optimal(target)
     if family == "optimal":
-        return MeasurementStrength(*pt._frontier_strength(target))
+        return MeasurementStrength(*_frontier_strength(target))
     if family == "square":
-        return pt.strength_of(pt.make_square(1.0 / target))
+        return strength_of(make_square(1.0 / target))
     if family == "gaussian":
         from scipy.special import erfinv  # only this family loads scipy.special
 
         width = 1.0 / (_SQ2 * float(erfinv(target)))
-        return pt.strength_of(pt.make_gaussian(width))
+        return strength_of(make_gaussian(width))
     raise InvalidParameterError(f"unknown stage family {family!r}")
 
 

@@ -8,17 +8,18 @@ acts on a density matrix rho as
     conditional:     rho -> F/2 rho + (1 + bG - F)/2 pi+ rho pi+
                                + (1 - bG - F)/2 pi- rho pi-   (unnormalized)
 
-where pi+/- are the projectors along +/-d.  The conditional map is
-positive exactly when F^2 + G^2 <= 1.  Per-reading collapse uses the
-Kraus operator K_q = phi(q-1) pi+ + phi(q+1) pi-.
+where pi+/- project onto the eigenstates along +/-d.  The conditional
+map is positive exactly when F^2 + G^2 <= 1.  Per-reading collapse uses
+the Kraus operator K_q = phi(q-1) pi+ + phi(q+1) pi-.
 
-The functions taking plain 2x2 complex arrays are the reference forms
-of the paper.  The simulation paths carry a qubit as its real Bloch
-vector r, rho = (I + r.sigma)/2, and a pair as its Pauli coefficients
-(see bell, whose stage maps are these channels on Bob's index).  In
-that form the unconditional map is the linear map
-r -> F r + (1-F) d (d.r), and the collapse through K = a pi+ + b pi-
-has the closed form implemented by collapse_bloch.
+The package carries a qubit as its real Bloch vector r,
+rho = (I + r.sigma)/2, and a pair as its Pauli coefficients (see bell,
+whose stage maps are these channels on Bob's index).  In that form the
+unconditional map is the linear map r -> F r + (1-F) d (d.r), outcome b
+has probability (1 + b G d.r)/2, and the collapse through
+K = a pi+ + b pi- has the closed form implemented by collapse_bloch.
+The 2x2 complex forms above are not computed here: the tests hold them
+as the oracle these real forms are checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .pointer import MeasurementStrength, PointerState
+from .pointer import MeasurementStrength, PointerState, strength_of
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -50,48 +51,24 @@ class Direction:
 
     def __post_init__(self):
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:
             raise InvalidParameterError(f"direction must be a unit vector, |d| = {norm!r}")
 
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (3,):
-            raise InvalidParameterError(f"direction needs 3 components, got shape {v.shape}")
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
 
 DIR_X = Direction(1.0, 0.0, 0.0)
-DIR_Y = Direction(0.0, 1.0, 0.0)
 DIR_Z = Direction(0.0, 0.0, 1.0)
 
 
-def as_direction(d) -> Direction:
-    return d if isinstance(d, Direction) else Direction.from_vector(d)
-
-
-def spin_operator(d) -> np.ndarray:
-    """Spin observable d . sigma for a direction d."""
-    v = as_direction(d).vector
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-
-
-def projectors(d) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors (I +/- d.sigma)/2 onto the eigenstates along d."""
-    s = spin_operator(d)
-    return (IDENTITY_2 + s) / 2.0, (IDENTITY_2 - s) / 2.0
-
-
-def as_density(rho, dim: int | None = None) -> np.ndarray:
-    """Coerce a density-matrix argument to a complex square array."""
+def as_density(rho, dim: int) -> np.ndarray:
+    """Coerce a density-matrix argument to a complex dim x dim array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"density matrix must be square, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
+    if rho.shape[0] != dim:
         raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {rho.shape[0]}x{rho.shape[0]}")
     return rho
 
@@ -99,62 +76,12 @@ def as_density(rho, dim: int | None = None) -> np.ndarray:
 def strength_pair(strength) -> tuple[float, float]:
     """(quality factor, precision) from a MeasurementStrength or a PointerState."""
     if isinstance(strength, PointerState):
-        from .pointer import strength_of
-
         strength = strength_of(strength)
     if not isinstance(strength, MeasurementStrength):
         raise InvalidParameterError(
             f"expected MeasurementStrength or PointerState, got {type(strength).__name__}"
         )
     return strength.quality_factor, strength.precision
-
-
-def weak_unconditional(rho, d, quality_factor: float) -> np.ndarray:
-    """Post-measurement state with the outcome discarded."""
-    if not 0.0 <= quality_factor <= 1.0:
-        raise InvalidParameterError(f"quality factor must lie in [0, 1], got {quality_factor}")
-    rho = as_density(rho, 2)
-    pp, pm = projectors(d)
-    return quality_factor * rho + (1.0 - quality_factor) * (pp @ rho @ pp + pm @ rho @ pm)
-
-
-def outcome_probabilities(rho, d, precision: float) -> tuple[float, float]:
-    """(P(+1), P(-1)): strong Born weights mixed with a coin flip."""
-    if not 0.0 <= precision <= 1.0:
-        raise InvalidParameterError(f"precision must lie in [0, 1], got {precision}")
-    rho = as_density(rho, 2)
-    pp, _ = projectors(d)
-    p_strong = float(np.trace(pp @ rho).real)
-    p_plus = precision * p_strong + (1.0 - precision) / 2.0
-    return p_plus, 1.0 - p_plus
-
-
-def weak_conditional(rho, d, strength, outcome: int) -> np.ndarray:
-    """Unnormalized post-measurement state given the digitized outcome.
-
-    The trace of the result equals the outcome probability.  Requires a
-    physical strength: outside the unit circle the map is not positive.
-    """
-    if outcome not in (1, -1):
-        raise InvalidParameterError(f"outcome must be +1 or -1, got {outcome}")
-    F, G = strength_pair(strength)
-    rho = as_density(rho, 2)
-    pp, pm = projectors(d)
-    return (
-        (F / 2.0) * rho
-        + ((1.0 + outcome * G - F) / 2.0) * (pp @ rho @ pp)
-        + ((1.0 - outcome * G - F) / 2.0) * (pm @ rho @ pm)
-    )
-
-
-def kraus_at_reading(pointer: PointerState, d, reading: float) -> np.ndarray:
-    """Collapse operator K_q = phi(q-1) pi+ + phi(q+1) pi- at pointer reading q.
-
-    Readings outside the pointer grid return the zero matrix (the
-    truncated envelope carries no amplitude there).
-    """
-    pp, pm = projectors(d)
-    return pointer.value_at(reading - 1.0) * pp + pointer.value_at(reading + 1.0) * pm
 
 
 def bloch_dot(directions, bloch) -> np.ndarray:
@@ -191,13 +118,6 @@ def collapse_bloch(bloch, directions, a, b, c=None) -> np.ndarray:
     out += along * d
     out /= (total + diff * c) / 2.0
     return out
-
-
-def decohere(rho, d) -> np.ndarray:
-    """Project out coherences in the eigenbasis along d (idempotent)."""
-    rho = as_density(rho, 2)
-    pp, pm = projectors(d)
-    return pp @ rho @ pp + pm @ rho @ pm
 
 
 def distinguishability(strength) -> tuple[float, float]:

@@ -261,6 +261,8 @@ def cmd_montecarlo(args) -> int:
         raise InvalidParameterError(f"--trials must be at most {MAX_TRIALS}, got {int(args.trials)}")
     if not 0.0 < args.g <= 1.0:
         raise InvalidParameterError(f"--g must lie in (0, 1], got {args.g}")
+    if not 0 <= args.seed < 2**128:
+        raise InvalidParameterError(f"--seed must lie in 0..2**128-1 (a Philox key), got {args.seed}")
     cfg = _montecarlo_config(args.scenario, args.g)
     report = montecarlo.run_chain(cfg, int(args.trials), args.seed)
     expected = montecarlo.analytic_joint(cfg)

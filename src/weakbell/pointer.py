@@ -148,22 +148,6 @@ class PointerState:
     def positions(self) -> np.ndarray:
         return self.grid_origin + np.arange(self.samples.size) * self.grid_spacing
 
-    @property
-    def domain_radius(self) -> float:
-        return -self.grid_origin + 0.5 * self.grid_spacing
-
-    def index_of(self, q: float) -> int | None:
-        """Index of the node nearest q, or None outside the grid."""
-        idx = round((q - self.grid_origin) / self.grid_spacing)
-        if 0 <= idx < self.samples.size:
-            return idx
-        return None
-
-    def value_at(self, q: float) -> float:
-        """Amplitude at the node nearest q; zero outside the grid."""
-        idx = self.index_of(q)
-        return float(self.samples[idx]) if idx is not None else 0.0
-
     @cached_property
     def reading_cdf(self) -> np.ndarray:
         """Exact discrete CDF of phi(q)^2 over the nodes; built once, read-only."""

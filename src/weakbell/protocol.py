@@ -196,21 +196,6 @@ def _bound_excess_log(log_violation: float, log_prior_flip: float, log_precision
     return log_violation + math.log1p(-math.exp(ratio))
 
 
-def chsh_lower_bound(schedule: ProtocolSchedule, stage: int) -> float:
-    """Guaranteed CHSH value of Bob_n with Alice under the schedule's biases.
-
-    Saturates to 2.0 in double precision once the excess drops below
-    ~1e-300; the exact sign of the excess is kept in the row's
-    log_bound_excess field.
-    """
-    return schedule.row(stage).chsh_bound
-
-
-def limit_chsh(schedule: ProtocolSchedule, stage: int) -> float:
-    """CHSH value of Bob_n in the zero-bias limit: 2 sqrt((1+F_n)/(1-F_n))."""
-    return schedule.row(stage).limit_chsh
-
-
 def feasible_uniform_bias(stage_count: int) -> float:
     """Uniform bias r making every Bob up to stage_count violate CHSH.
 

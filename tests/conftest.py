@@ -9,12 +9,21 @@ from weakbell import (
     BellChainConfig,
     BobStage,
     Direction,
+    InvalidParameterError,
     MeasurementStrength,
     PointerState,
-    weak_conditional,
 )
-from weakbell.bell import _stage_maps, pauli_coefficients, propagate
-from weakbell.channel import as_density, collapse_bloch, projectors, spin_operator, strength_pair
+from weakbell.bell import _check_outcomes_inputs, _stage_maps, pauli_coefficients, propagate
+from weakbell.channel import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    as_density,
+    bloch_dot,
+    collapse_bloch,
+    strength_pair,
+)
 from weakbell.montecarlo import (
     BobReport,
     EmpiricalReport,
@@ -53,6 +62,94 @@ def random_stage(rng) -> BobStage:
         random_strength(rng),
         bias=float(rng.random()),
     )
+
+
+# --- the complex reference channel ------------------------------------------------------
+# The paper's 2x2 density-matrix forms of the weak channel.  The package
+# carries states as Bloch vectors and Pauli coefficients; these are the
+# second implementation the tests compare it with.
+
+
+def spin_operator(d: Direction) -> np.ndarray:
+    """Spin observable d . sigma."""
+    v = d.vector
+    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+
+
+def projectors(d: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors (I +/- d.sigma)/2 onto the eigenstates along d."""
+    s = spin_operator(d)
+    return (IDENTITY_2 + s) / 2.0, (IDENTITY_2 - s) / 2.0
+
+
+def weak_unconditional(rho, d, quality_factor: float) -> np.ndarray:
+    """Post-measurement state with the outcome discarded: F rho + (1-F)(pi+ rho pi+ + pi- rho pi-)."""
+    if not 0.0 <= quality_factor <= 1.0:
+        raise InvalidParameterError(f"quality factor must lie in [0, 1], got {quality_factor}")
+    rho = as_density(rho, 2)
+    pp, pm = projectors(d)
+    return quality_factor * rho + (1.0 - quality_factor) * (pp @ rho @ pp + pm @ rho @ pm)
+
+
+def outcome_probabilities(rho, d, precision: float) -> tuple[float, float]:
+    """(P(+1), P(-1)): strong Born weights mixed with a coin flip."""
+    if not 0.0 <= precision <= 1.0:
+        raise InvalidParameterError(f"precision must lie in [0, 1], got {precision}")
+    rho = as_density(rho, 2)
+    pp, _ = projectors(d)
+    p_strong = float(np.trace(pp @ rho).real)
+    p_plus = precision * p_strong + (1.0 - precision) / 2.0
+    return p_plus, 1.0 - p_plus
+
+
+def weak_conditional(rho, d, strength, outcome: int) -> np.ndarray:
+    """Unnormalized post-measurement state given the digitized outcome; its trace is P(outcome)."""
+    if outcome not in (1, -1):
+        raise InvalidParameterError(f"outcome must be +1 or -1, got {outcome}")
+    F, G = strength_pair(strength)
+    rho = as_density(rho, 2)
+    pp, pm = projectors(d)
+    return (
+        (F / 2.0) * rho
+        + ((1.0 + outcome * G - F) / 2.0) * (pp @ rho @ pp)
+        + ((1.0 - outcome * G - F) / 2.0) * (pm @ rho @ pm)
+    )
+
+
+def value_at(pointer: PointerState, q: float) -> float:
+    """Amplitude at the node nearest q; zero outside the grid."""
+    idx = round((q - pointer.grid_origin) / pointer.grid_spacing)
+    return float(pointer.samples[idx]) if 0 <= idx < pointer.samples.size else 0.0
+
+
+def kraus_at_reading(pointer: PointerState, d, reading: float) -> np.ndarray:
+    """Collapse operator K_q = phi(q-1) pi+ + phi(q+1) pi- at pointer reading q; zero off the grid."""
+    pp, pm = projectors(d)
+    return value_at(pointer, reading - 1.0) * pp + value_at(pointer, reading + 1.0) * pm
+
+
+def decohere(rho, d) -> np.ndarray:
+    """Project out coherences in the eigenbasis along d (idempotent)."""
+    rho = as_density(rho, 2)
+    pp, pm = projectors(d)
+    return pp @ rho @ pp + pm @ rho @ pm
+
+
+def steered_state(direction, outcome: int) -> np.ndarray:
+    """Bob's state after Alice's strong outcome a along u: (I - a u.sigma)/2."""
+    if outcome not in (1, -1):
+        raise InvalidParameterError(f"outcome must be +1 or -1, got {outcome}")
+    return (np.eye(2, dtype=complex) - outcome * spin_operator(direction)) / 2.0
+
+
+def triple_probability_oracle(a, b1, b2, x, y1, y2, geometry, strength) -> float:
+    """bell.triple_probability by steering, the conditional weak channel and a strong projection."""
+    _check_outcomes_inputs(a, b1, b2, x, y1, y2)
+    rho = steered_state(geometry.alice[x], a)
+    conditional = weak_conditional(rho, geometry.first[y1], strength, b1)
+    pp, pm = projectors(geometry.second[y2])
+    pi_b2 = pp if b2 == 1 else pm
+    return 0.5 * float(np.trace(pi_b2 @ conditional).real)
 
 
 def on_second_qubit(channel, rho4) -> np.ndarray:
@@ -311,7 +408,7 @@ def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
         samples = pointer.samples
 
         directions = np.stack([stage.dir0.vector, stage.dir1.vector])[y]
-        p_plus = (1.0 + np.einsum("ti,ti->t", directions, bloch)) / 2.0
+        p_plus = (1.0 + bloch_dot(directions.T, bloch.T)) / 2.0
         shifts = np.where(branch_uniform < p_plus, 1, -1).astype(np.int64)
         idx = np.searchsorted(pointer.reading_cdf, position_uniform, side="right")
         readings = pointer.positions[idx] + shifts

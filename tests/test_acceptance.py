@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import enumerate_chain_state, random_direction, random_stage, random_strength
+from conftest import (
+    enumerate_chain_state,
+    random_direction,
+    random_stage,
+    random_strength,
+    triple_probability_oracle,
+)
 
 from weakbell import (
     BellChainConfig,
@@ -25,7 +31,6 @@ from weakbell import (
     distinguishability,
     double_violation_curve,
     feasible_uniform_bias,
-    limit_chsh,
     make_exponential,
     make_gaussian,
     make_optimal,
@@ -38,7 +43,6 @@ from weakbell import (
     strength_of,
     tangent_geometry,
     triple_probability,
-    triple_probability_oracle,
     tsirelson_alice,
     tsirelson_bob,
     unbiased_triple_scan,
@@ -227,7 +231,7 @@ def test_c08_protocol_soundness():
         for n in range(1, 5):
             row = schedule.row(n)
             exact = chsh(sequential_average_state(cfg, n), alice, protocol_bob(row.angle), row.precision)
-            worst = max(worst, abs(exact - limit_chsh(schedule, n)))
+            worst = max(worst, abs(exact - schedule.row(n).limit_chsh))
         assert worst < 1e-8
     report(
         8,

@@ -11,6 +11,9 @@ from conftest import (
     random_direction,
     random_stage,
     random_strength,
+    spin_operator,
+    steered_state,
+    triple_probability_oracle,
 )
 
 from weakbell import (
@@ -28,11 +31,8 @@ from weakbell import (
     positivity_bound_scan,
     sequential_average_state,
     singlet,
-    spin_operator,
-    steered_state,
     tangent_geometry,
     triple_probability,
-    triple_probability_oracle,
     tsirelson_alice,
     tsirelson_bob,
     unbiased_triple_scan,

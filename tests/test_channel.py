@@ -3,7 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import on_second_qubit, random_density, random_direction, random_strength
+from conftest import (
+    decohere,
+    kraus_at_reading,
+    on_second_qubit,
+    outcome_probabilities,
+    projectors,
+    random_density,
+    random_direction,
+    random_strength,
+    value_at,
+    weak_conditional,
+    weak_unconditional,
+)
 
 from weakbell import (
     Direction,
@@ -11,23 +23,17 @@ from weakbell import (
     InvalidStateError,
     MeasurementStrength,
     PhysicalityError,
-    decohere,
     distinguishability,
-    kraus_at_reading,
     make_exponential,
     make_gaussian,
     make_optimal,
     make_square,
-    outcome_probabilities,
     precision,
-    projectors,
     quality_factor,
     singlet,
     strength_of,
-    weak_conditional,
-    weak_unconditional,
 )
-from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, collapse_bloch, spin_operator
+from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, collapse_bloch
 
 
 # --- projectors -----------------------------------------------------------------
@@ -56,7 +62,14 @@ def test_direction_must_be_unit():
     with pytest.raises(InvalidParameterError):
         Direction(1.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError):
-        projectors((0.0, 0.0, 2.0))
+        Direction(0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("components", [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0), (0.0, 0.0, math.nan)])
+def test_direction_refuses_nan(components):
+    # |d| - 1 is NaN, which no tolerance comparison may accept
+    with pytest.raises(InvalidParameterError):
+        Direction(*components)
 
 
 # --- unconditional channel ---------------------------------------------------------
@@ -245,8 +258,8 @@ def test_bloch_collapse_matches_kraus_product(pointer):
     got = collapse_bloch(
         np.array([bloch(rho) for rho in states]).T,
         np.array([d.vector for d in directions]).T,
-        [pointer.value_at(q - 1.0) for q in readings],
-        [pointer.value_at(q + 1.0) for q in readings],
+        [value_at(pointer, q - 1.0) for q in readings],
+        [value_at(pointer, q + 1.0) for q in readings],
     )
     assert got.shape == (3, len(states))
     np.testing.assert_allclose(got, np.array(expected).T, rtol=0.0, atol=1e-12)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weakbell import montecarlo
+from weakbell import cli, montecarlo
 from weakbell.cli import (
     MAX_PROTOCOL_STAGES,
     MAX_RANGE_POINTS,
@@ -202,6 +202,26 @@ def test_montecarlo_refuses_trials_past_the_cap(tmp_path, monkeypatch, trials, c
     assert code == 2
     assert "at most" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+def test_montecarlo_refuses_seed_outside_philox_keys(tmp_path, monkeypatch, seed, capsys):
+    def no_chain(*args):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(cli, "_montecarlo_config", no_chain)
+    out = tmp_path / "mc.json"
+    code = run_cli("montecarlo", "--scenario", "single", "--trials", "10", "--seed", str(seed), "--out", str(out))
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_montecarlo_accepts_largest_seed(tmp_path):
+    out = tmp_path / "mc.json"
+    args = ("montecarlo", "--scenario", "single", "--g", "1.0", "--trials", "10", "--seed", str(2**128 - 1))
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["seed"] == 2**128 - 1
 
 
 def test_montecarlo_accepts_exponent_trial_count(tmp_path):

@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    kraus_at_reading,
     oracle_bob_reports,
     oracle_count_outcomes,
     oracle_run_chain,
+    outcome_probabilities,
+    projectors,
     random_density,
     random_direction,
+    weak_conditional,
 )
 
 from weakbell import (
@@ -28,13 +32,10 @@ from weakbell import (
     make_optimal,
     make_square,
     make_worst,
-    kraus_at_reading,
-    outcome_probabilities,
     run_chain,
     triple_probability,
     tsirelson_alice,
     tsirelson_bob,
-    weak_conditional,
 )
 from weakbell.bell import TripleGeometry
 from weakbell.channel import DIR_X, DIR_Z
@@ -74,8 +75,6 @@ def test_digitized_frequencies_match_outcome_probabilities():
     d = random_direction(rng)
     p_plus_analytic, _ = outcome_probabilities(rho, d, 0.8)
 
-    from weakbell.channel import projectors
-
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)
     positions, cdf = pointer.positions, pointer.reading_cdf
@@ -93,8 +92,6 @@ def test_reading_first_moment_matches_discrete_mean():
     pointer = make_optimal(0.6)
     rho = random_density(rng)
     d = random_direction(rng)
-
-    from weakbell.channel import projectors
 
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)
@@ -122,8 +119,6 @@ def test_post_selected_states_match_conditional_channel():
     conditional = weak_conditional(rho, d, strength, 1)
     p_plus = float(np.trace(conditional).real)
     expected = conditional / p_plus
-
-    from weakbell.channel import projectors
 
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)

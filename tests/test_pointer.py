@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import oracle_make_worst, oracle_optimal_from_central, oracle_precision
+from conftest import oracle_make_worst, oracle_optimal_from_central, oracle_precision, value_at
 
 from weakbell import (
     InvalidParameterError,
@@ -98,8 +98,9 @@ def test_gaussian_strong_limit():
 
 
 def test_gaussian_truncates_at_eight_widths():
-    assert make_gaussian(1.0).domain_radius == 8.0
-    assert make_gaussian(0.25).domain_radius == 2.0
+    wide, narrow = make_gaussian(1.0), make_gaussian(0.25)
+    assert -wide.grid_origin + wide.grid_spacing / 2 == 8.0
+    assert -narrow.grid_origin + narrow.grid_spacing / 2 == 2.0
     with pytest.raises(InvalidParameterError):
         make_gaussian(0.0)
 
@@ -139,8 +140,8 @@ def test_optimal_anchor_point():
 def test_optimal_adjacent_interval_amplitude_ratio():
     state = make_optimal(0.8)
     # ((1-G)/(1+G))^(1/2) = 1/3 between neighbouring intervals
-    inner = state.value_at(0.334)
-    outer = state.value_at(2.334)
+    inner = value_at(state, 0.334)
+    outer = value_at(state, 2.334)
     assert outer / inner == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -189,7 +190,7 @@ def test_optimal_piecewise_recurrence():
         rhs = gamma * phi[inner]
         outside = np.abs(q[inner]) > 1.0
         # skip the outermost interval, where the truncated envelope breaks the relation
-        outside &= np.abs(q[inner]) < state.domain_radius - 2.0
+        outside &= np.abs(q[inner]) < -state.grid_origin + state.grid_spacing / 2 - 2.0
         denom = np.maximum(np.abs(rhs[outside]), 1e-300)
         rel = np.abs(lhs[outside] - rhs[outside]) / denom
         assert float(np.max(rel)) < 1e-6
@@ -213,7 +214,7 @@ def test_optimal_cannot_be_beaten_by_perturbations():
 def test_smooth_bump_vanishes_at_odd_integers():
     state = make_optimal(0.8, "smooth_bump")
     for q in (-3.0, -1.0, 1.0, 3.0):
-        assert abs(state.value_at(q)) < 1e-6
+        assert abs(value_at(state, q)) < 1e-6
 
 
 # --- per-interval construction against the per-node oracles ----------------------

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import on_second_qubit
+from conftest import decohere, on_second_qubit
 
 from weakbell import (
     BellChainConfig,
@@ -14,11 +14,8 @@ from weakbell import (
     build_schedule,
     chi,
     chsh,
-    chsh_lower_bound,
     decay_ratio_sequence,
-    decohere,
     feasible_uniform_bias,
-    limit_chsh,
     sequential_average_state,
     singlet,
 )
@@ -146,8 +143,8 @@ def test_chi_values_and_shape():
 def test_bound_with_zero_bias_equals_limit():
     schedule = build_schedule(6)
     for n in range(1, 7):
-        assert chsh_lower_bound(schedule, n) == pytest.approx(limit_chsh(schedule, n), rel=1e-12)
-        assert limit_chsh(schedule, n) == pytest.approx(
+        assert schedule.row(n).chsh_bound == pytest.approx(schedule.row(n).limit_chsh, rel=1e-12)
+        assert schedule.row(n).limit_chsh == pytest.approx(
             2.0 * math.sqrt((1.0 + schedule.row(n).quality_factor) / (1.0 - schedule.row(n).quality_factor)),
             rel=1e-12,
         )
@@ -159,17 +156,17 @@ def test_bound_crosses_two_exactly_at_chi():
     bias = schedule_probe.row(2).chi_threshold
     schedule = build_schedule(2, [bias, 0.0])
     assert schedule.row(2).prior_flip_prob == pytest.approx(bias, rel=1e-12)
-    assert chsh_lower_bound(schedule, 2) == pytest.approx(2.0, abs=1e-9)
+    assert schedule.row(2).chsh_bound == pytest.approx(2.0, abs=1e-9)
     heavy = build_schedule(2, [0.5, 0.0])
-    assert chsh_lower_bound(heavy, 2) < 2.0
+    assert heavy.row(2).chsh_bound < 2.0
     assert heavy.row(2).log_bound_excess == -math.inf
 
 
 def test_limit_values():
     schedule = build_schedule(3)
-    assert limit_chsh(schedule, 1) == pytest.approx(I1, rel=1e-12)
+    assert schedule.row(1).limit_chsh == pytest.approx(I1, rel=1e-12)
     assert schedule.row(1).violation == pytest.approx(I1 - 2.0, rel=1e-12)
-    assert limit_chsh(schedule, 2) == pytest.approx(I2, rel=1e-12)
+    assert schedule.row(2).limit_chsh == pytest.approx(I2, rel=1e-12)
     assert schedule.row(3).violation == pytest.approx(V3, rel=1e-12)
     assert schedule.row(3).violation / (schedule.row(2).violation ** 3 / 4.0) == pytest.approx(
         RATIO_2_3, rel=1e-9
@@ -256,7 +253,7 @@ def test_limit_chsh_cross_checks_against_exact_chain():
         row = schedule.row(n)
         state = sequential_average_state(cfg, n)
         exact = chsh(state, alice, protocol_bob(row.angle), row.precision)
-        assert exact == pytest.approx(limit_chsh(schedule, n), abs=1e-8)
+        assert exact == pytest.approx(schedule.row(n).limit_chsh, abs=1e-8)
 
 
 def test_schedule_validation_and_csv():
