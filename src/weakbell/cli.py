@@ -90,7 +90,15 @@ def _emit(args, text: str, default_name: str) -> None:
         sys.stdout.write(text)
         return
     path = Path(out) if out else _default_out(default_name)
-    atomic_write(path, text)
+    try:
+        atomic_write(path, text)
+    except OSError as exc:
+        where = "--out" if out else f"--out (default under ${OUTDIR_ENV})"
+        reason = exc.strerror or str(exc)
+        # name the blocking path when it is a parent, never the temp file
+        if exc.filename is not None and Path(exc.filename) in path.parents:
+            reason += f": {str(exc.filename)!r}"
+        raise InvalidParameterError(f"cannot write {where} {str(path)!r}: {reason}") from None
 
 
 def load_config(path: str) -> dict:

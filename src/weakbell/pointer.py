@@ -44,6 +44,15 @@ The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
 dropped.  The gaussian is cut at 8 widths (mass < 1e-14 beyond) and the
 exponential at max(40 scales, 2), and both are renormalized on the grid.
+
+The square, gaussian and exponential profiles are even and the nodes
++-(j + 1/2) h mirror exactly, so their builders fill only the upper
+half of the sample array, in place, and copy it reversed onto the lower
+half; the bits are those of evaluating every node.  A gaussian or
+exponential so narrow that the grid's norm would underflow to 0 is
+refused before the grid is allocated.  A pointer CSV formats each position of
+the upper half once (its mirror is the same text behind a minus sign)
+and each distinct amplitude once.
 """
 
 from __future__ import annotations
@@ -97,6 +106,55 @@ def _symmetric_positions(radius_cells: int, grid_spacing: float) -> np.ndarray:
     """Node coordinates (j - M + 1/2) h for j = 0 .. 2M-1."""
     j = np.arange(2 * radius_cells, dtype=float)
     return (j - radius_cells + 0.5) * grid_spacing
+
+
+def _upper_positions(radius_cells: int, grid_spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh array of 2M samples and its upper half, which holds the nodes (j + 1/2) h, j = 0 .. M-1.
+
+    These are exactly the upper half of _symmetric_positions; a builder
+    applies its profile to the half in place and then calls _mirror.
+    """
+    samples = np.empty(2 * radius_cells)
+    upper = samples[radius_cells:]
+    np.multiply(np.arange(0.5, radius_cells), grid_spacing, out=upper)
+    return samples, upper
+
+
+def _mirror(samples: np.ndarray) -> np.ndarray:
+    """Copy the upper half of samples, reversed, into the lower half: phi(-q) = phi(q)."""
+    half = samples.size // 2
+    samples[:half] = samples[half:][::-1]
+    return samples
+
+
+def _nodes_below(bound: float, radius_cells: int, grid_spacing: float) -> int:
+    """Number of nodes (j + 1/2) h, j = 0 .. M-1, strictly below bound."""
+    count = min(radius_cells, max(0, math.ceil(bound / grid_spacing - 0.5)))
+    # bound / h - 1/2 may round; settle the count on the exact node comparisons
+    while count > 0 and not (count - 0.5) * grid_spacing < bound:
+        count -= 1
+    while count < radius_cells and (count + 0.5) * grid_spacing < bound:
+        count += 1
+    return count
+
+
+def _check_resolved(name: str, value: float, exponent: float, divisor: float, grid_spacing: float) -> None:
+    """Refuse a profile, exp(-exponent / divisor) at the nodes +-h/2, whose grid norm underflows.
+
+    Those two nodes carry the largest sample; when the norm^2 they give,
+    2 peak^2 h, underflows to 0, so does every other sample's share and
+    the grid would hold no norm.  Checked in Python floats before the
+    grid is allocated, so no numpy warning is raised.
+    """
+    try:
+        peak = math.exp(-exponent / divisor)
+    except ZeroDivisionError:
+        peak = 0.0
+    if not 2.0 * (peak * peak) * grid_spacing > 0.0:
+        raise InvalidParameterError(
+            f"{name} {value!r} is too small for grid spacing {grid_spacing!r}: "
+            "the pointer's norm underflows to 0; use a finer --spacing"
+        )
 
 
 @dataclass(frozen=True)
@@ -209,8 +267,9 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
         )
     radius_cells = _radius_cells(half_width, grid_spacing) + cells
     _check_node_count(2 * radius_cells)
-    q = _symmetric_positions(radius_cells, grid_spacing)
-    samples = np.where(np.abs(q) < half_width, 1.0, 0.0)
+    inside = _nodes_below(half_width, radius_cells, grid_spacing)
+    samples = np.zeros(2 * radius_cells)
+    samples[radius_cells - inside : radius_cells + inside] = 1.0
     return _normalized_state(samples, grid_spacing)
 
 
@@ -226,9 +285,14 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     _cells_per_unit(grid_spacing)
     radius_cells = _radius_cells(8.0 * width, grid_spacing)
     _check_node_count(2 * radius_cells)
-    q = _symmetric_positions(radius_cells, grid_spacing)
-    samples = np.exp(-(q * q) / (4.0 * width * width))
-    return _normalized_state(samples, grid_spacing)
+    spread = 4.0 * width * width
+    nearest = 0.5 * grid_spacing
+    _check_resolved("gaussian width", width, nearest * nearest, spread, grid_spacing)
+    samples, upper = _upper_positions(radius_cells, grid_spacing)
+    upper *= upper
+    upper /= -spread
+    np.exp(upper, out=upper)
+    return _normalized_state(_mirror(samples), grid_spacing)
 
 
 def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -238,9 +302,11 @@ def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     _cells_per_unit(grid_spacing)
     radius_cells = _radius_cells(max(40.0 * scale, 2.0), grid_spacing)
     _check_node_count(2 * radius_cells)
-    q = _symmetric_positions(radius_cells, grid_spacing)
-    samples = np.exp(-np.abs(q) / (2.0 * scale))
-    return _normalized_state(samples, grid_spacing)
+    _check_resolved("exponential scale", scale, 0.5 * grid_spacing, 2.0 * scale, grid_spacing)
+    samples, upper = _upper_positions(radius_cells, grid_spacing)
+    upper /= -(2.0 * scale)
+    np.exp(upper, out=upper)
+    return _normalized_state(_mirror(samples), grid_spacing)
 
 
 def _envelope_intervals(target_precision: float, cells: int) -> int:
@@ -466,10 +532,34 @@ def tradeoff_to_csv(family: str, rows) -> str:
 
 
 POINTER_CSV_HEADER = "q,phi"
+# lines of pointer CSV text joined at a time
+_CSV_BLOCK_LINES = 2**14
 
 
 def samples_to_csv(state: PointerState) -> str:
-    lines = [POINTER_CSV_HEADER]
-    for q, amp in zip(state.positions, state.samples):
-        lines.append(f"{float(q)!r},{float(amp)!r}")
-    return "\n".join(lines) + "\n"
+    """Lines q,phi of every node, each float written as its repr.
+
+    Node M + j of 2M sits at q_j = (j + 1/2) h and node M - 1 - j at
+    exactly -q_j (the grid never holds 0), so each q_j is formatted once
+    and its mirror written as "-" + repr(q_j).  Each distinct amplitude
+    bit pattern (0.0 and -0.0 apart) is formatted once; the amplitudes
+    themselves are not mirrored, as a state need only be symmetric in
+    modulus and within 1e-9.  The text is joined from blocks of lines,
+    never from one string per line.
+    """
+    samples = state.samples
+    half = samples.size // 2
+    bits, which = np.unique(samples.view(np.int64), return_inverse=True)
+    amps = [repr(a) for a in bits.view(np.float64).tolist()]
+    lower, upper = [], []
+    for start in range(0, half, _CSV_BLOCK_LINES):
+        stop = min(start + _CSV_BLOCK_LINES, half)
+        nodes = np.arange(half + start, half + stop)
+        qs = [repr(q) for q in (state.grid_origin + nodes * state.grid_spacing).tolist()]
+        up = which[half + start : half + stop].tolist()
+        upper.append("".join([f"{q},{amps[k]}\n" for q, k in zip(qs, up)]))
+        # the nodes M-1-j of this block, in ascending order
+        down = which[half - stop : half - start].tolist()
+        lower.append("".join([f"-{q},{amps[k]}\n" for q, k in zip(reversed(qs), down)]))
+    del amps, which  # freed before the join doubles the text
+    return "".join([POINTER_CSV_HEADER + "\n", *reversed(lower), *upper])

@@ -24,6 +24,7 @@ from weakbell.channel import (
     collapse_bloch,
     strength_pair,
 )
+from weakbell.pointer import _normalized_state
 from weakbell.montecarlo import (
     BobReport,
     EmpiricalReport,
@@ -254,7 +255,9 @@ def oracle_chain_chsh(alice, bob, strengths) -> list[float]:
 
 # --- per-node pointer oracles -------------------------------------------------------
 # The node-by-node constructions that pointer.py replaced with per-interval
-# ones; the pointer tests require the two to agree bit for bit.
+# ones, and with upper halves mirrored onto the lower; the per-line CSV it
+# replaced with one formatted once per distinct value.  The pointer tests
+# require the two to agree bit for bit.
 
 
 def _oracle_interval_indices(q: np.ndarray) -> np.ndarray:
@@ -283,6 +286,39 @@ def oracle_optimal_from_central(central_samples, target_precision: float, grid_s
     n = _oracle_interval_indices(q)
     samples = central[np.arange(q.size) % (2 * cells)] * np.power(ratio, np.abs(n) / 2.0)
     return _oracle_normalized(samples, grid_spacing)
+
+
+def _oracle_positions(radius_cells: int, grid_spacing: float) -> np.ndarray:
+    """Every node (j - M + 1/2) h, j = 0 .. 2M-1."""
+    j = np.arange(2 * radius_cells, dtype=float)
+    return (j - radius_cells + 0.5) * grid_spacing
+
+
+def oracle_make_square(half_width: float, grid_spacing: float) -> PointerState:
+    """Square pointer built on every node by a mask, not from its upper half."""
+    radius_cells = math.ceil(half_width / grid_spacing) + round(1.0 / grid_spacing)
+    q = _oracle_positions(radius_cells, grid_spacing)
+    return _normalized_state(np.where(np.abs(q) < half_width, 1.0, 0.0), grid_spacing)
+
+
+def oracle_make_gaussian(width: float, grid_spacing: float) -> PointerState:
+    """Gaussian pointer evaluated at every node, not mirrored from its upper half."""
+    q = _oracle_positions(math.ceil(8.0 * width / grid_spacing), grid_spacing)
+    return _normalized_state(np.exp(-(q * q) / (4.0 * width * width)), grid_spacing)
+
+
+def oracle_make_exponential(scale: float, grid_spacing: float) -> PointerState:
+    """Exponential pointer evaluated at every node, not mirrored from its upper half."""
+    q = _oracle_positions(math.ceil(max(40.0 * scale, 2.0) / grid_spacing), grid_spacing)
+    return _normalized_state(np.exp(-np.abs(q) / (2.0 * scale)), grid_spacing)
+
+
+def oracle_samples_to_csv(state: PointerState) -> str:
+    """The q,phi dump with both floats of every line formatted, one string per line."""
+    lines = ["q,phi"]
+    for q, amp in zip(state.positions, state.samples):
+        lines.append(f"{float(q)!r},{float(amp)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_make_worst(base: PointerState) -> PointerState:

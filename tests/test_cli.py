@@ -329,6 +329,60 @@ def test_pointer_grid_past_the_cap_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("--family", "gaussian", "--delta", "1e-5"), "gaussian width 1e-05"),
+        (("--family", "gaussian", "--delta", "1e-160"), "gaussian width 1e-160"),
+        (("--family", "exponential", "--scale", "1e-320"), "exponential scale 1e-320"),
+    ],
+)
+def test_pointer_narrower_than_the_grid_exits_2_without_a_warning(tmp_path, argv, name):
+    # every sample would underflow to 0; 1e-160 used to overflow numpy's divide on the way
+    out = tmp_path / "p.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakbell", "pointer-dump", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {name} is too small for grid spacing 0.001953125: "
+        "the pointer's norm underflows to 0; use a finer --spacing\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, blocked, reason",
+    [
+        ("taken", "taken", "Is a directory"),  # --out names a directory
+        ("plain.txt/p.csv", "plain.txt", "File exists: "),  # a path under a regular file
+        ("plain.txt/sub/p.csv", "plain.txt/sub", "Not a directory: "),
+    ],
+)
+def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys, target, blocked, reason):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "plain.txt").write_text("kept\n")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    out = tmp_path / target
+    assert run_cli("protocol", "--n", "2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {str(out)!r}: {reason}")
+    if reason.endswith(": "):
+        assert err.rstrip().endswith(repr(str(tmp_path / blocked)))
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    assert (tmp_path / "plain.txt").read_text() == "kept\n"
+
+
+def test_unwritable_default_output_names_the_env_var(tmp_path, monkeypatch, capsys):
+    (tmp_path / "plain.txt").write_text("kept\n")
+    monkeypatch.setenv("WEAKBELL_OUTDIR", str(tmp_path / "plain.txt"))
+    assert run_cli("protocol", "--n", "2") == 2
+    assert "cannot write --out (default under $WEAKBELL_OUTDIR)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
+
+
 # --- config files, env var, entry point --------------------------------------------------
 
 

@@ -3,7 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import oracle_make_worst, oracle_optimal_from_central, oracle_precision, value_at
+from conftest import (
+    oracle_make_exponential,
+    oracle_make_gaussian,
+    oracle_make_square,
+    oracle_make_worst,
+    oracle_optimal_from_central,
+    oracle_precision,
+    oracle_samples_to_csv,
+    value_at,
+)
 
 from weakbell import (
     InvalidParameterError,
@@ -255,6 +264,178 @@ def test_worst_matches_the_per_node_construction_exactly(target, spacing):
     assert np.array_equal(state.samples, oracle.samples)
     assert quality_factor(state) == quality_factor(oracle)
     assert precision(state) == oracle_precision(oracle)
+
+
+# --- mirrored builders and the deduplicated CSV against the whole-grid oracles ---------
+
+_SPACINGS = [2.0**-k for k in range(1, 13)]  # 1/2 .. 1/4096
+
+
+def _same_state(state, oracle):
+    assert np.array_equal(state.samples, oracle.samples)
+    assert state.grid_origin == oracle.grid_origin
+    assert quality_factor(state) == quality_factor(oracle)
+    assert precision(state) == precision(oracle)
+
+
+@pytest.mark.parametrize("spacing", _SPACINGS)
+def test_gaussian_matches_the_whole_grid_construction_exactly(spacing):
+    # from 1/40 of a cell, where the samples nearest 0 are e^-100, to 3 units
+    for width in (spacing / 40, spacing / 3, spacing, 0.05, 0.7, 3.0):
+        _same_state(make_gaussian(width, spacing), oracle_make_gaussian(width, spacing))
+
+
+@pytest.mark.parametrize("spacing", _SPACINGS)
+def test_square_matches_the_whole_grid_construction_exactly(spacing):
+    widths = [50 * spacing, 137 * spacing + spacing / 3]  # the narrowest the grid allows, and off the nodes
+    if spacing <= 1.0 / 64:
+        # 1.5 + h/2 is the node (j + 1/2) h with j = 1.5/h; |q| < half width keeps it out
+        widths += [1.0, 1.37, 1.5 + spacing / 2, 3.0]
+    for half_width in widths:
+        _same_state(make_square(half_width, spacing), oracle_make_square(half_width, spacing))
+    if spacing <= 1.0 / 64:
+        state = make_square(1.5 + spacing / 2, spacing)
+        half = state.samples.size // 2
+        inside = round(1.5 / spacing)
+        assert state.samples[half + inside - 1] > 0.0 and state.samples[half + inside] == 0.0
+
+
+@pytest.mark.parametrize("spacing", _SPACINGS)
+def test_exponential_matches_the_whole_grid_construction_exactly(spacing):
+    for scale in (spacing / 40, spacing / 3, 0.05, 0.4, 1.0):
+        _same_state(make_exponential(scale, spacing), oracle_make_exponential(scale, spacing))
+
+
+@pytest.mark.parametrize(
+    "build, oracle, values",
+    [
+        (make_gaussian, oracle_make_gaussian, (1e-5, 1e-160, 1e-170, 5e-324)),
+        (make_exponential, oracle_make_exponential, (1e-10, 1e-320, 5e-324)),
+    ],
+)
+def test_profiles_narrower_than_the_grid_are_refused_before_allocating(build, oracle, values):
+    for value in values:
+        with np.errstate(all="ignore"):
+            with pytest.raises(InvalidStateError, match="zero norm"):
+                oracle(value, SPACING)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="too small for grid spacing.*--spacing"):
+                build(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+# the parameter at which the exponent at q = h/2 reads 345 (the largest
+# sample's square, e^-690, about to turn subnormal) and 380 (that square 0);
+# the norm^2 it gives, 2 h e^-2T, underflows in between
+@pytest.mark.parametrize(
+    "build, oracle, band",
+    [
+        (make_gaussian, oracle_make_gaussian, (SPACING / (4 * 345**0.5), SPACING / (4 * 380**0.5))),
+        (make_exponential, oracle_make_exponential, (SPACING / (4 * 345), SPACING / (4 * 380))),
+    ],
+)
+def test_the_narrowness_check_refuses_only_zero_norm_grids(build, oracle, band):
+    # walk down through the band where the largest sample's square turns
+    # subnormal and then 0: whatever the whole-grid oracle builds is built
+    # with the same bits, and only grids of zero norm meet the new refusal
+    seen = set()
+    for value in np.geomspace(*band, 400).tolist():
+        with np.errstate(all="ignore"):
+            try:
+                expected = oracle(value, SPACING)
+            except InvalidStateError as exc:
+                expected = str(exc)
+        try:
+            state = build(value)
+        except InvalidParameterError:
+            assert expected == "pointer has zero norm"
+            seen.add("refused")
+            continue
+        except InvalidStateError as exc:
+            # a norm^2 so deep in the subnormals that it has too few bits to pass the check
+            assert str(exc) == expected and expected.startswith("pointer not normalized")
+            seen.add("not normalized")
+            continue
+        _same_state(state, expected)
+        seen.add("built")
+    assert seen == {"built", "not normalized", "refused"}
+
+
+@pytest.mark.parametrize(
+    "build, spacing",
+    [
+        (lambda h: make_square(1.5, h), SPACING),
+        (lambda h: make_gaussian(0.7, h), SPACING),
+        (lambda h: make_gaussian(0.01, h), SPACING),
+        (lambda h: make_exponential(0.4, h), SPACING),
+        (lambda h: make_optimal(0.8, "flat", h), SPACING),
+        (lambda h: make_optimal(0.8, "smooth_bump", h), 2.0**-10),
+        (lambda h: make_worst(0.6, h), SPACING),
+        # at 2^-14 the nodes nearest 0 print in scientific notation (3.0517578125e-05)
+        (lambda h: make_square(0.01, h), 2.0**-14),
+        (lambda h: make_gaussian(0.05, h), 2.0**-14),
+        (lambda h: make_exponential(0.001, h), 2.0**-14),
+    ],
+    ids=[
+        "square-1.5", "gaussian-0.7", "gaussian-0.01", "exponential-0.4", "optimal-0.8",
+        "smooth-bump-0.8-h2^-10", "worst-0.6", "square-0.01-h2^-14", "gaussian-0.05-h2^-14",
+        "exponential-0.001-h2^-14",
+    ],
+)
+def test_pointer_csv_matches_the_per_line_formatter(build, spacing):
+    state = build(spacing)
+    assert samples_to_csv(state) == oracle_samples_to_csv(state)
+
+
+def test_pointer_csv_writes_hand_built_states_as_given():
+    q = (np.arange(4096) - 2047.5) * SPACING
+    bump = np.exp(-q * q / 0.02)  # 0.0 from |q| > 3.9 on
+    # antisymmetric, with -0.0 on the left tail and 0.0 on the right
+    odd = PointerState(np.where(q < 0, -bump, bump) / math.sqrt(np.sum(bump * bump) * SPACING), SPACING)
+    assert {math.copysign(1.0, a) for a in odd.samples[odd.samples == 0.0]} == {-1.0, 1.0}
+    text = samples_to_csv(odd)
+    assert text == oracle_samples_to_csv(odd)
+    assert text.startswith("q,phi\n-3.9990234375,-0.0\n") and text.endswith("\n3.9990234375,0.0\n")
+    # a modulus asymmetric within the 1e-9 the state allows is written as it is
+    samples = bump / math.sqrt(np.sum(bump * bump) * SPACING)
+    samples[2100] += 5e-10
+    lopsided = PointerState(samples, SPACING)
+    assert lopsided.samples[2100] != lopsided.samples[4095 - 2100]
+    assert samples_to_csv(lopsided) == oracle_samples_to_csv(lopsided)
+
+
+def _heap_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_gaussian_build_and_strength_peak_at_twice_the_grid():
+    # the samples plus one grid-sized product in the quadrature; whole-grid
+    # temporaries (positions, q*q, the quotient) would reach three grids
+    peak, state = _heap_peak(lambda: (lambda s: (strength_of(s), s)[1])(make_gaussian(100.0)))
+    assert state.samples.size == 819_200
+    assert peak <= 2.25 * state.samples.nbytes
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_gaussian(16.0), lambda: make_optimal(0.2)], ids=["gaussian-16", "optimal-0.2"]
+)
+def test_pointer_csv_peaks_below_the_per_line_formatter(build):
+    # a gaussian holds one distinct amplitude per node pair, the frontier a few per interval
+    state = build()
+    assert state.samples.size >= 2**17
+    peak, text = _heap_peak(lambda: samples_to_csv(state))
+    oracle_peak, oracle_text = _heap_peak(lambda: oracle_samples_to_csv(state))
+    assert text == oracle_text
+    assert peak < oracle_peak
 
 
 # --- frontier (F, G) from rows ----------------------------------------------------
