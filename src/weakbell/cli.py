@@ -241,22 +241,15 @@ def cmd_protocol(args) -> int:
 
 
 def _montecarlo_config(scenario: str, target_precision: float) -> bell.BellChainConfig:
+    # checked before any pointer is built: a weak one can take a few hundred MB
+    if scenario not in ("single", "double"):
+        raise InvalidParameterError(f"unknown scenario {scenario!r} (choose single or double)")
     alice = bell.tsirelson_alice()
     bob = bell.tsirelson_bob()
-    if target_precision >= 1.0:
-        weak = pointer.make_square(1.0)
-    else:
-        weak = pointer.make_optimal(target_precision)
-    strong = pointer.make_square(1.0)
-    if scenario == "single":
-        stages = (bell.BobStage(bob[0], bob[1], weak, bias=0.5),)
-    elif scenario == "double":
-        stages = (
-            bell.BobStage(bob[0], bob[1], weak, bias=0.5),
-            bell.BobStage(bob[0], bob[1], strong, bias=0.5),
-        )
-    else:
-        raise InvalidParameterError(f"unknown scenario {scenario!r} (choose single or double)")
+    weak = pointer.make_square(1.0) if target_precision >= 1.0 else pointer.make_optimal(target_precision)
+    stages = (bell.BobStage(bob[0], bob[1], weak, bias=0.5),)
+    if scenario == "double":
+        stages += (bell.BobStage(bob[0], bob[1], pointer.make_square(1.0), bias=0.5),)
     return bell.BellChainConfig(alice[0], alice[1], stages=stages)
 
 

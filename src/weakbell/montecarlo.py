@@ -1,20 +1,16 @@
 """Stochastic simulation of measurement chains with explicit pointer readings.
 
-Each trial samples Alice's strong outcome, then walks the Bob stages:
-the pointer reading q is drawn from the exact discrete density
-
-    p(q) = tr(pi+ rho) phi(q-1)^2 + tr(pi- rho) phi(q+1)^2
-
-by inverse CDF on the pointer grid (the CDF is exact there and cached
-on the pointer), the state collapses through K_q = phi(q-1) pi+ +
-phi(q+1) pi-, and the outcome is the sign of q (the half-offset grid
-makes q = 0 impossible, and q > 0 exactly when its node index is at
-least half the node count, so the sign is read from the index).  The
-inverse CDF is searched through a guide table of GUIDE_SIZE buckets
-per stage (Chen & Asau, AIIE Trans. 6, 163 (1974)): a bucket that holds
-no CDF value stores the one search result of all its uniforms, and only
-uniforms in the other buckets are searched in full, so every reading is
-the one np.searchsorted(cdf, u, side="right") would give.
+Each trial samples Alice's strong outcome, then walks the Bob stages.
+A reading q is a grid node drawn from phi^2, displaced by +1 with
+probability tr(pi+ rho) and by -1 otherwise; the state collapses
+through K_q = phi(q-1) pi+ + phi(q+1) pi- and the outcome is the sign
+of q.  A stage's pointer must scale one profile on every interval
+(2n-1, 2n+1] (frontier pointers, squares of odd-integer half width);
+others are refused before a trial is drawn.  A +-1 shift then moves q
+one interval, so phi(q-1) and phi(q+1) are two adjacent intervals'
+amplitudes times a profile value the normalized collapse cancels: a
+stage draws only the node's interval, from pointer._interval_rows, and
+reads q > 0 as the shifted interval lying above the central one.
 
 run_chain carries each trial's state as a real Bloch vector r, held
 component-first as a (3, count) array so every step runs over the
@@ -68,14 +64,11 @@ import numpy as np
 from .errors import InvalidParameterError
 from .bell import BellChainConfig, BobStage, _stage_maps, pauli_coefficients, propagate
 from .channel import bloch_dot, collapse_bloch, strength_pair
-from .pointer import PointerState
+from .pointer import PointerState, _interval_rows
 
 # trials drawn, collapsed and tallied together; a chunk's arrays take a
 # few MB, so a run's memory does not grow with its trial count
 CHUNK_TRIALS = 2**15
-
-# buckets of a stage's guide table; a power of two, so u * GUIDE_SIZE is exact
-GUIDE_SIZE = 2**16
 
 # --- reports --------------------------------------------------------------------
 
@@ -196,27 +189,6 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     return _run_chain(cfg, trials, seed, CHUNK_TRIALS, _usable_cpus())
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Guide table of cdf: searchsorted(cdf, u, "right") for every u in a bucket, or -1.
-
-    Bucket k holds u in [k, k+1) / GUIDE_SIZE.  Where no CDF value lies
-    in the bucket, every u in it has the same search result, that of its
-    lower edge; a bucket that holds a CDF value is marked -1 and its u
-    are searched in full (Chen & Asau, AIIE Trans. 6, 163 (1974)).
-    """
-    table = np.searchsorted(cdf, np.arange(GUIDE_SIZE) / GUIDE_SIZE, side="right").astype(np.int32)
-    table[(cdf[cdf < 1.0] * GUIDE_SIZE).astype(np.intp)] = -1
-    return table
-
-
-def _reading_nodes(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(cdf, u, side="right"), through the guide table of cdf."""
-    nodes = guide[(u * GUIDE_SIZE).astype(np.intp)].astype(np.intp)
-    miss = np.flatnonzero(nodes < 0)
-    nodes[miss] = np.searchsorted(cdf, u[miss], side="right")
-    return nodes
-
-
 def _signs(positive: np.ndarray) -> np.ndarray:
     """+1 where positive is true and -1 elsewhere, as int8."""
     return positive.astype(np.int8) * 2 - 1
@@ -226,27 +198,14 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
     """run_chain in chunks of chunk_trials on min(cpus, chunks) threads."""
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    pointers = [_stage_pointer(stage) for stage in cfg.stages]
-    p_plus_by_x, steered = _alice_steering(cfg)
-    # built before any thread starts: reading_cdf is built on its first access; the samples
-    # are zero-padded by two units on each side, so phi(q -/+ 1) is a plain gather
+    # every stage is cut into interval rows before any thread starts; an
+    # amplitude row of zeros on each end stands for phi beyond the grid
     stages = []
-    for stage, pointer in zip(cfg.stages, pointers):
-        unit = round(1.0 / pointer.grid_spacing)
-        cdf = pointer.reading_cdf
-        stages.append(
-            (
-                stage.bias,
-                np.array([stage.dir0.vector, stage.dir1.vector]).T,  # (3, y)
-                cdf,
-                _guide_table(cdf),
-                np.pad(pointer.samples, 2 * unit),
-                unit,
-                # q > 0 on the half-offset grid exactly when its node is at least
-                # nodes/2, that is when lower is at least nodes/2 + unit
-                pointer.samples.size // 2 + unit,
-            )
-        )
+    for stage in cfg.stages:
+        row_cdf, amplitudes, centre = _interval_rows(_stage_pointer(stage))
+        directions = np.array([stage.dir0.vector, stage.dir1.vector]).T  # (3, y)
+        stages.append((stage.bias, directions, row_cdf, np.pad(amplitudes, 1), centre))
+    p_plus_by_x, steered = _alice_steering(cfg)
 
     def chunk_table(start: int) -> np.ndarray:
         count = min(chunk_trials, trials - start)
@@ -261,22 +220,21 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
 
         stage_inputs = []
         stage_outcomes = []
-        for k, (bias, stage_directions, cdf, guide, padded, unit, positive) in enumerate(stages):
+        for k, (bias, stage_directions, row_cdf, amplitudes, centre) in enumerate(stages):
             y = (draw(2 + 3 * k) < bias).astype(np.int8)
             directions = np.take(stage_directions, y, axis=1)  # (3, count)
             c = bloch_dot(directions, bloch)
             plus = draw(3 + 3 * k) < (1.0 + c) / 2.0  # branch +1 with probability tr(pi+ rho)
-            # q sits one unit from the sampled node, towards its branch; lower is the
-            # padded index of q - 1, past the two units of padding
-            lower = _reading_nodes(cdf, guide, draw(4 + 3 * k))
-            lower += plus * (2 * unit)
-            amp_minus = padded[lower]
-            amp_plus = padded[2 * unit :][lower]
+            # the sampled node's row, one row on for the +1 branch: then
+            # amplitudes[row] and amplitudes[row + 1] are phi(q-1) and phi(q+1)
+            # up to the central profile's factor, and q > 0 exactly when row > centre
+            row = np.searchsorted(row_cdf, draw(4 + 3 * k), side="right")
+            row += plus
             # K_q = phi(q-1) pi+ + phi(q+1) pi-
-            bloch = collapse_bloch(bloch, directions, amp_minus, amp_plus, c)
+            bloch = collapse_bloch(bloch, directions, amplitudes[row], amplitudes[row + 1], c)
 
             stage_inputs.append(y)
-            stage_outcomes.append(_signs(lower >= positive))
+            stage_outcomes.append(_signs(row > centre))
         return _outcome_table(x_bits, _signs(a_plus), stage_inputs, stage_outcomes)
 
     chunks = -(-trials // chunk_trials)

@@ -38,7 +38,9 @@ c = h sum(central^2) and envelope e_n, N = c sum(e_n^2),
 G = e_0^2 c / N and F = c sum(e_n e_{n+1}) / N.  The trade-off curves
 and the optimal double scan read them so and build no grid; only a
 pointer dump or a Monte Carlo stage materialises one.  The rows make
-the checks the grid would (node cap, norm, symmetry, [0, 1]).
+the checks the grid would (node cap, norm, symmetry, [0, 1]).  A Monte
+Carlo stage reads its built grid back as rows (_interval_rows), each
+checked to be the central one times a factor, so the layout stays here.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -50,16 +52,16 @@ The square, gaussian and exponential profiles are even and the nodes
 half of the sample array, in place, and copy it reversed onto the lower
 half; the bits are those of evaluating every node.  A gaussian or
 exponential so narrow that the grid's norm would underflow to 0 is
-refused before the grid is allocated.  A pointer CSV formats each position of
-the upper half once (its mirror is the same text behind a minus sign)
-and each distinct amplitude once.
+refused before the grid is allocated, one too narrow to normalize after
+the build; both refusals name the width and --spacing.  A pointer CSV
+formats each position of the upper half once (its mirror is the same
+text behind a minus sign) and each distinct amplitude once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +76,8 @@ ENVELOPE_CUTOFF = 1e-14
 _NORM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
 _CIRCLE_TOL = 1e-9
+_PROFILE_TOL = 1e-9
+_ROW_BLOCK_NODES = 2**16  # grid nodes _interval_rows checks at a time
 
 
 def _cells_per_unit(grid_spacing: float) -> int:
@@ -151,10 +155,19 @@ def _check_resolved(name: str, value: float, exponent: float, divisor: float, gr
     except ZeroDivisionError:
         peak = 0.0
     if not 2.0 * (peak * peak) * grid_spacing > 0.0:
-        raise InvalidParameterError(
-            f"{name} {value!r} is too small for grid spacing {grid_spacing!r}: "
-            "the pointer's norm underflows to 0; use a finer --spacing"
-        )
+        raise _too_narrow(name, value, grid_spacing, "the pointer's norm underflows to 0")
+
+
+def _too_narrow(name: str, value: float, h: float, why: str) -> InvalidParameterError:
+    return InvalidParameterError(f"{name} {value!r} is too small for grid spacing {h!r}: {why}; use a finer --spacing")
+
+
+def _mirrored_state(name: str, value: float, samples: np.ndarray, grid_spacing: float) -> PointerState:
+    """Mirror and normalize a builder's upper half, naming the width where the norm^2 is too subnormal."""
+    try:
+        return _normalized_state(_mirror(samples), grid_spacing)
+    except InvalidStateError:
+        raise _too_narrow(name, value, grid_spacing, "the pointer's norm is too small to normalize") from None
 
 
 @dataclass(frozen=True)
@@ -205,18 +218,6 @@ class PointerState:
     @property
     def positions(self) -> np.ndarray:
         return self.grid_origin + np.arange(self.samples.size) * self.grid_spacing
-
-    @cached_property
-    def reading_cdf(self) -> np.ndarray:
-        """Exact discrete CDF of phi(q)^2 over the nodes; built once, read-only."""
-        masses = self.samples**2 * self.grid_spacing
-        total = float(np.sum(masses))
-        if total <= 0.0:
-            raise InvalidStateError("pointer carries no probability mass")
-        cdf = np.cumsum(masses) / total
-        cdf[-1] = 1.0
-        cdf.flags.writeable = False
-        return cdf
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     upper *= upper
     upper /= -spread
     np.exp(upper, out=upper)
-    return _normalized_state(_mirror(samples), grid_spacing)
+    return _mirrored_state("gaussian width", width, samples, grid_spacing)
 
 
 def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -306,7 +307,7 @@ def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     samples, upper = _upper_positions(radius_cells, grid_spacing)
     upper /= -(2.0 * scale)
     np.exp(upper, out=upper)
-    return _normalized_state(_mirror(samples), grid_spacing)
+    return _mirrored_state("exponential scale", scale, samples, grid_spacing)
 
 
 def _envelope_intervals(target_precision: float, cells: int) -> int:
@@ -450,6 +451,53 @@ def _frontier_strength(
     if worst:
         envelope[_odd_rows(envelope.size)] = 0.0
     return _rows_strength(central, envelope, grid_spacing)
+
+
+def _interval_rows(state: PointerState) -> tuple[np.ndarray, np.ndarray, int]:
+    """(CDF of the row masses, amplitude R[s] of each row R, index of the central row C).
+
+    The grid, zero-padded to an odd number of units, is cut into rows of
+    2/h nodes, the intervals (2n-1, 2n+1].  With s the largest node of C,
+    each row must have |R[j] C[s] - R[s] C[j]| <= 1e-9 |C[s]| at every j:
+    each node within 1e-9 of R[s] / C[s] times the central one.  Rows are
+    checked _ROW_BLOCK_NODES nodes at a time, so no temporary is the size
+    of the grid.  The CDF is 1.0 from the last row of non-zero mass on.
+    """
+    samples = state.samples
+    row_nodes = 2 * _cells_per_unit(state.grid_spacing)
+    units = -(-samples.size // row_nodes)
+    units += 1 - units % 2  # odd, so the central row is (-1, 1]
+    pad = (units * row_nodes - samples.size) // 2
+    centre = units // 2
+
+    def rows(first: int, stop: int) -> np.ndarray:  # rows first .. stop-1, zero-padded, as a fresh array
+        lo, hi = first * row_nodes - pad, stop * row_nodes - pad
+        part = samples[max(lo, 0) : max(hi, 0)]
+        return np.pad(part, (max(-lo, 0), hi - max(lo, 0) - part.size)).reshape(-1, row_nodes)
+
+    central = rows(centre, centre + 1)[0]
+    pivot = int(np.argmax(np.abs(central)))
+    peak = float(central[pivot])
+    masses = np.empty(units)
+    amplitudes = np.empty(units)
+    step = max(1, _ROW_BLOCK_NODES // row_nodes)
+    for first in range(0, units, step):
+        stop = min(first + step, units)
+        block = rows(first, stop)
+        column = block[:, pivot]
+        cross = block * peak
+        cross -= np.multiply.outer(column, central)
+        if peak == 0.0 or not float(np.max(np.abs(cross, out=cross))) <= _PROFILE_TOL * abs(peak):
+            raise InvalidParameterError(
+                "a Monte Carlo pointer must be one profile, non-zero on (-1, 1], scaled on every interval "
+                "(2n-1, 2n+1]: a frontier pointer or a square of odd-integer half width"
+            )
+        amplitudes[first:stop] = column
+        masses[first:stop] = np.einsum("ij,ij->i", block, block)
+    cdf = np.cumsum(masses)
+    cdf /= float(np.sum(masses))
+    cdf[np.flatnonzero(masses)[-1] :] = 1.0
+    return cdf, amplitudes, centre
 
 
 def quality_factor(state: PointerState) -> float:

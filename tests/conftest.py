@@ -338,7 +338,8 @@ def oracle_precision(state: PointerState) -> float:
 # --- Monte Carlo tally, joint and sampling oracles -------------------------------------
 # The per-cell mask loop, np.unique count and key-by-key joint that
 # montecarlo.py replaced with one outcome table, and the whole-run
-# sampler it replaced with chunks; the tests require equal results.
+# sampler it replaced with chunks, reading grid nodes where montecarlo.py
+# reads interval rows; the tests require equal results.
 
 
 def oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes) -> tuple:
@@ -421,8 +422,20 @@ def oracle_analytic_joint(cfg) -> dict:
     return out
 
 
+def oracle_reading_cdf(pointer: PointerState) -> np.ndarray:
+    """Exact discrete CDF of phi(q)^2 over every node of the grid, ending in 1.0."""
+    masses = pointer.samples**2 * pointer.grid_spacing
+    cdf = np.cumsum(masses) / float(np.sum(masses))
+    cdf[-1] = 1.0
+    return cdf
+
+
 def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
-    """run_chain as one whole-run pass: every block drawn in stream order from one generator."""
+    """run_chain as one whole-run pass over grid nodes, not interval rows.
+
+    Every block is drawn in stream order from one generator; each reading
+    is a node drawn by inverse CDF over the whole grid, displaced by +-1.
+    """
     pointers = [_stage_pointer(stage) for stage in cfg.stages]
     rng = np.random.Generator(np.random.Philox(key=seed))
 
@@ -446,7 +459,7 @@ def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
         directions = np.stack([stage.dir0.vector, stage.dir1.vector])[y]
         p_plus = (1.0 + bloch_dot(directions.T, bloch.T)) / 2.0
         shifts = np.where(branch_uniform < p_plus, 1, -1).astype(np.int64)
-        idx = np.searchsorted(pointer.reading_cdf, position_uniform, side="right")
+        idx = np.searchsorted(oracle_reading_cdf(pointer), position_uniform, side="right")
         readings = pointer.positions[idx] + shifts
 
         idx_minus = idx + (shifts - 1) * cells

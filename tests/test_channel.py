@@ -7,6 +7,7 @@ from conftest import (
     decohere,
     kraus_at_reading,
     on_second_qubit,
+    oracle_reading_cdf,
     outcome_probabilities,
     projectors,
     random_density,
@@ -244,7 +245,7 @@ def test_bloch_collapse_matches_kraus_product(pointer):
     rng = np.random.default_rng(45)
     states = [random_density(rng) for _ in range(300)]
     directions = [random_direction(rng) for _ in states]
-    nodes = np.searchsorted(pointer.reading_cdf, rng.random(len(states)), side="right")
+    nodes = np.searchsorted(oracle_reading_cdf(pointer), rng.random(len(states)), side="right")
     readings = pointer.positions[nodes] + rng.choice([-1.0, 1.0], size=len(states))
 
     def bloch(rho):

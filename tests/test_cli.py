@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from weakbell.cli import (
     parse_range,
 )
 from weakbell.errors import InvalidParameterError
+from weakbell.pointer import DEFAULT_GRID_SPACING
 
 
 def run_cli(*argv):
@@ -180,6 +182,21 @@ def test_montecarlo_rejects_unknown_scenario(tmp_path):
     out = tmp_path / "mc.json"
     code = run_cli("montecarlo", "--scenario", "nonsense", "--trials", "100", "--out", str(out))
     assert code == 2
+    assert not out.exists()
+
+
+def test_montecarlo_checks_the_scenario_before_building_a_pointer(tmp_path, capsys):
+    # at G = 0.002 the weak pointer alone has 16.5 M nodes (132 MB)
+    out = tmp_path / "mc.json"
+    tracemalloc.start()
+    try:
+        code = run_cli("montecarlo", "--scenario", "nonsense", "--g", "0.002", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "unknown scenario 'nonsense' (choose single or double)" in capsys.readouterr().err
+    assert peak < 1_000_000
     assert not out.exists()
 
 
@@ -350,6 +367,26 @@ def test_pointer_narrower_than_the_grid_exits_2_without_a_warning(tmp_path, argv
         f"error: {name} is too small for grid spacing 0.001953125: "
         "the pointer's norm underflows to 0; use a finer --spacing\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, family, divisor",
+    [
+        ("--delta", "gaussian", 76.5),
+        ("--delta", "gaussian", 76.8),
+        ("--scale", "exponential", 1450),
+        ("--scale", "exponential", 1470),
+    ],
+)
+def test_pointer_too_narrow_to_normalize_exits_2_naming_the_width(tmp_path, capsys, flag, family, divisor):
+    # the grid norm^2 is a subnormal with too few bits: the state built from it
+    # misses the norm check, which used to name neither the width nor --spacing
+    value = repr(DEFAULT_GRID_SPACING / divisor)
+    out = tmp_path / "p.csv"
+    assert run_cli("pointer-dump", "--family", family, flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{value} is too small for grid spacing" in err and "--spacing" in err
     assert not out.exists()
 
 

@@ -6,13 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     kraus_at_reading,
     oracle_bob_reports,
     oracle_count_outcomes,
+    oracle_reading_cdf,
     oracle_run_chain,
     outcome_probabilities,
     projectors,
@@ -29,6 +28,8 @@ from weakbell import (
     PointerState,
     analytic_joint,
     chi_square_report,
+    make_exponential,
+    make_gaussian,
     make_optimal,
     make_square,
     make_worst,
@@ -37,18 +38,11 @@ from weakbell import (
     tsirelson_alice,
     tsirelson_bob,
 )
+from weakbell import montecarlo
 from weakbell.bell import TripleGeometry
-from weakbell.channel import DIR_X, DIR_Z
-from weakbell.montecarlo import (
-    CHUNK_TRIALS,
-    GUIDE_SIZE,
-    _guide_table,
-    _outcome_table,
-    _reading_nodes,
-    _reports,
-    _run_chain,
-    _uniforms,
-)
+from weakbell.channel import DIR_X, DIR_Z, collapse_bloch
+from weakbell.montecarlo import CHUNK_TRIALS, _outcome_table, _reports, _run_chain, _uniforms
+from weakbell.pointer import _interval_rows
 
 
 def double_config(target_precision=0.8):
@@ -77,7 +71,7 @@ def test_digitized_frequencies_match_outcome_probabilities():
 
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)
-    positions, cdf = pointer.positions, pointer.reading_cdf
+    positions, cdf = pointer.positions, oracle_reading_cdf(pointer)
     for trials in (10_000, 100_000, 1_000_000):
         shifts = np.where(rng.random(trials) < branch_plus, 1.0, -1.0)
         idx = np.searchsorted(cdf, rng.random(trials), side="right")
@@ -95,7 +89,7 @@ def test_reading_first_moment_matches_discrete_mean():
 
     pp, _ = projectors(d)
     branch_plus = float(np.trace(pp @ rho).real)
-    positions, cdf = pointer.positions, pointer.reading_cdf
+    positions, cdf = pointer.positions, oracle_reading_cdf(pointer)
     masses = np.diff(np.concatenate([[0.0], cdf]))
     analytic_mean = branch_plus * float(np.sum((positions + 1.0) * masses)) + (
         1.0 - branch_plus
@@ -124,7 +118,7 @@ def test_post_selected_states_match_conditional_channel():
     branch_plus = float(np.trace(pp @ rho).real)
     trials = 40_000
     shifts = np.where(rng.random(trials) < branch_plus, 1.0, -1.0)
-    idx = np.searchsorted(pointer.reading_cdf, rng.random(trials), side="right")
+    idx = np.searchsorted(oracle_reading_cdf(pointer), rng.random(trials), side="right")
     readings = pointer.positions[idx] + shifts
     kept_readings, multiplicity = np.unique(readings[readings > 0.0], return_counts=True)
 
@@ -239,11 +233,12 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
 
 
 @functools.cache
-def guided_pointers() -> dict:
-    """Pointers whose CDFs stress the guide table: bucket edges, flat runs and zero-mass tails."""
+def row_pointers() -> dict:
+    """Pointers whose grids are one profile scaled on every interval row."""
     return {
         "optimal-0.8": make_optimal(0.8),
         "optimal-0.05": make_optimal(0.05),
+        "bump-0.6": make_optimal(0.6, "smooth_bump"),
         "worst-0.5": make_worst(0.5),
         "square-1": make_square(1.0),
         "square-3": make_square(3.0),
@@ -286,61 +281,83 @@ def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, 
 @pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
 @pytest.mark.parametrize("whole_chunks, extra", [(0, 3), (1, 1), (2, 5)])
 def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
-    # a worst-case pointer (every other interval row zeroed, so its CDF has flat
-    # runs), then a G = 0.05 frontier pointer (662,528 nodes; most of its guide
-    # buckets hold a CDF value and fall back to the full search)
-    cfg = chain_config(n_stages, (guided_pointers()["worst-0.5"], guided_pointers()["optimal-0.05"]))
+    # a worst-case pointer (every other interval row zeroed, so its row CDF has
+    # flat runs), then a G = 0.05 frontier pointer (662,528 nodes in 647 rows)
+    cfg = chain_config(n_stages, (row_pointers()["worst-0.5"], row_pointers()["optimal-0.05"]))
     trials = whole_chunks * chunk + extra
     assert_matches_the_whole_run(cfg, trials, 1302 + trials, chunk)
 
 
 def test_run_chain_reads_zero_beyond_both_grid_edges():
-    # a flat pointer filling its grid (-2, 2): every reading displaced
-    # outwards looks up phi up to two units past an edge
+    # flat pointers filling their grids, (-3, 3) (three whole interval rows) and
+    # the four nodes nearest 0 (inside the central interval): every reading
+    # displaced outwards looks up phi up to two units past an edge
     cells = 64
-    edge_to_edge = PointerState(np.full(4 * cells, 0.5), 1.0 / cells)
+    edge_to_edge = PointerState(np.full(6 * cells, 1.0 / math.sqrt(6.0)), 1.0 / cells)
+    inside = PointerState(np.full(4, 4.0), 1.0 / cells)
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    for n_stages in (1, 2):
-        stages = tuple(BobStage(bob[0], bob[1], edge_to_edge) for _ in range(n_stages))
-        assert_matches_the_whole_run(BellChainConfig(alice[0], alice[1], stages=stages), 5_000, 11, 1_000)
+    for pointer in (edge_to_edge, inside):
+        for n_stages in (1, 2):
+            stages = tuple(BobStage(bob[0], bob[1], pointer) for _ in range(n_stages))
+            assert_matches_the_whole_run(BellChainConfig(alice[0], alice[1], stages=stages), 5_000, 11, 1_000)
 
 
-@functools.cache
-def guided_search(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The reading CDF of a guided pointer and its guide table."""
-    cdf = guided_pointers()[name].reading_cdf
-    return cdf, _guide_table(cdf)
+def oracle_rows(pointer: PointerState) -> np.ndarray:
+    """Row n + centre of every node, the one whose interval (2n-1, 2n+1] holds it."""
+    _, _, centre = _interval_rows(pointer)
+    return np.rint(pointer.positions / 2.0).astype(np.intp) + centre
 
 
-@pytest.mark.parametrize("name", ["optimal-0.8", "optimal-0.05", "worst-0.5", "square-1", "square-3"])
-def test_guide_search_matches_searchsorted(name):
-    cdf, guide = guided_search(name)
-    assert guide.dtype == np.int32 and guide.shape == (GUIDE_SIZE,)
-    # both kinds of bucket occur, so both paths of the search run
-    assert 0 < np.count_nonzero(guide < 0) < GUIDE_SIZE
-    edges = np.arange(GUIDE_SIZE) / GUIDE_SIZE
-    inner = cdf[cdf < 1.0]
-    u = np.concatenate(
-        [
-            [0.0, np.nextafter(1.0, 0.0)],
-            edges,
-            np.nextafter(edges, 0.0),
-            inner,
-            np.nextafter(inner, 0.0),
-            np.nextafter(inner, 1.0),
-        ]
-    )
-    u = u[(u >= 0.0) & (u < 1.0)]
-    np.testing.assert_array_equal(_reading_nodes(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+@pytest.mark.parametrize("name", list(row_pointers()))
+def test_row_masses_are_the_node_masses_of_each_row(name):
+    pointer = row_pointers()[name]
+    row_cdf, _, centre = _interval_rows(pointer)
+    assert row_cdf.size % 2 == 1 and centre == row_cdf.size // 2
+    rows = oracle_rows(pointer)
+    masses = pointer.samples**2
+    oracle_pmf = np.bincount(rows, weights=masses, minlength=row_cdf.size) / np.sum(masses)
+    assert oracle_pmf.size == row_cdf.size
+    np.testing.assert_allclose(np.diff(row_cdf, prepend=0.0), oracle_pmf, rtol=0.0, atol=1e-12)
+    assert row_cdf[-1] == 1.0
+    # the node CDF at each row's last node: a reading can fall in another row
+    # than its node only for a uniform between the two, a gap of at most 1.2e-12
+    # (G = 0.05, where the node cumsum rounds over 662,528 nodes)
+    last_nodes = np.searchsorted(rows, np.arange(row_cdf.size), side="right") - 1
+    node_cdf = np.concatenate([[0.0], oracle_reading_cdf(pointer)])[last_nodes + 1]
+    np.testing.assert_allclose(row_cdf, node_cdf, rtol=0.0, atol=2e-12)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-def test_guide_search_matches_searchsorted_anywhere_in_the_unit_interval(u):
-    for name in guided_pointers():
-        cdf, guide = guided_search(name)
-        assert _reading_nodes(cdf, guide, np.array([u])).tolist() == [np.searchsorted(cdf, u, side="right")]
+@pytest.mark.parametrize("name", list(row_pointers()))
+def test_row_readings_match_node_readings_trial_by_trial(name):
+    # one stage on the same uniforms, read once by row as run_chain reads it
+    # and once by node as the whole-run oracle does
+    pointer = row_pointers()[name]
+    rng = np.random.default_rng(31)
+    trials = 100_000
+    bloch = rng.normal(size=(3, trials))
+    bloch *= rng.random(trials) ** (1.0 / 3.0) / np.linalg.norm(bloch, axis=0)  # uniform in the ball
+    directions = rng.normal(size=(3, trials))
+    directions /= np.linalg.norm(directions, axis=0)
+    c = np.einsum("it,it->t", directions, bloch)
+    plus = rng.random(trials) < (1.0 + c) / 2.0
+    u = rng.random(trials)
+
+    row_cdf, amplitudes, centre = _interval_rows(pointer)
+    amplitudes = np.pad(amplitudes, 1)
+    row = np.searchsorted(row_cdf, u, side="right")
+    by_row = collapse_bloch(bloch, directions, amplitudes[row + plus], amplitudes[row + plus + 1], c)
+
+    node = np.searchsorted(oracle_reading_cdf(pointer), u, side="right")
+    shift = 2 * round(1.0 / pointer.grid_spacing)
+    padded = np.pad(pointer.samples, 2 * shift)
+    lower = node + shift * (1 + plus)  # the padded index of q - 1
+    by_node = collapse_bloch(bloch, directions, padded[lower], padded[lower + shift], c)
+    readings = pointer.positions[node] + np.where(plus, 1.0, -1.0)
+
+    np.testing.assert_array_equal(row, oracle_rows(pointer)[node])
+    np.testing.assert_array_equal(row + plus > centre, readings > 0.0)
+    np.testing.assert_allclose(by_row, by_node, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -353,16 +370,29 @@ def test_block_addressing_matches_one_sequential_stream(trials, block, start, co
     np.testing.assert_array_equal(_uniforms(1302, trials, block, start, count), stream[offset : offset + count])
 
 
-def test_run_chain_requires_pointer_backed_stages():
+def test_run_chain_requires_pointer_backed_stages(monkeypatch):
+    # a stage whose intervals do not scale one profile is refused before any uniform is drawn
+    def no_draws(*args):
+        raise AssertionError("a uniform was drawn")
+
+    monkeypatch.setattr(montecarlo, "_uniforms", no_draws)
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    cfg = BellChainConfig(
-        alice[0],
-        alice[1],
-        stages=(BobStage(bob[0], bob[1], MeasurementStrength(0.6, 0.8), bias=0.5),),
+    refused = (
+        MeasurementStrength(0.6, 0.8),
+        make_gaussian(1.0),
+        make_exponential(0.5),
+        make_square(1.5),
+        # flat on (-2, 2): the rows (-3, -1] and (1, 3] are half empty
+        PointerState(np.full(4 * 64, 0.5), 1.0 / 64),
     )
-    with pytest.raises(InvalidParameterError):
-        run_chain(cfg, 10, seed=0)
+    for strength in refused:
+        for stages in (
+            (BobStage(bob[0], bob[1], strength, bias=0.5),),
+            (BobStage(bob[0], bob[1], make_optimal(0.8), bias=0.5), BobStage(bob[0], bob[1], strength, bias=0.5)),
+        ):
+            with pytest.raises(InvalidParameterError):
+                run_chain(BellChainConfig(alice[0], alice[1], stages=stages), 10, seed=0)
     with pytest.raises(InvalidParameterError):
         run_chain(double_config(), 0, seed=0)
 

@@ -341,7 +341,8 @@ def test_profiles_narrower_than_the_grid_are_refused_before_allocating(build, or
 def test_the_narrowness_check_refuses_only_zero_norm_grids(build, oracle, band):
     # walk down through the band where the largest sample's square turns
     # subnormal and then 0: whatever the whole-grid oracle builds is built
-    # with the same bits, and only grids of zero norm meet the new refusal
+    # with the same bits, and only grids the oracle cannot normalize are
+    # refused, each with a message naming the width and --spacing
     seen = set()
     for value in np.geomspace(*band, 400).tolist():
         with np.errstate(all="ignore"):
@@ -351,14 +352,16 @@ def test_the_narrowness_check_refuses_only_zero_norm_grids(build, oracle, band):
                 expected = str(exc)
         try:
             state = build(value)
-        except InvalidParameterError:
-            assert expected == "pointer has zero norm"
-            seen.add("refused")
-            continue
-        except InvalidStateError as exc:
-            # a norm^2 so deep in the subnormals that it has too few bits to pass the check
-            assert str(exc) == expected and expected.startswith("pointer not normalized")
-            seen.add("not normalized")
+        except InvalidParameterError as exc:
+            assert f"{value!r} is too small for grid spacing" in str(exc) and "--spacing" in str(exc)
+            if expected == "pointer has zero norm":
+                assert "underflows to 0" in str(exc)
+                seen.add("refused")
+            else:
+                # a norm^2 so deep in the subnormals that it has too few bits to pass the check
+                assert expected.startswith("pointer not normalized")
+                assert "too small to normalize" in str(exc)
+                seen.add("not normalized")
             continue
         _same_state(state, expected)
         seen.add("built")
