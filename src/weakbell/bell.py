@@ -333,7 +333,7 @@ def _strength_for_target(family: str, target: float) -> MeasurementStrength:
     if family == "analytic":
         return MeasurementStrength.optimal(target)
     if family == "optimal":
-        return MeasurementStrength(*_frontier_strength(target))
+        return _frontier_strength(target)
     if family == "square":
         return strength_of(make_square(1.0 / target))
     if family == "gaussian":

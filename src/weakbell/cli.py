@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from . import bell, montecarlo, pointer, protocol
-from .errors import InvalidParameterError, InvalidStateError, PhysicalityError
+from .errors import InvalidParameterError, InvalidStateError, NodeCapError, PhysicalityError
 
 OUTDIR_ENV = "WEAKBELL_OUTDIR"
 
@@ -209,9 +209,17 @@ def _family_parameter(args) -> str:
     return text
 
 
+def _with_spacing_advice(build):
+    """build(), its node-cap refusal also advising a coarser --spacing, for the commands that take one."""
+    try:
+        return build()
+    except NodeCapError as exc:
+        raise NodeCapError(f"{exc}, or a coarser --spacing") from None
+
+
 def cmd_tradeoff(args) -> int:
     grid = parse_range(_family_parameter(args))
-    rows = pointer.tradeoff_curve(args.family, grid, grid_spacing=args.spacing)
+    rows = _with_spacing_advice(lambda: pointer.tradeoff_curve(args.family, grid, grid_spacing=args.spacing))
     _emit(args, pointer.tradeoff_to_csv(args.family, rows), f"tradeoff_{args.family}.csv")
     return 0
 
@@ -241,15 +249,15 @@ def cmd_protocol(args) -> int:
 
 
 def _montecarlo_config(scenario: str, target_precision: float) -> bell.BellChainConfig:
-    # checked before any pointer is built: a weak one can take a few hundred MB
+    """The Tsirelson chain as interval rows: a frontier Bob at the target G, then a strong one for "double"."""
     if scenario not in ("single", "double"):
         raise InvalidParameterError(f"unknown scenario {scenario!r} (choose single or double)")
     alice = bell.tsirelson_alice()
     bob = bell.tsirelson_bob()
-    weak = pointer.make_square(1.0) if target_precision >= 1.0 else pointer.make_optimal(target_precision)
+    weak = pointer.STRONG_ROWS if target_precision >= 1.0 else pointer._frontier_strength(target_precision)
     stages = (bell.BobStage(bob[0], bob[1], weak, bias=0.5),)
     if scenario == "double":
-        stages += (bell.BobStage(bob[0], bob[1], pointer.make_square(1.0), bias=0.5),)
+        stages += (bell.BobStage(bob[0], bob[1], pointer.STRONG_ROWS, bias=0.5),)
     return bell.BellChainConfig(alice[0], alice[1], stages=stages)
 
 
@@ -277,7 +285,7 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_pointer_dump(args) -> int:
     value = float(_family_parameter(args))
-    state = pointer._FAMILY_BUILDERS[args.family](value, grid_spacing=args.spacing)
+    state = _with_spacing_advice(lambda: pointer._FAMILY_BUILDERS[args.family](value, grid_spacing=args.spacing))
     _emit(args, pointer.samples_to_csv(state), f"pointer_{args.family}.csv")
     return 0
 

@@ -5,6 +5,10 @@ class InvalidParameterError(ValueError):
     """A scalar argument is outside its allowed range."""
 
 
+class NodeCapError(InvalidParameterError):
+    """A pointer grid would hold more nodes than pointer.MAX_POINTER_NODES."""
+
+
 class InvalidStateError(ValueError):
     """A pointer or density operator violates a structural invariant."""
 

@@ -1,16 +1,16 @@
 """Stochastic simulation of measurement chains with explicit pointer readings.
 
 Each trial samples Alice's strong outcome, then walks the Bob stages.
-A reading q is a grid node drawn from phi^2, displaced by +1 with
-probability tr(pi+ rho) and by -1 otherwise; the state collapses
-through K_q = phi(q-1) pi+ + phi(q+1) pi- and the outcome is the sign
-of q.  A stage's pointer must scale one profile on every interval
-(2n-1, 2n+1] (frontier pointers, squares of odd-integer half width);
-others are refused before a trial is drawn.  A +-1 shift then moves q
-one interval, so phi(q-1) and phi(q+1) are two adjacent intervals'
-amplitudes times a profile value the normalized collapse cancels: a
-stage draws only the node's interval, from pointer._interval_rows, and
-reads q > 0 as the shifted interval lying above the central one.
+A reading q is drawn from phi^2, displaced by +1 with probability
+tr(pi+ rho) and by -1 otherwise; the state collapses through
+K_q = phi(q-1) pi+ + phi(q+1) pi- and the outcome is the sign of q.
+A stage must be a pointer.RowStrength, whose pointer scales one profile
+by e_n on every interval (2n-1, 2n+1]; any other strength, a pointer
+grid among them, is refused before a trial is drawn.  A reading lies in
+row n with probability e_n^2 / sum(e^2), and a +-1 shift moves it one
+row, so phi(q-1) and phi(q+1) are two adjacent rows' factors times a
+profile value the normalized collapse cancels: a stage draws only the
+row and reads q > 0 as the shifted row lying above the central one.
 
 run_chain carries each trial's state as a real Bloch vector r, held
 component-first as a (3, count) array so every step runs over the
@@ -62,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .bell import BellChainConfig, BobStage, _stage_maps, pauli_coefficients, propagate
+from .bell import BellChainConfig, _stage_maps, pauli_coefficients, propagate
 from .channel import bloch_dot, collapse_bloch, strength_pair
-from .pointer import PointerState, _interval_rows
+from .pointer import RowStrength
 
 # trials drawn, collapsed and tallied together; a chunk's arrays take a
 # few MB, so a run's memory does not grow with its trial count
@@ -151,12 +151,17 @@ def _alice_steering(cfg: BellChainConfig) -> tuple[np.ndarray, np.ndarray]:
     return weight[:, 0] / 2.0, np.ascontiguousarray(np.moveaxis(steered, -1, 0))
 
 
-def _stage_pointer(stage: BobStage) -> PointerState:
-    if not isinstance(stage.strength, PointerState):
+def _stage_rows(strength) -> tuple[np.ndarray, np.ndarray]:
+    """(CDF of the row masses e_n^2, 1.0 from the last non-zero one on; e_n padded with a zero row each end)."""
+    if not isinstance(strength, RowStrength):
         raise InvalidParameterError(
-            "Monte Carlo stages need pointer-backed strengths (readings require a wavefunction)"
+            f"Monte Carlo stages need a pointer's interval rows (a RowStrength), got {type(strength).__name__}"
         )
-    return stage.strength
+    masses = strength.envelope * strength.envelope
+    cdf = np.cumsum(masses)
+    cdf /= float(np.sum(masses))
+    cdf[np.flatnonzero(masses)[-1] :] = 1.0
+    return cdf, np.pad(strength.envelope, 1)
 
 
 def _usable_cpus() -> int:
@@ -198,13 +203,12 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
     """run_chain in chunks of chunk_trials on min(cpus, chunks) threads."""
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    # every stage is cut into interval rows before any thread starts; an
-    # amplitude row of zeros on each end stands for phi beyond the grid
+    # every stage's rows are read before any thread starts
     stages = []
     for stage in cfg.stages:
-        row_cdf, amplitudes, centre = _interval_rows(_stage_pointer(stage))
+        row_cdf, amplitudes = _stage_rows(stage.strength)
         directions = np.array([stage.dir0.vector, stage.dir1.vector]).T  # (3, y)
-        stages.append((stage.bias, directions, row_cdf, np.pad(amplitudes, 1), centre))
+        stages.append((stage.bias, directions, row_cdf, amplitudes, row_cdf.size // 2))
     p_plus_by_x, steered = _alice_steering(cfg)
 
     def chunk_table(start: int) -> np.ndarray:
@@ -225,7 +229,7 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
             directions = np.take(stage_directions, y, axis=1)  # (3, count)
             c = bloch_dot(directions, bloch)
             plus = draw(3 + 3 * k) < (1.0 + c) / 2.0  # branch +1 with probability tr(pi+ rho)
-            # the sampled node's row, one row on for the +1 branch: then
+            # the sampled reading's row, one row on for the +1 branch: then
             # amplitudes[row] and amplitudes[row + 1] are phi(q-1) and phi(q+1)
             # up to the central profile's factor, and q > 0 exactly when row > centre
             row = np.searchsorted(row_cdf, draw(4 + 3 * k), side="right")
@@ -311,9 +315,9 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
 
     One propagate call takes the Pauli coefficients of the initial state
     through the conditional stage maps over the whole (y_k, b_k) branch
-    grid; strengths come from the stages (pointer-backed stages are
-    measured by quadrature).  Alice's strong outcome a along u_x then
-    has weight (R'_00 + a u_x.R'_{1:,0}) / 2 on each branch state R'.
+    grid; strengths come from the stages.  Alice's strong outcome a
+    along u_x then has weight (R'_00 + a u_x.R'_{1:,0}) / 2 on each
+    branch state R', with u_x.R'_{1:,0} summed x, y, z in that order.
     Shares no sampling code with run_chain, so it serves as the
     chi-square reference.
     """
@@ -326,7 +330,8 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
         maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
     branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]  # (y1, b1, .., yn, bn, 4, 4)
     u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
-    alice = np.einsum("xi,...i->x...", u, branches[..., 1:, 0])  # (x, y1, b1, .., yn, bn)
+    columns = np.moveaxis(branches[..., 1:, 0], -1, 0)[:, None]  # (3, 1, y1, b1, .., yn, bn)
+    alice = bloch_dot(u.T.reshape((3, 2) + (1,) * (2 * n_stages)), columns)  # (x, y1, b1, .., yn, bn)
     a_sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (2 * n_stages))
     weight = branches[..., 0, 0] + a_sign * alice[:, None]  # (x, a, y1, b1, .., yn, bn)
     # to (x, y1, .., yn, a, b1, .., bn)

@@ -30,17 +30,17 @@ the reshaped sample array is one interval.  The worst pointer zeroes
 rows of that array.  A grid is fixed by its even node count and its
 spacing h, so the nodes inside (-1, 1) are the central 2/h and the
 precision sums that slice.  No grid may have more than
-MAX_POINTER_NODES nodes; builders check the count before they allocate.
+MAX_POINTER_NODES nodes; builders check the count before they allocate
+and refuse with a NodeCapError that names their parameter.
 
 A unit shift of the +1/-1 copies is one whole row, so a frontier
 pointer's F and G are closed forms in its rows: with central mass
 c = h sum(central^2) and envelope e_n, N = c sum(e_n^2),
-G = e_0^2 c / N and F = c sum(e_n e_{n+1}) / N.  The trade-off curves
-and the optimal double scan read them so and build no grid; only a
-pointer dump or a Monte Carlo stage materialises one.  The rows make
-the checks the grid would (node cap, norm, symmetry, [0, 1]).  A Monte
-Carlo stage reads its built grid back as rows (_interval_rows), each
-checked to be the central one times a factor, so the layout stays here.
+G = e_0^2 c / N and F = c sum(e_n e_{n+1}) / N.  The rows make the
+checks the grid would (node cap, norm, symmetry, [0, 1]).  The
+trade-off curves, the optimal double scan and Monte Carlo read them as
+a RowStrength (F, G and the envelope) and build no grid; only a pointer
+dump materialises one.  The strong stage is the one-row STRONG_ROWS.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -61,11 +61,11 @@ text behind a minus sign) and each distinct amplitude once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidStateError, PhysicalityError
+from .errors import InvalidParameterError, InvalidStateError, NodeCapError, PhysicalityError
 
 DEFAULT_GRID_SPACING = 1.0 / 512
 # largest grid a builder allocates: 128 MB of float64 samples per array
@@ -76,8 +76,6 @@ ENVELOPE_CUTOFF = 1e-14
 _NORM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
 _CIRCLE_TOL = 1e-9
-_PROFILE_TOL = 1e-9
-_ROW_BLOCK_NODES = 2**16  # grid nodes _interval_rows checks at a time
 
 
 def _cells_per_unit(grid_spacing: float) -> int:
@@ -92,12 +90,12 @@ def _cells_per_unit(grid_spacing: float) -> int:
     return cells
 
 
-def _check_node_count(nodes: int) -> None:
-    """Refuse a grid of more than MAX_POINTER_NODES nodes before it is allocated."""
+def _check_node_count(nodes: int, name: str, value: float) -> None:
+    """Refuse a grid of more than MAX_POINTER_NODES nodes before it is allocated, naming the parameter."""
     if nodes > MAX_POINTER_NODES:
-        raise InvalidParameterError(
-            f"a pointer grid of at least {nodes} nodes exceeds the cap of {MAX_POINTER_NODES}; "
-            "use a coarser spacing or a parameter nearer the strong limit"
+        raise NodeCapError(
+            f"{name} {value!r} needs a pointer grid of at least {nodes} nodes, over the cap of "
+            f"{MAX_POINTER_NODES}; use a {name} nearer the strong limit"
         )
 
 
@@ -242,6 +240,28 @@ class MeasurementStrength:
         return cls(math.sqrt(max(0.0, (1.0 - precision) * (1.0 + precision))), precision)
 
 
+@dataclass(frozen=True)
+class RowStrength(MeasurementStrength):
+    """The strength of a pointer that scales one profile on every interval, with the scale factors.
+
+    The pointer is a central profile on (-1, 1] copied to each interval
+    (2n-1, 2n+1], n = i - N, with amplitude factor envelope[i] (2N+1
+    factors, held read-only); F and G are the pointer's own.
+    """
+
+    envelope: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        envelope = np.array(self.envelope, dtype=float)
+        envelope.flags.writeable = False
+        object.__setattr__(self, "envelope", envelope)
+
+
+# a strong (projective) measurement: the flat pointer on (-1, 1], one row
+STRONG_ROWS = RowStrength(0.0, 1.0, np.ones(1))
+
+
 def _normalized_state(samples: np.ndarray, grid_spacing: float) -> PointerState:
     """Normalize a builder's own fresh samples in place and freeze them into a state."""
     norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
@@ -267,7 +287,7 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
             f"grid spacing {grid_spacing} too coarse for half width {half_width} (need <= width/50)"
         )
     radius_cells = _radius_cells(half_width, grid_spacing) + cells
-    _check_node_count(2 * radius_cells)
+    _check_node_count(2 * radius_cells, "square half width", half_width)
     inside = _nodes_below(half_width, radius_cells, grid_spacing)
     samples = np.zeros(2 * radius_cells)
     samples[radius_cells - inside : radius_cells + inside] = 1.0
@@ -285,7 +305,7 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
         raise InvalidParameterError(f"width must be positive, got {width}")
     _cells_per_unit(grid_spacing)
     radius_cells = _radius_cells(8.0 * width, grid_spacing)
-    _check_node_count(2 * radius_cells)
+    _check_node_count(2 * radius_cells, "gaussian width", width)
     spread = 4.0 * width * width
     nearest = 0.5 * grid_spacing
     _check_resolved("gaussian width", width, nearest * nearest, spread, grid_spacing)
@@ -302,7 +322,7 @@ def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
         raise InvalidParameterError(f"scale must be positive, got {scale}")
     _cells_per_unit(grid_spacing)
     radius_cells = _radius_cells(max(40.0 * scale, 2.0), grid_spacing)
-    _check_node_count(2 * radius_cells)
+    _check_node_count(2 * radius_cells, "exponential scale", scale)
     _check_resolved("exponential scale", scale, 0.5 * grid_spacing, 2.0 * scale, grid_spacing)
     samples, upper = _upper_positions(radius_cells, grid_spacing)
     upper /= -(2.0 * scale)
@@ -322,7 +342,7 @@ def _envelope_intervals(target_precision: float, cells: int) -> int:
     log_ratio = math.log(ratio)  # 0.0 once G is below half an ulp of 1
     span = math.log(ENVELOPE_CUTOFF) / log_ratio if log_ratio < 0.0 else math.inf
     n_intervals = max(1, math.ceil(min(MAX_POINTER_NODES, span)))
-    _check_node_count(2 * (2 * n_intervals + 1) * cells)
+    _check_node_count(2 * (2 * n_intervals + 1) * cells, "target precision", target_precision)
     return n_intervals
 
 
@@ -441,8 +461,8 @@ def _rows_strength(central: np.ndarray, envelope: np.ndarray, grid_spacing: floa
 
 def _frontier_strength(
     target_precision: float, *, worst: bool = False, grid_spacing: float = DEFAULT_GRID_SPACING
-) -> tuple[float, float]:
-    """(F, G) of make_optimal(target) (flat profile), or of make_worst(target), from its rows.
+) -> RowStrength:
+    """The rows of make_optimal(target) (flat profile), or of make_worst(target), with their (F, G).
 
     Refuses exactly the inputs the builder refuses, the node cap included.
     """
@@ -450,54 +470,7 @@ def _frontier_strength(
     central, envelope = _frontier_rows(central, target_precision, grid_spacing)
     if worst:
         envelope[_odd_rows(envelope.size)] = 0.0
-    return _rows_strength(central, envelope, grid_spacing)
-
-
-def _interval_rows(state: PointerState) -> tuple[np.ndarray, np.ndarray, int]:
-    """(CDF of the row masses, amplitude R[s] of each row R, index of the central row C).
-
-    The grid, zero-padded to an odd number of units, is cut into rows of
-    2/h nodes, the intervals (2n-1, 2n+1].  With s the largest node of C,
-    each row must have |R[j] C[s] - R[s] C[j]| <= 1e-9 |C[s]| at every j:
-    each node within 1e-9 of R[s] / C[s] times the central one.  Rows are
-    checked _ROW_BLOCK_NODES nodes at a time, so no temporary is the size
-    of the grid.  The CDF is 1.0 from the last row of non-zero mass on.
-    """
-    samples = state.samples
-    row_nodes = 2 * _cells_per_unit(state.grid_spacing)
-    units = -(-samples.size // row_nodes)
-    units += 1 - units % 2  # odd, so the central row is (-1, 1]
-    pad = (units * row_nodes - samples.size) // 2
-    centre = units // 2
-
-    def rows(first: int, stop: int) -> np.ndarray:  # rows first .. stop-1, zero-padded, as a fresh array
-        lo, hi = first * row_nodes - pad, stop * row_nodes - pad
-        part = samples[max(lo, 0) : max(hi, 0)]
-        return np.pad(part, (max(-lo, 0), hi - max(lo, 0) - part.size)).reshape(-1, row_nodes)
-
-    central = rows(centre, centre + 1)[0]
-    pivot = int(np.argmax(np.abs(central)))
-    peak = float(central[pivot])
-    masses = np.empty(units)
-    amplitudes = np.empty(units)
-    step = max(1, _ROW_BLOCK_NODES // row_nodes)
-    for first in range(0, units, step):
-        stop = min(first + step, units)
-        block = rows(first, stop)
-        column = block[:, pivot]
-        cross = block * peak
-        cross -= np.multiply.outer(column, central)
-        if peak == 0.0 or not float(np.max(np.abs(cross, out=cross))) <= _PROFILE_TOL * abs(peak):
-            raise InvalidParameterError(
-                "a Monte Carlo pointer must be one profile, non-zero on (-1, 1], scaled on every interval "
-                "(2n-1, 2n+1]: a frontier pointer or a square of odd-integer half width"
-            )
-        amplitudes[first:stop] = column
-        masses[first:stop] = np.einsum("ij,ij->i", block, block)
-    cdf = np.cumsum(masses)
-    cdf /= float(np.sum(masses))
-    cdf[np.flatnonzero(masses)[-1] :] = 1.0
-    return cdf, amplitudes, centre
+    return RowStrength(*_rows_strength(central, envelope, grid_spacing), envelope)
 
 
 def quality_factor(state: PointerState) -> float:
@@ -561,7 +534,8 @@ def tradeoff_curve(
     rows = []
     for value in parameters:
         if family in ("optimal", "worst"):
-            fq, gp = _frontier_strength(value, worst=family == "worst", grid_spacing=grid_spacing)
+            strength = _frontier_strength(value, worst=family == "worst", grid_spacing=grid_spacing)
+            fq, gp = strength.quality_factor, strength.precision
         else:
             state = _FAMILY_BUILDERS[family](value, grid_spacing=grid_spacing)
             fq, gp = quality_factor(state), precision(state)

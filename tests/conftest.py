@@ -32,7 +32,6 @@ from weakbell.montecarlo import (
     _config_digest,
     _outcome_table,
     _reports,
-    _stage_pointer,
 )
 
 
@@ -406,8 +405,7 @@ def oracle_analytic_joint(cfg) -> dict:
         stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))
         maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
     branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]
-    u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
-    alice = np.einsum("xi,...i->x...", u, branches[..., 1:, 0])
+    u = [cfg.alice_dir0.vector.tolist(), cfg.alice_dir1.vector.tolist()]
     out = {}
     for x in (0, 1):
         for ys in itertools.product((0, 1), repeat=n_stages):
@@ -417,8 +415,11 @@ def oracle_analytic_joint(cfg) -> dict:
             for a_val in (1, -1):
                 for bs in itertools.product((1, -1), repeat=n_stages):
                     branch = tuple(i for y, b in zip(ys, bs) for i in (y, (1 - b) // 2))
-                    weight = branches[branch][0, 0] + a_val * alice[(x, *branch)]
-                    out[(x, *ys, a_val, *bs)] = p_inputs * float(weight) / 2.0
+                    r = branches[branch][:, 0].tolist()
+                    # u_x.R'_{1:,0} in Python floats, summed x, y, z in that order
+                    alice = u[x][0] * r[1] + u[x][1] * r[2] + u[x][2] * r[3]
+                    weight = r[0] + a_val * alice
+                    out[(x, *ys, a_val, *bs)] = p_inputs * weight / 2.0
     return out
 
 
@@ -430,13 +431,16 @@ def oracle_reading_cdf(pointer: PointerState) -> np.ndarray:
     return cdf
 
 
-def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
+def oracle_run_chain(cfg, grids, trials: int, seed: int) -> EmpiricalReport:
     """run_chain as one whole-run pass over grid nodes, not interval rows.
 
-    Every block is drawn in stream order from one generator; each reading
-    is a node drawn by inverse CDF over the whole grid, displaced by +-1.
+    grids holds one pointer grid per stage, the twin of the stage's row
+    strength: a grid whose intervals (2n-1, 2n+1] scale one profile, any
+    profile, by the stage's envelope.  Every block is drawn in stream
+    order from one generator; each reading is a node drawn by inverse CDF
+    over the whole grid, displaced by +-1.
     """
-    pointers = [_stage_pointer(stage) for stage in cfg.stages]
+    assert len(grids) == len(cfg.stages)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     x_bits = (rng.random(trials) < 0.5).astype(np.int8)
@@ -448,7 +452,7 @@ def oracle_run_chain(cfg, trials: int, seed: int) -> EmpiricalReport:
 
     stage_inputs = []
     stage_outcomes = []
-    for stage, pointer in zip(cfg.stages, pointers):
+    for stage, pointer in zip(cfg.stages, grids):
         y = (rng.random(trials) < stage.bias).astype(np.int8)
         branch_uniform = rng.random(trials)
         position_uniform = rng.random(trials)

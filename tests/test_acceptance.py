@@ -48,6 +48,7 @@ from weakbell import (
     unbiased_triple_scan,
 )
 from weakbell.bell import TripleGeometry, protocol_alice, protocol_bob
+from weakbell.pointer import STRONG_ROWS, _frontier_strength
 
 SQ2 = math.sqrt(2.0)
 OUTCOMES = [(a, b1, b2) for a in (1, -1) for b1 in (1, -1) for b2 in (1, -1)]
@@ -276,20 +277,19 @@ def test_c11_monte_carlo_concordance():
     with Budget(60.0) as budget:
         alice = tsirelson_alice()
         bob = tsirelson_bob()
-        weak = make_optimal(0.8)
+        weak = _frontier_strength(0.8)
         cfg = BellChainConfig(
             alice[0],
             alice[1],
             stages=(
                 BobStage(bob[0], bob[1], weak, bias=0.5),
-                BobStage(bob[0], bob[1], make_square(1.0), bias=0.5),
+                BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.5),
             ),
         )
         report_mc = run_chain(cfg, 1_000_000, seed=20240817)
-        strength = strength_of(weak)
         expected = (
-            2.0 * SQ2 * strength.precision,
-            SQ2 * (1.0 + strength.quality_factor),
+            2.0 * SQ2 * weak.precision,
+            SQ2 * (1.0 + weak.quality_factor),
         )
         zs = []
         for bob_report, target in zip(report_mc.per_bob, expected):

@@ -17,7 +17,7 @@ from weakbell.cli import (
     parse_range,
 )
 from weakbell.errors import InvalidParameterError
-from weakbell.pointer import DEFAULT_GRID_SPACING
+from weakbell.pointer import DEFAULT_GRID_SPACING, STRONG_ROWS, RowStrength
 
 
 def run_cli(*argv):
@@ -186,7 +186,8 @@ def test_montecarlo_rejects_unknown_scenario(tmp_path):
 
 
 def test_montecarlo_checks_the_scenario_before_building_a_pointer(tmp_path, capsys):
-    # at G = 0.002 the weak pointer alone has 16.5 M nodes (132 MB)
+    # a refused scenario builds no stage: at G = 0.002 the weak stage's rows
+    # are 16,121 envelope factors (its grid would be 16.5 M nodes, 132 MB)
     out = tmp_path / "mc.json"
     tracemalloc.start()
     try:
@@ -198,6 +199,19 @@ def test_montecarlo_checks_the_scenario_before_building_a_pointer(tmp_path, caps
     assert "unknown scenario 'nonsense' (choose single or double)" in capsys.readouterr().err
     assert peak < 1_000_000
     assert not out.exists()
+
+
+def test_montecarlo_config_builds_no_pointer_grid():
+    # the weak G = 0.002 stage is its interval rows; its grid would take 132 MB
+    tracemalloc.start()
+    try:
+        cfg = _montecarlo_config("double", 0.002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [type(stage.strength) for stage in cfg.stages] == [RowStrength, RowStrength]
+    assert cfg.stages[1].strength is STRONG_ROWS
 
 
 @pytest.mark.parametrize("trials", ["1.5", "nan", "inf"])
@@ -343,6 +357,29 @@ def test_pointer_grid_past_the_cap_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "p.csv"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("montecarlo", "--scenario", "double", "--g", "0.001"),
+        ("double", "--family", "optimal", "--g", "0.001"),
+        ("tradeoff", "--family", "optimal", "--g", "0.001"),
+        ("pointer-dump", "--family", "optimal", "--g", "0.001"),
+    ],
+)
+def test_precision_below_the_cap_names_the_target_and_only_a_flag_the_command_takes(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: target precision 0.001 needs a pointer grid of at least 33012736 nodes, over the cap of 16777216; "
+        "use a target precision nearer the strong limit"
+    )
+    # only tradeoff and pointer-dump take --spacing
+    assert ("spacing" in err) == (argv[0] in ("tradeoff", "pointer-dump"))
+    assert ("spacing" in err) == err.endswith(", or a coarser --spacing\n")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     kraus_at_reading,
+    oracle_analytic_joint,
     oracle_bob_reports,
     oracle_count_outcomes,
     oracle_reading_cdf,
@@ -17,6 +18,7 @@ from conftest import (
     projectors,
     random_density,
     random_direction,
+    random_strength,
     weak_conditional,
 )
 
@@ -39,10 +41,10 @@ from weakbell import (
     tsirelson_bob,
 )
 from weakbell import montecarlo
-from weakbell.bell import TripleGeometry
+from weakbell.bell import TripleGeometry, propagate
 from weakbell.channel import DIR_X, DIR_Z, collapse_bloch
-from weakbell.montecarlo import CHUNK_TRIALS, _outcome_table, _reports, _run_chain, _uniforms
-from weakbell.pointer import _interval_rows
+from weakbell.montecarlo import CHUNK_TRIALS, _outcome_table, _reports, _run_chain, _stage_rows, _uniforms
+from weakbell.pointer import STRONG_ROWS, RowStrength, _frontier_strength
 
 
 def double_config(target_precision=0.8):
@@ -52,8 +54,8 @@ def double_config(target_precision=0.8):
         alice[0],
         alice[1],
         stages=(
-            BobStage(bob[0], bob[1], make_optimal(target_precision), bias=0.5),
-            BobStage(bob[0], bob[1], make_square(1.0), bias=0.5),
+            BobStage(bob[0], bob[1], _frontier_strength(target_precision), bias=0.5),
+            BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.5),
         ),
     )
 
@@ -151,10 +153,11 @@ def test_run_chain_is_deterministic():
 def test_records_digitize_readings_by_sign():
     cfg = double_config()
     report = run_chain(cfg, 500, seed=5)
-    # readings are pointer nodes displaced by +/-1: none is 0, so sign(q) is never tied
-    for stage in cfg.stages:
+    # the stages' grid twins: readings are their nodes displaced by +/-1, so none
+    # is 0 and sign(q) is never tied; run_chain reads the sign from the row
+    for grid in (make_optimal(0.8), make_square(1.0)):
         for shift in (1.0, -1.0):
-            assert np.all(stage.strength.positions + shift != 0.0)
+            assert np.all(grid.positions + shift != 0.0)
     # every trial is digitized to one outcome +/-1 per Bob
     assert sum(report.outcome_counts.values()) == 500
     for key in report.outcome_counts:
@@ -163,9 +166,7 @@ def test_records_digitize_readings_by_sign():
 
 def test_run_chain_strong_aligned_bob_anticorrelates_exactly():
     # a strong Bob measuring along Alice's own directions sees b = -a on the singlet
-    cfg = BellChainConfig(
-        DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, make_square(1.0), bias=0.5),)
-    )
+    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG_ROWS, bias=0.5),))
     bob = run_chain(cfg, 20_000, seed=6).per_bob[0]
     assert bob.correlations[(0, 0)] == -1.0
     assert bob.correlations[(1, 1)] == -1.0
@@ -184,7 +185,7 @@ def test_run_chain_single_strong_bob_hits_tsirelson():
     alice = tsirelson_alice()
     bob = tsirelson_bob()
     cfg = BellChainConfig(
-        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], make_square(1.0), bias=0.5),)
+        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.5),)
     )
     report = run_chain(cfg, 200_000, seed=11)
     assert abs(report.per_bob[0].chsh - 2.0 * math.sqrt(2.0)) < 4.0 * report.per_bob[0].chsh_stderr
@@ -194,7 +195,7 @@ def test_run_chain_flags_missing_input_combinations():
     alice = tsirelson_alice()
     bob = tsirelson_bob()
     cfg = BellChainConfig(
-        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], make_square(1.0), bias=0.0),)
+        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.0),)
     )
     report = run_chain(cfg, 200, seed=3)
     assert report.per_bob[0].insufficient
@@ -232,36 +233,43 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
     assert list(outcome_counts.items()) == list(oracle_counts.items())
 
 
+def flat_three_rows() -> RowStrength:
+    """The rows of a flat pointer on (-3, 3): three equal rows, F = 2/3 and G = 1/3."""
+    return RowStrength(2.0 / 3.0, 1.0 / 3.0, np.ones(3))
+
+
 @functools.cache
-def row_pointers() -> dict:
-    """Pointers whose grids are one profile scaled on every interval row."""
+def row_stages() -> dict:
+    """Row strengths as run_chain reads them, each with a grid twin for the node oracle.
+
+    Each twin's intervals (2n-1, 2n+1] scale one profile by the strength's
+    envelope; the bump grid's profile differs from the flat one its rows
+    were computed with, which must not matter.
+    """
     return {
-        "optimal-0.8": make_optimal(0.8),
-        "optimal-0.05": make_optimal(0.05),
-        "bump-0.6": make_optimal(0.6, "smooth_bump"),
-        "worst-0.5": make_worst(0.5),
-        "square-1": make_square(1.0),
-        "square-3": make_square(3.0),
+        "optimal-0.8": (_frontier_strength(0.8), make_optimal(0.8)),
+        "optimal-0.05": (_frontier_strength(0.05), make_optimal(0.05)),
+        "bump-0.6": (_frontier_strength(0.6), make_optimal(0.6, "smooth_bump")),
+        "worst-0.5": (_frontier_strength(0.5, worst=True), make_worst(0.5)),
+        "square-1": (STRONG_ROWS, make_square(1.0)),
+        "square-3": (flat_three_rows(), make_square(3.0)),
     }
 
 
-def chain_config(n_stages: int, later: tuple = ()) -> BellChainConfig:
-    # a weak optimal Bob first, then the later pointers (strong square ones
-    # by default); the last Bob biased
+def chain_config(n_stages: int, later: tuple = ()) -> tuple[BellChainConfig, list]:
+    """A chain of a weak optimal Bob, then the later (rows, grid) pairs (strong
+    ones by default), the last Bob biased; and the stages' grid twins."""
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    strengths = [make_optimal(0.8), *(later or (make_square(1.0),) * 2)][:n_stages]
+    pairs = [row_stages()["optimal-0.8"], *(later or (row_stages()["square-1"],) * 2)][:n_stages]
     biases = [0.5] * (n_stages - 1) + [0.3]
-    return BellChainConfig(
-        alice[0],
-        alice[1],
-        stages=tuple(BobStage(bob[0], bob[1], s, bias=b) for s, b in zip(strengths, biases)),
-    )
+    stages = tuple(BobStage(bob[0], bob[1], rows, bias=b) for (rows, _), b in zip(pairs, biases))
+    return BellChainConfig(alice[0], alice[1], stages=stages), [grid for _, grid in pairs]
 
 
-def assert_matches_the_whole_run(cfg, trials: int, seed: int, chunk: int) -> None:
+def assert_matches_the_whole_run(cfg, grids, trials: int, seed: int, chunk: int) -> None:
     # the report must not depend on the chunk size or the number of threads
-    oracle = oracle_run_chain(cfg, trials, seed)
+    oracle = oracle_run_chain(cfg, grids, trials, seed)
     for workers in (1, 2):
         report = _run_chain(cfg, trials, seed, chunk, workers)
         assert report.to_dict() == oracle.to_dict()
@@ -274,7 +282,7 @@ def assert_matches_the_whole_run(cfg, trials: int, seed: int, chunk: int) -> Non
 @pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
 def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
     trials = whole_chunks * chunk + extra
-    assert_matches_the_whole_run(chain_config(n_stages), trials, 20240817 + trials, chunk)
+    assert_matches_the_whole_run(*chain_config(n_stages), trials, 20240817 + trials, chunk)
 
 
 @pytest.mark.parametrize("n_stages", [2, 3])
@@ -283,56 +291,63 @@ def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, 
 def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
     # a worst-case pointer (every other interval row zeroed, so its row CDF has
     # flat runs), then a G = 0.05 frontier pointer (662,528 nodes in 647 rows)
-    cfg = chain_config(n_stages, (row_pointers()["worst-0.5"], row_pointers()["optimal-0.05"]))
+    cfg, grids = chain_config(n_stages, (row_stages()["worst-0.5"], row_stages()["optimal-0.05"]))
     trials = whole_chunks * chunk + extra
-    assert_matches_the_whole_run(cfg, trials, 1302 + trials, chunk)
+    assert_matches_the_whole_run(cfg, grids, trials, 1302 + trials, chunk)
 
 
 def test_run_chain_reads_zero_beyond_both_grid_edges():
     # flat pointers filling their grids, (-3, 3) (three whole interval rows) and
-    # the four nodes nearest 0 (inside the central interval): every reading
-    # displaced outwards looks up phi up to two units past an edge
+    # the four nodes nearest 0 (inside the central interval), read as rows and
+    # as grids: every reading displaced outwards looks up phi up to two units
+    # past an edge
     cells = 64
-    edge_to_edge = PointerState(np.full(6 * cells, 1.0 / math.sqrt(6.0)), 1.0 / cells)
-    inside = PointerState(np.full(4, 4.0), 1.0 / cells)
+    pairs = (
+        (flat_three_rows(), PointerState(np.full(6 * cells, 1.0 / math.sqrt(6.0)), 1.0 / cells)),
+        (STRONG_ROWS, PointerState(np.full(4, 4.0), 1.0 / cells)),
+    )
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    for pointer in (edge_to_edge, inside):
+    for rows, grid in pairs:
         for n_stages in (1, 2):
-            stages = tuple(BobStage(bob[0], bob[1], pointer) for _ in range(n_stages))
-            assert_matches_the_whole_run(BellChainConfig(alice[0], alice[1], stages=stages), 5_000, 11, 1_000)
+            stages = tuple(BobStage(bob[0], bob[1], rows) for _ in range(n_stages))
+            cfg = BellChainConfig(alice[0], alice[1], stages=stages)
+            assert_matches_the_whole_run(cfg, [grid] * n_stages, 5_000, 11, 1_000)
 
 
-def oracle_rows(pointer: PointerState) -> np.ndarray:
-    """Row n + centre of every node, the one whose interval (2n-1, 2n+1] holds it."""
-    _, _, centre = _interval_rows(pointer)
-    return np.rint(pointer.positions / 2.0).astype(np.intp) + centre
+def oracle_rows(grid: PointerState, rows: RowStrength) -> np.ndarray:
+    """Row n + N of every node of the grid, the one whose interval (2n-1, 2n+1] holds it."""
+    return np.rint(grid.positions / 2.0).astype(np.intp) + rows.envelope.size // 2
 
 
-@pytest.mark.parametrize("name", list(row_pointers()))
+@pytest.mark.parametrize("name", list(row_stages()))
 def test_row_masses_are_the_node_masses_of_each_row(name):
-    pointer = row_pointers()[name]
-    row_cdf, _, centre = _interval_rows(pointer)
-    assert row_cdf.size % 2 == 1 and centre == row_cdf.size // 2
-    rows = oracle_rows(pointer)
-    masses = pointer.samples**2
-    oracle_pmf = np.bincount(rows, weights=masses, minlength=row_cdf.size) / np.sum(masses)
+    rows, grid = row_stages()[name]
+    row_cdf, amplitudes = _stage_rows(rows)
+    assert row_cdf.size % 2 == 1
+    np.testing.assert_array_equal(amplitudes, np.pad(rows.envelope, 1))
+    node_rows = oracle_rows(grid, rows)
+    masses = grid.samples**2
+    held = masses > 0.0
+    # the grid's mass lies in the strength's rows
+    assert 0 <= node_rows[held].min() and node_rows[held].max() < row_cdf.size
+    oracle_pmf = np.bincount(node_rows[held], weights=masses[held], minlength=row_cdf.size) / np.sum(masses)
     assert oracle_pmf.size == row_cdf.size
     np.testing.assert_allclose(np.diff(row_cdf, prepend=0.0), oracle_pmf, rtol=0.0, atol=1e-12)
     assert row_cdf[-1] == 1.0
     # the node CDF at each row's last node: a reading can fall in another row
     # than its node only for a uniform between the two, a gap of at most 1.2e-12
     # (G = 0.05, where the node cumsum rounds over 662,528 nodes)
-    last_nodes = np.searchsorted(rows, np.arange(row_cdf.size), side="right") - 1
-    node_cdf = np.concatenate([[0.0], oracle_reading_cdf(pointer)])[last_nodes + 1]
+    last_nodes = np.searchsorted(node_rows, np.arange(row_cdf.size), side="right") - 1
+    node_cdf = np.concatenate([[0.0], oracle_reading_cdf(grid)])[last_nodes + 1]
     np.testing.assert_allclose(row_cdf, node_cdf, rtol=0.0, atol=2e-12)
 
 
-@pytest.mark.parametrize("name", list(row_pointers()))
+@pytest.mark.parametrize("name", list(row_stages()))
 def test_row_readings_match_node_readings_trial_by_trial(name):
     # one stage on the same uniforms, read once by row as run_chain reads it
-    # and once by node as the whole-run oracle does
-    pointer = row_pointers()[name]
+    # and once by node of the grid twin as the whole-run oracle does
+    rows, grid = row_stages()[name]
     rng = np.random.default_rng(31)
     trials = 100_000
     bloch = rng.normal(size=(3, trials))
@@ -343,20 +358,19 @@ def test_row_readings_match_node_readings_trial_by_trial(name):
     plus = rng.random(trials) < (1.0 + c) / 2.0
     u = rng.random(trials)
 
-    row_cdf, amplitudes, centre = _interval_rows(pointer)
-    amplitudes = np.pad(amplitudes, 1)
+    row_cdf, amplitudes = _stage_rows(rows)
     row = np.searchsorted(row_cdf, u, side="right")
     by_row = collapse_bloch(bloch, directions, amplitudes[row + plus], amplitudes[row + plus + 1], c)
 
-    node = np.searchsorted(oracle_reading_cdf(pointer), u, side="right")
-    shift = 2 * round(1.0 / pointer.grid_spacing)
-    padded = np.pad(pointer.samples, 2 * shift)
+    node = np.searchsorted(oracle_reading_cdf(grid), u, side="right")
+    shift = 2 * round(1.0 / grid.grid_spacing)
+    padded = np.pad(grid.samples, 2 * shift)
     lower = node + shift * (1 + plus)  # the padded index of q - 1
     by_node = collapse_bloch(bloch, directions, padded[lower], padded[lower + shift], c)
-    readings = pointer.positions[node] + np.where(plus, 1.0, -1.0)
+    readings = grid.positions[node] + np.where(plus, 1.0, -1.0)
 
-    np.testing.assert_array_equal(row, oracle_rows(pointer)[node])
-    np.testing.assert_array_equal(row + plus > centre, readings > 0.0)
+    np.testing.assert_array_equal(row, oracle_rows(grid, rows)[node])
+    np.testing.assert_array_equal(row + plus > row_cdf.size // 2, readings > 0.0)
     np.testing.assert_allclose(by_row, by_node, rtol=0.0, atol=1e-15)
 
 
@@ -371,7 +385,8 @@ def test_block_addressing_matches_one_sequential_stream(trials, block, start, co
 
 
 def test_run_chain_requires_pointer_backed_stages(monkeypatch):
-    # a stage whose intervals do not scale one profile is refused before any uniform is drawn
+    # a stage that is not a pointer's interval rows, a pointer grid among them,
+    # is refused before any uniform is drawn
     def no_draws(*args):
         raise AssertionError("a uniform was drawn")
 
@@ -380,6 +395,9 @@ def test_run_chain_requires_pointer_backed_stages(monkeypatch):
     bob = tsirelson_bob()
     refused = (
         MeasurementStrength(0.6, 0.8),
+        make_optimal(0.8),
+        make_worst(0.5),
+        make_square(1.0),
         make_gaussian(1.0),
         make_exponential(0.5),
         make_square(1.5),
@@ -389,7 +407,10 @@ def test_run_chain_requires_pointer_backed_stages(monkeypatch):
     for strength in refused:
         for stages in (
             (BobStage(bob[0], bob[1], strength, bias=0.5),),
-            (BobStage(bob[0], bob[1], make_optimal(0.8), bias=0.5), BobStage(bob[0], bob[1], strength, bias=0.5)),
+            (
+                BobStage(bob[0], bob[1], _frontier_strength(0.8), bias=0.5),
+                BobStage(bob[0], bob[1], strength, bias=0.5),
+            ),
         ):
             with pytest.raises(InvalidParameterError):
                 run_chain(BellChainConfig(alice[0], alice[1], stages=stages), 10, seed=0)
@@ -416,6 +437,28 @@ def test_analytic_joint_normalizes_and_matches_triple_probability():
         got = joint[(x, y1, y2, a, b1, b2)]
         want = triple_probability(a, b1, b2, x, y1, y2, geometry, strength) / 8.0
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+def test_analytic_joint_sums_alice_in_the_fixed_order(monkeypatch, n_stages):
+    # Alice's u_x.R' summed x, y, z in that order, as the key-by-key oracle sums
+    # it in Python floats, whatever the memory layout of the branch states
+    # (test_properties checks the layout propagate returns): np.einsum picks
+    # its order by the layout, and on contiguous columns it moved 2, 4 and 8
+    # entries of these 1-, 2- and 3-stage joints
+    rng = np.random.default_rng(60 + n_stages)
+    stages = tuple(
+        BobStage(random_direction(rng), random_direction(rng), random_strength(rng), bias=0.3)
+        for _ in range(n_stages)
+    )
+    initial = random_density(rng, dim=4)
+    cfg = BellChainConfig(random_direction(rng), random_direction(rng), stages=stages, initial_state=initial)
+
+    def column_major(pauli, maps):
+        return [np.ascontiguousarray(np.swapaxes(s, -1, -2)).swapaxes(-1, -2) for s in propagate(pauli, maps)]
+
+    monkeypatch.setattr(montecarlo, "propagate", column_major)
+    assert list(analytic_joint(cfg).items()) == list(oracle_analytic_joint(cfg).items())
 
 
 def test_chi_square_calibration_under_the_null():

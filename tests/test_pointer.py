@@ -33,6 +33,8 @@ from weakbell import (
 )
 from weakbell import pointer
 from weakbell.bell import double_violation_curve
+from weakbell.channel import strength_pair
+from weakbell.errors import NodeCapError
 from weakbell.cli import parse_range
 from weakbell.pointer import (
     DEFAULT_GRID_SPACING,
@@ -455,7 +457,7 @@ def _rows_strength(central, target, spacing):
 
 def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
     for target in parse_range("0.005:0.995:0.005"):
-        fq, gp = pointer._frontier_strength(target)
+        fq, gp = strength_pair(pointer._frontier_strength(target))
         state = make_optimal(target)
         assert abs(fq - quality_factor(state)) <= _FRONTIER_TOL, target
         assert abs(gp - precision(state)) <= _FRONTIER_TOL, target
@@ -463,7 +465,7 @@ def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
 
 def test_frontier_rows_agree_with_the_worst_grid():
     for target in parse_range("0.1:0.9:0.1"):
-        fq, gp = pointer._frontier_strength(target, worst=True)
+        fq, gp = strength_pair(pointer._frontier_strength(target, worst=True))
         assert fq == 0.0
         assert abs(gp - precision(make_worst(target))) <= _FRONTIER_TOL, target
 
@@ -479,7 +481,7 @@ def test_frontier_rows_agree_with_the_per_node_construction(spacing, profile):
         assert abs(fq - quality_factor(oracle)) <= _FRONTIER_TOL, target
         assert abs(gp - oracle_precision(oracle)) <= _FRONTIER_TOL, target
         if profile == "flat":
-            assert pointer._frontier_strength(target, grid_spacing=spacing) == (fq, gp)
+            assert strength_pair(pointer._frontier_strength(target, grid_spacing=spacing)) == (fq, gp)
 
 
 def test_frontier_strength_builds_no_grid(monkeypatch):
@@ -506,6 +508,19 @@ def test_frontier_strength_builds_no_grid(monkeypatch):
         assert all(fq == 0.0 for _, fq, _ in rows) == (family == "worst")
 
 
+def test_row_strength_holds_a_read_only_envelope():
+    envelope = np.array([0.5, 1.0, 0.5])
+    rows = pointer.RowStrength(0.8, 0.6, envelope)
+    envelope[1] = 7.0  # the strength holds its own copy
+    assert rows.envelope.tolist() == [0.5, 1.0, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        rows.envelope[0] = 1.0
+    strong = pointer.STRONG_ROWS
+    assert (strong.quality_factor, strong.precision, strong.envelope.tolist()) == (0.0, 1.0, [1.0])
+    with pytest.raises(PhysicalityError):
+        pointer.RowStrength(0.9, 0.9, np.ones(1))
+
+
 def _refusal(call):
     with pytest.raises(Exception) as info:
         call()
@@ -523,7 +538,8 @@ def _refusal(call):
 def test_frontier_strength_refuses_what_the_builders_refuse(target):
     for worst, build in ((False, make_optimal), (True, make_worst)):
         expected = _refusal(lambda: build(target))
-        assert expected[0] is InvalidParameterError
+        # a grid past the node cap is refused by the InvalidParameterError that names the cap
+        assert expected[0] is (NodeCapError if "over the cap" in expected[1] else InvalidParameterError)
         assert _refusal(lambda: pointer._frontier_strength(target, worst=worst)) == expected
 
 
