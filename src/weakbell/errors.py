@@ -6,7 +6,11 @@ class InvalidParameterError(ValueError):
 
 
 class NodeCapError(InvalidParameterError):
-    """A pointer grid would hold more nodes than pointer.MAX_POINTER_NODES."""
+    """A pointer grid would hold more nodes than pointer.MAX_POINTER_NODES; nodes is the count it needs."""
+
+    def __init__(self, message: str, nodes: int):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 class InvalidStateError(ValueError):

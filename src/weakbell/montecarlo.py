@@ -30,7 +30,11 @@ table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
 outcome index 1 for +1.  The per-Bob reports are its marginals and
 outcome_counts its non-zero cells in index order.  analytic_joint keys
 run in index order with +1 first.  chi_square_report sums its cells in
-sorted key order, so neither order reaches its statistic.
+sorted key order, so neither order reaches its statistic, counts a cell
+of analytic mass at most ZERO_MASS as impossible, and reads its p-value
+from the closed forms of the chi-square tail at integer degrees of
+freedom (Abramowitz & Stegun 26.4.4-26.4.5): a Poisson sum for even
+dof, erfc plus a half-integer sum for odd dof.
 
 Randomness comes from a Philox counter-based generator keyed by the
 seed.  A run of T trials reads the stream as length-T blocks: block 0
@@ -69,6 +73,12 @@ from .pointer import RowStrength
 # trials drawn, collapsed and tallied together; a chunk's arrays take a
 # few MB, so a run's memory does not grow with its trial count
 CHUNK_TRIALS = 2**15
+
+# an analytic cell probability at most this is an impossible outcome: the
+# joint of an exactly impossible cell (two strong Bobs reading one direction
+# with different outcomes) is rounding noise of either sign, ~1e-17, and a
+# cell this unlikely expects 1e-6 counts in cli.MAX_TRIALS = 1e9 trials
+ZERO_MASS = 1e-15
 
 # --- reports --------------------------------------------------------------------
 
@@ -363,15 +373,41 @@ class ChiSquareReport:
         }
 
 
+def _chi_square_tail(statistic: float, dof: int) -> float:
+    """P(chi^2_dof > statistic), the regularized upper gamma Q(dof/2, statistic/2).
+
+    Closed forms for integer dof (Abramowitz & Stegun 26.4.4-26.4.5), with
+    a = statistic/2: even dof sum the Poisson terms e^-a a^j / j! for
+    j < dof/2; odd dof add erfc(sqrt(a)) to e^-a a^(j-1/2) / Gamma(j+1/2)
+    for 1 <= j <= (dof-1)/2.  Each term is formed in log space, so a large
+    statistic underflows to 0 rather than overflowing a power, and the
+    positive terms are added by math.fsum.
+    """
+    if statistic == 0.0:
+        return 1.0
+    if statistic == math.inf:
+        return 0.0
+    a = 0.5 * statistic
+    log_a = math.log(a)
+    if dof % 2 == 0:
+        terms = [math.exp(j * log_a - a - math.lgamma(j + 1.0)) for j in range(dof // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(a))]
+        terms += [math.exp((j - 0.5) * log_a - a - math.lgamma(j + 0.5)) for j in range(1, dof // 2 + 1)]
+    return math.fsum(terms)
+
+
 def chi_square_report(observed: dict, expected_probs: dict, trials: int) -> ChiSquareReport:
     """Pearson goodness of fit of observed counts against exact cell weights.
 
-    The fit passes when p > 1e-3.  Cells with zero expected mass and zero
-    observations are dropped; an observation in a zero-mass cell fails
-    outright (p = 0).  Cells are visited in sorted key order (keys must
-    be mutually comparable, as the outcome tuples are), so the report
-    depends only on the contents of the two dicts, not on their
-    insertion order or on hash randomization.
+    The fit passes when p > 1e-3, p being the chi-square tail at the
+    fit's integer dof in closed form (_chi_square_tail).  A cell whose
+    expected probability is at most ZERO_MASS is impossible: it is
+    dropped when it holds no observations, and an observation in it
+    fails the fit outright (p = 0).  Cells are visited in sorted key
+    order (keys must be mutually comparable, as the outcome tuples are),
+    so the report depends only on the contents of the two dicts, not on
+    their insertion order or on hash randomization.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
@@ -380,17 +416,15 @@ def chi_square_report(observed: dict, expected_probs: dict, trials: int) -> ChiS
     used = 0
     for key in sorted(set(observed) | set(expected_probs)):
         count = observed.get(key, 0)
-        expected = expected_probs.get(key, 0.0) * trials
-        if expected <= 0.0:
+        probability = expected_probs.get(key, 0.0)
+        if probability <= ZERO_MASS:
             if count > 0:
                 return ChiSquareReport(math.inf, max(1, used - 1), 0.0, False, dropped)
             dropped += 1
             continue
         used += 1
+        expected = probability * trials
         statistic += (count - expected) ** 2 / expected
     dof = max(1, used - 1)
-    # imported here: scipy.special alone would more than double the start-up time of every command
-    from scipy.special import gammaincc
-
-    p_value = float(gammaincc(dof / 2.0, statistic / 2.0))
+    p_value = _chi_square_tail(statistic, dof)
     return ChiSquareReport(statistic, dof, p_value, p_value > 1e-3, dropped)

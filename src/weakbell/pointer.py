@@ -90,13 +90,19 @@ def _cells_per_unit(grid_spacing: float) -> int:
     return cells
 
 
+def _node_cap_error(nodes: int, name: str, value: float) -> NodeCapError:
+    """The refusal of a grid of nodes nodes, naming the parameter value that asked for it."""
+    return NodeCapError(
+        f"{name} {value!r} needs a pointer grid of at least {nodes} nodes, over the cap of "
+        f"{MAX_POINTER_NODES}; use a {name} nearer the strong limit",
+        nodes,
+    )
+
+
 def _check_node_count(nodes: int, name: str, value: float) -> None:
     """Refuse a grid of more than MAX_POINTER_NODES nodes before it is allocated, naming the parameter."""
     if nodes > MAX_POINTER_NODES:
-        raise NodeCapError(
-            f"{name} {value!r} needs a pointer grid of at least {nodes} nodes, over the cap of "
-            f"{MAX_POINTER_NODES}; use a {name} nearer the strong limit"
-        )
+        raise _node_cap_error(nodes, name, value)
 
 
 def _radius_cells(radius: float, grid_spacing: float) -> int:

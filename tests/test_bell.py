@@ -1,8 +1,11 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     enumerate_chain_state,
@@ -40,12 +43,14 @@ from weakbell import (
 from weakbell.bell import (
     DOUBLE_CSV_HEADER,
     TripleGeometry,
+    _erfinv,
     _strength_for_target,
     double_curve_to_csv,
     protocol_alice,
     protocol_bob,
 )
 from weakbell.channel import DIR_X, DIR_Z, PAULI_XYZ
+from weakbell.cli import parse_range
 
 SQ2 = math.sqrt(2.0)
 
@@ -379,6 +384,27 @@ def test_double_curve_matches_per_cell_complex_oracle(family):
         expected = oracle_chain_chsh(alice, bob, [strength])
         assert first == pytest.approx(expected[0], abs=1e-12)
         assert second == pytest.approx(expected[1], abs=1e-12)
+
+
+def _ulps_from_erfinv(x, g):
+    root = mpmath.erfinv(mpmath.mpf(g))
+    return abs(mpmath.mpf(x) - root) / mpmath.mpf(math.ulp(float(root)))
+
+
+def test_erfinv_matches_mpmath_on_the_readme_widths_and_the_ends():
+    # the gaussian double curve's 199 README targets, the erf/erfc switch at
+    # 0.5, and both ends of (0, 1); the erf/erfc split keeps 1 - G exact
+    targets = parse_range("0.005:0.995:0.005") + [1e-300, 0.5, math.nextafter(0.5, 1.0), 1 - 1e-10, 1 - 2.0**-53]
+    with mpmath.workdps(40):
+        for g in targets:
+            assert _ulps_from_erfinv(_erfinv(g), g) <= 2, g
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(g=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_erfinv_matches_mpmath_across_the_unit_interval(g):
+    with mpmath.workdps(40):
+        assert _ulps_from_erfinv(_erfinv(g), g) <= 2
 
 
 def test_double_curve_csv():

@@ -384,6 +384,21 @@ def test_precision_below_the_cap_names_the_target_and_only_a_flag_the_command_ta
 
 
 @pytest.mark.parametrize(
+    "family, g, nodes",
+    [("square", "0.00001", 33555456), ("gaussian", "0.0001", 33554432)],
+)
+def test_double_refusal_past_the_cap_names_the_target_precision(tmp_path, capsys, family, g, nodes):
+    # the square half width 1/G and the gaussian width are the builder's, not the user's, parameter
+    out = tmp_path / "d.csv"
+    assert run_cli("double", "--family", family, "--g", g, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: target precision {float(g)!r} needs a pointer grid of at least {nodes} nodes, over the cap of "
+        "16777216; use a target precision nearer the strong limit\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (("--family", "gaussian", "--delta", "1e-5"), "gaussian width 1e-05"),
@@ -569,16 +584,30 @@ def test_module_entry_point(tmp_path):
     assert usage.returncode == 2
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded(tmp_path):
-    # scipy.special is loaded only when a chi-square p-value or a gaussian width is computed,
-    # and concurrent.futures only when montecarlo runs its trials
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: with scipy made unimportable, the
+    # README commands (montecarlo at 1e4 trials) and the gaussian double curve
+    # exit 0 and leave scipy unloaded; concurrent.futures loads only when
+    # montecarlo runs its trials
+    commands = [
+        ["tradeoff", "--family", "optimal", "--g", "0.1:0.9:0.1"],
+        ["double", "--family", "gaussian", "--g", "0.005:0.995:0.005"],
+        ["double", "--family", "analytic", "--g", "0.005:0.995:0.005"],
+        ["protocol", "--n", "8", "--auto-bias"],
+        ["montecarlo", "--scenario", "double", "--g", "0.8", "--trials", "1e4", "--seed", "7"],
+        ["pointer-dump", "--family", "optimal", "--g", "0.8"],
+        ["triple-scan", "--resolution", "0.01"],
+    ]
+    commands = [argv + ["--out", str(tmp_path / f"out{k}")] for k, argv in enumerate(commands)]
     script = (
-        "import sys, weakbell.cli\n"
-        "print('scipy.special' in sys.modules)\n"
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import weakbell.cli\n"
         "print('concurrent.futures' in sys.modules)\n"
-        f"weakbell.cli.main(['double', '--family', 'analytic', '--g', '0.5', '--out', {str(tmp_path / 'd.csv')!r}])\n"
-        "print('scipy.special' in sys.modules)\n"
+        f"for argv in json.loads({json.dumps(commands)!r}):\n"
+        "    print(weakbell.cli.main(argv))\n"
+        "print(sys.modules['scipy'] is None, sorted(name for name in sys.modules if name.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "False"]
+    assert proc.stdout.splitlines() == ["False"] + ["0"] * len(commands) + ["True []"]

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from conftest import (
     kraus_at_reading,
@@ -43,7 +45,17 @@ from weakbell import (
 from weakbell import montecarlo
 from weakbell.bell import TripleGeometry, propagate
 from weakbell.channel import DIR_X, DIR_Z, collapse_bloch
-from weakbell.montecarlo import CHUNK_TRIALS, _outcome_table, _reports, _run_chain, _stage_rows, _uniforms
+from weakbell.cli import _montecarlo_config
+from weakbell.montecarlo import (
+    CHUNK_TRIALS,
+    ZERO_MASS,
+    _chi_square_tail,
+    _outcome_table,
+    _reports,
+    _run_chain,
+    _stage_rows,
+    _uniforms,
+)
 from weakbell.pointer import STRONG_ROWS, RowStrength, _frontier_strength
 
 
@@ -495,7 +507,7 @@ def test_chi_square_empirical_chain_against_analytic_joint():
     report = run_chain(cfg, 200_000, seed=17)
     chi2 = chi_square_report(report.outcome_counts, analytic_joint(cfg), report.trials)
     assert chi2.passed
-    assert chi2.dof == 63
+    assert (chi2.dof, chi2.dropped_cells) == (63, 0)
 
 
 def test_chi_square_cell_handling():
@@ -507,6 +519,56 @@ def test_chi_square_cell_handling():
     assert not impossible.passed and impossible.p_value == 0.0
     with pytest.raises(InvalidParameterError):
         chi_square_report(observed, expected, 0)
+
+
+def test_chi_square_counts_rounding_noise_as_an_impossible_cell():
+    # an impossible cell's analytic mass is rounding noise of either sign; its
+    # sign must not decide whether the cell is dropped
+    expected = {"a": 0.5, "b": 0.5, "noise+": 5.1e-18, "noise-": -1.6e-18, "edge": ZERO_MASS}
+    report = chi_square_report({"a": 50, "b": 50}, expected, 100)
+    assert (report.dof, report.dropped_cells, report.statistic, report.p_value) == (1, 3, 0.0, 1.0)
+    observed = chi_square_report({"a": 49, "b": 50, "noise+": 1}, expected, 100)
+    assert (observed.p_value, observed.passed) == (0.0, False)
+    kept = chi_square_report({"a": 50, "b": 50}, {**expected, "rare": 2 * ZERO_MASS}, 100)
+    assert kept.dof == 2 and kept.dropped_cells == 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_chi_square_drops_every_impossible_cell_of_two_strong_bobs(seed):
+    # two strong Bobs reading one direction with different outcomes: 16 of the 64 cells
+    cfg = _montecarlo_config("double", 1.0)
+    report = run_chain(cfg, 100_000, seed)
+    chi2 = chi_square_report(report.outcome_counts, analytic_joint(cfg), report.trials)
+    assert (chi2.dof, chi2.dropped_cells) == (47, 16)
+    assert chi2.passed
+
+
+def _oracle_tail(statistic, dof):
+    return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(statistic) / 2, mpmath.inf, regularized=True)
+
+
+def test_chi_square_tail_matches_the_regularized_gamma_oracles():
+    # the closed forms against mpmath (30 digits) and scipy.special.gammaincc
+    # for every dof a fit of 256 cells can have, statistics from 0 to ~1,300
+    statistics = [0.0, 1e-300, 1e-12, 0.3, 2.5] + [float(x) for x in np.linspace(10.0, 1300.0, 12)]
+    with mpmath.workdps(30):
+        for dof in range(1, 256):
+            for statistic in statistics + [0.5 * dof, dof - 0.5, float(dof), 1.5 * dof, 2.0 * dof]:
+                p = _chi_square_tail(statistic, dof)
+                oracle = _oracle_tail(statistic, dof)
+                if oracle > 1e-290:
+                    assert abs(p - oracle) <= 1e-12 * oracle, (dof, statistic)
+                    reference = float(gammaincc(dof / 2, statistic / 2))
+                    assert abs(p - reference) <= 1e-12 * reference, (dof, statistic)
+                else:
+                    assert 0.0 <= p <= 2e-290, (dof, statistic)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 15, 63, 254, 255])
+def test_chi_square_tail_underflows_to_zero(dof):
+    for statistic in (5e3, 1e5, 1e300, math.inf):
+        assert _chi_square_tail(statistic, dof) == 0.0
+    assert float(_oracle_tail(5e3, dof)) == 0.0  # the true tail rounds to 0 as well
 
 
 def test_chi_square_ignores_insertion_order():
