@@ -46,15 +46,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError
 from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, strength_pair
-from .pointer import (
-    MeasurementStrength,
-    PointerState,
-    _frontier_strength,
-    _node_cap_error,
-    make_gaussian,
-    make_square,
-    strength_of,
-)
+from .pointer import MeasurementStrength, _family_strength, _node_cap_error
 
 _SQ2 = math.sqrt(2.0)
 _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
@@ -153,23 +145,23 @@ def positivity_bound_scan(angle_grid, quality_factor: float, precision: float):
 
 @dataclass(frozen=True)
 class BobStage:
-    """One Bob: directions for inputs 0/1, strength (or pointer), input bias.
+    """One Bob: directions for inputs 0/1, strength (F, G), input bias.
 
-    bias is the probability of receiving input 1.
+    bias is the probability of receiving input 1.  The strength is a
+    MeasurementStrength (a pointer.RowStrength for a Monte Carlo stage);
+    a pointer grid is refused with InvalidParameterError, and
+    pointer.strength_of(state) gives its (F, G).
     """
 
     dir0: Direction
     dir1: Direction
-    strength: MeasurementStrength | PointerState
+    strength: MeasurementStrength
     bias: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.bias <= 1.0:
             raise InvalidParameterError(f"input bias must lie in [0, 1], got {self.bias}")
-        strength_pair(self.strength)  # validates the type and physicality
-
-    def resolved_strength(self) -> MeasurementStrength:
-        return MeasurementStrength(*strength_pair(self.strength))
+        strength_pair(self.strength)  # refuses anything but a MeasurementStrength
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,7 @@ def sequential_average_state(cfg: BellChainConfig, n: int) -> np.ndarray:
     if n == 1:
         return np.array(cfg.initial_state, dtype=complex)
     maps = [
-        _bob_maps(stage.resolved_strength().quality_factor, (stage.dir0, stage.dir1), stage.bias)
+        _bob_maps(stage.strength.quality_factor, (stage.dir0, stage.dir1), stage.bias)
         for stage in cfg.stages[: n - 1]
     ]
     return density_from_pauli(propagate(pauli_coefficients(cfg.initial_state), maps)[-1])
@@ -370,15 +362,15 @@ def _strength_for_target(family: str, target: float) -> MeasurementStrength:
     if family == "analytic":
         return MeasurementStrength.optimal(target)
     if family == "optimal":
-        return _frontier_strength(target)
-    if family == "square":
-        build, parameter = make_square, 1.0 / target
+        parameter = target
+    elif family == "square":
+        parameter = 1.0 / target
     elif family == "gaussian":
-        build, parameter = make_gaussian, 1.0 / (_SQ2 * _erfinv(target))
+        parameter = 1.0 / (_SQ2 * _erfinv(target))
     else:
         raise InvalidParameterError(f"unknown stage family {family!r}")
     try:
-        return strength_of(build(parameter))
+        return _family_strength(family, parameter)
     except NodeCapError as exc:
         # the caller gave a target precision, not the builder's width
         raise _node_cap_error(exc.nodes, "target precision", target) from None

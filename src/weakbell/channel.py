@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .pointer import MeasurementStrength, PointerState, strength_of
+from .pointer import MeasurementStrength
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -74,12 +74,11 @@ def as_density(rho, dim: int) -> np.ndarray:
 
 
 def strength_pair(strength) -> tuple[float, float]:
-    """(quality factor, precision) from a MeasurementStrength or a PointerState."""
-    if isinstance(strength, PointerState):
-        strength = strength_of(strength)
+    """(quality factor, precision) of a MeasurementStrength; anything else is refused."""
     if not isinstance(strength, MeasurementStrength):
         raise InvalidParameterError(
-            f"expected MeasurementStrength or PointerState, got {type(strength).__name__}"
+            f"expected a MeasurementStrength (a pointer grid's is pointer.strength_of(state)), "
+            f"got {type(strength).__name__}"
         )
     return strength.quality_factor, strength.precision
 

@@ -5,8 +5,9 @@ A reading q is drawn from phi^2, displaced by +1 with probability
 tr(pi+ rho) and by -1 otherwise; the state collapses through
 K_q = phi(q-1) pi+ + phi(q+1) pi- and the outcome is the sign of q.
 A stage must be a pointer.RowStrength, whose pointer scales one profile
-by e_n on every interval (2n-1, 2n+1]; any other strength, a pointer
-grid among them, is refused before a trial is drawn.  A reading lies in
+by e_n on every interval (2n-1, 2n+1]; run_chain refuses any other
+MeasurementStrength before a trial is drawn, and a pointer grid never
+gets that far, as bell.BobStage refuses it.  A reading lies in
 row n with probability e_n^2 / sum(e^2), and a +-1 shift moves it one
 row, so phi(q-1) and phi(q+1) are two adjacent rows' factors times a
 profile value the normalized collapse cancels: a stage draws only the

@@ -34,13 +34,17 @@ MAX_POINTER_NODES nodes; builders check the count before they allocate
 and refuse with a NodeCapError that names their parameter.
 
 A unit shift of the +1/-1 copies is one whole row, so a frontier
-pointer's F and G are closed forms in its rows: with central mass
-c = h sum(central^2) and envelope e_n, N = c sum(e_n^2),
-G = e_0^2 c / N and F = c sum(e_n e_{n+1}) / N.  The rows make the
-checks the grid would (node cap, norm, symmetry, [0, 1]).  The
-trade-off curves, the optimal double scan and Monte Carlo read them as
-a RowStrength (F, G and the envelope) and build no grid; only a pointer
-dump materialises one.  The strong stage is the one-row STRONG_ROWS.
+pointer's F and G are sums over its envelope e_n: with central mass c,
+the norm is c sum(e_n^2), G = e_0^2 c / (c sum(e_n^2)) and
+F = c sum(e_n e_{n+1}) / (c sum(e_n^2)).  The mass cancels from both,
+and e_0 = 1, so G = 1 / sum(e_n^2) and F = sum(e_n e_{n+1}) / sum(e_n^2)
+whatever the profile; the envelope is checked against the node cap the
+grid would meet.  The trade-off curves, the optimal double scan and
+Monte Carlo read them as a RowStrength (F, G and the envelope) and
+build no grid; only a pointer dump materialises one.  The strong stage
+is the one-row STRONG_ROWS.  _family_strength is the one place that
+chooses between the rows and a built grid's quadrature; channel, bell
+and montecarlo take only a MeasurementStrength, never a PointerState.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -92,9 +96,10 @@ def _cells_per_unit(grid_spacing: float) -> int:
 
 def _node_cap_error(nodes: int, name: str, value: float) -> NodeCapError:
     """The refusal of a grid of nodes nodes, naming the parameter value that asked for it."""
+    article = "an" if name[0] in "aeiou" else "a"
     return NodeCapError(
         f"{name} {value!r} needs a pointer grid of at least {nodes} nodes, over the cap of "
-        f"{MAX_POINTER_NODES}; use a {name} nearer the strong limit",
+        f"{MAX_POINTER_NODES}; use {article} {name} nearer the strong limit",
         nodes,
     )
 
@@ -352,32 +357,17 @@ def _envelope_intervals(target_precision: float, cells: int) -> int:
     return n_intervals
 
 
-def _frontier_rows(
-    central_samples: np.ndarray, target_precision: float, grid_spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a frontier pointer: the scaled central profile and the envelope.
+def _frontier_envelope(target_precision: float, cells: int) -> np.ndarray:
+    """Envelope of a frontier pointer: envelope[i] = ((1-G)/(1+G))^(|n|/2) on interval n = i - N.
 
-    The central profile is rescaled so its mass is the target precision;
-    envelope[i] = ((1-G)/(1+G))^(|n|/2) is the amplitude factor of
-    interval n = i - N.  The grid these rows generate is checked against
-    the node cap, so the rows are refused exactly where the grid is.
+    The grid it generates with a central profile of 2 cells nodes is
+    checked against the node cap, so the rows are refused exactly where
+    the grid is.
     """
-    cells = _cells_per_unit(grid_spacing)
     n_intervals = _envelope_intervals(target_precision, cells)
-    central = np.asarray(central_samples, dtype=float)
-    if central.shape != (2 * cells,):
-        raise InvalidParameterError(
-            f"central profile must have {2 * cells} samples for spacing {grid_spacing}"
-        )
-    mass = float(np.sum(central * central)) * grid_spacing
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise InvalidParameterError(f"central profile mass must be finite and positive, got {mass!r}")
-    central = central * math.sqrt(target_precision / mass)
-
     ratio = (1.0 - target_precision) / (1.0 + target_precision)
     n = np.arange(-n_intervals, n_intervals + 1, dtype=float)
-    envelope = np.power(ratio, np.abs(n) / 2.0)
-    return central, envelope
+    return np.power(ratio, np.abs(n) / 2.0)
 
 
 def _odd_rows(n_rows: int) -> slice:
@@ -398,7 +388,17 @@ def optimal_from_central(
     the state is renormalized.  The resulting quality factor is
     sqrt(1 - G^2) for any admissible profile.
     """
-    central, envelope = _frontier_rows(central_samples, target_precision, grid_spacing)
+    cells = _cells_per_unit(grid_spacing)
+    envelope = _frontier_envelope(target_precision, cells)
+    central = np.asarray(central_samples, dtype=float)
+    if central.shape != (2 * cells,):
+        raise InvalidParameterError(
+            f"central profile must have {2 * cells} samples for spacing {grid_spacing}"
+        )
+    mass = float(np.sum(central * central)) * grid_spacing
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise InvalidParameterError(f"central profile mass must be finite and positive, got {mass!r}")
+    central = central * math.sqrt(target_precision / mass)
     # the grid radius is an odd number of units, so row n of the
     # (2N+1, 2/h) sample array is the interval (2n-1, 2n+1]
     samples = np.empty(envelope.size * central.size)
@@ -445,26 +445,6 @@ def make_worst(target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACI
     return _normalized_state(samples, grid_spacing)
 
 
-def _rows_strength(central: np.ndarray, envelope: np.ndarray, grid_spacing: float) -> tuple[float, float]:
-    """(F, G) of the normalized frontier pointer with these rows, by the closed forms above.
-
-    The checks are those of the grid path: a finite non-zero norm, a
-    symmetric modulus (the central row, whose envelope factor is the
-    largest, bounds the asymmetry of every row) and F, G in [0, 1].
-    """
-    mass = grid_spacing * float(np.sum(central * central))
-    norm = mass * float(np.sum(envelope * envelope))
-    if not (math.isfinite(norm) and norm > 0.0):
-        raise InvalidStateError(f"pointer norm^2 must be finite and non-zero, got {norm!r}")
-    row = np.abs(central / math.sqrt(norm))
-    asym = float(np.max(np.abs(row - row[::-1])))
-    if not asym <= _SYMMETRY_TOL:
-        raise InvalidStateError(f"pointer modulus not symmetric: max asymmetry {asym:.3e}")
-    centre = float(envelope[envelope.size // 2])
-    quality = mass * float(np.sum(envelope[1:] * envelope[:-1])) / norm
-    return _clamp_unit(quality, "quality factor"), _clamp_unit(centre * centre * mass / norm, "precision")
-
-
 def _frontier_strength(
     target_precision: float, *, worst: bool = False, grid_spacing: float = DEFAULT_GRID_SPACING
 ) -> RowStrength:
@@ -472,11 +452,13 @@ def _frontier_strength(
 
     Refuses exactly the inputs the builder refuses, the node cap included.
     """
-    central = _central_profile("flat", target_precision, grid_spacing)
-    central, envelope = _frontier_rows(central, target_precision, grid_spacing)
+    envelope = _frontier_envelope(target_precision, _cells_per_unit(grid_spacing))
     if worst:
         envelope[_odd_rows(envelope.size)] = 0.0
-    return RowStrength(*_rows_strength(central, envelope, grid_spacing), envelope)
+    # the central factor is 1, so the sum is at least 1
+    total = float(np.sum(envelope * envelope))
+    quality = float(np.sum(envelope[1:] * envelope[:-1])) / total
+    return RowStrength(_clamp_unit(quality, "quality factor"), _clamp_unit(1.0 / total, "precision"), envelope)
 
 
 def quality_factor(state: PointerState) -> float:
@@ -520,6 +502,18 @@ _FAMILY_BUILDERS = {
 }
 
 
+def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:
+    """(F, G) of a known family's pointer at its parameter value.
+
+    The frontier families are read from their rows, which builds no grid
+    (the spacing is only validated and sizes the node cap); the others
+    are built and integrated on the grid.
+    """
+    if family in ("optimal", "worst"):
+        return _frontier_strength(value, worst=family == "worst", grid_spacing=grid_spacing)
+    return strength_of(_FAMILY_BUILDERS[family](value, grid_spacing=grid_spacing))
+
+
 def tradeoff_curve(
     family: str,
     parameters,
@@ -528,9 +522,7 @@ def tradeoff_curve(
     """Rows (parameter, F, G) for one pointer family.
 
     The parameter is the half width (square), width (gaussian), scale
-    (exponential) or target precision (optimal, worst).  The frontier
-    families are read from their rows; the others are built and
-    integrated on the grid.
+    (exponential) or target precision (optimal, worst).
     """
     if family not in _FAMILY_BUILDERS:
         raise InvalidParameterError(f"unknown pointer family {family!r}")
@@ -539,13 +531,8 @@ def tradeoff_curve(
         raise InvalidParameterError("parameter grid is empty")
     rows = []
     for value in parameters:
-        if family in ("optimal", "worst"):
-            strength = _frontier_strength(value, worst=family == "worst", grid_spacing=grid_spacing)
-            fq, gp = strength.quality_factor, strength.precision
-        else:
-            state = _FAMILY_BUILDERS[family](value, grid_spacing=grid_spacing)
-            fq, gp = quality_factor(state), precision(state)
-        rows.append((value, fq, gp))
+        strength = _family_strength(family, value, grid_spacing)
+        rows.append((value, strength.quality_factor, strength.precision))
     return rows
 
 

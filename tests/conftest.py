@@ -172,7 +172,7 @@ def enumerate_joint(cfg) -> dict:
     montecarlo.analytic_joint only.
     """
     n_stages = len(cfg.stages)
-    strengths = [stage.resolved_strength() for stage in cfg.stages]
+    strengths = [stage.strength for stage in cfg.stages]
     rho0 = np.asarray(cfg.initial_state, dtype=complex)
     out = {}
     for x, alice_dir in enumerate((cfg.alice_dir0, cfg.alice_dir1)):
@@ -212,7 +212,7 @@ def enumerate_chain_state(cfg, n: int) -> np.ndarray:
             weight = weight_inputs
             rho = np.array(cfg.initial_state, dtype=complex)
             for stage, y, decoheres in zip(stages, inputs, subset):
-                quality = stage.resolved_strength().quality_factor
+                quality = stage.strength.quality_factor
                 if decoheres:
                     weight *= 1.0 - quality
                     direction = stage.dir1 if y == 1 else stage.dir0

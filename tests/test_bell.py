@@ -34,6 +34,7 @@ from weakbell import (
     positivity_bound_scan,
     sequential_average_state,
     singlet,
+    strength_of,
     tangent_geometry,
     triple_probability,
     tsirelson_alice,
@@ -192,6 +193,17 @@ def test_triple_probability_validates_arguments():
         triple_probability(1, 1, 1, 0, 0, 3, geometry, MeasurementStrength(0.6, 0.8))
     with pytest.raises(PhysicalityError):
         triple_probability(1, 1, 1, 0, 0, 0, geometry, MeasurementStrength(0.9, 0.9))
+
+
+def test_stages_and_probabilities_take_strengths_not_pointer_grids():
+    # a grid's (F, G) is pointer.strength_of(grid); the refusal says so
+    grid = make_optimal(0.8)
+    with pytest.raises(InvalidParameterError, match="strength_of"):
+        BobStage(DIR_Z, DIR_X, grid)
+    with pytest.raises(InvalidParameterError, match="strength_of"):
+        triple_probability(1, 1, 1, 0, 0, 0, tangent_geometry(0.5), grid)
+    stage = BobStage(DIR_Z, DIR_X, strength_of(grid))
+    assert stage.strength == strength_of(grid)
 
 
 # --- the unit-circle positivity bound ------------------------------------------------

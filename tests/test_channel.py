@@ -315,6 +315,11 @@ def test_distinguishability_saturates_for_frontier_strengths():
         assert sign == pytest.approx(bound, abs=1e-9)
 
 
+def test_distinguishability_refuses_a_pointer_grid():
+    with pytest.raises(InvalidParameterError, match="strength_of"):
+        distinguishability(make_optimal(0.5))
+
+
 def test_distinguishability_square_and_blind_cases():
     sign, bound = distinguishability(MeasurementStrength(1.0 / 3.0, 2.0 / 3.0))
     assert sign == pytest.approx(5.0 / 6.0, abs=1e-12)

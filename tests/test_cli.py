@@ -399,6 +399,25 @@ def test_double_refusal_past_the_cap_names_the_target_precision(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "family, flag, name",
+    [
+        ("exponential", "--scale", "an exponential scale"),
+        ("square", "--delta", "a square half width"),
+        ("gaussian", "--delta", "a gaussian width"),
+    ],
+)
+def test_tradeoff_refusal_past_the_cap_takes_the_article_of_the_parameter(tmp_path, capsys, family, flag, name):
+    out = tmp_path / "t.csv"
+    assert run_cli("tradeoff", "--family", family, flag, "1e5", "--out", str(out)) == 2
+    nodes = 33555456 if family == "square" else 33554432
+    assert capsys.readouterr().err == (
+        f"error: {name.split(' ', 1)[1]} 100000.0 needs a pointer grid of at least {nodes} nodes, over the cap of "
+        f"16777216; use {name} nearer the strong limit, or a coarser --spacing\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (("--family", "gaussian", "--delta", "1e-5"), "gaussian width 1e-05"),

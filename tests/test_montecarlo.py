@@ -397,16 +397,15 @@ def test_block_addressing_matches_one_sequential_stream(trials, block, start, co
 
 
 def test_run_chain_requires_pointer_backed_stages(monkeypatch):
-    # a stage that is not a pointer's interval rows, a pointer grid among them,
-    # is refused before any uniform is drawn
+    # a pointer grid is refused when its stage is made; a strength that is not
+    # a pointer's interval rows is refused by run_chain before any uniform is drawn
     def no_draws(*args):
         raise AssertionError("a uniform was drawn")
 
     monkeypatch.setattr(montecarlo, "_uniforms", no_draws)
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    refused = (
-        MeasurementStrength(0.6, 0.8),
+    grids = (
         make_optimal(0.8),
         make_worst(0.5),
         make_square(1.0),
@@ -416,16 +415,13 @@ def test_run_chain_requires_pointer_backed_stages(monkeypatch):
         # flat on (-2, 2): the rows (-3, -1] and (1, 3] are half empty
         PointerState(np.full(4 * 64, 0.5), 1.0 / 64),
     )
-    for strength in refused:
-        for stages in (
-            (BobStage(bob[0], bob[1], strength, bias=0.5),),
-            (
-                BobStage(bob[0], bob[1], _frontier_strength(0.8), bias=0.5),
-                BobStage(bob[0], bob[1], strength, bias=0.5),
-            ),
-        ):
-            with pytest.raises(InvalidParameterError):
-                run_chain(BellChainConfig(alice[0], alice[1], stages=stages), 10, seed=0)
+    for grid in grids:
+        with pytest.raises(InvalidParameterError, match="strength_of"):
+            BobStage(bob[0], bob[1], grid, bias=0.5)
+    bare = BobStage(bob[0], bob[1], MeasurementStrength(0.6, 0.8), bias=0.5)
+    for stages in ((bare,), (BobStage(bob[0], bob[1], _frontier_strength(0.8), bias=0.5), bare)):
+        with pytest.raises(InvalidParameterError, match="RowStrength"):
+            run_chain(BellChainConfig(alice[0], alice[1], stages=stages), 10, seed=0)
     with pytest.raises(InvalidParameterError):
         run_chain(double_config(), 0, seed=0)
 

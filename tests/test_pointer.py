@@ -451,10 +451,6 @@ def test_pointer_csv_peaks_below_the_per_line_formatter(build):
 _FRONTIER_TOL = 1e-14
 
 
-def _rows_strength(central, target, spacing):
-    return pointer._rows_strength(*pointer._frontier_rows(central, target, spacing), spacing)
-
-
 def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
     for target in parse_range("0.005:0.995:0.005"):
         fq, gp = strength_pair(pointer._frontier_strength(target))
@@ -473,15 +469,26 @@ def test_frontier_rows_agree_with_the_worst_grid():
 @pytest.mark.parametrize("spacing", [1.0 / 64, 1.0 / 1024])
 @pytest.mark.parametrize("profile", ["flat", "smooth_bump"])
 def test_frontier_rows_agree_with_the_per_node_construction(spacing, profile):
+    # the envelope sums hold for any central profile: its mass cancels
     targets = (0.005, 0.05, 0.3, 0.8, 0.995) if spacing == 1.0 / 64 else (0.05, 0.3, 0.8, 0.995)
     for target in targets:
-        central = _central_profile(profile, spacing)
-        oracle = oracle_optimal_from_central(central, target, spacing)
-        fq, gp = _rows_strength(central, target, spacing)
+        oracle = oracle_optimal_from_central(_central_profile(profile, spacing), target, spacing)
+        fq, gp = strength_pair(pointer._frontier_strength(target, grid_spacing=spacing))
         assert abs(fq - quality_factor(oracle)) <= _FRONTIER_TOL, target
         assert abs(gp - oracle_precision(oracle)) <= _FRONTIER_TOL, target
-        if profile == "flat":
-            assert strength_pair(pointer._frontier_strength(target, grid_spacing=spacing)) == (fq, gp)
+
+
+def test_frontier_strength_does_not_depend_on_the_spacing():
+    # the spacing only sizes the node cap, and every target here fits it at 1/1024
+    for target in (0.005, 0.05, 0.3, 0.8, 0.995):
+        for worst in (False, True):
+            first, *others = [
+                pointer._frontier_strength(target, worst=worst, grid_spacing=h)
+                for h in (1.0 / 64, 1.0 / 512, 1.0 / 1024)
+            ]
+            for other in others:
+                assert strength_pair(other) == strength_pair(first), (target, worst)
+                assert other.envelope.tobytes() == first.envelope.tobytes(), (target, worst)
 
 
 def test_frontier_strength_builds_no_grid(monkeypatch):
@@ -555,14 +562,10 @@ def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
     for central in (np.zeros(2 * cells), np.ones(cells), lopsided, nan, huge, infinite):
         with np.errstate(over="ignore"):
             kind, message = _refusal(lambda: optimal_from_central(central, 0.5, SPACING))
-            refused = _refusal(lambda: _rows_strength(central, 0.5, SPACING))
         assert kind in (InvalidParameterError, InvalidStateError)
-        # the same error type, and a norm failure named as one
-        assert refused[0] is kind
-        assert ("norm" in refused[1]) == ("norm" in message), (message, refused[1])
         # a non-finite mass is named as the fault, not found later as a bad norm
         if central is nan or central is huge or central is infinite:
-            assert kind is InvalidParameterError and "mass" in message and "mass" in refused[1]
+            assert kind is InvalidParameterError and "mass" in message
 
 
 def test_builders_refuse_grids_past_the_node_cap_before_allocating():
