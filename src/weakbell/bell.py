@@ -381,9 +381,9 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
 
     Both Bobs use the Tsirelson settings with unbiased inputs; family
     selects how the weak stage's strength is produced ("analytic" for
-    the frontier pair (sqrt(1-G^2), G), a constructed square or gaussian
-    pointer, or the optimal pointer's interval rows, matched to the
-    target precision).
+    the frontier pair (sqrt(1-G^2), G), or the square, gaussian or
+    optimal pointer matched to the target precision, whose F and G come
+    from pointer's closed forms with no grid built).
     Reported G is the actual stage precision.
     """
     targets = [float(target) for target in precision_grid]

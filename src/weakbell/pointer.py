@@ -33,18 +33,23 @@ precision sums that slice.  No grid may have more than
 MAX_POINTER_NODES nodes; builders check the count before they allocate
 and refuse with a NodeCapError that names their parameter.
 
-A unit shift of the +1/-1 copies is one whole row, so a frontier
-pointer's F and G are sums over its envelope e_n: with central mass c,
-the norm is c sum(e_n^2), G = e_0^2 c / (c sum(e_n^2)) and
-F = c sum(e_n e_{n+1}) / (c sum(e_n^2)).  The mass cancels from both,
-and e_0 = 1, so G = 1 / sum(e_n^2) and F = sum(e_n e_{n+1}) / sum(e_n^2)
-whatever the profile; the envelope is checked against the node cap the
-grid would meet.  The trade-off curves, the optimal double scan and
-Monte Carlo read them as a RowStrength (F, G and the envelope) and
-build no grid; only a pointer dump materialises one.  The strong stage
-is the one-row STRONG_ROWS.  _family_strength is the one place that
-chooses between the rows and a built grid's quadrature; channel, bell
-and montecarlo take only a MeasurementStrength, never a PointerState.
+No command but a pointer dump builds a grid: _family_strength gives
+the (F, G) of the grid a family's builder would build from a few sums
+that need none, after the builder's own checks, so it refuses the same
+inputs with the same error.  A unit shift of the +1/-1 copies is one
+whole row, so a frontier pointer's F and G are sums over its envelope
+e_n: the central mass cancels and e_0 = 1, so G = 1 / sum(e_n^2) and
+F = sum(e_n e_{n+1}) / sum(e_n^2) whatever the profile, and both sums
+are geometric.  The square's F and G are ratios of node counts.  The
+gaussian's G sums the central 2/h nodes, and its F is exp(-1/2w^2)
+times the norm sum less the outermost 1/h nodes a side; the norm sum
+is a Poisson sum less an erfc tail.  The exponential's sums are
+geometric.  Monte Carlo stages are a RowStrength, the frontier (F, G)
+with its envelope, whose rows a reading is drawn from; the strong stage
+is the one-row STRONG_ROWS.  channel, bell and montecarlo take only a
+MeasurementStrength, never a PointerState.  quality_factor, precision
+and strength_of integrate a built grid, as for an optimal_from_central
+pointer with a custom profile.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -57,9 +62,12 @@ half of the sample array, in place, and copy it reversed onto the lower
 half; the bits are those of evaluating every node.  A gaussian or
 exponential so narrow that the grid's norm would underflow to 0 is
 refused before the grid is allocated, one too narrow to normalize after
-the build; both refusals name the width and --spacing.  A pointer CSV
-formats each position of the upper half once (its mirror is the same
-text behind a minus sign) and each distinct amplitude once.
+the build; both refusals name the width and --spacing.  Builders
+normalize in place and square, sum and compare a block of nodes at a
+time (in np.sum's own pairwise order), so the grid is the only
+grid-sized array they hold.  A pointer CSV formats each position of the
+upper half once (its mirror is the same text behind a minus sign) and
+each distinct amplitude once.
 """
 
 from __future__ import annotations
@@ -80,6 +88,10 @@ ENVELOPE_CUTOFF = 1e-14
 _NORM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
 _CIRCLE_TOL = 1e-9
+# nodes squared, summed or compared at a time, so no whole-grid temporary is made
+_BLOCK_NODES = 2**16
+# below this largest sample^2 a grid's only non-zero samples are the pair at +-h/2
+_TINY_SQUARE = 2.0**-900
 
 
 def _cells_per_unit(grid_spacing: float) -> int:
@@ -211,9 +223,14 @@ class PointerState:
             raise InvalidStateError(f"pointer not normalized on the grid: norm^2 = {norm!r}")
         # |phi| is symmetric when each node of the first half matches its mirror
         half = samples.size // 2
-        gap = np.abs(samples[:half])
-        gap -= np.abs(samples[::-1][:half])
-        asym = float(np.max(np.abs(gap, out=gap)))
+        mirror = samples[::-1]
+        gaps = []
+        for start in range(0, half, _BLOCK_NODES):
+            stop = min(half, start + _BLOCK_NODES)
+            gap = np.abs(samples[start:stop])
+            gap -= np.abs(mirror[start:stop])
+            gaps.append(np.max(np.abs(gap, out=gap)))
+        asym = float(np.max(gaps))
         if not asym <= _SYMMETRY_TOL:
             raise InvalidStateError(f"pointer modulus not symmetric: max asymmetry {asym:.3e}")
         samples.flags.writeable = False
@@ -273,23 +290,77 @@ class RowStrength(MeasurementStrength):
 STRONG_ROWS = RowStrength(0.0, 1.0, np.ones(1))
 
 
-def _normalized_state(samples: np.ndarray, grid_spacing: float) -> PointerState:
-    """Normalize a builder's own fresh samples in place and freeze them into a state."""
-    norm = math.sqrt(float(np.sum(samples * samples)) * grid_spacing)
+def _sum_of_squares(samples: np.ndarray) -> float:
+    """float(np.sum(samples * samples)), squaring at most _BLOCK_NODES samples at a time.
+
+    np.sum adds a contiguous float64 array pairwise: it splits it at
+    half its length rounded down to a multiple of 8 until a part holds
+    at most 128 values.  Splitting the same way down to blocks of
+    _BLOCK_NODES and letting np.sum add each block's squares gives the
+    same bits with no temporary as large as the grid.
+    """
+    if samples.size <= _BLOCK_NODES:
+        return float(np.sum(samples * samples))
+    split = samples.size // 2
+    split -= split % 8
+    return _sum_of_squares(samples[:split]) + _sum_of_squares(samples[split:])
+
+
+def _normalize(samples: np.ndarray, grid_spacing: float) -> np.ndarray:
+    """Divide a builder's own fresh samples by their grid norm, in place."""
+    norm = math.sqrt(_sum_of_squares(samples) * grid_spacing)
     if norm == 0.0:
         raise InvalidStateError("pointer has zero norm")
     samples /= norm
+    return samples
+
+
+def _normalized_state(samples: np.ndarray, grid_spacing: float) -> PointerState:
+    """Normalize a builder's own fresh samples in place and freeze them into a state."""
+    samples = _normalize(samples, grid_spacing)
     samples.flags.writeable = False
     return PointerState(samples, grid_spacing)
 
 
-def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
-    """Flat pointer 1/sqrt(2 half_width) on (-half_width, +half_width).
+def _unit_strength(fq: float, gp: float) -> MeasurementStrength:
+    """A closed form's (F, G), each clamped to [0, 1] as the grid quadrature clamps it."""
+    return MeasurementStrength(_clamp_unit(fq, "quality factor"), _clamp_unit(gp, "precision"))
 
-    Width at most 1 gives a strong measurement (F=0, G=1); beyond that
-    the pointer obeys G = 1 - F: it measures strongly with probability G
-    and returns a coin flip otherwise.
+
+def _node_sum(density, start: int, stop: int, grid_spacing: float) -> float:
+    """Sum of density(q) over the nodes q = (j + 1/2) h, j = start .. stop-1, a block at a time.
+
+    density may overwrite the array of positions it is given.
     """
+    total = 0.0
+    for lo in range(start, stop, _BLOCK_NODES):
+        total += float(np.sum(density(np.arange(lo + 0.5, min(stop, lo + _BLOCK_NODES)) * grid_spacing)))
+    return total
+
+
+def _check_normalizable(name: str, value: float, exponent: float, grid_spacing: float) -> None:
+    """Refuse where a builder whose largest sample is exp(exponent) would fail to normalize its grid.
+
+    That sample sits at +-h/2.  Where its square is below _TINY_SQUARE,
+    the next samples (its cube for the exponential, its ninth power for
+    the gaussian) are 0, so the grid's norm^2 is 2 peak^2 h, as
+    _check_resolved assumes.  Where that is a subnormal with too few
+    bits, the normalized pair misses unit norm by more than PointerState
+    allows, and the builder refuses it; this repeats that arithmetic on
+    the pair alone.
+    """
+    peak = float(np.exp(exponent))  # the builder's own exp, not math.exp
+    square = peak * peak
+    if square >= _TINY_SQUARE:
+        return
+    norm = math.sqrt((square + square) * grid_spacing)
+    share = peak / norm if norm > 0.0 else math.nan
+    if not abs((share * share + share * share) * grid_spacing - 1.0) <= _NORM_TOL:
+        raise _too_narrow(name, value, grid_spacing, "the pointer's norm is too small to normalize")
+
+
+def _square_grid(half_width: float, grid_spacing: float) -> tuple[int, int, int]:
+    """make_square's checks; its cells per unit, nodes a side, and nodes a side inside the half width."""
     if not half_width > 0:
         raise InvalidParameterError(f"half width must be positive, got {half_width}")
     cells = _cells_per_unit(grid_spacing)
@@ -299,10 +370,42 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
         )
     radius_cells = _radius_cells(half_width, grid_spacing) + cells
     _check_node_count(2 * radius_cells, "square half width", half_width)
-    inside = _nodes_below(half_width, radius_cells, grid_spacing)
+    return cells, radius_cells, _nodes_below(half_width, radius_cells, grid_spacing)
+
+
+def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
+    """Flat pointer 1/sqrt(2 half_width) on (-half_width, +half_width).
+
+    Width at most 1 gives a strong measurement (F=0, G=1); beyond that
+    the pointer obeys G = 1 - F: it measures strongly with probability G
+    and returns a coin flip otherwise.
+    """
+    _, radius_cells, inside = _square_grid(half_width, grid_spacing)
     samples = np.zeros(2 * radius_cells)
     samples[radius_cells - inside : radius_cells + inside] = 1.0
     return _normalized_state(samples, grid_spacing)
+
+
+def _square_strength(half_width: float, grid_spacing: float) -> MeasurementStrength:
+    """make_square's (F, G) as node counts.
+
+    Its n equal samples a side put min(n, 1/h) a side in (-1, 1) and
+    make max(0, n - 1/h) pairs 2 apart a side.
+    """
+    cells, _, inside = _square_grid(half_width, grid_spacing)
+    return _unit_strength(max(0, inside - cells) / inside, min(inside, cells) / inside)
+
+
+def _gaussian_grid(width: float, grid_spacing: float) -> tuple[int, int]:
+    """make_gaussian's checks before it allocates; its cells per unit and nodes a side."""
+    if not width > 0:
+        raise InvalidParameterError(f"width must be positive, got {width}")
+    cells = _cells_per_unit(grid_spacing)
+    radius_cells = _radius_cells(8.0 * width, grid_spacing)
+    _check_node_count(2 * radius_cells, "gaussian width", width)
+    nearest = 0.5 * grid_spacing
+    _check_resolved("gaussian width", width, nearest * nearest, 4.0 * width * width, grid_spacing)
+    return cells, radius_cells
 
 
 def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -312,33 +415,90 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     truncated at 8 width (mass < 1e-14 beyond) and the state renormalized
     on the grid.
     """
-    if not width > 0:
-        raise InvalidParameterError(f"width must be positive, got {width}")
-    _cells_per_unit(grid_spacing)
-    radius_cells = _radius_cells(8.0 * width, grid_spacing)
-    _check_node_count(2 * radius_cells, "gaussian width", width)
-    spread = 4.0 * width * width
-    nearest = 0.5 * grid_spacing
-    _check_resolved("gaussian width", width, nearest * nearest, spread, grid_spacing)
+    _, radius_cells = _gaussian_grid(width, grid_spacing)
     samples, upper = _upper_positions(radius_cells, grid_spacing)
     upper *= upper
-    upper /= -spread
+    upper /= -(4.0 * width * width)
     np.exp(upper, out=upper)
     return _mirrored_state("gaussian width", width, samples, grid_spacing)
 
 
-def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
-    """Pointer with phi^2 proportional to exp(-|q|/scale), truncated at max(40 scale, 2) and renormalized."""
+def _gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
+    """make_gaussian's (F, G) from sums of phi^2 = exp(-q^2 / 2w^2) over at most 1/h nodes a side.
+
+    G sums the central 2/h nodes.  A pair of nodes 2 apart with midpoint
+    p has phi(p-1) phi(p+1) = exp(-1/2w^2) phi(p)^2, so F is exp(-1/2w^2)
+    times the grid's sum less its outermost 1/h nodes a side.  Down to
+    w = 8h the half-offset nodes sum to w sqrt(2 pi) / h by Poisson
+    summation (the first dual term, exp(-2 pi^2 w^2 / h^2), is 0 there);
+    the tail past the grid's M h >= 8w is taken with erfc.  Narrower
+    grids hold at most 64 nodes a side and are summed.
+    """
+    cells, radius_cells = _gaussian_grid(width, grid_spacing)
+    nearest = 0.5 * grid_spacing
+    _check_normalizable("gaussian width", width, nearest * nearest / -(4.0 * width * width), grid_spacing)
+    if radius_cells <= cells:  # every node lies in (-1, 1)
+        return _unit_strength(0.0, 1.0)
+    spread = 2.0 * width * width
+
+    def density(q):
+        q *= q
+        q /= -spread
+        return np.exp(q, out=q)
+
+    if width < 8.0 * grid_spacing:
+        total = _node_sum(density, 0, radius_cells, grid_spacing)
+    else:
+        reach = radius_cells * grid_spacing / (math.sqrt(2.0) * width)
+        total = width / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - math.erfc(reach))
+    central = _node_sum(density, 0, cells, grid_spacing)
+    # the pairs' midpoints are the inner M - 1/h nodes a side: sum them, or
+    # take the outer 1/h from the norm sum, whichever sums fewer nodes
+    inner = radius_cells - cells
+    if inner <= cells:
+        paired = _node_sum(density, 0, inner, grid_spacing)
+    else:
+        paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
+    return _unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
+
+
+def _exponential_grid(scale: float, grid_spacing: float) -> tuple[int, int]:
+    """make_exponential's checks before it allocates; its cells per unit and nodes a side."""
     if not scale > 0:
         raise InvalidParameterError(f"scale must be positive, got {scale}")
-    _cells_per_unit(grid_spacing)
+    cells = _cells_per_unit(grid_spacing)
     radius_cells = _radius_cells(max(40.0 * scale, 2.0), grid_spacing)
     _check_node_count(2 * radius_cells, "exponential scale", scale)
     _check_resolved("exponential scale", scale, 0.5 * grid_spacing, 2.0 * scale, grid_spacing)
+    return cells, radius_cells
+
+
+def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
+    """Pointer with phi^2 proportional to exp(-|q|/scale), truncated at max(40 scale, 2) and renormalized."""
+    _, radius_cells = _exponential_grid(scale, grid_spacing)
     samples, upper = _upper_positions(radius_cells, grid_spacing)
     upper /= -(2.0 * scale)
     np.exp(upper, out=upper)
     return _mirrored_state("exponential scale", scale, samples, grid_spacing)
+
+
+def _exponential_strength(scale: float, grid_spacing: float) -> MeasurementStrength:
+    """make_exponential's (F, G) from geometric sums.
+
+    phi^2 at node j is e^(-h/2s) r^j with r = e^(-h/s), so in units of
+    e^(-h/2s) / (1 - r) the grid's M nodes a side sum to 1 - r^M and the
+    central 1/h to 1 - e^(-1/s).  The grid reaches past 2 (M >= 2/h): the
+    1/h pairs 2 apart whose midpoint p lies in (-1, 1) a side each give
+    phi(p-1) phi(p+1) = e^(-1/s), the others phi(p)^2, summing to
+    e^(-1/s) (1 - r^(M - 2/h)).
+    """
+    cells, radius_cells = _exponential_grid(scale, grid_spacing)
+    _check_normalizable("exponential scale", scale, 0.5 * grid_spacing / -(2.0 * scale), grid_spacing)
+    step = grid_spacing / scale
+    total = -math.expm1(-radius_cells * step)
+    inside = cells * -math.expm1(-step) * math.exp(-(2.0 - grid_spacing) / (2.0 * scale))
+    outside = math.exp(-1.0 / scale) * -math.expm1(-(radius_cells - 2 * cells) * step)
+    return _unit_strength((inside + outside) / total, -math.expm1(-1.0 / scale) / total)
 
 
 def _envelope_intervals(target_precision: float, cells: int) -> int:
@@ -375,19 +535,8 @@ def _odd_rows(n_rows: int) -> slice:
     return slice((n_rows // 2 + 1) % 2, None, 2)
 
 
-def optimal_from_central(
-    central_samples: np.ndarray, target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACING
-) -> PointerState:
-    """Frontier pointer generated by an explicit central profile.
-
-    central_samples are amplitudes on the 2/h nodes of the central
-    interval (-1, 1]; they are rescaled so their mass is the target
-    precision, then copied to interval n with amplitude factor
-    ((1-G)/(1+G))^(|n|/2).  Intervals whose envelope weight (relative to
-    the central interval) drops below ENVELOPE_CUTOFF are dropped, and
-    the state is renormalized.  The resulting quality factor is
-    sqrt(1 - G^2) for any admissible profile.
-    """
+def _frontier_samples(central_samples: np.ndarray, target_precision: float, grid_spacing: float) -> np.ndarray:
+    """optimal_from_central's grid before it is normalized: a fresh, writable array."""
     cells = _cells_per_unit(grid_spacing)
     envelope = _frontier_envelope(target_precision, cells)
     central = np.asarray(central_samples, dtype=float)
@@ -403,7 +552,23 @@ def optimal_from_central(
     # (2N+1, 2/h) sample array is the interval (2n-1, 2n+1]
     samples = np.empty(envelope.size * central.size)
     np.multiply(central[None, :], envelope[:, None], out=samples.reshape(envelope.size, central.size))
-    return _normalized_state(samples, grid_spacing)
+    return samples
+
+
+def optimal_from_central(
+    central_samples: np.ndarray, target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACING
+) -> PointerState:
+    """Frontier pointer generated by an explicit central profile.
+
+    central_samples are amplitudes on the 2/h nodes of the central
+    interval (-1, 1]; they are rescaled so their mass is the target
+    precision, then copied to interval n with amplitude factor
+    ((1-G)/(1+G))^(|n|/2).  Intervals whose envelope weight (relative to
+    the central interval) drops below ENVELOPE_CUTOFF are dropped, and
+    the state is renormalized.  The resulting quality factor is
+    sqrt(1 - G^2) for any admissible profile.
+    """
+    return _normalized_state(_frontier_samples(central_samples, target_precision, grid_spacing), grid_spacing)
 
 
 def _central_profile(profile: str, target_precision: float, grid_spacing: float) -> np.ndarray:
@@ -436,13 +601,35 @@ def make_worst(target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACI
 
     Zeroing every odd interval makes the +1/-1 displaced copies disjoint,
     so the quality factor vanishes identically.  The precision of the
-    renormalized state is larger than the generating target.
+    renormalized state is larger than the generating target.  The rows
+    are zeroed in make_optimal's normalized grid, in place, so the one
+    array holds the bits of zeroing a copy of make_optimal's samples.
     """
-    base = make_optimal(target_precision, "flat", grid_spacing)
-    samples = base.samples.copy()
-    rows = samples.reshape(-1, 2 * _cells_per_unit(grid_spacing))
+    central = _central_profile("flat", target_precision, grid_spacing)
+    samples = _normalize(_frontier_samples(central, target_precision, grid_spacing), grid_spacing)
+    rows = samples.reshape(-1, central.size)
     rows[_odd_rows(rows.shape[0])] = 0.0
     return _normalized_state(samples, grid_spacing)
+
+
+def _frontier_sums(target_precision: float, grid_spacing: float, worst: bool = False) -> MeasurementStrength:
+    """(F, G) of make_optimal(target), any profile, or of make_worst(target), from geometric sums.
+
+    With r = (1-G)/(1+G) the envelope squares to r^|n|, |n| <= N, so
+    sum(e_n^2) = 1 + 2r (1 - r^N)/(1 - r) and sum(e_n e_{n+1}) =
+    2 sqrt(r) (1 - r^N)/(1 - r); the worst pointer keeps only the even
+    n <= 2K = N - N % 2, whose squares sum to 1 + 2r^2 (1 - r^2K)/(1 - r^2).
+    1 - r^N is -expm1(N log r).  Refuses exactly what the builder refuses.
+    """
+    n_intervals = _envelope_intervals(target_precision, _cells_per_unit(grid_spacing))
+    ratio = (1.0 - target_precision) / (1.0 + target_precision)
+    if worst:
+        kept = n_intervals - n_intervals % 2
+        total = 1.0 + 2.0 * ratio * ratio * -math.expm1(kept * math.log(ratio)) / ((1.0 - ratio) * (1.0 + ratio))
+        return _unit_strength(0.0, 1.0 / total)
+    geometric = -math.expm1(n_intervals * math.log(ratio)) / (1.0 - ratio)
+    total = 1.0 + 2.0 * ratio * geometric
+    return _unit_strength(2.0 * math.sqrt(ratio) * geometric / total, 1.0 / total)
 
 
 def _frontier_strength(
@@ -450,15 +637,15 @@ def _frontier_strength(
 ) -> RowStrength:
     """The rows of make_optimal(target) (flat profile), or of make_worst(target), with their (F, G).
 
-    Refuses exactly the inputs the builder refuses, the node cap included.
+    F and G are _frontier_sums'; the envelope is what a Monte Carlo
+    stage draws its rows from.  Refuses exactly the inputs the builder
+    refuses, the node cap included.
     """
+    strength = _frontier_sums(target_precision, grid_spacing, worst)
     envelope = _frontier_envelope(target_precision, _cells_per_unit(grid_spacing))
     if worst:
         envelope[_odd_rows(envelope.size)] = 0.0
-    # the central factor is 1, so the sum is at least 1
-    total = float(np.sum(envelope * envelope))
-    quality = float(np.sum(envelope[1:] * envelope[:-1])) / total
-    return RowStrength(_clamp_unit(quality, "quality factor"), _clamp_unit(1.0 / total, "precision"), envelope)
+    return RowStrength(strength.quality_factor, strength.precision, envelope)
 
 
 def quality_factor(state: PointerState) -> float:
@@ -500,18 +687,24 @@ _FAMILY_BUILDERS = {
     "optimal": make_optimal,
     "worst": make_worst,
 }
+_FAMILY_STRENGTHS = {
+    "square": _square_strength,
+    "gaussian": _gaussian_strength,
+    "exponential": _exponential_strength,
+    "optimal": _frontier_sums,
+    "worst": lambda target, grid_spacing: _frontier_sums(target, grid_spacing, worst=True),
+}
 
 
 def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:
-    """(F, G) of a known family's pointer at its parameter value.
+    """(F, G) of the grid _FAMILY_BUILDERS[family](value, grid_spacing) would build, without building it.
 
-    The frontier families are read from their rows, which builds no grid
-    (the spacing is only validated and sizes the node cap); the others
-    are built and integrated on the grid.
+    Each family's closed form runs the builder's own checks, so it
+    refuses exactly the values and spacings the builder refuses, with
+    the same error; the spacing then only fixes which nodes the sums
+    take.  No grid and no array that grows with the grid is made.
     """
-    if family in ("optimal", "worst"):
-        return _frontier_strength(value, worst=family == "worst", grid_spacing=grid_spacing)
-    return strength_of(_FAMILY_BUILDERS[family](value, grid_spacing=grid_spacing))
+    return _FAMILY_STRENGTHS[family](value, grid_spacing)
 
 
 def tradeoff_curve(
@@ -524,7 +717,7 @@ def tradeoff_curve(
     The parameter is the half width (square), width (gaussian), scale
     (exponential) or target precision (optimal, worst).
     """
-    if family not in _FAMILY_BUILDERS:
+    if family not in _FAMILY_STRENGTHS:
         raise InvalidParameterError(f"unknown pointer family {family!r}")
     parameters = [float(p) for p in parameters]
     if not parameters:

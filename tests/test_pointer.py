@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     oracle_make_exponential,
     oracle_make_gaussian,
@@ -32,7 +34,7 @@ from weakbell import (
     tradeoff_curve,
 )
 from weakbell import pointer
-from weakbell.bell import double_violation_curve
+from weakbell.bell import _erfinv, double_violation_curve
 from weakbell.channel import strength_pair
 from weakbell.errors import NodeCapError
 from weakbell.cli import parse_range
@@ -599,6 +601,285 @@ def test_grid_spacing_needs_a_finite_reciprocal():
     for build in (make_square, make_gaussian, make_exponential):
         with pytest.raises(InvalidParameterError, match="finite reciprocal"):
             build(1.0, grid_spacing=5e-324)
+
+
+# --- every family's (F, G) in closed form against the grid ------------------------
+# _family_strength reads F and G from a few sums and builds no grid; the
+# builder's grid and its quadrature (strength_of) are the oracle.
+
+_FAMILIES = ("square", "gaussian", "exponential", "optimal", "worst")
+# the closed form and the quadrature round differently, and a value that
+# is exp of a large argument x also carries that argument's rounding, |x|
+# ulps; measured at most 9 ulps (the optimal grid's G) and 0.8 |ln v| ulps
+# (an exponential F of 1e-255), so the bound is 16 (1 + |ln v|) ulps
+_CLOSED_FORM_ULPS = 16
+
+
+def _assert_agrees_with_grid(family, value, spacing=SPACING):
+    closed = pointer._family_strength(family, value, spacing)
+    grid = strength_of(pointer._FAMILY_BUILDERS[family](value, grid_spacing=spacing))
+    for name, got, want in (("F", closed.quality_factor, grid.quality_factor), ("G", closed.precision, grid.precision)):
+        top = max(got, want)
+        if top < 1e-300:  # both underflow; below the normal range an ulp bound means nothing
+            continue
+        bound = _CLOSED_FORM_ULPS * (1.0 + abs(math.log(top))) * math.ulp(top)
+        assert abs(got - want) <= bound, (family, value, spacing, name, got, want)
+
+
+def _family_parameter(family, target):
+    """The parameter double maps a target precision to (bell._strength_for_target)."""
+    if family == "square":
+        return 1.0 / target
+    if family == "gaussian":
+        return 1.0 / (math.sqrt(2.0) * _erfinv(target))
+    return target
+
+
+@pytest.mark.parametrize("family", ["square", "gaussian", "optimal", "worst"])
+def test_closed_forms_agree_with_the_grid_on_the_readme_targets(family):
+    for target in parse_range("0.005:0.995:0.005"):
+        _assert_agrees_with_grid(family, _family_parameter(family, target))
+
+
+@pytest.mark.parametrize(
+    "family, values",
+    [
+        ("optimal", "0.1:0.9:0.1"),
+        ("square", "1:3:0.25"),
+        ("gaussian", "0.1:2:0.1"),
+        ("exponential", "0.1:2:0.1"),
+        ("worst", "0.01:0.99:0.01"),
+    ],
+)
+def test_closed_forms_agree_with_the_grid_on_the_readme_tradeoff_ranges(family, values):
+    for value in parse_range(values):
+        _assert_agrees_with_grid(family, value)
+
+
+def _swept_parameter(family, spacing, u):
+    """A parameter from u in [0, 1], log-uniform, whose grid holds at most about 2^18 nodes a side.
+
+    The narrow ends keep the largest sample's square normal (e^-200);
+    below that the grid normalizes a subnormal norm only to 1e-9.
+    """
+    if family == "square":
+        return 50.0 * spacing * (2.0**12) ** u
+    if family == "gaussian":
+        return spacing / 40.0 * (40.0 * 2.0**15) ** u
+    if family == "exponential":
+        return spacing / 400.0 * (10.0 * 2.0**18) ** u
+    return 0.05 + 0.949 * u
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(1, 10), u=st.floats(0.0, 1.0))
+def test_closed_forms_agree_with_the_grid_at_every_spacing(family, k, u):
+    spacing = 2.0**-k
+    _assert_agrees_with_grid(family, _swept_parameter(family, spacing, u), spacing)
+
+
+def _exact_node_sums(family, value, spacing):
+    """(F, G) as math.fsum of the unnormalized profile at the grid's nodes: no quadrature rounding.
+
+    F sums phi(p-1) phi(p+1) over the pairs' midpoints p, each product
+    from its own exponent, not from the identities the closed forms use.
+    """
+    cells = round(1.0 / spacing)
+    if family in ("optimal", "worst"):
+        envelope = pointer._frontier_envelope(value, cells)
+        if family == "worst":
+            envelope[pointer._odd_rows(envelope.size)] = 0.0
+        total = math.fsum((envelope * envelope).tolist())
+        quality = math.fsum((envelope[1:] * envelope[:-1]).tolist()) / total
+        return quality, 1.0 / total
+    if family == "gaussian":
+        radius_cells = math.ceil(8.0 * value / spacing)
+        exponent = lambda q: -(q * q) / (4.0 * value * value)  # noqa: E731
+    else:
+        radius_cells = math.ceil(max(40.0 * value, 2.0) / spacing)
+        exponent = lambda q: -np.abs(q) / (2.0 * value)  # noqa: E731
+    q = (np.arange(radius_cells) + 0.5) * spacing
+    total = math.fsum(np.exp(2.0 * exponent(q)).tolist())
+    central = math.fsum(np.exp(2.0 * exponent(q[:cells])).tolist())
+    p = q[: max(0, radius_cells - cells)]
+    paired = math.fsum(np.exp(exponent(p - 1.0) + exponent(p + 1.0)).tolist())
+    return paired / total, min(1.0, central / total)
+
+
+# the closed forms against the exact sums of the same node values: G
+# within 4 ulps, F (exp of an argument as large as |ln F|) within
+# 4 (1 + |ln F|) ulps
+_EXACT_SUM_ULPS = 4
+
+
+@pytest.mark.parametrize("family", ["gaussian", "exponential", "optimal", "worst"])
+@pytest.mark.parametrize("spacing", [2.0**-1, 2.0**-4, 2.0**-9])
+def test_closed_forms_match_exact_sums_over_the_nodes(family, spacing):
+    if family == "gaussian":
+        values = np.geomspace(spacing / 8.0, 2.0**13 * spacing, 30)
+    elif family == "exponential":
+        values = np.geomspace(spacing / 20.0, 2.0**13 * spacing, 30)
+    else:
+        values = np.linspace(0.05, 0.995, 30)
+    for value in values.tolist():
+        closed = pointer._family_strength(family, value, spacing)
+        quality, gp = _exact_node_sums(family, value, spacing)
+        assert abs(closed.precision - gp) <= _EXACT_SUM_ULPS * math.ulp(gp), (family, value, closed, gp)
+        if quality > 0.0:
+            bound = _EXACT_SUM_ULPS * (1.0 - math.log(quality)) * math.ulp(quality)
+            assert abs(closed.quality_factor - quality) <= bound, (family, value, closed, quality)
+        else:
+            assert closed.quality_factor == 0.0
+
+
+def _outcome(call):
+    """A call's (error type, message), or its result's (F, G)."""
+    try:
+        result = call()
+    except Exception as exc:  # any refusal: its type and message are what is compared
+        return type(exc), str(exc)
+    return "built", result
+
+
+def _assert_same_refusals(family, values, spacing=SPACING):
+    """_family_strength refuses each value exactly as the builder does; returns the outcomes seen."""
+    seen = set()
+    for value in values:
+        with np.errstate(all="ignore"):
+            built = _outcome(lambda: pointer._FAMILY_BUILDERS[family](value, grid_spacing=spacing))
+        closed = _outcome(lambda: pointer._family_strength(family, value, spacing))
+        if built[0] == "built":
+            assert closed[0] == "built", (family, value, closed)
+            seen.add("built")
+        else:
+            assert closed == built, (family, value)
+            seen.add(built[0].__name__)
+    return seen
+
+
+# values past the real cap, which every builder refuses before it allocates
+_PAST_THE_CAP = {
+    "square": [2.0**15, 1e308],
+    "gaussian": [1e4, 1e308],
+    "exponential": [1e3, 1e308],
+    "optimal": [0.0015, 1e-17],  # at 1e-17 (1-G)/(1+G) rounds to 1
+    "worst": [0.0015, 1e-300],
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_closed_forms_refuse_bad_values_and_spacings_as_the_builders_do(family):
+    seen = _assert_same_refusals(family, [0.0, -0.0, -1.0, math.nan, -math.inf])
+    assert seen == {"InvalidParameterError"}
+    assert _assert_same_refusals(family, _PAST_THE_CAP[family]) == {"NodeCapError"}
+    # an infinite width asks for a grid past the cap; an infinite target is out of range
+    infinite = _assert_same_refusals(family, [math.inf])
+    assert infinite == ({"InvalidParameterError"} if family in ("optimal", "worst") else {"NodeCapError"})
+    good = 0.5 if family in ("optimal", "worst") else 1.0
+    for spacing in (0.0, -SPACING, math.nan, math.inf, 5e-324, 1.0, 0.3, 1.5 * SPACING, 2.0):
+        assert _assert_same_refusals(family, [good], spacing) == {"InvalidParameterError"}
+    if family not in ("optimal", "worst"):
+        # a square needs spacing <= width/50; the others are only resolved or not
+        seen = _assert_same_refusals(family, [0.01, 0.0195, 0.02, 0.0196], 2.0**-10)
+        assert seen == ({"InvalidParameterError"} if family == "square" else {"built"})
+
+
+# a cap of 2^16 nodes puts each family's last grid a few ms from the boundary
+_SMALL_CAP = 2**16
+
+
+def _values_across_the_cap(family):
+    """Values whose grids hold the cap's node count and one node pair more and less, plus a scan across."""
+    cells = round(1.0 / SPACING)
+    a_side = _SMALL_CAP // 2
+    if family == "square":  # 2 (ceil(w / h) + 1/h) nodes
+        edge = (a_side - cells) * SPACING
+        return [edge - SPACING, edge, math.nextafter(edge, math.inf), edge + SPACING]
+    if family == "gaussian":  # 2 ceil(8 w / h) nodes
+        edge = a_side * SPACING / 8.0
+        return [edge - SPACING / 8.0, edge, math.nextafter(edge, math.inf), edge + SPACING / 8.0]
+    if family == "exponential":  # 2 ceil(40 s / h) nodes, 40 s rounding either way
+        edge = a_side * SPACING / 40.0
+        return [edge * (1.0 + k * 2.0**-52) for k in range(-8, 9)] + [edge - SPACING / 40.0, edge + SPACING / 40.0]
+    # 2 (2N + 1) / h nodes: N = 31 fits, N = 32 does not; G = 0.478 crosses over
+    return np.linspace(0.47, 0.49, 81).tolist()
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_closed_forms_refuse_at_the_node_cap_as_the_builders_do(family, monkeypatch):
+    monkeypatch.setattr(pointer, "MAX_POINTER_NODES", _SMALL_CAP)
+    seen = _assert_same_refusals(family, _values_across_the_cap(family))
+    assert seen == {"built", "NodeCapError"}
+
+
+@pytest.mark.parametrize(
+    "family, band",
+    [
+        ("gaussian", (SPACING / (4 * 345**0.5), SPACING / (4 * 380**0.5))),
+        ("exponential", (SPACING / (4 * 345), SPACING / (4 * 380))),
+    ],
+)
+def test_closed_forms_refuse_unnormalizable_widths_as_the_builders_do(family, band):
+    # the band where the largest sample's square turns subnormal and then 0
+    # (see test_the_narrowness_check_refuses_only_zero_norm_grids)
+    values = np.geomspace(*band, 400).tolist()
+    assert _assert_same_refusals(family, values + [1e-5, 1e-160, 1e-320]) == {"built", "InvalidParameterError"}
+    reasons = set()
+    for value in values:
+        kind, result = _outcome(lambda: pointer._family_strength(family, value))
+        if kind != "built":
+            reasons.add(result.split(": ", 1)[1].split(";")[0])
+    assert reasons == {"the pointer's norm underflows to 0", "the pointer's norm is too small to normalize"}
+
+
+@pytest.mark.parametrize(
+    "family, value",
+    [("square", 16000.0), ("gaussian", 1999.0), ("exponential", 400.0), ("optimal", 0.002), ("worst", 0.002)],
+)
+def test_closed_forms_near_the_cap_allocate_no_grid(family, value):
+    # each builder would allocate 16.4 M nodes (131 MB) here
+    peak, strength = _heap_peak(lambda: pointer._family_strength(family, value))
+    assert peak < 1_000_000, (family, peak)
+    assert 0.0 < strength.precision < 0.01
+
+
+def test_no_family_strength_builds_a_grid(monkeypatch):
+    grid = parse_range("0.005:0.995:0.005")
+
+    def refuse(self):
+        raise AssertionError("a pointer grid was built")
+
+    monkeypatch.setattr(PointerState, "__post_init__", refuse)
+    for family in ("square", "gaussian", "optimal"):
+        rows = double_violation_curve(family, grid)
+        assert len(rows) == 199
+    for family, values in (("square", "1:3:0.25"), ("gaussian", "0.1:2:0.1"), ("exponential", "0.1:2:0.1")):
+        assert len(tradeoff_curve(family, parse_range(values))) == len(parse_range(values))
+    with pytest.raises(AssertionError, match="grid was built"):
+        make_square(1.5)
+
+
+def test_square_and_gaussian_double_sweeps_allocate_no_grid():
+    # at G = 0.005 the square grid holds 205 k nodes and the gaussian 3.3 M (26 MB)
+    for family in ("square", "gaussian"):
+        peak, rows = _heap_peak(lambda: double_violation_curve(family, [0.005]))
+        assert peak < 1_000_000, (family, peak)
+
+
+def test_worst_builder_holds_one_grid():
+    # it once held make_optimal's grid, a copy, and the squares np.sum
+    # took of each: 3 grids at its peak
+    peak, state = _heap_peak(lambda: make_worst(0.02))
+    assert state.samples.size == 1_651_712
+    assert peak < 1.5 * state.samples.nbytes
+
+
+@pytest.mark.parametrize("size", [1, 7, 2**16, 2**16 + 1, 3 * 2**16 + 5, 1_000_003])
+def test_sum_of_squares_has_the_bits_of_np_sum(size):
+    rng = np.random.default_rng(size)
+    samples = rng.random(size) * rng.choice([1e-3, 1.0, 1e5], size)
+    assert pointer._sum_of_squares(samples) == float(np.sum(samples * samples))
 
 
 # --- worst pointers -------------------------------------------------------------
