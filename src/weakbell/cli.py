@@ -28,7 +28,8 @@ _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError
 MAX_RANGE_POINTS = 100_000
 MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
 MAX_PROTOCOL_STAGES = 10_000
-# ~0.2-0.4 us a trial (double scenario, one or two cores): 3-6 minutes at the cap
+# ~0.08-0.14 us a trial (double scenario, --g 0.8, on two cores or one), up
+# to 0.25 us at --g 0.002 (16,121 rows): 1.3-4 minutes at the cap
 MAX_TRIALS = 10**9
 
 

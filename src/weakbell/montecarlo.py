@@ -13,18 +13,33 @@ row, so phi(q-1) and phi(q+1) are two adjacent rows' factors times a
 profile value the normalized collapse cancels: a stage draws only the
 row and reads q > 0 as the shifted row lying above the central one.
 
-run_chain carries each trial's state as a real Bloch vector r, held
-component-first as a (3, count) array so every step runs over the
-trials, not over the three components.  tr(pi+ rho) = (1 + c)/2 with
-c = d.r summed d_x r_x + d_y r_y + d_z r_z in that fixed order (np.einsum
-sums in an order of its own choosing), and the same c feeds the
-closed-form update channel.collapse_bloch.  Alice's strong outcome is
-steered in closed form from the Pauli coefficients R of the initial
-state: P(a=+1|x) = (1 + u_x.R_{1:,0})/2 and Bob's Bloch vector is
-(R_{0,1:} + a u_x^T T)/(1 + a u_x.R_{1:,0}).  analytic_joint propagates
-the same coefficients through the conditional stage maps of bell over
-the whole (y_k, b_k) branch grid; the tests check it against a complex
-branch enumeration.
+A trial's state is an index into a table of the states it can reach:
+a stage's collapse depends only on its input state, y and the row the
+shifted reading lands in.  Stage 0's table is Alice's four steered
+states, column 2x + a_index of a component-first (3, 4) array of real
+Bloch vectors r.  Before any trial is drawn, run_chain builds for each
+stage the branch thresholds tr(pi+ rho) = (1 + c)/2 of every (state, y),
+indexed by key = state*2 + y, and the next stage's table: the
+closed-form collapse channel.collapse_bloch of every (state, y, row),
+indexed by key*(R + 1) + row for the R + 1 rows a reading shifted by +-1
+can land in.  c = d.r is summed d_x r_x + d_y r_y + d_z r_z in that
+fixed order (np.einsum sums in an order of its own choosing) and the
+same c feeds the collapse, so each entry holds the bits a collapse of
+one trial's vector gives.  A trial then takes a stage in a gather of its
+threshold, a compare, a searchsorted for its row and an index update.
+The last stage builds no next table, as no collapse of it is read, and
+a one-row stage (pointer.STRONG_ROWS) takes its row from the branch and
+reads no position block.  A stage whose next table would hold more than
+MAX_TABLE_STATES vectors ends the walk: from it on, each trial's Bloch
+vector is gathered from the stage's table into a (3, count) array and
+collapsed per trial.
+
+Alice's strong outcome is steered in closed form from the Pauli
+coefficients R of the initial state: P(a=+1|x) = (1 + u_x.R_{1:,0})/2
+and Bob's Bloch vector is (R_{0,1:} + a u_x^T T)/(1 + a u_x.R_{1:,0}).
+analytic_joint propagates the same coefficients through the conditional
+stage maps of bell over the whole (y_k, b_k) branch grid; the tests
+check it against a complex branch enumeration.
 
 run_chain tallies each trial once, with np.bincount, into an outcome
 table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
@@ -41,19 +56,21 @@ Randomness comes from a Philox counter-based generator keyed by the
 seed.  A run of T trials reads the stream as length-T blocks: block 0
 holds Alice's input bits, block 1 her outcome uniforms, and stage k
 (from 0) reads its input bits from block 2+3k, its branch uniforms from
-block 3+3k and its position uniforms from block 4+3k.  Trial t of block
-b is double b*T + t of the stream, so trial t always sees the same
-counters for a given configuration.  Philox yields four doubles per
-counter step, and a chunk of trials [t0, t1) starts each block at
-counter (b*T + t0) // 4 and drops the (b*T + t0) % 4 doubles before it
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+block 3+3k and its position uniforms from block 4+3k, which a one-row
+stage does not read.  Trial t of block b is double b*T + t of the stream,
+so trial t always sees the same counters for a given configuration.
+Philox yields four doubles per counter step, and a chunk of trials
+[t0, t1) starts each block at counter (b*T + t0) // 4 and drops the
+(b*T + t0) % 4 doubles before it (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).
 
-run_chain samples, collapses and tallies chunks of CHUNK_TRIALS trials
-and sums their outcome tables, so its memory is bounded by a few chunks
-(a few MB) whatever T is.  The chunks run on min(usable CPUs, chunks)
-threads; numpy releases the interpreter lock in the array kernels.  The
-tables are integer counts, so identical seed and config reproduce the
-report bit for bit whatever the chunk size or the number of threads.
+run_chain samples and tallies chunks of CHUNK_TRIALS trials and sums
+their outcome tables, so its memory is bounded by its state tables and a
+few chunks (a few MB each) whatever T is.  The chunks run on
+min(usable CPUs, chunks) threads; numpy releases the interpreter lock in
+the array kernels.  The outcome tables are integer counts, so identical
+seed and config reproduce the report bit for bit whatever the chunk size
+or the number of threads.
 """
 
 from __future__ import annotations
@@ -71,9 +88,15 @@ from .bell import BellChainConfig, _stage_maps, pauli_coefficients, propagate
 from .channel import bloch_dot, collapse_bloch, strength_pair
 from .pointer import RowStrength
 
-# trials drawn, collapsed and tallied together; a chunk's arrays take a
-# few MB, so a run's memory does not grow with its trial count
+# trials drawn and tallied together; a chunk's arrays take a few MB, so a
+# run's memory does not grow with its trial count
 CHUNK_TRIALS = 2**15
+
+# the most states a stage's next table may hold: 2^18 Bloch vectors take
+# 6 MB, about what a chunk's arrays take when its trials collapse their own
+# vectors (5.5 MB); a stage whose next table would be larger does that.
+# The CLI's largest table, at --g 0.002, holds 4 * 2 * 16,122 states
+MAX_TABLE_STATES = 2**18
 
 # an analytic cell probability at most this is an impossible outcome: the
 # joint of an exactly impossible cell (two strong Bobs reading one direction
@@ -210,17 +233,61 @@ def _signs(positive: np.ndarray) -> np.ndarray:
     return positive.astype(np.int8) * 2 - 1
 
 
+def _stages(cfg: BellChainConfig) -> list[tuple]:
+    """(bias, directions (3, y), row CDF, padded amplitudes, central row) of every stage."""
+    stages = []
+    for stage in cfg.stages:
+        row_cdf, amplitudes = _stage_rows(stage.strength)
+        directions = np.array([stage.dir0.vector, stage.dir1.vector]).T
+        stages.append((stage.bias, directions, row_cdf, amplitudes, row_cdf.size // 2))
+    return stages
+
+
+def _state_tables(stages: list[tuple], bloch: np.ndarray) -> tuple[list, list]:
+    """Branch thresholds of the stages a trial walks by state index, and each walked stage's input states.
+
+    bloch is the (3, S) table of stage 0's input states.  A stage's
+    thresholds (1 + c)/2, c = bloch_dot(d_y, r), are indexed by
+    key = state*2 + y.  The next stage's table collapses each state r
+    through the amplitudes (row, row + 1) of every row = 0..R a shifted
+    reading can land in, and is indexed by key*(R + 1) + row.  The walk
+    ends at the last stage, which builds no next table, or at a stage
+    whose next table would hold more than MAX_TABLE_STATES vectors: that
+    stage and the ones after it collapse each trial's own vector.
+    """
+    thresholds = []
+    tables = [bloch]
+    for k, (_, directions, row_cdf, amplitudes, _) in enumerate(stages):
+        c = bloch_dot(directions[:, None, :], bloch[:, :, None])  # (S, y)
+        last = k + 1 == len(stages)
+        if not last and c.size * (row_cdf.size + 1) > MAX_TABLE_STATES:
+            break
+        thresholds.append(((1.0 + c) / 2.0).ravel())
+        if last:
+            break
+        # a (state, y, row) no trial reaches may have no weight: 0/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bloch = collapse_bloch(
+                bloch[:, :, None, None],
+                directions[:, None, :, None],
+                amplitudes[:-1],
+                amplitudes[1:],
+                np.broadcast_to(c[:, :, None], c.shape + (row_cdf.size + 1,)),
+            ).reshape(3, -1)
+        tables.append(bloch)
+    return thresholds, tables
+
+
 def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, cpus: int) -> EmpiricalReport:
     """run_chain in chunks of chunk_trials on min(cpus, chunks) threads."""
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    # every stage's rows are read before any thread starts
-    stages = []
-    for stage in cfg.stages:
-        row_cdf, amplitudes = _stage_rows(stage.strength)
-        directions = np.array([stage.dir0.vector, stage.dir1.vector]).T  # (3, y)
-        stages.append((stage.bias, directions, row_cdf, amplitudes, row_cdf.size // 2))
+    # every stage's rows and state tables are built before any thread starts
+    stages = _stages(cfg)
     p_plus_by_x, steered = _alice_steering(cfg)
+    # column 2x + a_index of the (3, x, a_index) table; a_index 0 is a = +1
+    thresholds, tables = _state_tables(stages, steered.reshape(3, 4))
+    tabled = len(thresholds)
 
     def chunk_table(start: int) -> np.ndarray:
         count = min(chunk_trials, trials - start)
@@ -230,26 +297,41 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
 
         x_bits = (draw(0) < 0.5).astype(np.int8)
         a_plus = draw(1) < np.take(p_plus_by_x, x_bits)
-        # column 2x + a_index of the (3, x, a_index) table; a_index 0 is a = +1
-        bloch = np.take(steered.reshape(3, 4), 2 * x_bits + ~a_plus, axis=1)  # (3, count)
+        state = 2 * x_bits.astype(np.intp) + ~a_plus
 
         stage_inputs = []
         stage_outcomes = []
         for k, (bias, stage_directions, row_cdf, amplitudes, centre) in enumerate(stages):
             y = (draw(2 + 3 * k) < bias).astype(np.int8)
-            directions = np.take(stage_directions, y, axis=1)  # (3, count)
-            c = bloch_dot(directions, bloch)
-            plus = draw(3 + 3 * k) < (1.0 + c) / 2.0  # branch +1 with probability tr(pi+ rho)
-            # the sampled reading's row, one row on for the +1 branch: then
-            # amplitudes[row] and amplitudes[row + 1] are phi(q-1) and phi(q+1)
-            # up to the central profile's factor, and q > 0 exactly when row > centre
-            row = np.searchsorted(row_cdf, draw(4 + 3 * k), side="right")
-            row += plus
-            # K_q = phi(q-1) pi+ + phi(q+1) pi-
-            bloch = collapse_bloch(bloch, directions, amplitudes[row], amplitudes[row + 1], c)
+            if k < tabled:
+                key = state * 2 + y
+                plus = draw(3 + 3 * k) < np.take(thresholds[k], key)  # branch +1 with probability tr(pi+ rho)
+            else:
+                if k == tabled:
+                    bloch = np.take(tables[k], state, axis=1)  # (3, count)
+                directions = np.take(stage_directions, y, axis=1)  # (3, count)
+                c = bloch_dot(directions, bloch)
+                plus = draw(3 + 3 * k) < (1.0 + c) / 2.0
+            if row_cdf.size == 1:
+                # one row: every reading lies in it, and its sign is the branch's
+                row = plus.view(np.int8)
+                positive = plus
+            else:
+                # the sampled reading's row, one row on for the +1 branch: then
+                # amplitudes[row] and amplitudes[row + 1] are phi(q-1) and phi(q+1)
+                # up to the central profile's factor, and q > 0 exactly when row > centre
+                row = np.searchsorted(row_cdf, draw(4 + 3 * k), side="right")
+                row += plus
+                positive = row > centre
+            if k + 1 < len(stages):
+                if k < tabled:
+                    state = key * (row_cdf.size + 1) + row
+                else:
+                    # K_q = phi(q-1) pi+ + phi(q+1) pi-
+                    bloch = collapse_bloch(bloch, directions, amplitudes[row], amplitudes[row + 1], c)
 
             stage_inputs.append(y)
-            stage_outcomes.append(_signs(row > centre))
+            stage_outcomes.append(_signs(positive))
         return _outcome_table(x_bits, _signs(a_plus), stage_inputs, stage_outcomes)
 
     chunks = -(-trials // chunk_trials)

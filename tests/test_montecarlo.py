@@ -48,12 +48,16 @@ from weakbell.channel import DIR_X, DIR_Z, collapse_bloch
 from weakbell.cli import _montecarlo_config
 from weakbell.montecarlo import (
     CHUNK_TRIALS,
+    MAX_TABLE_STATES,
     ZERO_MASS,
+    _alice_steering,
     _chi_square_tail,
     _outcome_table,
     _reports,
     _run_chain,
     _stage_rows,
+    _stages,
+    _state_tables,
     _uniforms,
 )
 from weakbell.pointer import STRONG_ROWS, RowStrength, _frontier_strength
@@ -279,9 +283,9 @@ def chain_config(n_stages: int, later: tuple = ()) -> tuple[BellChainConfig, lis
     return BellChainConfig(alice[0], alice[1], stages=stages), [grid for _, grid in pairs]
 
 
-def assert_matches_the_whole_run(cfg, grids, trials: int, seed: int, chunk: int) -> None:
+def assert_matches_the_whole_run(cfg, grids, trials: int, seed: int, chunk: int, oracle=None) -> None:
     # the report must not depend on the chunk size or the number of threads
-    oracle = oracle_run_chain(cfg, grids, trials, seed)
+    oracle = oracle or oracle_run_chain(cfg, grids, trials, seed)
     for workers in (1, 2):
         report = _run_chain(cfg, trials, seed, chunk, workers)
         assert report.to_dict() == oracle.to_dict()
@@ -306,6 +310,75 @@ def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, ch
     cfg, grids = chain_config(n_stages, (row_stages()["worst-0.5"], row_stages()["optimal-0.05"]))
     trials = whole_chunks * chunk + extra
     assert_matches_the_whole_run(cfg, grids, trials, 1302 + trials, chunk)
+
+
+def state_tables(cfg: BellChainConfig) -> tuple[list, list]:
+    """The branch thresholds and input-state tables run_chain walks cfg's trials through."""
+    return _state_tables(_stages(cfg), _alice_steering(cfg)[1].reshape(3, 4))
+
+
+@pytest.mark.parametrize("name", list(row_stages()))
+@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
+def test_state_tables_match_the_per_trial_collapse(monkeypatch, name, chunk):
+    # a weak Bob, then the named rows twice, walked by state index, partly and
+    # not at all (a cap of 256 tables only the weak Bob's 4*2*32 collapses, 0
+    # none), each against the grid oracle's per-trial collapse; the G = 0.05
+    # rows (648 a shifted reading can land in) would make a second table of
+    # 256*2*648 states, past the cap, so that chain leaves the walk after one stage
+    cfg, grids = chain_config(3, (row_stages()[name],) * 2)
+    trials = 3 * chunk + 5
+    oracle = oracle_run_chain(cfg, grids, trials, 4242 + trials)
+    for cap, walked in ((MAX_TABLE_STATES, 1 if name == "optimal-0.05" else 3), (256, 1), (0, 0)):
+        monkeypatch.setattr(montecarlo, "MAX_TABLE_STATES", cap)
+        assert len(state_tables(cfg)[0]) == walked
+        assert_matches_the_whole_run(cfg, grids, trials, 4242 + trials, chunk, oracle)
+
+
+def test_state_tables_leave_unreachable_collapses_undefined():
+    # three strong Bobs along Alice's own directions: a Bob that repeats the
+    # one before it reads its outcome with probability 1, so the other branch's
+    # collapse is 0/0; no trial reaches it and no RuntimeWarning escapes
+    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG_ROWS, bias=0.5),) * 3)
+    thresholds, tables = state_tables(cfg)
+    assert np.isnan(tables[2]).any() and np.isin(thresholds[1], (0.0, 1.0)).any()
+    assert_matches_the_whole_run(cfg, [make_square(1.0)] * 3, 5_000, 8, 1_000)
+
+
+def test_one_row_stage_collapses_to_its_direction_and_draws_no_position(monkeypatch):
+    # a weak Bob, then two strong ones: the middle Bob's collapses are its own
+    # direction, +d_y on the +1 branch and -d_y on the -1 branch, but only
+    # within an ulp, and a zero component of -d_y comes out +0: the table holds
+    # collapse_bloch's bits, not +-d_y
+    cfg, _ = chain_config(3)
+    stages = _stages(cfg)
+    thresholds, tables = state_tables(cfg)
+    assert len(tables) == 3
+    _, directions, row_cdf, amplitudes, _ = stages[1]
+    assert row_cdf.size == 1
+    # every (state, y, row) is reached: each branch probability lies in (0, 1)
+    # and every row of the weak Bob has mass
+    assert all(np.all((t > 0.0) & (t < 1.0)) for t in thresholds[:2])
+    assert np.all(np.diff(stages[0][2], prepend=0.0) > 0.0)
+    state, y, row = np.indices((tables[1].shape[1], 2, 2)).reshape(3, -1)  # row 1 is the +1 branch
+    got = tables[2][:, (state * 2 + y) * 2 + row]
+    # one vector at a time, c from bloch_dot, as a trial that collapses its own vector
+    one_by_one = collapse_bloch(tables[1][:, state], directions[:, y], amplitudes[row], amplitudes[row + 1])
+    assert np.array_equal(got.view(np.int64), one_by_one.view(np.int64))
+    direction = directions[:, y] * np.where(row == 1, 1.0, -1.0)
+    np.testing.assert_allclose(got, direction, rtol=0.0, atol=2.0**-53)
+    assert not np.array_equal(got.view(np.int64), direction.view(np.int64))
+
+    # the one-row stages draw no position block: stage k reads its positions from block 4 + 3k
+    drawn = set()
+    uniforms = montecarlo._uniforms
+
+    def recording(seed, trials, block, start, count):
+        drawn.add(block)
+        return uniforms(seed, trials, block, start, count)
+
+    monkeypatch.setattr(montecarlo, "_uniforms", recording)
+    run_chain(cfg, 1_000, seed=3)
+    assert drawn == {0, 1, 2, 3, 4, 5, 6, 8, 9}
 
 
 def test_run_chain_reads_zero_beyond_both_grid_edges():
