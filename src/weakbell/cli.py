@@ -28,8 +28,9 @@ _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError
 MAX_RANGE_POINTS = 100_000
 MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
 MAX_PROTOCOL_STAGES = 10_000
-# ~0.08-0.14 us a trial (double scenario, --g 0.8, on two cores or one), up
-# to 0.25 us at --g 0.002 (16,121 rows): 1.3-4 minutes at the cap
+# 1-3 minutes at the cap (double scenario, two CPUs or one of them pinned
+# with taskset, numpy 2.4.6): 59-104 s at --g 0.8, 98-175 s at --g 0.002
+# (16,121 rows), i.e. 0.06-0.18 us a trial
 MAX_TRIALS = 10**9
 
 

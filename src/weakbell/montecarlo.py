@@ -42,15 +42,16 @@ stage maps of bell over the whole (y_k, b_k) branch grid; the tests
 check it against a complex branch enumeration.
 
 run_chain tallies each trial once, with np.bincount, into an outcome
-table of shape (2,)*(2n+2): axes (x, y_1..y_n, a, b_1..b_n),
-outcome index 1 for +1.  The per-Bob reports are its marginals and
-outcome_counts its non-zero cells in index order.  analytic_joint keys
-run in index order with +1 first.  chi_square_report sums its cells in
-sorted key order, so neither order reaches its statistic, counts a cell
-of analytic mass at most ZERO_MASS as impossible, and reads its p-value
-from the closed forms of the chi-square tail at integer degrees of
-freedom (Abramowitz & Stegun 26.4.4-26.4.5): a Poisson sum for even
-dof, erfc plus a half-integer sum for odd dof.
+table of shape (2,)*(2n+2) whose axes are the booleans a trial draws,
+(x, y_1..y_n, a, b_1..b_n): index 1 (true) is input 1 or outcome +1.
+The per-Bob reports are its marginals and outcome_counts its non-zero
+cells in index order.  analytic_joint keys run in index order with +1
+first.  chi_square_report sums its cells in sorted key order, so
+neither order reaches its statistic, counts a cell of analytic mass at
+most ZERO_MASS as impossible, and reads its p-value from the closed
+forms of the chi-square tail at integer degrees of freedom (Abramowitz
+& Stegun 26.4.4-26.4.5): a Poisson sum for even dof, erfc plus a
+half-integer sum for odd dof.
 
 Randomness comes from a Philox counter-based generator keyed by the
 seed.  A run of T trials reads the stream as length-T blocks: block 0
@@ -228,11 +229,6 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     return _run_chain(cfg, trials, seed, CHUNK_TRIALS, _usable_cpus())
 
 
-def _signs(positive: np.ndarray) -> np.ndarray:
-    """+1 where positive is true and -1 elsewhere, as int8."""
-    return positive.astype(np.int8) * 2 - 1
-
-
 def _stages(cfg: BellChainConfig) -> list[tuple]:
     """(bias, directions (3, y), row CDF, padded amplitudes, central row) of every stage."""
     stages = []
@@ -295,14 +291,16 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
         def draw(block: int) -> np.ndarray:
             return _uniforms(seed, trials, block, start, count)
 
-        x_bits = (draw(0) < 0.5).astype(np.int8)
-        a_plus = draw(1) < np.take(p_plus_by_x, x_bits)
-        state = 2 * x_bits.astype(np.intp) + ~a_plus
+        # inputs and outcomes stay booleans up to the tally: np.take reads one
+        # as indices 0 and 1 (in [] it would be a mask), and 2 * x is intp
+        x = draw(0) < 0.5
+        a_plus = draw(1) < np.take(p_plus_by_x, x)
+        state = 2 * x + ~a_plus
 
         stage_inputs = []
         stage_outcomes = []
         for k, (bias, stage_directions, row_cdf, amplitudes, centre) in enumerate(stages):
-            y = (draw(2 + 3 * k) < bias).astype(np.int8)
+            y = draw(2 + 3 * k) < bias
             if k < tabled:
                 key = state * 2 + y
                 plus = draw(3 + 3 * k) < np.take(thresholds[k], key)  # branch +1 with probability tr(pi+ rho)
@@ -331,8 +329,8 @@ def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, 
                     bloch = collapse_bloch(bloch, directions, amplitudes[row], amplitudes[row + 1], c)
 
             stage_inputs.append(y)
-            stage_outcomes.append(_signs(positive))
-        return _outcome_table(x_bits, _signs(a_plus), stage_inputs, stage_outcomes)
+            stage_outcomes.append(positive)
+        return _outcome_table([x, *stage_inputs, a_plus, *stage_outcomes])
 
     chunks = -(-trials // chunk_trials)
     workers = min(cpus, chunks)
@@ -366,16 +364,13 @@ def _keyed(table: np.ndarray, cells: np.ndarray, outcome_signs: tuple[int, int])
     return dict(zip(map(tuple, keys.tolist()), table[tuple(cells.T)].tolist()))
 
 
-def _outcome_table(x_bits, a, stage_inputs, stage_outcomes) -> np.ndarray:
-    """Trial counts over (x, y_1..y_n, a, b_1..b_n), shaped (2,)*(2n+2); index 1 is outcome +1."""
-    n_stages = len(stage_inputs)
-    code = x_bits.astype(np.int64)
-    for y in stage_inputs:
-        code = code * 2 + y
-    code = code * 2 + (1 + a) // 2
-    for b in stage_outcomes:
-        code = code * 2 + (1 + b) // 2
-    return np.bincount(code, minlength=4 ** (n_stages + 1)).reshape((2,) * (2 * n_stages + 2))
+def _outcome_table(bits: list) -> np.ndarray:
+    """Trial counts over the axes of bits, [x, y_1..y_n, a, b_1..b_n], each boolean or 0/1; index 1 is true."""
+    # an intp start: a code built on the first bit array's own dtype (int8, say) overflows at 8 axes
+    code = np.zeros(len(bits[0]), dtype=np.intp)
+    for bit in bits:
+        code = code * 2 + bit
+    return np.bincount(code, minlength=2 ** len(bits)).reshape((2,) * len(bits))
 
 
 def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:

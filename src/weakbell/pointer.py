@@ -274,7 +274,8 @@ class RowStrength(MeasurementStrength):
 
     The pointer is a central profile on (-1, 1] copied to each interval
     (2n-1, 2n+1], n = i - N, with amplitude factor envelope[i] (2N+1
-    factors, held read-only); F and G are the pointer's own.
+    finite factors whose squares sum to a finite positive mass, held
+    read-only); F and G are the pointer's own.
     """
 
     envelope: np.ndarray = field(compare=False, repr=False)
@@ -282,6 +283,13 @@ class RowStrength(MeasurementStrength):
     def __post_init__(self):
         super().__post_init__()
         envelope = np.array(self.envelope, dtype=float)
+        if envelope.ndim != 1 or envelope.size % 2 == 0:
+            raise InvalidParameterError(f"row envelope must be 1-D of odd length 2N+1, got shape {envelope.shape}")
+        # an infinite or NaN factor makes the mass infinite or NaN
+        with np.errstate(over="ignore"):
+            mass = float(np.sum(envelope * envelope))
+        if not 0.0 < mass < math.inf:
+            raise InvalidParameterError(f"row envelope must have a finite positive mass sum(e^2), got {mass!r}")
         envelope.flags.writeable = False
         object.__setattr__(self, "envelope", envelope)
 

@@ -479,5 +479,6 @@ def oracle_run_chain(cfg, grids, trials: int, seed: int) -> EmpiricalReport:
         stage_inputs.append(y)
         stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
 
-    per_bob, outcome_counts = _reports(_outcome_table(x_bits, a, stage_inputs, stage_outcomes))
+    bits = [x_bits, *stage_inputs, a > 0, *(b > 0 for b in stage_outcomes)]
+    per_bob, outcome_counts = _reports(_outcome_table(bits))
     return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, outcome_counts)

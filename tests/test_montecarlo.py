@@ -242,7 +242,10 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
     stage_outcomes = [
         (a * np.where(rng.random(trials) < agree, 1, -1)).astype(np.int8) for agree in rng.random(n_stages)
     ]
-    per_bob, outcome_counts = _reports(_outcome_table(x_bits, a, stage_inputs, stage_outcomes))
+    # the tally takes 0/1 inputs (int8: a code built on their dtype overflows at
+    # n_stages = 3) and boolean outcomes in axis order; the oracles read the +-1 signs
+    bits = [x_bits, *stage_inputs, a > 0, *(b > 0 for b in stage_outcomes)]
+    per_bob, outcome_counts = _reports(_outcome_table(bits))
     oracle = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
     assert [_report_fields(bob) for bob in per_bob] == [_report_fields(bob) for bob in oracle]
     oracle_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)

@@ -528,6 +528,13 @@ def test_row_strength_holds_a_read_only_envelope():
     assert (strong.quality_factor, strong.precision, strong.envelope.tolist()) == (0.0, 1.0, [1.0])
     with pytest.raises(PhysicalityError):
         pointer.RowStrength(0.9, 0.9, np.ones(1))
+    # 2N+1 finite rows of finite positive mass, or run_chain would divide by
+    # a zero or infinite mass, index an empty CDF, or miscount the central row
+    for envelope in (np.zeros(3), [1.0, math.inf, 1.0], [], np.ones(2), [1.0, math.nan, 1.0], [[1.0]]):
+        with pytest.raises(InvalidParameterError, match="row envelope"):
+            pointer.RowStrength(0.8, 0.6, envelope)
+    with pytest.raises(InvalidParameterError, match="finite positive mass"):
+        pointer.RowStrength(0.8, 0.6, [1e200, 1.0, 1e200])
 
 
 def _refusal(call):
