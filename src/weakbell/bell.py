@@ -148,9 +148,8 @@ class BobStage:
     """One Bob: directions for inputs 0/1, strength (F, G), input bias.
 
     bias is the probability of receiving input 1.  The strength is a
-    MeasurementStrength (a pointer.RowStrength for a Monte Carlo stage);
-    a pointer grid is refused with InvalidParameterError, and
-    pointer.strength_of(state) gives its (F, G).
+    MeasurementStrength; a pointer grid is refused with
+    InvalidParameterError, and pointer.strength_of(state) gives its (F, G).
     """
 
     dir0: Direction

@@ -9,16 +9,17 @@ acts on a density matrix rho as
                                + (1 - bG - F)/2 pi- rho pi-   (unnormalized)
 
 where pi+/- project onto the eigenstates along +/-d.  The conditional
-map is positive exactly when F^2 + G^2 <= 1.  Per-reading collapse uses
-the Kraus operator K_q = phi(q-1) pi+ + phi(q+1) pi-.
+map is positive exactly when F^2 + G^2 <= 1.  A single reading q
+collapses the state through the Kraus operator
+K_q = phi(q-1) pi+ + phi(q+1) pi-; for a symmetric real pointer, the
+collapses summed over the readings of sign b give the conditional map.
 
 The package carries a qubit as its real Bloch vector r,
 rho = (I + r.sigma)/2, and a pair as its Pauli coefficients (see bell,
 whose stage maps are these channels on Bob's index).  In that form the
-unconditional map is the linear map r -> F r + (1-F) d (d.r), outcome b
-has probability (1 + b G d.r)/2, and the collapse through
-K = a pi+ + b pi- has the closed form implemented by collapse_bloch.
-The 2x2 complex forms above are not computed here: the tests hold them
+unconditional map is the linear map r -> F r + (1-F) d (d.r) and
+outcome b has probability (1 + b G d.r)/2.  The 2x2 complex forms above
+and the per-reading collapse are not computed here: the tests hold them
 as the oracle these real forms are checked against.
 """
 
@@ -86,37 +87,6 @@ def strength_pair(strength) -> tuple[float, float]:
 def bloch_dot(directions, bloch) -> np.ndarray:
     """d.r for (3, ...) arrays, summed d_x r_x + d_y r_y + d_z r_z in that order."""
     return directions[0] * bloch[0] + directions[1] * bloch[1] + directions[2] * bloch[2]
-
-
-def collapse_bloch(bloch, directions, a, b, c=None) -> np.ndarray:
-    """Normalized Bloch vectors after the Kraus operator K = a pi+ + b pi-.
-
-    bloch and directions are component-first (3, ...) arrays, a and b
-    the (...) arrays of real amplitudes, and c, when given, is
-    bloch_dot(directions, bloch).  The collapsed state K rho K has trace
-    N = ((a^2 + b^2) + (a^2 - b^2) c) / 2 and Bloch vector
-
-        r' = (a b (r - c d) + ((a^2 + b^2) c + a^2 - b^2) / 2 d) / N,
-
-    so K rho K / tr(K rho K) is formed without any 2x2 product.
-    """
-    r = np.asarray(bloch, dtype=float)
-    d = np.asarray(directions, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if c is None:
-        c = bloch_dot(d, r)
-    a_sq = a * a
-    b_sq = b * b
-    total = a_sq + b_sq
-    diff = a_sq - b_sq
-    along = (total * c + diff) / 2.0
-    out = c * d
-    np.subtract(r, out, out=out)
-    out *= a * b
-    out += along * d
-    out /= (total + diff * c) / 2.0
-    return out
 
 
 def distinguishability(strength) -> tuple[float, float]:

@@ -28,9 +28,10 @@ _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError
 MAX_RANGE_POINTS = 100_000
 MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
 MAX_PROTOCOL_STAGES = 10_000
-# 1-3 minutes at the cap (double scenario, two CPUs or one of them pinned
-# with taskset, numpy 2.4.6): 59-104 s at --g 0.8, 98-175 s at --g 0.002
-# (16,121 rows), i.e. 0.06-0.18 us a trial
+# run_chain draws outcome counts, not trials, so the cap costs what 10^6
+# trials cost (double scenario, one CPU, numpy 2.4.6): 0.55-0.6 ms in
+# run_chain at --g 0.8 or 0.002, ~3.5 ms in-process for the whole command at
+# --g 0.8; it is kept because lifting it would turn refusals into outputs
 MAX_TRIALS = 10**9
 
 
@@ -251,15 +252,16 @@ def cmd_protocol(args) -> int:
 
 
 def _montecarlo_config(scenario: str, target_precision: float) -> bell.BellChainConfig:
-    """The Tsirelson chain as interval rows: a frontier Bob at the target G, then a strong one for "double"."""
+    """The Tsirelson chain: a frontier Bob at the target G, then a strong one for "double"."""
     if scenario not in ("single", "double"):
         raise InvalidParameterError(f"unknown scenario {scenario!r} (choose single or double)")
     alice = bell.tsirelson_alice()
     bob = bell.tsirelson_bob()
-    weak = pointer.STRONG_ROWS if target_precision >= 1.0 else pointer._frontier_strength(target_precision)
+    strong = pointer.MeasurementStrength(0.0, 1.0)
+    weak = strong if target_precision >= 1.0 else pointer._family_strength("optimal", target_precision)
     stages = (bell.BobStage(bob[0], bob[1], weak, bias=0.5),)
     if scenario == "double":
-        stages += (bell.BobStage(bob[0], bob[1], pointer.STRONG_ROWS, bias=0.5),)
+        stages += (bell.BobStage(bob[0], bob[1], strong, bias=0.5),)
     return bell.BellChainConfig(alice[0], alice[1], stages=stages)
 
 

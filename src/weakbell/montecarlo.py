@@ -1,77 +1,56 @@
-"""Stochastic simulation of measurement chains with explicit pointer readings.
+"""Stochastic simulation of measurement chains, drawn as outcome counts.
 
-Each trial samples Alice's strong outcome, then walks the Bob stages.
-A reading q is drawn from phi^2, displaced by +1 with probability
-tr(pi+ rho) and by -1 otherwise; the state collapses through
-K_q = phi(q-1) pi+ + phi(q+1) pi- and the outcome is the sign of q.
-A stage must be a pointer.RowStrength, whose pointer scales one profile
-by e_n on every interval (2n-1, 2n+1]; run_chain refuses any other
-MeasurementStrength before a trial is drawn, and a pointer grid never
-gets that far, as bell.BobStage refuses it.  A reading lies in
-row n with probability e_n^2 / sum(e^2), and a +-1 shift moves it one
-row, so phi(q-1) and phi(q+1) are two adjacent rows' factors times a
-profile value the normalized collapse cancels: a stage draws only the
-row and reads q > 0 as the shifted row lying above the central one.
+A run's report depends only on its outcome table, the trial counts of
+the cells (x, y_1..y_n, a, b_1..b_n).  The trials are independent and
+identically distributed, so the table is Multinomial(T, p) over the
+chain's joint law p, and run_chain draws it by splitting counts along
+the chain: a binomial split of every cell at each step, in work and
+memory of the 4*4^n cells whatever the trial count T is.
 
-A trial's state is an index into a table of the states it can reach:
-a stage's collapse depends only on its input state, y and the row the
-shifted reading lands in.  Stage 0's table is Alice's four steered
-states, column 2x + a_index of a component-first (3, 4) array of real
-Bloch vectors r.  Before any trial is drawn, run_chain builds for each
-stage the branch thresholds tr(pi+ rho) = (1 + c)/2 of every (state, y),
-indexed by key = state*2 + y, and the next stage's table: the
-closed-form collapse channel.collapse_bloch of every (state, y, row),
-indexed by key*(R + 1) + row for the R + 1 rows a reading shifted by +-1
-can land in.  c = d.r is summed d_x r_x + d_y r_y + d_z r_z in that
-fixed order (np.einsum sums in an order of its own choosing) and the
-same c feeds the collapse, so each entry holds the bits a collapse of
-one trial's vector gives.  A trial then takes a stage in a gather of its
-threshold, a compare, a searchsorted for its row and an index update.
-The last stage builds no next table, as no collapse of it is read, and
-a one-row stage (pointer.STRONG_ROWS) takes its row from the branch and
-reads no position block.  A stage whose next table would hold more than
-MAX_TABLE_STATES vectors ends the walk: from it on, each trial's Bloch
-vector is gathered from the stage's table into a (3, count) array and
-collapsed per trial.
+Each Bob acts only on the state the Bob before hands on, so the law is
+fixed by the conditional stage maps C_{y,b} of bell._stage_maps, the
+maps analytic_joint propagates.  A stage is its MeasurementStrength
+(F, G) and nothing more: for a symmetric real pointer, the reading
+b = sign(q) has probability (C_{y,b} v)_0, and the collapses of the
+readings of that sign sum to C_{y,b} v.  The tests check that against
+a sampler of actual pointer readings on pointer grids
+(conftest.oracle_run_chain).
 
+A branch carries Bob's state as a normalized Pauli 4-vector v = (1, r).
 Alice's strong outcome is steered in closed form from the Pauli
-coefficients R of the initial state: P(a=+1|x) = (1 + u_x.R_{1:,0})/2
-and Bob's Bloch vector is (R_{0,1:} + a u_x^T T)/(1 + a u_x.R_{1:,0}).
-analytic_joint propagates the same coefficients through the conditional
-stage maps of bell over the whole (y_k, b_k) branch grid; the tests
-check it against a complex branch enumeration.
+coefficients R of the initial state: after outcome a on input x, Bob's
+unnormalized vector is R_{0,:} + a u_x.R_{1:,:}, whose 0 component is
+2 P(a|x); its state is row 2x + a_index (a_index 1 is a = +1).  Stage
+k's branch of key = state*2 + y takes b = +1 with probability
+(C_{y,+} v)_0 and hands on C_{y,b} v / (C_{y,b} v)_0 as state
+key*2 + b_index (b_index 1 is b = +1).  run_chain computes these once
+per run for every key, before any draw.  A branch no trial can reach
+may hold 0/0; its cell has no count and its probability is read as 0.
+Probabilities are clipped to [0, 1], as a compare of a uniform with them
+would: the branch a strong Bob cannot take rounds to within about 1e-16
+of 0, on either side.
 
-run_chain tallies each trial once, with np.bincount, into an outcome
-table of shape (2,)*(2n+2) whose axes are the booleans a trial draws,
-(x, y_1..y_n, a, b_1..b_n): index 1 (true) is input 1 or outcome +1.
-The per-Bob reports are its marginals and outcome_counts its non-zero
-cells in index order.  analytic_joint keys run in index order with +1
-first.  chi_square_report sums its cells in sorted key order, so
+Randomness comes from a Philox generator keyed by the seed.  The counts
+start as [T], and a split sends count n of cell c to cells 2c and
+2c + 1, the latter holding Binomial(n, p), one vectorized
+Generator.binomial call over all cells.  The splits are, in order: x
+(p = 1/2); a (P(a=+1|x)); then for each stage in order its input y_k
+for every state (p = the stage's bias) and its outcome b_k for every key
+(P(b_k=+1|key)).  After the last stage a cell's index bits read
+(x, a, y_1, b_1, .., y_n, b_n); transposed to (x, y_1..y_n, a,
+b_1..b_n) they are the outcome table, each axis's index 1 input 1 or
+outcome +1.  One thread does it all.  A seed reproduces its report bit
+for bit on one numpy version: NEP 19 does not promise the stream of
+Generator.binomial across numpy releases.
+
+The per-Bob reports are the table's marginals and outcome_counts its
+non-zero cells in index order.  analytic_joint keys run in index order
+with +1 first.  chi_square_report sums its cells in sorted key order, so
 neither order reaches its statistic, counts a cell of analytic mass at
 most ZERO_MASS as impossible, and reads its p-value from the closed
 forms of the chi-square tail at integer degrees of freedom (Abramowitz
 & Stegun 26.4.4-26.4.5): a Poisson sum for even dof, erfc plus a
 half-integer sum for odd dof.
-
-Randomness comes from a Philox counter-based generator keyed by the
-seed.  A run of T trials reads the stream as length-T blocks: block 0
-holds Alice's input bits, block 1 her outcome uniforms, and stage k
-(from 0) reads its input bits from block 2+3k, its branch uniforms from
-block 3+3k and its position uniforms from block 4+3k, which a one-row
-stage does not read.  Trial t of block b is double b*T + t of the stream,
-so trial t always sees the same counters for a given configuration.
-Philox yields four doubles per counter step, and a chunk of trials
-[t0, t1) starts each block at counter (b*T + t0) // 4 and drops the
-(b*T + t0) % 4 doubles before it (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).
-
-run_chain samples and tallies chunks of CHUNK_TRIALS trials and sums
-their outcome tables, so its memory is bounded by its state tables and a
-few chunks (a few MB each) whatever T is.  The chunks run on
-min(usable CPUs, chunks) threads; numpy releases the interpreter lock in
-the array kernels.  The outcome tables are integer counts, so identical
-seed and config reproduce the report bit for bit whatever the chunk size
-or the number of threads.
 """
 
 from __future__ import annotations
@@ -79,25 +58,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .bell import BellChainConfig, _stage_maps, pauli_coefficients, propagate
-from .channel import bloch_dot, collapse_bloch, strength_pair
-from .pointer import RowStrength
-
-# trials drawn and tallied together; a chunk's arrays take a few MB, so a
-# run's memory does not grow with its trial count
-CHUNK_TRIALS = 2**15
-
-# the most states a stage's next table may hold: 2^18 Bloch vectors take
-# 6 MB, about what a chunk's arrays take when its trials collapse their own
-# vectors (5.5 MB); a stage whose next table would be larger does that.
-# The CLI's largest table, at --g 0.002, holds 4 * 2 * 16,122 states
-MAX_TABLE_STATES = 2**18
+from .channel import bloch_dot, strength_pair
 
 # an analytic cell probability at most this is an impossible outcome: the
 # joint of an exactly impossible cell (two strong Bobs reading one direction
@@ -172,179 +139,61 @@ def _config_digest(cfg: BellChainConfig) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _alice_steering(cfg: BellChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """P(a=+1|x), shaped (2,), and Bob's steered Bloch vectors, shaped (3, x, a_index).
+def _branch_probabilities(cfg: BellChainConfig) -> list[np.ndarray]:
+    """P(a=+1|x), shaped (2,), then each stage's P(b_k=+1) of every key = state*2 + y.
 
-    a_index 0 is a = +1.  An outcome of zero probability gets the zero vector.
+    Stage 0's states are Alice's steered ones, row 2x + a_index; stage
+    k+1's are stage k's C_{y,b} v / (C_{y,b} v)_0, row key*2 + b_index.
+    A branch of zero weight leaves 0/0 in the states after it.
     """
     pauli = pauli_coefficients(cfg.initial_state)
     u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])  # (x, 3)
-    signs = np.array([1.0, -1.0])  # a for a_index 0, 1
-    weight = 1.0 + np.outer(u @ pauli[1:, 0], signs)  # 1 + a u_x.R_{1:,0} = 2 P(a|x): (x, a_index)
-    bloch = pauli[0, 1:] + signs[:, None] * (u @ pauli[1:, 1:])[:, None, :]  # (x, a_index, 3)
-    steered = np.divide(bloch, weight[..., None], out=np.zeros_like(bloch), where=weight[..., None] > 0.0)
-    return weight[:, 0] / 2.0, np.ascontiguousarray(np.moveaxis(steered, -1, 0))
+    signs = np.array([-1.0, 1.0])  # a for a_index 0, 1
+    steered = pauli[0] + signs[:, None] * (u @ pauli[1:])[:, None, :]  # (x, a_index, 4): 2 P(a|x) (1, r)
+    probabilities = [steered[:, 1, 0] / 2.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        states = (steered / steered[..., :1]).reshape(-1, 4)
+        for stage in cfg.stages:
+            # outcome axis flipped, so b_index 1 is b = +1
+            maps = _stage_maps(*strength_pair(stage.strength), (stage.dir0, stage.dir1))[:, ::-1]
+            # the states as rows: (state, y, b_index, 4), each row C_{y,b} v
+            branches = propagate(states[:, None, None, None, :], [maps])[1][..., 0, :]
+            probabilities.append(branches[..., 1, 0].ravel())
+            states = (branches / branches[..., :1]).reshape(-1, 4)
+    return probabilities
 
 
-def _stage_rows(strength) -> tuple[np.ndarray, np.ndarray]:
-    """(CDF of the row masses e_n^2, 1.0 from the last non-zero one on; e_n padded with a zero row each end)."""
-    if not isinstance(strength, RowStrength):
-        raise InvalidParameterError(
-            f"Monte Carlo stages need a pointer's interval rows (a RowStrength), got {type(strength).__name__}"
-        )
-    masses = strength.envelope * strength.envelope
-    cdf = np.cumsum(masses)
-    cdf /= float(np.sum(masses))
-    cdf[np.flatnonzero(masses)[-1] :] = 1.0
-    return cdf, np.pad(strength.envelope, 1)
+def _table_axes(cells: np.ndarray) -> np.ndarray:
+    """An array over (x, a, y_1, b_1, .., y_n, b_n) on the outcome table's axes, (x, y_1..y_n, a, b_1..b_n)."""
+    n_stages = cells.ndim // 2 - 1
+    return cells.transpose(0, *range(2, 2 * n_stages + 2, 2), 1, *range(3, 2 * n_stages + 2, 2))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _split(rng: np.random.Generator, counts: np.ndarray, p) -> np.ndarray:
+    """Count n of cell c sent to cells 2c and 2c + 1, the latter Binomial(n, p), p clipped to [0, 1].
 
-
-def _uniforms(seed: int, trials: int, block: int, start: int, count: int) -> np.ndarray:
-    """Doubles start .. start+count-1 of block `block` of a run of `trials` trials.
-
-    Block b is doubles b*trials .. (b+1)*trials - 1 of the Philox stream
-    keyed by seed.  Each counter step yields four doubles, so the draw
-    starts at counter offset // 4 and drops the offset % 4 doubles before
-    the first one it needs.
+    A cell with no count may hold an undefined p (0/0); it is read as 0.
     """
-    offset = block * trials + start
-    skip = offset % 4
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=offset // 4))
-    return rng.random(skip + count)[skip:]
+    ones = rng.binomial(counts, np.clip(np.where(counts > 0, p, 0.0), 0.0, 1.0))
+    return np.stack([counts - ones, ones], axis=-1).ravel()
 
 
 def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
-    """Simulate the full chain and report per-Bob correlators and CHSH values.
+    """Simulate trials of the full chain and report per-Bob correlators and CHSH values.
 
-    Trials run in chunks of CHUNK_TRIALS on one thread per usable CPU;
-    the report does not depend on either.
+    Draws the outcome table by binomial splits along the chain, in the
+    order the module docstring gives; the work does not grow with trials.
     """
-    return _run_chain(cfg, trials, seed, CHUNK_TRIALS, _usable_cpus())
-
-
-def _stages(cfg: BellChainConfig) -> list[tuple]:
-    """(bias, directions (3, y), row CDF, padded amplitudes, central row) of every stage."""
-    stages = []
-    for stage in cfg.stages:
-        row_cdf, amplitudes = _stage_rows(stage.strength)
-        directions = np.array([stage.dir0.vector, stage.dir1.vector]).T
-        stages.append((stage.bias, directions, row_cdf, amplitudes, row_cdf.size // 2))
-    return stages
-
-
-def _state_tables(stages: list[tuple], bloch: np.ndarray) -> tuple[list, list]:
-    """Branch thresholds of the stages a trial walks by state index, and each walked stage's input states.
-
-    bloch is the (3, S) table of stage 0's input states.  A stage's
-    thresholds (1 + c)/2, c = bloch_dot(d_y, r), are indexed by
-    key = state*2 + y.  The next stage's table collapses each state r
-    through the amplitudes (row, row + 1) of every row = 0..R a shifted
-    reading can land in, and is indexed by key*(R + 1) + row.  The walk
-    ends at the last stage, which builds no next table, or at a stage
-    whose next table would hold more than MAX_TABLE_STATES vectors: that
-    stage and the ones after it collapse each trial's own vector.
-    """
-    thresholds = []
-    tables = [bloch]
-    for k, (_, directions, row_cdf, amplitudes, _) in enumerate(stages):
-        c = bloch_dot(directions[:, None, :], bloch[:, :, None])  # (S, y)
-        last = k + 1 == len(stages)
-        if not last and c.size * (row_cdf.size + 1) > MAX_TABLE_STATES:
-            break
-        thresholds.append(((1.0 + c) / 2.0).ravel())
-        if last:
-            break
-        # a (state, y, row) no trial reaches may have no weight: 0/0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bloch = collapse_bloch(
-                bloch[:, :, None, None],
-                directions[:, None, :, None],
-                amplitudes[:-1],
-                amplitudes[1:],
-                np.broadcast_to(c[:, :, None], c.shape + (row_cdf.size + 1,)),
-            ).reshape(3, -1)
-        tables.append(bloch)
-    return thresholds, tables
-
-
-def _run_chain(cfg: BellChainConfig, trials: int, seed: int, chunk_trials: int, cpus: int) -> EmpiricalReport:
-    """run_chain in chunks of chunk_trials on min(cpus, chunks) threads."""
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    # every stage's rows and state tables are built before any thread starts
-    stages = _stages(cfg)
-    p_plus_by_x, steered = _alice_steering(cfg)
-    # column 2x + a_index of the (3, x, a_index) table; a_index 0 is a = +1
-    thresholds, tables = _state_tables(stages, steered.reshape(3, 4))
-    tabled = len(thresholds)
-
-    def chunk_table(start: int) -> np.ndarray:
-        count = min(chunk_trials, trials - start)
-
-        def draw(block: int) -> np.ndarray:
-            return _uniforms(seed, trials, block, start, count)
-
-        # inputs and outcomes stay booleans up to the tally: np.take reads one
-        # as indices 0 and 1 (in [] it would be a mask), and 2 * x is intp
-        x = draw(0) < 0.5
-        a_plus = draw(1) < np.take(p_plus_by_x, x)
-        state = 2 * x + ~a_plus
-
-        stage_inputs = []
-        stage_outcomes = []
-        for k, (bias, stage_directions, row_cdf, amplitudes, centre) in enumerate(stages):
-            y = draw(2 + 3 * k) < bias
-            if k < tabled:
-                key = state * 2 + y
-                plus = draw(3 + 3 * k) < np.take(thresholds[k], key)  # branch +1 with probability tr(pi+ rho)
-            else:
-                if k == tabled:
-                    bloch = np.take(tables[k], state, axis=1)  # (3, count)
-                directions = np.take(stage_directions, y, axis=1)  # (3, count)
-                c = bloch_dot(directions, bloch)
-                plus = draw(3 + 3 * k) < (1.0 + c) / 2.0
-            if row_cdf.size == 1:
-                # one row: every reading lies in it, and its sign is the branch's
-                row = plus.view(np.int8)
-                positive = plus
-            else:
-                # the sampled reading's row, one row on for the +1 branch: then
-                # amplitudes[row] and amplitudes[row + 1] are phi(q-1) and phi(q+1)
-                # up to the central profile's factor, and q > 0 exactly when row > centre
-                row = np.searchsorted(row_cdf, draw(4 + 3 * k), side="right")
-                row += plus
-                positive = row > centre
-            if k + 1 < len(stages):
-                if k < tabled:
-                    state = key * (row_cdf.size + 1) + row
-                else:
-                    # K_q = phi(q-1) pi+ + phi(q+1) pi-
-                    bloch = collapse_bloch(bloch, directions, amplitudes[row], amplitudes[row + 1], c)
-
-            stage_inputs.append(y)
-            stage_outcomes.append(positive)
-        return _outcome_table([x, *stage_inputs, a_plus, *stage_outcomes])
-
-    chunks = -(-trials // chunk_trials)
-    workers = min(cpus, chunks)
-
-    def worker_table(worker: int) -> np.ndarray:
-        # every workers-th chunk; each worker gets at least one
-        return sum(chunk_table(start) for start in range(worker * chunk_trials, trials, workers * chunk_trials))
-
-    # imported here: concurrent.futures would add ~4 ms to the start-up of every command
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        table = sum(pool.map(worker_table, range(workers)))
-    per_bob, outcome_counts = _reports(table)
+    p_alice, *p_stages = _branch_probabilities(cfg)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = _split(rng, np.array([trials]), 0.5)  # x
+    counts = _split(rng, counts, p_alice)  # a, cell 2x + a_index
+    for stage, p_plus in zip(cfg.stages, p_stages):
+        counts = _split(rng, counts, stage.bias)  # y_k, cell key = state*2 + y
+        counts = _split(rng, counts, p_plus)  # b_k, cell key*2 + b_index
+    per_bob, outcome_counts = _reports(_table_axes(counts.reshape((2,) * (2 * len(cfg.stages) + 2))))
     return EmpiricalReport(
         config_digest=_config_digest(cfg),
         seed=seed,
@@ -362,15 +211,6 @@ def _keyed(table: np.ndarray, cells: np.ndarray, outcome_signs: tuple[int, int])
     n_inputs = table.ndim // 2
     keys = np.concatenate([cells[:, :n_inputs], np.array(outcome_signs)[cells[:, n_inputs:]]], axis=1)
     return dict(zip(map(tuple, keys.tolist()), table[tuple(cells.T)].tolist()))
-
-
-def _outcome_table(bits: list) -> np.ndarray:
-    """Trial counts over the axes of bits, [x, y_1..y_n, a, b_1..b_n], each boolean or 0/1; index 1 is true."""
-    # an intp start: a code built on the first bit array's own dtype (int8, say) overflows at 8 axes
-    code = np.zeros(len(bits[0]), dtype=np.intp)
-    for bit in bits:
-        code = code * 2 + bit
-    return np.bincount(code, minlength=2 ** len(bits)).reshape((2,) * len(bits))
 
 
 def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:
@@ -406,8 +246,10 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
     grid; strengths come from the stages.  Alice's strong outcome a
     along u_x then has weight (R'_00 + a u_x.R'_{1:,0}) / 2 on each
     branch state R', with u_x.R'_{1:,0} summed x, y, z in that order.
-    Shares no sampling code with run_chain, so it serves as the
-    chi-square reference.
+    It shares the stage maps with run_chain, not its walk, draws or
+    tally, so it serves as their chi-square reference; the maps
+    themselves are checked in the tests against complex branch
+    enumeration and a sampler of actual pointer readings.
     """
     n_stages = len(cfg.stages)
     maps = []
@@ -421,9 +263,7 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
     columns = np.moveaxis(branches[..., 1:, 0], -1, 0)[:, None]  # (3, 1, y1, b1, .., yn, bn)
     alice = bloch_dot(u.T.reshape((3, 2) + (1,) * (2 * n_stages)), columns)  # (x, y1, b1, .., yn, bn)
     a_sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (2 * n_stages))
-    weight = branches[..., 0, 0] + a_sign * alice[:, None]  # (x, a, y1, b1, .., yn, bn)
-    # to (x, y1, .., yn, a, b1, .., bn)
-    weight = weight.transpose(0, *range(2, 2 * n_stages + 2, 2), 1, *range(3, 2 * n_stages + 2, 2))
+    weight = _table_axes(branches[..., 0, 0] + a_sign * alice[:, None])
     # p(x) p(y_1) .. p(y_n) over the (x, y_1..y_n) grid, multiplied in stage order
     p_inputs = math.prod(np.ix_([0.5, 0.5], *([1.0 - stage.bias, stage.bias] for stage in cfg.stages)))
     probs = p_inputs.reshape(p_inputs.shape + (1,) * (n_stages + 1)) * weight / 2.0

@@ -44,12 +44,10 @@ are geometric.  The square's F and G are ratios of node counts.  The
 gaussian's G sums the central 2/h nodes, and its F is exp(-1/2w^2)
 times the norm sum less the outermost 1/h nodes a side; the norm sum
 is a Poisson sum less an erfc tail.  The exponential's sums are
-geometric.  Monte Carlo stages are a RowStrength, the frontier (F, G)
-with its envelope, whose rows a reading is drawn from; the strong stage
-is the one-row STRONG_ROWS.  channel, bell and montecarlo take only a
-MeasurementStrength, never a PointerState.  quality_factor, precision
-and strength_of integrate a built grid, as for an optimal_from_central
-pointer with a custom profile.
+geometric.  channel, bell and montecarlo take only a MeasurementStrength,
+never a PointerState.  quality_factor, precision and strength_of
+integrate a built grid, as for an optimal_from_central pointer with a
+custom profile.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -73,7 +71,7 @@ each distinct amplitude once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,36 +264,6 @@ class MeasurementStrength:
         if not 0.0 <= precision <= 1.0:
             raise InvalidParameterError(f"precision must lie in [0, 1], got {precision}")
         return cls(math.sqrt(max(0.0, (1.0 - precision) * (1.0 + precision))), precision)
-
-
-@dataclass(frozen=True)
-class RowStrength(MeasurementStrength):
-    """The strength of a pointer that scales one profile on every interval, with the scale factors.
-
-    The pointer is a central profile on (-1, 1] copied to each interval
-    (2n-1, 2n+1], n = i - N, with amplitude factor envelope[i] (2N+1
-    finite factors whose squares sum to a finite positive mass, held
-    read-only); F and G are the pointer's own.
-    """
-
-    envelope: np.ndarray = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        envelope = np.array(self.envelope, dtype=float)
-        if envelope.ndim != 1 or envelope.size % 2 == 0:
-            raise InvalidParameterError(f"row envelope must be 1-D of odd length 2N+1, got shape {envelope.shape}")
-        # an infinite or NaN factor makes the mass infinite or NaN
-        with np.errstate(over="ignore"):
-            mass = float(np.sum(envelope * envelope))
-        if not 0.0 < mass < math.inf:
-            raise InvalidParameterError(f"row envelope must have a finite positive mass sum(e^2), got {mass!r}")
-        envelope.flags.writeable = False
-        object.__setattr__(self, "envelope", envelope)
-
-
-# a strong (projective) measurement: the flat pointer on (-1, 1], one row
-STRONG_ROWS = RowStrength(0.0, 1.0, np.ones(1))
 
 
 def _sum_of_squares(samples: np.ndarray) -> float:
@@ -638,22 +606,6 @@ def _frontier_sums(target_precision: float, grid_spacing: float, worst: bool = F
     geometric = -math.expm1(n_intervals * math.log(ratio)) / (1.0 - ratio)
     total = 1.0 + 2.0 * ratio * geometric
     return _unit_strength(2.0 * math.sqrt(ratio) * geometric / total, 1.0 / total)
-
-
-def _frontier_strength(
-    target_precision: float, *, worst: bool = False, grid_spacing: float = DEFAULT_GRID_SPACING
-) -> RowStrength:
-    """The rows of make_optimal(target) (flat profile), or of make_worst(target), with their (F, G).
-
-    F and G are _frontier_sums'; the envelope is what a Monte Carlo
-    stage draws its rows from.  Refuses exactly the inputs the builder
-    refuses, the node cap included.
-    """
-    strength = _frontier_sums(target_precision, grid_spacing, worst)
-    envelope = _frontier_envelope(target_precision, _cells_per_unit(grid_spacing))
-    if worst:
-        envelope[_odd_rows(envelope.size)] = 0.0
-    return RowStrength(strength.quality_factor, strength.precision, envelope)
 
 
 def quality_factor(state: PointerState) -> float:

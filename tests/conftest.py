@@ -21,16 +21,14 @@ from weakbell.channel import (
     SIGMA_Z,
     as_density,
     bloch_dot,
-    collapse_bloch,
     strength_pair,
 )
 from weakbell.pointer import _normalized_state
 from weakbell.montecarlo import (
+    ZERO_MASS,
     BobReport,
     EmpiricalReport,
-    _alice_steering,
     _config_digest,
-    _outcome_table,
     _reports,
 )
 
@@ -126,6 +124,27 @@ def kraus_at_reading(pointer: PointerState, d, reading: float) -> np.ndarray:
     """Collapse operator K_q = phi(q-1) pi+ + phi(q+1) pi- at pointer reading q; zero off the grid."""
     pp, pm = projectors(d)
     return value_at(pointer, reading - 1.0) * pp + value_at(pointer, reading + 1.0) * pm
+
+
+def collapse_bloch(bloch, directions, a, b, c=None) -> np.ndarray:
+    """Normalized Bloch vectors after the Kraus operator K = a pi+ + b pi-.
+
+    bloch and directions are component-first (3, ...) arrays, a and b
+    the (...) arrays of real amplitudes, and c, when given, is
+    bloch_dot(directions, bloch).  The collapsed state K rho K has trace
+    N = ((a^2 + b^2) + (a^2 - b^2) c) / 2 and Bloch vector
+
+        r' = (a b (r - c d) + ((a^2 + b^2) c + a^2 - b^2) / 2 d) / N.
+    """
+    r = np.asarray(bloch, dtype=float)
+    d = np.asarray(directions, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if c is None:
+        c = bloch_dot(d, r)
+    total = a * a + b * b
+    diff = a * a - b * b
+    return (a * b * (r - c * d) + (total * c + diff) / 2.0 * d) / ((total + diff * c) / 2.0)
 
 
 def decohere(rho, d) -> np.ndarray:
@@ -336,9 +355,11 @@ def oracle_precision(state: PointerState) -> float:
 
 # --- Monte Carlo tally, joint and sampling oracles -------------------------------------
 # The per-cell mask loop, np.unique count and key-by-key joint that
-# montecarlo.py replaced with one outcome table, and the whole-run
-# sampler it replaced with chunks, reading grid nodes where montecarlo.py
-# reads interval rows; the tests require equal results.
+# montecarlo.py's outcome table and joint must equal; a whole-run
+# sampler of actual pointer readings on grids, which the tests fit to
+# analytic_joint as montecarlo.run_chain's counts are fitted; and the
+# chain rule on the joint with a split walk drawn a chunk of cells at a
+# time, which run_chain's probabilities and bytes must equal.
 
 
 def oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes) -> tuple:
@@ -431,21 +452,49 @@ def oracle_reading_cdf(pointer: PointerState) -> np.ndarray:
     return cdf
 
 
-def oracle_run_chain(cfg, grids, trials: int, seed: int) -> EmpiricalReport:
-    """run_chain as one whole-run pass over grid nodes, not interval rows.
+def oracle_outcome_table(bits: list) -> np.ndarray:
+    """Trial counts over the axes of bits, [x, y_1..y_n, a, b_1..b_n], each boolean or 0/1; index 1 is true."""
+    code = np.zeros(len(bits[0]), dtype=np.intp)
+    for bit in bits:
+        code = code * 2 + bit
+    return np.bincount(code, minlength=2 ** len(bits)).reshape((2,) * len(bits))
 
-    grids holds one pointer grid per stage, the twin of the stage's row
-    strength: a grid whose intervals (2n-1, 2n+1] scale one profile, any
-    profile, by the stage's envelope.  Every block is drawn in stream
-    order from one generator; each reading is a node drawn by inverse CDF
-    over the whole grid, displaced by +-1.
+
+def oracle_alice_steering(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """P(a=+1|x), shaped (2,), and Bob's steered Bloch vectors, shaped (3, x, a_index), a_index 0 a = +1.
+
+    From the complex initial state: Alice's projector on the first qubit,
+    then Bob's reduced state, normalized.
+    """
+    rho = as_density(cfg.initial_state, 4)
+    p_plus = np.zeros(2)
+    steered = np.zeros((3, 2, 2))
+    for x, direction in enumerate((cfg.alice_dir0, cfg.alice_dir1)):
+        for a_index, projector in enumerate(projectors(direction)):
+            branch = np.kron(projector, IDENTITY_2) @ rho @ np.kron(projector, IDENTITY_2)
+            bob = branch.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+            weight = float(np.trace(bob).real)
+            if a_index == 0:
+                p_plus[x] = weight
+            if weight > 0.0:
+                steered[:, x, a_index] = [np.trace(bob @ s).real / weight for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+    return p_plus, steered
+
+
+def oracle_run_chain(cfg, grids, trials: int, seed: int) -> EmpiricalReport:
+    """A chain sampled trial by trial from actual pointer readings on grids.
+
+    grids holds one pointer grid per stage.  Every block is drawn in
+    stream order from one generator; each reading is a node drawn by
+    inverse CDF over the whole grid, displaced by +-1, its sign the
+    outcome, and it collapses the trial's Bloch vector through K_q.
     """
     assert len(grids) == len(cfg.stages)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     x_bits = (rng.random(trials) < 0.5).astype(np.int8)
     alice_uniform = rng.random(trials)
-    p_plus_by_x, steered = _alice_steering(cfg)
+    p_plus_by_x, steered = oracle_alice_steering(cfg)
     a = np.where(alice_uniform < p_plus_by_x[x_bits], 1, -1).astype(np.int8)
     a_index = ((1 - a) // 2).astype(np.int8)
     bloch = steered[:, x_bits, a_index].T  # (trials, 3)
@@ -480,5 +529,59 @@ def oracle_run_chain(cfg, grids, trials: int, seed: int) -> EmpiricalReport:
         stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
 
     bits = [x_bits, *stage_inputs, a > 0, *(b > 0 for b in stage_outcomes)]
-    per_bob, outcome_counts = _reports(_outcome_table(bits))
+    per_bob, outcome_counts = _reports(oracle_outcome_table(bits))
+    return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, outcome_counts)
+
+
+def oracle_chain_rule(cfg) -> list:
+    """The probability of index 1 at every split of run_chain's walk, from the key-by-key joint.
+
+    The walk reads the bits (x, a, y_1, b_1, .., y_n, b_n), index 1 being
+    input 1 or outcome +1.  Split j's entry for prefix cell c, the bits
+    before it read as a binary number, is the marginal of c with bit j set
+    over the marginal of c: the chain rule.  NaN where c has mass at most
+    ZERO_MASS, a prefix no trial reaches.
+    """
+    n_stages = len(cfg.stages)
+    n_bits = 2 * n_stages + 2
+    walk = np.zeros((2,) * n_bits)
+    for (x, *rest), p in oracle_analytic_joint(cfg).items():
+        ys, a_val, bs = rest[:n_stages], rest[n_stages], rest[n_stages + 1 :]
+        walk[(x, (1 + a_val) // 2, *(v for y, b in zip(ys, bs) for v in (y, (1 + b) // 2)))] = p
+    steps = []
+    for j in range(n_bits):
+        marginal = walk.sum(axis=tuple(range(j + 1, n_bits))).reshape(-1, 2)
+        prefix = marginal.sum(axis=1)
+        reached = prefix > ZERO_MASS
+        steps.append(np.where(reached, marginal[:, 1] / np.where(reached, prefix, 1.0), math.nan))
+    return steps
+
+
+def oracle_split_run(cfg, trials: int, seed: int, chunk: int, steps: list) -> EmpiricalReport:
+    """A run drawn by binomial splits in walk order, chunk cells a draw, tallied trial by trial.
+
+    steps holds each split's probability of index 1 per prefix cell (a
+    scalar applies to every cell).  Each split's cells are drawn chunk at
+    a time from one Philox generator, p clipped to [0, 1] and read as 0
+    where a cell holds no count.  The last counts are expanded into one
+    row of walk bits per trial and tallied by the mask loops.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = np.array([trials])
+    for step in steps:
+        p = np.broadcast_to(np.asarray(step, dtype=float), counts.shape)
+        ones = []
+        for start in range(0, counts.size, chunk):
+            n = counts[start : start + chunk]
+            ones.append(rng.binomial(n, np.clip(np.where(n > 0, p[start : start + chunk], 0.0), 0.0, 1.0)))
+        ones = np.concatenate(ones)
+        counts = np.stack([counts - ones, ones], axis=-1).ravel()
+    n_bits = 2 * len(cfg.stages) + 2
+    cells = np.repeat(np.arange(counts.size), counts)
+    bits = ((cells[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1).astype(np.int8)  # (trials, walk bit)
+    x_bits, a = bits[:, 0], 2 * bits[:, 1] - 1
+    stage_inputs = list(bits[:, 2::2].T)
+    stage_outcomes = [2 * b - 1 for b in bits[:, 3::2].T]
+    per_bob = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
+    outcome_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)
     return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, outcome_counts)

@@ -48,7 +48,7 @@ from weakbell import (
     unbiased_triple_scan,
 )
 from weakbell.bell import TripleGeometry, protocol_alice, protocol_bob
-from weakbell.pointer import STRONG_ROWS, _frontier_strength
+from weakbell.pointer import _family_strength
 
 SQ2 = math.sqrt(2.0)
 OUTCOMES = [(a, b1, b2) for a in (1, -1) for b1 in (1, -1) for b2 in (1, -1)]
@@ -277,13 +277,13 @@ def test_c11_monte_carlo_concordance():
     with Budget(60.0) as budget:
         alice = tsirelson_alice()
         bob = tsirelson_bob()
-        weak = _frontier_strength(0.8)
+        weak = _family_strength("optimal", 0.8)
         cfg = BellChainConfig(
             alice[0],
             alice[1],
             stages=(
                 BobStage(bob[0], bob[1], weak, bias=0.5),
-                BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.5),
+                BobStage(bob[0], bob[1], MeasurementStrength(0.0, 1.0), bias=0.5),
             ),
         )
         report_mc = run_chain(cfg, 1_000_000, seed=20240817)

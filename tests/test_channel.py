@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    collapse_bloch,
     decohere,
     kraus_at_reading,
     on_second_qubit,
@@ -34,7 +35,7 @@ from weakbell import (
     singlet,
     strength_of,
 )
-from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, collapse_bloch
+from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ
 
 
 # --- projectors -----------------------------------------------------------------
@@ -241,7 +242,8 @@ def test_kraus_outside_domain_is_zero():
 )
 def test_bloch_collapse_matches_kraus_product(pointer):
     # K rho K / tr(K rho K) from the 2x2 Kraus operator, against the
-    # closed-form Bloch update, on random states and sampled readings
+    # closed-form Bloch update the reading-level oracle collapses with, on
+    # random states and sampled readings
     rng = np.random.default_rng(45)
     states = [random_density(rng) for _ in range(300)]
     directions = [random_direction(rng) for _ in states]

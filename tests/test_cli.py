@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from weakbell.cli import (
     parse_range,
 )
 from weakbell.errors import InvalidParameterError
-from weakbell.pointer import DEFAULT_GRID_SPACING, STRONG_ROWS, RowStrength
+from weakbell.pointer import DEFAULT_GRID_SPACING, MeasurementStrength, _family_strength
 
 
 def run_cli(*argv):
@@ -186,8 +187,8 @@ def test_montecarlo_rejects_unknown_scenario(tmp_path):
 
 
 def test_montecarlo_checks_the_scenario_before_building_a_pointer(tmp_path, capsys):
-    # a refused scenario builds no stage: at G = 0.002 the weak stage's rows
-    # are 16,121 envelope factors (its grid would be 16.5 M nodes, 132 MB)
+    # a refused scenario builds no stage (at G = 0.002 the weak stage's grid
+    # would be 16.5 M nodes, 132 MB)
     out = tmp_path / "mc.json"
     tracemalloc.start()
     try:
@@ -202,7 +203,7 @@ def test_montecarlo_checks_the_scenario_before_building_a_pointer(tmp_path, caps
 
 
 def test_montecarlo_config_builds_no_pointer_grid():
-    # the weak G = 0.002 stage is its interval rows; its grid would take 132 MB
+    # the weak G = 0.002 stage is its (F, G); its grid would take 132 MB
     tracemalloc.start()
     try:
         cfg = _montecarlo_config("double", 0.002)
@@ -210,8 +211,9 @@ def test_montecarlo_config_builds_no_pointer_grid():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert [type(stage.strength) for stage in cfg.stages] == [RowStrength, RowStrength]
-    assert cfg.stages[1].strength is STRONG_ROWS
+    assert [type(stage.strength) for stage in cfg.stages] == [MeasurementStrength, MeasurementStrength]
+    assert cfg.stages[0].strength == _family_strength("optimal", 0.002)
+    assert cfg.stages[1].strength == MeasurementStrength(0.0, 1.0)
 
 
 @pytest.mark.parametrize("trials", ["1.5", "nan", "inf"])
@@ -233,6 +235,33 @@ def test_montecarlo_refuses_trials_past_the_cap(tmp_path, monkeypatch, trials, c
     assert code == 2
     assert "at most" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_montecarlo_runs_the_trial_cap(tmp_path):
+    # a run's work is its outcome table's, whatever the trial count
+    out = tmp_path / "mc.json"
+    args = ("montecarlo", "--scenario", "double", "--g", "0.8", "--trials", "1e9", "--seed", "7")
+    assert run_cli(*args, "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["trials"] == MAX_TRIALS
+    for bob in payload["per_bob"]:
+        assert sum(bob["counts"].values()) == MAX_TRIALS
+        assert bob["chsh"] - 2.0 > 5.0 * bob["stderr"]
+
+
+def test_montecarlo_bytes_repeat_in_fresh_processes(tmp_path):
+    # one seed, one report: two interpreters with different hash seeds write the same bytes
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"mc{hash_seed}.json"
+        argv = ["montecarlo", "--scenario", "double", "--g", "0.3", "--trials", "1e6", "--seed", "11"]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakbell", *argv, "--out", str(out)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
@@ -606,8 +635,7 @@ def test_module_entry_point(tmp_path):
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     # numpy is the only runtime dependency: with scipy made unimportable, the
     # README commands (montecarlo at 1e4 trials) and the gaussian double curve
-    # exit 0 and leave scipy unloaded; concurrent.futures loads only when
-    # montecarlo runs its trials
+    # exit 0 and leave scipy unloaded; importing the CLI loads no concurrent.futures
     commands = [
         ["tradeoff", "--family", "optimal", "--g", "0.1:0.9:0.1"],
         ["double", "--family", "gaussian", "--g", "0.005:0.995:0.005"],

@@ -1,8 +1,10 @@
 import functools
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,16 +12,22 @@ import pytest
 from scipy.special import gammaincc
 
 from conftest import (
+    collapse_bloch,
     kraus_at_reading,
+    oracle_alice_steering,
     oracle_analytic_joint,
     oracle_bob_reports,
+    oracle_chain_rule,
     oracle_count_outcomes,
+    oracle_outcome_table,
     oracle_reading_cdf,
     oracle_run_chain,
+    oracle_split_run,
     outcome_probabilities,
     projectors,
     random_density,
     random_direction,
+    random_stage,
     random_strength,
     weak_conditional,
 )
@@ -38,42 +46,30 @@ from weakbell import (
     make_square,
     make_worst,
     run_chain,
+    strength_of,
     triple_probability,
     tsirelson_alice,
     tsirelson_bob,
 )
 from weakbell import montecarlo
 from weakbell.bell import TripleGeometry, propagate
-from weakbell.channel import DIR_X, DIR_Z, collapse_bloch
+from weakbell.channel import DIR_X, DIR_Z
 from weakbell.cli import _montecarlo_config
 from weakbell.montecarlo import (
-    CHUNK_TRIALS,
-    MAX_TABLE_STATES,
     ZERO_MASS,
-    _alice_steering,
+    _branch_probabilities,
     _chi_square_tail,
-    _outcome_table,
     _reports,
-    _run_chain,
-    _stage_rows,
-    _stages,
-    _state_tables,
-    _uniforms,
+    _split,
 )
-from weakbell.pointer import STRONG_ROWS, RowStrength, _frontier_strength
+from weakbell.pointer import DEFAULT_GRID_SPACING, _family_strength, _frontier_envelope, _odd_rows
+
+# a strong (projective) measurement
+STRONG = MeasurementStrength(0.0, 1.0)
 
 
 def double_config(target_precision=0.8):
-    alice = tsirelson_alice()
-    bob = tsirelson_bob()
-    return BellChainConfig(
-        alice[0],
-        alice[1],
-        stages=(
-            BobStage(bob[0], bob[1], _frontier_strength(target_precision), bias=0.5),
-            BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.5),
-        ),
-    )
+    return _montecarlo_config("double", target_precision)
 
 
 # --- single readings -----------------------------------------------------------
@@ -170,7 +166,7 @@ def test_records_digitize_readings_by_sign():
     cfg = double_config()
     report = run_chain(cfg, 500, seed=5)
     # the stages' grid twins: readings are their nodes displaced by +/-1, so none
-    # is 0 and sign(q) is never tied; run_chain reads the sign from the row
+    # is 0 and sign(q) is never tied; run_chain draws the sign's branch
     for grid in (make_optimal(0.8), make_square(1.0)):
         for shift in (1.0, -1.0):
             assert np.all(grid.positions + shift != 0.0)
@@ -182,7 +178,7 @@ def test_records_digitize_readings_by_sign():
 
 def test_run_chain_strong_aligned_bob_anticorrelates_exactly():
     # a strong Bob measuring along Alice's own directions sees b = -a on the singlet
-    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG_ROWS, bias=0.5),))
+    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG, bias=0.5),))
     bob = run_chain(cfg, 20_000, seed=6).per_bob[0]
     assert bob.correlations[(0, 0)] == -1.0
     assert bob.correlations[(1, 1)] == -1.0
@@ -201,7 +197,7 @@ def test_run_chain_single_strong_bob_hits_tsirelson():
     alice = tsirelson_alice()
     bob = tsirelson_bob()
     cfg = BellChainConfig(
-        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.5),)
+        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], STRONG, bias=0.5),)
     )
     report = run_chain(cfg, 200_000, seed=11)
     assert abs(report.per_bob[0].chsh - 2.0 * math.sqrt(2.0)) < 4.0 * report.per_bob[0].chsh_stderr
@@ -211,7 +207,7 @@ def test_run_chain_flags_missing_input_combinations():
     alice = tsirelson_alice()
     bob = tsirelson_bob()
     cfg = BellChainConfig(
-        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], STRONG_ROWS, bias=0.0),)
+        alice[0], alice[1], stages=(BobStage(bob[0], bob[1], STRONG, bias=0.0),)
     )
     report = run_chain(cfg, 200, seed=3)
     assert report.per_bob[0].insufficient
@@ -242,182 +238,72 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
     stage_outcomes = [
         (a * np.where(rng.random(trials) < agree, 1, -1)).astype(np.int8) for agree in rng.random(n_stages)
     ]
-    # the tally takes 0/1 inputs (int8: a code built on their dtype overflows at
-    # n_stages = 3) and boolean outcomes in axis order; the oracles read the +-1 signs
+    # the tally takes 0/1 inputs and boolean outcomes in axis order; the mask
+    # loops read the +-1 signs
     bits = [x_bits, *stage_inputs, a > 0, *(b > 0 for b in stage_outcomes)]
-    per_bob, outcome_counts = _reports(_outcome_table(bits))
+    per_bob, outcome_counts = _reports(oracle_outcome_table(bits))
     oracle = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
     assert [_report_fields(bob) for bob in per_bob] == [_report_fields(bob) for bob in oracle]
     oracle_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)
     assert list(outcome_counts.items()) == list(oracle_counts.items())
 
 
-def flat_three_rows() -> RowStrength:
-    """The rows of a flat pointer on (-3, 3): three equal rows, F = 2/3 and G = 1/3."""
-    return RowStrength(2.0 / 3.0, 1.0 / 3.0, np.ones(3))
+# --- interval rows of the grid pointers ----------------------------------------------
+# A frontier pointer scales one central profile by e_n on every interval
+# (2n-1, 2n+1], so a reading lies in row n with probability e_n^2 / sum(e^2)
+# and its collapse needs only e_n and e_{n+1}: the profile cancels.  That is
+# why a frontier Bob's collapse depends on the sign of the reading alone
+# (bar the edge rows), and why (F, G) is all a stage needs.
+
+
+def frontier_rows(target_precision: float, worst: bool = False) -> np.ndarray:
+    """The envelope e_n of make_optimal(target), any profile, or of make_worst(target)."""
+    envelope = _frontier_envelope(target_precision, round(1.0 / DEFAULT_GRID_SPACING))
+    if worst:
+        envelope[_odd_rows(envelope.size)] = 0.0
+    return envelope
+
+
+def interval_rows(envelope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(CDF of the row masses e_n^2, 1.0 from the last non-zero one on; e_n padded with a zero row each end)."""
+    masses = envelope * envelope
+    cdf = np.cumsum(masses)
+    cdf /= float(np.sum(masses))
+    cdf[np.flatnonzero(masses)[-1] :] = 1.0
+    return cdf, np.pad(envelope, 1)
 
 
 @functools.cache
 def row_stages() -> dict:
-    """Row strengths as run_chain reads them, each with a grid twin for the node oracle.
+    """Row envelopes, each with its grid twin: a grid whose intervals scale one profile by the envelope.
 
-    Each twin's intervals (2n-1, 2n+1] scale one profile by the strength's
-    envelope; the bump grid's profile differs from the flat one its rows
-    were computed with, which must not matter.
+    The bump grid's profile differs from the flat one, which must not matter.
     """
     return {
-        "optimal-0.8": (_frontier_strength(0.8), make_optimal(0.8)),
-        "optimal-0.05": (_frontier_strength(0.05), make_optimal(0.05)),
-        "bump-0.6": (_frontier_strength(0.6), make_optimal(0.6, "smooth_bump")),
-        "worst-0.5": (_frontier_strength(0.5, worst=True), make_worst(0.5)),
-        "square-1": (STRONG_ROWS, make_square(1.0)),
-        "square-3": (flat_three_rows(), make_square(3.0)),
+        "optimal-0.8": (frontier_rows(0.8), make_optimal(0.8)),
+        "optimal-0.05": (frontier_rows(0.05), make_optimal(0.05)),
+        "bump-0.6": (frontier_rows(0.6), make_optimal(0.6, "smooth_bump")),
+        "worst-0.5": (frontier_rows(0.5, worst=True), make_worst(0.5)),
+        "square-1": (np.ones(1), make_square(1.0)),
+        "square-3": (np.ones(3), make_square(3.0)),
     }
 
 
-def chain_config(n_stages: int, later: tuple = ()) -> tuple[BellChainConfig, list]:
-    """A chain of a weak optimal Bob, then the later (rows, grid) pairs (strong
-    ones by default), the last Bob biased; and the stages' grid twins."""
-    alice = tsirelson_alice()
-    bob = tsirelson_bob()
-    pairs = [row_stages()["optimal-0.8"], *(later or (row_stages()["square-1"],) * 2)][:n_stages]
-    biases = [0.5] * (n_stages - 1) + [0.3]
-    stages = tuple(BobStage(bob[0], bob[1], rows, bias=b) for (rows, _), b in zip(pairs, biases))
-    return BellChainConfig(alice[0], alice[1], stages=stages), [grid for _, grid in pairs]
-
-
-def assert_matches_the_whole_run(cfg, grids, trials: int, seed: int, chunk: int, oracle=None) -> None:
-    # the report must not depend on the chunk size or the number of threads
-    oracle = oracle or oracle_run_chain(cfg, grids, trials, seed)
-    for workers in (1, 2):
-        report = _run_chain(cfg, trials, seed, chunk, workers)
-        assert report.to_dict() == oracle.to_dict()
-        assert [_report_fields(bob) for bob in report.per_bob] == [_report_fields(bob) for bob in oracle.per_bob]
-        assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
-
-
-@pytest.mark.parametrize("n_stages", [1, 2, 3])
-@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
-@pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
-def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
-    trials = whole_chunks * chunk + extra
-    assert_matches_the_whole_run(*chain_config(n_stages), trials, 20240817 + trials, chunk)
-
-
-@pytest.mark.parametrize("n_stages", [2, 3])
-@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
-@pytest.mark.parametrize("whole_chunks, extra", [(0, 3), (1, 1), (2, 5)])
-def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
-    # a worst-case pointer (every other interval row zeroed, so its row CDF has
-    # flat runs), then a G = 0.05 frontier pointer (662,528 nodes in 647 rows)
-    cfg, grids = chain_config(n_stages, (row_stages()["worst-0.5"], row_stages()["optimal-0.05"]))
-    trials = whole_chunks * chunk + extra
-    assert_matches_the_whole_run(cfg, grids, trials, 1302 + trials, chunk)
-
-
-def state_tables(cfg: BellChainConfig) -> tuple[list, list]:
-    """The branch thresholds and input-state tables run_chain walks cfg's trials through."""
-    return _state_tables(_stages(cfg), _alice_steering(cfg)[1].reshape(3, 4))
-
-
-@pytest.mark.parametrize("name", list(row_stages()))
-@pytest.mark.parametrize("chunk", [37, CHUNK_TRIALS])
-def test_state_tables_match_the_per_trial_collapse(monkeypatch, name, chunk):
-    # a weak Bob, then the named rows twice, walked by state index, partly and
-    # not at all (a cap of 256 tables only the weak Bob's 4*2*32 collapses, 0
-    # none), each against the grid oracle's per-trial collapse; the G = 0.05
-    # rows (648 a shifted reading can land in) would make a second table of
-    # 256*2*648 states, past the cap, so that chain leaves the walk after one stage
-    cfg, grids = chain_config(3, (row_stages()[name],) * 2)
-    trials = 3 * chunk + 5
-    oracle = oracle_run_chain(cfg, grids, trials, 4242 + trials)
-    for cap, walked in ((MAX_TABLE_STATES, 1 if name == "optimal-0.05" else 3), (256, 1), (0, 0)):
-        monkeypatch.setattr(montecarlo, "MAX_TABLE_STATES", cap)
-        assert len(state_tables(cfg)[0]) == walked
-        assert_matches_the_whole_run(cfg, grids, trials, 4242 + trials, chunk, oracle)
-
-
-def test_state_tables_leave_unreachable_collapses_undefined():
-    # three strong Bobs along Alice's own directions: a Bob that repeats the
-    # one before it reads its outcome with probability 1, so the other branch's
-    # collapse is 0/0; no trial reaches it and no RuntimeWarning escapes
-    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG_ROWS, bias=0.5),) * 3)
-    thresholds, tables = state_tables(cfg)
-    assert np.isnan(tables[2]).any() and np.isin(thresholds[1], (0.0, 1.0)).any()
-    assert_matches_the_whole_run(cfg, [make_square(1.0)] * 3, 5_000, 8, 1_000)
-
-
-def test_one_row_stage_collapses_to_its_direction_and_draws_no_position(monkeypatch):
-    # a weak Bob, then two strong ones: the middle Bob's collapses are its own
-    # direction, +d_y on the +1 branch and -d_y on the -1 branch, but only
-    # within an ulp, and a zero component of -d_y comes out +0: the table holds
-    # collapse_bloch's bits, not +-d_y
-    cfg, _ = chain_config(3)
-    stages = _stages(cfg)
-    thresholds, tables = state_tables(cfg)
-    assert len(tables) == 3
-    _, directions, row_cdf, amplitudes, _ = stages[1]
-    assert row_cdf.size == 1
-    # every (state, y, row) is reached: each branch probability lies in (0, 1)
-    # and every row of the weak Bob has mass
-    assert all(np.all((t > 0.0) & (t < 1.0)) for t in thresholds[:2])
-    assert np.all(np.diff(stages[0][2], prepend=0.0) > 0.0)
-    state, y, row = np.indices((tables[1].shape[1], 2, 2)).reshape(3, -1)  # row 1 is the +1 branch
-    got = tables[2][:, (state * 2 + y) * 2 + row]
-    # one vector at a time, c from bloch_dot, as a trial that collapses its own vector
-    one_by_one = collapse_bloch(tables[1][:, state], directions[:, y], amplitudes[row], amplitudes[row + 1])
-    assert np.array_equal(got.view(np.int64), one_by_one.view(np.int64))
-    direction = directions[:, y] * np.where(row == 1, 1.0, -1.0)
-    np.testing.assert_allclose(got, direction, rtol=0.0, atol=2.0**-53)
-    assert not np.array_equal(got.view(np.int64), direction.view(np.int64))
-
-    # the one-row stages draw no position block: stage k reads its positions from block 4 + 3k
-    drawn = set()
-    uniforms = montecarlo._uniforms
-
-    def recording(seed, trials, block, start, count):
-        drawn.add(block)
-        return uniforms(seed, trials, block, start, count)
-
-    monkeypatch.setattr(montecarlo, "_uniforms", recording)
-    run_chain(cfg, 1_000, seed=3)
-    assert drawn == {0, 1, 2, 3, 4, 5, 6, 8, 9}
-
-
-def test_run_chain_reads_zero_beyond_both_grid_edges():
-    # flat pointers filling their grids, (-3, 3) (three whole interval rows) and
-    # the four nodes nearest 0 (inside the central interval), read as rows and
-    # as grids: every reading displaced outwards looks up phi up to two units
-    # past an edge
-    cells = 64
-    pairs = (
-        (flat_three_rows(), PointerState(np.full(6 * cells, 1.0 / math.sqrt(6.0)), 1.0 / cells)),
-        (STRONG_ROWS, PointerState(np.full(4, 4.0), 1.0 / cells)),
-    )
-    alice = tsirelson_alice()
-    bob = tsirelson_bob()
-    for rows, grid in pairs:
-        for n_stages in (1, 2):
-            stages = tuple(BobStage(bob[0], bob[1], rows) for _ in range(n_stages))
-            cfg = BellChainConfig(alice[0], alice[1], stages=stages)
-            assert_matches_the_whole_run(cfg, [grid] * n_stages, 5_000, 11, 1_000)
-
-
-def oracle_rows(grid: PointerState, rows: RowStrength) -> np.ndarray:
+def oracle_rows(grid: PointerState, envelope: np.ndarray) -> np.ndarray:
     """Row n + N of every node of the grid, the one whose interval (2n-1, 2n+1] holds it."""
-    return np.rint(grid.positions / 2.0).astype(np.intp) + rows.envelope.size // 2
+    return np.rint(grid.positions / 2.0).astype(np.intp) + envelope.size // 2
 
 
 @pytest.mark.parametrize("name", list(row_stages()))
 def test_row_masses_are_the_node_masses_of_each_row(name):
-    rows, grid = row_stages()[name]
-    row_cdf, amplitudes = _stage_rows(rows)
+    envelope, grid = row_stages()[name]
+    row_cdf, amplitudes = interval_rows(envelope)
     assert row_cdf.size % 2 == 1
-    np.testing.assert_array_equal(amplitudes, np.pad(rows.envelope, 1))
-    node_rows = oracle_rows(grid, rows)
+    np.testing.assert_array_equal(amplitudes, np.pad(envelope, 1))
+    node_rows = oracle_rows(grid, envelope)
     masses = grid.samples**2
     held = masses > 0.0
-    # the grid's mass lies in the strength's rows
+    # the grid's mass lies in the envelope's rows
     assert 0 <= node_rows[held].min() and node_rows[held].max() < row_cdf.size
     oracle_pmf = np.bincount(node_rows[held], weights=masses[held], minlength=row_cdf.size) / np.sum(masses)
     assert oracle_pmf.size == row_cdf.size
@@ -433,9 +319,9 @@ def test_row_masses_are_the_node_masses_of_each_row(name):
 
 @pytest.mark.parametrize("name", list(row_stages()))
 def test_row_readings_match_node_readings_trial_by_trial(name):
-    # one stage on the same uniforms, read once by row as run_chain reads it
-    # and once by node of the grid twin as the whole-run oracle does
-    rows, grid = row_stages()[name]
+    # one stage on the same uniforms, read once by row and once by node of
+    # the grid twin, as the reading-level oracle does
+    envelope, grid = row_stages()[name]
     rng = np.random.default_rng(31)
     trials = 100_000
     bloch = rng.normal(size=(3, trials))
@@ -446,7 +332,7 @@ def test_row_readings_match_node_readings_trial_by_trial(name):
     plus = rng.random(trials) < (1.0 + c) / 2.0
     u = rng.random(trials)
 
-    row_cdf, amplitudes = _stage_rows(rows)
+    row_cdf, amplitudes = interval_rows(envelope)
     row = np.searchsorted(row_cdf, u, side="right")
     by_row = collapse_bloch(bloch, directions, amplitudes[row + plus], amplitudes[row + plus + 1], c)
 
@@ -457,29 +343,309 @@ def test_row_readings_match_node_readings_trial_by_trial(name):
     by_node = collapse_bloch(bloch, directions, padded[lower], padded[lower + shift], c)
     readings = grid.positions[node] + np.where(plus, 1.0, -1.0)
 
-    np.testing.assert_array_equal(row, oracle_rows(grid, rows)[node])
+    np.testing.assert_array_equal(row, oracle_rows(grid, envelope)[node])
     np.testing.assert_array_equal(row + plus > row_cdf.size // 2, readings > 0.0)
     np.testing.assert_allclose(by_row, by_node, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize(
-    "trials, block, start, count", [(10, 0, 1, 9), (10, 1, 3, 5), (7, 2, 0, 7), (13, 3, 4, 9), (5, 4, 2, 3)]
-)
-def test_block_addressing_matches_one_sequential_stream(trials, block, start, count):
-    offset = block * trials + start
-    assert offset % 4 != 0
-    stream = np.random.Generator(np.random.Philox(key=1302)).random(5 * trials)
-    np.testing.assert_array_equal(_uniforms(1302, trials, block, start, count), stream[offset : offset + count])
+# --- the outcome law: pointer readings, conditional maps and counts ------------------
+# run_chain draws every Bob's outcome from the conditional maps C_{y,b} of
+# its (F, G); the grid oracle samples actual readings, collapses each
+# through K_q and reads its sign.  Each is fitted to analytic_joint.
 
 
-def test_run_chain_requires_pointer_backed_stages(monkeypatch):
-    # a pointer grid is refused when its stage is made; a strength that is not
-    # a pointer's interval rows is refused by run_chain before any uniform is drawn
-    def no_draws(*args):
-        raise AssertionError("a uniform was drawn")
-
-    monkeypatch.setattr(montecarlo, "_uniforms", no_draws)
+def strength_chain(strengths, biases) -> BellChainConfig:
+    """The Tsirelson chain with one Bob of each strength and bias."""
     alice = tsirelson_alice()
+    bob = tsirelson_bob()
+    stages = tuple(BobStage(bob[0], bob[1], s, bias=b) for s, b in zip(strengths, biases))
+    return BellChainConfig(alice[0], alice[1], stages=stages)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", list(row_stages()))
+def test_oracle_run_chain_matches_analytic_joint(name, seed):
+    # a weak optimal Bob, then the named pointer twice, the last Bob biased;
+    # the analytic joint reads each grid's (F, G) by quadrature
+    grids = [make_optimal(0.8), row_stages()[name][1], row_stages()[name][1]]
+    cfg = strength_chain([strength_of(grid) for grid in grids], (0.5, 0.5, 0.3))
+    oracle = oracle_run_chain(cfg, grids, 200_000, seed)
+    chi2 = chi_square_report(oracle.outcome_counts, analytic_joint(cfg), oracle.trials)
+    assert chi2.passed, chi2
+
+
+def test_run_chain_reads_zero_beyond_both_grid_edges():
+    # flat pointers filling their grids, (-3, 3) and the four nodes nearest 0
+    # (inside the central interval): every reading displaced outwards looks
+    # up phi up to two units past an edge.  The oracle reads those readings
+    # on the grid; run_chain reads the grid's (F, G), whose sums see zero
+    # past the edges.  Each is fitted to analytic_joint.
+    cells = 64
+    grids = (
+        PointerState(np.full(6 * cells, 1.0 / math.sqrt(6.0)), 1.0 / cells),
+        PointerState(np.full(4, 4.0), 1.0 / cells),
+    )
+    for grid in grids:
+        for n_stages in (1, 2):
+            cfg = strength_chain([strength_of(grid)] * n_stages, (0.5, 0.5))
+            joint = analytic_joint(cfg)
+            for report in (oracle_run_chain(cfg, [grid] * n_stages, 100_000, 11), run_chain(cfg, 100_000, 11)):
+                chi2 = chi_square_report(report.outcome_counts, joint, report.trials)
+                assert chi2.passed, (grid.samples.size, n_stages, chi2)
+
+
+def three_stage_config() -> BellChainConfig:
+    """A weak optimal Bob, a square pointer and a strong Bob, biased 0.3, 0.6 and 0.5."""
+    strengths = (_family_strength("optimal", 0.8), _family_strength("square", 1.5), STRONG)
+    return strength_chain(strengths, (0.3, 0.6, 0.5))
+
+
+def random_chain_config() -> BellChainConfig:
+    """Two random stages after random Alice directions, on a random two-qubit state."""
+    rng = np.random.default_rng(2026)
+    stages = (random_stage(rng), random_stage(rng))
+    initial = random_density(rng, dim=4)
+    return BellChainConfig(random_direction(rng), random_direction(rng), stages=stages, initial_state=initial)
+
+
+CHAINS = {
+    **{f"double-{g}": functools.partial(_montecarlo_config, "double", g) for g in (0.8, 0.3, 0.002, 1.0)},
+    "single-0.5": functools.partial(_montecarlo_config, "single", 0.5),
+    "three-stage": three_stage_config,
+    "random-state": random_chain_config,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_run_chain_matches_analytic_joint(chain, seed):
+    cfg = CHAINS[chain]()
+    report = run_chain(cfg, 1_000_000, seed)
+    chi2 = chi_square_report(report.outcome_counts, analytic_joint(cfg), report.trials)
+    assert chi2.passed, chi2
+
+
+@pytest.mark.parametrize("chain", ["single-0.5", "double-0.8", "three-stage"])
+def test_run_chain_draws_its_splits_in_the_documented_order(chain):
+    # the module docstring's splits, one cell at a time, each a scalar
+    # binomial of the same generator: a vectorized draw reads the stream
+    # element by element
+    cfg = CHAINS[chain]()
+    trials, seed = 100_000, 31
+    p_alice, *p_stages = _branch_probabilities(cfg)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def split(counts, probabilities):
+        out = []
+        for n, p in zip(counts, probabilities):
+            ones = int(rng.binomial(n, min(1.0, max(0.0, p)) if n else 0.0))
+            out += [n - ones, ones]
+        return out
+
+    counts = split(split([trials], [0.5]), p_alice)
+    for stage, p_plus in zip(cfg.stages, p_stages):
+        counts = split(split(counts, [stage.bias] * len(counts)), p_plus)
+    n_bits = 2 * len(cfg.stages) + 2
+    expected = {}
+    for cell, count in enumerate(counts):
+        if count:
+            bits = [(cell >> (n_bits - 1 - i)) & 1 for i in range(n_bits)]  # x, a, y_1, b_1, ..
+            signs = [2 * bit - 1 for bit in bits]
+            expected[(bits[0], *bits[2::2], signs[1], *signs[3::2])] = count
+    assert list(run_chain(cfg, trials, seed).outcome_counts.items()) == sorted(expected.items())
+
+
+def chain_config(n_stages: int, later: tuple = ()) -> BellChainConfig:
+    """A weak optimal Bob, then the later strengths (strong ones by default), the last Bob biased 0.3."""
+    strengths = [_family_strength("optimal", 0.8), *(later or (STRONG, STRONG))][:n_stages]
+    return strength_chain(strengths, [0.5] * (n_stages - 1) + [0.3])
+
+
+def walk_steps(cfg: BellChainConfig) -> list:
+    """run_chain's split probabilities in walk order: x, a, then y_k and b_k of each stage."""
+    p_alice, *p_stages = _branch_probabilities(cfg)
+    return [0.5, p_alice, *(p for stage, p_plus in zip(cfg.stages, p_stages) for p in (stage.bias, p_plus))]
+
+
+def assert_matches_the_whole_run(cfg: BellChainConfig, trials: int, seed: int, chunk: int) -> None:
+    # run_chain's split probabilities are the chain rule on the key-by-key
+    # joint wherever a trial can reach, and its report is that of the same
+    # splits drawn chunk cells at a time and tallied trial by trial: the
+    # report must not depend on how a split's cells are cut
+    steps = walk_steps(cfg)
+    for got, want in zip(steps, oracle_chain_rule(cfg)):
+        got = np.broadcast_to(got, want.shape)
+        reached = ~np.isnan(want)
+        np.testing.assert_allclose(got[reached], want[reached], rtol=0.0, atol=1e-12)
+    report = run_chain(cfg, trials, seed)
+    oracle = oracle_split_run(cfg, trials, seed, chunk, steps)
+    assert report.to_dict() == oracle.to_dict()
+    assert [_report_fields(bob) for bob in report.per_bob] == [_report_fields(bob) for bob in oracle.per_bob]
+    assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [37, 2**15])
+@pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
+def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
+    # a chunk of 37 cuts the later splits' 64, 128 and 256 cells; 2**15 cuts none
+    trials = whole_chunks * chunk + extra
+    assert_matches_the_whole_run(chain_config(n_stages), trials, 20240817 + trials, chunk)
+
+
+@pytest.mark.parametrize("n_stages", [2, 3])
+@pytest.mark.parametrize("chunk", [37, 2**15])
+@pytest.mark.parametrize("whole_chunks, extra", [(0, 3), (1, 1), (2, 5)])
+def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
+    # the (F, G) of a worst-case pointer (every other interval row zeroed, F = 0),
+    # then of a G = 0.05 frontier pointer (647 rows)
+    cfg = chain_config(n_stages, (_family_strength("worst", 0.5), _family_strength("optimal", 0.05)))
+    trials = whole_chunks * chunk + extra
+    assert_matches_the_whole_run(cfg, trials, 1302 + trials, chunk)
+
+
+def envelope_strength(envelope: np.ndarray) -> MeasurementStrength:
+    """(F, G) of a pointer whose intervals scale one profile by the envelope: sum(e_n e_{n+1}) and e_0^2 over sum(e_n^2)."""
+    total = float(np.sum(envelope * envelope))
+    return MeasurementStrength(float(np.sum(envelope[:-1] * envelope[1:])) / total, envelope[envelope.size // 2] ** 2 / total)
+
+
+def collapse_walk(cfg: BellChainConfig, envelopes: list) -> list:
+    """Each stage's P(b=+1) of every key = state*2 + y, from the collapse of every reading by interval row.
+
+    A reading is a row n and a shift +-1: row mass e_n^2 / sum(e^2) times
+    the branch weight (1 +- c)/2, collapsed by the amplitudes of the rows
+    it lies between, as a trial of the grid oracle is.  The next state of
+    each key and sign is the weighted mean of the collapses of that sign,
+    row key*2 + b_index (b_index 1 is b = +1); Alice's steered states come
+    from the complex state, row 2x + a_index.
+    """
+    _, steered = oracle_alice_steering(cfg)
+    states = steered[:, :, ::-1].reshape(3, 4)  # (3, state)
+    probabilities = []
+    for stage, envelope in zip(cfg.stages, envelopes):
+        row_cdf, amplitudes = interval_rows(envelope)
+        rows = np.arange(row_cdf.size)
+        masses = np.diff(row_cdf, prepend=0.0)
+        d = np.stack([stage.dir0.vector, stage.dir1.vector], axis=1)[:, None, :, None, None]  # (3, 1, y, 1, 1)
+        r = states[:, :, None, None, None]  # (3, state, 1, 1, 1)
+        plus = np.arange(2)  # shift index 1 is +1
+        c = np.einsum("i...,i...->...", d, r)
+        weight = masses[:, None] * (1.0 + (2 * plus - 1) * c) / 2.0  # (state, y, row, shift)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            collapsed = collapse_bloch(r, d, amplitudes[rows[:, None] + plus], amplitudes[rows[:, None] + plus + 1], c)
+        positive = rows[:, None] + plus > row_cdf.size // 2
+        signs = np.stack([~positive, positive])  # (b_index, row, shift)
+        by_sign = np.where(signs[:, None, None], weight, 0.0).sum(axis=(-2, -1))  # (b_index, state, y)
+        moments = np.where(signs[:, None, None] & (weight > 0.0), weight * collapsed[:, None], 0.0).sum(axis=(-2, -1))
+        probabilities.append(by_sign[1].ravel())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            states = np.moveaxis(moments / by_sign, 1, -1).reshape(3, -1)  # (3, (state, y, b_index))
+    return probabilities
+
+
+@pytest.mark.parametrize("name", list(row_stages()))
+@pytest.mark.parametrize("chunk", [37, 2**15])
+def test_state_tables_match_the_per_trial_collapse(name, chunk):
+    # a weak Bob, then the named pointer twice: the probabilities run_chain
+    # computes from each key's state C_{y,b} v / (C_{y,b} v)_0 are those of
+    # collapsing every reading one by one, and its run is the split walk's
+    envelopes = [frontier_rows(0.8), row_stages()[name][0], row_stages()[name][0]]
+    cfg = strength_chain([envelope_strength(e) for e in envelopes], (0.5, 0.5, 0.3))
+    _, *p_stages = _branch_probabilities(cfg)
+    for got, want in zip(p_stages, collapse_walk(cfg, envelopes), strict=True):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    trials = 3 * chunk + 5
+    assert_matches_the_whole_run(cfg, trials, 4242 + trials, chunk)
+
+
+def test_one_row_stage_collapses_to_its_direction_and_draws_no_position(monkeypatch):
+    # a weak Bob, then two strong ones: the middle Bob hands on its own
+    # direction, +d_y on the +1 branch and -d_y on the -1 branch, so the
+    # last Bob reads +1 with probability (1 + b_2 d_{y_3}.d_{y_2}) / 2, up to
+    # the rounding of the maps (1.2e-15 at most here)
+    cfg = chain_config(3)
+    p_alice, *p_stages = _branch_probabilities(cfg)
+    # every (state, y) of the first two Bobs is reached: each probability lies in (0, 1)
+    assert all(np.all((p > 0.0) & (p < 1.0)) for p in (p_alice, *p_stages[:2]))
+    middle, last = (np.stack([stage.dir0.vector, stage.dir1.vector]) for stage in cfg.stages[1:])
+    key = np.arange(p_stages[2].size)  # ((state*2 + y_2)*2 + b_index)*2 + y_3
+    y_last, b_middle, y_middle = key % 2, 2 * (key // 2 % 2) - 1, key // 4 % 2
+    expected = (1.0 + b_middle * np.einsum("ki,ki->k", last[y_last], middle[y_middle])) / 2.0
+    np.testing.assert_allclose(p_stages[2], expected, rtol=0.0, atol=2e-15)
+
+    # a run draws no reading position, only the splits: x, a, then y_k and b_k of each stage
+    sizes = []
+    split = montecarlo._split
+
+    def recording(rng, counts, p):
+        sizes.append(counts.size)
+        return split(rng, counts, p)
+
+    monkeypatch.setattr(montecarlo, "_split", recording)
+    run_chain(cfg, 1_000, seed=3)
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128]
+
+
+def test_state_tables_leave_unreachable_collapses_undefined():
+    # three strong Bobs along Alice's own directions: a Bob that repeats the
+    # one before it reads its outcome with probability 1, so the other
+    # branch's state is 0/0; no trial reaches it, and neither a
+    # RuntimeWarning nor a binomial of an undefined probability escapes
+    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG, bias=0.5),) * 3)
+    _, *p_stages = _branch_probabilities(cfg)
+    assert np.isin(p_stages[0], (0.0, 1.0)).any()
+    assert np.isnan(p_stages[1]).any() and np.isnan(p_stages[2]).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_chain(cfg, 1_000_000, seed=8)
+    joint = analytic_joint(cfg)
+    impossible = {key for key, p in joint.items() if p <= ZERO_MASS}
+    assert impossible and not impossible & set(report.outcome_counts)
+    assert chi_square_report(report.outcome_counts, joint, report.trials).passed
+
+
+def test_split_clips_rounded_probabilities_and_reads_empty_cells_as_zero():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _split(rng, np.array([10, 10, 0, 0]), np.array([-2**-53, 1.0 + 2**-52, math.nan, 7.0]))
+    assert counts.tolist() == [10, 0, 0, 10, 0, 0, 0, 0]
+
+
+def test_strong_double_leaves_every_impossible_cell_empty():
+    # two strong Bobs reading one direction with different outcomes: the
+    # second Bob's branch probability is 0 up to rounding
+    cfg = _montecarlo_config("double", 1.0)
+    joint = analytic_joint(cfg)
+    impossible = {key for key, p in joint.items() if p <= ZERO_MASS}
+    assert impossible == {key for key in joint if key[1] == key[2] and key[4] != key[5]}
+    assert len(impossible) == 16
+    p_second = _branch_probabilities(cfg)[2]
+    rounded = p_second[np.abs(p_second) < ZERO_MASS]
+    assert rounded.size == 8 and np.abs(rounded).max() <= 2**-53
+    report = run_chain(cfg, 1_000_000, seed=7)
+    assert not impossible & set(report.outcome_counts)
+    chi2 = chi_square_report(report.outcome_counts, joint, report.trials)
+    assert (chi2.dof, chi2.dropped_cells) == (47, 16)
+
+
+def test_config_digest_and_report_read_only_the_stage_strengths():
+    # (F, G) is all a stage is: the frontier sums at two spacings and a bare
+    # copy of the pair give one digest and one report; another G gives others
+    first = _family_strength("optimal", 0.3)
+    others = (_family_strength("optimal", 0.3, 1.0 / 512), MeasurementStrength(first.quality_factor, first.precision))
+    reports = []
+    for weak in (first, *others, _family_strength("optimal", 0.31)):
+        report = run_chain(strength_chain((weak, STRONG), (0.5, 0.5)), 100_000, 5)
+        reports.append((report.config_digest, json.dumps(report.to_dict()), list(report.outcome_counts.items())))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[3][0] != reports[0][0] and reports[3][2] != reports[0][2]
+
+
+def test_run_chain_takes_any_measurement_strength():
+    # a pointer grid is refused when its stage is made; any MeasurementStrength
+    # runs, the other families' closed forms among them
     bob = tsirelson_bob()
     grids = (
         make_optimal(0.8),
@@ -487,17 +653,16 @@ def test_run_chain_requires_pointer_backed_stages(monkeypatch):
         make_square(1.0),
         make_gaussian(1.0),
         make_exponential(0.5),
-        make_square(1.5),
         # flat on (-2, 2): the rows (-3, -1] and (1, 3] are half empty
         PointerState(np.full(4 * 64, 0.5), 1.0 / 64),
     )
     for grid in grids:
         with pytest.raises(InvalidParameterError, match="strength_of"):
             BobStage(bob[0], bob[1], grid, bias=0.5)
-    bare = BobStage(bob[0], bob[1], MeasurementStrength(0.6, 0.8), bias=0.5)
-    for stages in ((bare,), (BobStage(bob[0], bob[1], _frontier_strength(0.8), bias=0.5), bare)):
-        with pytest.raises(InvalidParameterError, match="RowStrength"):
-            run_chain(BellChainConfig(alice[0], alice[1], stages=stages), 10, seed=0)
+    for family, value in (("square", 1.5), ("gaussian", 1.0), ("exponential", 0.5), ("worst", 0.5)):
+        cfg = strength_chain((_family_strength(family, value), STRONG), (0.5, 0.5))
+        report = run_chain(cfg, 1_000_000, seed=13)
+        assert chi_square_report(report.outcome_counts, analytic_joint(cfg), report.trials).passed, family
     with pytest.raises(InvalidParameterError):
         run_chain(double_config(), 0, seed=0)
 

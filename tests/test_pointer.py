@@ -455,7 +455,7 @@ _FRONTIER_TOL = 1e-14
 
 def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
     for target in parse_range("0.005:0.995:0.005"):
-        fq, gp = strength_pair(pointer._frontier_strength(target))
+        fq, gp = strength_pair(pointer._frontier_sums(target, DEFAULT_GRID_SPACING))
         state = make_optimal(target)
         assert abs(fq - quality_factor(state)) <= _FRONTIER_TOL, target
         assert abs(gp - precision(state)) <= _FRONTIER_TOL, target
@@ -463,7 +463,7 @@ def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
 
 def test_frontier_rows_agree_with_the_worst_grid():
     for target in parse_range("0.1:0.9:0.1"):
-        fq, gp = strength_pair(pointer._frontier_strength(target, worst=True))
+        fq, gp = strength_pair(pointer._frontier_sums(target, DEFAULT_GRID_SPACING, worst=True))
         assert fq == 0.0
         assert abs(gp - precision(make_worst(target))) <= _FRONTIER_TOL, target
 
@@ -475,7 +475,7 @@ def test_frontier_rows_agree_with_the_per_node_construction(spacing, profile):
     targets = (0.005, 0.05, 0.3, 0.8, 0.995) if spacing == 1.0 / 64 else (0.05, 0.3, 0.8, 0.995)
     for target in targets:
         oracle = oracle_optimal_from_central(_central_profile(profile, spacing), target, spacing)
-        fq, gp = strength_pair(pointer._frontier_strength(target, grid_spacing=spacing))
+        fq, gp = strength_pair(pointer._frontier_sums(target, spacing))
         assert abs(fq - quality_factor(oracle)) <= _FRONTIER_TOL, target
         assert abs(gp - oracle_precision(oracle)) <= _FRONTIER_TOL, target
 
@@ -485,12 +485,10 @@ def test_frontier_strength_does_not_depend_on_the_spacing():
     for target in (0.005, 0.05, 0.3, 0.8, 0.995):
         for worst in (False, True):
             first, *others = [
-                pointer._frontier_strength(target, worst=worst, grid_spacing=h)
-                for h in (1.0 / 64, 1.0 / 512, 1.0 / 1024)
+                pointer._frontier_sums(target, h, worst) for h in (1.0 / 64, 1.0 / 512, 1.0 / 1024)
             ]
             for other in others:
                 assert strength_pair(other) == strength_pair(first), (target, worst)
-                assert other.envelope.tobytes() == first.envelope.tobytes(), (target, worst)
 
 
 def test_frontier_strength_builds_no_grid(monkeypatch):
@@ -517,26 +515,6 @@ def test_frontier_strength_builds_no_grid(monkeypatch):
         assert all(fq == 0.0 for _, fq, _ in rows) == (family == "worst")
 
 
-def test_row_strength_holds_a_read_only_envelope():
-    envelope = np.array([0.5, 1.0, 0.5])
-    rows = pointer.RowStrength(0.8, 0.6, envelope)
-    envelope[1] = 7.0  # the strength holds its own copy
-    assert rows.envelope.tolist() == [0.5, 1.0, 0.5]
-    with pytest.raises(ValueError, match="read-only"):
-        rows.envelope[0] = 1.0
-    strong = pointer.STRONG_ROWS
-    assert (strong.quality_factor, strong.precision, strong.envelope.tolist()) == (0.0, 1.0, [1.0])
-    with pytest.raises(PhysicalityError):
-        pointer.RowStrength(0.9, 0.9, np.ones(1))
-    # 2N+1 finite rows of finite positive mass, or run_chain would divide by
-    # a zero or infinite mass, index an empty CDF, or miscount the central row
-    for envelope in (np.zeros(3), [1.0, math.inf, 1.0], [], np.ones(2), [1.0, math.nan, 1.0], [[1.0]]):
-        with pytest.raises(InvalidParameterError, match="row envelope"):
-            pointer.RowStrength(0.8, 0.6, envelope)
-    with pytest.raises(InvalidParameterError, match="finite positive mass"):
-        pointer.RowStrength(0.8, 0.6, [1e200, 1.0, 1e200])
-
-
 def _refusal(call):
     with pytest.raises(Exception) as info:
         call()
@@ -556,7 +534,7 @@ def test_frontier_strength_refuses_what_the_builders_refuse(target):
         expected = _refusal(lambda: build(target))
         # a grid past the node cap is refused by the InvalidParameterError that names the cap
         assert expected[0] is (NodeCapError if "over the cap" in expected[1] else InvalidParameterError)
-        assert _refusal(lambda: pointer._frontier_strength(target, worst=worst)) == expected
+        assert _refusal(lambda: pointer._frontier_sums(target, DEFAULT_GRID_SPACING, worst)) == expected
 
 
 def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
