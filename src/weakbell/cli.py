@@ -29,9 +29,10 @@ MAX_RANGE_POINTS = 100_000
 MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
 MAX_PROTOCOL_STAGES = 10_000
 # run_chain draws outcome counts, not trials, so the cap costs what 10^6
-# trials cost (double scenario, one CPU, numpy 2.4.6): 0.55-0.6 ms in
-# run_chain at --g 0.8 or 0.002, ~3.5 ms in-process for the whole command at
-# --g 0.8; it is kept because lifting it would turn refusals into outputs
+# trials cost (double scenario, one CPU, numpy 2.4.6): 0.35-0.4 ms in
+# run_chain at --g 0.8, 0.002 or 1.0, ~2.2 ms in-process for the whole
+# command at --g 0.8; it is kept because lifting it would turn refusals into
+# outputs
 MAX_TRIALS = 10**9
 
 

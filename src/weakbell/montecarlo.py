@@ -8,39 +8,33 @@ the chain: a binomial split of every cell at each step, in work and
 memory of the 4*4^n cells whatever the trial count T is.
 
 Each Bob acts only on the state the Bob before hands on, so the law is
-fixed by the conditional stage maps C_{y,b} of bell._stage_maps, the
-maps analytic_joint propagates.  A stage is its MeasurementStrength
-(F, G) and nothing more: for a symmetric real pointer, the reading
-b = sign(q) has probability (C_{y,b} v)_0, and the collapses of the
-readings of that sign sum to C_{y,b} v.  The tests check that against
-a sampler of actual pointer readings on pointer grids
-(conftest.oracle_run_chain).
+fixed by the conditional stage maps C_{y,b} of bell._stage_maps.  A
+stage is its MeasurementStrength (F, G) and nothing more: for a
+symmetric real pointer, the reading b = sign(q) has probability
+(C_{y,b} v)_0, and the collapses of the readings of that sign sum to
+C_{y,b} v.  The tests check that against a sampler of actual pointer
+readings on pointer grids (conftest.oracle_run_chain).
 
-A branch carries Bob's state as a normalized Pauli 4-vector v = (1, r).
-Alice's strong outcome is steered in closed form from the Pauli
-coefficients R of the initial state: after outcome a on input x, Bob's
-unnormalized vector is R_{0,:} + a u_x.R_{1:,:}, whose 0 component is
-2 P(a|x); its state is row 2x + a_index (a_index 1 is a = +1).  Stage
-k's branch of key = state*2 + y takes b = +1 with probability
-(C_{y,+} v)_0 and hands on C_{y,b} v / (C_{y,b} v)_0 as state
-key*2 + b_index (b_index 1 is b = +1).  run_chain computes these once
-per run for every key, before any draw.  A branch no trial can reach
-may hold 0/0; its cell has no count and its probability is read as 0.
-Probabilities are clipped to [0, 1], as a compare of a uniform with them
-would: the branch a strong Bob cannot take rounds to within about 1e-16
-of 0, on either side.
+_walk_joint propagates the maps once over the whole branch grid and
+holds the law as one array over the walk's bits (x, a, y_1, b_1, ..,
+y_n, b_n), index 1 for input 1 or outcome +1; analytic_joint keys it
+and run_chain draws from it.  The splits are the chain rule on that
+array: a split sends count n of prefix cell c to cells 2c and 2c + 1,
+the latter holding Binomial(n, p) with p = mass(2c + 1) / mass(c), a
+cell's mass being the joint summed over the bits after it.  run_chain
+first zeroes every cell of mass at most ZERO_MASS, the cells
+chi_square_report counts as impossible, so the sampler and the fit
+share one definition of impossible: no trial reaches such a cell, every
+p lies in [0, 1], and a prefix of no mass, which no trial reaches,
+splits with p = 0.
 
 Randomness comes from a Philox generator keyed by the seed.  The counts
-start as [T], and a split sends count n of cell c to cells 2c and
-2c + 1, the latter holding Binomial(n, p), one vectorized
-Generator.binomial call over all cells.  The splits are, in order: x
-(p = 1/2); a (P(a=+1|x)); then for each stage in order its input y_k
-for every state (p = the stage's bias) and its outcome b_k for every key
-(P(b_k=+1|key)).  After the last stage a cell's index bits read
-(x, a, y_1, b_1, .., y_n, b_n); transposed to (x, y_1..y_n, a,
-b_1..b_n) they are the outcome table, each axis's index 1 input 1 or
-outcome +1.  One thread does it all.  A seed reproduces its report bit
-for bit on one numpy version: NEP 19 does not promise the stream of
+start as [T], and each split is one vectorized Generator.binomial call
+over all cells, in walk order: x, a, then each stage's y_k and b_k.
+After the last split a cell's index bits read (x, a, y_1, b_1, .., y_n,
+b_n); transposed to (x, y_1..y_n, a, b_1..b_n) they are the outcome
+table.  One thread does it all.  A seed reproduces its report bit for
+bit on one numpy version: NEP 19 does not promise the stream of
 Generator.binomial across numpy releases.
 
 The per-Bob reports are the table's marginals and outcome_counts its
@@ -66,10 +60,11 @@ from .errors import InvalidParameterError
 from .bell import BellChainConfig, _stage_maps, pauli_coefficients, propagate
 from .channel import bloch_dot, strength_pair
 
-# an analytic cell probability at most this is an impossible outcome: the
-# joint of an exactly impossible cell (two strong Bobs reading one direction
-# with different outcomes) is rounding noise of either sign, ~1e-17, and a
-# cell this unlikely expects 1e-6 counts in cli.MAX_TRIALS = 1e9 trials
+# an analytic cell probability at most this is an impossible outcome, which
+# run_chain never draws and chi_square_report drops: the joint of an exactly
+# impossible cell (two strong Bobs reading one direction with different
+# outcomes) is rounding noise of either sign, ~1e-17, and a cell this
+# unlikely expects 1e-6 counts in cli.MAX_TRIALS = 1e9 trials
 ZERO_MASS = 1e-15
 
 # --- reports --------------------------------------------------------------------
@@ -139,30 +134,6 @@ def _config_digest(cfg: BellChainConfig) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _branch_probabilities(cfg: BellChainConfig) -> list[np.ndarray]:
-    """P(a=+1|x), shaped (2,), then each stage's P(b_k=+1) of every key = state*2 + y.
-
-    Stage 0's states are Alice's steered ones, row 2x + a_index; stage
-    k+1's are stage k's C_{y,b} v / (C_{y,b} v)_0, row key*2 + b_index.
-    A branch of zero weight leaves 0/0 in the states after it.
-    """
-    pauli = pauli_coefficients(cfg.initial_state)
-    u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])  # (x, 3)
-    signs = np.array([-1.0, 1.0])  # a for a_index 0, 1
-    steered = pauli[0] + signs[:, None] * (u @ pauli[1:])[:, None, :]  # (x, a_index, 4): 2 P(a|x) (1, r)
-    probabilities = [steered[:, 1, 0] / 2.0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        states = (steered / steered[..., :1]).reshape(-1, 4)
-        for stage in cfg.stages:
-            # outcome axis flipped, so b_index 1 is b = +1
-            maps = _stage_maps(*strength_pair(stage.strength), (stage.dir0, stage.dir1))[:, ::-1]
-            # the states as rows: (state, y, b_index, 4), each row C_{y,b} v
-            branches = propagate(states[:, None, None, None, :], [maps])[1][..., 0, :]
-            probabilities.append(branches[..., 1, 0].ravel())
-            states = (branches / branches[..., :1]).reshape(-1, 4)
-    return probabilities
-
-
 def _table_axes(cells: np.ndarray) -> np.ndarray:
     """An array over (x, a, y_1, b_1, .., y_n, b_n) on the outcome table's axes, (x, y_1..y_n, a, b_1..b_n)."""
     n_stages = cells.ndim // 2 - 1
@@ -170,30 +141,31 @@ def _table_axes(cells: np.ndarray) -> np.ndarray:
 
 
 def _split(rng: np.random.Generator, counts: np.ndarray, p) -> np.ndarray:
-    """Count n of cell c sent to cells 2c and 2c + 1, the latter Binomial(n, p), p clipped to [0, 1].
-
-    A cell with no count may hold an undefined p (0/0); it is read as 0.
-    """
-    ones = rng.binomial(counts, np.clip(np.where(counts > 0, p, 0.0), 0.0, 1.0))
+    """Count n of cell c sent to cells 2c and 2c + 1, the latter Binomial(n, p); p is read as 0 where n is 0."""
+    ones = rng.binomial(counts, np.where(counts > 0, p, 0.0))
     return np.stack([counts - ones, ones], axis=-1).ravel()
 
 
 def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     """Simulate trials of the full chain and report per-Bob correlators and CHSH values.
 
-    Draws the outcome table by binomial splits along the chain, in the
-    order the module docstring gives; the work does not grow with trials.
+    Draws the outcome table by binomial splits along the chain, the chain
+    rule on _walk_joint in the order the module docstring gives; the work
+    does not grow with trials.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    p_alice, *p_stages = _branch_probabilities(cfg)
+    joint = _walk_joint(cfg)
+    # the masses of every prefix, level by level from the whole cells up to the total
+    masses = [np.where(joint > ZERO_MASS, joint, 0.0).ravel()]
+    while masses[-1].size > 1:
+        masses.append(masses[-1].reshape(-1, 2).sum(axis=1))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = _split(rng, np.array([trials]), 0.5)  # x
-    counts = _split(rng, counts, p_alice)  # a, cell 2x + a_index
-    for stage, p_plus in zip(cfg.stages, p_stages):
-        counts = _split(rng, counts, stage.bias)  # y_k, cell key = state*2 + y
-        counts = _split(rng, counts, p_plus)  # b_k, cell key*2 + b_index
-    per_bob, outcome_counts = _reports(_table_axes(counts.reshape((2,) * (2 * len(cfg.stages) + 2))))
+    counts = np.array([trials])
+    for prefix, cells in zip(masses[:0:-1], masses[-2::-1]):
+        # a prefix of no mass holds no count and splits with p = 0
+        counts = _split(rng, counts, cells[1::2] / np.where(prefix > 0.0, prefix, 1.0))
+    per_bob, outcome_counts = _reports(_table_axes(counts.reshape(joint.shape)))
     return EmpiricalReport(
         config_digest=_config_digest(cfg),
         seed=seed,
@@ -203,13 +175,10 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     )
 
 
-def _keyed(table: np.ndarray, cells: np.ndarray, outcome_signs: tuple[int, int]) -> dict:
-    """{(x, y_1..y_n, a, b_1..b_n): table[cell]} for the index rows cells, in their order.
-
-    outcome_signs[i] is the outcome that index i of an outcome axis stands for.
-    """
+def _keyed(table: np.ndarray, cells: np.ndarray) -> dict:
+    """{(x, y_1..y_n, a, b_1..b_n): table[cell]} for the index rows cells, in their order; outcome index 1 is +1."""
     n_inputs = table.ndim // 2
-    keys = np.concatenate([cells[:, :n_inputs], np.array(outcome_signs)[cells[:, n_inputs:]]], axis=1)
+    keys = np.concatenate([cells[:, :n_inputs], 2 * cells[:, n_inputs:] - 1], axis=1)
     return dict(zip(map(tuple, keys.tolist()), table[tuple(cells.T)].tolist()))
 
 
@@ -235,39 +204,54 @@ def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:
             chsh_val = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
             stderr = math.sqrt(variance)
         per_bob.append(BobReport(e, counts, chsh_val, stderr, insufficient))
-    return tuple(per_bob), _keyed(table, np.argwhere(table), (-1, 1))
+    return tuple(per_bob), _keyed(table, np.argwhere(table))
 
 
-def analytic_joint(cfg: BellChainConfig) -> dict:
-    """Exact joint distribution over (x, y_1..y_n, a, b_1..b_n).
+def _walk_joint(cfg: BellChainConfig) -> np.ndarray:
+    """The chain's exact joint over (x, a, y_1, b_1, .., y_n, b_n), index 1 for input 1 or outcome +1.
 
-    One propagate call takes the Pauli coefficients of the initial state
-    through the conditional stage maps over the whole (y_k, b_k) branch
-    grid; strengths come from the stages.  Alice's strong outcome a
-    along u_x then has weight (R'_00 + a u_x.R'_{1:,0}) / 2 on each
-    branch state R', with u_x.R'_{1:,0} summed x, y, z in that order.
-    It shares the stage maps with run_chain, not its walk, draws or
-    tally, so it serves as their chi-square reference; the maps
-    themselves are checked in the tests against complex branch
-    enumeration and a sampler of actual pointer readings.
+    Alice's strong outcome a along u_x steers Bob's coefficients to
+    R_{0,:} + a u_x.R_{1:,:} of the initial state's Pauli coefficients R,
+    summed x, y, z in that order; their 0 component is 2 P(a|x).  One
+    propagate call takes these through the conditional stage maps over
+    the whole (y_k, b_k) branch grid, strengths from the stages, and a
+    cell's weight is half its branch's 0 component.  Steering before the
+    stages spares a small cell the cancellation of forming R'_00 +
+    a u_x.R'_{1:,0} after them, ~1e-14 of the cell's value.
     """
     n_stages = len(cfg.stages)
     maps = []
     for k, stage in enumerate(cfg.stages):
         quality, prec = strength_pair(stage.strength)
-        stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))
+        # outcome axis flipped, so index 1 is b = +1
+        stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))[:, ::-1]
         # stage k's (input, outcome) axes are axes 2k, 2k+1 of the branch grid
         maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
-    branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]  # (y1, b1, .., yn, bn, 4, 4)
+    pauli = pauli_coefficients(cfg.initial_state)
     u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
-    columns = np.moveaxis(branches[..., 1:, 0], -1, 0)[:, None]  # (3, 1, y1, b1, .., yn, bn)
-    alice = bloch_dot(u.T.reshape((3, 2) + (1,) * (2 * n_stages)), columns)  # (x, y1, b1, .., yn, bn)
-    a_sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (2 * n_stages))
-    weight = _table_axes(branches[..., 0, 0] + a_sign * alice[:, None])
+    alice = bloch_dot(u.T[:, :, None], pauli[1:, None, :])  # (x, 4): u_x.R_{1:,:}
+    steered = pauli[0] + np.array([-1.0, 1.0])[:, None] * alice[:, None, :]  # (x, a, 4)
+    states = steered.reshape((2, 2) + (1,) * (2 * n_stages) + (1, 4))  # one row state per (x, a)
+    weight = propagate(states, maps)[-1][..., 0, 0]  # (x, a, y1, b1, .., yn, bn)
     # p(x) p(y_1) .. p(y_n) over the (x, y_1..y_n) grid, multiplied in stage order
     p_inputs = math.prod(np.ix_([0.5, 0.5], *([1.0 - stage.bias, stage.bias] for stage in cfg.stages)))
-    probs = p_inputs.reshape(p_inputs.shape + (1,) * (n_stages + 1)) * weight / 2.0
-    return _keyed(probs, np.argwhere(np.ones(probs.shape, dtype=bool)), (1, -1))
+    return p_inputs.reshape((2, 1) * (n_stages + 1)) * weight / 2.0
+
+
+def analytic_joint(cfg: BellChainConfig) -> dict:
+    """Exact joint distribution over (x, y_1..y_n, a, b_1..b_n), keyed in index order with +1 first.
+
+    run_chain draws from the same array (_walk_joint), so a chi-square of
+    a run against this joint checks the draw, the tally and the keying,
+    not the law.  The law's independent checks live in the tests: complex
+    branch enumeration (conftest.enumerate_joint), a sampler of actual
+    pointer readings on grids (conftest.oracle_run_chain), and the CHSH
+    closed forms of acceptance claim c11.
+    """
+    table = _table_axes(_walk_joint(cfg))
+    cells = np.argwhere(np.ones(table.shape, dtype=bool))
+    cells[:, table.ndim // 2 :] ^= 1  # +1 first on the outcome axes
+    return _keyed(table, cells)
 
 
 # --- chi-square comparison ----------------------------------------------------

@@ -418,15 +418,26 @@ def oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes) -> dict:
 
 
 def oracle_analytic_joint(cfg) -> dict:
-    """The propagated joint read out key by key over nested itertools loops."""
+    """The propagated joint read out key by key over nested itertools loops.
+
+    Alice's outcome steers the initial Pauli coefficients row by row in
+    Python floats before the stage maps, as montecarlo's joint steers them.
+    """
     n_stages = len(cfg.stages)
     maps = []
     for k, stage in enumerate(cfg.stages):
         quality, prec = strength_pair(stage.strength)
         stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))
         maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
-    branches = propagate(pauli_coefficients(cfg.initial_state), maps)[-1]
+    pauli = pauli_coefficients(cfg.initial_state).tolist()
     u = [cfg.alice_dir0.vector.tolist(), cfg.alice_dir1.vector.tolist()]
+    branches = {}
+    for x in (0, 1):
+        # u_x.R_{1:,j} in Python floats, summed x, y, z in that order
+        alice = [u[x][0] * pauli[1][j] + u[x][1] * pauli[2][j] + u[x][2] * pauli[3][j] for j in range(4)]
+        for a_val in (1, -1):
+            steered = [pauli[0][j] + a_val * alice[j] for j in range(4)]
+            branches[x, a_val] = propagate(np.array([steered]), maps)[-1]  # (y1, b1, .., yn, bn, 1, 4)
     out = {}
     for x in (0, 1):
         for ys in itertools.product((0, 1), repeat=n_stages):
@@ -436,11 +447,7 @@ def oracle_analytic_joint(cfg) -> dict:
             for a_val in (1, -1):
                 for bs in itertools.product((1, -1), repeat=n_stages):
                     branch = tuple(i for y, b in zip(ys, bs) for i in (y, (1 - b) // 2))
-                    r = branches[branch][:, 0].tolist()
-                    # u_x.R'_{1:,0} in Python floats, summed x, y, z in that order
-                    alice = u[x][0] * r[1] + u[x][1] * r[2] + u[x][2] * r[3]
-                    weight = r[0] + a_val * alice
-                    out[(x, *ys, a_val, *bs)] = p_inputs * weight / 2.0
+                    out[(x, *ys, a_val, *bs)] = p_inputs * float(branches[x, a_val][branch][0, 0]) / 2.0
     return out
 
 
@@ -562,9 +569,9 @@ def oracle_split_run(cfg, trials: int, seed: int, chunk: int, steps: list) -> Em
 
     steps holds each split's probability of index 1 per prefix cell (a
     scalar applies to every cell).  Each split's cells are drawn chunk at
-    a time from one Philox generator, p clipped to [0, 1] and read as 0
-    where a cell holds no count.  The last counts are expanded into one
-    row of walk bits per trial and tallied by the mask loops.
+    a time from one Philox generator, p read as 0 where a cell holds no
+    count.  The last counts are expanded into one row of walk bits per
+    trial and tallied by the mask loops.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = np.array([trials])
@@ -573,7 +580,7 @@ def oracle_split_run(cfg, trials: int, seed: int, chunk: int, steps: list) -> Em
         ones = []
         for start in range(0, counts.size, chunk):
             n = counts[start : start + chunk]
-            ones.append(rng.binomial(n, np.clip(np.where(n > 0, p[start : start + chunk], 0.0), 0.0, 1.0)))
+            ones.append(rng.binomial(n, np.where(n > 0, p[start : start + chunk], 0.0)))
         ones = np.concatenate(ones)
         counts = np.stack([counts - ones, ones], axis=-1).ravel()
     n_bits = 2 * len(cfg.stages) + 2

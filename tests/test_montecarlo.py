@@ -57,7 +57,6 @@ from weakbell.channel import DIR_X, DIR_Z
 from weakbell.cli import _montecarlo_config
 from weakbell.montecarlo import (
     ZERO_MASS,
-    _branch_probabilities,
     _chi_square_tail,
     _reports,
     _split,
@@ -425,6 +424,34 @@ def test_run_chain_matches_analytic_joint(chain, seed):
     assert chi2.passed, chi2
 
 
+def walk_steps(cfg: BellChainConfig) -> list:
+    """The probabilities of index 1 that run_chain hands _split, in walk order: x, a, then y_k and b_k of each stage.
+
+    Split j holds one probability per prefix cell, the bits before it
+    read as a binary number; a b_k split's prefix is the key state*2 + y_k.
+    """
+    steps = []
+    split = montecarlo._split
+
+    def recording(rng, counts, p):
+        assert np.shape(p) == counts.shape
+        steps.append(np.array(p, dtype=float))
+        return split(rng, counts, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_split", recording)
+        run_chain(cfg, 1, seed=0)
+    return steps
+
+
+def assert_chain_rule(cfg: BellChainConfig, steps: list) -> None:
+    # run_chain's split probabilities are the chain rule on the key-by-key
+    # joint wherever a trial can reach
+    for got, want in zip(steps, oracle_chain_rule(cfg), strict=True):
+        reached = ~np.isnan(want)
+        np.testing.assert_allclose(got[reached], want[reached], rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("chain", ["single-0.5", "double-0.8", "three-stage"])
 def test_run_chain_draws_its_splits_in_the_documented_order(chain):
     # the module docstring's splits, one cell at a time, each a scalar
@@ -432,19 +459,20 @@ def test_run_chain_draws_its_splits_in_the_documented_order(chain):
     # element by element
     cfg = CHAINS[chain]()
     trials, seed = 100_000, 31
-    p_alice, *p_stages = _branch_probabilities(cfg)
+    steps = walk_steps(cfg)
+    assert_chain_rule(cfg, steps)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def split(counts, probabilities):
         out = []
         for n, p in zip(counts, probabilities):
-            ones = int(rng.binomial(n, min(1.0, max(0.0, p)) if n else 0.0))
+            ones = int(rng.binomial(n, p if n else 0.0))
             out += [n - ones, ones]
         return out
 
-    counts = split(split([trials], [0.5]), p_alice)
-    for stage, p_plus in zip(cfg.stages, p_stages):
-        counts = split(split(counts, [stage.bias] * len(counts)), p_plus)
+    counts = [trials]
+    for step in steps:
+        counts = split(counts, step)
     n_bits = 2 * len(cfg.stages) + 2
     expected = {}
     for cell, count in enumerate(counts):
@@ -461,22 +489,12 @@ def chain_config(n_stages: int, later: tuple = ()) -> BellChainConfig:
     return strength_chain(strengths, [0.5] * (n_stages - 1) + [0.3])
 
 
-def walk_steps(cfg: BellChainConfig) -> list:
-    """run_chain's split probabilities in walk order: x, a, then y_k and b_k of each stage."""
-    p_alice, *p_stages = _branch_probabilities(cfg)
-    return [0.5, p_alice, *(p for stage, p_plus in zip(cfg.stages, p_stages) for p in (stage.bias, p_plus))]
-
-
 def assert_matches_the_whole_run(cfg: BellChainConfig, trials: int, seed: int, chunk: int) -> None:
-    # run_chain's split probabilities are the chain rule on the key-by-key
-    # joint wherever a trial can reach, and its report is that of the same
-    # splits drawn chunk cells at a time and tallied trial by trial: the
-    # report must not depend on how a split's cells are cut
+    # run_chain splits by the chain rule, and its report is that of the
+    # same splits drawn chunk cells at a time and tallied trial by trial:
+    # the report must not depend on how a split's cells are cut
     steps = walk_steps(cfg)
-    for got, want in zip(steps, oracle_chain_rule(cfg)):
-        got = np.broadcast_to(got, want.shape)
-        reached = ~np.isnan(want)
-        np.testing.assert_allclose(got[reached], want[reached], rtol=0.0, atol=1e-12)
+    assert_chain_rule(cfg, steps)
     report = run_chain(cfg, trials, seed)
     oracle = oracle_split_run(cfg, trials, seed, chunk, steps)
     assert report.to_dict() == oracle.to_dict()
@@ -484,6 +502,9 @@ def assert_matches_the_whole_run(cfg: BellChainConfig, trials: int, seed: int, c
     assert list(report.outcome_counts.items()) == list(oracle.outcome_counts.items())
 
 
+# the two tests below check run_chain's splits against the chain rule and
+# its report against the same splits drawn in chunks of cells and tallied
+# trial by trial (assert_matches_the_whole_run)
 @pytest.mark.parametrize("n_stages", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [37, 2**15])
 @pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
@@ -548,24 +569,24 @@ def collapse_walk(cfg: BellChainConfig, envelopes: list) -> list:
 @pytest.mark.parametrize("chunk", [37, 2**15])
 def test_state_tables_match_the_per_trial_collapse(name, chunk):
     # a weak Bob, then the named pointer twice: the probabilities run_chain
-    # computes from each key's state C_{y,b} v / (C_{y,b} v)_0 are those of
-    # collapsing every reading one by one, and its run is the split walk's
+    # splits each b_k by are those of collapsing every reading one by one,
+    # and its run is the split walk's
     envelopes = [frontier_rows(0.8), row_stages()[name][0], row_stages()[name][0]]
     cfg = strength_chain([envelope_strength(e) for e in envelopes], (0.5, 0.5, 0.3))
-    _, *p_stages = _branch_probabilities(cfg)
-    for got, want in zip(p_stages, collapse_walk(cfg, envelopes), strict=True):
+    for got, want in zip(walk_steps(cfg)[3::2], collapse_walk(cfg, envelopes), strict=True):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     trials = 3 * chunk + 5
     assert_matches_the_whole_run(cfg, trials, 4242 + trials, chunk)
 
 
-def test_one_row_stage_collapses_to_its_direction_and_draws_no_position(monkeypatch):
+def test_one_row_stage_collapses_to_its_direction_and_draws_no_position():
     # a weak Bob, then two strong ones: the middle Bob hands on its own
     # direction, +d_y on the +1 branch and -d_y on the -1 branch, so the
     # last Bob reads +1 with probability (1 + b_2 d_{y_3}.d_{y_2}) / 2, up to
-    # the rounding of the maps (1.2e-15 at most here)
+    # the rounding of the joint (1.2e-15 at most here)
     cfg = chain_config(3)
-    p_alice, *p_stages = _branch_probabilities(cfg)
+    steps = walk_steps(cfg)
+    p_alice, p_stages = steps[1], steps[3::2]
     # every (state, y) of the first two Bobs is reached: each probability lies in (0, 1)
     assert all(np.all((p > 0.0) & (p < 1.0)) for p in (p_alice, *p_stages[:2]))
     middle, last = (np.stack([stage.dir0.vector, stage.dir1.vector]) for stage in cfg.stages[1:])
@@ -575,27 +596,22 @@ def test_one_row_stage_collapses_to_its_direction_and_draws_no_position(monkeypa
     np.testing.assert_allclose(p_stages[2], expected, rtol=0.0, atol=2e-15)
 
     # a run draws no reading position, only the splits: x, a, then y_k and b_k of each stage
-    sizes = []
-    split = montecarlo._split
-
-    def recording(rng, counts, p):
-        sizes.append(counts.size)
-        return split(rng, counts, p)
-
-    monkeypatch.setattr(montecarlo, "_split", recording)
-    run_chain(cfg, 1_000, seed=3)
-    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128]
+    assert [step.size for step in steps] == [1, 2, 4, 8, 16, 32, 64, 128]
 
 
-def test_state_tables_leave_unreachable_collapses_undefined():
+def test_unreachable_branches_split_with_zero_and_stay_empty():
     # three strong Bobs along Alice's own directions: a Bob that repeats the
     # one before it reads its outcome with probability 1, so the other
-    # branch's state is 0/0; no trial reaches it, and neither a
-    # RuntimeWarning nor a binomial of an undefined probability escapes
+    # branch has no mass; no trial reaches it, its splits read 0, and
+    # neither a RuntimeWarning nor a binomial of an undefined probability escapes
     cfg = BellChainConfig(DIR_Z, DIR_X, stages=(BobStage(DIR_Z, DIR_X, STRONG, bias=0.5),) * 3)
-    _, *p_stages = _branch_probabilities(cfg)
-    assert np.isin(p_stages[0], (0.0, 1.0)).any()
-    assert np.isnan(p_stages[1]).any() and np.isnan(p_stages[2]).any()
+    steps = walk_steps(cfg)
+    assert np.isin(steps[3], (0.0, 1.0)).any()
+    chain_rule = oracle_chain_rule(cfg)
+    assert np.isnan(chain_rule[5]).any() and np.isnan(chain_rule[7]).any()
+    assert_chain_rule(cfg, steps)
+    for got, want in zip(steps, chain_rule):
+        assert np.all(got[np.isnan(want)] == 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_chain(cfg, 1_000_000, seed=8)
@@ -605,25 +621,31 @@ def test_state_tables_leave_unreachable_collapses_undefined():
     assert chi_square_report(report.outcome_counts, joint, report.trials).passed
 
 
-def test_split_clips_rounded_probabilities_and_reads_empty_cells_as_zero():
+def test_split_reads_empty_cells_as_zero():
+    # p = 0 and 1 send a whole count one way; a cell with no count may hold any p
     rng = np.random.Generator(np.random.Philox(key=3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = _split(rng, np.array([10, 10, 0, 0]), np.array([-2**-53, 1.0 + 2**-52, math.nan, 7.0]))
+        counts = _split(rng, np.array([10, 10, 0, 0]), np.array([0.0, 1.0, math.nan, 7.0]))
     assert counts.tolist() == [10, 0, 0, 10, 0, 0, 0, 0]
 
 
 def test_strong_double_leaves_every_impossible_cell_empty():
     # two strong Bobs reading one direction with different outcomes: the
-    # second Bob's branch probability is 0 up to rounding
+    # joint is rounding noise there, and the second Bob's split repeats
+    # the first Bob's outcome exactly, p = 1 after b_1 = +1 and 0 after -1
     cfg = _montecarlo_config("double", 1.0)
     joint = analytic_joint(cfg)
     impossible = {key for key, p in joint.items() if p <= ZERO_MASS}
     assert impossible == {key for key in joint if key[1] == key[2] and key[4] != key[5]}
     assert len(impossible) == 16
-    p_second = _branch_probabilities(cfg)[2]
-    rounded = p_second[np.abs(p_second) < ZERO_MASS]
-    assert rounded.size == 8 and np.abs(rounded).max() <= 2**-53
+    prefix = np.arange(32)  # the b_2 split's prefix bits (x, a, y_1, b_1, y_2)
+    b_1, same_input = prefix >> 1 & 1, (prefix >> 2 & 1) == (prefix & 1)
+    steps = walk_steps(cfg)
+    assert_chain_rule(cfg, steps)
+    p_second = steps[5]
+    assert same_input.sum() == 16
+    np.testing.assert_array_equal(p_second[same_input], b_1[same_input].astype(float))
     report = run_chain(cfg, 1_000_000, seed=7)
     assert not impossible & set(report.outcome_counts)
     chi2 = chi_square_report(report.outcome_counts, joint, report.trials)
@@ -690,9 +712,10 @@ def test_analytic_joint_normalizes_and_matches_triple_probability():
 
 @pytest.mark.parametrize("n_stages", [1, 2, 3])
 def test_analytic_joint_sums_alice_in_the_fixed_order(monkeypatch, n_stages):
-    # Alice's u_x.R' summed x, y, z in that order, as the key-by-key oracle sums
-    # it in Python floats, whatever the memory layout of the branch states
-    # (test_properties checks the layout propagate returns): np.einsum picks
+    # Alice's u_x.R summed x, y, z in that order before the stages, as the
+    # key-by-key oracle sums it in Python floats, and the joint read alike
+    # whatever the memory layout of the branch states (test_properties
+    # checks the layout propagate returns): np.einsum picks
     # its order by the layout, and on contiguous columns it moved 2, 4 and 8
     # entries of these 1-, 2- and 3-stage joints
     rng = np.random.default_rng(60 + n_stages)
