@@ -10,6 +10,7 @@ codes: 0 success, 2 usage or validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,10 +30,10 @@ MAX_RANGE_POINTS = 100_000
 MIN_TRIPLE_RESOLUTION = 0.002  # 499 x 499 cells
 MAX_PROTOCOL_STAGES = 10_000
 # run_chain draws outcome counts, not trials, so the cap costs what 10^6
-# trials cost (double scenario, one CPU, numpy 2.4.6): 0.35-0.4 ms in
-# run_chain at --g 0.8, 0.002 or 1.0, ~2.2 ms in-process for the whole
-# command at --g 0.8; it is kept because lifting it would turn refusals into
-# outputs
+# trials cost (double scenario, one CPU, numpy 2.4.6): 0.33-0.35 ms in
+# run_chain at --g 0.8, 0.002 or 1.0, ~1.0 ms in-process for the whole
+# command at --g 0.8 once the parser is built; it is kept because lifting it
+# would turn refusals into outputs
 MAX_TRIALS = 10**9
 
 
@@ -162,7 +163,7 @@ def config_flags(args: argparse.Namespace) -> list[str]:
     Switches such as --auto-bias take true/false, yes/no, on/off or 1/0.
     """
     data = load_config(args.config)
-    allowed = {k for k in vars(args) if k not in ("config", "func", "command")}
+    allowed = {k for k in vars(args) if k not in ("config", "command")}
     flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
@@ -279,7 +280,8 @@ def cmd_montecarlo(args) -> int:
         raise InvalidParameterError(f"--seed must lie in 0..2**128-1 (a Philox key), got {args.seed}")
     cfg = _montecarlo_config(args.scenario, args.g)
     report = montecarlo.run_chain(cfg, int(args.trials), args.seed)
-    expected = montecarlo.analytic_joint(cfg)
+    # analytic_joint's keys of the joint the run split its counts by: the chain is walked once
+    expected = montecarlo._keyed_joint(report.joint)
     chi2 = montecarlo.chi_square_report(report.outcome_counts, expected, report.trials)
     payload = report.to_dict()
     payload["chi_square"] = chi2.to_dict()
@@ -313,7 +315,13 @@ def cmd_triple_scan(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and reused for the process.
+
+    It holds no command function: main looks cmd_<command> up when it
+    runs, so a rebound cmd_* takes effect after the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="weakbell",
         description="Weak pointer measurements and sequential CHSH violation experiments.",
@@ -331,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", help="target-precision grid start:stop:step (optimal, worst)")
     p.add_argument("--spacing", type=float, default=pointer.DEFAULT_GRID_SPACING)
     common(p)
-    p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("double", help="CHSH of two sequential Bobs vs the first Bob's precision")
     p.add_argument("--family", default="analytic", choices=["analytic", "optimal", "gaussian", "square"])
     p.add_argument("--g", required=True, help="precision grid start:stop:step")
     common(p)
-    p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("protocol", help="biased-input schedule table")
     p.add_argument("--n", type=int, required=True, help="number of Bobs")
@@ -345,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto-bias", action="store_true", help="largest feasible uniform bias / 2")
     p.add_argument("--limit", action="store_true", help="zero-bias limit")
     common(p)
-    p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("montecarlo", help="seeded chain simulation with analytic cross-check")
     p.add_argument("--scenario", required=True)
@@ -353,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=float, default=1e5)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("pointer-dump", help="export one pointer wavefunction as q,phi")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAM_FLAG))
@@ -362,12 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", help="target precision (optimal, worst)")
     p.add_argument("--spacing", type=float, default=pointer.DEFAULT_GRID_SPACING)
     common(p)
-    p.set_defaults(func=cmd_pointer_dump)
 
     p = sub.add_parser("triple-scan", help="search for a triple violation with unbiased inputs")
     p.add_argument("--resolution", type=float, default=0.01)
     common(p)
-    p.set_defaults(func=cmd_triple_scan)
 
     return parser
 
@@ -377,14 +379,17 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parse_command_line(argv)
-        return args.func(args)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args)
     except SystemExit as exc:  # argparse usage errors already printed
         return 2 if exc.code not in (0, None) else 0
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the type names the fault where the message alone would not ('x', or nothing)
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
         return 1
 
 

@@ -17,16 +17,17 @@ readings on pointer grids (conftest.oracle_run_chain).
 
 _walk_joint propagates the maps once over the whole branch grid and
 holds the law as one array over the walk's bits (x, a, y_1, b_1, ..,
-y_n, b_n), index 1 for input 1 or outcome +1; analytic_joint keys it
-and run_chain draws from it.  The splits are the chain rule on that
-array: a split sends count n of prefix cell c to cells 2c and 2c + 1,
-the latter holding Binomial(n, p) with p = mass(2c + 1) / mass(c), a
-cell's mass being the joint summed over the bits after it.  run_chain
-first zeroes every cell of mass at most ZERO_MASS, the cells
-chi_square_report counts as impossible, so the sampler and the fit
-share one definition of impossible: no trial reaches such a cell, every
-p lies in [0, 1], and a prefix of no mass, which no trial reaches,
-splits with p = 0.
+y_n, b_n), index 1 for input 1 or outcome +1; analytic_joint keys it,
+and run_chain draws from it and hands it on in its report, so a caller
+that fits a run to its law keys that array and walks the chain once.
+The splits are the chain rule on that array: a split sends count n of
+prefix cell c to cells 2c and 2c + 1, the latter holding Binomial(n, p)
+with p = mass(2c + 1) / mass(c), a cell's mass being the joint summed
+over the bits after it.  run_chain first zeroes every cell of mass at
+most ZERO_MASS, the cells chi_square_report counts as impossible, so the
+sampler and the fit share one definition of impossible: no trial reaches
+such a cell, every p lies in [0, 1], and a prefix of no mass, which no
+trial reaches, splits with p = 0.
 
 Randomness comes from a Philox generator keyed by the seed.  The counts
 start as [T], and each split is one vectorized Generator.binomial call
@@ -52,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +94,9 @@ class EmpiricalReport:
     trials: int
     per_bob: tuple[BobReport, ...]
     outcome_counts: dict
+    # the exact joint run_chain split the counts by, on _walk_joint's axes
+    # (None in a report drawn otherwise); to_dict and == leave it out
+    joint: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """JSON-ready summary; empty cells and the CHSH they leave undefined are None.
@@ -151,7 +155,7 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
 
     Draws the outcome table by binomial splits along the chain, the chain
     rule on _walk_joint in the order the module docstring gives; the work
-    does not grow with trials.
+    does not grow with trials.  The report carries that joint.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
@@ -172,6 +176,7 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
         trials=trials,
         per_bob=per_bob,
         outcome_counts=outcome_counts,
+        joint=joint,
     )
 
 
@@ -248,7 +253,12 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
     pointer readings on grids (conftest.oracle_run_chain), and the CHSH
     closed forms of acceptance claim c11.
     """
-    table = _table_axes(_walk_joint(cfg))
+    return _keyed_joint(_walk_joint(cfg))
+
+
+def _keyed_joint(joint: np.ndarray) -> dict:
+    """_walk_joint's array keyed as analytic_joint keys it."""
+    table = _table_axes(joint)
     cells = np.argwhere(np.ones(table.shape, dtype=bool))
     cells[:, table.ndim // 2 :] ^= 1  # +1 first on the outcome axes
     return _keyed(table, cells)

@@ -179,6 +179,21 @@ def test_montecarlo_deterministic_bytes(tmp_path):
     assert len(payload["per_bob"]) == 2
 
 
+def test_montecarlo_walks_the_chain_once(tmp_path, monkeypatch):
+    # the chi-square is fitted to the joint run_chain split its counts by, not
+    # to a second walk of the chain, and reads as a fit to analytic_joint does
+    cfg = _montecarlo_config("double", 0.8)
+    report = montecarlo.run_chain(cfg, 5000, 21)
+    chi2 = montecarlo.chi_square_report(report.outcome_counts, montecarlo.analytic_joint(cfg), 5000)
+    walks = []
+    walk = montecarlo._walk_joint
+    monkeypatch.setattr(montecarlo, "_walk_joint", lambda cfg: walks.append(cfg) or walk(cfg))
+    out = tmp_path / "mc.json"
+    assert run_cli("montecarlo", "--scenario", "double", "--trials", "5000", "--seed", "21", "--out", str(out)) == 0
+    assert len(walks) == 1
+    assert json.loads(out.read_text())["chi_square"] == chi2.to_dict()
+
+
 def test_montecarlo_rejects_unknown_scenario(tmp_path):
     out = tmp_path / "mc.json"
     code = run_cli("montecarlo", "--scenario", "nonsense", "--trials", "100", "--out", str(out))
@@ -658,3 +673,65 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False"] + ["0"] * len(commands) + ["True []"]
+
+
+# --- the parser, built once per process ---------------------------------------------------
+
+
+def test_the_parser_is_built_once_and_not_at_import():
+    assert cli.build_parser() is cli.build_parser()
+    script = "import weakbell.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_each_command_repeats_its_bytes_in_one_process(tmp_path, capsys):
+    # runs in between that set flags through a config file, set a switch
+    # (--auto-bias, then --limit, which would clash with a leftover
+    # --auto-bias) or stop at a usage error leave no state in the parser
+    commands = [
+        ["tradeoff", "--family", "optimal", "--g", "0.1:0.9:0.1"],
+        ["double", "--family", "analytic", "--g", "0.005:0.995:0.005"],
+        ["protocol", "--n", "8", "--auto-bias"],
+        ["montecarlo", "--scenario", "double", "--g", "0.8", "--trials", "1e4", "--seed", "7"],
+        ["pointer-dump", "--family", "optimal", "--g", "0.8"],
+        ["triple-scan", "--resolution", "0.05"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--out", str(tmp_path / f"first_{argv[0]}")]) == 0
+    cfg = tmp_path / "spacing.json"
+    cfg.write_text(json.dumps({"spacing": 2 * DEFAULT_GRID_SPACING, "g": "0.5"}))
+    assert main(["pointer-dump", "--family", "optimal", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    assert main(["protocol", "--n", "8", "--auto-bias", "--out", str(tmp_path / "auto")]) == 0
+    assert main(["protocol", "--n", "12", "--limit", "--out", str(tmp_path / "limit")]) == 0
+    assert main(["double", "--family", "bogus", "--g", "0.5"]) == 2
+    for argv in commands:
+        assert main([*argv, "--out", str(tmp_path / f"second_{argv[0]}")]) == 0
+    for argv in commands:
+        assert (tmp_path / f"first_{argv[0]}").read_bytes() == (tmp_path / f"second_{argv[0]}").read_bytes()
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_a_command_rebound_after_the_parser_is_built_runs(monkeypatch):
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_double", lambda args: seen.append(args.g) or 0)
+    assert main(["double", "--g", "0.5"]) == 0
+    assert seen == ["0.5"]
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (KeyError("x"), "internal error: KeyError: 'x'"),
+        (RuntimeError(), "internal error: RuntimeError"),
+    ],
+)
+def test_internal_error_exits_1_naming_the_exception(monkeypatch, capsys, error, line):
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_protocol", broken)
+    assert main(["protocol", "--n", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
