@@ -63,9 +63,10 @@ refused before the grid is allocated, one too narrow to normalize after
 the build; both refusals name the width and --spacing.  Builders
 normalize in place and square, sum and compare a block of nodes at a
 time (in np.sum's own pairwise order), so the grid is the only
-grid-sized array they hold.  A pointer CSV formats each position of the
-upper half once (its mirror is the same text behind a minus sign) and
-each distinct amplitude once.
+grid-sized array they hold.  A pointer CSV writes its positions from
+the 2^k fraction texts of one unit, built once with integer arithmetic
+wherever they equal repr (see samples_to_csv), and formats each
+distinct amplitude once.
 """
 
 from __future__ import annotations
@@ -700,34 +701,79 @@ def tradeoff_to_csv(family: str, rows) -> str:
 
 
 POINTER_CSV_HEADER = "q,phi"
-# lines of pointer CSV text joined at a time
+# lines of pointer CSV text joined at a time: whole units at every spacing _fraction_texts admits
 _CSV_BLOCK_LINES = 2**14
+
+
+def _fraction_texts(half: int, cells: int) -> list[str] | None:
+    """The texts ".d...d" of (i + 1/2) / cells for i < cells, if they write every q_j, j < half; else None.
+
+    On a grid of cells = 2^k cells per unit, q_j = (j + 1/2) / cells =
+    (2j + 1) 5^(k+1) / 10^(k+1) is a decimal of k + 1 places, whose
+    digits integer arithmetic gives in full: its text is its unit
+    f"{j // cells}" and then texts[j % cells].  When that digit string
+    has at most 15 digits (DBL_DIG), no other decimal of 15 digits or
+    fewer rounds to q_j, so it is the shortest one that does, repr(q_j).
+    repr also writes q_j positionally only if q_0 = 1/(2 cells) >= 1e-4.
+    Both hold for every j < half when they hold for q_{half-1} and q_0.
+    """
+    places = cells.bit_length()  # k + 1
+    scale = 5**places
+    if (2 * half - 1) * scale >= 10**15 or 2 * cells > 10**4:
+        return None
+    return [f".{(2 * i + 1) * scale:0{places}d}" for i in range(cells)]
+
+
+def _csv_lines(heads: list[str], texts: list[str], tails: list[str], keys: list[int]) -> str:
+    """The lines heads[i] + texts[i] + tails[keys[i]], placed by slice assignment and joined once."""
+    parts = [""] * (3 * len(texts))
+    parts[0::3] = heads
+    parts[1::3] = texts
+    parts[2::3] = map(tails.__getitem__, keys)
+    return "".join(parts)
 
 
 def samples_to_csv(state: PointerState) -> str:
     """Lines q,phi of every node, each float written as its repr.
 
     Node M + j of 2M sits at q_j = (j + 1/2) h and node M - 1 - j at
-    exactly -q_j (the grid never holds 0), so each q_j is formatted once
-    and its mirror written as "-" + repr(q_j).  Each distinct amplitude
-    bit pattern (0.0 and -0.0 apart) is formatted once; the amplitudes
-    themselves are not mirrored, as a state need only be symmetric in
-    modulus and within 1e-9.  The text is joined from blocks of lines,
-    never from one string per line.
+    exactly -q_j (the grid never holds 0), so a position's mirror is the
+    same text behind a minus sign.  With h = 1/2^k, q_j is the exact
+    decimal (2j + 1) 5^(k+1) / 10^(k+1).  Where it has at most 15 digits
+    and q_0 >= 1e-4, that decimal is repr(q_j) (see _fraction_texts), and
+    q_j is written as its unit and one of 2^k fraction texts built once:
+    on every grid the node cap admits at h = 2^-10 or coarser, and on
+    grids of up to 4,096,000 nodes at 2^-11 and 819,200 at 2^-12.  The
+    larger grids at 2^-11 and 2^-12, and every grid at 2^-13 or finer
+    (whose q_0 < 1e-4 repr writes as 6.103515625e-05 and the like),
+    write repr(q_j) node by node.  Each distinct amplitude bit pattern
+    (0.0 and -0.0 apart) is formatted once; the amplitudes themselves
+    are not mirrored, as a state need only be symmetric in modulus and
+    within 1e-9.  The text is joined from blocks of lines, each placed
+    into one list by slice assignment, never from one string per line.
     """
     samples = state.samples
     half = samples.size // 2
+    cells = _cells_per_unit(state.grid_spacing)
+    fractions = _fraction_texts(half, cells)
     bits, which = np.unique(samples.view(np.int64), return_inverse=True)
-    amps = [repr(a) for a in bits.view(np.float64).tolist()]
+    tails = [f",{a!r}\n" for a in bits.view(np.float64).tolist()]
     lower, upper = [], []
     for start in range(0, half, _CSV_BLOCK_LINES):
         stop = min(start + _CSV_BLOCK_LINES, half)
-        nodes = np.arange(half + start, half + stop)
-        qs = [repr(q) for q in (state.grid_origin + nodes * state.grid_spacing).tolist()]
-        up = which[half + start : half + stop].tolist()
-        upper.append("".join([f"{q},{amps[k]}\n" for q, k in zip(qs, up)]))
+        if fractions is None:
+            nodes = np.arange(half + start, half + stop)
+            texts = [repr(q) for q in (state.grid_origin + nodes * state.grid_spacing).tolist()]
+            units, negated = [""] * len(texts), ["-"] * len(texts)
+        else:
+            units, negated, texts = [], [], []
+            for unit in range(start // cells, -(-stop // cells)):
+                count = min(stop - unit * cells, cells)
+                units += [f"{unit}"] * count
+                negated += [f"-{unit}"] * count
+                texts += fractions[:count]
+        upper.append(_csv_lines(units, texts, tails, which[half + start : half + stop].tolist()))
         # the nodes M-1-j of this block, in ascending order
-        down = which[half - stop : half - start].tolist()
-        lower.append("".join([f"-{q},{amps[k]}\n" for q, k in zip(reversed(qs), down)]))
-    del amps, which  # freed before the join doubles the text
+        lower.append(_csv_lines(negated[::-1], texts[::-1], tails, which[half - stop : half - start].tolist()))
+    del tails, which  # freed before the join doubles the text
     return "".join([POINTER_CSV_HEADER + "\n", *reversed(lower), *upper])

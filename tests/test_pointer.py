@@ -382,15 +382,19 @@ def test_the_narrowness_check_refuses_only_zero_norm_grids(build, oracle, band):
         (lambda h: make_optimal(0.8, "flat", h), SPACING),
         (lambda h: make_optimal(0.8, "smooth_bump", h), 2.0**-10),
         (lambda h: make_worst(0.6, h), SPACING),
-        # at 2^-14 the nodes nearest 0 print in scientific notation (3.0517578125e-05)
+        # the finest spacing whose nodes nearest 0 print positionally (0.0001220703125)
+        (lambda h: make_optimal(0.8, "flat", h), 2.0**-12),
+        # at 2^-13 and 2^-14 they print in scientific notation (6.103515625e-05, 3.0517578125e-05)
+        (lambda h: make_square(0.01, h), 2.0**-13),
+        (lambda h: make_gaussian(0.05, h), 2.0**-13),
         (lambda h: make_square(0.01, h), 2.0**-14),
         (lambda h: make_gaussian(0.05, h), 2.0**-14),
         (lambda h: make_exponential(0.001, h), 2.0**-14),
     ],
     ids=[
         "square-1.5", "gaussian-0.7", "gaussian-0.01", "exponential-0.4", "optimal-0.8",
-        "smooth-bump-0.8-h2^-10", "worst-0.6", "square-0.01-h2^-14", "gaussian-0.05-h2^-14",
-        "exponential-0.001-h2^-14",
+        "smooth-bump-0.8-h2^-10", "worst-0.6", "optimal-0.8-h2^-12", "square-0.01-h2^-13",
+        "gaussian-0.05-h2^-13", "square-0.01-h2^-14", "gaussian-0.05-h2^-14", "exponential-0.001-h2^-14",
     ],
 )
 def test_pointer_csv_matches_the_per_line_formatter(build, spacing):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,6 +27,7 @@ from weakbell import (
     quality_factor,
 )
 from weakbell.cli import MAX_RANGE_POINTS, main, parse_command_line, parse_range
+from weakbell.pointer import _fraction_texts
 
 SPACING = 1.0 / 64
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -73,6 +74,26 @@ def test_precision_equals_the_masked_quadrature_on_any_grid(half, spacing_expone
     samples /= np.sqrt(float(np.sum(samples * samples)) * spacing)
     state = PointerState(samples, spacing)
     assert precision(state) == oracle_precision(state)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    k=st.integers(min_value=1, max_value=16),
+    half=st.integers(min_value=1, max_value=2**23),
+    j=st.integers(min_value=0, max_value=2**23 - 1),
+)
+# either side of (2 half - 1) 5^13 = 10^15 at h = 2^-12
+@example(k=12, half=409_600, j=204_800)
+@example(k=12, half=409_601, j=204_800)
+def test_fraction_texts_write_repr_of_every_position_they_admit(k, half, j):
+    cells = 2**k
+    texts = _fraction_texts(half, cells)
+    if not ((2 * half - 1) * 5 ** (k + 1) < 10**15 and 1 / (2 * cells) >= 1e-4):
+        assert texts is None
+        return
+    assert len(texts) == cells
+    for node in (0, j % half, half - 1):
+        assert f"{node // cells}{texts[node % cells]}" == repr((node + 0.5) * 2.0**-k)
 
 
 def _joint_array(joint: dict, n_stages: int) -> np.ndarray:
