@@ -17,6 +17,15 @@ at the tangent geometry u=Z, w=-X, v=Z sin(t) - X cos(t), the outcome
 (1,-1,1) has probability (1 - F sin(t) - G cos(t))/8, so F sin(t) +
 G cos(t) <= 1 for every t.
 
+No code here evaluates that formula: it is what the chain's joint gives.
+_propagated_joint builds a chain's exact joint over (x, a, y_1, b_1, ..,
+y_n, b_n) from raw stages (F, G, directions, bias), and every outcome
+law reads it: triple_probability one cell of the singlet chain's joint,
+positivity_bound_scan the eight x = y1 = y2 = 0 cells at each tangent
+angle, and montecarlo's run_chain and analytic_joint the joint of a
+configured chain (_chain_joint).  The tests check the joint against
+the printed formula (conftest.oracle_triple_closed_form).
+
 Chain states are carried as real 4x4 Pauli coefficients
 R_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: R_00 = 1, Alice's Bloch
 vector fills column 0, Bob's fills row 0, and the correlation tensor T
@@ -29,12 +38,13 @@ where d_y are the stage's directions and r_y its input weights.
 Averaging the state first is exact because every stage map is linear in
 the state.  A correlator is E_xy = G u_x^T T w_y, so CHSH is
 G (E00 + E01 + E10 - E11).  propagate applies the stage maps to whole
-grids of chains at once; the scans and sequential_average_state all go
-through it.  A complex 4x4 density appears only where a state enters or
-leaves a chain (singlet, a given initial state, the state that
-sequential_average_state returns), through pauli_coefficients and
-density_from_pauli.  The tests check triple_probability and the chain
-against the paper's complex steering and conditional channel.
+grids of chains at once; the scans, the joint and
+sequential_average_state all go through it.  A complex 4x4 density
+appears only where a state enters or leaves a chain (singlet, a given
+initial state, the state that sequential_average_state returns),
+through pauli_coefficients and density_from_pauli.  The tests also
+check the joint and the chain against the paper's complex steering and
+conditional channel.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError
-from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, strength_pair
+from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, bloch_dot, strength_pair
 from .pointer import MeasurementStrength, _family_strength, _node_cap_error
 
 _SQ2 = math.sqrt(2.0)
@@ -87,17 +97,6 @@ def tangent_geometry(angle: float) -> TripleGeometry:
     )
 
 
-def _triple_formula(a, b1, b2, u, w, v, quality: float, prec: float) -> float:
-    uw = float(np.dot(u, w))
-    wv = float(np.dot(w, v))
-    uv = float(np.dot(u, v))
-    return (
-        (b1 * prec / 8.0) * (b2 * wv - a * uw)
-        + (quality / 8.0) * (1.0 - a * b2 * uv)
-        + ((1.0 - quality) / 8.0) * (1.0 - a * b2 * uw * wv)
-    )
-
-
 def _check_outcomes_inputs(a, b1, b2, x, y1, y2):
     if any(o not in (1, -1) for o in (a, b1, b2)):
         raise InvalidParameterError(f"outcomes must be +/-1, got {(a, b1, b2)}")
@@ -105,38 +104,32 @@ def _check_outcomes_inputs(a, b1, b2, x, y1, y2):
         raise InvalidParameterError(f"inputs must be 0/1, got {(x, y1, y2)}")
 
 
+def _triple_joint(geometry: TripleGeometry, quality_factor: float, precision: float) -> np.ndarray:
+    """_propagated_joint of the singlet: a stage of raw (F, G) on geometry.first, then a strong one, inputs unbiased."""
+    stages = ((quality_factor, precision, geometry.first, 0.5), (0.0, 1.0, geometry.second, 0.5))
+    return _propagated_joint(pauli_coefficients(singlet()), geometry.alice, stages)
+
+
 def triple_probability(a, b1, b2, x, y1, y2, geometry: TripleGeometry, strength) -> float:
-    """P(a b1 b2 | x y1 y2) in closed form for the singlet scenario."""
+    """P(a b1 b2 | x y1 y2) for the singlet scenario: 8 times its cell of the chain's joint."""
     _check_outcomes_inputs(a, b1, b2, x, y1, y2)
-    F, G = strength_pair(strength)
-    u = geometry.alice[x].vector
-    w = geometry.first[y1].vector
-    v = geometry.second[y2].vector
-    return _triple_formula(a, b1, b2, u, w, v, F, G)
+    joint = _triple_joint(geometry, *strength_pair(strength))
+    return 8.0 * float(joint[x, (1 + a) // 2, y1, (1 + b1) // 2, y2, (1 + b2) // 2])
 
 
 def positivity_bound_scan(angle_grid, quality_factor: float, precision: float):
     """Rows (theta, min outcome probability, F sin(theta) + G cos(theta)).
 
-    Evaluates the closed form directly, so deliberately unphysical
-    (quality factor, precision) pairs are allowed; those produce a
-    negative minimum at some angle.
+    The minimum is over the eight outcomes at x = y1 = y2 = 0 of the
+    tangent geometry.  The raw pair is propagated as given, so
+    deliberately unphysical (quality factor, precision) pairs are
+    allowed; those produce a negative minimum at some angle.
     """
-    angles = [float(t) for t in angle_grid]
     rows = []
-    for angle in angles:
-        geometry = tangent_geometry(angle)
-        u = geometry.alice[0].vector
-        w = geometry.first[0].vector
-        v = geometry.second[0].vector
-        probs = [
-            _triple_formula(a, b1, b2, u, w, v, quality_factor, precision)
-            for a in (1, -1)
-            for b1 in (1, -1)
-            for b2 in (1, -1)
-        ]
+    for angle in [float(t) for t in angle_grid]:
+        cells = _triple_joint(tangent_geometry(angle), quality_factor, precision)[0, :, 0, :, 0, :]
         tangent_value = quality_factor * math.sin(angle) + precision * math.cos(angle)
-        rows.append((angle, min(probs), tangent_value))
+        rows.append((angle, 8.0 * float(cells.min()), tangent_value))
     return rows
 
 
@@ -259,6 +252,43 @@ def propagate(pauli, maps) -> list[np.ndarray]:
     return states
 
 
+def _propagated_joint(pauli, alice_dirs, stages) -> np.ndarray:
+    """A chain's exact joint over (x, a, y_1, b_1, .., y_n, b_n), index 1 for input 1 or outcome +1.
+
+    pauli holds the initial state's Pauli coefficients R, alice_dirs
+    Alice's (u_0, u_1), and each stage is a raw (F, G, (d_0, d_1), bias),
+    so an unphysical (F, G) is propagated as given.  Alice's strong
+    outcome a along u_x steers Bob's coefficients to R_{0,:} + a
+    u_x.R_{1:,:}, summed x, y, z in that order; their 0 component is
+    2 P(a|x).  One propagate call takes these through the conditional
+    stage maps over the whole (y_k, b_k) branch grid, and a cell's weight
+    is half its branch's 0 component.  Steering before the stages spares
+    a small cell the cancellation of forming R'_00 + a u_x.R'_{1:,0}
+    after them, ~1e-14 of the cell's value.
+    """
+    n_stages = len(stages)
+    maps = []
+    for k, (quality, prec, directions, _) in enumerate(stages):
+        # outcome axis flipped, so index 1 is b = +1
+        stage_maps = _stage_maps(quality, prec, directions)[:, ::-1]
+        # stage k's (input, outcome) axes are axes 2k, 2k+1 of the branch grid
+        maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
+    u = np.stack([direction.vector for direction in alice_dirs])
+    alice = bloch_dot(u.T[:, :, None], pauli[1:, None, :])  # (x, 4): u_x.R_{1:,:}
+    steered = pauli[0] + np.array([-1.0, 1.0])[:, None] * alice[:, None, :]  # (x, a, 4)
+    states = steered.reshape((2, 2) + (1,) * (2 * n_stages) + (1, 4))  # one row state per (x, a)
+    weight = propagate(states, maps)[-1][..., 0, 0]  # (x, a, y1, b1, .., yn, bn)
+    # p(x) p(y_1) .. p(y_n) over the (x, y_1..y_n) grid, multiplied in stage order
+    p_inputs = math.prod(np.ix_([0.5, 0.5], *([1.0 - bias, bias] for *_, bias in stages)))
+    return p_inputs.reshape((2, 1) * (n_stages + 1)) * weight / 2.0
+
+
+def _chain_joint(cfg: BellChainConfig) -> np.ndarray:
+    """_propagated_joint of a configured chain, each stage's strength read as its (F, G)."""
+    stages = [(*strength_pair(stage.strength), (stage.dir0, stage.dir1), stage.bias) for stage in cfg.stages]
+    return _propagated_joint(pauli_coefficients(cfg.initial_state), (cfg.alice_dir0, cfg.alice_dir1), stages)
+
+
 def _correlators(pauli, alice_dirs, bob_dirs) -> np.ndarray:
     """u_x^T T w_y for every (x, y), over the leading axes of the states: (..., 2, 2)."""
     u = np.stack([d.vector for d in alice_dirs])
@@ -266,14 +296,10 @@ def _correlators(pauli, alice_dirs, bob_dirs) -> np.ndarray:
     return u @ np.asarray(pauli)[..., 1:, 1:] @ w.T
 
 
-def _chsh_of(values) -> np.ndarray:
-    return values[..., 0, 0] + values[..., 0, 1] + values[..., 1, 0] - values[..., 1, 1]
-
-
 def _chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
     """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together."""
-    precision = np.asarray(precision, dtype=float)[..., None, None]
-    return _chsh_of(precision * _correlators(pauli, alice_dirs, bob_dirs))
+    values = np.asarray(precision, dtype=float)[..., None, None] * _correlators(pauli, alice_dirs, bob_dirs)
+    return values[..., 0, 0] + values[..., 0, 1] + values[..., 1, 0] - values[..., 1, 1]
 
 
 def correlation_table(state, alice_dirs, bob_dirs, precision: float = 1.0) -> np.ndarray:
@@ -283,7 +309,7 @@ def correlation_table(state, alice_dirs, bob_dirs, precision: float = 1.0) -> np
 
 def chsh(state, alice_dirs, bob_dirs, precision: float = 1.0) -> float:
     """CHSH combination E00 + E01 + E10 - E11 at Bob precision G."""
-    return float(_chsh_of(correlation_table(state, alice_dirs, bob_dirs, precision)))
+    return float(_chsh_values(pauli_coefficients(state), alice_dirs, bob_dirs, precision))
 
 
 def sequential_average_state(cfg: BellChainConfig, n: int) -> np.ndarray:

@@ -8,18 +8,18 @@ the chain: a binomial split of every cell at each step, in work and
 memory of the 4*4^n cells whatever the trial count T is.
 
 Each Bob acts only on the state the Bob before hands on, so the law is
-fixed by the conditional stage maps C_{y,b} of bell._stage_maps.  A
-stage is its MeasurementStrength (F, G) and nothing more: for a
-symmetric real pointer, the reading b = sign(q) has probability
-(C_{y,b} v)_0, and the collapses of the readings of that sign sum to
-C_{y,b} v.  The tests check that against a sampler of actual pointer
-readings on pointer grids (conftest.oracle_run_chain).
+fixed by the conditional stage maps C_{y,b} that bell builds.  A stage
+is its MeasurementStrength (F, G) and nothing more: for a symmetric
+real pointer, the reading b = sign(q) has probability (C_{y,b} v)_0,
+and the collapses of the readings of that sign sum to C_{y,b} v.  The
+tests check that against a sampler of actual pointer readings on
+pointer grids (conftest.oracle_run_chain).
 
-_walk_joint propagates the maps once over the whole branch grid and
-holds the law as one array over the walk's bits (x, a, y_1, b_1, ..,
-y_n, b_n), index 1 for input 1 or outcome +1; analytic_joint keys it,
+bell._chain_joint gives the law as one array over the walk's bits (x,
+a, y_1, b_1, .., y_n, b_n), index 1 for input 1 or outcome +1, the
+array bell's triple_probability also reads; analytic_joint keys it,
 and run_chain draws from it and hands it on in its report, so a caller
-that fits a run to its law keys that array and walks the chain once.
+that fits a run to its law keys that array and builds the law once.
 The splits are the chain rule on that array: a split sends count n of
 prefix cell c to cells 2c and 2c + 1, the latter holding Binomial(n, p)
 with p = mass(2c + 1) / mass(c), a cell's mass being the joint summed
@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .bell import BellChainConfig, _stage_maps, pauli_coefficients, propagate
-from .channel import bloch_dot, strength_pair
+from .bell import BellChainConfig, _chain_joint
+from .channel import strength_pair
 
 # an analytic cell probability at most this is an impossible outcome, which
 # run_chain never draws and chi_square_report drops: the joint of an exactly
@@ -94,7 +94,7 @@ class EmpiricalReport:
     trials: int
     per_bob: tuple[BobReport, ...]
     outcome_counts: dict
-    # the exact joint run_chain split the counts by, on _walk_joint's axes
+    # the exact joint run_chain split the counts by, on bell._chain_joint's axes
     # (None in a report drawn otherwise); to_dict and == leave it out
     joint: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -154,12 +154,12 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
     """Simulate trials of the full chain and report per-Bob correlators and CHSH values.
 
     Draws the outcome table by binomial splits along the chain, the chain
-    rule on _walk_joint in the order the module docstring gives; the work
-    does not grow with trials.  The report carries that joint.
+    rule on bell._chain_joint in the order the module docstring gives;
+    the work does not grow with trials.  The report carries that joint.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
-    joint = _walk_joint(cfg)
+    joint = _chain_joint(cfg)
     # the masses of every prefix, level by level from the whole cells up to the total
     masses = [np.where(joint > ZERO_MASS, joint, 0.0).ravel()]
     while masses[-1].size > 1:
@@ -212,52 +212,22 @@ def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:
     return tuple(per_bob), _keyed(table, np.argwhere(table))
 
 
-def _walk_joint(cfg: BellChainConfig) -> np.ndarray:
-    """The chain's exact joint over (x, a, y_1, b_1, .., y_n, b_n), index 1 for input 1 or outcome +1.
-
-    Alice's strong outcome a along u_x steers Bob's coefficients to
-    R_{0,:} + a u_x.R_{1:,:} of the initial state's Pauli coefficients R,
-    summed x, y, z in that order; their 0 component is 2 P(a|x).  One
-    propagate call takes these through the conditional stage maps over
-    the whole (y_k, b_k) branch grid, strengths from the stages, and a
-    cell's weight is half its branch's 0 component.  Steering before the
-    stages spares a small cell the cancellation of forming R'_00 +
-    a u_x.R'_{1:,0} after them, ~1e-14 of the cell's value.
-    """
-    n_stages = len(cfg.stages)
-    maps = []
-    for k, stage in enumerate(cfg.stages):
-        quality, prec = strength_pair(stage.strength)
-        # outcome axis flipped, so index 1 is b = +1
-        stage_maps = _stage_maps(quality, prec, (stage.dir0, stage.dir1))[:, ::-1]
-        # stage k's (input, outcome) axes are axes 2k, 2k+1 of the branch grid
-        maps.append(stage_maps.reshape((1, 1) * k + (2, 2) + (1, 1) * (n_stages - 1 - k) + (4, 4)))
-    pauli = pauli_coefficients(cfg.initial_state)
-    u = np.stack([cfg.alice_dir0.vector, cfg.alice_dir1.vector])
-    alice = bloch_dot(u.T[:, :, None], pauli[1:, None, :])  # (x, 4): u_x.R_{1:,:}
-    steered = pauli[0] + np.array([-1.0, 1.0])[:, None] * alice[:, None, :]  # (x, a, 4)
-    states = steered.reshape((2, 2) + (1,) * (2 * n_stages) + (1, 4))  # one row state per (x, a)
-    weight = propagate(states, maps)[-1][..., 0, 0]  # (x, a, y1, b1, .., yn, bn)
-    # p(x) p(y_1) .. p(y_n) over the (x, y_1..y_n) grid, multiplied in stage order
-    p_inputs = math.prod(np.ix_([0.5, 0.5], *([1.0 - stage.bias, stage.bias] for stage in cfg.stages)))
-    return p_inputs.reshape((2, 1) * (n_stages + 1)) * weight / 2.0
-
-
 def analytic_joint(cfg: BellChainConfig) -> dict:
     """Exact joint distribution over (x, y_1..y_n, a, b_1..b_n), keyed in index order with +1 first.
 
-    run_chain draws from the same array (_walk_joint), so a chi-square of
-    a run against this joint checks the draw, the tally and the keying,
-    not the law.  The law's independent checks live in the tests: complex
-    branch enumeration (conftest.enumerate_joint), a sampler of actual
-    pointer readings on grids (conftest.oracle_run_chain), and the CHSH
-    closed forms of acceptance claim c11.
+    run_chain draws from the same array (bell._chain_joint), so a
+    chi-square of a run against this joint checks the draw, the tally and
+    the keying, not the law.  The law's independent checks live in the
+    tests: complex branch enumeration (conftest.enumerate_joint), a
+    sampler of actual pointer readings on grids (conftest.oracle_run_chain),
+    the paper's weak-then-strong formula (conftest.oracle_triple_closed_form)
+    and the CHSH closed forms of acceptance claim c11.
     """
-    return _keyed_joint(_walk_joint(cfg))
+    return _keyed_joint(_chain_joint(cfg))
 
 
 def _keyed_joint(joint: np.ndarray) -> dict:
-    """_walk_joint's array keyed as analytic_joint keys it."""
+    """bell._chain_joint's array keyed as analytic_joint keys it."""
     table = _table_axes(joint)
     cells = np.argwhere(np.ones(table.shape, dtype=bool))
     cells[:, table.ndim // 2 :] ^= 1  # +1 first on the outcome axes

@@ -161,6 +161,22 @@ def steered_state(direction, outcome: int) -> np.ndarray:
     return (np.eye(2, dtype=complex) - outcome * spin_operator(direction)) / 2.0
 
 
+def oracle_triple_closed_form(a, b1, b2, u, w, v, quality: float, prec: float) -> float:
+    """The paper's closed form of P(a b1 b2 | x y1 y2) at u = u_x, w = w_{y1}, v = v_{y2}.
+
+    Takes the raw (F, G), so an unphysical pair gives the negative
+    probabilities the positivity scan reports.
+    """
+    uw = float(np.dot(u, w))
+    wv = float(np.dot(w, v))
+    uv = float(np.dot(u, v))
+    return (
+        (b1 * prec / 8.0) * (b2 * wv - a * uw)
+        + (quality / 8.0) * (1.0 - a * b2 * uv)
+        + ((1.0 - quality) / 8.0) * (1.0 - a * b2 * uw * wv)
+    )
+
+
 def triple_probability_oracle(a, b1, b2, x, y1, y2, geometry, strength) -> float:
     """bell.triple_probability by steering, the conditional weak channel and a strong projection."""
     _check_outcomes_inputs(a, b1, b2, x, y1, y2)
@@ -421,7 +437,7 @@ def oracle_analytic_joint(cfg) -> dict:
     """The propagated joint read out key by key over nested itertools loops.
 
     Alice's outcome steers the initial Pauli coefficients row by row in
-    Python floats before the stage maps, as montecarlo's joint steers them.
+    Python floats before the stage maps, as bell's joint steers them.
     """
     n_stages = len(cfg.stages)
     maps = []
@@ -449,6 +465,22 @@ def oracle_analytic_joint(cfg) -> dict:
                     branch = tuple(i for y, b in zip(ys, bs) for i in (y, (1 - b) // 2))
                     out[(x, *ys, a_val, *bs)] = p_inputs * float(branches[x, a_val][branch][0, 0]) / 2.0
     return out
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want exactly; a failure names the lengths and the first differing line, not a diff of the texts."""
+    if got == want:
+        return
+    got_lines = got.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    line = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+    raise AssertionError(
+        f"texts of {len(got)} and {len(want)} characters ({len(got_lines)} and {len(want_lines)} lines) "
+        f"first differ at line {line + 1}: {got_lines[line : line + 1]!r} != {want_lines[line : line + 1]!r}"
+    )
 
 
 def oracle_reading_cdf(pointer: PointerState) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     enumerate_chain_state,
     oracle_chain_chsh,
+    oracle_triple_closed_form,
     random_density,
     random_direction,
     random_stage,
@@ -115,10 +116,12 @@ def test_triple_probability_agrees_with_state_propagation_oracle():
         geometry = random_geometry(rng)
         strength = random_strength(rng)
         x, y1, y2 = rng.integers(0, 2, size=3)
+        u, w, v = geometry.alice[x].vector, geometry.first[y1].vector, geometry.second[y2].vector
         for a, b1, b2 in OUTCOMES:
             direct = triple_probability(a, b1, b2, x, y1, y2, geometry, strength)
             oracle = triple_probability_oracle(a, b1, b2, x, y1, y2, geometry, strength)
-            worst = max(worst, abs(direct - oracle))
+            closed_form = oracle_triple_closed_form(a, b1, b2, u, w, v, strength.quality_factor, strength.precision)
+            worst = max(worst, abs(direct - oracle), abs(direct - closed_form))
     assert worst < 1e-10
 
 
@@ -233,6 +236,24 @@ def test_positivity_scan_inside_and_outside_the_circle():
     assert on_circle[0][2] == pytest.approx(1.0, abs=1e-12)
     unphysical = positivity_bound_scan(grid, 0.9, 0.9)
     assert min(row[1] for row in unphysical) < -1e-3
+
+
+@pytest.mark.parametrize(
+    "quality, precision",
+    [(0.5, 0.6), (math.sin(0.7), math.cos(0.7)), (0.9, 0.9)],
+    ids=["inside", "on-circle", "unphysical"],
+)
+def test_positivity_scan_matches_the_closed_form(quality, precision):
+    # the scan propagates the raw pair: routed through MeasurementStrength,
+    # the unphysical one would raise PhysicalityError
+    grid = [*np.linspace(0.05, 1.5, 30), 0.7]
+    rows = positivity_bound_scan(grid, quality, precision)
+    assert [row[0] for row in rows] == [float(t) for t in grid]
+    for angle, minimum, _ in rows:
+        geometry = tangent_geometry(angle)
+        u, w, v = geometry.alice[0].vector, geometry.first[0].vector, geometry.second[0].vector
+        want = min(oracle_triple_closed_form(a, b1, b2, u, w, v, quality, precision) for a, b1, b2 in OUTCOMES)
+        assert minimum == pytest.approx(want, abs=1e-15), angle
 
 
 # --- sequential chains -----------------------------------------------------------------

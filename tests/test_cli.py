@@ -186,8 +186,8 @@ def test_montecarlo_walks_the_chain_once(tmp_path, monkeypatch):
     report = montecarlo.run_chain(cfg, 5000, 21)
     chi2 = montecarlo.chi_square_report(report.outcome_counts, montecarlo.analytic_joint(cfg), 5000)
     walks = []
-    walk = montecarlo._walk_joint
-    monkeypatch.setattr(montecarlo, "_walk_joint", lambda cfg: walks.append(cfg) or walk(cfg))
+    walk = montecarlo._chain_joint
+    monkeypatch.setattr(montecarlo, "_chain_joint", lambda cfg: walks.append(cfg) or walk(cfg))
     out = tmp_path / "mc.json"
     assert run_cli("montecarlo", "--scenario", "double", "--trials", "5000", "--seed", "21", "--out", str(out)) == 0
     assert len(walks) == 1

@@ -23,6 +23,7 @@ from conftest import (
     oracle_reading_cdf,
     oracle_run_chain,
     oracle_split_run,
+    oracle_triple_closed_form,
     outcome_probabilities,
     projectors,
     random_density,
@@ -47,12 +48,11 @@ from weakbell import (
     make_worst,
     run_chain,
     strength_of,
-    triple_probability,
     tsirelson_alice,
     tsirelson_bob,
 )
-from weakbell import montecarlo
-from weakbell.bell import TripleGeometry, propagate
+from weakbell import bell, montecarlo
+from weakbell.bell import propagate
 from weakbell.channel import DIR_X, DIR_Z
 from weakbell.cli import _montecarlo_config
 from weakbell.montecarlo import (
@@ -698,15 +698,14 @@ def test_analytic_joint_normalizes_and_matches_triple_probability():
     assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    geometry = TripleGeometry(alice=alice, first=bob, second=bob)
-    strength = MeasurementStrength(0.6, 0.8)
     for (x, y1, y2, a, b1, b2), prob in (
         ((0, 0, 1, 1, 1, -1), None),
         ((1, 1, 0, -1, 1, 1), None),
         ((0, 1, 1, -1, -1, -1), None),
     ):
         got = joint[(x, y1, y2, a, b1, b2)]
-        want = triple_probability(a, b1, b2, x, y1, y2, geometry, strength) / 8.0
+        u, w, v = alice[x].vector, bob[y1].vector, bob[y2].vector
+        want = oracle_triple_closed_form(a, b1, b2, u, w, v, 0.6, 0.8) / 8.0
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -729,7 +728,7 @@ def test_analytic_joint_sums_alice_in_the_fixed_order(monkeypatch, n_stages):
     def column_major(pauli, maps):
         return [np.ascontiguousarray(np.swapaxes(s, -1, -2)).swapaxes(-1, -2) for s in propagate(pauli, maps)]
 
-    monkeypatch.setattr(montecarlo, "propagate", column_major)
+    monkeypatch.setattr(bell, "propagate", column_major)
     assert list(analytic_joint(cfg).items()) == list(oracle_analytic_joint(cfg).items())
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    assert_same_text,
     oracle_make_exponential,
     oracle_make_gaussian,
     oracle_make_square,
@@ -399,7 +400,7 @@ def test_the_narrowness_check_refuses_only_zero_norm_grids(build, oracle, band):
 )
 def test_pointer_csv_matches_the_per_line_formatter(build, spacing):
     state = build(spacing)
-    assert samples_to_csv(state) == oracle_samples_to_csv(state)
+    assert_same_text(samples_to_csv(state), oracle_samples_to_csv(state))
 
 
 def test_pointer_csv_writes_hand_built_states_as_given():
@@ -409,14 +410,14 @@ def test_pointer_csv_writes_hand_built_states_as_given():
     odd = PointerState(np.where(q < 0, -bump, bump) / math.sqrt(np.sum(bump * bump) * SPACING), SPACING)
     assert {math.copysign(1.0, a) for a in odd.samples[odd.samples == 0.0]} == {-1.0, 1.0}
     text = samples_to_csv(odd)
-    assert text == oracle_samples_to_csv(odd)
+    assert_same_text(text, oracle_samples_to_csv(odd))
     assert text.startswith("q,phi\n-3.9990234375,-0.0\n") and text.endswith("\n3.9990234375,0.0\n")
     # a modulus asymmetric within the 1e-9 the state allows is written as it is
     samples = bump / math.sqrt(np.sum(bump * bump) * SPACING)
     samples[2100] += 5e-10
     lopsided = PointerState(samples, SPACING)
     assert lopsided.samples[2100] != lopsided.samples[4095 - 2100]
-    assert samples_to_csv(lopsided) == oracle_samples_to_csv(lopsided)
+    assert_same_text(samples_to_csv(lopsided), oracle_samples_to_csv(lopsided))
 
 
 def _heap_peak(call):
@@ -445,7 +446,7 @@ def test_pointer_csv_peaks_below_the_per_line_formatter(build):
     assert state.samples.size >= 2**17
     peak, text = _heap_peak(lambda: samples_to_csv(state))
     oracle_peak, oracle_text = _heap_peak(lambda: oracle_samples_to_csv(state))
-    assert text == oracle_text
+    assert_same_text(text, oracle_text)
     assert peak < oracle_peak
 
 
