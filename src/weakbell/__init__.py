@@ -16,19 +16,12 @@ from .pointer import (
     strength_of,
     tradeoff_curve,
 )
-from .channel import Direction, distinguishability
+from .channel import Direction
 from .bell import (
     BellChainConfig,
     BobStage,
-    TripleGeometry,
-    chsh,
-    correlation_table,
     double_violation_curve,
-    positivity_bound_scan,
-    sequential_average_state,
     singlet,
-    tangent_geometry,
-    triple_probability,
     tsirelson_alice,
     tsirelson_bob,
     unbiased_triple_scan,
@@ -37,7 +30,6 @@ from .protocol import (
     ProtocolSchedule,
     build_schedule,
     chi,
-    decay_ratio_sequence,
     feasible_uniform_bias,
 )
 from .montecarlo import (

@@ -19,12 +19,11 @@ G cos(t) <= 1 for every t.
 
 No code here evaluates that formula: it is what the chain's joint gives.
 _propagated_joint builds a chain's exact joint over (x, a, y_1, b_1, ..,
-y_n, b_n) from raw stages (F, G, directions, bias), and every outcome
-law reads it: triple_probability one cell of the singlet chain's joint,
-positivity_bound_scan the eight x = y1 = y2 = 0 cells at each tangent
-angle, and montecarlo's run_chain and analytic_joint the joint of a
-configured chain (_chain_joint).  The tests check the joint against
-the printed formula (conftest.oracle_triple_closed_form).
+y_n, b_n) from raw stages (F, G, directions, bias), and montecarlo's
+run_chain and analytic_joint read the joint of a configured chain
+(_chain_joint).  The tests read the singlet chain's joint directly: 8
+times one cell is the probability above, and the tangent cells check
+positivity against the printed formula (conftest.oracle_triple_closed_form).
 
 Chain states are carried as real 4x4 Pauli coefficients
 R_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I: R_00 = 1, Alice's Bloch
@@ -38,13 +37,11 @@ where d_y are the stage's directions and r_y its input weights.
 Averaging the state first is exact because every stage map is linear in
 the state.  A correlator is E_xy = G u_x^T T w_y, so CHSH is
 G (E00 + E01 + E10 - E11).  propagate applies the stage maps to whole
-grids of chains at once; the scans, the joint and
-sequential_average_state all go through it.  A complex 4x4 density
-appears only where a state enters or leaves a chain (singlet, a given
-initial state, the state that sequential_average_state returns),
-through pauli_coefficients and density_from_pauli.  The tests also
-check the joint and the chain against the paper's complex steering and
-conditional channel.
+grids of chains at once; the scans and the joint go through it.  A
+complex 4x4 density appears only where a state enters a chain (singlet
+or a given initial state), through pauli_coefficients.  The tests also
+check the joint and the chain against the paper's complex steering,
+conditional channel and branch enumeration.
 """
 
 from __future__ import annotations
@@ -74,63 +71,6 @@ def singlet() -> np.ndarray:
     """Projector onto (|ud> - |du>)/sqrt(2); correlations are -u.v."""
     psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _SQ2
     return np.outer(psi, psi.conj())
-
-
-@dataclass(frozen=True)
-class TripleGeometry:
-    """Directions for Alice, the weak stage and the strong stage (inputs 0/1)."""
-
-    alice: tuple[Direction, Direction]
-    first: tuple[Direction, Direction]
-    second: tuple[Direction, Direction]
-
-
-def tangent_geometry(angle: float) -> TripleGeometry:
-    """Geometry whose zero-probability outcome traces the unit-circle tangents."""
-    return TripleGeometry(
-        alice=(DIR_Z, DIR_X),
-        first=(Direction(-1.0, 0.0, 0.0), DIR_Z),
-        second=(
-            Direction(-math.cos(angle), 0.0, math.sin(angle)),
-            DIR_X,
-        ),
-    )
-
-
-def _check_outcomes_inputs(a, b1, b2, x, y1, y2):
-    if any(o not in (1, -1) for o in (a, b1, b2)):
-        raise InvalidParameterError(f"outcomes must be +/-1, got {(a, b1, b2)}")
-    if any(i not in (0, 1) for i in (x, y1, y2)):
-        raise InvalidParameterError(f"inputs must be 0/1, got {(x, y1, y2)}")
-
-
-def _triple_joint(geometry: TripleGeometry, quality_factor: float, precision: float) -> np.ndarray:
-    """_propagated_joint of the singlet: a stage of raw (F, G) on geometry.first, then a strong one, inputs unbiased."""
-    stages = ((quality_factor, precision, geometry.first, 0.5), (0.0, 1.0, geometry.second, 0.5))
-    return _propagated_joint(pauli_coefficients(singlet()), geometry.alice, stages)
-
-
-def triple_probability(a, b1, b2, x, y1, y2, geometry: TripleGeometry, strength) -> float:
-    """P(a b1 b2 | x y1 y2) for the singlet scenario: 8 times its cell of the chain's joint."""
-    _check_outcomes_inputs(a, b1, b2, x, y1, y2)
-    joint = _triple_joint(geometry, *strength_pair(strength))
-    return 8.0 * float(joint[x, (1 + a) // 2, y1, (1 + b1) // 2, y2, (1 + b2) // 2])
-
-
-def positivity_bound_scan(angle_grid, quality_factor: float, precision: float):
-    """Rows (theta, min outcome probability, F sin(theta) + G cos(theta)).
-
-    The minimum is over the eight outcomes at x = y1 = y2 = 0 of the
-    tangent geometry.  The raw pair is propagated as given, so
-    deliberately unphysical (quality factor, precision) pairs are
-    allowed; those produce a negative minimum at some angle.
-    """
-    rows = []
-    for angle in [float(t) for t in angle_grid]:
-        cells = _triple_joint(tangent_geometry(angle), quality_factor, precision)[0, :, 0, :, 0, :]
-        tangent_value = quality_factor * math.sin(angle) + precision * math.cos(angle)
-        rows.append((angle, 8.0 * float(cells.min()), tangent_value))
-    return rows
 
 
 # --- chain configuration ---------------------------------------------------
@@ -199,11 +139,6 @@ def pauli_coefficients(rho) -> np.ndarray:
     """Real R_ij = tr(rho sigma_i (x) sigma_j) of a 4x4 two-qubit state."""
     blocks = as_density(rho, 4).reshape(2, 2, 2, 2)  # [a, c, b, d]: row (a c), column (b d)
     return np.einsum("acbd,iba,jdc->ij", blocks, _PAULI, _PAULI).real
-
-
-def density_from_pauli(pauli) -> np.ndarray:
-    """The 4x4 state sum_ij R_ij sigma_i (x) sigma_j / 4 of Pauli coefficients R."""
-    return np.einsum("ij,iab,jcd->acbd", pauli, _PAULI, _PAULI).reshape(4, 4) / 4.0
 
 
 def _stage_maps(quality_factors, precisions, bob_dirs) -> np.ndarray:
@@ -289,45 +224,12 @@ def _chain_joint(cfg: BellChainConfig) -> np.ndarray:
     return _propagated_joint(pauli_coefficients(cfg.initial_state), (cfg.alice_dir0, cfg.alice_dir1), stages)
 
 
-def _correlators(pauli, alice_dirs, bob_dirs) -> np.ndarray:
-    """u_x^T T w_y for every (x, y), over the leading axes of the states: (..., 2, 2)."""
-    u = np.stack([d.vector for d in alice_dirs])
-    w = np.stack([d.vector for d in bob_dirs])
-    return u @ np.asarray(pauli)[..., 1:, 1:] @ w.T
-
-
 def _chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
     """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together."""
-    values = np.asarray(precision, dtype=float)[..., None, None] * _correlators(pauli, alice_dirs, bob_dirs)
+    u = np.stack([d.vector for d in alice_dirs])
+    w = np.stack([d.vector for d in bob_dirs])
+    values = np.asarray(precision, dtype=float)[..., None, None] * (u @ np.asarray(pauli)[..., 1:, 1:] @ w.T)
     return values[..., 0, 0] + values[..., 0, 1] + values[..., 1, 0] - values[..., 1, 1]
-
-
-def correlation_table(state, alice_dirs, bob_dirs, precision: float = 1.0) -> np.ndarray:
-    """E[x][y] = G tr(rho sigma_ux (x) sigma_wy) = G u_x^T T w_y on a two-qubit state: (2, 2)."""
-    return precision * _correlators(pauli_coefficients(state), alice_dirs, bob_dirs)
-
-
-def chsh(state, alice_dirs, bob_dirs, precision: float = 1.0) -> float:
-    """CHSH combination E00 + E01 + E10 - E11 at Bob precision G."""
-    return float(_chsh_values(pauli_coefficients(state), alice_dirs, bob_dirs, precision))
-
-
-def sequential_average_state(cfg: BellChainConfig, n: int) -> np.ndarray:
-    """State of Alice and Bob_n before their measurements, as a 4x4 density.
-
-    Averages over the prior Bobs' inputs with their biases; exact by
-    linearity of the stage maps, replacing the 2^(n-1)-branch sum
-    with n-1 map applications.
-    """
-    if not 1 <= n <= len(cfg.stages) + 1:
-        raise InvalidParameterError(f"stage index {n} outside 1..{len(cfg.stages) + 1}")
-    if n == 1:
-        return np.array(cfg.initial_state, dtype=complex)
-    maps = [
-        _bob_maps(stage.strength.quality_factor, (stage.dir0, stage.dir1), stage.bias)
-        for stage in cfg.stages[: n - 1]
-    ]
-    return density_from_pauli(propagate(pauli_coefficients(cfg.initial_state), maps)[-1])
 
 
 # --- named settings ---------------------------------------------------------
@@ -344,16 +246,6 @@ def tsirelson_bob() -> tuple[Direction, Direction]:
         Direction(-1.0 / _SQ2, 0.0, -1.0 / _SQ2),
         Direction(1.0 / _SQ2, 0.0, -1.0 / _SQ2),
     )
-
-
-def protocol_alice() -> tuple[Direction, Direction]:
-    """Alice's settings in the biased-input protocol: -Z, X."""
-    return Direction(0.0, 0.0, -1.0), DIR_X
-
-
-def protocol_bob(angle: float) -> tuple[Direction, Direction]:
-    """Bob_n's settings in the biased-input protocol: Z, cos(t) Z + sin(t) X."""
-    return DIR_Z, Direction(math.sin(angle), 0.0, math.cos(angle))
 
 
 # --- double and triple violation scans --------------------------------------

@@ -88,13 +88,3 @@ def bloch_dot(directions, bloch) -> np.ndarray:
     """d.r for (3, ...) arrays, summed d_x r_x + d_y r_y + d_z r_z in that order."""
     return directions[0] * bloch[0] + directions[1] * bloch[1] + directions[2] * bloch[2]
 
-
-def distinguishability(strength) -> tuple[float, float]:
-    """(sign-strategy success, trace-distance bound) for the displaced pointer states.
-
-    Reading the sign of the position distinguishes the two displaced
-    pointer states with probability (1+G)/2; no measurement can beat
-    (1 + sqrt(1-F^2))/2.  Frontier pointers saturate the bound.
-    """
-    F, G = strength_pair(strength)
-    return (1.0 + G) / 2.0, (1.0 + math.sqrt(max(0.0, 1.0 - F * F))) / 2.0

@@ -17,7 +17,7 @@ pointer grids (conftest.oracle_run_chain).
 
 bell._chain_joint gives the law as one array over the walk's bits (x,
 a, y_1, b_1, .., y_n, b_n), index 1 for input 1 or outcome +1, the
-array bell's triple_probability also reads; analytic_joint keys it,
+one joint that bell builds for every chain; analytic_joint keys it,
 and run_chain draws from it and hands it on in its report, so a caller
 that fits a run to its law keys that array and builds the law once.
 The splits are the chain rule on that array: a split sends count n of

@@ -215,23 +215,6 @@ def feasible_uniform_bias(stage_count: int) -> float:
     return -math.expm1(math.log1p(-target) / (stage_count - 1))
 
 
-def decay_ratio_sequence(schedule: ProtocolSchedule, max_stage: int) -> list[float]:
-    """Ratios V_{n+1} / (V_n^3 / 4) for n = 1 .. max_stage, formed in log space."""
-    if max_stage + 1 > len(schedule):
-        raise InvalidParameterError(
-            f"ratio at stage {max_stage} needs a schedule of length >= {max_stage + 1}"
-        )
-    ratios = []
-    for n in range(1, max_stage + 1):
-        log_ratio = (
-            schedule.row(n + 1).log_violation
-            - 3.0 * schedule.row(n).log_violation
-            + _LOG4
-        )
-        ratios.append(math.exp(log_ratio))
-    return ratios
-
-
 SCHEDULE_CSV_HEADER = "n,theta_n,F_n,G_n,P_n,chi_n,bound,limit_I,V_n,log10_V_n"
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,9 +14,19 @@ from weakbell import (
     MeasurementStrength,
     PointerState,
 )
-from weakbell.bell import _check_outcomes_inputs, _stage_maps, pauli_coefficients, propagate
+from weakbell.bell import (
+    _bob_maps,
+    _propagated_joint,
+    _stage_maps,
+    pauli_coefficients,
+    propagate,
+    singlet,
+)
 from weakbell.channel import (
+    DIR_X,
+    DIR_Z,
     IDENTITY_2,
+    PAULI_XYZ,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -60,6 +71,67 @@ def random_stage(rng) -> BobStage:
         random_strength(rng),
         bias=float(rng.random()),
     )
+
+
+# --- views of the one chain joint and propagator ------------------------------------------
+# The scenarios the paper's claims are stated in, as data, and the few
+# lines that read bell's joint (_propagated_joint) and propagator
+# (propagate through _bob_maps) for them: the same code the commands run.
+
+
+class Geometry(NamedTuple):
+    """Directions for Alice, the weak stage and the strong stage, each a pair for inputs 0/1."""
+
+    alice: tuple
+    first: tuple
+    second: tuple
+
+
+def random_geometry(rng) -> Geometry:
+    return Geometry(*((random_direction(rng), random_direction(rng)) for _ in range(3)))
+
+
+def tangent_geometry(angle: float) -> Geometry:
+    """At inputs 0, u = Z, w = -X, v = Z sin(t) - X cos(t): outcome (1, -1, 1) has probability (1 - F sin t - G cos t)/8."""
+    return Geometry(
+        (DIR_Z, DIR_X), (Direction(-1.0, 0.0, 0.0), DIR_Z), (Direction(-math.cos(angle), 0.0, math.sin(angle)), DIR_X)
+    )
+
+
+def triple_law(geometry: Geometry, quality: float, prec: float) -> np.ndarray:
+    """P(a b1 b2 | x y1 y2) at triple_cell: 8 times the singlet chain's joint, raw (F, G) then strong, inputs unbiased."""
+    stages = ((quality, prec, geometry.first, 0.5), (0.0, 1.0, geometry.second, 0.5))
+    return 8.0 * _propagated_joint(pauli_coefficients(singlet()), geometry.alice, stages)
+
+
+def triple_cell(a, b1, b2, x, y1, y2) -> tuple:
+    """Index of P(a b1 b2 | x y1 y2) in the joint's axes (x, a, y1, b1, y2, b2), index 1 for outcome +1."""
+    return x, (1 + a) // 2, y1, (1 + b1) // 2, y2, (1 + b2) // 2
+
+
+def averaged_states(cfg) -> list:
+    """Pauli coefficients before Bob_1 .. Bob_{n+1}: propagate through each stage's input-averaged _bob_maps."""
+    maps = [_bob_maps(stage.strength.quality_factor, (stage.dir0, stage.dir1), stage.bias) for stage in cfg.stages]
+    return propagate(pauli_coefficients(cfg.initial_state), maps)
+
+
+def sign_and_bound(strength: MeasurementStrength) -> tuple[float, float]:
+    """Success of reading the sign, (1+G)/2, and the bound no measurement of the displaced pointers beats, (1 + sqrt(1-F^2))/2."""
+    return (1.0 + strength.precision) / 2.0, (1.0 + math.sqrt(1.0 - strength.quality_factor**2)) / 2.0
+
+
+def protocol_config(schedule) -> BellChainConfig:
+    """The zero-bias chain of a schedule: Alice on -Z, X; Bob_n on Z, cos(t_n) Z + sin(t_n) X at (F_n, G_n)."""
+    stages = tuple(
+        BobStage(
+            DIR_Z,
+            Direction(math.sin(row.angle), 0.0, math.cos(row.angle)),
+            MeasurementStrength(row.quality_factor, row.precision),
+            bias=0.0,
+        )
+        for row in schedule.rows
+    )
+    return BellChainConfig(Direction(0.0, 0.0, -1.0), DIR_X, stages=stages)
 
 
 # --- the complex reference channel ------------------------------------------------------
@@ -178,12 +250,11 @@ def oracle_triple_closed_form(a, b1, b2, u, w, v, quality: float, prec: float) -
 
 
 def triple_probability_oracle(a, b1, b2, x, y1, y2, geometry, strength) -> float:
-    """bell.triple_probability by steering, the conditional weak channel and a strong projection."""
-    _check_outcomes_inputs(a, b1, b2, x, y1, y2)
+    """P(a b1 b2 | x y1 y2) by steering, the conditional weak channel and a strong projection."""
     rho = steered_state(geometry.alice[x], a)
     conditional = weak_conditional(rho, geometry.first[y1], strength, b1)
-    pp, pm = projectors(geometry.second[y2])
-    pi_b2 = pp if b2 == 1 else pm
+    pi_plus, pi_minus = projectors(geometry.second[y2])
+    pi_b2 = {1: pi_plus, -1: pi_minus}[b2]  # any other b2 is a KeyError
     return 0.5 * float(np.trace(pi_b2 @ conditional).real)
 
 
@@ -196,6 +267,12 @@ def on_second_qubit(channel, rho4) -> np.ndarray:
         for j in range(2):
             out[i, :, j, :] = channel(blocks[i, :, j, :])
     return out.reshape(4, 4)
+
+
+def density_from_pauli(pauli) -> np.ndarray:
+    """The 4x4 state sum_ij R_ij sigma_i (x) sigma_j / 4 of Pauli coefficients R."""
+    basis = np.stack([IDENTITY_2, *PAULI_XYZ])
+    return np.einsum("ij,iab,jcd->acbd", pauli, basis, basis).reshape(4, 4) / 4.0
 
 
 def enumerate_joint(cfg) -> dict:

@@ -12,10 +12,18 @@ import numpy as np
 import pytest
 
 from conftest import (
+    averaged_states,
+    density_from_pauli,
     enumerate_chain_state,
+    protocol_config,
     random_direction,
+    random_geometry,
     random_stage,
     random_strength,
+    sign_and_bound,
+    tangent_geometry,
+    triple_cell,
+    triple_law,
     triple_probability_oracle,
 )
 
@@ -26,9 +34,6 @@ from weakbell import (
     analytic_joint,
     build_schedule,
     chi_square_report,
-    chsh,
-    decay_ratio_sequence,
-    distinguishability,
     double_violation_curve,
     feasible_uniform_bias,
     make_exponential,
@@ -39,15 +44,13 @@ from weakbell import (
     precision,
     quality_factor,
     run_chain,
-    sequential_average_state,
     strength_of,
-    tangent_geometry,
-    triple_probability,
     tsirelson_alice,
     tsirelson_bob,
     unbiased_triple_scan,
 )
-from weakbell.bell import TripleGeometry, protocol_alice, protocol_bob
+from weakbell.bell import _chsh_values
+from weakbell.channel import strength_pair
 from weakbell.pointer import _family_strength
 
 SQ2 = math.sqrt(2.0)
@@ -138,31 +141,23 @@ def test_c05_triple_probability_cross_check():
         worst_norm = 0.0
         worst_signal = 0.0
         for _ in range(200):
-            geometry = TripleGeometry(
-                alice=(random_direction(rng), random_direction(rng)),
-                first=(random_direction(rng), random_direction(rng)),
-                second=(random_direction(rng), random_direction(rng)),
-            )
+            geometry = random_geometry(rng)
             strength = random_strength(rng)
             x, y1, y2 = (int(v) for v in rng.integers(0, 2, size=3))
+            # P(a b1 b2 | x y1 y2) for every cell, from one joint a geometry
+            law = triple_law(geometry, *strength_pair(strength))
             total = 0.0
             for a, b1, b2 in OUTCOMES:
-                direct = triple_probability(a, b1, b2, x, y1, y2, geometry, strength)
+                direct = float(law[triple_cell(a, b1, b2, x, y1, y2)])
                 oracle = triple_probability_oracle(a, b1, b2, x, y1, y2, geometry, strength)
                 worst_gap = max(worst_gap, abs(direct - oracle))
                 total += direct
             worst_norm = max(worst_norm, abs(total - 1.0))
             for b1, b2 in itertools.product((1, -1), repeat=2):
-                bob_m = [
-                    sum(triple_probability(a, b1, b2, x, y1, y2, geometry, strength) for a in (1, -1))
-                    for x in (0, 1)
-                ]
+                bob_m = [sum(float(law[triple_cell(a, b1, b2, x, y1, y2)]) for a in (1, -1)) for x in (0, 1)]
                 worst_signal = max(worst_signal, abs(bob_m[0] - bob_m[1]))
             alice_m = [
-                sum(
-                    triple_probability(a, b1, b2, x, yy1, yy2, geometry, strength)
-                    for a, b1, b2 in OUTCOMES
-                )
+                sum(float(law[triple_cell(a, b1, b2, x, yy1, yy2)]) for a, b1, b2 in OUTCOMES)
                 for yy1, yy2 in itertools.product((0, 1), repeat=2)
             ]
             worst_signal = max(worst_signal, max(alice_m) - min(alice_m))
@@ -178,11 +173,8 @@ def test_c05_triple_probability_cross_check():
 def test_c06_unit_circle_tangency():
     with Budget(2.0) as budget:
         for angle in [0.1 * k for k in range(1, 16)]:
-            geometry = tangent_geometry(angle)
-            strength = MeasurementStrength(math.sin(angle), math.cos(angle))
-            probs = [
-                triple_probability(a, b1, b2, 0, 0, 0, geometry, strength) for a, b1, b2 in OUTCOMES
-            ]
+            law = triple_law(tangent_geometry(angle), math.sin(angle), math.cos(angle))
+            probs = [float(law[triple_cell(a, b1, b2, 0, 0, 0)]) for a, b1, b2 in OUTCOMES]
             assert min(probs) > -1e-10
             assert min(probs) < 1e-10
     report(6, f"on-circle strengths touch a zero-probability outcome at 15 angles ({budget.elapsed:.2f}s)")
@@ -195,10 +187,8 @@ def test_c07_sequential_oracle_equivalence():
         for _ in range(3):
             stages = tuple(random_stage(rng) for _ in range(6))
             cfg = BellChainConfig(random_direction(rng), random_direction(rng), stages=stages)
-            for n in range(1, 8):
-                gap = np.max(
-                    np.abs(sequential_average_state(cfg, n) - enumerate_chain_state(cfg, n))
-                )
+            for n, state in enumerate(averaged_states(cfg), 1):
+                gap = np.max(np.abs(density_from_pauli(state) - enumerate_chain_state(cfg, n)))
                 worst = max(worst, float(gap))
         assert worst < 1e-10
     report(7, f"averaged propagation vs branch enumeration <= {worst:.1e} ({budget.elapsed:.2f}s)")
@@ -218,21 +208,12 @@ def test_c08_protocol_soundness():
                 if row.log_bound_excess > math.log(1e-13):
                     assert row.chsh_bound > 2.0
         schedule = build_schedule(4)
-        alice = protocol_alice()
-        stages = tuple(
-            BobStage(
-                *protocol_bob(schedule.row(k).angle),
-                MeasurementStrength(schedule.row(k).quality_factor, schedule.row(k).precision),
-                bias=0.0,
-            )
-            for k in range(1, 5)
-        )
-        cfg = BellChainConfig(alice[0], alice[1], stages=stages)
+        cfg = protocol_config(schedule)
+        alice = (cfg.alice_dir0, cfg.alice_dir1)
         worst = 0.0
-        for n in range(1, 5):
-            row = schedule.row(n)
-            exact = chsh(sequential_average_state(cfg, n), alice, protocol_bob(row.angle), row.precision)
-            worst = max(worst, abs(exact - schedule.row(n).limit_chsh))
+        for row, stage, state in zip(schedule.rows, cfg.stages, averaged_states(cfg)):
+            exact = float(_chsh_values(state, alice, (stage.dir0, stage.dir1), row.precision))
+            worst = max(worst, abs(exact - row.limit_chsh))
         assert worst < 1e-8
     report(
         8,
@@ -243,7 +224,9 @@ def test_c08_protocol_soundness():
 def test_c09_cubic_decay():
     with Budget(1.0) as budget:
         schedule = build_schedule(12)
-        ratios = decay_ratio_sequence(schedule, 10)
+        # V_{n+1} / (V_n^3 / 4) for n = 1 .. 10, formed from the log-domain violations
+        log_v = [row.log_violation for row in schedule.rows]
+        ratios = [math.exp(later - 3.0 * earlier + math.log(4.0)) for earlier, later in zip(log_v[:10], log_v[1:])]
         assert abs(ratios[1] - 1.0) < 0.01   # stage 2 -> 3
         assert abs(ratios[9] - 1.0) < 1e-4   # stage 10 -> 11
     report(
@@ -256,7 +239,7 @@ def test_c10_distinguishability_saturation():
     with Budget(1.0) as budget:
         worst = 0.0
         for target in (0.1, 0.3, 0.5, 0.7, 0.9):
-            sign, bound = distinguishability(strength_of(make_optimal(target)))
+            sign, bound = sign_and_bound(strength_of(make_optimal(target)))
             worst = max(worst, abs(sign - bound))
         assert worst < 1e-9
         family = [
@@ -268,7 +251,7 @@ def test_c10_distinguishability_saturation():
             make_worst(0.5),
         ]
         for state in family:
-            sign, bound = distinguishability(strength_of(state))
+            sign, bound = sign_and_bound(strength_of(state))
             assert sign <= bound + 1e-12
     report(10, f"frontier pointers saturate the bound to {worst:.1e}; others stay below ({budget.elapsed:.2f}s)")
 

@@ -8,50 +8,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    averaged_states,
+    density_from_pauli,
     enumerate_chain_state,
     oracle_chain_chsh,
     oracle_triple_closed_form,
+    protocol_config,
     random_density,
     random_direction,
+    random_geometry,
     random_stage,
     random_strength,
     spin_operator,
     steered_state,
+    tangent_geometry,
+    triple_cell,
+    triple_law,
     triple_probability_oracle,
 )
 
 from weakbell import (
     BellChainConfig,
     BobStage,
-    Direction,
     InvalidParameterError,
     InvalidStateError,
     MeasurementStrength,
     PhysicalityError,
-    chsh,
-    correlation_table,
+    build_schedule,
     double_violation_curve,
     make_optimal,
-    positivity_bound_scan,
-    sequential_average_state,
     singlet,
     strength_of,
-    tangent_geometry,
-    triple_probability,
     tsirelson_alice,
     tsirelson_bob,
     unbiased_triple_scan,
 )
 from weakbell.bell import (
     DOUBLE_CSV_HEADER,
-    TripleGeometry,
+    _chsh_values,
     _erfinv,
     _strength_for_target,
     double_curve_to_csv,
-    protocol_alice,
-    protocol_bob,
+    pauli_coefficients,
 )
-from weakbell.channel import DIR_X, DIR_Z, PAULI_XYZ
+from weakbell.channel import DIR_X, DIR_Z, PAULI_XYZ, strength_pair
 from weakbell.cli import parse_range
 
 SQ2 = math.sqrt(2.0)
@@ -60,22 +60,13 @@ OUTCOMES = [(a, b1, b2) for a in (1, -1) for b1 in (1, -1) for b2 in (1, -1)]
 INPUTS = [(x, y1, y2) for x in (0, 1) for y1 in (0, 1) for y2 in (0, 1)]
 
 
-def random_geometry(rng) -> TripleGeometry:
-    return TripleGeometry(
-        alice=(random_direction(rng), random_direction(rng)),
-        first=(random_direction(rng), random_direction(rng)),
-        second=(random_direction(rng), random_direction(rng)),
-    )
-
-
 # --- singlet and steering -------------------------------------------------------
 
 
 def test_singlet_correlations():
     state = singlet()
-    e_zz = correlation_table(state, (DIR_Z, DIR_X), (DIR_Z, DIR_X))
-    assert e_zz[0, 0] == pytest.approx(-1.0, abs=1e-12)
-    assert e_zz[0, 1] == pytest.approx(0.0, abs=1e-12)
+    # the correlation tensor _chsh_values reads: T = -I, so E_ZZ = -1 and E_ZX = 0
+    np.testing.assert_allclose(pauli_coefficients(state)[1:, 1:], -np.eye(3), atol=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(20):
         u, v = random_direction(rng), random_direction(rng)
@@ -116,9 +107,10 @@ def test_triple_probability_agrees_with_state_propagation_oracle():
         geometry = random_geometry(rng)
         strength = random_strength(rng)
         x, y1, y2 = rng.integers(0, 2, size=3)
+        law = triple_law(geometry, *strength_pair(strength))
         u, w, v = geometry.alice[x].vector, geometry.first[y1].vector, geometry.second[y2].vector
         for a, b1, b2 in OUTCOMES:
-            direct = triple_probability(a, b1, b2, x, y1, y2, geometry, strength)
+            direct = float(law[triple_cell(a, b1, b2, x, y1, y2)])
             oracle = triple_probability_oracle(a, b1, b2, x, y1, y2, geometry, strength)
             closed_form = oracle_triple_closed_form(a, b1, b2, u, w, v, strength.quality_factor, strength.precision)
             worst = max(worst, abs(direct - oracle), abs(direct - closed_form))
@@ -129,20 +121,14 @@ def test_triple_probability_normalization_and_no_signalling():
     rng = np.random.default_rng(3)
     for _ in range(20):
         geometry = random_geometry(rng)
-        strength = random_strength(rng)
+        law = triple_law(geometry, *strength_pair(random_strength(rng)))
         for x, y1, y2 in INPUTS:
-            total = sum(
-                triple_probability(a, b1, b2, x, y1, y2, geometry, strength)
-                for a, b1, b2 in OUTCOMES
-            )
+            total = sum(law[triple_cell(a, b1, b2, x, y1, y2)] for a, b1, b2 in OUTCOMES)
             assert total == pytest.approx(1.0, abs=1e-12)
         # Bob's marginal must not depend on Alice's input, and vice versa
         for _, b1, b2 in OUTCOMES:
             bob_marginal = {
-                (x, y1, y2): sum(
-                    triple_probability(aa, b1, b2, x, y1, y2, geometry, strength)
-                    for aa in (1, -1)
-                )
+                (x, y1, y2): sum(law[triple_cell(aa, b1, b2, x, y1, y2)] for aa in (1, -1))
                 for x, y1, y2 in INPUTS
             }
             for y1 in (0, 1):
@@ -152,7 +138,7 @@ def test_triple_probability_normalization_and_no_signalling():
                     )
         alice_marginal = {
             (x, y1, y2): sum(
-                triple_probability(a, b1, b2, x, y1, y2, geometry, strength)
+                law[triple_cell(a, b1, b2, x, y1, y2)]
                 for a in (1, -1)
                 for b1 in (1, -1)
                 for b2 in (1, -1)
@@ -168,34 +154,32 @@ def test_triple_probability_degenerate_strengths():
     rng = np.random.default_rng(4)
     geometry = random_geometry(rng)
     # blind stage (F=1, G=0): first outcome is a fair coin, independent of everything
-    blind = MeasurementStrength(1.0, 0.0)
+    blind = triple_law(geometry, 1.0, 0.0)
     for x, y1, y2 in INPUTS:
         for a, b2 in itertools.product((1, -1), repeat=2):
-            p_plus = triple_probability(a, 1, b2, x, y1, y2, geometry, blind)
-            p_minus = triple_probability(a, -1, b2, x, y1, y2, geometry, blind)
+            p_plus = blind[triple_cell(a, 1, b2, x, y1, y2)]
+            p_minus = blind[triple_cell(a, -1, b2, x, y1, y2)]
             assert p_plus == pytest.approx(p_minus, abs=1e-14)
     # strong stage (F=0, G=1): first outcome follows the Born rule on the steered state
-    strong = MeasurementStrength(0.0, 1.0)
+    strong = triple_law(geometry, 0.0, 1.0)
     for x, y1 in itertools.product((0, 1), repeat=2):
         u = geometry.alice[x].vector
         w = geometry.first[y1].vector
         for a, b1 in itertools.product((1, -1), repeat=2):
-            marginal = sum(
-                triple_probability(a, b1, b2, x, y1, 0, geometry, strong) for b2 in (1, -1)
-            )
+            marginal = sum(strong[triple_cell(a, b1, b2, x, y1, 0)] for b2 in (1, -1))
             born = 0.5 * (1.0 - a * b1 * float(np.dot(u, w))) / 2.0
             assert marginal == pytest.approx(born, abs=1e-12)
 
 
 def test_triple_probability_validates_arguments():
+    # the joint has an input and an outcome pair an axis, so only x, y in {0, 1}
+    # and a, b in {+1, -1} index it; a strength or stage is checked where it is made
     rng = np.random.default_rng(5)
-    geometry = random_geometry(rng)
-    with pytest.raises(InvalidParameterError):
-        triple_probability(2, 1, 1, 0, 0, 0, geometry, MeasurementStrength(0.6, 0.8))
-    with pytest.raises(InvalidParameterError):
-        triple_probability(1, 1, 1, 0, 0, 3, geometry, MeasurementStrength(0.6, 0.8))
+    assert triple_law(random_geometry(rng), 0.6, 0.8).shape == (2,) * 6
     with pytest.raises(PhysicalityError):
-        triple_probability(1, 1, 1, 0, 0, 0, geometry, MeasurementStrength(0.9, 0.9))
+        MeasurementStrength(0.9, 0.9)
+    with pytest.raises(InvalidParameterError):
+        BobStage(DIR_Z, DIR_X, MeasurementStrength(0.6, 0.8), bias=1.5)
 
 
 def test_stages_and_probabilities_take_strengths_not_pointer_grids():
@@ -204,7 +188,7 @@ def test_stages_and_probabilities_take_strengths_not_pointer_grids():
     with pytest.raises(InvalidParameterError, match="strength_of"):
         BobStage(DIR_Z, DIR_X, grid)
     with pytest.raises(InvalidParameterError, match="strength_of"):
-        triple_probability(1, 1, 1, 0, 0, 0, tangent_geometry(0.5), grid)
+        strength_pair(grid)
     stage = BobStage(DIR_Z, DIR_X, strength_of(grid))
     assert stage.strength == strength_of(grid)
 
@@ -212,30 +196,29 @@ def test_stages_and_probabilities_take_strengths_not_pointer_grids():
 # --- the unit-circle positivity bound ------------------------------------------------
 
 
+def tangent_minimum(angle: float, quality: float, prec: float) -> float:
+    """The least of the eight x = y1 = y2 = 0 outcome probabilities at the tangent geometry."""
+    return float(triple_law(tangent_geometry(angle), quality, prec)[0, :, 0, :, 0, :].min())
+
+
 def test_on_circle_strength_touches_zero_probability():
     for angle in np.arange(0.1, 1.51, 0.1):
-        geometry = tangent_geometry(float(angle))
-        strength = MeasurementStrength(math.sin(angle), math.cos(angle))
-        probs = [
-            triple_probability(a, b1, b2, 0, 0, 0, geometry, strength)
-            for a, b1, b2 in OUTCOMES
-        ]
+        law = triple_law(tangent_geometry(float(angle)), math.sin(angle), math.cos(angle))
+        probs = [law[triple_cell(a, b1, b2, 0, 0, 0)] for a, b1, b2 in OUTCOMES]
         assert min(probs) == pytest.approx(0.0, abs=1e-10)
         # the vanishing outcome flips the middle outcome against the others
-        assert triple_probability(1, -1, 1, 0, 0, 0, geometry, strength) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        assert law[triple_cell(1, -1, 1, 0, 0, 0)] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_positivity_scan_inside_and_outside_the_circle():
     grid = np.linspace(0.05, 1.5, 30)
-    inside = positivity_bound_scan(grid, 0.5, 0.6)
-    assert all(row[1] >= -1e-10 for row in inside)
-    on_circle = positivity_bound_scan([0.7], math.sin(0.7), math.cos(0.7))
-    assert on_circle[0][1] == pytest.approx(0.0, abs=1e-10)
-    assert on_circle[0][2] == pytest.approx(1.0, abs=1e-12)
-    unphysical = positivity_bound_scan(grid, 0.9, 0.9)
-    assert min(row[1] for row in unphysical) < -1e-3
+    assert all(tangent_minimum(angle, 0.5, 0.6) >= -1e-10 for angle in grid)
+    on_circle = triple_law(tangent_geometry(0.7), math.sin(0.7), math.cos(0.7))
+    assert tangent_minimum(0.7, math.sin(0.7), math.cos(0.7)) == pytest.approx(0.0, abs=1e-10)
+    # the vanishing cell is 1 - (F sin(t) + G cos(t)), the tangent value being 1 on the circle
+    tangent_value = math.sin(0.7) * math.sin(0.7) + math.cos(0.7) * math.cos(0.7)
+    assert on_circle[triple_cell(1, -1, 1, 0, 0, 0)] == pytest.approx(1.0 - tangent_value, abs=1e-12)
+    assert min(tangent_minimum(angle, 0.9, 0.9) for angle in grid) < -1e-3
 
 
 @pytest.mark.parametrize(
@@ -244,16 +227,13 @@ def test_positivity_scan_inside_and_outside_the_circle():
     ids=["inside", "on-circle", "unphysical"],
 )
 def test_positivity_scan_matches_the_closed_form(quality, precision):
-    # the scan propagates the raw pair: routed through MeasurementStrength,
+    # the joint propagates the raw pair: routed through MeasurementStrength,
     # the unphysical one would raise PhysicalityError
-    grid = [*np.linspace(0.05, 1.5, 30), 0.7]
-    rows = positivity_bound_scan(grid, quality, precision)
-    assert [row[0] for row in rows] == [float(t) for t in grid]
-    for angle, minimum, _ in rows:
-        geometry = tangent_geometry(angle)
+    for angle in [*np.linspace(0.05, 1.5, 30), 0.7]:
+        geometry = tangent_geometry(float(angle))
         u, w, v = geometry.alice[0].vector, geometry.first[0].vector, geometry.second[0].vector
         want = min(oracle_triple_closed_form(a, b1, b2, u, w, v, quality, precision) for a, b1, b2 in OUTCOMES)
-        assert minimum == pytest.approx(want, abs=1e-15), angle
+        assert tangent_minimum(float(angle), quality, precision) == pytest.approx(want, abs=1e-15), angle
 
 
 # --- sequential chains -----------------------------------------------------------------
@@ -262,17 +242,14 @@ def test_positivity_scan_matches_the_closed_form(quality, precision):
 def test_sequential_state_trivial_cases():
     rng = np.random.default_rng(6)
     cfg = BellChainConfig(DIR_Z, DIR_X, stages=(random_stage(rng),))
-    np.testing.assert_allclose(sequential_average_state(cfg, 1), cfg.initial_state, atol=0.0)
+    np.testing.assert_allclose(averaged_states(cfg)[0], pauli_coefficients(cfg.initial_state), atol=0.0)
     identity_stage = BobStage(DIR_Z, DIR_X, MeasurementStrength(1.0, 0.0), bias=0.3)
     cfg = BellChainConfig(DIR_Z, DIR_X, stages=(identity_stage,) * 4)
-    for n in range(1, 6):
-        np.testing.assert_allclose(
-            sequential_average_state(cfg, n), cfg.initial_state, atol=1e-14
-        )
-    with pytest.raises(InvalidParameterError):
-        sequential_average_state(cfg, 6)
-    with pytest.raises(InvalidParameterError):
-        sequential_average_state(cfg, 0)
+    states = averaged_states(cfg)
+    # one state before each Bob and one after the last
+    assert len(states) == 5
+    for state in states:
+        np.testing.assert_allclose(density_from_pauli(state), cfg.initial_state, atol=1e-14)
 
 
 def test_chain_config_accepts_only_density_matrices():
@@ -280,10 +257,16 @@ def test_chain_config_accepts_only_density_matrices():
     stage = random_stage(rng)
     BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=singlet())
     BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=random_density(rng, dim=4))
+    # a Hermiticity drift of exactly the 1e-9 tolerance is accepted, the next float above it refused
+    at_tolerance = (np.eye(4) / 4.0).astype(complex)
+    at_tolerance[0, 1] += 1e-9
+    BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=at_tolerance)
+    past_tolerance = (np.eye(4) / 4.0).astype(complex)
+    past_tolerance[0, 1] = math.nextafter(1e-9, 1.0)
     not_hermitian = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     not_hermitian[0, 1] = 0.1
     negative = np.diag([0.6, 0.6, -0.1, -0.1])
-    for bad in (np.eye(4), not_hermitian, negative):
+    for bad in (np.eye(4), not_hermitian, negative, past_tolerance):
         with pytest.raises(InvalidStateError):
             BellChainConfig(DIR_Z, DIR_X, stages=(stage,), initial_state=bad)
 
@@ -295,7 +278,7 @@ def test_sequential_state_matches_four_term_expansion():
     bob = tsirelson_bob()
     stage = BobStage(bob[0], bob[1], MeasurementStrength(0.6, 0.8), bias=0.5)
     cfg = BellChainConfig(DIR_Z, DIR_X, stages=(stage, stage))
-    got = sequential_average_state(cfg, 3)
+    got = density_from_pauli(averaged_states(cfg)[2])
     expected = enumerate_chain_state(cfg, 3)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -305,42 +288,49 @@ def test_sequential_state_matches_enumeration_for_random_chains():
     for _ in range(2):
         stages = tuple(random_stage(rng) for _ in range(5))
         cfg = BellChainConfig(random_direction(rng), random_direction(rng), stages=stages)
-        for n in range(1, 7):
-            got = sequential_average_state(cfg, n)
+        for n, state in enumerate(averaged_states(cfg), 1):
             expected = enumerate_chain_state(cfg, n)
-            np.testing.assert_allclose(got, expected, atol=1e-10)
+            np.testing.assert_allclose(density_from_pauli(state), expected, atol=1e-10)
 
 
 # --- CHSH ---------------------------------------------------------------------------------
 
 
 def test_chsh_tsirelson_value():
-    value = chsh(singlet(), tsirelson_alice(), tsirelson_bob(), 1.0)
+    pauli = pauli_coefficients(singlet())
+    value = _chsh_values(pauli, tsirelson_alice(), tsirelson_bob(), 1.0)
     assert value == pytest.approx(2.0 * SQ2, abs=1e-10)
-    assert chsh(singlet(), tsirelson_alice(), tsirelson_bob(), 0.0) == 0.0
+    assert _chsh_values(pauli, tsirelson_alice(), tsirelson_bob(), 0.0) == 0.0
 
 
 def test_chsh_product_state_respects_classical_bound():
-    product = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    assert abs(chsh(product, tsirelson_alice(), tsirelson_bob(), 1.0)) <= 2.0 + 1e-12
+    product = pauli_coefficients(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    assert abs(_chsh_values(product, tsirelson_alice(), tsirelson_bob(), 1.0)) <= 2.0 + 1e-12
 
 
 def test_chsh_scales_exactly_with_precision():
     rng = np.random.default_rng(8)
+    pauli = pauli_coefficients(singlet())
     for _ in range(10):
         alice = (random_direction(rng), random_direction(rng))
         bob = (random_direction(rng), random_direction(rng))
         g = float(rng.random())
-        assert chsh(singlet(), alice, bob, g) == pytest.approx(
-            g * chsh(singlet(), alice, bob, 1.0), abs=1e-15
+        assert _chsh_values(pauli, alice, bob, g) == pytest.approx(
+            g * _chsh_values(pauli, alice, bob, 1.0), abs=1e-15
         )
-        assert abs(chsh(singlet(), alice, bob, g)) <= 2.0 * SQ2 * g + 1e-9
+        assert abs(_chsh_values(pauli, alice, bob, g)) <= 2.0 * SQ2 * g + 1e-9
 
 
 def test_correlation_table_bounds():
-    table = correlation_table(singlet(), tsirelson_alice(), tsirelson_bob())
+    # E_xy = tr(rho sigma_u (x) sigma_w) of the singlet at the Tsirelson settings, by np.kron
+    alice, bob = tsirelson_alice(), tsirelson_bob()
+    table = np.array(
+        [[np.trace(singlet() @ np.kron(spin_operator(u), spin_operator(w))).real for w in bob] for u in alice]
+    )
     assert table.shape == (2, 2)
     assert np.max(np.abs(table)) <= 1.0 + 1e-9
+    combination = table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1]
+    assert _chsh_values(pauli_coefficients(singlet()), alice, bob, 1.0) == pytest.approx(combination, abs=1e-12)
 
 
 def test_chsh_within_horodecki_bound_on_random_chains():
@@ -350,8 +340,8 @@ def test_chsh_within_horodecki_bound_on_random_chains():
     for _ in range(10):
         stages = tuple(random_stage(rng) for _ in range(4))
         cfg = BellChainConfig(random_direction(rng), random_direction(rng), stages=stages)
-        for n in range(1, 6):
-            state = sequential_average_state(cfg, n)
+        for pauli in averaged_states(cfg):
+            state = density_from_pauli(pauli)
             tensor = np.array(
                 [[np.trace(state @ np.kron(a, b)).real for b in PAULI_XYZ] for a in PAULI_XYZ]
             )
@@ -361,9 +351,9 @@ def test_chsh_within_horodecki_bound_on_random_chains():
                 alice = (random_direction(rng), random_direction(rng))
                 bob = (random_direction(rng), random_direction(rng))
                 g = float(rng.random())
-                assert abs(chsh(state, alice, bob, g)) <= g * bound + 1e-12
+                assert abs(_chsh_values(pauli, alice, bob, g)) <= g * bound + 1e-12
     # the bound is attained by the singlet at the Tsirelson settings
-    assert chsh(singlet(), tsirelson_alice(), tsirelson_bob(), 1.0) == pytest.approx(
+    assert _chsh_values(pauli_coefficients(singlet()), tsirelson_alice(), tsirelson_bob(), 1.0) == pytest.approx(
         2.0 * SQ2, abs=1e-12
     )
 
@@ -491,13 +481,13 @@ def test_triple_scan_validates_grids():
         unbiased_triple_scan([0.5], [0.0])
 
 
-# --- protocol geometry is exposed for the schedule cross-checks ------------------------------
+# --- protocol geometry of the schedule cross-checks ----------------------------------------
 
 
 def test_protocol_geometry_directions():
-    a0, a1 = protocol_alice()
-    np.testing.assert_allclose(a0.vector, [0.0, 0.0, -1.0], atol=0.0)
-    np.testing.assert_allclose(a1.vector, [1.0, 0.0, 0.0], atol=0.0)
-    b0, b1 = protocol_bob(math.pi / 4)
-    np.testing.assert_allclose(b0.vector, [0.0, 0.0, 1.0], atol=0.0)
-    np.testing.assert_allclose(b1.vector, [SQ2 / 2.0, 0.0, SQ2 / 2.0], atol=1e-15)
+    # t_1 = pi/4: Alice on -Z, X; Bob_1 on Z and (Z + X)/sqrt(2)
+    cfg = protocol_config(build_schedule(1))
+    np.testing.assert_allclose(cfg.alice_dir0.vector, [0.0, 0.0, -1.0], atol=0.0)
+    np.testing.assert_allclose(cfg.alice_dir1.vector, [1.0, 0.0, 0.0], atol=0.0)
+    np.testing.assert_allclose(cfg.stages[0].dir0.vector, [0.0, 0.0, 1.0], atol=0.0)
+    np.testing.assert_allclose(cfg.stages[0].dir1.vector, [SQ2 / 2.0, 0.0, SQ2 / 2.0], atol=1e-15)

@@ -14,18 +14,19 @@ from conftest import (
     random_density,
     random_direction,
     random_strength,
+    sign_and_bound,
     value_at,
     weak_conditional,
     weak_unconditional,
 )
 
 from weakbell import (
+    BobStage,
     Direction,
     InvalidParameterError,
     InvalidStateError,
     MeasurementStrength,
     PhysicalityError,
-    distinguishability,
     make_exponential,
     make_gaussian,
     make_optimal,
@@ -35,7 +36,7 @@ from weakbell import (
     singlet,
     strength_of,
 )
-from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ
+from weakbell.channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, strength_pair
 
 
 # --- projectors -----------------------------------------------------------------
@@ -309,25 +310,31 @@ def test_on_second_qubit_rejects_wrong_dimension():
 
 
 # --- distinguishability --------------------------------------------------------------------
+# sign_and_bound evaluates (1+G)/2 and (1 + sqrt(1-F^2))/2 on a strength's (F, G)
 
 
 def test_distinguishability_saturates_for_frontier_strengths():
     for g in (0.2, 0.5, 0.8):
-        sign, bound = distinguishability(MeasurementStrength.optimal(g))
+        sign, bound = sign_and_bound(MeasurementStrength.optimal(g))
         assert sign == pytest.approx(bound, abs=1e-9)
 
 
 def test_distinguishability_refuses_a_pointer_grid():
+    # a grid's (F, G) is strength_of(grid); strength_pair and BobStage refuse the grid itself
     with pytest.raises(InvalidParameterError, match="strength_of"):
-        distinguishability(make_optimal(0.5))
+        strength_pair(make_optimal(0.5))
+    with pytest.raises(InvalidParameterError, match="strength_of"):
+        BobStage(DIR_Z, DIR_X, make_optimal(0.5))
+    with pytest.raises(PhysicalityError):
+        MeasurementStrength(0.9, 0.9)
 
 
 def test_distinguishability_square_and_blind_cases():
-    sign, bound = distinguishability(MeasurementStrength(1.0 / 3.0, 2.0 / 3.0))
+    sign, bound = sign_and_bound(MeasurementStrength(1.0 / 3.0, 2.0 / 3.0))
     assert sign == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert bound == pytest.approx((1.0 + math.sqrt(8.0 / 9.0)) / 2.0, abs=1e-12)
     assert sign < bound
-    sign, bound = distinguishability(MeasurementStrength(1.0, 0.0))
+    sign, bound = sign_and_bound(MeasurementStrength(1.0, 0.0))
     assert sign == pytest.approx(0.5, abs=1e-15)
     assert bound >= 0.5
 
@@ -335,5 +342,5 @@ def test_distinguishability_square_and_blind_cases():
 def test_distinguishability_sign_never_beats_bound():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        sign, bound = distinguishability(random_strength(rng))
+        sign, bound = sign_and_bound(random_strength(rng))
         assert sign <= bound + 1e-12

@@ -1,9 +1,11 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -735,3 +737,36 @@ def test_internal_error_exits_1_naming_the_exception(monkeypatch, capsys, error,
     monkeypatch.setattr(cli, "cmd_protocol", broken)
     assert main(["protocol", "--n", "3"]) == 1
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+# --- public surface ---------------------------------------------------------------------------
+
+# besides the cmd_<command> functions, which main looks up by name: the two
+# library readings the README names
+_SURFACE_EXEMPT = {"analytic_joint", "strength_of"}
+
+
+def test_every_public_function_and_class_has_a_caller_in_the_package():
+    # a public top-level def is referenced, by name or as an attribute, somewhere in
+    # the package outside its own body; __init__.py re-exports and imports do not count
+    package = Path(cli.__file__).parent
+    tops = [top for path in sorted(package.glob("*.py")) if path.name != "__init__.py" for top in ast.parse(path.read_text()).body]
+    public = [
+        top
+        for top in tops
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not top.name.startswith(("_", "cmd_"))
+        and top.name not in _SURFACE_EXEMPT
+    ]
+    unused = [
+        definition.name
+        for definition in public
+        if not any(
+            (isinstance(node, ast.Name) and node.id == definition.name)
+            or (isinstance(node, ast.Attribute) and node.attr == definition.name)
+            for top in tops
+            if top is not definition
+            for node in ast.walk(top)
+        )
+    ]
+    assert not unused, f"public names nothing in the package uses: {unused}"

@@ -687,6 +687,8 @@ def test_run_chain_takes_any_measurement_strength():
         assert chi_square_report(report.outcome_counts, analytic_joint(cfg), report.trials).passed, family
     with pytest.raises(InvalidParameterError):
         run_chain(double_config(), 0, seed=0)
+    # one trial is the least run accepted
+    assert run_chain(double_config(), 1, seed=0).trials == 1
 
 
 # --- analytic joint and chi-square ---------------------------------------------------
@@ -778,6 +780,8 @@ def test_chi_square_cell_handling():
     assert not impossible.passed and impossible.p_value == 0.0
     with pytest.raises(InvalidParameterError):
         chi_square_report(observed, expected, 0)
+    # one trial is the least fit accepted
+    assert chi_square_report({"a": 1}, expected, 1).dof == 1
 
 
 def test_chi_square_counts_rounding_noise_as_an_impossible_cell():

@@ -4,22 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import decohere, on_second_qubit
+from conftest import averaged_states, decohere, density_from_pauli, on_second_qubit, protocol_config
 
 from weakbell import (
-    BellChainConfig,
-    BobStage,
     InvalidParameterError,
-    MeasurementStrength,
     build_schedule,
     chi,
-    chsh,
-    decay_ratio_sequence,
     feasible_uniform_bias,
-    sequential_average_state,
     singlet,
 )
-from weakbell.bell import protocol_alice, protocol_bob
+from weakbell.bell import _chsh_values
+from weakbell.channel import DIR_Z
 from weakbell.protocol import SCHEDULE_CSV_HEADER, schedule_to_csv
 
 # Extended-precision recurrence oracle (mpmath, 200 digits), frozen below:
@@ -201,7 +196,9 @@ def test_feasible_uniform_bias_guarantees_everyone_violates():
 
 def test_decay_ratios_in_log_domain():
     schedule = build_schedule(12)
-    ratios = decay_ratio_sequence(schedule, 10)
+    # V_{n+1} / (V_n^3 / 4) for n = 1 .. 10, formed from the log-domain violations
+    log_v = [row.log_violation for row in schedule.rows]
+    ratios = [math.exp(later - 3.0 * earlier + math.log(4.0)) for earlier, later in zip(log_v[:10], log_v[1:])]
     assert ratios[0] == pytest.approx(RATIO_1_2, rel=1e-9)
     assert ratios[1] == pytest.approx(RATIO_2_3, rel=1e-9)
     assert abs(ratios[1] - 1.0) < 0.01
@@ -211,49 +208,28 @@ def test_decay_ratios_in_log_domain():
     gaps = [abs(r - 1.0) for r in ratios[1:]]
     for earlier, later in zip(gaps, gaps[1:]):
         assert later <= earlier + 1e-10
+    # a ratio past stage 11 would need a row the schedule does not have
     with pytest.raises(InvalidParameterError):
-        decay_ratio_sequence(schedule, 12)
+        schedule.row(13)
 
 
 def test_zero_input_chain_state_collapses_to_two_terms():
     # with every input 0 the chain state is tan(t_n) rho + (1 - tan(t_n)) D_Z(rho)
     schedule = build_schedule(4)
-    alice = protocol_alice()
-    stages = tuple(
-        BobStage(
-            *protocol_bob(schedule.row(k).angle),
-            MeasurementStrength(schedule.row(k).quality_factor, schedule.row(k).precision),
-            bias=0.0,
-        )
-        for k in range(1, 5)
-    )
-    cfg = BellChainConfig(alice[0], alice[1], stages=stages)
-    decohered = on_second_qubit(lambda r: decohere(r, protocol_bob(0.0)[0]), singlet())
-    for n in range(1, 6):
-        tan_angle = math.exp(schedule.row(n).log_tan_angle) if n <= 4 else None
-        state = sequential_average_state(cfg, n)
-        if n <= 4:
-            expected = tan_angle * singlet() + (1.0 - tan_angle) * decohered
-            np.testing.assert_allclose(state, expected, atol=1e-10)
+    decohered = on_second_qubit(lambda r: decohere(r, DIR_Z), singlet())
+    for row, state in zip(schedule.rows, averaged_states(protocol_config(schedule))):
+        tan_angle = math.exp(row.log_tan_angle)
+        expected = tan_angle * singlet() + (1.0 - tan_angle) * decohered
+        np.testing.assert_allclose(density_from_pauli(state), expected, atol=1e-10)
 
 
 def test_limit_chsh_cross_checks_against_exact_chain():
     schedule = build_schedule(4)
-    alice = protocol_alice()
-    stages = tuple(
-        BobStage(
-            *protocol_bob(schedule.row(k).angle),
-            MeasurementStrength(schedule.row(k).quality_factor, schedule.row(k).precision),
-            bias=0.0,
-        )
-        for k in range(1, 5)
-    )
-    cfg = BellChainConfig(alice[0], alice[1], stages=stages)
-    for n in range(1, 5):
-        row = schedule.row(n)
-        state = sequential_average_state(cfg, n)
-        exact = chsh(state, alice, protocol_bob(row.angle), row.precision)
-        assert exact == pytest.approx(schedule.row(n).limit_chsh, abs=1e-8)
+    cfg = protocol_config(schedule)
+    alice = (cfg.alice_dir0, cfg.alice_dir1)
+    for row, stage, state in zip(schedule.rows, cfg.stages, averaged_states(cfg)):
+        exact = _chsh_values(state, alice, (stage.dir0, stage.dir1), row.precision)
+        assert exact == pytest.approx(row.limit_chsh, abs=1e-8)
 
 
 def test_schedule_validation_and_csv():
