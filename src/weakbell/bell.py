@@ -36,8 +36,10 @@ stage acts on Bob's index alone, as the real map
 where d_y are the stage's directions and r_y its input weights.
 Averaging the state first is exact because every stage map is linear in
 the state.  A correlator is E_xy = G u_x^T T w_y, so CHSH is
-G (E00 + E01 + E10 - E11).  propagate applies the stage maps to whole
-grids of chains at once; the scans and the joint go through it.  A
+G (E00 + E01 + E10 - E11), one matmul over a stack of states.  propagate
+applies the stage maps to a stack of states, or of rows, as R -> R M^T
+acts row by row: the triple scan's second stage is one matmul per F2 on
+the rows of all F1 states.  The scans and the joint go through it.  A
 complex 4x4 density appears only where a state enters a chain (singlet
 or a given initial state), through pauli_coefficients.  The tests also
 check the joint and the chain against the paper's complex steering,
@@ -225,11 +227,15 @@ def _chain_joint(cfg: BellChainConfig) -> np.ndarray:
 
 
 def _chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
-    """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together."""
-    u = np.stack([d.vector for d in alice_dirs])
-    w = np.stack([d.vector for d in bob_dirs])
-    values = np.asarray(precision, dtype=float)[..., None, None] * (u @ np.asarray(pauli)[..., 1:, 1:] @ w.T)
-    return values[..., 0, 0] + values[..., 0, 1] + values[..., 1, 0] - values[..., 1, 1]
+    """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together.
+
+    E_xy = sum_ac R_ac u_x[a] w_y[c] (u, w zero-padded) is one matmul by a (16, 4) kernel.
+    """
+    u, w = (np.array([(0.0, *d.vector) for d in dirs]) for dirs in (alice_dirs, bob_dirs))
+    kernel = np.einsum("xa,yc->acxy", u, w).reshape(16, 4)
+    e00, e01, e10, e11 = np.moveaxis(np.reshape(pauli, (*np.shape(pauli)[:-2], 16)) @ kernel, -1, 0)
+    g = np.asarray(precision, dtype=float)
+    return g * e00 + g * e01 + g * e10 - g * e11
 
 
 # --- named settings ---------------------------------------------------------
@@ -367,16 +373,15 @@ def unbiased_triple_scan(f1_grid, f2_grid) -> TripleScanReport:
     alice = tsirelson_alice()
     bob = tsirelson_bob()
     g1 = np.sqrt((1.0 - f1) * (1.0 + f1))[:, None]
-    g2 = np.sqrt((1.0 - f2) * (1.0 + f2))[None, :]
-    # F1 along the rows, F2 along the columns: states are (F1, F2, 4, 4)
-    states = propagate(
-        pauli_coefficients(singlet()),
-        [_bob_maps(f1[:, None], bob), _bob_maps(f2[None, :], bob)],
-    )
+    g2 = np.sqrt((1.0 - f2) * (1.0 + f2))
+    before_first, before_second = propagate(pauli_coefficients(singlet()), [_bob_maps(f1, bob)])
+    # stage two takes the F1 states as one stack of 4 n1 rows: one matmul per F2
+    before_third = propagate(before_second.reshape(-1, 4), [_bob_maps(f2, bob)])[-1]
+    # F1 along the rows, F2 along the columns
     values = np.broadcast_arrays(
-        _chsh_values(states[0], alice, bob, g1),
-        _chsh_values(states[1], alice, bob, g2),
-        _chsh_values(states[2], alice, bob, 1.0),
+        _chsh_values(before_first, alice, bob, g1),
+        _chsh_values(before_second[:, None], alice, bob, g2),
+        _chsh_values(before_third.reshape(f2.size, f1.size, 4, 4), alice, bob, 1.0).T,
     )
     scores = np.minimum(np.minimum(values[0], values[1]), values[2])
     row, col = np.unravel_index(int(np.argmax(scores)), scores.shape)

@@ -15,12 +15,15 @@ from weakbell import (
     PointerState,
 )
 from weakbell.bell import (
+    TripleScanReport,
     _bob_maps,
     _propagated_joint,
     _stage_maps,
     pauli_coefficients,
     propagate,
     singlet,
+    tsirelson_alice,
+    tsirelson_bob,
 )
 from weakbell.channel import (
     DIR_X,
@@ -362,6 +365,45 @@ def oracle_chain_chsh(alice, bob, strengths) -> list[float]:
         kron_chsh(enumerate_chain_state(cfg, n), alice, bob, g)
         for n, g in enumerate(precisions, 1)
     ]
+
+
+# --- per-cell scan oracles ----------------------------------------------------------
+# The triple scan cell by cell: propagate over the broadcast (F1, F2) grid,
+# one 4x4 matmul per cell, and each CHSH from u T w^T on the 3x3 block, two
+# 3x3 matmuls per state.  The scan tests require the row-stack propagation
+# and the one-matmul CHSH to agree with them bit for bit.
+
+
+def oracle_chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
+    """G (u T w^T) per state, T its 3x3 block, summed E00 + E01 + E10 - E11; states and G broadcast."""
+    u = np.stack([d.vector for d in alice_dirs])
+    w = np.stack([d.vector for d in bob_dirs])
+    values = np.asarray(precision, dtype=float)[..., None, None] * (u @ np.asarray(pauli)[..., 1:, 1:] @ w.T)
+    return values[..., 0, 0] + values[..., 0, 1] + values[..., 1, 0] - values[..., 1, 1]
+
+
+def oracle_triple_scan(f1_grid, f2_grid) -> tuple[list, TripleScanReport]:
+    """(I1, I2, I3) over the (F1, F2) grid, F1 along the rows, and the report of its best cell."""
+    f1 = np.asarray(f1_grid, dtype=float)
+    f2 = np.asarray(f2_grid, dtype=float)
+    alice, bob = tsirelson_alice(), tsirelson_bob()
+    g1 = np.sqrt((1.0 - f1) * (1.0 + f1))[:, None]
+    g2 = np.sqrt((1.0 - f2) * (1.0 + f2))[None, :]
+    states = propagate(pauli_coefficients(singlet()), [_bob_maps(f1[:, None], bob), _bob_maps(f2[None, :], bob)])
+    values = np.broadcast_arrays(
+        oracle_chsh_values(states[0], alice, bob, g1),
+        oracle_chsh_values(states[1], alice, bob, g2),
+        oracle_chsh_values(states[2], alice, bob, 1.0),
+    )
+    scores = np.minimum(np.minimum(values[0], values[1]), values[2])
+    row, col = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    report = TripleScanReport(
+        best_quality_factors=(float(f1[row]), float(f2[col])),
+        best_values=tuple(float(v[row, col]) for v in values),
+        max_min_chsh=float(scores[row, col]),
+        cells=f1.size * f2.size,
+    )
+    return values, report
 
 
 # --- per-node pointer oracles -------------------------------------------------------

@@ -12,7 +12,9 @@ from conftest import (
     density_from_pauli,
     enumerate_chain_state,
     oracle_chain_chsh,
+    oracle_chsh_values,
     oracle_triple_closed_form,
+    oracle_triple_scan,
     protocol_config,
     random_density,
     random_direction,
@@ -43,16 +45,20 @@ from weakbell import (
     tsirelson_bob,
     unbiased_triple_scan,
 )
+from weakbell import bell
 from weakbell.bell import (
     DOUBLE_CSV_HEADER,
+    _bob_maps,
     _chsh_values,
     _erfinv,
+    _stage_maps,
     _strength_for_target,
     double_curve_to_csv,
     pauli_coefficients,
+    propagate,
 )
 from weakbell.channel import DIR_X, DIR_Z, PAULI_XYZ, strength_pair
-from weakbell.cli import parse_range
+from weakbell.cli import MIN_TRIPLE_RESOLUTION, parse_range
 
 SQ2 = math.sqrt(2.0)
 
@@ -321,6 +327,63 @@ def test_chsh_scales_exactly_with_precision():
         assert abs(_chsh_values(pauli, alice, bob, g)) <= 2.0 * SQ2 * g + 1e-9
 
 
+def random_pauli_stack(rng, count: int) -> np.ndarray:
+    return np.stack([pauli_coefficients(random_density(rng, 4)) for _ in range(count)])
+
+
+def test_chsh_values_equal_the_per_state_formula_at_tsirelson_settings():
+    # Alice's Z and X are axis-aligned, so each correlator in the kernel matmul
+    # and in u T w^T is the same two products R_ac w_y[c].  The chain states of
+    # the scans have a diagonal correlation tensor, so one of the two is 0 and
+    # the formulas agree bit for bit on any BLAS
+    rng = np.random.default_rng(31)
+    alice, bob = tsirelson_alice(), tsirelson_bob()
+    maps = [_bob_maps(rng.random(5000), bob) for _ in range(2)]
+    chains = propagate(pauli_coefficients(singlet()), maps)
+    for states in chains[1:]:
+        for precision in (1.0, rng.random(5000)):
+            got = _chsh_values(states, alice, bob, precision)
+            assert np.array_equal(got, oracle_chsh_values(states, alice, bob, precision))
+    # on general states a BLAS may round the two-product sum once (a fused
+    # multiply-add) in one formula and twice in the other
+    states = random_pauli_stack(rng, 5000)
+    precision = rng.random(5000)
+    got = _chsh_values(states, alice, bob, precision)
+    np.testing.assert_allclose(got, oracle_chsh_values(states, alice, bob, precision), rtol=0.0, atol=4e-15)
+
+
+def test_chsh_values_agree_with_the_per_state_formula_on_random_settings():
+    # other directions sum their products in another order: 1,400 cells within 4e-15
+    rng = np.random.default_rng(32)
+    states = random_pauli_stack(rng, 7)
+    gap = 0.0
+    for _ in range(200):
+        alice = (random_direction(rng), random_direction(rng))
+        bob = (random_direction(rng), random_direction(rng))
+        precision = rng.random(7)
+        got = _chsh_values(states, alice, bob, precision)
+        gap = max(gap, float(np.max(np.abs(got - oracle_chsh_values(states, alice, bob, precision)))))
+    assert gap <= 4e-15
+
+
+def test_chsh_values_of_strided_stacks_equal_their_contiguous_copies():
+    rng = np.random.default_rng(33)
+    states = random_pauli_stack(rng, 40)
+    transposed = np.swapaxes(np.swapaxes(states, -1, -2).copy(), -1, -2)  # each 4x4 block column-major
+    random_settings = ((random_direction(rng), random_direction(rng)), (random_direction(rng), random_direction(rng)))
+    for alice, bob in ((tsirelson_alice(), tsirelson_bob()), random_settings):
+        for view, precision in (
+            (states[:, None], rng.random(9)),
+            (states[::2], 0.7),
+            (states[::-3], rng.random(14)),
+            (transposed, 1.0),
+        ):
+            # numpy counts states[:, None] as contiguous: its new axis has length 1
+            assert view.ndim == 4 or not view.flags.c_contiguous
+            got = _chsh_values(view, alice, bob, precision)
+            assert np.array_equal(got, _chsh_values(np.ascontiguousarray(view), alice, bob, precision))
+
+
 def test_correlation_table_bounds():
     # E_xy = tr(rho sigma_u (x) sigma_w) of the singlet at the Tsirelson settings, by np.kron
     alice, bob = tsirelson_alice(), tsirelson_bob()
@@ -464,6 +527,52 @@ def test_triple_scan_matches_per_cell_complex_oracle():
     assert report.best_quality_factors == best[1]
     assert report.max_min_chsh == pytest.approx(best[0], abs=1e-12)
     np.testing.assert_allclose(report.best_values, best[2], rtol=0.0, atol=1e-12)
+
+
+def scan_grid(resolution: float) -> list[float]:
+    """The (F1 = F2) grid of triple-scan --resolution."""
+    return [v for v in (resolution * k for k in range(1, int(round(1.0 / resolution)))) if 0.0 < v < 1.0]
+
+
+@pytest.mark.parametrize("resolution", [0.01, 0.05, 0.0137, MIN_TRIPLE_RESOLUTION])
+def test_triple_scan_is_bit_identical_to_the_per_cell_oracle(resolution, monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(_chsh_values(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(bell, "_chsh_values", recording)
+    grid = scan_grid(resolution)
+    # I3 is symmetric in (F1, F2), so only unequal grids show the axes' order
+    for f1, f2 in ((grid, grid), (grid[::2], grid[1::3])):
+        calls.clear()
+        report = unbiased_triple_scan(f1, f2)
+        expected, expected_report = oracle_triple_scan(f1, f2)
+        assert report == expected_report
+        # I1 and I2 broadcast along F2; I3 is read from the stage-three states ordered (F2, F1)
+        first, second, third = calls
+        for got, want in zip(np.broadcast_arrays(first, second, third.T), expected):
+            assert np.array_equal(got, want)
+
+
+def test_row_stack_propagation_equals_the_per_cell_broadcast():
+    bob = tsirelson_bob()
+    grid = np.array(scan_grid(0.01))
+    states = propagate(pauli_coefficients(singlet()), [_bob_maps(grid, bob)])[-1]
+    maps = _bob_maps(grid, bob)
+    # the README grid's maps are diagonal, so each entry has one nonzero product on any BLAS
+    assert np.array_equal(maps, maps * np.eye(4))
+    rows = propagate(states.reshape(-1, 4), [maps])[-1].reshape(grid.size, grid.size, 4, 4)
+    assert np.array_equal(np.swapaxes(rows, 0, 1), propagate(states[:, None], [maps[None]])[-1])
+    # conditional stage maps of random strengths and directions fill every entry
+    rng = np.random.default_rng(34)
+    states = random_pauli_stack(rng, 30)
+    directions = (random_direction(rng), random_direction(rng))
+    maps = _stage_maps(rng.random(20), rng.random(20), directions).reshape(-1, 4, 4)
+    rows = propagate(states.reshape(-1, 4), [maps])[-1].reshape(len(maps), len(states), 4, 4)
+    per_cell = propagate(states[:, None], [maps[None]])[-1]
+    np.testing.assert_allclose(np.swapaxes(rows, 0, 1), per_cell, rtol=0.0, atol=1e-14)
 
 
 def test_triple_scan_symmetric_double_point_third_value():
