@@ -55,7 +55,14 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError
 from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, bloch_dot, strength_pair
-from .pointer import MeasurementStrength, _family_strength, _node_cap_error
+from .pointer import (
+    DEFAULT_GRID_SPACING,
+    MeasurementStrength,
+    _family_strength,
+    _gaussian_checks,
+    _gaussian_strengths,
+    _node_cap_error,
+)
 
 _SQ2 = math.sqrt(2.0)
 _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
@@ -281,22 +288,32 @@ def _erfinv(g: float) -> float:
     return x
 
 
-def _strength_for_target(family: str, target: float) -> MeasurementStrength:
-    if family == "analytic":
-        return MeasurementStrength.optimal(target)
-    if family == "optimal":
-        parameter = target
-    elif family == "square":
-        parameter = 1.0 / target
-    elif family == "gaussian":
-        parameter = 1.0 / (_SQ2 * _erfinv(target))
-    else:
-        raise InvalidParameterError(f"unknown stage family {family!r}")
+def _restated(target: float, call, *args):
+    """call(*args), with a node-cap refusal restated as the target precision the caller gave."""
     try:
-        return _family_strength(family, parameter)
+        return call(*args)
     except NodeCapError as exc:
-        # the caller gave a target precision, not the builder's width
         raise _node_cap_error(exc.nodes, "target precision", target) from None
+
+
+def _target_strengths(family: str, targets: list[float]) -> list[MeasurementStrength]:
+    """The weak stage's strength at each target precision, refusing the first refused target in grid order."""
+    if family == "analytic":
+        return [MeasurementStrength.optimal(target) for target in targets]
+    if family == "gaussian":
+
+        def checked():  # drawn a chunk at a time, so no list of every width is held
+            for target in targets:
+                width = 1.0 / (_SQ2 * _erfinv(target))
+                yield width, _restated(target, _gaussian_checks, width, DEFAULT_GRID_SPACING)
+
+        return _gaussian_strengths(checked(), DEFAULT_GRID_SPACING)
+    if family not in ("optimal", "square"):
+        raise InvalidParameterError(f"unknown stage family {family!r}")
+    return [
+        _restated(target, _family_strength, family, target if family == "optimal" else 1.0 / target)
+        for target in targets
+    ]
 
 
 def double_violation_curve(family: str, precision_grid) -> list[tuple[float, float, float]]:
@@ -313,7 +330,7 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
     for target in targets:
         if not 0.0 < target < 1.0:
             raise InvalidParameterError(f"precision grid values must lie in (0, 1), got {target}")
-    strengths = [_strength_for_target(family, target) for target in targets]
+    strengths = _target_strengths(family, targets)
     quality = np.array([s.quality_factor for s in strengths])
     precision = np.array([s.precision for s in strengths])
     alice = tsirelson_alice()

@@ -43,11 +43,12 @@ F = sum(e_n e_{n+1}) / sum(e_n^2) whatever the profile, and both sums
 are geometric.  The square's F and G are ratios of node counts.  The
 gaussian's G sums the central 2/h nodes, and its F is exp(-1/2w^2)
 times the norm sum less the outermost 1/h nodes a side; the norm sum
-is a Poisson sum less an erfc tail.  The exponential's sums are
-geometric.  channel, bell and montecarlo take only a MeasurementStrength,
-never a PointerState.  quality_factor, precision and strength_of
-integrate a built grid, as for an optimal_from_central pointer with a
-custom profile.
+is a Poisson sum less an erfc tail, and a sweep sums the central and
+outer nodes of a chunk of widths as the rows of one array.  The
+exponential's sums are geometric.  channel, bell and montecarlo take
+only a MeasurementStrength, never a PointerState.  quality_factor,
+precision and strength_of integrate a built grid, as for an
+optimal_from_central pointer with a custom profile.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -65,12 +66,15 @@ normalize in place and square, sum and compare a block of nodes at a
 time (in np.sum's own pairwise order), so the grid is the only
 grid-sized array they hold.  A pointer CSV writes its positions from
 the 2^k fraction texts of one unit, built once with integer arithmetic
-wherever they equal repr (see samples_to_csv), and formats each
-distinct amplitude once.
+wherever they equal repr (see samples_to_csv), a unit at a time: a unit
+whose amplitudes share one bit pattern, as every unit of a flat frontier
+pointer does, is one join of its texts around that amplitude's repr,
+and the other units format each distinct amplitude of the grid once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -400,20 +404,67 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     return _mirrored_state("gaussian width", width, samples, grid_spacing)
 
 
-def _gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
-    """make_gaussian's (F, G) from sums of phi^2 = exp(-q^2 / 2w^2) over at most 1/h nodes a side.
-
-    G sums the central 2/h nodes.  A pair of nodes 2 apart with midpoint
-    p has phi(p-1) phi(p+1) = exp(-1/2w^2) phi(p)^2, so F is exp(-1/2w^2)
-    times the grid's sum less its outermost 1/h nodes a side.  Down to
-    w = 8h the half-offset nodes sum to w sqrt(2 pi) / h by Poisson
-    summation (the first dual term, exp(-2 pi^2 w^2 / h^2), is 0 there);
-    the tail past the grid's M h >= 8w is taken with erfc.  Narrower
-    grids hold at most 64 nodes a side and are summed.
-    """
-    cells, radius_cells = _gaussian_grid(width, grid_spacing)
+def _gaussian_checks(width: float, grid_spacing: float) -> int:
+    """make_gaussian's checks, before it allocates and as it normalizes; its nodes a side."""
+    _, radius_cells = _gaussian_grid(width, grid_spacing)
     nearest = 0.5 * grid_spacing
     _check_normalizable("gaussian width", width, nearest * nearest / -(4.0 * width * width), grid_spacing)
+    return radius_cells
+
+
+def _gaussian_row_sums(spreads: np.ndarray, starts: np.ndarray, cells: int, grid_spacing: float) -> np.ndarray:
+    """_node_sum of exp(-q^2 / spread) over the cells nodes from start, for each (spread, start), as rows.
+
+    A row's nodes are summed _BLOCK_NODES at a time and its block sums
+    added in order, as _node_sum adds them.  Every row has the same
+    length, so each is summed in np.sum's pairwise order over it alone.
+    """
+    totals = np.zeros(spreads.size)
+    for lo in range(0, cells, _BLOCK_NODES):
+        q = starts[:, None] + np.arange(lo + 0.5, min(cells, lo + _BLOCK_NODES))
+        q *= grid_spacing
+        q *= q
+        q /= -spreads[:, None]
+        totals += np.exp(q, out=q).sum(axis=1)
+    return totals
+
+
+def _gaussian_strengths(checked, grid_spacing: float) -> list[MeasurementStrength]:
+    """make_gaussian's (F, G) for each width, from sums of phi^2 = exp(-q^2 / 2w^2) over at most 1/h nodes a side.
+
+    checked yields each width with its nodes a side M, from
+    _gaussian_checks; it is drawn a chunk at a time, so each chunk's
+    checks run, in grid order, before its sums.  G sums the central 2/h
+    nodes.  A pair of nodes 2 apart with midpoint p has phi(p-1) phi(p+1)
+    = exp(-1/2w^2) phi(p)^2, so F is exp(-1/2w^2) times the grid's sum
+    less its outermost 1/h nodes a side.  Down to w = 8h the half-offset
+    nodes sum to w sqrt(2 pi) / h by Poisson summation (the first dual
+    term, exp(-2 pi^2 w^2 / h^2), is 0 there); the tail past the grid's
+    M h >= 8w is taken with erfc.  Narrower grids hold at most 64 nodes a
+    side and are summed.  Where w >= 8h and the grid reaches past 2
+    (M > 2/h), the central and the outermost 1/h nodes of the chunk's
+    widths are the rows of two _gaussian_row_sums calls, each of at most
+    _BLOCK_NODES nodes; the other widths sum through _node_sum.
+    """
+    cells = _cells_per_unit(grid_spacing)
+    checked = iter(checked)
+    strengths = []
+    while chunk := list(itertools.islice(checked, max(1, _BLOCK_NODES // cells))):
+        in_rows = [w >= 8.0 * grid_spacing and m > 2 * cells for w, m in chunk]
+        wide = [(w, m) for (w, m), row in zip(chunk, in_rows) if row]
+        spreads = np.array([2.0 * w * w for w, _ in wide])
+        central = _gaussian_row_sums(spreads, np.zeros(len(wide)), cells, grid_spacing)
+        outer = _gaussian_row_sums(spreads, np.array([m - cells for _, m in wide], dtype=float), cells, grid_spacing)
+        row_sums = zip(central.tolist(), outer.tolist())
+        for (width, radius_cells), row in zip(chunk, in_rows):
+            strengths.append(_gaussian_sums(width, radius_cells, cells, grid_spacing, next(row_sums) if row else None))
+    return strengths
+
+
+def _gaussian_sums(
+    width: float, radius_cells: int, cells: int, grid_spacing: float, row: tuple[float, float] | None
+) -> MeasurementStrength:
+    """One width's (F, G) for _gaussian_strengths, given its central and outer row sums where it has them."""
     if radius_cells <= cells:  # every node lies in (-1, 1)
         return _unit_strength(0.0, 1.0)
     spread = 2.0 * width * width
@@ -428,15 +479,24 @@ def _gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength
     else:
         reach = radius_cells * grid_spacing / (math.sqrt(2.0) * width)
         total = width / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - math.erfc(reach))
-    central = _node_sum(density, 0, cells, grid_spacing)
     # the pairs' midpoints are the inner M - 1/h nodes a side: sum them, or
     # take the outer 1/h from the norm sum, whichever sums fewer nodes
     inner = radius_cells - cells
-    if inner <= cells:
-        paired = _node_sum(density, 0, inner, grid_spacing)
+    if row is not None:
+        central, outer = row
+        paired = total - outer
     else:
-        paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
+        central = _node_sum(density, 0, cells, grid_spacing)
+        if inner <= cells:
+            paired = _node_sum(density, 0, inner, grid_spacing)
+        else:
+            paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
     return _unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
+
+
+def _gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
+    """make_gaussian's (F, G): the one-width call of _gaussian_strengths, after the builder's checks."""
+    return _gaussian_strengths([(width, _gaussian_checks(width, grid_spacing))], grid_spacing)[0]
 
 
 def _exponential_grid(scale: float, grid_spacing: float) -> tuple[int, int]:
@@ -683,11 +743,12 @@ def tradeoff_curve(
     parameters = [float(p) for p in parameters]
     if not parameters:
         raise InvalidParameterError("parameter grid is empty")
-    rows = []
-    for value in parameters:
-        strength = _family_strength(family, value, grid_spacing)
-        rows.append((value, strength.quality_factor, strength.precision))
-    return rows
+    if family == "gaussian":
+        checked = ((width, _gaussian_checks(width, grid_spacing)) for width in parameters)
+        strengths = _gaussian_strengths(checked, grid_spacing)
+    else:
+        strengths = [_family_strength(family, value, grid_spacing) for value in parameters]
+    return [(value, s.quality_factor, s.precision) for value, s in zip(parameters, strengths)]
 
 
 TRADEOFF_CSV_HEADER = "family,parameter,F,G"
@@ -701,7 +762,7 @@ def tradeoff_to_csv(family: str, rows) -> str:
 
 
 POINTER_CSV_HEADER = "q,phi"
-# lines of pointer CSV text joined at a time: whole units at every spacing _fraction_texts admits
+# pointer CSV lines written as one run where repr writes the positions, as a unit is where fraction texts do
 _CSV_BLOCK_LINES = 2**14
 
 
@@ -724,12 +785,20 @@ def _fraction_texts(half: int, cells: int) -> list[str] | None:
     return [f".{(2 * i + 1) * scale:0{places}d}" for i in range(cells)]
 
 
-def _csv_lines(heads: list[str], texts: list[str], tails: list[str], keys: list[int]) -> str:
-    """The lines heads[i] + texts[i] + tails[keys[i]], placed by slice assignment and joined once."""
-    parts = [""] * (3 * len(texts))
-    parts[0::3] = heads
+def _csv_run(prefix: str, texts: list[str], amplitude: float | None, tails: list[str], which, nodes: slice) -> str:
+    """The lines prefix + texts[i] + "," + the repr of node i's amplitude, for the nodes of one run.
+
+    Where every node of the run holds amplitude, the lines are one join
+    around its repr.  Otherwise node i's tail is tails[which[nodes][i]],
+    and the lines are placed into one list by slice assignment and joined
+    once.
+    """
+    if amplitude is not None:
+        tail = f",{amplitude!r}\n"
+        return prefix + (tail + prefix).join(texts) + tail
+    parts = [prefix, "", ""] * len(texts)
     parts[1::3] = texts
-    parts[2::3] = map(tails.__getitem__, keys)
+    parts[2::3] = map(tails.__getitem__, which[nodes].tolist())
     return "".join(parts)
 
 
@@ -746,34 +815,44 @@ def samples_to_csv(state: PointerState) -> str:
     grids of up to 4,096,000 nodes at 2^-11 and 819,200 at 2^-12.  The
     larger grids at 2^-11 and 2^-12, and every grid at 2^-13 or finer
     (whose q_0 < 1e-4 repr writes as 6.103515625e-05 and the like),
-    write repr(q_j) node by node.  Each distinct amplitude bit pattern
-    (0.0 and -0.0 apart) is formatted once; the amplitudes themselves
-    are not mirrored, as a state need only be symmetric in modulus and
-    within 1e-9.  The text is joined from blocks of lines, each placed
-    into one list by slice assignment, never from one string per line.
+    write repr(q_j) node by node, _CSV_BLOCK_LINES nodes a run.
+
+    Each half is written a run at a time: a unit of 1/h nodes where the
+    fraction texts apply, the last one partial.  A run whose amplitudes
+    share one bit pattern (0.0 and -0.0 apart), as every unit of a flat
+    frontier pointer does, formats it once and is one join of its
+    position texts.  In the other runs each distinct bit pattern of the
+    grid is formatted once and the lines are placed into one list by
+    slice assignment, never built one string per line.  The amplitudes
+    themselves are not mirrored, as a state need only be symmetric in
+    modulus and within 1e-9.
     """
     samples = state.samples
     half = samples.size // 2
     cells = _cells_per_unit(state.grid_spacing)
     fractions = _fraction_texts(half, cells)
-    bits, which = np.unique(samples.view(np.int64), return_inverse=True)
-    tails = [f",{a!r}\n" for a in bits.view(np.float64).tolist()]
+    span = _CSV_BLOCK_LINES if fractions is None else cells
+    starts = range(0, half, span)
+    # the runs in grid order: the lower half's mirror the upper half's, so its first one holds node 0
+    edges = [max(0, half - span - start) for start in reversed(starts)] + [half + start for start in starts]
+    bits = samples.view(np.int64)
+    shared = np.minimum.reduceat(bits, edges) == np.maximum.reduceat(bits, edges)
+    # each run's one amplitude, or None where its nodes differ
+    amplitudes = [a if one else None for a, one in zip(samples[edges].tolist(), shared.tolist())]
+    tails = which = None
+    if not shared.all():
+        distinct, which = np.unique(bits, return_inverse=True)
+        tails = [f",{a!r}\n" for a in distinct.view(np.float64).tolist()]
     lower, upper = [], []
-    for start in range(0, half, _CSV_BLOCK_LINES):
-        stop = min(start + _CSV_BLOCK_LINES, half)
+    for start, below, above in zip(starts, amplitudes[len(starts) - 1 :: -1], amplitudes[len(starts) :]):
+        stop = min(start + span, half)
         if fractions is None:
             nodes = np.arange(half + start, half + stop)
-            texts = [repr(q) for q in (state.grid_origin + nodes * state.grid_spacing).tolist()]
-            units, negated = [""] * len(texts), ["-"] * len(texts)
+            unit, texts = "", [repr(q) for q in (state.grid_origin + nodes * state.grid_spacing).tolist()]
         else:
-            units, negated, texts = [], [], []
-            for unit in range(start // cells, -(-stop // cells)):
-                count = min(stop - unit * cells, cells)
-                units += [f"{unit}"] * count
-                negated += [f"-{unit}"] * count
-                texts += fractions[:count]
-        upper.append(_csv_lines(units, texts, tails, which[half + start : half + stop].tolist()))
-        # the nodes M-1-j of this block, in ascending order
-        lower.append(_csv_lines(negated[::-1], texts[::-1], tails, which[half - stop : half - start].tolist()))
+            unit, texts = f"{start // cells}", fractions[: stop - start]
+        upper.append(_csv_run(unit, texts, above, tails, which, slice(half + start, half + stop)))
+        # the nodes M-1-j of this run, in ascending order
+        lower.append(_csv_run(f"-{unit}", texts[::-1], below, tails, which, slice(half - stop, half - start)))
     del tails, which  # freed before the join doubles the text
     return "".join([POINTER_CSV_HEADER + "\n", *reversed(lower), *upper])

@@ -37,7 +37,7 @@ from weakbell.channel import (
     bloch_dot,
     strength_pair,
 )
-from weakbell.pointer import _normalized_state
+from weakbell.pointer import _gaussian_checks, _node_sum, _normalized_state, _unit_strength
 from weakbell.montecarlo import (
     ZERO_MASS,
     BobReport,
@@ -464,6 +464,35 @@ def oracle_make_exponential(scale: float, grid_spacing: float) -> PointerState:
     """Exponential pointer evaluated at every node, not mirrored from its upper half."""
     q = _oracle_positions(math.ceil(max(40.0 * scale, 2.0) / grid_spacing), grid_spacing)
     return _normalized_state(np.exp(-np.abs(q) / (2.0 * scale)), grid_spacing)
+
+
+def oracle_gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
+    """make_gaussian's closed-form (F, G) summed for this width alone, each sum through _node_sum.
+
+    The per-width sums the batched closed form replaced: the same node
+    values, blocks and Poisson total, with no rows shared between widths.
+    """
+    cells = round(1.0 / grid_spacing)
+    radius_cells = _gaussian_checks(width, grid_spacing)
+    if radius_cells <= cells:
+        return _unit_strength(0.0, 1.0)
+    spread = 2.0 * width * width
+
+    def density(q):
+        return np.exp(-(q * q) / spread)
+
+    if width < 8.0 * grid_spacing:
+        total = _node_sum(density, 0, radius_cells, grid_spacing)
+    else:
+        reach = radius_cells * grid_spacing / (math.sqrt(2.0) * width)
+        total = width / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - math.erfc(reach))
+    central = _node_sum(density, 0, cells, grid_spacing)
+    inner = radius_cells - cells
+    if inner <= cells:
+        paired = _node_sum(density, 0, inner, grid_spacing)
+    else:
+        paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
+    return _unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
 
 
 def oracle_samples_to_csv(state: PointerState) -> str:

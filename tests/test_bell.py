@@ -52,7 +52,7 @@ from weakbell.bell import (
     _chsh_values,
     _erfinv,
     _stage_maps,
-    _strength_for_target,
+    _target_strengths,
     double_curve_to_csv,
     pauli_coefficients,
     propagate,
@@ -465,7 +465,7 @@ def test_double_curve_matches_per_cell_complex_oracle(family):
     assert len(rows) == len(grid)
     alice, bob = tsirelson_alice(), tsirelson_bob()
     for target, (g, first, second) in zip(grid, rows):
-        strength = _strength_for_target(family, target)
+        (strength,) = _target_strengths(family, [target])
         assert g == strength.precision
         expected = oracle_chain_chsh(alice, bob, [strength])
         assert first == pytest.approx(expected[0], abs=1e-12)
@@ -491,6 +491,47 @@ def test_erfinv_matches_mpmath_on_the_readme_widths_and_the_ends():
 def test_erfinv_matches_mpmath_across_the_unit_interval(g):
     with mpmath.workdps(40):
         assert _ulps_from_erfinv(_erfinv(g), g) <= 2
+
+
+class _CountingMath:
+    """math, with every erf and erfc call counted: one a Newton step of _erfinv."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def erf(self, x):
+        self.calls += 1
+        return math.erf(x)
+
+    def erfc(self, x):
+        self.calls += 1
+        return math.erfc(x)
+
+
+def test_erfinv_takes_at_most_five_newton_steps(monkeypatch):
+    # 27,000 targets from 1e-300 to 1 - 2^-53: 9,000 spread evenly, 9,000
+    # log-spaced up to 0.5, and 9,000 whose 1 - G is log-spaced down to 2^-53;
+    # a worse start value than Winitzki's takes more steps or leaves the domain
+    targets = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 9002)[1:-1],
+            np.geomspace(1e-300, 0.5, 9000),
+            1.0 - np.geomspace(0.5, 2.0**-53, 9000),
+        ]
+    ).tolist()
+    assert min(targets) == 1e-300 and max(targets) == 1.0 - 2.0**-53
+    counting = _CountingMath()
+    monkeypatch.setattr(bell, "math", counting)
+    steps = []
+    for g in targets:
+        counting.calls = 0
+        bell._erfinv(g)
+        steps.append(counting.calls)
+    assert len(steps) == 27_000
+    assert 1 <= min(steps) and max(steps) <= 5
 
 
 def test_double_curve_csv():

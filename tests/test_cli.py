@@ -464,6 +464,34 @@ def test_tradeoff_refusal_past_the_cap_takes_the_article_of_the_parameter(tmp_pa
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        # the 205th width, past the first chunk of widths the closed form sums together
+        (
+            ("tradeoff", "--family", "gaussian", "--delta", "10:2100:10"),
+            "gaussian width 2050.0 needs a pointer grid of at least 16793600 nodes, over the cap of 16777216; "
+            "use a gaussian width nearer the strong limit, or a coarser --spacing",
+        ),
+        (
+            ("tradeoff", "--family", "gaussian", "--delta", "1e-320"),
+            "gaussian width 1e-320 is too small for grid spacing 0.001953125: the pointer's norm underflows to 0; "
+            "use a finer --spacing",
+        ),
+        (
+            ("double", "--family", "gaussian", "--g", "0.00005:0.5:0.00005"),
+            "target precision 5e-05 needs a pointer grid of at least 33554432 nodes, over the cap of 16777216; "
+            "use a target precision nearer the strong limit",
+        ),
+    ],
+)
+def test_gaussian_sweeps_refuse_the_first_refused_value_as_each_width_alone(tmp_path, capsys, argv, err):
+    out = tmp_path / "g.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (("--family", "gaussian", "--delta", "1e-5"), "gaussian width 1e-05"),

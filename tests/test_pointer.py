@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     assert_same_text,
+    oracle_gaussian_strength,
     oracle_make_exponential,
     oracle_make_gaussian,
     oracle_make_square,
@@ -35,7 +36,7 @@ from weakbell import (
     tradeoff_curve,
 )
 from weakbell import pointer
-from weakbell.bell import _erfinv, double_violation_curve
+from weakbell.bell import _erfinv, _target_strengths, double_violation_curve
 from weakbell.channel import strength_pair
 from weakbell.errors import NodeCapError
 from weakbell.cli import parse_range
@@ -420,6 +421,59 @@ def test_pointer_csv_writes_hand_built_states_as_given():
     assert_same_text(samples_to_csv(lopsided), oracle_samples_to_csv(lopsided))
 
 
+def _edited(state, edits):
+    """state with samples[i] = value for each (i, value) in edits."""
+    samples = state.samples.copy()
+    for i, value in edits:
+        samples[i] = value
+    return PointerState(samples, state.grid_spacing)
+
+
+def _frontier_with_odd_nodes():
+    # one node of an upper unit a bit pattern apart, and one of a lower unit negated
+    base = make_optimal(0.8)
+    half = base.samples.size // 2
+    up, down = half + 512 + 100, half - 2 * 512 - 7
+    return _edited(base, [(up, math.nextafter(base.samples[up], 0.0)), (down, -base.samples[down])])
+
+
+def _worst_with_negative_zeros():
+    # a zeroed interval holding one -0.0 on each side, which must not merge with 0.0
+    base = make_worst(0.6)
+    half = base.samples.size // 2
+    assert base.samples[half + 512 + 3] == 0.0 and base.samples[half - 512 - 300] == 0.0
+    return _edited(base, [(half + 512 + 3, -0.0), (half - 512 - 300, -0.0)])
+
+
+def _bump_with_a_partial_zero_unit(odd):
+    # 2.5 units a side: the partial last unit (2, 2.5) holds only 0.0, or -0.0 on the left when odd
+    q = (np.arange(2560) - 1279.5) * SPACING
+    bump = np.exp(-q * q / 0.002)
+    samples = bump / math.sqrt(np.sum(bump * bump) * SPACING)
+    return PointerState(np.where(q < 0, -samples, samples) if odd else samples, SPACING)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_frontier_with_odd_nodes, _worst_with_negative_zeros, lambda: _bump_with_a_partial_zero_unit(False),
+     lambda: _bump_with_a_partial_zero_unit(True)],
+    ids=["frontier-odd-nodes", "worst-negative-zeros", "bump-partial-unit", "odd-bump-partial-unit"],
+)
+def test_pointer_csv_writes_units_of_one_bit_pattern_only_where_every_node_shares_it(build):
+    state = build()
+    text = samples_to_csv(state)
+    assert_same_text(text, oracle_samples_to_csv(state))
+    half = state.samples.size // 2
+    bits = state.samples.view(np.int64)
+    # each run of the hand-built states holds one bit pattern but the edited one
+    units = [bits[half + start : half + start + 512] for start in range(0, half, 512)]
+    units += [bits[max(0, half - start - 512) : half - start] for start in range(0, half, 512)]
+    shared = sum(np.unique(unit).size == 1 for unit in units)
+    assert 0 < shared < len(units)
+    if build is _worst_with_negative_zeros:
+        assert text.count(",-0.0\n") == 2
+
+
 def _heap_peak(call):
     tracemalloc.start()
     try:
@@ -617,7 +671,7 @@ def _assert_agrees_with_grid(family, value, spacing=SPACING):
 
 
 def _family_parameter(family, target):
-    """The parameter double maps a target precision to (bell._strength_for_target)."""
+    """The parameter double maps a target precision to (bell._target_strengths)."""
     if family == "square":
         return 1.0 / target
     if family == "gaussian":
@@ -863,6 +917,88 @@ def test_worst_builder_holds_one_grid():
     peak, state = _heap_peak(lambda: make_worst(0.02))
     assert state.samples.size == 1_651_712
     assert peak < 1.5 * state.samples.nbytes
+
+
+# --- the gaussian closed form summed in batches ------------------------------------
+# double and tradeoff sum the central and outer 1/h nodes of many widths
+# as the rows of one array; conftest.oracle_gaussian_strength sums each
+# width alone through _node_sum, and every F and G must match it to the bit.
+
+
+def _hex_strengths(strengths):
+    return [(s.quality_factor.hex(), s.precision.hex()) for s in strengths]
+
+
+def _gaussian_widths(targets):
+    """The gaussian widths double maps a target grid to."""
+    return [1.0 / (math.sqrt(2.0) * _erfinv(target)) for target in parse_range(targets)]
+
+
+def _batched_gaussian(widths, spacing):
+    return pointer._gaussian_strengths([(w, pointer._gaussian_checks(w, spacing)) for w in widths], spacing)
+
+
+@pytest.mark.parametrize(
+    "widths, rows",
+    [
+        (_gaussian_widths("0.005:0.995:0.005"), "all"),
+        (_gaussian_widths("0.001:0.999:0.001"), "all"),
+        # below 8h every node is summed; from 8h up to 1/4 the grid ends
+        # within 2 of 0 and its inner nodes are summed, up to 1/8 all within 1
+        (np.geomspace(SPACING / 8.0, 8.0 * SPACING, 40, endpoint=False).tolist(), "none"),
+        (np.linspace(8.0 * SPACING, 0.25, 40).tolist(), "none"),
+        (np.linspace(0.01, 2.0, 300).tolist(), "some"),
+    ],
+    ids=["readme-targets", "fine-targets", "below-8h", "within-2", "mixed"],
+)
+def test_batched_gaussian_strengths_have_the_bits_of_the_per_width_sums(widths, rows):
+    cells = round(1.0 / SPACING)
+    radii = [pointer._gaussian_checks(w, SPACING) for w in widths]
+    in_rows = [w >= 8.0 * SPACING and m > 2 * cells for w, m in zip(widths, radii)]
+    assert {"all": all(in_rows), "none": not any(in_rows), "some": 0 < sum(in_rows) < len(widths)}[rows]
+    want = _hex_strengths(oracle_gaussian_strength(w, SPACING) for w in widths)
+    assert _hex_strengths(_batched_gaussian(widths, SPACING)) == want
+    assert _hex_strengths(pointer._gaussian_strength(w, SPACING) for w in widths) == want
+
+
+def test_gaussian_double_sweep_has_the_bits_of_the_per_width_sums():
+    targets = parse_range("0.001:0.999:0.001")
+    want = _hex_strengths(oracle_gaussian_strength(w, SPACING) for w in _gaussian_widths("0.001:0.999:0.001"))
+    assert _hex_strengths(_target_strengths("gaussian", targets)) == want
+    rows = double_violation_curve("gaussian", targets)
+    assert [g.hex() for g, _, _ in rows] == [gp for _, gp in want]
+
+
+def test_gaussian_tradeoff_past_a_block_a_unit_has_the_bits_of_the_per_width_sums():
+    # at 2^-18 a unit holds 2^18 nodes, four of _node_sum's blocks, so each
+    # row is summed a block at a time and its block sums added in order,
+    # not pairwise as np.sum would add them over the whole row
+    spacing = 2.0**-18
+    assert round(1.0 / spacing) == 4 * pointer._BLOCK_NODES
+    widths = [5e-5, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0]
+    rows = tradeoff_curve("gaussian", widths, grid_spacing=spacing)
+    want = [oracle_gaussian_strength(w, spacing) for w in widths]
+    assert [(f.hex(), g.hex()) for _, f, g in rows] == _hex_strengths(want)
+
+
+def test_gaussian_sweeps_refuse_the_first_refused_value_in_grid_order():
+    # past the first chunk of 128 widths, a refusal mid-grid names its own
+    # value, not a later one's, with the message each width gave alone
+    cap = "needs a pointer grid of at least 33554432 nodes, over the cap of 16777216"
+    grid = [0.5] * 200 + [0.3, 0.0001, 0.00005, 0.7]
+    with pytest.raises(NodeCapError) as refused:
+        double_violation_curve("gaussian", grid)
+    assert str(refused.value) == f"target precision 0.0001 {cap}; use a target precision nearer the strong limit"
+    too_narrow = (
+        "gaussian width 1e-320 is too small for grid spacing 0.001953125: the pointer's norm underflows to 0; "
+        "use a finer --spacing"
+    )
+    with pytest.raises(InvalidParameterError) as refused:
+        tradeoff_curve("gaussian", [1.0] * 200 + [1e-320, 1e4])
+    assert str(refused.value) == too_narrow
+    with pytest.raises(NodeCapError) as refused:
+        tradeoff_curve("gaussian", [1.0] * 200 + [1e4, 1e-320])
+    assert str(refused.value) == f"gaussian width 10000.0 {cap}; use a gaussian width nearer the strong limit"
 
 
 @pytest.mark.parametrize("size", [1, 7, 2**16, 2**16 + 1, 3 * 2**16 + 5, 1_000_003])
