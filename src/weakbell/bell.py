@@ -53,16 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidStateError, NodeCapError
+from .errors import InvalidParameterError, InvalidStateError
 from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, bloch_dot, strength_pair
-from .pointer import (
-    DEFAULT_GRID_SPACING,
-    MeasurementStrength,
-    _family_strength,
-    _gaussian_checks,
-    _gaussian_strengths,
-    _node_cap_error,
-)
+from .pointer import DEFAULT_GRID_SPACING, MeasurementStrength, _family_strengths, _first_refused, _unit_pairs
 
 _SQ2 = math.sqrt(2.0)
 _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
@@ -70,6 +63,9 @@ _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
 # steps (at most 5 taken on 27,000 targets from 1e-300 to 1 - 2^-53)
 _WINITZKI_A = 0.147
 _ERFINV_MAX_STEPS = 8
+# targets whose chain stacks double_violation_curve holds at once: (n, 4, 4) stacks and their
+# (n, 2, 2, 4, 4) stage maps stay a few MB however long the grid
+_TARGET_BLOCK = 2**12
 # Hermiticity, trace and positivity tolerance of an initial chain state
 _STATE_TOL = 1e-9
 # sigma_0 = I, sigma_1..3 = X, Y, Z: the basis of the Pauli coefficients
@@ -288,32 +284,21 @@ def _erfinv(g: float) -> float:
     return x
 
 
-def _restated(target: float, call, *args):
-    """call(*args), with a node-cap refusal restated as the target precision the caller gave."""
-    try:
-        return call(*args)
-    except NodeCapError as exc:
-        raise _node_cap_error(exc.nodes, "target precision", target) from None
+def _target_strengths(family: str, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weak stage's (F, G) arrays over the target precisions, refusing the first refused target in grid order.
 
-
-def _target_strengths(family: str, targets: list[float]) -> list[MeasurementStrength]:
-    """The weak stage's strength at each target precision, refusing the first refused target in grid order."""
-    if family == "analytic":
-        return [MeasurementStrength.optimal(target) for target in targets]
+    A node-cap refusal names the target precision, not the family
+    parameter it maps to.
+    """
+    if family == "analytic":  # the frontier pair (sqrt(1 - G^2), G)
+        return _unit_pairs(np.sqrt((1.0 - targets) * (1.0 + targets)), targets)
     if family == "gaussian":
-
-        def checked():  # drawn a chunk at a time, so no list of every width is held
-            for target in targets:
-                width = 1.0 / (_SQ2 * _erfinv(target))
-                yield width, _restated(target, _gaussian_checks, width, DEFAULT_GRID_SPACING)
-
-        return _gaussian_strengths(checked(), DEFAULT_GRID_SPACING)
-    if family not in ("optimal", "square"):
+        parameters = np.array([1.0 / (_SQ2 * _erfinv(target)) for target in targets.tolist()])
+    elif family in ("optimal", "square"):
+        parameters = targets if family == "optimal" else 1.0 / targets
+    else:
         raise InvalidParameterError(f"unknown stage family {family!r}")
-    return [
-        _restated(target, _family_strength, family, target if family == "optimal" else 1.0 / target)
-        for target in targets
-    ]
+    return _family_strengths(family, parameters, DEFAULT_GRID_SPACING, ("target precision", targets))
 
 
 def double_violation_curve(family: str, precision_grid) -> list[tuple[float, float, float]]:
@@ -322,22 +307,26 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
     Both Bobs use the Tsirelson settings with unbiased inputs; family
     selects how the weak stage's strength is produced ("analytic" for
     the frontier pair (sqrt(1-G^2), G), or the square, gaussian or
-    optimal pointer matched to the target precision, whose F and G come
-    from pointer's closed forms with no grid built).
-    Reported G is the actual stage precision.
+    optimal pointer matched to the target precision).  The (F, G) of
+    every target come as two arrays, from pointer's closed forms with no
+    grid built; the first target refused, in grid order, is refused.
+    The chain stacks are propagated and read _TARGET_BLOCK targets at a
+    time.  Reported G is the actual stage precision.
     """
-    targets = [float(target) for target in precision_grid]
-    for target in targets:
-        if not 0.0 < target < 1.0:
-            raise InvalidParameterError(f"precision grid values must lie in (0, 1), got {target}")
-    strengths = _target_strengths(family, targets)
-    quality = np.array([s.quality_factor for s in strengths])
-    precision = np.array([s.precision for s in strengths])
+    targets = np.fromiter(map(float, precision_grid), dtype=float)
+    outside = ~((0.0 < targets) & (targets < 1.0))
+    message = "precision grid values must lie in (0, 1), got {}"
+    _first_refused([(outside, lambda k: InvalidParameterError(message.format(float(targets[k]))))])
+    quality, precision = _target_strengths(family, targets)
     alice = tsirelson_alice()
     bob = tsirelson_bob()
-    before_first, before_second = propagate(pauli_coefficients(singlet()), [_bob_maps(quality, bob)])
-    first = _chsh_values(before_first, alice, bob, precision)
-    second = _chsh_values(before_second, alice, bob, 1.0)
+    pauli = pauli_coefficients(singlet())
+    first, second = np.empty_like(precision), np.empty_like(precision)
+    for lo in range(0, precision.size, _TARGET_BLOCK):
+        block = slice(lo, lo + _TARGET_BLOCK)
+        before_first, before_second = propagate(pauli, [_bob_maps(quality[block], bob)])
+        first[block] = _chsh_values(before_first, alice, bob, precision[block])
+        second[block] = _chsh_values(before_second, alice, bob, 1.0)
     return list(zip(precision.tolist(), first.tolist(), second.tolist()))
 
 

@@ -33,18 +33,24 @@ precision sums that slice.  No grid may have more than
 MAX_POINTER_NODES nodes; builders check the count before they allocate
 and refuse with a NodeCapError that names their parameter.
 
-No command but a pointer dump builds a grid: _family_strength gives
-the (F, G) of the grid a family's builder would build from a few sums
-that need none, after the builder's own checks, so it refuses the same
-inputs with the same error.  A unit shift of the +1/-1 copies is one
+No command but a pointer dump builds a grid: _family_strengths gives
+the (F, G) of the grid a family's builder would build, as two arrays
+over a whole array of parameter values, from a few sums that need
+none.  Each of the builder's checks is a mask over the values, so it
+refuses the first value in grid order that the builder refuses, with
+the same error; _family_strength is its one-value call.  The
+arithmetic is numpy's over the whole array in the order of the
+per-value formulas, and exp, expm1, log and erfc are math's, element
+by element, so each F and G has the bits of that value's own
+evaluation.  A unit shift of the +1/-1 copies is one
 whole row, so a frontier pointer's F and G are sums over its envelope
 e_n: the central mass cancels and e_0 = 1, so G = 1 / sum(e_n^2) and
 F = sum(e_n e_{n+1}) / sum(e_n^2) whatever the profile, and both sums
 are geometric.  The square's F and G are ratios of node counts.  The
 gaussian's G sums the central 2/h nodes, and its F is exp(-1/2w^2)
 times the norm sum less the outermost 1/h nodes a side; the norm sum
-is a Poisson sum less an erfc tail, and a sweep sums the central and
-outer nodes of a chunk of widths as the rows of one array.  The
+is a Poisson sum less an erfc tail, and the central and outer nodes
+of a chunk of widths are summed as the rows of one array.  The
 exponential's sums are geometric.  channel, bell and montecarlo take
 only a MeasurementStrength, never a PointerState.  quality_factor,
 precision and strength_of integrate a built grid, as for an
@@ -74,7 +80,7 @@ and the other units format each distinct amplitude of the grid once.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,10 +125,47 @@ def _node_cap_error(nodes: int, name: str, value: float) -> NodeCapError:
     )
 
 
-def _check_node_count(nodes: int, name: str, value: float) -> None:
-    """Refuse a grid of more than MAX_POINTER_NODES nodes before it is allocated, naming the parameter."""
-    if nodes > MAX_POINTER_NODES:
-        raise _node_cap_error(nodes, name, value)
+def _first_refused(checks) -> None:
+    """Raise the error of the first check that refuses the first refused value in grid order.
+
+    checks are (refused, error) pairs in the order one value's checks
+    run: refused is a boolean mask over the values (a numpy bool for one
+    value), and error(k) makes value k's exception.  The masks are folded
+    into one, whose first refused index is read once.
+    """
+    refused = checks[0][0]
+    for mask, _ in checks[1:]:
+        refused = refused | mask
+    k = int(refused.argmax()) if refused.ndim and refused.size else 0
+    if refused.size and refused.item(k):
+        raise next(error for mask, error in checks if mask.item(k))(k)
+
+
+def _positive_cells(name: str, values: np.ndarray, grid_spacing: float) -> tuple[tuple, int]:
+    """A width's first two checks, positive and then a spacing of 1/2^k: its refusal pair, and the cells per unit.
+
+    A bad spacing refuses every value, so it refuses the first one, by
+    whichever of the two checks comes first.
+    """
+    check = (~(values > 0), lambda k: InvalidParameterError(f"{name} must be positive, got {values.item(k)}"))
+    try:
+        return check, _cells_per_unit(grid_spacing)
+    except InvalidParameterError:
+        _first_refused([(np.ravel(check[0])[:1], check[1])])
+        raise
+
+
+def _cap_check(name: str, values, capped_as, over: np.ndarray, nodes) -> tuple:
+    """Refusal pair of the values over the node cap; value k needs nodes(k); capped_as = (name, values) renames it."""
+    name, values = capped_as or (name, values)
+    return over, lambda k: _node_cap_error(nodes(k), name, values.item(k))
+
+
+def _each(function, values: np.ndarray) -> np.ndarray:
+    """math's function of each value, as an array or of one numpy float: numpy's exp, expm1 and log miss its bits."""
+    if values.ndim == 0:
+        return np.float64(function(values))
+    return np.array(list(map(function, values.tolist())), dtype=float)
 
 
 def _radius_cells(radius: float, grid_spacing: float) -> int:
@@ -155,31 +198,34 @@ def _mirror(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _nodes_below(bound: float, radius_cells: int, grid_spacing: float) -> int:
-    """Number of nodes (j + 1/2) h, j = 0 .. M-1, strictly below bound."""
-    count = min(radius_cells, max(0, math.ceil(bound / grid_spacing - 0.5)))
-    # bound / h - 1/2 may round; settle the count on the exact node comparisons
-    while count > 0 and not (count - 0.5) * grid_spacing < bound:
-        count -= 1
-    while count < radius_cells and (count + 0.5) * grid_spacing < bound:
-        count += 1
-    return count
+def _resolution_checks(name: str, values: np.ndarray, exponent: np.ndarray, grid_spacing: float, normalizing: bool):
+    """Refusal pairs of profiles whose largest sample, at the nodes +-h/2, is exp(exponent) <= 1.
 
-
-def _check_resolved(name: str, value: float, exponent: float, divisor: float, grid_spacing: float) -> None:
-    """Refuse a profile, exp(-exponent / divisor) at the nodes +-h/2, whose grid norm underflows.
-
-    Those two nodes carry the largest sample; when the norm^2 they give,
-    2 peak^2 h, underflows to 0, so does every other sample's share and
-    the grid would hold no norm.  Checked in Python floats before the
-    grid is allocated, so no numpy warning is raised.
+    The first refuses a grid whose norm underflows: when the norm^2 of
+    those two nodes, 2 peak^2 h, is 0, so is every other sample's share
+    (peak from math.exp).  With normalizing, the second refuses where the
+    builder would fail to normalize its grid: where peak^2 is below
+    _TINY_SQUARE, the next samples (its cube for the exponential, its
+    ninth power for the gaussian) are 0, so the grid's norm^2 is 2 peak^2
+    h, and where that is a subnormal with too few bits, the normalized
+    pair misses unit norm by more than PointerState allows.  This
+    repeats the builder's arithmetic on the pair alone, with its own
+    np.exp.
     """
-    try:
-        peak = math.exp(-exponent / divisor)
-    except ZeroDivisionError:
-        peak = 0.0
-    if not 2.0 * (peak * peak) * grid_spacing > 0.0:
-        raise _too_narrow(name, value, grid_spacing, "the pointer's norm underflows to 0")
+    def too_narrow(why):
+        return lambda k: _too_narrow(name, values.item(k), grid_spacing, why)
+
+    peak = _each(math.exp, exponent)
+    checks = [(~(2.0 * (peak * peak) * grid_spacing > 0.0), too_narrow("the pointer's norm underflows to 0"))]
+    if normalizing:
+        peak = np.exp(exponent)
+        square = peak * peak
+        with np.errstate(all="ignore"):  # a zero norm leaves share inf or nan: refused
+            share = peak / np.sqrt((square + square) * grid_spacing)
+            normalized = np.abs((share * share + share * share) * grid_spacing - 1.0) <= _NORM_TOL
+        unnormalizable = (square < _TINY_SQUARE) & ~normalized
+        checks.append((unnormalizable, too_narrow("the pointer's norm is too small to normalize")))
+    return checks
 
 
 def _too_narrow(name: str, value: float, h: float, why: str) -> InvalidParameterError:
@@ -263,13 +309,6 @@ class MeasurementStrength:
         if F * F + G * G > 1.0 + _CIRCLE_TOL:
             raise PhysicalityError(f"unphysical strength: F^2 + G^2 = {F * F + G * G!r} > 1")
 
-    @classmethod
-    def optimal(cls, precision: float) -> "MeasurementStrength":
-        """Frontier strength (sqrt(1 - G^2), G) for a given precision."""
-        if not 0.0 <= precision <= 1.0:
-            raise InvalidParameterError(f"precision must lie in [0, 1], got {precision}")
-        return cls(math.sqrt(max(0.0, (1.0 - precision) * (1.0 + precision))), precision)
-
 
 def _sum_of_squares(samples: np.ndarray) -> float:
     """float(np.sum(samples * samples)), squaring at most _BLOCK_NODES samples at a time.
@@ -303,9 +342,27 @@ def _normalized_state(samples: np.ndarray, grid_spacing: float) -> PointerState:
     return PointerState(samples, grid_spacing)
 
 
-def _unit_strength(fq: float, gp: float) -> MeasurementStrength:
-    """A closed form's (F, G), each clamped to [0, 1] as the grid quadrature clamps it."""
-    return MeasurementStrength(_clamp_unit(fq, "quality factor"), _clamp_unit(gp, "precision"))
+def _unit_pairs(quality: np.ndarray, prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (F, G) arrays, clamped to [0, 1] and refused as _clamp_unit and MeasurementStrength do a pair.
+
+    The first refused pair in grid order is refused: an F, then a G,
+    more than 1e-9 outside [0, 1] with InvalidStateError, then a clamped
+    pair with F^2 + G^2 > 1 + 1e-9 with PhysicalityError.  A clamped pair
+    always lies in MeasurementStrength's range.
+    """
+    pairs = np.array([quality, prec])
+    outside = (pairs < -_CIRCLE_TOL) | (pairs > 1.0 + _CIRCLE_TOL)
+    # min(1, max(0, v)) in Python floats: nan and -0.0 clamp to 0.0
+    pairs = np.minimum(np.where(pairs > 0.0, pairs, 0.0), 1.0)
+    squares = pairs * pairs
+    circle = squares[0] + squares[1]
+    unphysical = circle > 1.0 + _CIRCLE_TOL
+    _first_refused([
+        (outside[0], lambda k: _outside_unit("quality factor", quality.item(k))),
+        (outside[1], lambda k: _outside_unit("precision", prec.item(k))),
+        (unphysical, lambda k: PhysicalityError(f"unphysical strength: F^2 + G^2 = {circle.item(k)!r} > 1")),
+    ])
+    return pairs[0], pairs[1]
 
 
 def _node_sum(density, start: int, stop: int, grid_spacing: float) -> float:
@@ -319,39 +376,24 @@ def _node_sum(density, start: int, stop: int, grid_spacing: float) -> float:
     return total
 
 
-def _check_normalizable(name: str, value: float, exponent: float, grid_spacing: float) -> None:
-    """Refuse where a builder whose largest sample is exp(exponent) would fail to normalize its grid.
+def _square_grid(half_widths: np.ndarray, grid_spacing: float, capped_as=None):
+    """make_square's checks on each half width w; its cells per unit, and each grid's nodes a side, all and inside w.
 
-    That sample sits at +-h/2.  Where its square is below _TINY_SQUARE,
-    the next samples (its cube for the exponential, its ninth power for
-    the gaussian) are 0, so the grid's norm^2 is 2 peak^2 h, as
-    _check_resolved assumes.  Where that is a subnormal with too few
-    bits, the normalized pair misses unit norm by more than PointerState
-    allows, and the builder refuses it; this repeats that arithmetic on
-    the pair alone.
+    The nodes (j + 1/2) h below w are the ceil(w/h - 1/2): w/h is exact
+    on a grid of spacing 1/2^k, and below the node cap so is w/h - 1/2.
     """
-    peak = float(np.exp(exponent))  # the builder's own exp, not math.exp
-    square = peak * peak
-    if square >= _TINY_SQUARE:
-        return
-    norm = math.sqrt((square + square) * grid_spacing)
-    share = peak / norm if norm > 0.0 else math.nan
-    if not abs((share * share + share * share) * grid_spacing - 1.0) <= _NORM_TOL:
-        raise _too_narrow(name, value, grid_spacing, "the pointer's norm is too small to normalize")
-
-
-def _square_grid(half_width: float, grid_spacing: float) -> tuple[int, int, int]:
-    """make_square's checks; its cells per unit, nodes a side, and nodes a side inside the half width."""
-    if not half_width > 0:
-        raise InvalidParameterError(f"half width must be positive, got {half_width}")
-    cells = _cells_per_unit(grid_spacing)
-    if grid_spacing > half_width / 50:
-        raise InvalidParameterError(
-            f"grid spacing {grid_spacing} too coarse for half width {half_width} (need <= width/50)"
-        )
-    radius_cells = _radius_cells(half_width, grid_spacing) + cells
-    _check_node_count(2 * radius_cells, "square half width", half_width)
-    return cells, radius_cells, _nodes_below(half_width, radius_cells, grid_spacing)
+    positivity, cells = _positive_cells("half width", half_widths, grid_spacing)
+    with np.errstate(all="ignore"):  # a refused width may overflow or be nan
+        reach = np.ceil(np.minimum(MAX_POINTER_NODES, half_widths / grid_spacing))
+        coarse = grid_spacing > half_widths / 50
+    too_coarse = "grid spacing {} too coarse for half width {} (need <= width/50)"
+    over = reach > MAX_POINTER_NODES / 2 - cells
+    _first_refused([
+        positivity,
+        (coarse, lambda k: InvalidParameterError(too_coarse.format(grid_spacing, half_widths.item(k)))),
+        _cap_check("square half width", half_widths, capped_as, over, lambda k: 2 * (int(reach.item(k)) + cells)),
+    ])
+    return cells, reach + cells, np.ceil(half_widths / grid_spacing - 0.5)
 
 
 def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -361,32 +403,37 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     the pointer obeys G = 1 - F: it measures strongly with probability G
     and returns a coin flip otherwise.
     """
-    _, radius_cells, inside = _square_grid(half_width, grid_spacing)
+    _, radius, inside = _square_grid(np.float64(half_width), grid_spacing)
+    radius_cells, inside = int(radius), int(inside)
     samples = np.zeros(2 * radius_cells)
     samples[radius_cells - inside : radius_cells + inside] = 1.0
     return _normalized_state(samples, grid_spacing)
 
 
-def _square_strength(half_width: float, grid_spacing: float) -> MeasurementStrength:
+def _square_strengths(half_widths: np.ndarray, grid_spacing: float, capped_as=None):
     """make_square's (F, G) as node counts.
 
     Its n equal samples a side put min(n, 1/h) a side in (-1, 1) and
     make max(0, n - 1/h) pairs 2 apart a side.
     """
-    cells, _, inside = _square_grid(half_width, grid_spacing)
-    return _unit_strength(max(0, inside - cells) / inside, min(inside, cells) / inside)
+    cells, _, inside = _square_grid(half_widths, grid_spacing, capped_as)
+    return np.maximum(inside - cells, 0.0) / inside, np.minimum(inside, cells) / inside
 
 
-def _gaussian_grid(width: float, grid_spacing: float) -> tuple[int, int]:
-    """make_gaussian's checks before it allocates; its cells per unit and nodes a side."""
-    if not width > 0:
-        raise InvalidParameterError(f"width must be positive, got {width}")
-    cells = _cells_per_unit(grid_spacing)
-    radius_cells = _radius_cells(8.0 * width, grid_spacing)
-    _check_node_count(2 * radius_cells, "gaussian width", width)
+def _gaussian_grid(widths: np.ndarray, grid_spacing: float, capped_as=None, normalizing: bool = False):
+    """make_gaussian's checks on each width, before it allocates (and as it normalizes); cells, nodes a side."""
+    positivity, cells = _positive_cells("width", widths, grid_spacing)
     nearest = 0.5 * grid_spacing
-    _check_resolved("gaussian width", width, nearest * nearest, 4.0 * width * width, grid_spacing)
-    return cells, radius_cells
+    with np.errstate(all="ignore"):  # a refused width may overflow or be nan
+        radius = np.ceil(np.minimum(MAX_POINTER_NODES, 8.0 * widths / grid_spacing))
+        exponent = -(nearest * nearest) / (4.0 * widths * widths)
+    over = radius > MAX_POINTER_NODES / 2
+    _first_refused([
+        positivity,
+        _cap_check("gaussian width", widths, capped_as, over, lambda k: 2 * int(radius.item(k))),
+        *_resolution_checks("gaussian width", widths, exponent, grid_spacing, normalizing),
+    ])
+    return cells, radius
 
 
 def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
@@ -396,20 +443,12 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     truncated at 8 width (mass < 1e-14 beyond) and the state renormalized
     on the grid.
     """
-    _, radius_cells = _gaussian_grid(width, grid_spacing)
-    samples, upper = _upper_positions(radius_cells, grid_spacing)
+    _, radius = _gaussian_grid(np.float64(width), grid_spacing)
+    samples, upper = _upper_positions(int(radius), grid_spacing)
     upper *= upper
     upper /= -(4.0 * width * width)
     np.exp(upper, out=upper)
     return _mirrored_state("gaussian width", width, samples, grid_spacing)
-
-
-def _gaussian_checks(width: float, grid_spacing: float) -> int:
-    """make_gaussian's checks, before it allocates and as it normalizes; its nodes a side."""
-    _, radius_cells = _gaussian_grid(width, grid_spacing)
-    nearest = 0.5 * grid_spacing
-    _check_normalizable("gaussian width", width, nearest * nearest / -(4.0 * width * width), grid_spacing)
-    return radius_cells
 
 
 def _gaussian_row_sums(spreads: np.ndarray, starts: np.ndarray, cells: int, grid_spacing: float) -> np.ndarray:
@@ -429,97 +468,85 @@ def _gaussian_row_sums(spreads: np.ndarray, starts: np.ndarray, cells: int, grid
     return totals
 
 
-def _gaussian_strengths(checked, grid_spacing: float) -> list[MeasurementStrength]:
+def _gaussian_strengths(widths: np.ndarray, grid_spacing: float, capped_as=None):
     """make_gaussian's (F, G) for each width, from sums of phi^2 = exp(-q^2 / 2w^2) over at most 1/h nodes a side.
 
-    checked yields each width with its nodes a side M, from
-    _gaussian_checks; it is drawn a chunk at a time, so each chunk's
-    checks run, in grid order, before its sums.  G sums the central 2/h
-    nodes.  A pair of nodes 2 apart with midpoint p has phi(p-1) phi(p+1)
-    = exp(-1/2w^2) phi(p)^2, so F is exp(-1/2w^2) times the grid's sum
-    less its outermost 1/h nodes a side.  Down to w = 8h the half-offset
-    nodes sum to w sqrt(2 pi) / h by Poisson summation (the first dual
-    term, exp(-2 pi^2 w^2 / h^2), is 0 there); the tail past the grid's
-    M h >= 8w is taken with erfc.  Narrower grids hold at most 64 nodes a
-    side and are summed.  Where w >= 8h and the grid reaches past 2
-    (M > 2/h), the central and the outermost 1/h nodes of the chunk's
-    widths are the rows of two _gaussian_row_sums calls, each of at most
-    _BLOCK_NODES nodes; the other widths sum through _node_sum.
+    G sums the central 2/h nodes.  A pair of nodes 2 apart with midpoint
+    p has phi(p-1) phi(p+1) = exp(-1/2w^2) phi(p)^2, so F is exp(-1/2w^2)
+    times the grid's sum less its outermost 1/h nodes a side.  Down to
+    w = 8h the half-offset nodes sum to w sqrt(2 pi) / h by Poisson
+    summation (the first dual term, exp(-2 pi^2 w^2 / h^2), is 0 there);
+    the tail past the grid's M h >= 8w is taken with erfc.  Narrower
+    grids hold at most 64 nodes a side and are summed.  Where w >= 8h and
+    the grid reaches past 2 (M > 2/h), the central and the outermost 1/h
+    nodes of a chunk of widths are the rows of two _gaussian_row_sums
+    calls, each of at most _BLOCK_NODES nodes; the other widths sum
+    through _node_sum, the pairs' midpoints or the outer 1/h nodes a
+    side, whichever are fewer.  A grid with every node in (-1, 1) has
+    (F, G) = (0, 1).
     """
-    cells = _cells_per_unit(grid_spacing)
-    checked = iter(checked)
-    strengths = []
-    while chunk := list(itertools.islice(checked, max(1, _BLOCK_NODES // cells))):
-        in_rows = [w >= 8.0 * grid_spacing and m > 2 * cells for w, m in chunk]
-        wide = [(w, m) for (w, m), row in zip(chunk, in_rows) if row]
-        spreads = np.array([2.0 * w * w for w, _ in wide])
-        central = _gaussian_row_sums(spreads, np.zeros(len(wide)), cells, grid_spacing)
-        outer = _gaussian_row_sums(spreads, np.array([m - cells for _, m in wide], dtype=float), cells, grid_spacing)
-        row_sums = zip(central.tolist(), outer.tolist())
-        for (width, radius_cells), row in zip(chunk, in_rows):
-            strengths.append(_gaussian_sums(width, radius_cells, cells, grid_spacing, next(row_sums) if row else None))
-    return strengths
+    widths = np.atleast_1d(widths)  # its sums are written into arrays by index
+    cells, radius = _gaussian_grid(widths, grid_spacing, capped_as, normalizing=True)
+    spread = 2.0 * widths * widths
+    reach = radius * grid_spacing / (math.sqrt(2.0) * widths)
+    total = widths / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - _each(math.erfc, reach))
+    central, paired = np.zeros_like(widths), np.zeros_like(widths)
+    narrow = widths < 8.0 * grid_spacing
+    in_rows = np.flatnonzero(~narrow & (radius > 2 * cells))
+    chunk = max(1, _BLOCK_NODES // cells)
+    for lo in range(0, in_rows.size, chunk):
+        rows = in_rows[lo : lo + chunk]
+        central[rows] = _gaussian_row_sums(spread[rows], np.zeros(rows.size), cells, grid_spacing)
+        paired[rows] = total[rows] - _gaussian_row_sums(spread[rows], radius[rows] - cells, cells, grid_spacing)
+    alone = (narrow | (radius <= 2 * cells)) & (radius > cells)
+    for k, radius_cells, width_spread in zip(
+        np.flatnonzero(alone).tolist(), radius[alone].astype(int).tolist(), spread[alone].tolist()
+    ):
 
+        def density(q):
+            q *= q
+            q /= -width_spread
+            return np.exp(q, out=q)
 
-def _gaussian_sums(
-    width: float, radius_cells: int, cells: int, grid_spacing: float, row: tuple[float, float] | None
-) -> MeasurementStrength:
-    """One width's (F, G) for _gaussian_strengths, given its central and outer row sums where it has them."""
-    if radius_cells <= cells:  # every node lies in (-1, 1)
-        return _unit_strength(0.0, 1.0)
-    spread = 2.0 * width * width
-
-    def density(q):
-        q *= q
-        q /= -spread
-        return np.exp(q, out=q)
-
-    if width < 8.0 * grid_spacing:
-        total = _node_sum(density, 0, radius_cells, grid_spacing)
-    else:
-        reach = radius_cells * grid_spacing / (math.sqrt(2.0) * width)
-        total = width / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - math.erfc(reach))
-    # the pairs' midpoints are the inner M - 1/h nodes a side: sum them, or
-    # take the outer 1/h from the norm sum, whichever sums fewer nodes
-    inner = radius_cells - cells
-    if row is not None:
-        central, outer = row
-        paired = total - outer
-    else:
-        central = _node_sum(density, 0, cells, grid_spacing)
+        if narrow[k]:
+            total[k] = _node_sum(density, 0, radius_cells, grid_spacing)
+        central[k] = _node_sum(density, 0, cells, grid_spacing)
+        inner = radius_cells - cells
         if inner <= cells:
-            paired = _node_sum(density, 0, inner, grid_spacing)
+            paired[k] = _node_sum(density, 0, inner, grid_spacing)
         else:
-            paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
-    return _unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
+            paired[k] = total[k] - _node_sum(density, inner, radius_cells, grid_spacing)
+    within = radius <= cells  # every node lies in (-1, 1)
+    quality = np.where(within, 0.0, _each(math.exp, -1.0 / spread) * paired / total)
+    return quality, np.where(within, 1.0, central / total)
 
 
-def _gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
-    """make_gaussian's (F, G): the one-width call of _gaussian_strengths, after the builder's checks."""
-    return _gaussian_strengths([(width, _gaussian_checks(width, grid_spacing))], grid_spacing)[0]
-
-
-def _exponential_grid(scale: float, grid_spacing: float) -> tuple[int, int]:
-    """make_exponential's checks before it allocates; its cells per unit and nodes a side."""
-    if not scale > 0:
-        raise InvalidParameterError(f"scale must be positive, got {scale}")
-    cells = _cells_per_unit(grid_spacing)
-    radius_cells = _radius_cells(max(40.0 * scale, 2.0), grid_spacing)
-    _check_node_count(2 * radius_cells, "exponential scale", scale)
-    _check_resolved("exponential scale", scale, 0.5 * grid_spacing, 2.0 * scale, grid_spacing)
-    return cells, radius_cells
+def _exponential_grid(scales: np.ndarray, grid_spacing: float, capped_as=None, normalizing: bool = False):
+    """make_exponential's checks on each scale, before it allocates (and as it normalizes); cells, nodes a side."""
+    positivity, cells = _positive_cells("scale", scales, grid_spacing)
+    with np.errstate(all="ignore"):  # a refused scale may overflow or be nan
+        radius = np.ceil(np.minimum(MAX_POINTER_NODES, np.maximum(40.0 * scales, 2.0) / grid_spacing))
+        # |s|: a refused negative scale gives no positive exponent
+        exponent = -(0.5 * grid_spacing) / (2.0 * np.abs(scales))
+    over = radius > MAX_POINTER_NODES / 2
+    _first_refused([
+        positivity,
+        _cap_check("exponential scale", scales, capped_as, over, lambda k: 2 * int(radius.item(k))),
+        *_resolution_checks("exponential scale", scales, exponent, grid_spacing, normalizing),
+    ])
+    return cells, radius
 
 
 def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
     """Pointer with phi^2 proportional to exp(-|q|/scale), truncated at max(40 scale, 2) and renormalized."""
-    _, radius_cells = _exponential_grid(scale, grid_spacing)
-    samples, upper = _upper_positions(radius_cells, grid_spacing)
+    _, radius = _exponential_grid(np.float64(scale), grid_spacing)
+    samples, upper = _upper_positions(int(radius), grid_spacing)
     upper /= -(2.0 * scale)
     np.exp(upper, out=upper)
     return _mirrored_state("exponential scale", scale, samples, grid_spacing)
 
 
-def _exponential_strength(scale: float, grid_spacing: float) -> MeasurementStrength:
+def _exponential_strengths(scales: np.ndarray, grid_spacing: float, capped_as=None):
     """make_exponential's (F, G) from geometric sums.
 
     phi^2 at node j is e^(-h/2s) r^j with r = e^(-h/s), so in units of
@@ -529,29 +556,38 @@ def _exponential_strength(scale: float, grid_spacing: float) -> MeasurementStren
     phi(p-1) phi(p+1) = e^(-1/s), the others phi(p)^2, summing to
     e^(-1/s) (1 - r^(M - 2/h)).
     """
-    cells, radius_cells = _exponential_grid(scale, grid_spacing)
-    _check_normalizable("exponential scale", scale, 0.5 * grid_spacing / -(2.0 * scale), grid_spacing)
-    step = grid_spacing / scale
-    total = -math.expm1(-radius_cells * step)
-    inside = cells * -math.expm1(-step) * math.exp(-(2.0 - grid_spacing) / (2.0 * scale))
-    outside = math.exp(-1.0 / scale) * -math.expm1(-(radius_cells - 2 * cells) * step)
-    return _unit_strength((inside + outside) / total, -math.expm1(-1.0 / scale) / total)
+    cells, radius = _exponential_grid(scales, grid_spacing, capped_as, normalizing=True)
+    step = grid_spacing / scales
+    total = -_each(math.expm1, -radius * step)
+    inside = cells * -_each(math.expm1, -step) * _each(math.exp, -(2.0 - grid_spacing) / (2.0 * scales))
+    outside = _each(math.exp, -1.0 / scales) * -_each(math.expm1, -(radius - 2 * cells) * step)
+    return (inside + outside) / total, -_each(math.expm1, -1.0 / scales) / total
 
 
-def _envelope_intervals(target_precision: float, cells: int) -> int:
-    """Number N of intervals kept on each side of the central one, within the node cap.
+def _envelope_intervals(targets: np.ndarray, cells: int, capped_as=None):
+    """Number N of intervals kept on each side of the central one, with each target's ratio (1-G)/(1+G) and its log.
 
     Intervals whose envelope weight ((1-G)/(1+G))^|n| relative to the
-    central interval drops below ENVELOPE_CUTOFF are dropped.
+    central interval drops below ENVELOPE_CUTOFF are dropped, and the
+    grid of 2 (2N + 1) / h nodes must fit the node cap.
     """
-    if not 0.0 < target_precision < 1.0:
-        raise InvalidParameterError(f"target precision must lie in (0, 1), got {target_precision}")
-    ratio = (1.0 - target_precision) / (1.0 + target_precision)
-    log_ratio = math.log(ratio)  # 0.0 once G is below half an ulp of 1
-    span = math.log(ENVELOPE_CUTOFF) / log_ratio if log_ratio < 0.0 else math.inf
-    n_intervals = max(1, math.ceil(min(MAX_POINTER_NODES, span)))
-    _check_node_count(2 * (2 * n_intervals + 1) * cells, "target precision", target_precision)
-    return n_intervals
+    in_range = (targets > 0.0) & (targets < 1.0)
+    safe = np.where(in_range, targets, 0.5)[()]  # [()]: one value stays a numpy float, not a 0-d array
+    ratio = (1.0 - safe) / (1.0 + safe)
+    log_ratio = _each(math.log, ratio)  # 0.0 once G is below half an ulp of 1
+    # log(cutoff) / log r > 0, so at least 1; where log r is 0 it is past any cap, as inf is
+    n_intervals = np.ceil(math.log(ENVELOPE_CUTOFF) / np.minimum(log_ratio, -1e-300))
+    # 2 (2N + 1) cells > cap exactly where the whole N > (cap // 2 cells - 1) // 2
+    over = n_intervals > (MAX_POINTER_NODES // (2 * cells) - 1) // 2
+
+    def nodes(k):
+        return 2 * (2 * min(MAX_POINTER_NODES, int(n_intervals.item(k))) + 1) * cells
+
+    _first_refused([
+        (~in_range, lambda k: InvalidParameterError(f"target precision must lie in (0, 1), got {targets.item(k)}")),
+        _cap_check("target precision", targets, capped_as, over, nodes),
+    ])
+    return n_intervals, ratio, log_ratio
 
 
 def _frontier_envelope(target_precision: float, cells: int) -> np.ndarray:
@@ -561,10 +597,9 @@ def _frontier_envelope(target_precision: float, cells: int) -> np.ndarray:
     checked against the node cap, so the rows are refused exactly where
     the grid is.
     """
-    n_intervals = _envelope_intervals(target_precision, cells)
-    ratio = (1.0 - target_precision) / (1.0 + target_precision)
-    n = np.arange(-n_intervals, n_intervals + 1, dtype=float)
-    return np.power(ratio, np.abs(n) / 2.0)
+    n_intervals, ratio, _ = _envelope_intervals(np.float64(target_precision), cells)
+    n = np.arange(-int(n_intervals), int(n_intervals) + 1, dtype=float)
+    return np.power(float(ratio), np.abs(n) / 2.0)
 
 
 def _odd_rows(n_rows: int) -> slice:
@@ -611,7 +646,7 @@ def optimal_from_central(
 def _central_profile(profile: str, target_precision: float, grid_spacing: float) -> np.ndarray:
     """make_optimal's central profile, once the grid it generates is known to fit the cap."""
     cells = _cells_per_unit(grid_spacing)
-    _envelope_intervals(target_precision, cells)  # size the grid before building
+    _envelope_intervals(np.float64(target_precision), cells)  # size the grid before building
     x = _symmetric_positions(cells, grid_spacing)
     if profile == "flat":
         return np.ones_like(x)
@@ -649,7 +684,7 @@ def make_worst(target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACI
     return _normalized_state(samples, grid_spacing)
 
 
-def _frontier_sums(target_precision: float, grid_spacing: float, worst: bool = False) -> MeasurementStrength:
+def _frontier_strengths(targets: np.ndarray, grid_spacing: float, capped_as=None, worst: bool = False):
     """(F, G) of make_optimal(target), any profile, or of make_worst(target), from geometric sums.
 
     With r = (1-G)/(1+G) the envelope squares to r^|n|, |n| <= N, so
@@ -658,15 +693,14 @@ def _frontier_sums(target_precision: float, grid_spacing: float, worst: bool = F
     n <= 2K = N - N % 2, whose squares sum to 1 + 2r^2 (1 - r^2K)/(1 - r^2).
     1 - r^N is -expm1(N log r).  Refuses exactly what the builder refuses.
     """
-    n_intervals = _envelope_intervals(target_precision, _cells_per_unit(grid_spacing))
-    ratio = (1.0 - target_precision) / (1.0 + target_precision)
+    n_intervals, ratio, log_ratio = _envelope_intervals(targets, _cells_per_unit(grid_spacing), capped_as)
     if worst:
         kept = n_intervals - n_intervals % 2
-        total = 1.0 + 2.0 * ratio * ratio * -math.expm1(kept * math.log(ratio)) / ((1.0 - ratio) * (1.0 + ratio))
-        return _unit_strength(0.0, 1.0 / total)
-    geometric = -math.expm1(n_intervals * math.log(ratio)) / (1.0 - ratio)
+        total = 1.0 + 2.0 * ratio * ratio * -_each(math.expm1, kept * log_ratio) / ((1.0 - ratio) * (1.0 + ratio))
+        return np.zeros_like(total), 1.0 / total
+    geometric = _each(math.expm1, n_intervals * log_ratio) / (ratio - 1.0)  # -expm1(N log r) / (1 - r), bit for bit
     total = 1.0 + 2.0 * ratio * geometric
-    return _unit_strength(2.0 * math.sqrt(ratio) * geometric / total, 1.0 / total)
+    return 2.0 * np.sqrt(ratio) * geometric / total, 1.0 / total
 
 
 def quality_factor(state: PointerState) -> float:
@@ -690,9 +724,13 @@ def precision(state: PointerState) -> float:
     return _clamp_unit(value, "precision")
 
 
+def _outside_unit(name: str, value: float) -> InvalidStateError:
+    return InvalidStateError(f"{name} {float(value)!r} outside [0, 1] beyond tolerance")
+
+
 def _clamp_unit(value: float, name: str) -> float:
     if value < -_CIRCLE_TOL or value > 1.0 + _CIRCLE_TOL:
-        raise InvalidStateError(f"{name} {value!r} outside [0, 1] beyond tolerance")
+        raise _outside_unit(name, value)
     return min(1.0, max(0.0, value))
 
 
@@ -709,23 +747,40 @@ _FAMILY_BUILDERS = {
     "worst": make_worst,
 }
 _FAMILY_STRENGTHS = {
-    "square": _square_strength,
-    "gaussian": _gaussian_strength,
-    "exponential": _exponential_strength,
-    "optimal": _frontier_sums,
-    "worst": lambda target, grid_spacing: _frontier_sums(target, grid_spacing, worst=True),
+    "square": _square_strengths,
+    "gaussian": _gaussian_strengths,
+    "exponential": _exponential_strengths,
+    "optimal": _frontier_strengths,
+    "worst": functools.partial(_frontier_strengths, worst=True),
 }
 
 
-def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:
-    """(F, G) of the grid _FAMILY_BUILDERS[family](value, grid_spacing) would build, without building it.
+def _family_strengths(
+    family: str, values: np.ndarray, grid_spacing: float = DEFAULT_GRID_SPACING, capped_as=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F, G) arrays of the grids _FAMILY_BUILDERS[family](value, grid_spacing) would build for each value, unbuilt.
 
-    Each family's closed form runs the builder's own checks, so it
-    refuses exactly the values and spacings the builder refuses, with
-    the same error; the spacing then only fixes which nodes the sums
-    take.  No grid and no array that grows with the grid is made.
+    Each family's closed form runs the builder's own checks, each a mask
+    over the values, so it refuses the first value in grid order that
+    the builder refuses, with the same error; the spacing then only
+    fixes which nodes the sums take.  capped_as = (name, values) names a
+    node-cap refusal as that value instead, as a caller that maps its own
+    values to the family's parameter does.  No grid and no array that
+    grows with the grid is made.
     """
-    return _FAMILY_STRENGTHS[family](value, grid_spacing)
+    return _unit_pairs(*_FAMILY_STRENGTHS[family](values, grid_spacing, capped_as))
+
+
+def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:
+    """The MeasurementStrength of one value: the one-value call of _family_strengths.
+
+    The value is a numpy float, not an array, so each numpy operation is
+    a scalar one, and its pair is clamped by _clamp_unit and checked by
+    MeasurementStrength, the checks _unit_pairs makes over an array: a
+    one-element array would pay numpy's fixed cost per array operation.
+    """
+    quality, prec = _FAMILY_STRENGTHS[family](np.float64(value), grid_spacing, None)
+    return MeasurementStrength(_clamp_unit(quality.item(), "quality factor"), _clamp_unit(prec.item(), "precision"))
 
 
 def tradeoff_curve(
@@ -743,12 +798,8 @@ def tradeoff_curve(
     parameters = [float(p) for p in parameters]
     if not parameters:
         raise InvalidParameterError("parameter grid is empty")
-    if family == "gaussian":
-        checked = ((width, _gaussian_checks(width, grid_spacing)) for width in parameters)
-        strengths = _gaussian_strengths(checked, grid_spacing)
-    else:
-        strengths = [_family_strength(family, value, grid_spacing) for value in parameters]
-    return [(value, s.quality_factor, s.precision) for value, s in zip(parameters, strengths)]
+    quality, prec = _family_strengths(family, np.array(parameters), grid_spacing)
+    return list(zip(parameters, quality.tolist(), prec.tolist()))
 
 
 TRADEOFF_CSV_HEADER = "family,parameter,F,G"

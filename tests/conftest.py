@@ -37,7 +37,16 @@ from weakbell.channel import (
     bloch_dot,
     strength_pair,
 )
-from weakbell.pointer import _gaussian_checks, _node_sum, _normalized_state, _unit_strength
+from weakbell import pointer
+from weakbell.pointer import (
+    _cells_per_unit,
+    _clamp_unit,
+    _node_cap_error,
+    _node_sum,
+    _normalized_state,
+    _radius_cells,
+    _too_narrow,
+)
 from weakbell.montecarlo import (
     ZERO_MASS,
     BobReport,
@@ -466,16 +475,88 @@ def oracle_make_exponential(scale: float, grid_spacing: float) -> PointerState:
     return _normalized_state(np.exp(-np.abs(q) / (2.0 * scale)), grid_spacing)
 
 
+# --- per-value closed forms -----------------------------------------------------
+# each family's (F, G) of one parameter value in Python floats, after that
+# value's own checks in its builder's order: the oracles that the closed
+# forms over a whole array of values must match bit for bit, refusal for
+# refusal
+
+
+def _oracle_unit_strength(fq: float, gp: float) -> MeasurementStrength:
+    return MeasurementStrength(_clamp_unit(fq, "quality factor"), _clamp_unit(gp, "precision"))
+
+
+def _oracle_check_node_count(nodes: int, name: str, value: float) -> None:
+    if nodes > pointer.MAX_POINTER_NODES:
+        raise _node_cap_error(nodes, name, value)
+
+
+def _oracle_check_resolved(name, value, exponent, divisor, grid_spacing) -> None:
+    try:
+        peak = math.exp(-exponent / divisor)
+    except ZeroDivisionError:
+        peak = 0.0
+    if not 2.0 * (peak * peak) * grid_spacing > 0.0:
+        raise _too_narrow(name, value, grid_spacing, "the pointer's norm underflows to 0")
+
+
+def _oracle_check_normalizable(name, value, exponent, grid_spacing) -> None:
+    peak = float(np.exp(exponent))  # the builder's own exp, not math.exp
+    square = peak * peak
+    if square >= pointer._TINY_SQUARE:
+        return
+    norm = math.sqrt((square + square) * grid_spacing)
+    share = peak / norm if norm > 0.0 else math.nan
+    if not abs((share * share + share * share) * grid_spacing - 1.0) <= pointer._NORM_TOL:
+        raise _too_narrow(name, value, grid_spacing, "the pointer's norm is too small to normalize")
+
+
+def _oracle_nodes_below(bound: float, radius_cells: int, grid_spacing: float) -> int:
+    """Number of nodes (j + 1/2) h, j = 0 .. M-1, strictly below bound, settled on the node comparisons."""
+    count = min(radius_cells, max(0, math.ceil(bound / grid_spacing - 0.5)))
+    while count > 0 and not (count - 0.5) * grid_spacing < bound:
+        count -= 1
+    while count < radius_cells and (count + 0.5) * grid_spacing < bound:
+        count += 1
+    return count
+
+
+def oracle_square_strength(half_width: float, grid_spacing: float) -> MeasurementStrength:
+    if not half_width > 0:
+        raise InvalidParameterError(f"half width must be positive, got {half_width}")
+    cells = _cells_per_unit(grid_spacing)
+    if grid_spacing > half_width / 50:
+        raise InvalidParameterError(
+            f"grid spacing {grid_spacing} too coarse for half width {half_width} (need <= width/50)"
+        )
+    radius_cells = _radius_cells(half_width, grid_spacing) + cells
+    _oracle_check_node_count(2 * radius_cells, "square half width", half_width)
+    inside = _oracle_nodes_below(half_width, radius_cells, grid_spacing)
+    return _oracle_unit_strength(max(0, inside - cells) / inside, min(inside, cells) / inside)
+
+
+def _oracle_gaussian_checks(width: float, grid_spacing: float) -> int:
+    if not width > 0:
+        raise InvalidParameterError(f"width must be positive, got {width}")
+    _cells_per_unit(grid_spacing)
+    radius_cells = _radius_cells(8.0 * width, grid_spacing)
+    _oracle_check_node_count(2 * radius_cells, "gaussian width", width)
+    nearest = 0.5 * grid_spacing
+    _oracle_check_resolved("gaussian width", width, nearest * nearest, 4.0 * width * width, grid_spacing)
+    _oracle_check_normalizable("gaussian width", width, nearest * nearest / -(4.0 * width * width), grid_spacing)
+    return radius_cells
+
+
 def oracle_gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
     """make_gaussian's closed-form (F, G) summed for this width alone, each sum through _node_sum.
 
-    The per-width sums the batched closed form replaced: the same node
-    values, blocks and Poisson total, with no rows shared between widths.
+    The same node values, blocks and Poisson total as the batched sums,
+    with no rows shared between widths.
     """
+    radius_cells = _oracle_gaussian_checks(width, grid_spacing)
     cells = round(1.0 / grid_spacing)
-    radius_cells = _gaussian_checks(width, grid_spacing)
     if radius_cells <= cells:
-        return _unit_strength(0.0, 1.0)
+        return _oracle_unit_strength(0.0, 1.0)
     spread = 2.0 * width * width
 
     def density(q):
@@ -492,7 +573,56 @@ def oracle_gaussian_strength(width: float, grid_spacing: float) -> MeasurementSt
         paired = _node_sum(density, 0, inner, grid_spacing)
     else:
         paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
-    return _unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
+    return _oracle_unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
+
+
+def oracle_exponential_strength(scale: float, grid_spacing: float) -> MeasurementStrength:
+    if not scale > 0:
+        raise InvalidParameterError(f"scale must be positive, got {scale}")
+    cells = _cells_per_unit(grid_spacing)
+    radius_cells = _radius_cells(max(40.0 * scale, 2.0), grid_spacing)
+    _oracle_check_node_count(2 * radius_cells, "exponential scale", scale)
+    _oracle_check_resolved("exponential scale", scale, 0.5 * grid_spacing, 2.0 * scale, grid_spacing)
+    _oracle_check_normalizable("exponential scale", scale, 0.5 * grid_spacing / -(2.0 * scale), grid_spacing)
+    step = grid_spacing / scale
+    total = -math.expm1(-radius_cells * step)
+    inside = cells * -math.expm1(-step) * math.exp(-(2.0 - grid_spacing) / (2.0 * scale))
+    outside = math.exp(-1.0 / scale) * -math.expm1(-(radius_cells - 2 * cells) * step)
+    return _oracle_unit_strength((inside + outside) / total, -math.expm1(-1.0 / scale) / total)
+
+
+def oracle_frontier_strength(target: float, grid_spacing: float, worst: bool = False) -> MeasurementStrength:
+    cells = _cells_per_unit(grid_spacing)
+    if not 0.0 < target < 1.0:
+        raise InvalidParameterError(f"target precision must lie in (0, 1), got {target}")
+    ratio = (1.0 - target) / (1.0 + target)
+    log_ratio = math.log(ratio)
+    span = math.log(pointer.ENVELOPE_CUTOFF) / log_ratio if log_ratio < 0.0 else math.inf
+    n_intervals = max(1, math.ceil(min(pointer.MAX_POINTER_NODES, span)))
+    _oracle_check_node_count(2 * (2 * n_intervals + 1) * cells, "target precision", target)
+    if worst:
+        kept = n_intervals - n_intervals % 2
+        total = 1.0 + 2.0 * ratio * ratio * -math.expm1(kept * log_ratio) / ((1.0 - ratio) * (1.0 + ratio))
+        return _oracle_unit_strength(0.0, 1.0 / total)
+    geometric = -math.expm1(n_intervals * log_ratio) / (1.0 - ratio)
+    total = 1.0 + 2.0 * ratio * geometric
+    return _oracle_unit_strength(2.0 * math.sqrt(ratio) * geometric / total, 1.0 / total)
+
+
+def oracle_analytic_strength(precision: float) -> MeasurementStrength:
+    """The frontier strength (sqrt(1 - G^2), G) of a precision in [0, 1]."""
+    if not 0.0 <= precision <= 1.0:
+        raise InvalidParameterError(f"precision must lie in [0, 1], got {precision}")
+    return MeasurementStrength(math.sqrt(max(0.0, (1.0 - precision) * (1.0 + precision))), precision)
+
+
+ORACLE_STRENGTHS = {
+    "square": oracle_square_strength,
+    "gaussian": oracle_gaussian_strength,
+    "exponential": oracle_exponential_strength,
+    "optimal": oracle_frontier_strength,
+    "worst": lambda target, grid_spacing: oracle_frontier_strength(target, grid_spacing, worst=True),
+}
 
 
 def oracle_samples_to_csv(state: PointerState) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -465,11 +466,41 @@ def test_double_curve_matches_per_cell_complex_oracle(family):
     assert len(rows) == len(grid)
     alice, bob = tsirelson_alice(), tsirelson_bob()
     for target, (g, first, second) in zip(grid, rows):
-        (strength,) = _target_strengths(family, [target])
-        assert g == strength.precision
-        expected = oracle_chain_chsh(alice, bob, [strength])
+        quality, precision = _target_strengths(family, np.array([target]))
+        assert g == precision[0]
+        expected = oracle_chain_chsh(alice, bob, [MeasurementStrength(quality.item(), precision.item())])
         assert first == pytest.approx(expected[0], abs=1e-12)
         assert second == pytest.approx(expected[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["analytic", "optimal", "gaussian", "square"])
+def test_double_curve_in_blocks_of_targets_has_the_bits_of_one_stack(monkeypatch, family):
+    # 199 targets are one block; in blocks of 7 every row keeps its bits
+    grid = parse_range("0.005:0.995:0.005")
+    assert len(grid) < bell._TARGET_BLOCK
+    whole = [tuple(map(float.hex, row)) for row in double_violation_curve(family, grid)]
+    monkeypatch.setattr(bell, "_TARGET_BLOCK", 7)
+    assert [tuple(map(float.hex, row)) for row in double_violation_curve(family, grid)] == whole
+
+
+@pytest.mark.parametrize("family", ["analytic", "optimal", "gaussian", "square"])
+def test_double_curve_of_an_empty_grid_is_empty(family):
+    # no target is refused, so no first refused index is read
+    assert double_violation_curve(family, []) == []
+
+
+def test_long_double_sweep_holds_a_block_of_chain_stacks_at_a_time():
+    # the whole (n, 4, 4) stack and its stage maps once peaked at ~8 stacks;
+    # the rows returned are now most of the peak
+    grid = parse_range("0.01:0.99:0.00002")
+    tracemalloc.start()
+    try:
+        rows = double_violation_curve("analytic", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 49_001
+    assert peak < 2.5 * len(grid) * 16 * 8
 
 
 def _ulps_from_erfinv(x, g):

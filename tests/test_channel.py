@@ -8,6 +8,7 @@ from conftest import (
     decohere,
     kraus_at_reading,
     on_second_qubit,
+    oracle_analytic_strength,
     oracle_reading_cdf,
     outcome_probabilities,
     projectors,
@@ -315,7 +316,7 @@ def test_on_second_qubit_rejects_wrong_dimension():
 
 def test_distinguishability_saturates_for_frontier_strengths():
     for g in (0.2, 0.5, 0.8):
-        sign, bound = sign_and_bound(MeasurementStrength.optimal(g))
+        sign, bound = sign_and_bound(oracle_analytic_strength(g))
         assert sign == pytest.approx(bound, abs=1e-9)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from weakbell import cli, montecarlo
+from weakbell import cli, montecarlo, pointer
 from weakbell.cli import (
     MAX_PROTOCOL_STAGES,
     MAX_RANGE_POINTS,
@@ -488,6 +488,67 @@ def test_gaussian_sweeps_refuse_the_first_refused_value_as_each_width_alone(tmp_
     out = tmp_path / "g.csv"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+_CAP = "over the cap of 16777216; use"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ("tradeoff", "--family", "square", "--delta", "0.05:3:0.05"),
+            "grid spacing 0.001953125 too coarse for half width 0.05 (need <= width/50)",
+        ),
+        # the 8th half width and the 9th scale, mid-grid, past the cap
+        (
+            ("tradeoff", "--family", "square", "--delta", "1e4:4e4:1e3"),
+            f"square half width 17000.0 needs a pointer grid of at least 17409024 nodes, {_CAP} "
+            "a square half width nearer the strong limit, or a coarser --spacing",
+        ),
+        (
+            ("tradeoff", "--family", "exponential", "--scale", "0.1:2:0.1", "--spacing", "3.814697265625e-06"),
+            f"exponential scale 0.9 needs a pointer grid of at least 18874368 nodes, {_CAP} "
+            "an exponential scale nearer the strong limit, or a coarser --spacing",
+        ),
+        (
+            ("tradeoff", "--family", "exponential", "--scale", "1e-6:1e-3:1e-6"),
+            "exponential scale 1e-06 is too small for grid spacing 0.001953125: the pointer's norm underflows to 0; "
+            "use a finer --spacing",
+        ),
+        (
+            ("double", "--family", "optimal", "--g", "0.00001:0.5:0.00001"),
+            f"target precision 1e-05 needs a pointer grid of at least 3300987904 nodes, {_CAP} "
+            "a target precision nearer the strong limit",
+        ),
+        (
+            ("double", "--family", "square", "--g", "0.00001:0.5:0.00001"),
+            f"target precision 1e-05 needs a pointer grid of at least 33555456 nodes, {_CAP} "
+            "a target precision nearer the strong limit",
+        ),
+    ],
+)
+def test_sweeps_refuse_their_first_refused_value_with_exit_2(tmp_path, capsys, argv, err):
+    out = tmp_path / "s.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["tradeoff", "double"])
+def test_an_unphysical_closed_form_exits_2_naming_its_pair(tmp_path, capsys, monkeypatch, command):
+    closed_form = pointer._FAMILY_STRENGTHS["optimal"]
+
+    def unphysical(values, grid_spacing, capped_as=None):
+        quality, prec = (a.copy() for a in closed_form(values, grid_spacing, capped_as))
+        quality[4], prec[4] = 0.8, 0.7
+        return quality, prec
+
+    monkeypatch.setitem(pointer._FAMILY_STRENGTHS, "optimal", unphysical)
+    out = tmp_path / "u.csv"
+    assert run_cli(command, "--family", "optimal", "--g", "0.1:0.9:0.1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: unphysical strength: F^2 + G^2 = {0.8 * 0.8 + 0.7 * 0.7!r} > 1\n"
     assert not out.exists()
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    ORACLE_STRENGTHS,
     assert_same_text,
+    oracle_analytic_strength,
     oracle_gaussian_strength,
     oracle_make_exponential,
     oracle_make_gaussian,
@@ -514,7 +516,7 @@ _FRONTIER_TOL = 1e-14
 
 def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
     for target in parse_range("0.005:0.995:0.005"):
-        fq, gp = strength_pair(pointer._frontier_sums(target, DEFAULT_GRID_SPACING))
+        fq, gp = strength_pair(pointer._family_strength("optimal", target))
         state = make_optimal(target)
         assert abs(fq - quality_factor(state)) <= _FRONTIER_TOL, target
         assert abs(gp - precision(state)) <= _FRONTIER_TOL, target
@@ -522,7 +524,7 @@ def test_frontier_rows_agree_with_the_optimal_grid_on_the_cli_sweep():
 
 def test_frontier_rows_agree_with_the_worst_grid():
     for target in parse_range("0.1:0.9:0.1"):
-        fq, gp = strength_pair(pointer._frontier_sums(target, DEFAULT_GRID_SPACING, worst=True))
+        fq, gp = strength_pair(pointer._family_strength("worst", target))
         assert fq == 0.0
         assert abs(gp - precision(make_worst(target))) <= _FRONTIER_TOL, target
 
@@ -534,7 +536,7 @@ def test_frontier_rows_agree_with_the_per_node_construction(spacing, profile):
     targets = (0.005, 0.05, 0.3, 0.8, 0.995) if spacing == 1.0 / 64 else (0.05, 0.3, 0.8, 0.995)
     for target in targets:
         oracle = oracle_optimal_from_central(_central_profile(profile, spacing), target, spacing)
-        fq, gp = strength_pair(pointer._frontier_sums(target, spacing))
+        fq, gp = strength_pair(pointer._family_strength("optimal", target, spacing))
         assert abs(fq - quality_factor(oracle)) <= _FRONTIER_TOL, target
         assert abs(gp - oracle_precision(oracle)) <= _FRONTIER_TOL, target
 
@@ -542,12 +544,12 @@ def test_frontier_rows_agree_with_the_per_node_construction(spacing, profile):
 def test_frontier_strength_does_not_depend_on_the_spacing():
     # the spacing only sizes the node cap, and every target here fits it at 1/1024
     for target in (0.005, 0.05, 0.3, 0.8, 0.995):
-        for worst in (False, True):
+        for family in ("optimal", "worst"):
             first, *others = [
-                pointer._frontier_sums(target, h, worst) for h in (1.0 / 64, 1.0 / 512, 1.0 / 1024)
+                pointer._family_strength(family, target, h) for h in (1.0 / 64, 1.0 / 512, 1.0 / 1024)
             ]
             for other in others:
-                assert strength_pair(other) == strength_pair(first), (target, worst)
+                assert strength_pair(other) == strength_pair(first), (target, family)
 
 
 def test_frontier_strength_builds_no_grid(monkeypatch):
@@ -593,7 +595,7 @@ def test_frontier_strength_refuses_what_the_builders_refuse(target):
         expected = _refusal(lambda: build(target))
         # a grid past the node cap is refused by the InvalidParameterError that names the cap
         assert expected[0] is (NodeCapError if "over the cap" in expected[1] else InvalidParameterError)
-        assert _refusal(lambda: pointer._frontier_sums(target, DEFAULT_GRID_SPACING, worst)) == expected
+        assert _refusal(lambda: pointer._family_strength("worst" if worst else "optimal", target)) == expected
 
 
 def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
@@ -617,7 +619,7 @@ def test_frontier_rows_refuse_the_central_profiles_the_builder_refuses():
 def test_builders_refuse_grids_past_the_node_cap_before_allocating():
     # at the default spacing G = 0.002 fits (16.5 M nodes) and G = 0.0015 (22 M) does not
     cells = round(1.0 / SPACING)
-    n_intervals = pointer._envelope_intervals(0.002, cells)
+    n_intervals = int(pointer._envelope_intervals(np.array([0.002]), cells)[0][0])
     assert 2 * (2 * n_intervals + 1) * cells <= MAX_POINTER_NODES
     too_big = [
         lambda: make_optimal(0.0015),
@@ -855,6 +857,8 @@ def test_closed_forms_refuse_at_the_node_cap_as_the_builders_do(family, monkeypa
     monkeypatch.setattr(pointer, "MAX_POINTER_NODES", _SMALL_CAP)
     seen = _assert_same_refusals(family, _values_across_the_cap(family))
     assert seen == {"built", "NodeCapError"}
+    # and as the per-value oracles do, each value alone and as one sweep
+    assert _assert_matches_the_oracles(family, _values_across_the_cap(family), alone=True) == seen
 
 
 @pytest.mark.parametrize(
@@ -934,8 +938,12 @@ def _gaussian_widths(targets):
     return [1.0 / (math.sqrt(2.0) * _erfinv(target)) for target in parse_range(targets)]
 
 
+def _hex_arrays(quality, prec):
+    return list(zip(map(float.hex, quality.tolist()), map(float.hex, prec.tolist())))
+
+
 def _batched_gaussian(widths, spacing):
-    return pointer._gaussian_strengths([(w, pointer._gaussian_checks(w, spacing)) for w in widths], spacing)
+    return _hex_arrays(*pointer._family_strengths("gaussian", np.array(widths), spacing))
 
 
 @pytest.mark.parametrize(
@@ -953,18 +961,18 @@ def _batched_gaussian(widths, spacing):
 )
 def test_batched_gaussian_strengths_have_the_bits_of_the_per_width_sums(widths, rows):
     cells = round(1.0 / SPACING)
-    radii = [pointer._gaussian_checks(w, SPACING) for w in widths]
-    in_rows = [w >= 8.0 * SPACING and m > 2 * cells for w, m in zip(widths, radii)]
+    _, radii = pointer._gaussian_grid(np.array(widths), SPACING)
+    in_rows = [w >= 8.0 * SPACING and m > 2 * cells for w, m in zip(widths, radii.tolist())]
     assert {"all": all(in_rows), "none": not any(in_rows), "some": 0 < sum(in_rows) < len(widths)}[rows]
     want = _hex_strengths(oracle_gaussian_strength(w, SPACING) for w in widths)
-    assert _hex_strengths(_batched_gaussian(widths, SPACING)) == want
-    assert _hex_strengths(pointer._gaussian_strength(w, SPACING) for w in widths) == want
+    assert _batched_gaussian(widths, SPACING) == want
+    assert _hex_strengths(pointer._family_strength("gaussian", w, SPACING) for w in widths) == want
 
 
 def test_gaussian_double_sweep_has_the_bits_of_the_per_width_sums():
     targets = parse_range("0.001:0.999:0.001")
     want = _hex_strengths(oracle_gaussian_strength(w, SPACING) for w in _gaussian_widths("0.001:0.999:0.001"))
-    assert _hex_strengths(_target_strengths("gaussian", targets)) == want
+    assert _hex_arrays(*_target_strengths("gaussian", np.array(targets))) == want
     rows = double_violation_curve("gaussian", targets)
     assert [g.hex() for g, _, _ in rows] == [gp for _, gp in want]
 
@@ -999,6 +1007,237 @@ def test_gaussian_sweeps_refuse_the_first_refused_value_in_grid_order():
     with pytest.raises(NodeCapError) as refused:
         tradeoff_curve("gaussian", [1.0] * 200 + [1e4, 1e-320])
     assert str(refused.value) == f"gaussian width 10000.0 {cap}; use a gaussian width nearer the strong limit"
+
+
+# --- every family's closed form over an array, against the per-value oracles ---------
+# _family_strengths evaluates a family's (F, G) over a whole array of values
+# with each check a mask; conftest.ORACLE_STRENGTHS evaluates one value at a
+# time in Python floats, after that value's own checks.  Every F and G must
+# match to the bit, and a grid must refuse its first refused value as that
+# value's oracle refuses it.
+
+
+def _oracle_outcome(family, value, spacing):
+    """One value's oracle outcome: ("built", (F hex, G hex)), or its refusal (type, message)."""
+    kind, result = _outcome(lambda: ORACLE_STRENGTHS[family](value, spacing))
+    return (kind, (result.quality_factor.hex(), result.precision.hex())) if kind == "built" else (kind, result)
+
+
+def _array_outcome(family, values, spacing):
+    """_family_strengths over values: ("built", [(F hex, G hex), ...]), or its refusal (type, message)."""
+    kind, result = _outcome(lambda: pointer._family_strengths(family, np.array(values, dtype=float), spacing))
+    return (kind, _hex_arrays(*result)) if kind == "built" else (kind, result)
+
+
+def _assert_matches_the_oracles(family, values, spacing=SPACING, alone=False):
+    """The array form over values has each accepted value's oracle bits and refuses the first refused one as its oracle does.
+
+    The values the oracles accept are also evaluated as one array of their
+    own; with alone, each value is also evaluated as a one-value array and
+    through _family_strength.  Returns the oracles' outcome kinds.
+    """
+    expected = [_oracle_outcome(family, v, spacing) for v in values]
+    refused = [outcome for outcome in expected if outcome[0] != "built"]
+    accepted = [v for v, outcome in zip(values, expected) if outcome[0] == "built"]
+    got = _array_outcome(family, values, spacing)
+    assert got == (refused[0] if refused else ("built", [bits for _, bits in expected])), (family, spacing)
+    if accepted:
+        want = [bits for kind, bits in expected if kind == "built"]
+        assert _array_outcome(family, accepted, spacing) == ("built", want), (family, spacing)
+    if alone:
+        for value, outcome in zip(values, expected):
+            assert _array_outcome(family, [value], spacing) == (
+                outcome if outcome[0] != "built" else ("built", [outcome[1]])
+            ), (family, value, spacing)
+            one = _outcome(lambda: pointer._family_strength(family, value, spacing))
+            if one[0] == "built":
+                one = ("built", (one[1].quality_factor.hex(), one[1].precision.hex()))
+            assert one == outcome, (family, value, spacing)
+    return {kind if kind == "built" else kind.__name__ for kind, _ in expected}
+
+
+# the values the README and the double targets give each family
+_README_VALUES = {
+    "square": ["1:3:0.25"],
+    "gaussian": ["0.1:2:0.1"],
+    "exponential": ["0.1:2:0.1"],
+    "optimal": ["0.1:0.9:0.1", "0.005:0.995:0.005", "0.001:0.999:0.001"],
+    "worst": ["0.01:0.99:0.01", "0.001:0.999:0.001"],
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_closed_forms_have_the_bits_of_the_per_value_oracles_on_the_readme_grids(family):
+    for values in _README_VALUES[family]:
+        _assert_matches_the_oracles(family, parse_range(values))
+    if family in ("square", "gaussian"):
+        for targets in ("0.005:0.995:0.005", "0.001:0.999:0.001"):
+            _assert_matches_the_oracles(family, [_family_parameter(family, t) for t in parse_range(targets)])
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("k", range(6, 13))
+def test_closed_forms_have_the_bits_of_the_per_value_oracles_at_every_spacing(family, k):
+    spacing = 2.0**-k
+    rng = np.random.default_rng(k)
+    values = [_swept_parameter(family, spacing, u) for u in np.linspace(0.0, 1.0, 41).tolist() + rng.random(80).tolist()]
+    assert _assert_matches_the_oracles(family, values, spacing) == {"built"}
+
+
+def test_analytic_strengths_have_the_bits_of_the_per_value_oracle():
+    rng = np.random.default_rng(7)
+    for targets in (
+        parse_range("0.005:0.995:0.005"),
+        parse_range("0.001:0.999:0.001"),
+        rng.random(2000).tolist(),
+        [5e-324, 1e-300, 1e-17, 0.5, math.nextafter(1.0, 0.0), 1.0 - 2.0**-52],
+    ):
+        quality, prec = _target_strengths("analytic", np.array(targets))
+        want = [oracle_analytic_strength(t) for t in targets]
+        assert _hex_arrays(quality, prec) == _hex_strengths(want)
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+def _flip(kind, lo: float, hi: float) -> float:
+    """The least positive float v in (lo, hi] whose oracle outcome kind(v) differs from kind(lo), by bisection on the bits."""
+    side = kind(lo)
+    a, b = _bits(lo), _bits(hi)
+    assert kind(hi) != side
+    while b - a > 1:
+        mid = (a + b) // 2
+        if kind(_from_bits(mid)) == side:
+            a = mid
+        else:
+            b = mid
+    return _from_bits(b)
+
+
+def _around(edge: float, ulps: int = 3) -> list[float]:
+    return [_from_bits(_bits(edge) + d) for d in range(-ulps, ulps + 1)]
+
+
+_REASONS = ("over the cap", "underflows", "to normalize", "too coarse", "must be positive", "must lie in")
+
+
+def _check_edges(family, spacing):
+    """Values where a family's oracle outcome changes: the node cap, and the 50h limit or the narrowness checks."""
+
+    def kind(value):
+        outcome = _oracle_outcome(family, value, spacing)
+        return "built" if outcome[0] == "built" else next(r for r in _REASONS if r in outcome[1])
+
+    if family in ("optimal", "worst"):
+        return [_flip(kind, 1e-4, 0.5)]
+    cap = _flip(kind, 1.0, 1e6)
+    if family == "square":
+        return [cap, _flip(kind, 20.0 * spacing, 60.0 * spacing)]
+    # the norm underflows below the first edge; between it and the last, some norms are too small
+    underflow = _flip(kind, 1e-4 * spacing, spacing)
+    return [cap, underflow] + ([] if kind(underflow) == "built" else [_flip(kind, underflow, spacing)])
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("spacing", [2.0**-6, SPACING])
+def test_closed_forms_match_the_oracles_within_ulps_of_each_check_boundary(family, spacing):
+    values = [v for edge in _check_edges(family, spacing) for v in _around(edge)]
+    values += [0.0, -0.0, 5e-324, -5e-324, -1.0, math.nan, math.inf, -math.inf, math.nextafter(1.0, 0.0), 1.0]
+    seen = _assert_matches_the_oracles(family, values, spacing, alone=True)
+    assert seen == {
+        "square": {"built", "InvalidParameterError", "NodeCapError"},
+        "gaussian": {"built", "InvalidParameterError", "NodeCapError"},
+        "exponential": {"built", "InvalidParameterError", "NodeCapError"},
+        "optimal": {"built", "InvalidParameterError", "NodeCapError"},
+        "worst": {"built", "InvalidParameterError", "NodeCapError"},
+    }[family]
+
+
+def _scalar_pair(f, g):
+    """One pair clamped by _clamp_unit and checked by MeasurementStrength, in Python floats."""
+    return MeasurementStrength(pointer._clamp_unit(f, "quality factor"), pointer._clamp_unit(g, "precision"))
+
+
+def test_unit_pairs_clamp_and_refuse_as_clamp_unit_and_measurement_strength_do():
+    tol = 1e-9
+    singles = [v for edge in (-tol, 1.0 + tol, 0.0, 1.0) for v in _around(edge, 2)] + [-0.0, math.nan, 0.5]
+    # where F^2 + 1 first exceeds 1 + 1e-9 as F grows
+    circle = _flip(lambda f: _outcome(lambda: _scalar_pair(f, 1.0))[0] == "built", 1e-6, 1e-4)
+    pairs = [(f, g) for f in singles for g in (0.0, 0.6, 1.0)] + [(g, f) for f in singles for g in (0.0, 0.6)]
+    pairs += [(f, 1.0) for f in _around(circle)] + [(0.6, 0.8), (0.9, 0.9)]
+    seen = set()
+    for f, g in pairs:
+        want = _outcome(lambda: _scalar_pair(f, g))
+        got = _outcome(lambda: pointer._unit_pairs(np.array([f]), np.array([g])))
+        if want[0] == "built":
+            assert got[0] == "built", (f, g, got)
+            assert _hex_arrays(*got[1]) == _hex_strengths([want[1]]), (f, g)
+        else:
+            assert got == want, (f, g)
+        seen.add(want[0] if want[0] == "built" else want[0].__name__)
+    assert seen == {"built", "InvalidStateError", "PhysicalityError"}
+    # over a grid, the first refused pair is refused, whichever check refuses it
+    quality = np.array([0.6, 0.9, 0.5, -1.0, 0.6])
+    prec = np.array([0.8, 0.9, 1.5, 0.5, 0.8])
+    for start in range(4):
+        want = _outcome(lambda: [_scalar_pair(f, g) for f, g in zip(quality[start:].tolist(), prec[start:].tolist())])
+        assert _outcome(lambda: pointer._unit_pairs(quality[start:], prec[start:])) == want
+
+
+@pytest.mark.parametrize("family", ["optimal", "square"])
+def test_an_unphysical_closed_form_is_refused_naming_its_pair(monkeypatch, family):
+    # the F^2 + G^2 <= 1 check holds for every value of a sweep, whichever closed form gave it
+    closed_form = pointer._FAMILY_STRENGTHS[family]
+
+    def unphysical(values, grid_spacing, capped_as=None):
+        quality, prec = (a.copy() for a in closed_form(values, grid_spacing, capped_as))
+        quality[5], prec[5] = 0.9, 0.9
+        quality[7] = 1.5  # refused too, but later in the grid
+        return quality, prec
+
+    monkeypatch.setitem(pointer._FAMILY_STRENGTHS, family, unphysical)
+    message = f"unphysical strength: F^2 + G^2 = {0.9 * 0.9 + 0.9 * 0.9!r} > 1"
+    values = parse_range("0.1:0.9:0.1") if family == "optimal" else parse_range("1:3:0.25")
+    with pytest.raises(PhysicalityError) as refused:
+        tradeoff_curve(family, values)
+    assert str(refused.value) == message
+    with pytest.raises(PhysicalityError) as refused:
+        double_violation_curve(family, parse_range("0.1:0.9:0.1"))
+    assert str(refused.value) == message
+
+
+def test_sweeps_refuse_their_first_refused_value_in_grid_order():
+    def refusal(family, value):
+        return _oracle_outcome(family, value, SPACING)
+
+    cases = [
+        # a square narrower than 50h, an exponential too narrow to resolve, each before a value past the cap
+        (lambda: tradeoff_curve("square", [1.5] * 5 + [0.05, 1e6, 2.0]), refusal("square", 0.05)),
+        (lambda: tradeoff_curve("square", [1.5] * 5 + [1e6, 0.05, 2.0]), refusal("square", 1e6)),
+        (lambda: tradeoff_curve("exponential", [1.0] * 5 + [1e-6, 1e6, 2.0]), refusal("exponential", 1e-6)),
+        (lambda: tradeoff_curve("exponential", [1.0] * 5 + [1e6, 1e-6]), refusal("exponential", 1e6)),
+        (lambda: tradeoff_curve("worst", [0.5] * 5 + [0.0015, 1.5]), refusal("worst", 0.0015)),
+        (lambda: tradeoff_curve("optimal", [0.5] * 5 + [1.5, 0.0015]), refusal("optimal", 1.5)),
+    ]
+    cap = "needs a pointer grid of at least {} nodes, over the cap of 16777216; use a target precision nearer the strong limit"
+    for family, nodes in (("optimal", 3300987904), ("square", 33555456), ("gaussian", 33554432)):
+        # a target past the node cap, named as the target precision, before an out-of-range one
+        message = f"target precision 1e-05 {cap.format(nodes)}"
+        cases.append((lambda family=family: double_violation_curve(family, [0.5] * 5 + [0.00001, 0.5]), (NodeCapError, message)))
+    cases.append(
+        (
+            lambda: double_violation_curve("optimal", [0.5] * 5 + [1.5, 0.00001]),
+            (InvalidParameterError, "precision grid values must lie in (0, 1), got 1.5"),
+        )
+    )
+    for call, want in cases:
+        assert want[0] != "built"
+        assert _outcome(call) == want
 
 
 @pytest.mark.parametrize("size", [1, 7, 2**16, 2**16 + 1, 3 * 2**16 + 5, 1_000_003])
@@ -1110,7 +1349,8 @@ def test_measurement_strength_validation():
         MeasurementStrength(-0.1, 0.5)
     with pytest.raises(PhysicalityError):
         MeasurementStrength(0.5, 1.2)
-    assert MeasurementStrength.optimal(0.8).quality_factor == pytest.approx(0.6, abs=1e-15)
+    quality, _ = _target_strengths("analytic", np.array([0.8]))
+    assert quality[0] == pytest.approx(0.6, abs=1e-15)
 
 
 # --- trade-off curves -------------------------------------------------------------
