@@ -68,6 +68,9 @@ _ERFINV_MAX_STEPS = 8
 _TARGET_BLOCK = 2**12
 # Hermiticity, trace and positivity tolerance of an initial chain state
 _STATE_TOL = 1e-9
+# most Bob stages a chain may have: its joint holds 4 * 4^n cells, and
+# run_chain at 1e6 trials peaks near 150 MB at 8 stages, twice that at 9
+MAX_CHAIN_STAGES = 8
 # sigma_0 = I, sigma_1..3 = X, Y, Z: the basis of the Pauli coefficients
 _PAULI = np.stack([IDENTITY_2, *PAULI_XYZ])
 
@@ -107,7 +110,7 @@ class BellChainConfig:
 
     initial_state defaults to the singlet; a given one must be a density
     matrix: Hermitian, of unit trace and positive semidefinite, each
-    within 1e-9.
+    within 1e-9.  A chain has at most MAX_CHAIN_STAGES stages.
     """
 
     alice_dir0: Direction
@@ -119,6 +122,10 @@ class BellChainConfig:
         if not self.stages:
             raise InvalidParameterError("a Bell chain needs at least one Bob stage")
         object.__setattr__(self, "stages", tuple(self.stages))
+        if len(self.stages) > MAX_CHAIN_STAGES:
+            raise InvalidParameterError(
+                f"a Bell chain of {len(self.stages)} Bob stages is over the cap of {MAX_CHAIN_STAGES} stages"
+            )
         state = singlet() if self.initial_state is None else _checked_density(self.initial_state)
         state = state.copy()
         state.flags.writeable = False

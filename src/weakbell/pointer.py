@@ -36,25 +36,27 @@ and refuse with a NodeCapError that names their parameter.
 No command but a pointer dump builds a grid: _family_strengths gives
 the (F, G) of the grid a family's builder would build, as two arrays
 over a whole array of parameter values, from a few sums that need
-none.  Each of the builder's checks is a mask over the values, so it
-refuses the first value in grid order that the builder refuses, with
-the same error; _family_strength is its one-value call.  The
-arithmetic is numpy's over the whole array in the order of the
-per-value formulas, and exp, expm1, log and erfc are math's, element
-by element, so each F and G has the bits of that value's own
-evaluation.  A unit shift of the +1/-1 copies is one
-whole row, so a frontier pointer's F and G are sums over its envelope
-e_n: the central mass cancels and e_0 = 1, so G = 1 / sum(e_n^2) and
-F = sum(e_n e_{n+1}) / sum(e_n^2) whatever the profile, and both sums
-are geometric.  The square's F and G are ratios of node counts.  The
-gaussian's G sums the central 2/h nodes, and its F is exp(-1/2w^2)
-times the norm sum less the outermost 1/h nodes a side; the norm sum
-is a Poisson sum less an erfc tail, and the central and outer nodes
-of a chunk of widths are summed as the rows of one array.  The
-exponential's sums are geometric.  channel, bell and montecarlo take
-only a MeasurementStrength, never a PointerState.  quality_factor,
-precision and strength_of integrate a built grid, as for an
-optimal_from_central pointer with a custom profile.
+none.  Each of the builder's checks is a mask over a 1-D array of
+values, so it refuses the first value in grid order that the builder
+refuses, with the same error.  There is one path: a builder runs the
+same checks on the one-element array [value] before it allocates, and
+_family_strength is _family_strengths over [value].  The arithmetic
+is numpy's over the whole array in the order of the one-value
+formulas, and exp, expm1, log and erfc are math's, element by element,
+so each F and G has the bits of that value's own evaluation.  A unit
+shift of the +1/-1 copies is one whole row, so a frontier pointer's F
+and G are sums over its envelope e_n: the central mass cancels and
+e_0 = 1, so G = 1 / sum(e_n^2) and F = sum(e_n e_{n+1}) / sum(e_n^2)
+whatever the profile, and both sums are geometric.  The square's F and
+G are ratios of node counts.  The gaussian's G sums the central 2/h
+nodes, and its F is exp(-1/2w^2) times the norm sum less the outermost
+1/h nodes a side; the norm sum is a Poisson sum less an erfc tail, and
+the central and outer nodes of a chunk of widths are summed as the
+rows of one array.  The exponential's sums are geometric.  channel,
+bell and montecarlo take only a MeasurementStrength, never a
+PointerState.  quality_factor, precision and strength_of integrate a
+built grid, as for an optimal_from_central pointer with a custom
+profile.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -65,17 +67,17 @@ The square, gaussian and exponential profiles are even and the nodes
 +-(j + 1/2) h mirror exactly, so their builders fill only the upper
 half of the sample array, in place, and copy it reversed onto the lower
 half; the bits are those of evaluating every node.  A gaussian or
-exponential so narrow that the grid's norm would underflow to 0 is
-refused before the grid is allocated, one too narrow to normalize after
-the build; both refusals name the width and --spacing.  Builders
-normalize in place and square, sum and compare a block of nodes at a
-time (in np.sum's own pairwise order), so the grid is the only
-grid-sized array they hold.  A pointer CSV writes its positions from
-the 2^k fraction texts of one unit, built once with integer arithmetic
-wherever they equal repr (see samples_to_csv), a unit at a time: a unit
-whose amplitudes share one bit pattern, as every unit of a flat frontier
-pointer does, is one join of its texts around that amplitude's repr,
-and the other units format each distinct amplitude of the grid once.
+exponential so narrow that the grid's norm would underflow to 0, or be
+too small to normalize, is refused before the grid is allocated; both
+refusals name the width and --spacing.  Builders normalize in place
+and square, sum and compare a block of nodes at a time (in np.sum's
+own pairwise order), so the grid is the only grid-sized array they
+hold.  A pointer CSV writes its positions from the 2^k fraction texts
+of one unit, built once with integer arithmetic wherever they equal
+repr (see samples_to_csv), a unit at a time: a unit whose amplitudes
+share one bit pattern, as every unit of a flat frontier pointer does,
+is one join of its texts around that amplitude's repr, and the other
+units format each distinct amplitude of the grid once.
 """
 
 from __future__ import annotations
@@ -129,16 +131,16 @@ def _first_refused(checks) -> None:
     """Raise the error of the first check that refuses the first refused value in grid order.
 
     checks are (refused, error) pairs in the order one value's checks
-    run: refused is a boolean mask over the values (a numpy bool for one
-    value), and error(k) makes value k's exception.  The masks are folded
-    into one, whose first refused index is read once.
+    run: refused is a 1-D boolean mask over the values, and error(k)
+    makes value k's exception.  The masks are folded into one, whose
+    first refused index is read once.
     """
     refused = checks[0][0]
     for mask, _ in checks[1:]:
         refused = refused | mask
-    k = int(refused.argmax()) if refused.ndim and refused.size else 0
-    if refused.size and refused.item(k):
-        raise next(error for mask, error in checks if mask.item(k))(k)
+    if refused.any():
+        k = int(refused.argmax())
+        raise next(error for mask, error in checks if mask[k])(k)
 
 
 def _positive_cells(name: str, values: np.ndarray, grid_spacing: float) -> tuple[tuple, int]:
@@ -151,7 +153,7 @@ def _positive_cells(name: str, values: np.ndarray, grid_spacing: float) -> tuple
     try:
         return check, _cells_per_unit(grid_spacing)
     except InvalidParameterError:
-        _first_refused([(np.ravel(check[0])[:1], check[1])])
+        _first_refused([(check[0][:1], check[1])])
         raise
 
 
@@ -162,15 +164,8 @@ def _cap_check(name: str, values, capped_as, over: np.ndarray, nodes) -> tuple:
 
 
 def _each(function, values: np.ndarray) -> np.ndarray:
-    """math's function of each value, as an array or of one numpy float: numpy's exp, expm1 and log miss its bits."""
-    if values.ndim == 0:
-        return np.float64(function(values))
+    """math's function of each value, as an array: numpy's exp, expm1 and log miss its bits."""
     return np.array(list(map(function, values.tolist())), dtype=float)
-
-
-def _radius_cells(radius: float, grid_spacing: float) -> int:
-    """ceil(radius / spacing), clipped so a radius past the node cap never overflows."""
-    return math.ceil(min(MAX_POINTER_NODES, radius / grid_spacing))
 
 
 def _symmetric_positions(radius_cells: int, grid_spacing: float) -> np.ndarray:
@@ -198,46 +193,38 @@ def _mirror(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _resolution_checks(name: str, values: np.ndarray, exponent: np.ndarray, grid_spacing: float, normalizing: bool):
+def _resolution_checks(name: str, values: np.ndarray, exponent: np.ndarray, grid_spacing: float):
     """Refusal pairs of profiles whose largest sample, at the nodes +-h/2, is exp(exponent) <= 1.
 
     The first refuses a grid whose norm underflows: when the norm^2 of
     those two nodes, 2 peak^2 h, is 0, so is every other sample's share
-    (peak from math.exp).  With normalizing, the second refuses where the
-    builder would fail to normalize its grid: where peak^2 is below
-    _TINY_SQUARE, the next samples (its cube for the exponential, its
-    ninth power for the gaussian) are 0, so the grid's norm^2 is 2 peak^2
-    h, and where that is a subnormal with too few bits, the normalized
-    pair misses unit norm by more than PointerState allows.  This
-    repeats the builder's arithmetic on the pair alone, with its own
-    np.exp.
+    (peak from math.exp).  The second refuses where the builder would
+    fail to normalize its grid: where peak^2 is below _TINY_SQUARE, the
+    next samples (its cube for the exponential, its ninth power for the
+    gaussian) are 0, so the grid's norm^2 is 2 peak^2 h, and where that
+    is a subnormal with too few bits, the normalized pair misses unit
+    norm by more than PointerState allows.  This repeats the builder's
+    arithmetic on the pair alone, with its own np.exp, so a builder
+    refuses such a width before it allocates.
     """
     def too_narrow(why):
         return lambda k: _too_narrow(name, values.item(k), grid_spacing, why)
 
     peak = _each(math.exp, exponent)
-    checks = [(~(2.0 * (peak * peak) * grid_spacing > 0.0), too_narrow("the pointer's norm underflows to 0"))]
-    if normalizing:
-        peak = np.exp(exponent)
-        square = peak * peak
-        with np.errstate(all="ignore"):  # a zero norm leaves share inf or nan: refused
-            share = peak / np.sqrt((square + square) * grid_spacing)
-            normalized = np.abs((share * share + share * share) * grid_spacing - 1.0) <= _NORM_TOL
-        unnormalizable = (square < _TINY_SQUARE) & ~normalized
-        checks.append((unnormalizable, too_narrow("the pointer's norm is too small to normalize")))
-    return checks
+    underflow = ~(2.0 * (peak * peak) * grid_spacing > 0.0)
+    peak = np.exp(exponent)
+    square = peak * peak
+    with np.errstate(all="ignore"):  # a zero norm leaves share inf or nan: refused
+        share = peak / np.sqrt((square + square) * grid_spacing)
+        normalized = np.abs((share * share + share * share) * grid_spacing - 1.0) <= _NORM_TOL
+    return [
+        (underflow, too_narrow("the pointer's norm underflows to 0")),
+        ((square < _TINY_SQUARE) & ~normalized, too_narrow("the pointer's norm is too small to normalize")),
+    ]
 
 
 def _too_narrow(name: str, value: float, h: float, why: str) -> InvalidParameterError:
     return InvalidParameterError(f"{name} {value!r} is too small for grid spacing {h!r}: {why}; use a finer --spacing")
-
-
-def _mirrored_state(name: str, value: float, samples: np.ndarray, grid_spacing: float) -> PointerState:
-    """Mirror and normalize a builder's upper half, naming the width where the norm^2 is too subnormal."""
-    try:
-        return _normalized_state(_mirror(samples), grid_spacing)
-    except InvalidStateError:
-        raise _too_narrow(name, value, grid_spacing, "the pointer's norm is too small to normalize") from None
 
 
 @dataclass(frozen=True)
@@ -403,7 +390,7 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     the pointer obeys G = 1 - F: it measures strongly with probability G
     and returns a coin flip otherwise.
     """
-    _, radius, inside = _square_grid(np.float64(half_width), grid_spacing)
+    _, (radius,), (inside,) = _square_grid(np.array([half_width], dtype=float), grid_spacing)
     radius_cells, inside = int(radius), int(inside)
     samples = np.zeros(2 * radius_cells)
     samples[radius_cells - inside : radius_cells + inside] = 1.0
@@ -420,8 +407,8 @@ def _square_strengths(half_widths: np.ndarray, grid_spacing: float, capped_as=No
     return np.maximum(inside - cells, 0.0) / inside, np.minimum(inside, cells) / inside
 
 
-def _gaussian_grid(widths: np.ndarray, grid_spacing: float, capped_as=None, normalizing: bool = False):
-    """make_gaussian's checks on each width, before it allocates (and as it normalizes); cells, nodes a side."""
+def _gaussian_grid(widths: np.ndarray, grid_spacing: float, capped_as=None):
+    """make_gaussian's checks on each width, before it allocates; cells, nodes a side."""
     positivity, cells = _positive_cells("width", widths, grid_spacing)
     nearest = 0.5 * grid_spacing
     with np.errstate(all="ignore"):  # a refused width may overflow or be nan
@@ -431,7 +418,7 @@ def _gaussian_grid(widths: np.ndarray, grid_spacing: float, capped_as=None, norm
     _first_refused([
         positivity,
         _cap_check("gaussian width", widths, capped_as, over, lambda k: 2 * int(radius.item(k))),
-        *_resolution_checks("gaussian width", widths, exponent, grid_spacing, normalizing),
+        *_resolution_checks("gaussian width", widths, exponent, grid_spacing),
     ])
     return cells, radius
 
@@ -443,12 +430,12 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     truncated at 8 width (mass < 1e-14 beyond) and the state renormalized
     on the grid.
     """
-    _, radius = _gaussian_grid(np.float64(width), grid_spacing)
+    _, (radius,) = _gaussian_grid(np.array([width], dtype=float), grid_spacing)
     samples, upper = _upper_positions(int(radius), grid_spacing)
     upper *= upper
     upper /= -(4.0 * width * width)
     np.exp(upper, out=upper)
-    return _mirrored_state("gaussian width", width, samples, grid_spacing)
+    return _normalized_state(_mirror(samples), grid_spacing)
 
 
 def _gaussian_row_sums(spreads: np.ndarray, starts: np.ndarray, cells: int, grid_spacing: float) -> np.ndarray:
@@ -485,8 +472,7 @@ def _gaussian_strengths(widths: np.ndarray, grid_spacing: float, capped_as=None)
     side, whichever are fewer.  A grid with every node in (-1, 1) has
     (F, G) = (0, 1).
     """
-    widths = np.atleast_1d(widths)  # its sums are written into arrays by index
-    cells, radius = _gaussian_grid(widths, grid_spacing, capped_as, normalizing=True)
+    cells, radius = _gaussian_grid(widths, grid_spacing, capped_as)
     spread = 2.0 * widths * widths
     reach = radius * grid_spacing / (math.sqrt(2.0) * widths)
     total = widths / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - _each(math.erfc, reach))
@@ -521,8 +507,8 @@ def _gaussian_strengths(widths: np.ndarray, grid_spacing: float, capped_as=None)
     return quality, np.where(within, 1.0, central / total)
 
 
-def _exponential_grid(scales: np.ndarray, grid_spacing: float, capped_as=None, normalizing: bool = False):
-    """make_exponential's checks on each scale, before it allocates (and as it normalizes); cells, nodes a side."""
+def _exponential_grid(scales: np.ndarray, grid_spacing: float, capped_as=None):
+    """make_exponential's checks on each scale, before it allocates; cells, nodes a side."""
     positivity, cells = _positive_cells("scale", scales, grid_spacing)
     with np.errstate(all="ignore"):  # a refused scale may overflow or be nan
         radius = np.ceil(np.minimum(MAX_POINTER_NODES, np.maximum(40.0 * scales, 2.0) / grid_spacing))
@@ -532,18 +518,18 @@ def _exponential_grid(scales: np.ndarray, grid_spacing: float, capped_as=None, n
     _first_refused([
         positivity,
         _cap_check("exponential scale", scales, capped_as, over, lambda k: 2 * int(radius.item(k))),
-        *_resolution_checks("exponential scale", scales, exponent, grid_spacing, normalizing),
+        *_resolution_checks("exponential scale", scales, exponent, grid_spacing),
     ])
     return cells, radius
 
 
 def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> PointerState:
     """Pointer with phi^2 proportional to exp(-|q|/scale), truncated at max(40 scale, 2) and renormalized."""
-    _, radius = _exponential_grid(np.float64(scale), grid_spacing)
+    _, (radius,) = _exponential_grid(np.array([scale], dtype=float), grid_spacing)
     samples, upper = _upper_positions(int(radius), grid_spacing)
     upper /= -(2.0 * scale)
     np.exp(upper, out=upper)
-    return _mirrored_state("exponential scale", scale, samples, grid_spacing)
+    return _normalized_state(_mirror(samples), grid_spacing)
 
 
 def _exponential_strengths(scales: np.ndarray, grid_spacing: float, capped_as=None):
@@ -556,7 +542,7 @@ def _exponential_strengths(scales: np.ndarray, grid_spacing: float, capped_as=No
     phi(p-1) phi(p+1) = e^(-1/s), the others phi(p)^2, summing to
     e^(-1/s) (1 - r^(M - 2/h)).
     """
-    cells, radius = _exponential_grid(scales, grid_spacing, capped_as, normalizing=True)
+    cells, radius = _exponential_grid(scales, grid_spacing, capped_as)
     step = grid_spacing / scales
     total = -_each(math.expm1, -radius * step)
     inside = cells * -_each(math.expm1, -step) * _each(math.exp, -(2.0 - grid_spacing) / (2.0 * scales))
@@ -572,7 +558,7 @@ def _envelope_intervals(targets: np.ndarray, cells: int, capped_as=None):
     grid of 2 (2N + 1) / h nodes must fit the node cap.
     """
     in_range = (targets > 0.0) & (targets < 1.0)
-    safe = np.where(in_range, targets, 0.5)[()]  # [()]: one value stays a numpy float, not a 0-d array
+    safe = np.where(in_range, targets, 0.5)
     ratio = (1.0 - safe) / (1.0 + safe)
     log_ratio = _each(math.log, ratio)  # 0.0 once G is below half an ulp of 1
     # log(cutoff) / log r > 0, so at least 1; where log r is 0 it is past any cap, as inf is
@@ -597,7 +583,7 @@ def _frontier_envelope(target_precision: float, cells: int) -> np.ndarray:
     checked against the node cap, so the rows are refused exactly where
     the grid is.
     """
-    n_intervals, ratio, _ = _envelope_intervals(np.float64(target_precision), cells)
+    (n_intervals,), (ratio,), _ = _envelope_intervals(np.array([target_precision], dtype=float), cells)
     n = np.arange(-int(n_intervals), int(n_intervals) + 1, dtype=float)
     return np.power(float(ratio), np.abs(n) / 2.0)
 
@@ -646,7 +632,7 @@ def optimal_from_central(
 def _central_profile(profile: str, target_precision: float, grid_spacing: float) -> np.ndarray:
     """make_optimal's central profile, once the grid it generates is known to fit the cap."""
     cells = _cells_per_unit(grid_spacing)
-    _envelope_intervals(np.float64(target_precision), cells)  # size the grid before building
+    _envelope_intervals(np.array([target_precision], dtype=float), cells)  # size the grid before building
     x = _symmetric_positions(cells, grid_spacing)
     if profile == "flat":
         return np.ones_like(x)
@@ -772,15 +758,9 @@ def _family_strengths(
 
 
 def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:
-    """The MeasurementStrength of one value: the one-value call of _family_strengths.
-
-    The value is a numpy float, not an array, so each numpy operation is
-    a scalar one, and its pair is clamped by _clamp_unit and checked by
-    MeasurementStrength, the checks _unit_pairs makes over an array: a
-    one-element array would pay numpy's fixed cost per array operation.
-    """
-    quality, prec = _FAMILY_STRENGTHS[family](np.float64(value), grid_spacing, None)
-    return MeasurementStrength(_clamp_unit(quality.item(), "quality factor"), _clamp_unit(prec.item(), "precision"))
+    """The MeasurementStrength of one value: _family_strengths over the one-element array [value]."""
+    quality, prec = _family_strengths(family, np.array([value], dtype=float), grid_spacing)
+    return MeasurementStrength(quality.item(), prec.item())
 
 
 def tradeoff_curve(

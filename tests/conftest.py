@@ -44,7 +44,6 @@ from weakbell.pointer import (
     _node_cap_error,
     _node_sum,
     _normalized_state,
-    _radius_cells,
     _too_narrow,
 )
 from weakbell.montecarlo import (
@@ -484,6 +483,11 @@ def oracle_make_exponential(scale: float, grid_spacing: float) -> PointerState:
 
 def _oracle_unit_strength(fq: float, gp: float) -> MeasurementStrength:
     return MeasurementStrength(_clamp_unit(fq, "quality factor"), _clamp_unit(gp, "precision"))
+
+
+def _radius_cells(radius: float, grid_spacing: float) -> int:
+    """ceil(radius / spacing), clipped so a radius past the node cap never overflows."""
+    return math.ceil(min(pointer.MAX_POINTER_NODES, radius / grid_spacing))
 
 
 def _oracle_check_node_count(nodes: int, name: str, value: float) -> None:

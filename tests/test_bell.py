@@ -246,6 +246,24 @@ def test_positivity_scan_matches_the_closed_form(quality, precision):
 # --- sequential chains -----------------------------------------------------------------
 
 
+def test_chain_length_is_capped_before_any_joint_is_built(monkeypatch):
+    # a chain's joint holds 4 * 4^n cells: the cap is refused in the
+    # constructor, so no joint of an over-long chain is ever built
+    stage = BobStage(DIR_Z, DIR_X, MeasurementStrength(1.0, 0.0), bias=0.3)
+    joint = bell._propagated_joint
+
+    def refuse(*args):
+        raise AssertionError("a joint was built")
+
+    monkeypatch.setattr(bell, "_propagated_joint", refuse)
+    assert bell.MAX_CHAIN_STAGES == 8
+    cfg = BellChainConfig(DIR_Z, DIR_X, stages=(stage,) * 8)
+    with pytest.raises(InvalidParameterError, match=r"^a Bell chain of 9 Bob stages is over the cap of 8 stages$"):
+        BellChainConfig(DIR_Z, DIR_X, stages=(stage,) * 9)
+    monkeypatch.setattr(bell, "_propagated_joint", joint)
+    assert bell._chain_joint(cfg).shape == (2,) * 18
+
+
 def test_sequential_state_trivial_cases():
     rng = np.random.default_rng(6)
     cfg = BellChainConfig(DIR_Z, DIR_X, stages=(random_stage(rng),))

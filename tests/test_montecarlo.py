@@ -483,6 +483,25 @@ def test_run_chain_draws_its_splits_in_the_documented_order(chain):
     assert list(run_chain(cfg, trials, seed).outcome_counts.items()) == sorted(expected.items())
 
 
+@pytest.mark.parametrize("mass, split", [(ZERO_MASS, 0.0), (math.nextafter(ZERO_MASS, 1.0), None)])
+def test_run_chain_zeroes_cells_of_mass_at_most_zero_mass(monkeypatch, mass, split):
+    # cell 1 of the joint is the +1 side of its last split: a mass of
+    # exactly ZERO_MASS is zeroed, so that split is exactly 0.0, and the
+    # next float up is kept
+    cfg = double_config()
+    unpatched = walk_steps(cfg)[-1]
+    joint = bell._chain_joint(cfg).copy()
+    joint.flat[0] += joint.flat[1] - mass
+    joint.flat[1] = mass
+    monkeypatch.setattr(montecarlo, "_chain_joint", lambda cfg: joint)
+    last = walk_steps(cfg)[-1]
+    if split is None:
+        assert last[0] == mass / (joint.flat[0] + mass) > 0.0
+    else:
+        assert last[0] == split
+    np.testing.assert_array_equal(last[1:], unpatched[1:])
+
+
 def chain_config(n_stages: int, later: tuple = ()) -> BellChainConfig:
     """A weak optimal Bob, then the later strengths (strong ones by default), the last Bob biased 0.3."""
     strengths = [_family_strength("optimal", 0.8), *(later or (STRONG, STRONG))][:n_stages]
@@ -782,6 +801,15 @@ def test_chi_square_cell_handling():
         chi_square_report(observed, expected, 0)
     # one trial is the least fit accepted
     assert chi_square_report({"a": 1}, expected, 1).dof == 1
+
+
+@pytest.mark.parametrize("p_value, passed", [(1e-3, False), (math.nextafter(1e-3, 1.0), True)])
+def test_chi_square_passes_only_above_its_p_value_gate(monkeypatch, p_value, passed):
+    # the gate is p > 1e-3: a tail of exactly 1e-3 fails, the next float passes
+    monkeypatch.setattr(montecarlo, "_chi_square_tail", lambda statistic, dof: p_value)
+    report = chi_square_report({"a": 50, "b": 50}, {"a": 0.5, "b": 0.5}, 100)
+    assert report.p_value == p_value
+    assert report.passed is passed
 
 
 def test_chi_square_counts_rounding_noise_as_an_impossible_cell():

@@ -881,6 +881,81 @@ def test_closed_forms_refuse_unnormalizable_widths_as_the_builders_do(family, ba
     assert reasons == {"the pointer's norm underflows to 0", "the pointer's norm is too small to normalize"}
 
 
+def test_builders_and_closed_forms_check_one_dimensional_masks(monkeypatch):
+    # one path: every builder, the one-value call and the sweeps hand
+    # _first_refused masks over a 1-D array of values, refusing or not
+    first_refused = pointer._first_refused
+    masks = []
+
+    def recording(checks):
+        masks.extend((type(mask), np.ndim(mask)) for mask, _ in checks)
+        return first_refused(checks)
+
+    monkeypatch.setattr(pointer, "_first_refused", recording)
+    entries = {
+        "builders": lambda: [
+            make_square(1.5),
+            make_gaussian(0.7),
+            make_exponential(0.4),
+            make_optimal(0.8),
+            make_optimal(0.8, "smooth_bump", 2.0**-10),
+            make_worst(0.6),
+        ],
+        "builder refusals": lambda: [
+            _outcome(call)
+            for call in (
+                lambda: make_square(-1.0),
+                lambda: make_square(1.5, 0.3),
+                lambda: make_gaussian(1e-5),
+                lambda: make_exponential(float("nan")),
+                lambda: make_optimal(1.0),
+                lambda: make_worst(0.001),
+            )
+        ],
+        "_family_strength": lambda: [
+            pointer._family_strength(family, value)
+            for family, value in zip(_FAMILIES, (1.5, 0.7, 0.4, 0.8, 0.6))
+        ],
+        "tradeoff_curve": lambda: [
+            tradeoff_curve(family, values)
+            for family, values in zip(_FAMILIES, ([1.5, 2.0], [0.2, 0.7], [0.1, 0.4], [0.2, 0.8], [0.2, 0.6]))
+        ],
+        "double_violation_curve": lambda: [
+            double_violation_curve(family, [0.2, 0.5, 0.8]) for family in ("square", "gaussian", "optimal")
+        ],
+    }
+    for name, entry in entries.items():
+        del masks[:]
+        entry()
+        assert masks and set(masks) == {(np.ndarray, 1)}, (name, set(masks))
+
+
+@pytest.mark.parametrize(
+    "build, band",
+    [
+        (make_gaussian, (SPACING / (4 * 345**0.5), SPACING / (4 * 380**0.5))),
+        (make_exponential, (SPACING / (4 * 345), SPACING / (4 * 380))),
+    ],
+)
+def test_builders_refuse_unnormalizable_widths_before_they_normalize(build, band, monkeypatch):
+    # a width too small to normalize is refused by the builder's own
+    # checks, before it allocates, never by a failed normalization
+    unnormalizable = [
+        value
+        for value in np.geomspace(*band, 400).tolist()
+        if "too small to normalize" in str(_outcome(lambda: build(value))[1])
+    ]
+    assert unnormalizable
+
+    def refuse(samples, grid_spacing):
+        raise AssertionError("a grid was normalized")
+
+    monkeypatch.setattr(pointer, "_normalize", refuse)
+    for value in unnormalizable:
+        with pytest.raises(InvalidParameterError, match="too small to normalize"):
+            build(value)
+
+
 @pytest.mark.parametrize(
     "family, value",
     [("square", 16000.0), ("gaussian", 1999.0), ("exponential", 400.0), ("optimal", 0.002), ("worst", 0.002)],
