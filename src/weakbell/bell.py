@@ -302,7 +302,8 @@ def _target_strengths(family: str, targets: np.ndarray) -> tuple[np.ndarray, np.
     if family == "gaussian":
         parameters = np.array([1.0 / (_SQ2 * _erfinv(target)) for target in targets.tolist()])
     elif family in ("optimal", "square"):
-        parameters = targets if family == "optimal" else 1.0 / targets
+        with np.errstate(over="ignore"):  # a tiny target's half width overflows to inf, over the node cap
+            parameters = targets if family == "optimal" else 1.0 / targets
     else:
         raise InvalidParameterError(f"unknown stage family {family!r}")
     return _family_strengths(family, parameters, DEFAULT_GRID_SPACING, ("target precision", targets))

@@ -40,7 +40,7 @@ none.  Each of the builder's checks is a mask over a 1-D array of
 values, so it refuses the first value in grid order that the builder
 refuses, with the same error.  There is one path: a builder runs the
 same checks on the one-element array [value] before it allocates, and
-_family_strength is _family_strengths over [value].  The arithmetic
+_family_strength is the closed form over [value].  The arithmetic
 is numpy's over the whole array in the order of the one-value
 formulas, and exp, expm1, log and erfc are math's, element by element,
 so each F and G has the bits of that value's own evaluation.  A unit
@@ -54,9 +54,17 @@ nodes, and its F is exp(-1/2w^2) times the norm sum less the outermost
 the central and outer nodes of a chunk of widths are summed as the
 rows of one array.  The exponential's sums are geometric.  channel,
 bell and montecarlo take only a MeasurementStrength, never a
-PointerState.  quality_factor, precision and strength_of integrate a
-built grid, as for an optimal_from_central pointer with a custom
-profile.
+PointerState.  strength_of integrates a built grid, as for an
+optimal_from_central pointer with a custom profile; quality_factor and
+precision read its F and G.
+
+Every MeasurementStrength and every (F, G) of a closed-form sweep
+passes one gate, _unit_pairs, once: F and G within 1e-9 of [0, 1] are
+clamped to it, and then F^2 + G^2 <= 1 + 1e-14.  MeasurementStrength
+runs it on its raw pair, _family_strengths and double's analytic
+targets on their arrays.  Closed forms and built grids miss the circle
+by ~1e-15 at most, and a pair past it by e makes joint cells of -e/32
+at worst, inside montecarlo's ZERO_MASS.
 
 The envelope never ends; intervals whose weight ((1-G)/(1+G))^|n|
 relative to the central one falls below ENVELOPE_CUTOFF = 1e-14 are
@@ -98,7 +106,9 @@ ENVELOPE_CUTOFF = 1e-14
 
 _NORM_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
-_CIRCLE_TOL = 1e-9
+# the (F, G) gate: F or G clamped within this of [0, 1], then F^2 + G^2 <= 1 + _CIRCLE_TOL
+_RANGE_TOL = 1e-9
+_CIRCLE_TOL = 1e-14
 # nodes squared, summed or compared at a time, so no whole-grid temporary is made
 _BLOCK_NODES = 2**16
 # below this largest sample^2 a grid's only non-zero samples are the pair at +-h/2
@@ -284,17 +294,15 @@ class PointerState:
 
 @dataclass(frozen=True)
 class MeasurementStrength:
-    """Pair (quality factor, precision) with the unit-circle constraint."""
+    """Pair (quality factor, precision) through the (F, G) gate, _unit_pairs, held as its clamped floats."""
 
     quality_factor: float
     precision: float
 
     def __post_init__(self):
-        F, G = self.quality_factor, self.precision
-        if not (-1e-12 <= F <= 1.0 + 1e-12 and -1e-12 <= G <= 1.0 + 1e-12):
-            raise PhysicalityError(f"quality factor and precision must lie in [0, 1], got ({F}, {G})")
-        if F * F + G * G > 1.0 + _CIRCLE_TOL:
-            raise PhysicalityError(f"unphysical strength: F^2 + G^2 = {F * F + G * G!r} > 1")
+        quality, prec = _unit_pairs(*(np.array([v], dtype=float) for v in (self.quality_factor, self.precision)))
+        object.__setattr__(self, "quality_factor", quality.item())
+        object.__setattr__(self, "precision", prec.item())
 
 
 def _sum_of_squares(samples: np.ndarray) -> float:
@@ -330,23 +338,25 @@ def _normalized_state(samples: np.ndarray, grid_spacing: float) -> PointerState:
 
 
 def _unit_pairs(quality: np.ndarray, prec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (F, G) arrays, clamped to [0, 1] and refused as _clamp_unit and MeasurementStrength do a pair.
+    """The (F, G) gate: arrays of F and G clamped to [0, 1], refusing the first refused pair in grid order.
 
-    The first refused pair in grid order is refused: an F, then a G,
-    more than 1e-9 outside [0, 1] with InvalidStateError, then a clamped
-    pair with F^2 + G^2 > 1 + 1e-9 with PhysicalityError.  A clamped pair
-    always lies in MeasurementStrength's range.
+    An F, then a G, that is nan or more than _RANGE_TOL outside [0, 1] is
+    refused with InvalidStateError; then a clamped pair with
+    F^2 + G^2 > 1 + _CIRCLE_TOL with PhysicalityError.  MeasurementStrength
+    runs it on its one pair, and the closed forms and double's analytic
+    targets on their arrays.
     """
     pairs = np.array([quality, prec])
-    outside = (pairs < -_CIRCLE_TOL) | (pairs > 1.0 + _CIRCLE_TOL)
-    # min(1, max(0, v)) in Python floats: nan and -0.0 clamp to 0.0
+    outside = ~((pairs >= -_RANGE_TOL) & (pairs <= 1.0 + _RANGE_TOL))
+    # min(1, max(0, v)) in Python floats: -0.0 clamps to 0.0
     pairs = np.minimum(np.where(pairs > 0.0, pairs, 0.0), 1.0)
     squares = pairs * pairs
     circle = squares[0] + squares[1]
     unphysical = circle > 1.0 + _CIRCLE_TOL
+    outside_unit = "{} {!r} outside [0, 1] beyond tolerance"
     _first_refused([
-        (outside[0], lambda k: _outside_unit("quality factor", quality.item(k))),
-        (outside[1], lambda k: _outside_unit("precision", prec.item(k))),
+        (outside[0], lambda k: InvalidStateError(outside_unit.format("quality factor", quality.item(k)))),
+        (outside[1], lambda k: InvalidStateError(outside_unit.format("precision", prec.item(k)))),
         (unphysical, lambda k: PhysicalityError(f"unphysical strength: F^2 + G^2 = {circle.item(k)!r} > 1")),
     ])
     return pairs[0], pairs[1]
@@ -690,39 +700,25 @@ def _frontier_strengths(targets: np.ndarray, grid_spacing: float, capped_as=None
 
 
 def quality_factor(state: PointerState) -> float:
-    """Overlap of the +1 and -1 displaced copies, by grid quadrature."""
-    cells = _cells_per_unit(state.grid_spacing)
-    shift = 2 * cells
-    phi = state.samples
-    if phi.size <= shift:
-        return 0.0
-    value = float(np.sum(phi[shift:] * phi[:-shift]) * state.grid_spacing)
-    return _clamp_unit(value, "quality factor")
+    """Overlap of the +1 and -1 displaced copies, by grid quadrature: strength_of(state)'s F."""
+    return strength_of(state).quality_factor
 
 
 def precision(state: PointerState) -> float:
-    """Pointer mass on the central interval (-1, +1), by grid quadrature."""
-    cells = _cells_per_unit(state.grid_spacing)
-    # the nodes with -1 < q < 1 are the central 2/h, clipped to the grid
-    half = state.samples.size // 2
-    run = state.samples[max(0, half - cells) : half + cells]
-    value = float(np.sum(run**2) * state.grid_spacing)
-    return _clamp_unit(value, "precision")
-
-
-def _outside_unit(name: str, value: float) -> InvalidStateError:
-    return InvalidStateError(f"{name} {float(value)!r} outside [0, 1] beyond tolerance")
-
-
-def _clamp_unit(value: float, name: str) -> float:
-    if value < -_CIRCLE_TOL or value > 1.0 + _CIRCLE_TOL:
-        raise _outside_unit(name, value)
-    return min(1.0, max(0.0, value))
+    """Pointer mass on the central interval (-1, +1), by grid quadrature: strength_of(state)'s G."""
+    return strength_of(state).precision
 
 
 def strength_of(state: PointerState) -> MeasurementStrength:
-    """Measure (quality factor, precision) of a pointer by quadrature."""
-    return MeasurementStrength(quality_factor(state), precision(state))
+    """Measure (quality factor, precision) of a pointer by quadrature, through the (F, G) gate."""
+    cells = _cells_per_unit(state.grid_spacing)
+    phi = state.samples
+    shift = 2 * cells
+    overlap = float(np.sum(phi[shift:] * phi[:-shift]) * state.grid_spacing) if phi.size > shift else 0.0
+    # the nodes with -1 < q < 1 are the central 2/h, clipped to the grid
+    half = phi.size // 2
+    run = phi[max(0, half - cells) : half + cells]
+    return MeasurementStrength(overlap, float(np.sum(run**2) * state.grid_spacing))
 
 
 _FAMILY_BUILDERS = {
@@ -758,8 +754,8 @@ def _family_strengths(
 
 
 def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:
-    """The MeasurementStrength of one value: _family_strengths over the one-element array [value]."""
-    quality, prec = _family_strengths(family, np.array([value], dtype=float), grid_spacing)
+    """The MeasurementStrength of one value: its family's raw closed form over [value], gated once."""
+    quality, prec = _FAMILY_STRENGTHS[family](np.array([value], dtype=float), grid_spacing)
     return MeasurementStrength(quality.item(), prec.item())
 
 

@@ -11,7 +11,9 @@ from weakbell import (
     BobStage,
     Direction,
     InvalidParameterError,
+    InvalidStateError,
     MeasurementStrength,
+    PhysicalityError,
     PointerState,
 )
 from weakbell.bell import (
@@ -40,7 +42,6 @@ from weakbell.channel import (
 from weakbell import pointer
 from weakbell.pointer import (
     _cells_per_unit,
-    _clamp_unit,
     _node_cap_error,
     _node_sum,
     _normalized_state,
@@ -482,7 +483,26 @@ def oracle_make_exponential(scale: float, grid_spacing: float) -> PointerState:
 
 
 def _oracle_unit_strength(fq: float, gp: float) -> MeasurementStrength:
-    return MeasurementStrength(_clamp_unit(fq, "quality factor"), _clamp_unit(gp, "precision"))
+    """The (F, G) gate on one pair, decided in Python floats.
+
+    F, then G, must lie within 1e-9 of [0, 1] (nan is refused); both
+    are clamped to [0, 1], and the clamped F^2 + G^2 may exceed 1 by at
+    most 1e-14.  An accepted pair that MeasurementStrength refuses or
+    moves fails here, so the oracle never borrows the gate's refusal.
+    """
+    for name, value in (("quality factor", fq), ("precision", gp)):
+        if not -1e-9 <= value <= 1.0 + 1e-9:
+            raise InvalidStateError(f"{name} {float(value)!r} outside [0, 1] beyond tolerance")
+    fq, gp = min(1.0, max(0.0, fq)), min(1.0, max(0.0, gp))
+    circle = fq * fq + gp * gp
+    if circle > 1.0 + 1e-14:
+        raise PhysicalityError(f"unphysical strength: F^2 + G^2 = {circle!r} > 1")
+    try:
+        strength = MeasurementStrength(fq, gp)
+    except ValueError as refused:
+        raise AssertionError(f"the gate refuses ({fq!r}, {gp!r}), which the oracle accepts") from refused
+    assert (strength.quality_factor, strength.precision) == (fq, gp), (fq, gp)
+    return strength
 
 
 def _radius_cells(radius: float, grid_spacing: float) -> int:

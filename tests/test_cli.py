@@ -431,10 +431,11 @@ def test_precision_below_the_cap_names_the_target_and_only_a_flag_the_command_ta
 
 @pytest.mark.parametrize(
     "family, g, nodes",
-    [("square", "0.00001", 33555456), ("gaussian", "0.0001", 33554432)],
+    [("square", "0.00001", 33555456), ("gaussian", "0.0001", 33554432), ("square", "5e-324", 33555456)],
 )
 def test_double_refusal_past_the_cap_names_the_target_precision(tmp_path, capsys, family, g, nodes):
-    # the square half width 1/G and the gaussian width are the builder's, not the user's, parameter
+    # the square half width 1/G and the gaussian width are the builder's, not the user's, parameter;
+    # 1/G overflows to inf at 5e-324, with no RuntimeWarning (the suite makes one an error)
     out = tmp_path / "d.csv"
     assert run_cli("double", "--family", family, "--g", g, "--out", str(out)) == 2
     assert capsys.readouterr().err == (

@@ -527,7 +527,7 @@ def assert_matches_the_whole_run(cfg: BellChainConfig, trials: int, seed: int, c
 @pytest.mark.parametrize("n_stages", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [37, 2**15])
 @pytest.mark.parametrize("whole_chunks, extra", [(0, 1), (0, 3), (1, -1), (1, 1), (3, 5)])
-def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, extra):
+def test_run_chain_matches_the_chunked_split_oracle(n_stages, chunk, whole_chunks, extra):
     # a chunk of 37 cuts the later splits' 64, 128 and 256 cells; 2**15 cuts none
     trials = whole_chunks * chunk + extra
     assert_matches_the_whole_run(chain_config(n_stages), trials, 20240817 + trials, chunk)
@@ -536,7 +536,7 @@ def test_chunked_run_chain_matches_the_whole_run(n_stages, chunk, whole_chunks, 
 @pytest.mark.parametrize("n_stages", [2, 3])
 @pytest.mark.parametrize("chunk", [37, 2**15])
 @pytest.mark.parametrize("whole_chunks, extra", [(0, 3), (1, 1), (2, 5)])
-def test_chunked_run_chain_matches_the_whole_run_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
+def test_run_chain_matches_the_chunked_split_oracle_on_sparse_pointers(n_stages, chunk, whole_chunks, extra):
     # the (F, G) of a worst-case pointer (every other interval row zeroed, F = 0),
     # then of a G = 0.05 frontier pointer (647 rows)
     cfg = chain_config(n_stages, (_family_strength("worst", 0.5), _family_strength("optimal", 0.05)))
@@ -586,7 +586,7 @@ def collapse_walk(cfg: BellChainConfig, envelopes: list) -> list:
 
 @pytest.mark.parametrize("name", list(row_stages()))
 @pytest.mark.parametrize("chunk", [37, 2**15])
-def test_state_tables_match_the_per_trial_collapse(name, chunk):
+def test_split_probabilities_match_the_per_reading_collapse(name, chunk):
     # a weak Bob, then the named pointer twice: the probabilities run_chain
     # splits each b_k by are those of collapsing every reading one by one,
     # and its run is the split walk's
@@ -713,7 +713,7 @@ def test_run_chain_takes_any_measurement_strength():
 # --- analytic joint and chi-square ---------------------------------------------------
 
 
-def test_analytic_joint_normalizes_and_matches_triple_probability():
+def test_analytic_joint_normalizes_and_matches_the_closed_form():
     cfg = double_config()
     joint = analytic_joint(cfg)
     assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     ORACLE_STRENGTHS,
+    _oracle_unit_strength,
     assert_same_text,
     oracle_analytic_strength,
     oracle_gaussian_strength,
@@ -1233,34 +1234,30 @@ def test_closed_forms_match_the_oracles_within_ulps_of_each_check_boundary(famil
     }[family]
 
 
-def _scalar_pair(f, g):
-    """One pair clamped by _clamp_unit and checked by MeasurementStrength, in Python floats."""
-    return MeasurementStrength(pointer._clamp_unit(f, "quality factor"), pointer._clamp_unit(g, "precision"))
-
-
-def test_unit_pairs_clamp_and_refuse_as_clamp_unit_and_measurement_strength_do():
-    tol = 1e-9
-    singles = [v for edge in (-tol, 1.0 + tol, 0.0, 1.0) for v in _around(edge, 2)] + [-0.0, math.nan, 0.5]
-    # where F^2 + 1 first exceeds 1 + 1e-9 as F grows
-    circle = _flip(lambda f: _outcome(lambda: _scalar_pair(f, 1.0))[0] == "built", 1e-6, 1e-4)
+def test_unit_pairs_clamp_and_refuse_as_the_python_float_oracle_does():
+    # each tolerance's edge +-2 ulps, the clamp's ends, nan, and where F^2 + 1 first exceeds 1 + 1e-14 as F grows
+    singles = [v for edge in (-1e-9, 1.0 + 1e-9, 0.0, 1.0) for v in _around(edge, 2)] + [-0.0, math.nan, 0.5]
+    circle = _flip(lambda f: _outcome(lambda: _oracle_unit_strength(f, 1.0))[0] == "built", 1e-8, 1e-6)
     pairs = [(f, g) for f in singles for g in (0.0, 0.6, 1.0)] + [(g, f) for f in singles for g in (0.0, 0.6)]
     pairs += [(f, 1.0) for f in _around(circle)] + [(0.6, 0.8), (0.9, 0.9)]
     seen = set()
     for f, g in pairs:
-        want = _outcome(lambda: _scalar_pair(f, g))
+        want = _outcome(lambda: _oracle_unit_strength(f, g))
         got = _outcome(lambda: pointer._unit_pairs(np.array([f]), np.array([g])))
+        one = _outcome(lambda: MeasurementStrength(f, g))
         if want[0] == "built":
-            assert got[0] == "built", (f, g, got)
-            assert _hex_arrays(*got[1]) == _hex_strengths([want[1]]), (f, g)
+            assert got[0] == "built" and one[0] == "built", (f, g, got, one)
+            assert _hex_arrays(*got[1]) == _hex_strengths([want[1]]) == _hex_strengths([one[1]]), (f, g)
         else:
-            assert got == want, (f, g)
+            assert got == want == one, (f, g)
         seen.add(want[0] if want[0] == "built" else want[0].__name__)
     assert seen == {"built", "InvalidStateError", "PhysicalityError"}
     # over a grid, the first refused pair is refused, whichever check refuses it
     quality = np.array([0.6, 0.9, 0.5, -1.0, 0.6])
     prec = np.array([0.8, 0.9, 1.5, 0.5, 0.8])
     for start in range(4):
-        want = _outcome(lambda: [_scalar_pair(f, g) for f, g in zip(quality[start:].tolist(), prec[start:].tolist())])
+        grid = zip(quality[start:].tolist(), prec[start:].tolist())
+        want = _outcome(lambda: [_oracle_unit_strength(f, g) for f, g in grid])
         assert _outcome(lambda: pointer._unit_pairs(quality[start:], prec[start:])) == want
 
 
@@ -1420,12 +1417,31 @@ def test_measurement_strength_validation():
     MeasurementStrength(0.0, 1.0)
     with pytest.raises(PhysicalityError):
         MeasurementStrength(0.9, 0.9)
-    with pytest.raises(PhysicalityError):
+    with pytest.raises(InvalidStateError, match=r"^quality factor -0\.1 outside \[0, 1\] beyond tolerance$"):
         MeasurementStrength(-0.1, 0.5)
-    with pytest.raises(PhysicalityError):
+    with pytest.raises(InvalidStateError, match=r"^precision 1\.2 outside \[0, 1\] beyond tolerance$"):
         MeasurementStrength(0.5, 1.2)
+    # a pair within the range tolerance is clamped before it enters a chain
+    assert MeasurementStrength(1.0 + 1e-12, 0.0).quality_factor == 1.0
+    # F^2 + G^2 - 1 = 9.98e-10, which once gave joint cells of -7.8e-12
+    with pytest.raises(PhysicalityError):
+        MeasurementStrength(1.0, 3.159e-5)
     quality, _ = _target_strengths("analytic", np.array([0.8]))
     assert quality[0] == pytest.approx(0.6, abs=1e-15)
+
+
+def test_strength_of_gates_a_hand_built_pointer_as_measurement_strength_does():
+    # scaling a frontier grid's samples by sqrt(s) scales its F and G by s and
+    # F^2 + G^2 (1 - 1e-16 or so) by s^2; PointerState admits any s within 1e-9
+    samples = np.array(make_optimal(0.6).samples)
+    for s in (1.0 + 2e-15, 1.0 + 1e-14):
+        state = PointerState(samples * math.sqrt(s), SPACING)
+        for measure in (strength_of, quality_factor, precision):
+            if s < 1.0 + 5e-15:
+                measure(state)
+            else:
+                with pytest.raises(PhysicalityError, match="unphysical strength"):
+                    measure(state)
 
 
 # --- trade-off curves -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests: the physical invariants on generated inputs (hypothesis, derandomized)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,14 +20,20 @@ from conftest import (
 from weakbell import (
     BellChainConfig,
     BobStage,
+    Direction,
     InvalidParameterError,
+    InvalidStateError,
+    MeasurementStrength,
+    PhysicalityError,
     PointerState,
     analytic_joint,
     optimal_from_central,
     precision,
     quality_factor,
 )
+from weakbell.channel import DIR_X, DIR_Z
 from weakbell.cli import MAX_RANGE_POINTS, main, parse_command_line, parse_range
+from weakbell.montecarlo import ZERO_MASS
 from weakbell.pointer import _fraction_texts
 
 SPACING = 1.0 / 64
@@ -156,6 +163,56 @@ def test_analytic_joint_is_a_no_signalling_distribution(seed, n_stages, mixed_st
         bobs = conditional.sum(axis=(n_stages + 1, *b_axes[k:]))
         for axis in (0, *y_axes[k:]):
             _assert_constant_along(bobs, axis)
+
+
+def _accepted_edge(g: float) -> float:
+    """The largest F that MeasurementStrength accepts beside precision g, by bisection on the bits of F in [0, 2]."""
+
+    def accepted(bits):
+        try:
+            MeasurementStrength(float(np.int64(bits).view(np.float64)), g)
+        except (InvalidStateError, PhysicalityError):
+            return False
+        return True
+
+    lo, hi = 0, int(np.float64(2.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    g=st.one_of(st.sampled_from([0.0, 1e-5, 3.159e-5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    ulps=st.sampled_from([-1, 0, 1]),
+    n_stages=st.integers(min_value=1, max_value=4),
+    biases=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=8, max_size=8),
+)
+@example(g=0.5, ulps=0, n_stages=8, biases=[0.5] * 8)
+def test_no_joint_cell_of_an_accepted_pair_is_below_zero_mass(g, ulps, n_stages, biases):
+    # Alice on Z/X, then the pair on Z/X and a strong Bob alternately.  A
+    # pair is (F, G) at the accepted edge, or 1 ulp of F on either side; its
+    # conditional map leaves the excess e = F^2 + G^2 - 1 as a negative
+    # eigenvalue ~e/8 of a state Alice steered across Bob's direction, which
+    # the strong Bob reads on the tangent, (-cos t, 0, sin t) or
+    # (sin t, 0, -cos t) with t = atan2(G, F), as a cell of -e/128 at
+    # unbiased inputs and -e/32 with every input fixed: -3.2e-16 at most
+    edge = _accepted_edge(g)
+    if ulps > 0:
+        with pytest.raises((InvalidStateError, PhysicalityError)):
+            MeasurementStrength(math.nextafter(edge, math.inf), g)
+        return
+    strength = MeasurementStrength(edge if ulps == 0 else math.nextafter(edge, -math.inf), g)
+    t = math.atan2(strength.precision, strength.quality_factor)
+    tangents = Direction(-math.cos(t), 0.0, math.sin(t)), Direction(math.sin(t), 0.0, -math.cos(t))
+    strong = MeasurementStrength(0.0, 1.0)
+    stages = tuple(
+        BobStage(DIR_Z, DIR_X, strength, bias=b) if k % 2 == 0 else BobStage(*tangents, strong, bias=b)
+        for k, b in enumerate(biases[:n_stages])
+    )
+    joint = analytic_joint(BellChainConfig(DIR_Z, DIR_X, stages=stages))
+    assert min(joint.values()) >= -ZERO_MASS
 
 
 range_text = st.one_of(
