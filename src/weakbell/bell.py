@@ -35,15 +35,21 @@ stage acts on Bob's index alone, as the real map
 
 where d_y are the stage's directions and r_y its input weights.
 Averaging the state first is exact because every stage map is linear in
-the state.  A correlator is E_xy = G u_x^T T w_y, so CHSH is
-G (E00 + E01 + E10 - E11), one matmul over a stack of states.  propagate
-applies the stage maps to a stack of states, or of rows, as R -> R M^T
-acts row by row: the triple scan's second stage is one matmul per F2 on
-the rows of all F1 states.  The scans and the joint go through it.  A
-complex 4x4 density appears only where a state enters a chain (singlet
-or a given initial state), through pauli_coefficients.  The tests also
-check the joint and the chain against the paper's complex steering,
-conditional channel and branch enumeration.
+the state.  _bob_maps builds M directly, without the conditional maps
+it averages: each of their entries is half of M's, and x/2 + x/2 is x
+whenever x/2 is exact, so the direct form holds the same bits for every
+F a scan can take (see _bob_maps).  A correlator is E_xy = G u_x^T T w_y,
+so CHSH is G (E00 + E01 + E10 - E11), one matmul over a stack of states
+by a (16, 4) kernel that each scan builds once.  propagate applies the
+stage maps to a stack of states, or of rows, as R -> R M^T acts row by
+row: the scans take the singlet's one state through the rows of all
+their first-stage maps in one GEMM, and the triple scan's second stage
+is one matmul per F2 on the rows of all F1 states.  The scans and the
+joint go through it.  A complex 4x4 density appears only where a state
+enters a chain (singlet or a given initial state), through
+pauli_coefficients.  The tests also check the joint and the chain
+against the paper's complex steering, conditional channel and branch
+enumeration.
 """
 
 from __future__ import annotations
@@ -63,8 +69,8 @@ _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
 # steps (at most 5 taken on 27,000 targets from 1e-300 to 1 - 2^-53)
 _WINITZKI_A = 0.147
 _ERFINV_MAX_STEPS = 8
-# targets whose chain stacks double_violation_curve holds at once: (n, 4, 4) stacks and their
-# (n, 2, 2, 4, 4) stage maps stay a few MB however long the grid
+# targets whose chain stacks double_violation_curve holds at once: (n, 4, 4) maps and states
+# and the (n, 2, 3, 3) per-input blocks of the maps stay a few MB however long the grid
 _TARGET_BLOCK = 2**12
 # Hermiticity, trace and positivity tolerance of an initial chain state
 _STATE_TOL = 1e-9
@@ -180,10 +186,25 @@ def _bob_maps(quality_factors, bob_dirs, bias: float = 0.5) -> np.ndarray:
 
     The bias-weighted sum of the conditional maps over inputs and
     outcomes, diag(1, F I + (1-F) sum_y r_y d_y d_y^T); the precision
-    terms cancel between the outcomes, so none is needed.
+    terms cancel between the outcomes, so none is needed.  It is built
+    directly as diag(1, (1-r) A_0 + r A_1), A_y = F I + (1-F) d_y d_y^T,
+    and holds the bits of the sum of _stage_maps over both outcomes: that
+    sum adds x/2 + x/2 for each entry x of A_y, which is x whenever x/2 is
+    exact, its couplings 0 G (+-d_y) / 2 sum to +0, and its corner
+    (1-r) + r rounds to 1 for every r in [0, 1].  The sum starts from +0,
+    so it holds no -0 entry, and neither does A_y while F >= +0: the
+    (F, G) gate clamps -0.0 to 0.0.
+    Only an entry that is a subnormal with an odd last bit rounds on
+    halving; there the two differ by at most 2^-1074 an input, except at
+    r = 1/2, where both halve it once more to the same bits.
     """
-    per_input = _stage_maps(quality_factors, 0.0, bob_dirs).sum(axis=-3)
-    return (1.0 - bias) * per_input[..., 0, :, :] + bias * per_input[..., 1, :, :]
+    d = np.stack([direction.vector for direction in bob_dirs])  # (input, 3)
+    quality = np.asarray(quality_factors, dtype=float)[..., None, None, None]
+    per_input = quality * np.eye(3) + (1.0 - quality) * (d[:, :, None] * d[:, None, :])  # (..., input, 3, 3)
+    maps = np.zeros(quality.shape[:-3] + (4, 4))
+    maps[..., 0, 0] = 1.0
+    maps[..., 1:, 1:] = (1.0 - bias) * per_input[..., 0, :, :] + bias * per_input[..., 1, :, :]
+    return maps
 
 
 def propagate(pauli, maps) -> list[np.ndarray]:
@@ -197,6 +218,16 @@ def propagate(pauli, maps) -> list[np.ndarray]:
     for bob_map in maps:
         states.append(states[-1] @ np.swapaxes(bob_map, -1, -2))
     return states
+
+
+def _first_stage(pauli, maps) -> np.ndarray:
+    """States R M_k^T of one (4, 4) state after each map of an (n, 4, 4) stack: (n, 4, 4).
+
+    One propagate call, and so one GEMM, takes the state through the
+    4 n rows of all the maps at once; each block of four columns of the
+    (4, 4 n) result is one state.
+    """
+    return propagate(pauli, [maps.reshape(-1, 4)])[-1].reshape(4, -1, 4).swapaxes(0, 1)
 
 
 def _propagated_joint(pauli, alice_dirs, stages) -> np.ndarray:
@@ -236,13 +267,21 @@ def _chain_joint(cfg: BellChainConfig) -> np.ndarray:
     return _propagated_joint(pauli_coefficients(cfg.initial_state), (cfg.alice_dir0, cfg.alice_dir1), stages)
 
 
-def _chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
-    """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together.
+def _chsh_kernel(alice_dirs, bob_dirs) -> np.ndarray:
+    """The (16, 4) matrix whose product with a state's 16 coefficients R_ac is (E00, E01, E10, E11).
 
-    E_xy = sum_ac R_ac u_x[a] w_y[c] (u, w zero-padded) is one matmul by a (16, 4) kernel.
+    E_xy = sum_ac R_ac u_x[a] w_y[c], with u, w zero-padded to 4 entries.
     """
     u, w = (np.array([(0.0, *d.vector) for d in dirs]) for dirs in (alice_dirs, bob_dirs))
-    kernel = np.einsum("xa,yc->acxy", u, w).reshape(16, 4)
+    return np.einsum("xa,yc->acxy", u, w).reshape(16, 4)
+
+
+def _chsh_values(pauli, kernel, precision) -> np.ndarray:
+    """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together.
+
+    kernel is _chsh_kernel of the settings, built once per scan: the
+    correlators of every state are one matmul by it.
+    """
     e00, e01, e10, e11 = np.moveaxis(np.reshape(pauli, (*np.shape(pauli)[:-2], 16)) @ kernel, -1, 0)
     g = np.asarray(precision, dtype=float)
     return g * e00 + g * e01 + g * e10 - g * e11
@@ -318,23 +357,24 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
     optimal pointer matched to the target precision).  The (F, G) of
     every target come as two arrays, from pointer's closed forms with no
     grid built; the first target refused, in grid order, is refused.
-    The chain stacks are propagated and read _TARGET_BLOCK targets at a
-    time.  Reported G is the actual stage precision.
+    I1 is read from the singlet itself.  The states before the strong
+    Bob are propagated and read _TARGET_BLOCK targets at a time, each
+    block in one GEMM (_first_stage).  Reported G is the actual stage
+    precision.
     """
     targets = np.fromiter(map(float, precision_grid), dtype=float)
     outside = ~((0.0 < targets) & (targets < 1.0))
     message = "precision grid values must lie in (0, 1), got {}"
     _first_refused([(outside, lambda k: InvalidParameterError(message.format(float(targets[k]))))])
     quality, precision = _target_strengths(family, targets)
-    alice = tsirelson_alice()
     bob = tsirelson_bob()
+    kernel = _chsh_kernel(tsirelson_alice(), bob)
     pauli = pauli_coefficients(singlet())
     first, second = np.empty_like(precision), np.empty_like(precision)
     for lo in range(0, precision.size, _TARGET_BLOCK):
         block = slice(lo, lo + _TARGET_BLOCK)
-        before_first, before_second = propagate(pauli, [_bob_maps(quality[block], bob)])
-        first[block] = _chsh_values(before_first, alice, bob, precision[block])
-        second[block] = _chsh_values(before_second, alice, bob, 1.0)
+        first[block] = _chsh_values(pauli, kernel, precision[block])
+        second[block] = _chsh_values(_first_stage(pauli, _bob_maps(quality[block], bob)), kernel, 1.0)
     return list(zip(precision.tolist(), first.tolist(), second.tolist()))
 
 
@@ -384,18 +424,19 @@ def unbiased_triple_scan(f1_grid, f2_grid) -> TripleScanReport:
     cells = f1.size * f2.size
     if cells == 0:
         return TripleScanReport((0.0, 0.0), (0.0, 0.0, 0.0), -math.inf, 0)
-    alice = tsirelson_alice()
     bob = tsirelson_bob()
+    kernel = _chsh_kernel(tsirelson_alice(), bob)
     g1 = np.sqrt((1.0 - f1) * (1.0 + f1))[:, None]
     g2 = np.sqrt((1.0 - f2) * (1.0 + f2))
-    before_first, before_second = propagate(pauli_coefficients(singlet()), [_bob_maps(f1, bob)])
+    pauli = pauli_coefficients(singlet())
+    before_second = _first_stage(pauli, _bob_maps(f1, bob))
     # stage two takes the F1 states as one stack of 4 n1 rows: one matmul per F2
     before_third = propagate(before_second.reshape(-1, 4), [_bob_maps(f2, bob)])[-1]
     # F1 along the rows, F2 along the columns
     values = np.broadcast_arrays(
-        _chsh_values(before_first, alice, bob, g1),
-        _chsh_values(before_second[:, None], alice, bob, g2),
-        _chsh_values(before_third.reshape(f2.size, f1.size, 4, 4), alice, bob, 1.0).T,
+        _chsh_values(pauli, kernel, g1),
+        _chsh_values(before_second[:, None], kernel, g2),
+        _chsh_values(before_third.reshape(f2.size, f1.size, 4, 4), kernel, 1.0).T,
     )
     scores = np.minimum(np.minimum(values[0], values[1]), values[2])
     row, col = np.unravel_index(int(np.argmax(scores)), scores.shape)

@@ -15,13 +15,14 @@ import json
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import bell, montecarlo, pointer, protocol
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError, PhysicalityError
 
 OUTDIR_ENV = "WEAKBELL_OUTDIR"
+# random temporary-file names atomic_write tries before it gives up on clashes
+_TEMP_NAME_ATTEMPTS = 100
 
 _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError, ValueError)
 
@@ -72,18 +73,29 @@ def _default_out(name: str) -> Path:
 
 
 def atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in its directory, then rename it into place.
+
+    The temporary file is created with mode 0o666 less the umask, as open()
+    would create the output itself; a failed write removes it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, prefix=f".{path.name}.", suffix=".tmp", delete=False
-    )
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+    for attempt in range(_TEMP_NAME_ATTEMPTS):
+        temp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(temp, flags, 0o666)
+            break
+        except FileExistsError:  # a name clash: draw another name
+            if attempt == _TEMP_NAME_ATTEMPTS - 1:
+                raise
     try:
-        with handle:
+        with open(fd, "w") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except OSError:
             pass
         raise

@@ -809,7 +809,8 @@ def _fraction_texts(half: int, cells: int) -> list[str] | None:
     scale = 5**places
     if (2 * half - 1) * scale >= 10**15 or 2 * cells > 10**4:
         return None
-    return [f".{(2 * i + 1) * scale:0{places}d}" for i in range(cells)]
+    # "%0kd" % n is f"{n:0kd}" for every int n >= 0, formatted by one bound method
+    return list(map(f".%0{places}d".__mod__, range(scale, 2 * cells * scale, 2 * scale)))
 
 
 def _csv_run(prefix: str, texts: list[str], amplitude: float | None, tails: list[str], which, nodes: slice) -> str:

@@ -377,10 +377,18 @@ def oracle_chain_chsh(alice, bob, strengths) -> list[float]:
 
 
 # --- per-cell scan oracles ----------------------------------------------------------
-# The triple scan cell by cell: propagate over the broadcast (F1, F2) grid,
-# one 4x4 matmul per cell, and each CHSH from u T w^T on the 3x3 block, two
-# 3x3 matmuls per state.  The scan tests require the row-stack propagation
-# and the one-matmul CHSH to agree with them bit for bit.
+# The triple scan cell by cell: each input-averaged map as the sum of the
+# conditional stage maps over inputs and outcomes, propagate over the
+# broadcast (F1, F2) grid, one 4x4 matmul per cell, and each CHSH from
+# u T w^T on the 3x3 block, two 3x3 matmuls per state.  The scan tests
+# require the direct maps, the stage-one GEMM, the row-stack propagation and
+# the one-matmul CHSH to agree with them bit for bit.
+
+
+def oracle_bob_maps(quality_factors, bob_dirs, bias: float = 0.5) -> np.ndarray:
+    """Input-averaged Bob-index maps as the bias-weighted sum of _stage_maps over inputs and outcomes: (..., 4, 4)."""
+    per_input = _stage_maps(quality_factors, 0.0, bob_dirs).sum(axis=-3)
+    return (1.0 - bias) * per_input[..., 0, :, :] + bias * per_input[..., 1, :, :]
 
 
 def oracle_chsh_values(pauli, alice_dirs, bob_dirs, precision) -> np.ndarray:
@@ -398,7 +406,8 @@ def oracle_triple_scan(f1_grid, f2_grid) -> tuple[list, TripleScanReport]:
     alice, bob = tsirelson_alice(), tsirelson_bob()
     g1 = np.sqrt((1.0 - f1) * (1.0 + f1))[:, None]
     g2 = np.sqrt((1.0 - f2) * (1.0 + f2))[None, :]
-    states = propagate(pauli_coefficients(singlet()), [_bob_maps(f1[:, None], bob), _bob_maps(f2[None, :], bob)])
+    maps = [oracle_bob_maps(f1[:, None], bob), oracle_bob_maps(f2[None, :], bob)]
+    states = propagate(pauli_coefficients(singlet()), maps)
     values = np.broadcast_arrays(
         oracle_chsh_values(states[0], alice, bob, g1),
         oracle_chsh_values(states[1], alice, bob, g2),

@@ -49,7 +49,7 @@ from weakbell import (
     tsirelson_bob,
     unbiased_triple_scan,
 )
-from weakbell.bell import _chsh_values
+from weakbell.bell import _chsh_kernel, _chsh_values
 from weakbell.channel import strength_pair
 from weakbell.pointer import _family_strength
 
@@ -212,7 +212,7 @@ def test_c08_protocol_soundness():
         alice = (cfg.alice_dir0, cfg.alice_dir1)
         worst = 0.0
         for row, stage, state in zip(schedule.rows, cfg.stages, averaged_states(cfg)):
-            exact = float(_chsh_values(state, alice, (stage.dir0, stage.dir1), row.precision))
+            exact = float(_chsh_values(state, _chsh_kernel(alice, (stage.dir0, stage.dir1)), row.precision))
             worst = max(worst, abs(exact - row.limit_chsh))
         assert worst < 1e-8
     report(

@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,6 +13,7 @@ from conftest import (
     density_from_pauli,
     enumerate_chain_state,
     oracle_chain_chsh,
+    oracle_bob_maps,
     oracle_chsh_values,
     oracle_triple_closed_form,
     oracle_triple_scan,
@@ -33,6 +34,7 @@ from conftest import (
 from weakbell import (
     BellChainConfig,
     BobStage,
+    Direction,
     InvalidParameterError,
     InvalidStateError,
     MeasurementStrength,
@@ -50,8 +52,10 @@ from weakbell import bell
 from weakbell.bell import (
     DOUBLE_CSV_HEADER,
     _bob_maps,
+    _chsh_kernel,
     _chsh_values,
     _erfinv,
+    _first_stage,
     _stage_maps,
     _target_strengths,
     double_curve_to_csv,
@@ -323,14 +327,14 @@ def test_sequential_state_matches_enumeration_for_random_chains():
 
 def test_chsh_tsirelson_value():
     pauli = pauli_coefficients(singlet())
-    value = _chsh_values(pauli, tsirelson_alice(), tsirelson_bob(), 1.0)
-    assert value == pytest.approx(2.0 * SQ2, abs=1e-10)
-    assert _chsh_values(pauli, tsirelson_alice(), tsirelson_bob(), 0.0) == 0.0
+    kernel = _chsh_kernel(tsirelson_alice(), tsirelson_bob())
+    assert _chsh_values(pauli, kernel, 1.0) == pytest.approx(2.0 * SQ2, abs=1e-10)
+    assert _chsh_values(pauli, kernel, 0.0) == 0.0
 
 
 def test_chsh_product_state_respects_classical_bound():
     product = pauli_coefficients(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    assert abs(_chsh_values(product, tsirelson_alice(), tsirelson_bob(), 1.0)) <= 2.0 + 1e-12
+    assert abs(_chsh_values(product, _chsh_kernel(tsirelson_alice(), tsirelson_bob()), 1.0)) <= 2.0 + 1e-12
 
 
 def test_chsh_scales_exactly_with_precision():
@@ -339,11 +343,10 @@ def test_chsh_scales_exactly_with_precision():
     for _ in range(10):
         alice = (random_direction(rng), random_direction(rng))
         bob = (random_direction(rng), random_direction(rng))
+        kernel = _chsh_kernel(alice, bob)
         g = float(rng.random())
-        assert _chsh_values(pauli, alice, bob, g) == pytest.approx(
-            g * _chsh_values(pauli, alice, bob, 1.0), abs=1e-15
-        )
-        assert abs(_chsh_values(pauli, alice, bob, g)) <= 2.0 * SQ2 * g + 1e-9
+        assert _chsh_values(pauli, kernel, g) == pytest.approx(g * _chsh_values(pauli, kernel, 1.0), abs=1e-15)
+        assert abs(_chsh_values(pauli, kernel, g)) <= 2.0 * SQ2 * g + 1e-9
 
 
 def random_pauli_stack(rng, count: int) -> np.ndarray:
@@ -357,17 +360,18 @@ def test_chsh_values_equal_the_per_state_formula_at_tsirelson_settings():
     # the formulas agree bit for bit on any BLAS
     rng = np.random.default_rng(31)
     alice, bob = tsirelson_alice(), tsirelson_bob()
+    kernel = _chsh_kernel(alice, bob)
     maps = [_bob_maps(rng.random(5000), bob) for _ in range(2)]
     chains = propagate(pauli_coefficients(singlet()), maps)
     for states in chains[1:]:
         for precision in (1.0, rng.random(5000)):
-            got = _chsh_values(states, alice, bob, precision)
+            got = _chsh_values(states, kernel, precision)
             assert np.array_equal(got, oracle_chsh_values(states, alice, bob, precision))
     # on general states a BLAS may round the two-product sum once (a fused
     # multiply-add) in one formula and twice in the other
     states = random_pauli_stack(rng, 5000)
     precision = rng.random(5000)
-    got = _chsh_values(states, alice, bob, precision)
+    got = _chsh_values(states, kernel, precision)
     np.testing.assert_allclose(got, oracle_chsh_values(states, alice, bob, precision), rtol=0.0, atol=4e-15)
 
 
@@ -380,7 +384,7 @@ def test_chsh_values_agree_with_the_per_state_formula_on_random_settings():
         alice = (random_direction(rng), random_direction(rng))
         bob = (random_direction(rng), random_direction(rng))
         precision = rng.random(7)
-        got = _chsh_values(states, alice, bob, precision)
+        got = _chsh_values(states, _chsh_kernel(alice, bob), precision)
         gap = max(gap, float(np.max(np.abs(got - oracle_chsh_values(states, alice, bob, precision)))))
     assert gap <= 4e-15
 
@@ -399,8 +403,9 @@ def test_chsh_values_of_strided_stacks_equal_their_contiguous_copies():
         ):
             # numpy counts states[:, None] as contiguous: its new axis has length 1
             assert view.ndim == 4 or not view.flags.c_contiguous
-            got = _chsh_values(view, alice, bob, precision)
-            assert np.array_equal(got, _chsh_values(np.ascontiguousarray(view), alice, bob, precision))
+            kernel = _chsh_kernel(alice, bob)
+            got = _chsh_values(view, kernel, precision)
+            assert np.array_equal(got, _chsh_values(np.ascontiguousarray(view), kernel, precision))
 
 
 def test_correlation_table_bounds():
@@ -412,7 +417,8 @@ def test_correlation_table_bounds():
     assert table.shape == (2, 2)
     assert np.max(np.abs(table)) <= 1.0 + 1e-9
     combination = table[0, 0] + table[0, 1] + table[1, 0] - table[1, 1]
-    assert _chsh_values(pauli_coefficients(singlet()), alice, bob, 1.0) == pytest.approx(combination, abs=1e-12)
+    value = _chsh_values(pauli_coefficients(singlet()), _chsh_kernel(alice, bob), 1.0)
+    assert value == pytest.approx(combination, abs=1e-12)
 
 
 def test_chsh_within_horodecki_bound_on_random_chains():
@@ -433,11 +439,10 @@ def test_chsh_within_horodecki_bound_on_random_chains():
                 alice = (random_direction(rng), random_direction(rng))
                 bob = (random_direction(rng), random_direction(rng))
                 g = float(rng.random())
-                assert abs(_chsh_values(pauli, alice, bob, g)) <= g * bound + 1e-12
+                assert abs(_chsh_values(pauli, _chsh_kernel(alice, bob), g)) <= g * bound + 1e-12
     # the bound is attained by the singlet at the Tsirelson settings
-    assert _chsh_values(pauli_coefficients(singlet()), tsirelson_alice(), tsirelson_bob(), 1.0) == pytest.approx(
-        2.0 * SQ2, abs=1e-12
-    )
+    kernel = _chsh_kernel(tsirelson_alice(), tsirelson_bob())
+    assert _chsh_values(pauli_coefficients(singlet()), kernel, 1.0) == pytest.approx(2.0 * SQ2, abs=1e-12)
 
 
 # --- double violations ----------------------------------------------------------------------
@@ -663,6 +668,90 @@ def test_row_stack_propagation_equals_the_per_cell_broadcast():
     rows = propagate(states.reshape(-1, 4), [maps])[-1].reshape(len(maps), len(states), 4, 4)
     per_cell = propagate(states[:, None], [maps[None]])[-1]
     np.testing.assert_allclose(np.swapaxes(rows, 0, 1), per_cell, rtol=0.0, atol=1e-14)
+
+
+_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 1e-170, -1e-170]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def unit_directions(draw) -> Direction:
+    """Directions with signed-zero and tiny components, whose products d_i d_j may be subnormal or 0."""
+    v = draw(st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS).filter(lambda v: math.hypot(*v) > 0.1))
+    norm = math.hypot(*v)
+    return Direction(*(c / norm for c in v))
+
+
+def _halves_exactly(quality, directions) -> bool:
+    """Whether every entry x of A_y = F I + (1-F) d_y d_y^T, over all F and y, has x/2 exact."""
+    d = np.stack([direction.vector for direction in directions])
+    f = np.asarray(quality)[:, None, None, None]
+    x = f * np.eye(3) + (1.0 - f) * (d[:, :, None] * d[:, None, :])
+    return bool(np.all((x / 2.0) * 2.0 == x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    quality=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+    directions=st.tuples(unit_directions(), unit_directions()),
+    bias=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+@example(quality=[0.0, 1.0, 5e-324], directions=(Direction(1e-170, 0.6, 0.8), Direction(-0.0, 1.0, 0.0)), bias=0.25)
+@example(quality=[0.0, 1.0, 5e-324], directions=tsirelson_bob(), bias=0.5)
+def test_bob_maps_hold_the_bits_of_the_conditional_sum(quality, directions, bias):
+    # the conditional sum adds x/2 + x/2 for each entry x of A_y, which is x
+    # unless x/2 rounds: x a subnormal with an odd last bit.  Even then the
+    # halves meet again at bias 1/2, where (1-r) A_0 + r A_1 halves once more
+    got = _bob_maps(np.array(quality), directions, bias)
+    want = oracle_bob_maps(np.array(quality), directions, bias)
+    if bias == 0.5 or _halves_exactly(quality, directions):
+        assert got.tobytes() == want.tobytes()
+    else:
+        # each input's entry moves by at most one subnormal step
+        assert np.max(np.abs(got - want)) <= 2.0 * 5e-324
+
+
+def test_bob_maps_keep_a_subnormal_entry_the_conditional_sum_halves_away():
+    # F = 5e-324 puts F itself on every diagonal entry where d_i^2 is 0: the
+    # Tsirelson settings' y entry, and the 1e-170 direction's x entry, whose
+    # square underflows.  The sum rounds 5e-324 / 2 to 0 and gets 0 back;
+    # the direct form keeps 5e-324.  At bias 1/2 both halve it to 0
+    cases = [
+        (tsirelson_bob(), (2, 2)),
+        ((Direction(1e-170, 0.6, 0.8), Direction(1e-170, 0.8, -0.6)), (1, 1)),
+    ]
+    for directions, entry in cases:
+        for bias in (0.0, 1.0):
+            got = _bob_maps(np.array([5e-324]), directions, bias)[0]
+            want = oracle_bob_maps(np.array([5e-324]), directions, bias)[0]
+            assert got[entry] == 5e-324 and want[entry] == 0.0
+            others = np.ones((4, 4), dtype=bool)
+            others[entry] = False
+            assert got[others].tobytes() == want[others].tobytes()
+        got = _bob_maps(np.array([5e-324]), directions)
+        assert got[0][entry] == 0.0
+        assert got.tobytes() == oracle_bob_maps(np.array([5e-324]), directions).tobytes()
+
+
+def test_first_stage_gemm_equals_the_per_map_broadcast():
+    pauli = pauli_coefficients(singlet())
+    bob = tsirelson_bob()
+    # the triple grids and the double targets at the Tsirelson settings: every
+    # map is diagonal, so each entry is one product on any BLAS
+    quality_grids = [np.array(scan_grid(resolution)) for resolution in (0.01, 0.0137, MIN_TRIPLE_RESOLUTION)]
+    for grid in ("0.005:0.995:0.005", "0.01:0.99:0.0001"):
+        quality_grids.append(_target_strengths("analytic", np.array(parse_range(grid)))[0])
+    for quality in quality_grids:
+        maps = _bob_maps(quality, bob)
+        got = _first_stage(pauli, maps)
+        assert got.shape == (quality.size, 4, 4)
+        assert got.tobytes() == np.ascontiguousarray(propagate(pauli, [maps])[-1]).tobytes()
+    # conditional stage maps of random strengths and directions on random states fill every entry
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        pauli = pauli_coefficients(random_density(rng, 4))
+        directions = (random_direction(rng), random_direction(rng))
+        maps = _stage_maps(rng.random(25), rng.random(25), directions).reshape(-1, 4, 4)
+        np.testing.assert_allclose(_first_stage(pauli, maps), propagate(pauli, [maps])[-1], rtol=0.0, atol=1e-14)
 
 
 def test_triple_scan_symmetric_double_point_third_value():

@@ -619,6 +619,28 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys, target
     assert (tmp_path / "plain.txt").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_the_mode_the_umask_leaves(tmp_path, umask, mode):
+    # the output is created as open() would create it: 0o666 less the umask
+    out = tmp_path / "schedule.csv"
+    previous = os.umask(umask)
+    try:
+        assert run_cli("protocol", "--n", "2", "--out", str(out)) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == mode
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "p.csv"
+    out.write_text("kept\n")
+    # a lone surrogate cannot be encoded, so the write fails after the temporary file exists
+    with pytest.raises(UnicodeEncodeError):
+        cli.atomic_write(out, "q,phi\n\ud800\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+    assert out.read_text() == "kept\n"
+
+
 def test_unwritable_default_output_names_the_env_var(tmp_path, monkeypatch, capsys):
     (tmp_path / "plain.txt").write_text("kept\n")
     monkeypatch.setenv("WEAKBELL_OUTDIR", str(tmp_path / "plain.txt"))

@@ -48,6 +48,7 @@ from weakbell.pointer import (
     MAX_POINTER_NODES,
     POINTER_CSV_HEADER,
     TRADEOFF_CSV_HEADER,
+    _fraction_texts,
     samples_to_csv,
     tradeoff_to_csv,
 )
@@ -422,6 +423,15 @@ def test_pointer_csv_writes_hand_built_states_as_given():
     lopsided = PointerState(samples, SPACING)
     assert lopsided.samples[2100] != lopsided.samples[4095 - 2100]
     assert_same_text(samples_to_csv(lopsided), oracle_samples_to_csv(lopsided))
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_fraction_texts_equal_the_per_cell_f_string(k):
+    # 2^0 .. 2^12 cells per unit: every grid the fraction texts write
+    cells = 2**k
+    places = cells.bit_length()
+    scale = 5**places
+    assert _fraction_texts(1, cells) == [f".{(2 * i + 1) * scale:0{places}d}" for i in range(cells)]
 
 
 def _edited(state, edits):

@@ -13,7 +13,7 @@ from weakbell import (
     feasible_uniform_bias,
     singlet,
 )
-from weakbell.bell import _chsh_values
+from weakbell.bell import _chsh_kernel, _chsh_values
 from weakbell.channel import DIR_Z
 from weakbell.protocol import SCHEDULE_CSV_HEADER, schedule_to_csv
 
@@ -228,7 +228,7 @@ def test_limit_chsh_cross_checks_against_exact_chain():
     cfg = protocol_config(schedule)
     alice = (cfg.alice_dir0, cfg.alice_dir1)
     for row, stage, state in zip(schedule.rows, cfg.stages, averaged_states(cfg)):
-        exact = _chsh_values(state, alice, (stage.dir0, stage.dir1), row.precision)
+        exact = _chsh_values(state, _chsh_kernel(alice, (stage.dir0, stage.dir1)), row.precision)
         assert exact == pytest.approx(row.limit_chsh, abs=1e-8)
 
 
