@@ -44,7 +44,8 @@ by a (16, 4) kernel that each scan builds once.  propagate applies the
 stage maps to a stack of states, or of rows, as R -> R M^T acts row by
 row: the scans take the singlet's one state through the rows of all
 their first-stage maps in one GEMM, and the triple scan's second stage
-is one matmul per F2 on the rows of all F1 states.  The scans and the
+is one matmul per F2 on the rows of all F1 states, by each (symmetric)
+map as stored.  The scans and the
 joint go through it.  A complex 4x4 density appears only where a state
 enters a chain (singlet or a given initial state), through
 pauli_coefficients.  The tests also check the joint and the chain
@@ -430,8 +431,10 @@ def unbiased_triple_scan(f1_grid, f2_grid) -> TripleScanReport:
     g2 = np.sqrt((1.0 - f2) * (1.0 + f2))
     pauli = pauli_coefficients(singlet())
     before_second = _first_stage(pauli, _bob_maps(f1, bob))
-    # stage two takes the F1 states as one stack of 4 n1 rows: one matmul per F2
-    before_third = propagate(before_second.reshape(-1, 4), [_bob_maps(f2, bob)])[-1]
+    # stage two takes the F1 states as one stack of 4 n1 rows: one matmul per F2.  The maps
+    # are symmetric, so propagate, handed their transposed view, multiplies by each map as
+    # stored: one BLAS call per F2, where a strided M^T takes numpy's slower loop
+    before_third = propagate(before_second.reshape(-1, 4), [_bob_maps(f2, bob).swapaxes(-1, -2)])[-1]
     # F1 along the rows, F2 along the columns
     values = np.broadcast_arrays(
         _chsh_values(pauli, kernel, g1),

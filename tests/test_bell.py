@@ -660,6 +660,9 @@ def test_row_stack_propagation_equals_the_per_cell_broadcast():
     assert np.array_equal(maps, maps * np.eye(4))
     rows = propagate(states.reshape(-1, 4), [maps])[-1].reshape(grid.size, grid.size, 4, 4)
     assert np.array_equal(np.swapaxes(rows, 0, 1), propagate(states[:, None], [maps[None]])[-1])
+    # the scan hands propagate the symmetric maps' transposed view: the same bits
+    stored = propagate(states.reshape(-1, 4), [maps.swapaxes(-1, -2)])[-1].reshape(grid.size, grid.size, 4, 4)
+    assert stored.tobytes() == rows.tobytes()
     # conditional stage maps of random strengths and directions fill every entry
     rng = np.random.default_rng(34)
     states = random_pauli_stack(rng, 30)
@@ -703,6 +706,8 @@ def test_bob_maps_hold_the_bits_of_the_conditional_sum(quality, directions, bias
     # halves meet again at bias 1/2, where (1-r) A_0 + r A_1 halves once more
     got = _bob_maps(np.array(quality), directions, bias)
     want = oracle_bob_maps(np.array(quality), directions, bias)
+    # symmetric to the bit, as the triple scan's stage two assumes
+    assert got.tobytes() == np.ascontiguousarray(got.swapaxes(-1, -2)).tobytes()
     if bias == 0.5 or _halves_exactly(quality, directions):
         assert got.tobytes() == want.tobytes()
     else:
