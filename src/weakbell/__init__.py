@@ -11,8 +11,6 @@ from .pointer import (
     make_square,
     make_worst,
     optimal_from_central,
-    precision,
-    quality_factor,
     strength_of,
     tradeoff_curve,
 )

@@ -60,9 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError, InvalidStateError, NodeCapError
 from .channel import DIR_X, DIR_Z, IDENTITY_2, PAULI_XYZ, Direction, as_density, bloch_dot, strength_pair
-from .pointer import DEFAULT_GRID_SPACING, MeasurementStrength, _family_strengths, _first_refused, _unit_pairs
+from .pointer import DEFAULT_GRID_SPACING, MeasurementStrength, _family_strengths, _first_refused, _node_cap_error, _unit_pairs
 
 _SQ2 = math.sqrt(2.0)
 _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
@@ -335,7 +335,7 @@ def _target_strengths(family: str, targets: np.ndarray) -> tuple[np.ndarray, np.
     """The weak stage's (F, G) arrays over the target precisions, refusing the first refused target in grid order.
 
     A node-cap refusal names the target precision, not the family
-    parameter it maps to.
+    parameter it maps to: the refused value's index picks the target.
     """
     if family == "analytic":  # the frontier pair (sqrt(1 - G^2), G)
         return _unit_pairs(np.sqrt((1.0 - targets) * (1.0 + targets)), targets)
@@ -346,7 +346,10 @@ def _target_strengths(family: str, targets: np.ndarray) -> tuple[np.ndarray, np.
             parameters = targets if family == "optimal" else 1.0 / targets
     else:
         raise InvalidParameterError(f"unknown stage family {family!r}")
-    return _family_strengths(family, parameters, DEFAULT_GRID_SPACING, ("target precision", targets))
+    try:
+        return _family_strengths(family, parameters, DEFAULT_GRID_SPACING)
+    except NodeCapError as exc:
+        raise _node_cap_error(exc.nodes, "target precision", targets.item(exc.index), exc.index) from None
 
 
 def double_violation_curve(family: str, precision_grid) -> list[tuple[float, float, float]]:

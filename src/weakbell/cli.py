@@ -231,7 +231,7 @@ def _with_spacing_advice(build):
     try:
         return build()
     except NodeCapError as exc:
-        raise NodeCapError(f"{exc}, or a coarser --spacing", exc.nodes) from None
+        raise NodeCapError(f"{exc}, or a coarser --spacing", exc.nodes, exc.index) from None
 
 
 def cmd_tradeoff(args) -> int:

@@ -6,11 +6,16 @@ class InvalidParameterError(ValueError):
 
 
 class NodeCapError(InvalidParameterError):
-    """A pointer grid would hold more nodes than pointer.MAX_POINTER_NODES; nodes is the count it needs."""
+    """A pointer grid would hold more nodes than pointer.MAX_POINTER_NODES.
 
-    def __init__(self, message: str, nodes: int):
+    nodes is the count it needs, and index the position of the refused
+    value in its sweep.
+    """
+
+    def __init__(self, message: str, nodes: int, index: int):
         super().__init__(message)
         self.nodes = nodes
+        self.index = index
 
 
 class InvalidStateError(ValueError):

@@ -31,7 +31,9 @@ rows of that array.  A grid is fixed by its even node count and its
 spacing h, so the nodes inside (-1, 1) are the central 2/h and the
 precision sums that slice.  No grid may have more than
 MAX_POINTER_NODES nodes; builders check the count before they allocate
-and refuse with a NodeCapError that names their parameter.
+and refuse with a NodeCapError that names their parameter and carries
+the refused value's index in its sweep, so a caller that maps its own
+values to that parameter (double's target precisions) names its own.
 
 No command but a pointer dump builds a grid: _family_strengths gives
 the (F, G) of the grid a family's builder would build, as two arrays
@@ -50,13 +52,13 @@ e_0 = 1, so G = 1 / sum(e_n^2) and F = sum(e_n e_{n+1}) / sum(e_n^2)
 whatever the profile, and both sums are geometric.  The square's F and
 G are ratios of node counts.  The gaussian's G sums the central 2/h
 nodes, and its F is exp(-1/2w^2) times the norm sum less the outermost
-1/h nodes a side; the norm sum is a Poisson sum less an erfc tail, and
-the central and outer nodes of a chunk of widths are summed as the
-rows of one array.  The exponential's sums are geometric.  channel,
-bell and montecarlo take only a MeasurementStrength, never a
-PointerState.  strength_of integrates a built grid, as for an
-optimal_from_central pointer with a custom profile; quality_factor and
-precision read its F and G.
+1/h nodes a side; the norm sum is a Poisson sum less an erfc tail.
+Every run of gaussian nodes is summed one way: the runs of one length,
+over all the widths, are the rows of one array.  The exponential's
+sums are geometric.  channel, bell and montecarlo take only a
+MeasurementStrength, never a PointerState.  strength_of integrates a
+built grid, as for an optimal_from_central pointer with a custom
+profile; it is the one reading of a grid's F and G.
 
 Every MeasurementStrength and every (F, G) of a closed-form sweep
 passes one gate, _unit_pairs, once: F and G within 1e-9 of [0, 1] are
@@ -127,13 +129,14 @@ def _cells_per_unit(grid_spacing: float) -> int:
     return cells
 
 
-def _node_cap_error(nodes: int, name: str, value: float) -> NodeCapError:
-    """The refusal of a grid of nodes nodes, naming the parameter value that asked for it."""
+def _node_cap_error(nodes: int, name: str, value: float, index: int) -> NodeCapError:
+    """The refusal of a grid of nodes nodes, naming the parameter value that asked for it, at index in its sweep."""
     article = "an" if name[0] in "aeiou" else "a"
     return NodeCapError(
         f"{name} {value!r} needs a pointer grid of at least {nodes} nodes, over the cap of "
         f"{MAX_POINTER_NODES}; use {article} {name} nearer the strong limit",
         nodes,
+        index,
     )
 
 
@@ -167,10 +170,9 @@ def _positive_cells(name: str, values: np.ndarray, grid_spacing: float) -> tuple
         raise
 
 
-def _cap_check(name: str, values, capped_as, over: np.ndarray, nodes) -> tuple:
-    """Refusal pair of the values over the node cap; value k needs nodes(k); capped_as = (name, values) renames it."""
-    name, values = capped_as or (name, values)
-    return over, lambda k: _node_cap_error(nodes(k), name, values.item(k))
+def _cap_check(name: str, values: np.ndarray, over: np.ndarray, nodes) -> tuple:
+    """Refusal pair of the values over the node cap; value k needs nodes(k)."""
+    return over, lambda k: _node_cap_error(nodes(k), name, values.item(k), k)
 
 
 def _each(function, values: np.ndarray) -> np.ndarray:
@@ -362,18 +364,7 @@ def _unit_pairs(quality: np.ndarray, prec: np.ndarray) -> tuple[np.ndarray, np.n
     return pairs[0], pairs[1]
 
 
-def _node_sum(density, start: int, stop: int, grid_spacing: float) -> float:
-    """Sum of density(q) over the nodes q = (j + 1/2) h, j = start .. stop-1, a block at a time.
-
-    density may overwrite the array of positions it is given.
-    """
-    total = 0.0
-    for lo in range(start, stop, _BLOCK_NODES):
-        total += float(np.sum(density(np.arange(lo + 0.5, min(stop, lo + _BLOCK_NODES)) * grid_spacing)))
-    return total
-
-
-def _square_grid(half_widths: np.ndarray, grid_spacing: float, capped_as=None):
+def _square_grid(half_widths: np.ndarray, grid_spacing: float):
     """make_square's checks on each half width w; its cells per unit, and each grid's nodes a side, all and inside w.
 
     The nodes (j + 1/2) h below w are the ceil(w/h - 1/2): w/h is exact
@@ -388,7 +379,7 @@ def _square_grid(half_widths: np.ndarray, grid_spacing: float, capped_as=None):
     _first_refused([
         positivity,
         (coarse, lambda k: InvalidParameterError(too_coarse.format(grid_spacing, half_widths.item(k)))),
-        _cap_check("square half width", half_widths, capped_as, over, lambda k: 2 * (int(reach.item(k)) + cells)),
+        _cap_check("square half width", half_widths, over, lambda k: 2 * (int(reach.item(k)) + cells)),
     ])
     return cells, reach + cells, np.ceil(half_widths / grid_spacing - 0.5)
 
@@ -407,17 +398,17 @@ def make_square(half_width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     return _normalized_state(samples, grid_spacing)
 
 
-def _square_strengths(half_widths: np.ndarray, grid_spacing: float, capped_as=None):
+def _square_strengths(half_widths: np.ndarray, grid_spacing: float):
     """make_square's (F, G) as node counts.
 
     Its n equal samples a side put min(n, 1/h) a side in (-1, 1) and
     make max(0, n - 1/h) pairs 2 apart a side.
     """
-    cells, _, inside = _square_grid(half_widths, grid_spacing, capped_as)
+    cells, _, inside = _square_grid(half_widths, grid_spacing)
     return np.maximum(inside - cells, 0.0) / inside, np.minimum(inside, cells) / inside
 
 
-def _gaussian_grid(widths: np.ndarray, grid_spacing: float, capped_as=None):
+def _gaussian_grid(widths: np.ndarray, grid_spacing: float):
     """make_gaussian's checks on each width, before it allocates; cells, nodes a side."""
     positivity, cells = _positive_cells("width", widths, grid_spacing)
     nearest = 0.5 * grid_spacing
@@ -427,7 +418,7 @@ def _gaussian_grid(widths: np.ndarray, grid_spacing: float, capped_as=None):
     over = radius > MAX_POINTER_NODES / 2
     _first_refused([
         positivity,
-        _cap_check("gaussian width", widths, capped_as, over, lambda k: 2 * int(radius.item(k))),
+        _cap_check("gaussian width", widths, over, lambda k: 2 * int(radius.item(k))),
         *_resolution_checks("gaussian width", widths, exponent, grid_spacing),
     ])
     return cells, radius
@@ -448,24 +439,36 @@ def make_gaussian(width: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> P
     return _normalized_state(_mirror(samples), grid_spacing)
 
 
-def _gaussian_row_sums(spreads: np.ndarray, starts: np.ndarray, cells: int, grid_spacing: float) -> np.ndarray:
-    """_node_sum of exp(-q^2 / spread) over the cells nodes from start, for each (spread, start), as rows.
+def _gaussian_row_sums(spreads: np.ndarray, starts, lengths: np.ndarray, grid_spacing: float) -> np.ndarray:
+    """Sum of exp(-q^2 / spread) over the nodes q = (start + j + 1/2) h, j < length, for each (spread, start, length).
 
-    A row's nodes are summed _BLOCK_NODES at a time and its block sums
-    added in order, as _node_sum adds them.  Every row has the same
-    length, so each is summed in np.sum's pairwise order over it alone.
+    starts is an array or one start for every run; a run of length 0
+    sums to 0.  Each run's nodes are summed _BLOCK_NODES at a time and
+    its block sums added in order.  The runs of one length are the rows
+    of one array, at most _BLOCK_NODES nodes a call: np.sum adds each
+    contiguous row pairwise, as it adds a 1-D array, and start + j + 1/2
+    is exact, so a run's sum has the same bits whichever rows share its
+    array.
     """
-    totals = np.zeros(spreads.size)
-    for lo in range(0, cells, _BLOCK_NODES):
-        q = starts[:, None] + np.arange(lo + 0.5, min(cells, lo + _BLOCK_NODES))
-        q *= grid_spacing
-        q *= q
-        q /= -spreads[:, None]
-        totals += np.exp(q, out=q).sum(axis=1)
-    return totals
+    starts = np.broadcast_to(starts, spreads.shape)
+    sums = np.zeros(spreads.size)
+    # each positive length once, where the sorted lengths step up (np.unique would import numpy.ma, ~1 MB)
+    ordered = np.sort(lengths)
+    for length in ordered[np.diff(ordered, prepend=0.0) > 0].astype(int).tolist():
+        same = np.flatnonzero(lengths == length)
+        chunk = max(1, _BLOCK_NODES // length)
+        for first in range(0, same.size, chunk):
+            rows = same[first : first + chunk]
+            for lo in range(0, length, _BLOCK_NODES):
+                q = starts[rows, None] + np.arange(lo + 0.5, min(length, lo + _BLOCK_NODES))
+                q *= grid_spacing
+                q *= q
+                q /= -spreads[rows, None]
+                sums[rows] += np.exp(q, out=q).sum(axis=1)
+    return sums
 
 
-def _gaussian_strengths(widths: np.ndarray, grid_spacing: float, capped_as=None):
+def _gaussian_strengths(widths: np.ndarray, grid_spacing: float):
     """make_gaussian's (F, G) for each width, from sums of phi^2 = exp(-q^2 / 2w^2) over at most 1/h nodes a side.
 
     G sums the central 2/h nodes.  A pair of nodes 2 apart with midpoint
@@ -474,50 +477,30 @@ def _gaussian_strengths(widths: np.ndarray, grid_spacing: float, capped_as=None)
     w = 8h the half-offset nodes sum to w sqrt(2 pi) / h by Poisson
     summation (the first dual term, exp(-2 pi^2 w^2 / h^2), is 0 there);
     the tail past the grid's M h >= 8w is taken with erfc.  Narrower
-    grids hold at most 64 nodes a side and are summed.  Where w >= 8h and
-    the grid reaches past 2 (M > 2/h), the central and the outermost 1/h
-    nodes of a chunk of widths are the rows of two _gaussian_row_sums
-    calls, each of at most _BLOCK_NODES nodes; the other widths sum
-    through _node_sum, the pairs' midpoints or the outer 1/h nodes a
-    side, whichever are fewer.  A grid with every node in (-1, 1) has
-    (F, G) = (0, 1).
+    grids hold at most 64 nodes a side and are summed.  A grid that
+    reaches past 2 (M > 2/h) sums its outermost 1/h nodes a side, and
+    one that ends within 2 the M - 1/h pairs' midpoints.  Every run of
+    nodes, of every width, goes through _gaussian_row_sums.  A grid with
+    every node in (-1, 1) has (F, G) = (0, 1).
     """
-    cells, radius = _gaussian_grid(widths, grid_spacing, capped_as)
+    cells, radius = _gaussian_grid(widths, grid_spacing)
     spread = 2.0 * widths * widths
     reach = radius * grid_spacing / (math.sqrt(2.0) * widths)
     total = widths / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - _each(math.erfc, reach))
-    central, paired = np.zeros_like(widths), np.zeros_like(widths)
-    narrow = widths < 8.0 * grid_spacing
-    in_rows = np.flatnonzero(~narrow & (radius > 2 * cells))
-    chunk = max(1, _BLOCK_NODES // cells)
-    for lo in range(0, in_rows.size, chunk):
-        rows = in_rows[lo : lo + chunk]
-        central[rows] = _gaussian_row_sums(spread[rows], np.zeros(rows.size), cells, grid_spacing)
-        paired[rows] = total[rows] - _gaussian_row_sums(spread[rows], radius[rows] - cells, cells, grid_spacing)
-    alone = (narrow | (radius <= 2 * cells)) & (radius > cells)
-    for k, radius_cells, width_spread in zip(
-        np.flatnonzero(alone).tolist(), radius[alone].astype(int).tolist(), spread[alone].tolist()
-    ):
-
-        def density(q):
-            q *= q
-            q /= -width_spread
-            return np.exp(q, out=q)
-
-        if narrow[k]:
-            total[k] = _node_sum(density, 0, radius_cells, grid_spacing)
-        central[k] = _node_sum(density, 0, cells, grid_spacing)
-        inner = radius_cells - cells
-        if inner <= cells:
-            paired[k] = _node_sum(density, 0, inner, grid_spacing)
-        else:
-            paired[k] = total[k] - _node_sum(density, inner, radius_cells, grid_spacing)
     within = radius <= cells  # every node lies in (-1, 1)
+    narrow = ~within & (widths < 8.0 * grid_spacing)
+    total = np.where(narrow, _gaussian_row_sums(spread, 0.0, np.where(narrow, radius, 0.0), grid_spacing), total)
+    central = _gaussian_row_sums(spread, 0.0, np.where(within, 0.0, cells), grid_spacing)
+    # the M - 1/h pairs' midpoints from 0, or from M - 1/h the outermost 1/h nodes, whichever are fewer
+    inner = radius - cells
+    outer = inner > cells
+    paired = _gaussian_row_sums(spread, np.where(outer, inner, 0.0), np.clip(inner, 0.0, cells), grid_spacing)
+    paired = np.where(outer, total - paired, paired)
     quality = np.where(within, 0.0, _each(math.exp, -1.0 / spread) * paired / total)
     return quality, np.where(within, 1.0, central / total)
 
 
-def _exponential_grid(scales: np.ndarray, grid_spacing: float, capped_as=None):
+def _exponential_grid(scales: np.ndarray, grid_spacing: float):
     """make_exponential's checks on each scale, before it allocates; cells, nodes a side."""
     positivity, cells = _positive_cells("scale", scales, grid_spacing)
     with np.errstate(all="ignore"):  # a refused scale may overflow or be nan
@@ -527,7 +510,7 @@ def _exponential_grid(scales: np.ndarray, grid_spacing: float, capped_as=None):
     over = radius > MAX_POINTER_NODES / 2
     _first_refused([
         positivity,
-        _cap_check("exponential scale", scales, capped_as, over, lambda k: 2 * int(radius.item(k))),
+        _cap_check("exponential scale", scales, over, lambda k: 2 * int(radius.item(k))),
         *_resolution_checks("exponential scale", scales, exponent, grid_spacing),
     ])
     return cells, radius
@@ -542,7 +525,7 @@ def make_exponential(scale: float, grid_spacing: float = DEFAULT_GRID_SPACING) -
     return _normalized_state(_mirror(samples), grid_spacing)
 
 
-def _exponential_strengths(scales: np.ndarray, grid_spacing: float, capped_as=None):
+def _exponential_strengths(scales: np.ndarray, grid_spacing: float):
     """make_exponential's (F, G) from geometric sums.
 
     phi^2 at node j is e^(-h/2s) r^j with r = e^(-h/s), so in units of
@@ -552,7 +535,7 @@ def _exponential_strengths(scales: np.ndarray, grid_spacing: float, capped_as=No
     phi(p-1) phi(p+1) = e^(-1/s), the others phi(p)^2, summing to
     e^(-1/s) (1 - r^(M - 2/h)).
     """
-    cells, radius = _exponential_grid(scales, grid_spacing, capped_as)
+    cells, radius = _exponential_grid(scales, grid_spacing)
     step = grid_spacing / scales
     total = -_each(math.expm1, -radius * step)
     inside = cells * -_each(math.expm1, -step) * _each(math.exp, -(2.0 - grid_spacing) / (2.0 * scales))
@@ -560,7 +543,7 @@ def _exponential_strengths(scales: np.ndarray, grid_spacing: float, capped_as=No
     return (inside + outside) / total, -_each(math.expm1, -1.0 / scales) / total
 
 
-def _envelope_intervals(targets: np.ndarray, cells: int, capped_as=None):
+def _envelope_intervals(targets: np.ndarray, cells: int):
     """Number N of intervals kept on each side of the central one, with each target's ratio (1-G)/(1+G) and its log.
 
     Intervals whose envelope weight ((1-G)/(1+G))^|n| relative to the
@@ -581,7 +564,7 @@ def _envelope_intervals(targets: np.ndarray, cells: int, capped_as=None):
 
     _first_refused([
         (~in_range, lambda k: InvalidParameterError(f"target precision must lie in (0, 1), got {targets.item(k)}")),
-        _cap_check("target precision", targets, capped_as, over, nodes),
+        _cap_check("target precision", targets, over, nodes),
     ])
     return n_intervals, ratio, log_ratio
 
@@ -680,7 +663,7 @@ def make_worst(target_precision: float, grid_spacing: float = DEFAULT_GRID_SPACI
     return _normalized_state(samples, grid_spacing)
 
 
-def _frontier_strengths(targets: np.ndarray, grid_spacing: float, capped_as=None, worst: bool = False):
+def _frontier_strengths(targets: np.ndarray, grid_spacing: float, worst: bool = False):
     """(F, G) of make_optimal(target), any profile, or of make_worst(target), from geometric sums.
 
     With r = (1-G)/(1+G) the envelope squares to r^|n|, |n| <= N, so
@@ -689,7 +672,7 @@ def _frontier_strengths(targets: np.ndarray, grid_spacing: float, capped_as=None
     n <= 2K = N - N % 2, whose squares sum to 1 + 2r^2 (1 - r^2K)/(1 - r^2).
     1 - r^N is -expm1(N log r).  Refuses exactly what the builder refuses.
     """
-    n_intervals, ratio, log_ratio = _envelope_intervals(targets, _cells_per_unit(grid_spacing), capped_as)
+    n_intervals, ratio, log_ratio = _envelope_intervals(targets, _cells_per_unit(grid_spacing))
     if worst:
         kept = n_intervals - n_intervals % 2
         total = 1.0 + 2.0 * ratio * ratio * -_each(math.expm1, kept * log_ratio) / ((1.0 - ratio) * (1.0 + ratio))
@@ -697,16 +680,6 @@ def _frontier_strengths(targets: np.ndarray, grid_spacing: float, capped_as=None
     geometric = _each(math.expm1, n_intervals * log_ratio) / (ratio - 1.0)  # -expm1(N log r) / (1 - r), bit for bit
     total = 1.0 + 2.0 * ratio * geometric
     return 2.0 * np.sqrt(ratio) * geometric / total, 1.0 / total
-
-
-def quality_factor(state: PointerState) -> float:
-    """Overlap of the +1 and -1 displaced copies, by grid quadrature: strength_of(state)'s F."""
-    return strength_of(state).quality_factor
-
-
-def precision(state: PointerState) -> float:
-    """Pointer mass on the central interval (-1, +1), by grid quadrature: strength_of(state)'s G."""
-    return strength_of(state).precision
 
 
 def strength_of(state: PointerState) -> MeasurementStrength:
@@ -738,19 +711,19 @@ _FAMILY_STRENGTHS = {
 
 
 def _family_strengths(
-    family: str, values: np.ndarray, grid_spacing: float = DEFAULT_GRID_SPACING, capped_as=None
+    family: str, values: np.ndarray, grid_spacing: float = DEFAULT_GRID_SPACING
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F, G) arrays of the grids _FAMILY_BUILDERS[family](value, grid_spacing) would build for each value, unbuilt.
 
     Each family's closed form runs the builder's own checks, each a mask
     over the values, so it refuses the first value in grid order that
     the builder refuses, with the same error; the spacing then only
-    fixes which nodes the sums take.  capped_as = (name, values) names a
-    node-cap refusal as that value instead, as a caller that maps its own
-    values to the family's parameter does.  No grid and no array that
-    grows with the grid is made.
+    fixes which nodes the sums take.  A node-cap refusal names the
+    family's parameter and carries the value's index, so a caller that
+    maps its own values to that parameter can name its own instead.  No
+    grid and no array that grows with the grid is made.
     """
-    return _unit_pairs(*_FAMILY_STRENGTHS[family](values, grid_spacing, capped_as))
+    return _unit_pairs(*_FAMILY_STRENGTHS[family](values, grid_spacing))
 
 
 def _family_strength(family: str, value: float, grid_spacing: float = DEFAULT_GRID_SPACING) -> MeasurementStrength:

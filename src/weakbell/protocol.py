@@ -91,15 +91,11 @@ class ScheduleRow:
 @dataclass(frozen=True)
 class ProtocolSchedule:
     rows: tuple[ScheduleRow, ...]
-    biases: tuple[float, ...]
 
     def row(self, stage: int) -> ScheduleRow:
         if not 1 <= stage <= len(self.rows):
             raise InvalidParameterError(f"stage {stage} outside 1..{len(self.rows)}")
         return self.rows[stage - 1]
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def _normalize_biases(stage_count: int, biases) -> tuple[float, ...]:
@@ -182,7 +178,7 @@ def build_schedule(stage_count: int, biases=0.0) -> ProtocolSchedule:
         )
         log_tan += log_quality
         log_keep += math.log1p(-bias_values[n - 1])
-    return ProtocolSchedule(rows=tuple(rows), biases=bias_values)
+    return ProtocolSchedule(rows=tuple(rows))
 
 
 def _bound_excess_log(log_violation: float, log_prior_flip: float, log_precision: float) -> float:

@@ -15,6 +15,7 @@ from weakbell import (
     MeasurementStrength,
     PhysicalityError,
     PointerState,
+    strength_of,
 )
 from weakbell.bell import (
     TripleScanReport,
@@ -43,7 +44,6 @@ from weakbell import pointer
 from weakbell.pointer import (
     _cells_per_unit,
     _node_cap_error,
-    _node_sum,
     _normalized_state,
     _too_narrow,
 )
@@ -521,7 +521,7 @@ def _radius_cells(radius: float, grid_spacing: float) -> int:
 
 def _oracle_check_node_count(nodes: int, name: str, value: float) -> None:
     if nodes > pointer.MAX_POINTER_NODES:
-        raise _node_cap_error(nodes, name, value)
+        raise _node_cap_error(nodes, name, value, 0)
 
 
 def _oracle_check_resolved(name, value, exponent, divisor, grid_spacing) -> None:
@@ -580,8 +580,16 @@ def _oracle_gaussian_checks(width: float, grid_spacing: float) -> int:
     return radius_cells
 
 
+def _oracle_node_sum(density, start: int, stop: int, grid_spacing: float) -> float:
+    """Sum of density(q) over the nodes q = (j + 1/2) h, j = start .. stop-1, one 1-D block of _BLOCK_NODES at a time."""
+    total = 0.0
+    for lo in range(start, stop, pointer._BLOCK_NODES):
+        total += float(np.sum(density(np.arange(lo + 0.5, min(stop, lo + pointer._BLOCK_NODES)) * grid_spacing)))
+    return total
+
+
 def oracle_gaussian_strength(width: float, grid_spacing: float) -> MeasurementStrength:
-    """make_gaussian's closed-form (F, G) summed for this width alone, each sum through _node_sum.
+    """make_gaussian's closed-form (F, G) summed for this width alone, each sum through _oracle_node_sum.
 
     The same node values, blocks and Poisson total as the batched sums,
     with no rows shared between widths.
@@ -596,16 +604,16 @@ def oracle_gaussian_strength(width: float, grid_spacing: float) -> MeasurementSt
         return np.exp(-(q * q) / spread)
 
     if width < 8.0 * grid_spacing:
-        total = _node_sum(density, 0, radius_cells, grid_spacing)
+        total = _oracle_node_sum(density, 0, radius_cells, grid_spacing)
     else:
         reach = radius_cells * grid_spacing / (math.sqrt(2.0) * width)
         total = width / grid_spacing * math.sqrt(0.5 * math.pi) * (1.0 - math.erfc(reach))
-    central = _node_sum(density, 0, cells, grid_spacing)
+    central = _oracle_node_sum(density, 0, cells, grid_spacing)
     inner = radius_cells - cells
     if inner <= cells:
-        paired = _node_sum(density, 0, inner, grid_spacing)
+        paired = _oracle_node_sum(density, 0, inner, grid_spacing)
     else:
-        paired = total - _node_sum(density, inner, radius_cells, grid_spacing)
+        paired = total - _oracle_node_sum(density, inner, radius_cells, grid_spacing)
     return _oracle_unit_strength(math.exp(-1.0 / spread) * paired / total, central / total)
 
 
@@ -673,8 +681,18 @@ def oracle_make_worst(base: PointerState) -> PointerState:
     return _oracle_normalized(samples, base.grid_spacing)
 
 
+def quality_factor(state: PointerState) -> float:
+    """A built grid's F: the overlap of its +1 and -1 displaced copies, read through strength_of."""
+    return strength_of(state).quality_factor
+
+
+def precision(state: PointerState) -> float:
+    """A built grid's G: its mass on (-1, 1), read through strength_of."""
+    return strength_of(state).precision
+
+
 def oracle_precision(state: PointerState) -> float:
-    """Mass on (-1, 1) by masking the whole grid, clamped as pointer.precision clamps."""
+    """Mass on (-1, 1) by masking the whole grid, clamped as strength_of clamps G."""
     inside = np.abs(state.positions) < 1.0
     value = float(np.sum(state.samples[inside] ** 2) * state.grid_spacing)
     return min(1.0, max(0.0, value))

@@ -15,7 +15,9 @@ from conftest import (
     averaged_states,
     density_from_pauli,
     enumerate_chain_state,
+    precision,
     protocol_config,
+    quality_factor,
     random_direction,
     random_geometry,
     random_stage,
@@ -41,8 +43,6 @@ from weakbell import (
     make_optimal,
     make_square,
     make_worst,
-    precision,
-    quality_factor,
     run_chain,
     strength_of,
     tsirelson_alice,

@@ -11,7 +11,9 @@ from conftest import (
     oracle_analytic_strength,
     oracle_reading_cdf,
     outcome_probabilities,
+    precision,
     projectors,
+    quality_factor,
     random_density,
     random_direction,
     random_strength,
@@ -32,8 +34,6 @@ from weakbell import (
     make_gaussian,
     make_optimal,
     make_square,
-    precision,
-    quality_factor,
     singlet,
     strength_of,
 )

@@ -541,8 +541,8 @@ def test_sweeps_refuse_their_first_refused_value_with_exit_2(tmp_path, capsys, a
 def test_an_unphysical_closed_form_exits_2_naming_its_pair(tmp_path, capsys, monkeypatch, command):
     closed_form = pointer._FAMILY_STRENGTHS["optimal"]
 
-    def unphysical(values, grid_spacing, capped_as=None):
-        quality, prec = (a.copy() for a in closed_form(values, grid_spacing, capped_as))
+    def unphysical(values, grid_spacing):
+        quality, prec = (a.copy() for a in closed_form(values, grid_spacing))
         quality[4], prec[4] = 0.8, 0.7
         return quality, prec
 
@@ -858,11 +858,32 @@ def test_internal_error_exits_1_naming_the_exception(monkeypatch, capsys, error,
 _SURFACE_EXEMPT = {"analytic_joint", "strength_of"}
 
 
+def _references(top: ast.AST, modules: set) -> set:
+    """The names top loads and does not bind itself, and the attributes it reads of a package module.
+
+    A parameter, an assignment target or a class field of top's own
+    binds its name there, so a local precision does not count as a
+    reference to a function precision; pointer.precision does.
+    """
+    nodes = list(ast.walk(top))
+    bound = {node.arg for node in nodes if isinstance(node, ast.arg)}
+    bound |= {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    loaded = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    attributes = {
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    return (loaded - bound) | attributes
+
+
 def test_every_public_function_and_class_has_a_caller_in_the_package():
-    # a public top-level def is referenced, by name or as an attribute, somewhere in
-    # the package outside its own body; __init__.py re-exports and imports do not count
+    # a public top-level def is referenced somewhere in the package outside its own
+    # body; __init__.py re-exports and imports do not count
     package = Path(cli.__file__).parent
-    tops = [top for path in sorted(package.glob("*.py")) if path.name != "__init__.py" for top in ast.parse(path.read_text()).body]
+    paths = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    tops = [top for path in paths for top in ast.parse(path.read_text()).body]
+    modules = {path.stem for path in paths}
     public = [
         top
         for top in tops
@@ -870,15 +891,10 @@ def test_every_public_function_and_class_has_a_caller_in_the_package():
         and not top.name.startswith(("_", "cmd_"))
         and top.name not in _SURFACE_EXEMPT
     ]
+    references = [(top, _references(top, modules)) for top in tops]
     unused = [
         definition.name
         for definition in public
-        if not any(
-            (isinstance(node, ast.Name) and node.id == definition.name)
-            or (isinstance(node, ast.Attribute) and node.attr == definition.name)
-            for top in tops
-            if top is not definition
-            for node in ast.walk(top)
-        )
+        if not any(definition.name in names for top, names in references if top is not definition)
     ]
     assert not unused, f"public names nothing in the package uses: {unused}"

@@ -18,6 +18,8 @@ from conftest import (
     oracle_optimal_from_central,
     oracle_precision,
     oracle_samples_to_csv,
+    precision,
+    quality_factor,
     value_at,
 )
 
@@ -33,8 +35,6 @@ from weakbell import (
     make_square,
     make_worst,
     optimal_from_central,
-    precision,
-    quality_factor,
     strength_of,
     tradeoff_curve,
 )
@@ -1010,9 +1010,10 @@ def test_worst_builder_holds_one_grid():
 
 
 # --- the gaussian closed form summed in batches ------------------------------------
-# double and tradeoff sum the central and outer 1/h nodes of many widths
-# as the rows of one array; conftest.oracle_gaussian_strength sums each
-# width alone through _node_sum, and every F and G must match it to the bit.
+# double and tradeoff sum every run of nodes of many widths, the runs of
+# one length as the rows of one array; conftest.oracle_gaussian_strength
+# sums each width alone, a 1-D block at a time, and every F and G must
+# match it to the bit.
 
 
 def _hex_strengths(strengths):
@@ -1032,27 +1033,36 @@ def _batched_gaussian(widths, spacing):
     return _hex_arrays(*pointer._family_strengths("gaussian", np.array(widths), spacing))
 
 
+# a width below 8h sums every node of its grid, which reaches past 1 only where h > 1/64
+_BATCHED_SPACINGS = [SPACING, *(2.0**-k for k in range(1, 7))]
+_BATCHED_WIDTHS = [
+    ("readme-targets", lambda h: _gaussian_widths("0.005:0.995:0.005"), "all"),
+    ("fine-targets", lambda h: _gaussian_widths("0.001:0.999:0.001"), "all"),
+    # below 8h every node is summed; from 8h up to 1/4 the grid ends
+    # within 2 of 0 and its inner nodes are summed, up to 1/8 all within 1
+    ("below-8h", lambda h: np.geomspace(h / 8.0, 8.0 * h, 40, endpoint=False).tolist(), "none"),
+    ("within-2", lambda h: np.linspace(8.0 * h, 0.25, 40).tolist(), "none"),
+    ("mixed", lambda h: np.linspace(0.01, 2.0, 300).tolist(), "some"),
+]
+
+
 @pytest.mark.parametrize(
-    "widths, rows",
+    "widths, rows, spacing",
     [
-        (_gaussian_widths("0.005:0.995:0.005"), "all"),
-        (_gaussian_widths("0.001:0.999:0.001"), "all"),
-        # below 8h every node is summed; from 8h up to 1/4 the grid ends
-        # within 2 of 0 and its inner nodes are summed, up to 1/8 all within 1
-        (np.geomspace(SPACING / 8.0, 8.0 * SPACING, 40, endpoint=False).tolist(), "none"),
-        (np.linspace(8.0 * SPACING, 0.25, 40).tolist(), "none"),
-        (np.linspace(0.01, 2.0, 300).tolist(), "some"),
+        pytest.param(widths, rows, h, id=name if h == SPACING else f"{name}-h=2^-{round(-math.log2(h))}")
+        for h in _BATCHED_SPACINGS
+        for name, widths, rows in _BATCHED_WIDTHS
     ],
-    ids=["readme-targets", "fine-targets", "below-8h", "within-2", "mixed"],
 )
-def test_batched_gaussian_strengths_have_the_bits_of_the_per_width_sums(widths, rows):
-    cells = round(1.0 / SPACING)
-    _, radii = pointer._gaussian_grid(np.array(widths), SPACING)
-    in_rows = [w >= 8.0 * SPACING and m > 2 * cells for w, m in zip(widths, radii.tolist())]
-    assert {"all": all(in_rows), "none": not any(in_rows), "some": 0 < sum(in_rows) < len(widths)}[rows]
-    want = _hex_strengths(oracle_gaussian_strength(w, SPACING) for w in widths)
-    assert _batched_gaussian(widths, SPACING) == want
-    assert _hex_strengths(pointer._family_strength("gaussian", w, SPACING) for w in widths) == want
+def test_batched_gaussian_strengths_have_the_bits_of_the_per_width_sums(widths, rows, spacing):
+    widths = widths(spacing)
+    if spacing == SPACING:  # rows: which widths' grids reach past 2 and sum their outermost 1/h nodes
+        _, radii = pointer._gaussian_grid(np.array(widths), SPACING)
+        outer = [m > 2 * round(1.0 / SPACING) for m in radii.tolist()]
+        assert {"all": all(outer), "none": not any(outer), "some": 0 < sum(outer) < len(widths)}[rows]
+    want = _hex_strengths(oracle_gaussian_strength(w, spacing) for w in widths)
+    assert _batched_gaussian(widths, spacing) == want
+    assert _hex_strengths(pointer._family_strength("gaussian", w, spacing) for w in widths) == want
 
 
 def test_gaussian_double_sweep_has_the_bits_of_the_per_width_sums():
@@ -1064,7 +1074,7 @@ def test_gaussian_double_sweep_has_the_bits_of_the_per_width_sums():
 
 
 def test_gaussian_tradeoff_past_a_block_a_unit_has_the_bits_of_the_per_width_sums():
-    # at 2^-18 a unit holds 2^18 nodes, four of _node_sum's blocks, so each
+    # at 2^-18 a unit holds 2^18 nodes, four blocks of _BLOCK_NODES, so each
     # row is summed a block at a time and its block sums added in order,
     # not pairwise as np.sum would add them over the whole row
     spacing = 2.0**-18
@@ -1276,8 +1286,8 @@ def test_an_unphysical_closed_form_is_refused_naming_its_pair(monkeypatch, famil
     # the F^2 + G^2 <= 1 check holds for every value of a sweep, whichever closed form gave it
     closed_form = pointer._FAMILY_STRENGTHS[family]
 
-    def unphysical(values, grid_spacing, capped_as=None):
-        quality, prec = (a.copy() for a in closed_form(values, grid_spacing, capped_as))
+    def unphysical(values, grid_spacing):
+        quality, prec = (a.copy() for a in closed_form(values, grid_spacing))
         quality[5], prec[5] = 0.9, 0.9
         quality[7] = 1.5  # refused too, but later in the grid
         return quality, prec
@@ -1311,6 +1321,10 @@ def test_sweeps_refuse_their_first_refused_value_in_grid_order():
         # a target past the node cap, named as the target precision, before an out-of-range one
         message = f"target precision 1e-05 {cap.format(nodes)}"
         cases.append((lambda family=family: double_violation_curve(family, [0.5] * 5 + [0.00001, 0.5]), (NodeCapError, message)))
+    for family, nodes in (("optimal", 1100329984), ("square", 33555456), ("gaussian", 33554432)):
+        # the refusal's index picks the target it names: the first past the cap, with its own node count
+        message = f"target precision 3e-05 {cap.format(nodes)}"
+        cases.append((lambda family=family: double_violation_curve(family, [0.9, 0.5, 0.2, 3e-5, 1e-5]), (NodeCapError, message)))
     cases.append(
         (
             lambda: double_violation_curve("optimal", [0.5] * 5 + [1.5, 0.00001]),

@@ -12,6 +12,8 @@ from conftest import (
     enumerate_joint,
     oracle_analytic_joint,
     oracle_precision,
+    precision,
+    quality_factor,
     random_density,
     random_direction,
     random_strength,
@@ -28,8 +30,6 @@ from weakbell import (
     PointerState,
     analytic_joint,
     optimal_from_central,
-    precision,
-    quality_factor,
 )
 from weakbell.channel import DIR_X, DIR_Z
 from weakbell.cli import MAX_RANGE_POINTS, main, parse_command_line, parse_range
