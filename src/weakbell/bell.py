@@ -71,7 +71,8 @@ _SQRT_PI_2 = 0.5 * math.sqrt(math.pi)
 _WINITZKI_A = 0.147
 _ERFINV_MAX_STEPS = 8
 # targets whose chain stacks double_violation_curve holds at once: (n, 4, 4) maps and states
-# and the (n, 2, 3, 3) per-input blocks of the maps stay a few MB however long the grid
+# and the (n, 2, 3, 3) per-input blocks of the maps stay a few MB however long the grid;
+# double_curve_to_csv formats as many rows a text block
 _TARGET_BLOCK = 2**12
 # Hermiticity, trace and positivity tolerance of an initial chain state
 _STATE_TOL = 1e-9
@@ -385,11 +386,11 @@ def double_violation_curve(family: str, precision_grid) -> list[tuple[float, flo
 DOUBLE_CSV_HEADER = "G,I1,I2"
 
 
-def double_curve_to_csv(rows) -> str:
-    lines = [DOUBLE_CSV_HEADER]
-    for g, first, second in rows:
-        lines.append(f"{g!r},{first!r},{second!r}")
-    return "\n".join(lines) + "\n"
+def double_curve_to_csv(rows):
+    """The header line, then the lines G,I1,I2 of a sequence of rows, one text per _TARGET_BLOCK rows."""
+    yield DOUBLE_CSV_HEADER + "\n"
+    for lo in range(0, len(rows), _TARGET_BLOCK):
+        yield "".join([f"{g!r},{first!r},{second!r}\n" for g, first, second in rows[lo : lo + _TARGET_BLOCK]])
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,12 @@
 Commands: tradeoff, double, protocol, montecarlo, pointer-dump,
 triple-scan.  Numeric sweeps use the range syntax start:stop:step with
 inclusive endpoints.  Outputs are written atomically (temp file then
-rename); WEAKBELL_OUTDIR sets the default output directory.  Exit
-codes: 0 success, 2 usage or validation error, 1 internal error.
+rename); WEAKBELL_OUTDIR sets the default output directory.  pointer-dump
+and double hand their output over as text blocks (a pointer's runs of
+nodes, 4,096 rows of a sweep), and each block is written, to the
+temporary file or to stdout, as it is formatted, so the whole text is
+never held; every input is checked before the first block is written.
+Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -72,11 +76,12 @@ def _default_out(name: str) -> Path:
     return Path(base) / name
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write text to path through a temporary file in its directory, then rename it into place.
+def _write_blocks(path: Path, blocks) -> None:
+    """Write each text block to a temporary file in path's directory as it comes, then rename it into place.
 
     The temporary file is created with mode 0o666 less the umask, as open()
-    would create the output itself; a failed write removes it.
+    would create the output itself; a failed write, or blocks raising,
+    removes it and leaves path as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -91,7 +96,8 @@ def atomic_write(path: Path, text: str) -> None:
                 raise
     try:
         with open(fd, "w") as handle:
-            handle.write(text)
+            for block in blocks:
+                handle.write(block)
         os.replace(temp, path)
     except BaseException:
         try:
@@ -101,14 +107,26 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _emit(args, text: str, default_name: str) -> None:
+def atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in its directory, then rename it into place."""
+    _write_blocks(path, (text,))
+
+
+def _emit(args, output, default_name: str) -> None:
+    """Write output, one text or an iterable of text blocks, to --out ('-' for stdout).
+
+    One text goes through atomic_write; blocks are written one at a time
+    as they are formatted.
+    """
+    one_text = isinstance(output, str)
     out = args.out
     if out == "-":
-        sys.stdout.write(text)
+        for block in (output,) if one_text else output:
+            sys.stdout.write(block)
         return
     path = Path(out) if out else _default_out(default_name)
     try:
-        atomic_write(path, text)
+        (atomic_write if one_text else _write_blocks)(path, output)
     except OSError as exc:
         where = "--out" if out else f"--out (default under ${OUTDIR_ENV})"
         reason = exc.strerror or str(exc)

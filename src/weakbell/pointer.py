@@ -84,10 +84,11 @@ and square, sum and compare a block of nodes at a time (in np.sum's
 own pairwise order), so the grid is the only grid-sized array they
 hold.  A pointer CSV writes its positions from the 2^k fraction texts
 of one unit, built once with integer arithmetic wherever they equal
-repr (see samples_to_csv), a unit at a time: a unit whose amplitudes
-share one bit pattern, as every unit of a flat frontier pointer does,
-is one join of its texts around that amplitude's repr, and the other
-units format each distinct amplitude of the grid once.
+repr (see samples_to_csv), one text block a unit, never joined: a unit
+whose amplitudes share one bit pattern, as every unit of a flat
+frontier pointer does, is one join of its texts around that amplitude's
+repr, and the other units format each distinct amplitude of the grid
+once.
 """
 
 from __future__ import annotations
@@ -176,8 +177,8 @@ def _cap_check(name: str, values: np.ndarray, over: np.ndarray, nodes) -> tuple:
 
 
 def _each(function, values: np.ndarray) -> np.ndarray:
-    """math's function of each value, as an array: numpy's exp, expm1 and log miss its bits."""
-    return np.array(list(map(function, values.tolist())), dtype=float)
+    """math's function of each value of a 1-D array, as an array: numpy's exp, expm1 and log miss its bits."""
+    return np.fromiter(map(function, values.tolist()), float, count=values.size)
 
 
 def _symmetric_positions(radius_cells: int, grid_spacing: float) -> np.ndarray:
@@ -803,8 +804,8 @@ def _csv_run(prefix: str, texts: list[str], amplitude: float | None, tails: list
     return "".join(parts)
 
 
-def samples_to_csv(state: PointerState) -> str:
-    """Lines q,phi of every node, each float written as its repr.
+def samples_to_csv(state: PointerState):
+    """The header line, then the lines q,phi of every node a run at a time, in grid order; floats as their repr.
 
     Node M + j of 2M sits at q_j = (j + 1/2) h and node M - 1 - j at
     exactly -q_j (the grid never holds 0), so a position's mirror is the
@@ -818,15 +819,19 @@ def samples_to_csv(state: PointerState) -> str:
     (whose q_0 < 1e-4 repr writes as 6.103515625e-05 and the like),
     write repr(q_j) node by node, _CSV_BLOCK_LINES nodes a run.
 
-    Each half is written a run at a time: a unit of 1/h nodes where the
-    fraction texts apply, the last one partial.  A run whose amplitudes
-    share one bit pattern (0.0 and -0.0 apart), as every unit of a flat
-    frontier pointer does, formats it once and is one join of its
-    position texts.  In the other runs each distinct bit pattern of the
-    grid is formatted once and the lines are placed into one list by
-    slice assignment, never built one string per line.  The amplitudes
+    Each half is cut into runs: a unit of 1/h nodes where the fraction
+    texts apply, the last one partial.  The runs are yielded one text
+    each, never joined: the lower half's from the most negative, then
+    the upper half's.  A run whose amplitudes share one bit pattern (0.0
+    and -0.0 apart), as every unit of a flat frontier pointer does,
+    formats it once and is one join of its position texts.  In the other
+    runs each distinct bit pattern of the grid is formatted once, before
+    the first run, and the lines are placed into one list by slice
+    assignment, never built one string per line.  The amplitudes
     themselves are not mirrored, as a state need only be symmetric in
-    modulus and within 1e-9.
+    modulus and within 1e-9.  Everything but the runs' texts is computed
+    before the header is yielded, so a writer that consumes the blocks
+    holds one run's text at a time.
     """
     samples = state.samples
     half = samples.size // 2
@@ -835,7 +840,8 @@ def samples_to_csv(state: PointerState) -> str:
     span = _CSV_BLOCK_LINES if fractions is None else cells
     starts = range(0, half, span)
     # the runs in grid order: the lower half's mirror the upper half's, so its first one holds node 0
-    edges = [max(0, half - span - start) for start in reversed(starts)] + [half + start for start in starts]
+    runs = [(start, True) for start in reversed(starts)] + [(start, False) for start in starts]
+    edges = [half - min(start + span, half) if lower else half + start for start, lower in runs]
     bits = samples.view(np.int64)
     shared = np.minimum.reduceat(bits, edges) == np.maximum.reduceat(bits, edges)
     # each run's one amplitude, or None where its nodes differ
@@ -844,16 +850,15 @@ def samples_to_csv(state: PointerState) -> str:
     if not shared.all():
         distinct, which = np.unique(bits, return_inverse=True)
         tails = [f",{a!r}\n" for a in distinct.view(np.float64).tolist()]
-    lower, upper = [], []
-    for start, below, above in zip(starts, amplitudes[len(starts) - 1 :: -1], amplitudes[len(starts) :]):
+    yield POINTER_CSV_HEADER + "\n"
+    for (start, lower), amplitude in zip(runs, amplitudes):
         stop = min(start + span, half)
+        nodes = slice(half - stop, half - start) if lower else slice(half + start, half + stop)
         if fractions is None:
-            nodes = np.arange(half + start, half + stop)
-            unit, texts = "", [repr(q) for q in (state.grid_origin + nodes * state.grid_spacing).tolist()]
+            positions = state.grid_origin + np.arange(nodes.start, nodes.stop) * state.grid_spacing
+            prefix, texts = "", [repr(q) for q in positions.tolist()]
+        elif lower:  # the nodes M-1-j of this run, in ascending order
+            prefix, texts = f"-{start // cells}", fractions[stop - start - 1 :: -1]
         else:
-            unit, texts = f"{start // cells}", fractions[: stop - start]
-        upper.append(_csv_run(unit, texts, above, tails, which, slice(half + start, half + stop)))
-        # the nodes M-1-j of this run, in ascending order
-        lower.append(_csv_run(f"-{unit}", texts[::-1], below, tails, which, slice(half - stop, half - start)))
-    del tails, which  # freed before the join doubles the text
-    return "".join([POINTER_CSV_HEADER + "\n", *reversed(lower), *upper])
+            prefix, texts = f"{start // cells}", fractions[: stop - start]
+        yield _csv_run(prefix, texts, amplitude, tails, which, nodes)

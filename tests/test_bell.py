@@ -590,8 +590,18 @@ def test_erfinv_takes_at_most_five_newton_steps(monkeypatch):
 
 def test_double_curve_csv():
     rows = double_violation_curve("analytic", [0.5])
-    text = double_curve_to_csv(rows)
+    text = "".join(double_curve_to_csv(rows))
     assert text.splitlines()[0] == DOUBLE_CSV_HEADER
+
+
+def test_double_curve_csv_is_the_header_then_one_text_per_block_of_rows(monkeypatch):
+    rows = double_violation_curve("optimal", parse_range("0.005:0.995:0.005"))
+    lines = [f"{g!r},{first!r},{second!r}\n" for g, first, second in rows]
+    monkeypatch.setattr(bell, "_TARGET_BLOCK", 7)
+    blocks = list(double_curve_to_csv(rows))
+    assert blocks[0] == DOUBLE_CSV_HEADER + "\n"
+    assert blocks[1:] == ["".join(lines[lo : lo + 7]) for lo in range(0, 199, 7)]
+    assert list(double_curve_to_csv([])) == [DOUBLE_CSV_HEADER + "\n"]
 
 
 # --- triple scan -------------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from weakbell import cli, montecarlo, pointer
+from weakbell import bell, cli, montecarlo, pointer
 from weakbell.cli import (
     MAX_PROTOCOL_STAGES,
     MAX_RANGE_POINTS,
@@ -639,6 +639,98 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
         cli.atomic_write(out, "q,phi\n\ud800\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
     assert out.read_text() == "kept\n"
+
+
+def _raising_after_one_block():
+    yield "q,phi\n"
+    raise RuntimeError("formatting failed")
+
+
+@pytest.mark.parametrize(
+    "blocks, error",
+    [(_raising_after_one_block, RuntimeError), (lambda: iter(["q,phi\n", "0.5,\ud800\n"]), UnicodeEncodeError)],
+    ids=["blocks-raise", "lone-surrogate-block"],
+)
+def test_failed_streamed_write_leaves_the_old_output_and_no_temporary_file(tmp_path, blocks, error):
+    # the first block is in the temporary file when the second fails
+    out = tmp_path / "p.csv"
+    out.write_text("kept\n")
+    with pytest.raises(error):
+        cli._write_blocks(out, blocks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+    assert out.read_text() == "kept\n"
+
+
+def test_a_command_whose_blocks_fail_exits_1_and_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "pointer.csv"
+    out.write_text("kept\n")
+    monkeypatch.setattr(pointer, "samples_to_csv", lambda state: _raising_after_one_block())
+    assert run_cli("pointer-dump", "--family", "optimal", "--g", "0.8", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: formatting failed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pointer.csv"]
+    assert out.read_text() == "kept\n"
+
+
+def test_streamed_blocks_reach_stdout_one_at_a_time_as_they_are_formatted(monkeypatch):
+    events = []
+
+    def blocks(state):
+        for k in range(3):
+            events.append(f"made {k}")
+            yield f"block {k}\n"
+
+    class Stdout:
+        def write(self, text):
+            events.append(f"wrote {text.strip()}")
+
+    monkeypatch.setattr(pointer, "samples_to_csv", blocks)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert run_cli("pointer-dump", "--family", "optimal", "--g", "0.8", "--out", "-") == 0
+    assert events == ["made 0", "wrote block 0", "made 1", "wrote block 1", "made 2", "wrote block 2"]
+
+
+_STREAMED_COMMANDS = [
+    ("pointer-dump", "--family", "optimal", "--g", "0.8"),
+    ("pointer-dump", "--family", "square", "--delta", "1.5"),
+    ("pointer-dump", "--family", "gaussian", "--delta", "0.5"),
+    ("pointer-dump", "--family", "exponential", "--scale", "0.3"),
+    ("pointer-dump", "--family", "worst", "--g", "0.6"),
+    *(("double", "--family", family, "--g", "0.005:0.995:0.005") for family in ("analytic", "square", "gaussian", "optimal")),
+]
+
+
+@pytest.mark.parametrize("argv", _STREAMED_COMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
+def test_stdout_and_file_outputs_have_the_same_bytes(tmp_path, monkeypatch, capsys, argv):
+    # a double sweep in blocks of 7 rows is 29 blocks; a dump's runs are its 512-node units
+    monkeypatch.setattr(bell, "_TARGET_BLOCK", 7)
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(*argv, "--out", "-") == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pointer-dump", "--family", "optimal", "--g", "0.0019"),
+        ("pointer-dump", "--family", "gaussian", "--delta", "1e4"),
+        ("pointer-dump", "--family", "worst", "--g", "1.5"),
+        ("double", "--family", "optimal", "--g", "0.001:0.999:0.001"),
+        ("double", "--family", "square", "--g", "1e-5"),
+        ("double", "--family", "analytic", "--g", "0:0.5:0.1"),
+        ("tradeoff", "--family", "square", "--delta", "1e6"),
+        ("protocol", "--n", "0"),
+        ("montecarlo", "--scenario", "nonsense"),
+        ("triple-scan", "--resolution", "0.001"),
+    ],
+    ids=lambda argv: "-".join(argv[:3:2]),
+)
+def test_refused_inputs_write_no_byte_to_stdout(capsys, argv):
+    assert run_cli(*argv, "--out", "-") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unwritable_default_output_names_the_env_var(tmp_path, monkeypatch, capsys):

@@ -38,7 +38,7 @@ from weakbell import (
     strength_of,
     tradeoff_curve,
 )
-from weakbell import pointer
+from weakbell import cli, pointer
 from weakbell.bell import _erfinv, _target_strengths, double_violation_curve
 from weakbell.channel import strength_pair
 from weakbell.errors import NodeCapError
@@ -405,7 +405,24 @@ def test_the_narrowness_check_refuses_only_zero_norm_grids(build, oracle, band):
 )
 def test_pointer_csv_matches_the_per_line_formatter(build, spacing):
     state = build(spacing)
-    assert_same_text(samples_to_csv(state), oracle_samples_to_csv(state))
+    assert_same_text("".join(samples_to_csv(state)), oracle_samples_to_csv(state))
+
+
+@pytest.mark.parametrize(
+    "build, run",
+    [(lambda: make_worst(0.6), 512), (lambda: make_optimal(0.8, grid_spacing=2.0**-13), pointer._CSV_BLOCK_LINES)],
+    ids=["units", "repr-runs"],
+)
+def test_pointer_csv_is_the_header_then_one_text_per_run_in_grid_order(build, run):
+    # a unit of 1/h nodes where the fraction texts write the positions, else _CSV_BLOCK_LINES nodes
+    state = build()
+    blocks = list(samples_to_csv(state))
+    assert blocks[0] == POINTER_CSV_HEADER + "\n"
+    half = state.samples.size // 2
+    lengths = [min(run, half - start) for start in range(0, half, run)]
+    assert [block.count("\n") for block in blocks[1:]] == lengths[::-1] + lengths
+    first = [float(block.split(",", 1)[0]) for block in blocks[1:]]
+    assert first == sorted(first) and first[0] == state.grid_origin
 
 
 def test_pointer_csv_writes_hand_built_states_as_given():
@@ -414,7 +431,7 @@ def test_pointer_csv_writes_hand_built_states_as_given():
     # antisymmetric, with -0.0 on the left tail and 0.0 on the right
     odd = PointerState(np.where(q < 0, -bump, bump) / math.sqrt(np.sum(bump * bump) * SPACING), SPACING)
     assert {math.copysign(1.0, a) for a in odd.samples[odd.samples == 0.0]} == {-1.0, 1.0}
-    text = samples_to_csv(odd)
+    text = "".join(samples_to_csv(odd))
     assert_same_text(text, oracle_samples_to_csv(odd))
     assert text.startswith("q,phi\n-3.9990234375,-0.0\n") and text.endswith("\n3.9990234375,0.0\n")
     # a modulus asymmetric within the 1e-9 the state allows is written as it is
@@ -422,7 +439,7 @@ def test_pointer_csv_writes_hand_built_states_as_given():
     samples[2100] += 5e-10
     lopsided = PointerState(samples, SPACING)
     assert lopsided.samples[2100] != lopsided.samples[4095 - 2100]
-    assert_same_text(samples_to_csv(lopsided), oracle_samples_to_csv(lopsided))
+    assert_same_text("".join(samples_to_csv(lopsided)), oracle_samples_to_csv(lopsided))
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -474,7 +491,7 @@ def _bump_with_a_partial_zero_unit(odd):
 )
 def test_pointer_csv_writes_units_of_one_bit_pattern_only_where_every_node_shares_it(build):
     state = build()
-    text = samples_to_csv(state)
+    text = "".join(samples_to_csv(state))
     assert_same_text(text, oracle_samples_to_csv(state))
     half = state.samples.size // 2
     bits = state.samples.view(np.int64)
@@ -511,10 +528,27 @@ def test_pointer_csv_peaks_below_the_per_line_formatter(build):
     # a gaussian holds one distinct amplitude per node pair, the frontier a few per interval
     state = build()
     assert state.samples.size >= 2**17
-    peak, text = _heap_peak(lambda: samples_to_csv(state))
+    peak, text = _heap_peak(lambda: "".join(samples_to_csv(state)))
     oracle_peak, oracle_text = _heap_peak(lambda: oracle_samples_to_csv(state))
     assert_same_text(text, oracle_text)
     assert peak < oracle_peak
+
+
+@pytest.mark.parametrize("family, flag, value", [("optimal", "--g", "0.2"), ("square", "--delta", "128")])
+def test_pointer_dump_holds_its_grid_and_a_few_runs_of_text(tmp_path, family, flag, value):
+    # a flat pointer's runs are its units, ~20 KB of text each; the builder also
+    # squares two 2^16-node blocks (1 MiB) while it normalizes. In-process the
+    # command peaked at the grid + 1 MiB + 11 KB (optimal G = 0.2, 164,864 nodes,
+    # 5.9 MB of text) and + 3 KB (square 128), where the text held twice took 13.5 MB
+    state = pointer._FAMILY_BUILDERS[family](float(value))
+    assert state.samples.size >= 2**17
+    run = max(map(len, samples_to_csv(state)))
+    out = tmp_path / "pointer.csv"
+    cli.build_parser()  # built once a process, and held: not the dump's
+    peak, code = _heap_peak(lambda: cli.main(["pointer-dump", "--family", family, flag, value, "--out", str(out)]))
+    assert code == 0
+    assert peak < state.samples.nbytes + 2 * 8 * pointer._BLOCK_NODES + 4 * run
+    assert out.stat().st_size > peak
 
 
 # --- frontier (F, G) from rows ----------------------------------------------------
@@ -1025,6 +1059,26 @@ def _gaussian_widths(targets):
     return [1.0 / (math.sqrt(2.0) * _erfinv(target)) for target in parse_range(targets)]
 
 
+def test_each_has_the_bits_of_the_list_form_on_the_near_cap_widths():
+    # the 98,001 widths of double --family gaussian --g 0.01:0.99:0.00001,
+    # and the arguments the gaussian closed form hands _each
+    widths = np.array(_gaussian_widths("0.01:0.99:0.00001"))
+    assert widths.size == 98_001
+    for function, values in [
+        (math.erfc, widths),
+        (math.exp, -1.0 / (2.0 * widths * widths)),
+        (math.expm1, -widths),
+        (math.log, widths),
+    ]:
+        listed = np.array(list(map(function, values.tolist())), dtype=float)
+        peak, each = _heap_peak(lambda: pointer._each(function, values))
+        assert each.dtype == np.float64 and each.shape == values.shape
+        assert each.tobytes() == listed.tobytes()
+        # the values' list (8 B a pointer, 24 B a float) and the array took 40 B
+        # a value; a second list of the results took it to 64 B
+        assert peak < 48 * values.size
+
+
 def _hex_arrays(quality, prec):
     return list(zip(map(float.hex, quality.tolist()), map(float.hex, prec.tolist())))
 
@@ -1506,7 +1560,7 @@ def test_csv_surfaces():
     assert text.splitlines()[1].startswith("optimal,0.5,")
 
     state = make_square(1.5)
-    dump = samples_to_csv(state)
+    dump = "".join(samples_to_csv(state))
     lines = dump.splitlines()
     assert lines[0] == POINTER_CSV_HEADER
     assert len(lines) == state.samples.size + 1
