@@ -282,9 +282,14 @@ def _chsh_values(pauli, kernel, precision) -> np.ndarray:
     """CHSH at Bob precision G of Pauli-coefficient states; states and G broadcast together.
 
     kernel is _chsh_kernel of the settings, built once per scan: the
-    correlators of every state are one matmul by it.
+    correlators of every state are one matmul by it.  A strong Bob's
+    G = 1.0 skips the four multiplies, as 1.0 * x is x to the bit; any
+    other G multiplies each correlator, which rounds otherwise than
+    G (E00 + E01 + E10 - E11).
     """
     e00, e01, e10, e11 = np.moveaxis(np.reshape(pauli, (*np.shape(pauli)[:-2], 16)) @ kernel, -1, 0)
+    if np.ndim(precision) == 0 and precision == 1.0:
+        return e00 + e01 + e10 - e11
     g = np.asarray(precision, dtype=float)
     return g * e00 + g * e01 + g * e10 - g * e11
 

@@ -8,6 +8,10 @@ and double hand their output over as text blocks (a pointer's runs of
 nodes, 4,096 rows of a sweep), and each block is written, to the
 temporary file or to stdout, as it is formatted, so the whole text is
 never held; every input is checked before the first block is written.
+Each command imports the package modules it runs when it runs, so
+importing this module and parsing a command line load no numpy, and
+protocol never does; --spacing is None when not given and stands for
+pointer.DEFAULT_GRID_SPACING.
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 """
 
@@ -21,7 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import bell, montecarlo, pointer, protocol
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError, PhysicalityError
 
 OUTDIR_ENV = "WEAKBELL_OUTDIR"
@@ -244,22 +247,33 @@ def _family_parameter(args) -> str:
     return text
 
 
-def _with_spacing_advice(build):
-    """build(), its node-cap refusal also advising a coarser --spacing, for the commands that take one."""
+def _with_spacing_advice(args, build):
+    """build(h) at h = --spacing, pointer.DEFAULT_GRID_SPACING where it is not given.
+
+    Its node-cap refusal also advises a coarser --spacing, for the
+    commands that take one.
+    """
+    from .pointer import DEFAULT_GRID_SPACING
+
+    spacing = DEFAULT_GRID_SPACING if args.spacing is None else args.spacing
     try:
-        return build()
+        return build(spacing)
     except NodeCapError as exc:
         raise NodeCapError(f"{exc}, or a coarser --spacing", exc.nodes, exc.index) from None
 
 
 def cmd_tradeoff(args) -> int:
+    from . import pointer
+
     grid = parse_range(_family_parameter(args))
-    rows = _with_spacing_advice(lambda: pointer.tradeoff_curve(args.family, grid, grid_spacing=args.spacing))
+    rows = _with_spacing_advice(args, lambda h: pointer.tradeoff_curve(args.family, grid, grid_spacing=h))
     _emit(args, pointer.tradeoff_to_csv(args.family, rows), f"tradeoff_{args.family}.csv")
     return 0
 
 
 def cmd_double(args) -> int:
+    from . import bell
+
     grid = parse_range(args.g)
     rows = bell.double_violation_curve(args.family, grid)
     _emit(args, bell.double_curve_to_csv(rows), f"double_{args.family}.csv")
@@ -267,6 +281,8 @@ def cmd_double(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    from . import protocol
+
     if not 1 <= args.n <= MAX_PROTOCOL_STAGES:
         raise InvalidParameterError(f"--n must lie in 1..{MAX_PROTOCOL_STAGES}, got {args.n}")
     modes = sum(bool(v) for v in (args.auto_bias, args.limit, args.bias is not None))
@@ -285,6 +301,8 @@ def cmd_protocol(args) -> int:
 
 def _montecarlo_config(scenario: str, target_precision: float) -> bell.BellChainConfig:
     """The Tsirelson chain: a frontier Bob at the target G, then a strong one for "double"."""
+    from . import bell, pointer
+
     if scenario not in ("single", "double"):
         raise InvalidParameterError(f"unknown scenario {scenario!r} (choose single or double)")
     alice = bell.tsirelson_alice()
@@ -298,6 +316,8 @@ def _montecarlo_config(scenario: str, target_precision: float) -> bell.BellChain
 
 
 def cmd_montecarlo(args) -> int:
+    from . import montecarlo
+
     if not (math.isfinite(args.trials) and args.trials == int(args.trials)):
         raise InvalidParameterError(f"--trials must be an integer, got {args.trials}")
     if args.trials < 1:
@@ -321,13 +341,17 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_pointer_dump(args) -> int:
+    from . import pointer
+
     value = float(_family_parameter(args))
-    state = _with_spacing_advice(lambda: pointer._FAMILY_BUILDERS[args.family](value, grid_spacing=args.spacing))
+    state = _with_spacing_advice(args, lambda h: pointer._FAMILY_BUILDERS[args.family](value, grid_spacing=h))
     _emit(args, pointer.samples_to_csv(state), f"pointer_{args.family}.csv")
     return 0
 
 
 def cmd_triple_scan(args) -> int:
+    from . import bell
+
     if not MIN_TRIPLE_RESOLUTION <= args.resolution < 0.5:
         raise InvalidParameterError(
             f"--resolution must lie in [{MIN_TRIPLE_RESOLUTION}, 0.5), got {args.resolution}"
@@ -367,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="width grid start:stop:step (square, gaussian)")
     p.add_argument("--scale", help="scale grid start:stop:step (exponential)")
     p.add_argument("--g", help="target-precision grid start:stop:step (optimal, worst)")
-    p.add_argument("--spacing", type=float, default=pointer.DEFAULT_GRID_SPACING)
+    p.add_argument("--spacing", type=float)
     common(p)
 
     p = sub.add_parser("double", help="CHSH of two sequential Bobs vs the first Bob's precision")
@@ -394,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="width (square, gaussian)")
     p.add_argument("--scale", help="scale (exponential)")
     p.add_argument("--g", help="target precision (optimal, worst)")
-    p.add_argument("--spacing", type=float, default=pointer.DEFAULT_GRID_SPACING)
+    p.add_argument("--spacing", type=float)
     common(p)
 
     p = sub.add_parser("triple-scan", help="search for a triple violation with unbiased inputs")

@@ -87,8 +87,8 @@ of one unit, built once with integer arithmetic wherever they equal
 repr (see samples_to_csv), one text block a unit, never joined: a unit
 whose amplitudes share one bit pattern, as every unit of a flat
 frontier pointer does, is one join of its texts around that amplitude's
-repr, and the other units format each distinct amplitude of the grid
-once.
+repr, and each other unit formats each distinct amplitude among its own
+nodes once, so a dump of any family holds its grid and one unit's text.
 """
 
 from __future__ import annotations
@@ -787,20 +787,22 @@ def _fraction_texts(half: int, cells: int) -> list[str] | None:
     return list(map(f".%0{places}d".__mod__, range(scale, 2 * cells * scale, 2 * scale)))
 
 
-def _csv_run(prefix: str, texts: list[str], amplitude: float | None, tails: list[str], which, nodes: slice) -> str:
+def _csv_run(prefix: str, texts: list[str], amplitude: float | None, bits: np.ndarray) -> str:
     """The lines prefix + texts[i] + "," + the repr of node i's amplitude, for the nodes of one run.
 
     Where every node of the run holds amplitude, the lines are one join
-    around its repr.  Otherwise node i's tail is tails[which[nodes][i]],
-    and the lines are placed into one list by slice assignment and joined
-    once.
+    around its repr.  Otherwise bits holds the run's amplitudes as int64
+    bit patterns: each distinct one is formatted once, and the lines are
+    placed into one list by slice assignment and joined once.
     """
     if amplitude is not None:
         tail = f",{amplitude!r}\n"
         return prefix + (tail + prefix).join(texts) + tail
+    distinct, which = np.unique(bits, return_inverse=True)
+    tails = [f",{a!r}\n" for a in distinct.view(np.float64).tolist()]
     parts = [prefix, "", ""] * len(texts)
     parts[1::3] = texts
-    parts[2::3] = map(tails.__getitem__, which[nodes].tolist())
+    parts[2::3] = map(tails.__getitem__, which.tolist())
     return "".join(parts)
 
 
@@ -824,14 +826,18 @@ def samples_to_csv(state: PointerState):
     each, never joined: the lower half's from the most negative, then
     the upper half's.  A run whose amplitudes share one bit pattern (0.0
     and -0.0 apart), as every unit of a flat frontier pointer does,
-    formats it once and is one join of its position texts.  In the other
-    runs each distinct bit pattern of the grid is formatted once, before
-    the first run, and the lines are placed into one list by slice
-    assignment, never built one string per line.  The amplitudes
-    themselves are not mirrored, as a state need only be symmetric in
-    modulus and within 1e-9.  Everything but the runs' texts is computed
-    before the header is yielded, so a writer that consumes the blocks
-    holds one run's text at a time.
+    formats it once and is one join of its position texts.  Each other
+    run formats each distinct bit pattern among its own nodes once, as
+    it comes, and places the lines into one list by slice assignment,
+    never built one string per line.  The amplitudes themselves are not
+    mirrored, as a state need only be symmetric in modulus and within
+    1e-9, so an amplitude of a gaussian or exponential grid is formatted
+    once in each half.  That costs ~1.5x the time of formatting each
+    distinct amplitude of the grid once, and buys a peak of the grid and
+    one run's texts, where the grid's texts and its grid-sized index
+    took ~7.5 grids more.  Which runs share one amplitude is found before
+    the header is yielded, so a writer that consumes the blocks holds
+    one run's text at a time.
     """
     samples = state.samples
     half = samples.size // 2
@@ -846,10 +852,6 @@ def samples_to_csv(state: PointerState):
     shared = np.minimum.reduceat(bits, edges) == np.maximum.reduceat(bits, edges)
     # each run's one amplitude, or None where its nodes differ
     amplitudes = [a if one else None for a, one in zip(samples[edges].tolist(), shared.tolist())]
-    tails = which = None
-    if not shared.all():
-        distinct, which = np.unique(bits, return_inverse=True)
-        tails = [f",{a!r}\n" for a in distinct.view(np.float64).tolist()]
     yield POINTER_CSV_HEADER + "\n"
     for (start, lower), amplitude in zip(runs, amplitudes):
         stop = min(start + span, half)
@@ -861,4 +863,4 @@ def samples_to_csv(state: PointerState):
             prefix, texts = f"-{start // cells}", fractions[stop - start - 1 :: -1]
         else:
             prefix, texts = f"{start // cells}", fractions[: stop - start]
-        yield _csv_run(prefix, texts, amplitude, tails, which, nodes)
+        yield _csv_run(prefix, texts, amplitude, bits[nodes])

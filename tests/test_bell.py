@@ -375,6 +375,16 @@ def test_chsh_values_equal_the_per_state_formula_at_tsirelson_settings():
     np.testing.assert_allclose(got, oracle_chsh_values(states, alice, bob, precision), rtol=0.0, atol=4e-15)
 
 
+def test_a_strong_bobs_chsh_has_the_bits_of_the_four_multiplies():
+    # G = 1.0 skips the multiplies by G, which leave every correlator as it is;
+    # an array of ones takes the multiplying path
+    rng = np.random.default_rng(33)
+    kernel = _chsh_kernel(tsirelson_alice(), tsirelson_bob())
+    states = random_pauli_stack(rng, 2000)
+    assert np.array_equal(_chsh_values(states, kernel, 1.0), _chsh_values(states, kernel, np.ones(2000)))
+    assert _chsh_values(states[0], kernel, 1.0) == _chsh_values(states[0], kernel, np.ones(1))[0]
+
+
 def test_chsh_values_agree_with_the_per_state_formula_on_random_settings():
     # other directions sum their products in another order: 1,400 cells within 4e-15
     rng = np.random.default_rng(32)

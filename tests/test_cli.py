@@ -881,6 +881,100 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     assert proc.stdout.splitlines() == ["False"] + ["0"] * len(commands) + ["True []"]
 
 
+# --- imports: each command loads only the modules it runs ------------------------------------
+
+# the package's public names, each under the submodule that defines it
+_EXPORTED = {
+    "errors": ["InvalidParameterError", "InvalidStateError", "PhysicalityError"],
+    "pointer": [
+        "DEFAULT_GRID_SPACING", "MeasurementStrength", "PointerState", "make_exponential", "make_gaussian",
+        "make_optimal", "make_square", "make_worst", "optimal_from_central", "strength_of", "tradeoff_curve",
+    ],
+    "channel": ["Direction"],
+    "bell": [
+        "BellChainConfig", "BobStage", "double_violation_curve", "singlet", "tsirelson_alice", "tsirelson_bob",
+        "unbiased_triple_scan",
+    ],
+    "protocol": ["ProtocolSchedule", "build_schedule", "chi", "feasible_uniform_bias"],
+    "montecarlo": ["EmpiricalReport", "analytic_joint", "chi_square_report", "run_chain"],
+}
+_COMPUTE_MODULES = ["numpy", "hashlib"] + [
+    f"weakbell.{name}" for name in ("bell", "channel", "pointer", "protocol", "montecarlo")
+]
+
+
+def _run_python(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("statement", ["import weakbell", "from weakbell import cli", "import weakbell.cli"])
+def test_importing_the_package_or_its_cli_loads_no_compute_module(statement):
+    script = f"import sys\n{statement}\nprint(sorted(name for name in {_COMPUTE_MODULES!r} if name in sys.modules))"
+    assert _run_python(script).split() == ["[]"]
+
+
+def test_readme_protocol_commands_run_without_numpy(tmp_path):
+    commands = {
+        "schedule.csv": ["protocol", "--n", "8", "--auto-bias"],
+        "limit.csv": ["protocol", "--n", "12", "--limit"],
+    }
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from weakbell.cli import main\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    print(main([*argv, '--out', sys.argv[2] + '/blocked_' + name]))\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy')))\n"
+    )
+    stdout = _run_python(script, json.dumps(commands), str(tmp_path))
+    assert stdout.splitlines() == ["0", "0", "['numpy']"]
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / f"blocked_{name}").read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_every_public_name_resolves_on_first_use_to_its_submodules_object():
+    # in a fresh process each name's first lookup is the from-import itself
+    script = (
+        "import importlib, json, sys\n"
+        "import weakbell\n"
+        "listed = set(dir(weakbell)), set(weakbell.__all__)\n"
+        "for home, names in json.loads(sys.argv[1]).items():\n"
+        "    for name in [home, *names]:\n"
+        "        value = getattr(__import__('weakbell', fromlist=[name]), name)\n"
+        "        expected = importlib.import_module('weakbell.' + home)\n"
+        "        assert value is (expected if name == home else getattr(expected, name)), name\n"
+        "        assert all(name in names for names in listed), name\n"
+        "print(sorted(weakbell.__all__))\n"
+    )
+    stdout = _run_python(script, json.dumps(_EXPORTED))
+    assert stdout.split("\n")[0] == repr(sorted([*_EXPORTED, *(n for names in _EXPORTED.values() for n in names)]))
+
+
+def test_an_unknown_package_name_raises_attribute_error_naming_it():
+    import weakbell
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        weakbell.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from weakbell import no_such_name", {})
+    assert "cli" not in weakbell.__all__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tradeoff", "--family", "square", "--delta", "1:3:0.25"], ["pointer-dump", "--family", "optimal", "--g", "0.8"]],
+)
+def test_omitted_spacing_writes_the_bytes_of_the_default_spacing(tmp_path, argv):
+    assert repr(DEFAULT_GRID_SPACING) == "0.001953125"
+    assert cli.parse_command_line(argv).spacing is None
+    assert main([*argv, "--out", str(tmp_path / "omitted")]) == 0
+    assert main([*argv, "--spacing", "0.001953125", "--out", str(tmp_path / "given")]) == 0
+    assert (tmp_path / "omitted").read_bytes() == (tmp_path / "given").read_bytes()
+
+
 # --- the parser, built once per process ---------------------------------------------------
 
 

@@ -534,12 +534,23 @@ def test_pointer_csv_peaks_below_the_per_line_formatter(build):
     assert peak < oracle_peak
 
 
-@pytest.mark.parametrize("family, flag, value", [("optimal", "--g", "0.2"), ("square", "--delta", "128")])
+@pytest.mark.parametrize(
+    "family, flag, value",
+    [
+        ("optimal", "--g", "0.2"),
+        ("square", "--delta", "128"),
+        ("gaussian", "--delta", "16"),
+        ("exponential", "--scale", "4"),
+    ],
+)
 def test_pointer_dump_holds_its_grid_and_a_few_runs_of_text(tmp_path, family, flag, value):
     # a flat pointer's runs are its units, ~20 KB of text each; the builder also
     # squares two 2^16-node blocks (1 MiB) while it normalizes. In-process the
     # command peaked at the grid + 1 MiB + 11 KB (optimal G = 0.2, 164,864 nodes,
-    # 5.9 MB of text) and + 3 KB (square 128), where the text held twice took 13.5 MB
+    # 5.9 MB of text) and + 3 KB (square 128), where the text held twice took 13.5 MB.
+    # A gaussian or exponential run formats its own distinct amplitudes: + 2 KB
+    # each (gaussian 16, 131,072 nodes; exponential 4, 163,840 nodes), where the
+    # texts of the grid's distinct amplitudes and their index took ~9.6 grids
     state = pointer._FAMILY_BUILDERS[family](float(value))
     assert state.samples.size >= 2**17
     run = max(map(len, samples_to_csv(state)))
