@@ -12,7 +12,8 @@ Each command imports the package modules it runs when it runs, so
 importing this module and parsing a command line load no numpy, and
 protocol never does; --spacing is None when not given and stands for
 pointer.DEFAULT_GRID_SPACING.
-Exit codes: 0 success, 2 usage or validation error, 1 internal error.
+Exit codes: 0 success, 2 usage or validation error, 1 internal error, 141
+(128 + SIGPIPE) when the reader of --out - closes the pipe early.
 """
 
 from __future__ import annotations
@@ -434,12 +435,20 @@ def main(argv=None) -> int:
     try:
         args = parse_command_line(argv)
         command = globals()["cmd_" + args.command.replace("-", "_")]
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at the flush on exit
+        return code
     except SystemExit as exc:  # argparse usage errors already printed
         return 2 if exc.code not in (0, None) else 0
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of --out - closed early: as the Python docs' "Note on SIGPIPE"
+        # advises, stdout goes to devnull so the flush on exit stays silent, and
+        # the exit code is a shell's for a SIGPIPE death, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:
         # the type names the fault where the message alone would not ('x', or nothing)
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__

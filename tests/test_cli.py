@@ -683,6 +683,9 @@ def test_streamed_blocks_reach_stdout_one_at_a_time_as_they_are_formatted(monkey
         def write(self, text):
             events.append(f"wrote {text.strip()}")
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(pointer, "samples_to_csv", blocks)
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert run_cli("pointer-dump", "--family", "optimal", "--g", "0.8", "--out", "-") == 0
@@ -851,6 +854,19 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "weakbell", "no-such-command"], capture_output=True, text=True
     )
     assert usage.returncode == 2
+
+
+def test_a_dump_into_a_pipe_closed_after_its_header_exits_141_silently():
+    # the 1.2 MB dump overfills the pipe, so its writes meet the closed end
+    argv = ["pointer-dump", "--family", "optimal", "--g", "0.8", "--out", "-"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weakbell", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"q,phi\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
