@@ -8,28 +8,39 @@ DIR/name])`` in-process, with ``PYTHONWARNINGS=error::RuntimeWarning``, and
 then reads its own peak RSS. The row passes when:
 
 - the exit code is the row's ``exit``;
-- exit 0 left ``DIR/name``; exit 2 printed exactly one line, ``error: ...``,
-  and left neither ``DIR/name`` nor its temporary file;
+- exit 0 left ``DIR/name`` with mode 0o666 less the umask, as open() would
+  have created it; exit 2 printed exactly the row's ``error`` line and left
+  neither ``DIR/name`` nor its temporary file;
 - scipy was not loaded;
 - the peak RSS is at most the row's ``peak_mb`` and the child ended within
   its ``timeout_s``, where the row sets them.
 
 Each row's ``measured`` holds the peak, time, versions and commit its
 bounds came from; a bound is kept or lowered, never raised. The runner
-writes ``DIR/results.json`` and exits 1 naming each row that failed.
+writes ``DIR/results.json``, which holds each row's exit code, stderr,
+output size and SHA-256, time, peak and failures: two passes, over two
+trees, wrote the same bytes and refusals when their rows agree on
+``exit``, ``stderr`` and ``sha256``. An output over 100 MB (only the
+near-cap dumps, 611-633 MB each) is removed once it is checked and hashed,
+so a pass leaves under 100 MB under DIR; no later CI step reads one. The
+runner exits 1 naming each row that failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 TABLE = Path(__file__).with_name("commands.json")
+# a checked and hashed output larger than this is removed
+MAX_KEPT_BYTES = 100_000_000
 
 CHILD = """
 import json, resource, sys, time
@@ -46,6 +57,21 @@ print(json.dumps({
 """
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _created_mode() -> int:
+    """The mode open() gives a new file: 0o666 less the process umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def run_row(row: dict, out: Path) -> dict:
     """Run one row in a fresh child and return what it did, with the policy's failures."""
     path = out / row["name"]
@@ -59,14 +85,22 @@ def run_row(row: dict, out: Path) -> dict:
     if proc.returncode != 0:
         return {"name": row["name"], "failures": [f"child exited {proc.returncode}: {errors[-1:]}"]}
     result = {"name": row["name"], **json.loads(proc.stdout.splitlines()[-1])}
+    result.update(stderr=proc.stderr, bytes=None, sha256=None)
     failures = []
     if result["exit"] != row["exit"]:
         failures.append(f"exit {result['exit']}, expected {row['exit']}: {errors[-1:]}")
     elif row["exit"] == 0 and not path.is_file():
         failures.append("exit 0 left no output")
+    elif row["exit"] == 0:
+        info, expected = path.stat(), _created_mode()
+        if stat.S_IMODE(info.st_mode) != expected:
+            failures.append(f"output mode {stat.S_IMODE(info.st_mode):o}, expected {expected:o}")
+        result.update(bytes=info.st_size, sha256=_sha256(path))
+        if result["bytes"] > MAX_KEPT_BYTES:
+            path.unlink()
     elif row["exit"] == 2:
-        if len(errors) != 1 or not errors[0].startswith("error: "):
-            failures.append(f"stderr is not one error line: {errors}")
+        if errors != [row.get("error")]:
+            failures.append(f"stderr {errors}, expected [{row.get('error')!r}]")
         if path.exists() or any(out.glob(f".{path.name}.*.tmp")):
             failures.append("a refused command left a file")
     if result["scipy"]:

@@ -13,7 +13,12 @@ importing this module and parsing a command line load no numpy, and
 protocol never does; --spacing is None when not given and stands for
 pointer.DEFAULT_GRID_SPACING.
 Exit codes: 0 success, 2 usage or validation error, 1 internal error, 141
-(128 + SIGPIPE) when the reader of --out - closes the pipe early.
+(128 + SIGPIPE) when the reader of --out - closes the pipe early, and 130
+or 143 (128 + SIGINT or SIGTERM) after one "interrupted by <signal>" line.
+Both signals unwind the command, so a partly written output's temporary
+file is removed: SIGINT as Python's KeyboardInterrupt, SIGTERM through a
+handler that main installs only on the main thread, and only while it
+runs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError, PhysicalityError
@@ -429,15 +436,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """A SIGTERM that main turned into an exception, as Python turns SIGINT into KeyboardInterrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    previous = signal.getsignal(signal.SIGTERM) if threading.current_thread() is threading.main_thread() else None
+    # an ignored SIGTERM stays ignored; a handler set outside Python cannot be restored
+    handled = previous not in (signal.SIG_IGN, None)
+    if handled:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         args = parse_command_line(argv)
         command = globals()["cmd_" + args.command.replace("-", "_")]
         code = command(args)
         sys.stdout.flush()  # a closed pipe shows here, not at the flush on exit
         return code
+    except KeyboardInterrupt:
+        print("interrupted by SIGINT", file=sys.stderr)
+        return 128 + signal.SIGINT
+    except _Terminated:
+        print("interrupted by SIGTERM", file=sys.stderr)
+        return 128 + signal.SIGTERM
     except SystemExit as exc:  # argparse usage errors already printed
         return 2 if exc.code not in (0, None) else 0
     except _VALIDATION_ERRORS as exc:
@@ -454,6 +480,9 @@ def main(argv=None) -> int:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"internal error: {detail}", file=sys.stderr)
         return 1
+    finally:
+        if handled:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

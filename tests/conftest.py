@@ -1,7 +1,9 @@
 """Shared helpers: random scenario generators and brute-force oracles."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +56,18 @@ from weakbell.montecarlo import (
     _config_digest,
     _reports,
 )
+
+
+# the command table CI runs (ci/commands.json), and the rows Tier-1 runs from it
+COMMAND_ROWS = json.loads((Path(__file__).resolve().parents[1] / "ci" / "commands.json").read_text())
+# the README's commands, in its order
+README_ROWS = [row for row in COMMAND_ROWS if row["readme"]]
+# the README runs and the family sweeps, the other pointer families at README size
+FAMILY_ROWS = [row for row in COMMAND_ROWS if row["readme"] or row.get("sweep")]
+# the family rows whose command writes its output block by block
+STREAMED_ROWS = [row for row in FAMILY_ROWS if row["argv"][0] in ("pointer-dump", "double")]
+# each refused input, with its one error line
+REFUSED_ROWS = [row for row in COMMAND_ROWS if row["exit"] == 2]
 
 
 def random_direction(rng) -> Direction:

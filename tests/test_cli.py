@@ -2,12 +2,16 @@ import ast
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import FAMILY_ROWS, README_ROWS, REFUSED_ROWS, STREAMED_ROWS
 
 from weakbell import bell, cli, montecarlo, pointer
 from weakbell.cli import (
@@ -692,48 +696,23 @@ def test_streamed_blocks_reach_stdout_one_at_a_time_as_they_are_formatted(monkey
     assert events == ["made 0", "wrote block 0", "made 1", "wrote block 1", "made 2", "wrote block 2"]
 
 
-_STREAMED_COMMANDS = [
-    ("pointer-dump", "--family", "optimal", "--g", "0.8"),
-    ("pointer-dump", "--family", "square", "--delta", "1.5"),
-    ("pointer-dump", "--family", "gaussian", "--delta", "0.5"),
-    ("pointer-dump", "--family", "exponential", "--scale", "0.3"),
-    ("pointer-dump", "--family", "worst", "--g", "0.6"),
-    *(("double", "--family", family, "--g", "0.005:0.995:0.005") for family in ("analytic", "square", "gaussian", "optimal")),
-]
-
-
-@pytest.mark.parametrize("argv", _STREAMED_COMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
-def test_stdout_and_file_outputs_have_the_same_bytes(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("row", STREAMED_ROWS, ids=lambda row: "-".join(row["argv"][:3:2]))
+def test_stdout_and_file_outputs_have_the_same_bytes(tmp_path, monkeypatch, capsys, row):
     # a double sweep in blocks of 7 rows is 29 blocks; a dump's runs are its 512-node units
     monkeypatch.setattr(bell, "_TARGET_BLOCK", 7)
     out = tmp_path / "out.csv"
-    assert run_cli(*argv, "--out", str(out)) == 0
+    assert run_cli(*row["argv"], "--out", str(out)) == 0
     assert capsys.readouterr().out == ""
-    assert run_cli(*argv, "--out", "-") == 0
+    assert run_cli(*row["argv"], "--out", "-") == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("pointer-dump", "--family", "optimal", "--g", "0.0019"),
-        ("pointer-dump", "--family", "gaussian", "--delta", "1e4"),
-        ("pointer-dump", "--family", "worst", "--g", "1.5"),
-        ("double", "--family", "optimal", "--g", "0.001:0.999:0.001"),
-        ("double", "--family", "square", "--g", "1e-5"),
-        ("double", "--family", "analytic", "--g", "0:0.5:0.1"),
-        ("tradeoff", "--family", "square", "--delta", "1e6"),
-        ("protocol", "--n", "0"),
-        ("montecarlo", "--scenario", "nonsense"),
-        ("triple-scan", "--resolution", "0.001"),
-    ],
-    ids=lambda argv: "-".join(argv[:3:2]),
-)
-def test_refused_inputs_write_no_byte_to_stdout(capsys, argv):
-    assert run_cli(*argv, "--out", "-") == 2
+@pytest.mark.parametrize("row", REFUSED_ROWS, ids=lambda row: row["name"])
+def test_refused_inputs_write_no_byte_to_stdout(capsys, row):
+    assert run_cli(*row["argv"], "--out", "-") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == row["error"] + "\n"
 
 
 def test_unwritable_default_output_names_the_env_var(tmp_path, monkeypatch, capsys):
@@ -869,20 +848,66 @@ def test_a_dump_into_a_pipe_closed_after_its_header_exits_141_silently():
     proc.stderr.close()
 
 
+def _reset_sigint():
+    # a shell's background job starts with SIGINT ignored, and Python then raises no KeyboardInterrupt
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda signum: signum.name)
+def test_a_signal_during_a_dump_exits_128_plus_its_number_and_leaves_no_file(tmp_path, signum):
+    # the 61 MB gaussian dump formats for ~3 s after its temporary file appears
+    argv = ["pointer-dump", "--family", "gaussian", "--delta", "200", "--out", str(tmp_path / "pointer.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weakbell", *argv], stderr=subprocess.PIPE, preexec_fn=_reset_sigint
+    )
+    deadline = time.monotonic() + 60
+    while not any(tmp_path.iterdir()):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.001)
+    proc.send_signal(signum)
+    assert proc.wait(timeout=60) == 128 + signum
+    assert proc.stderr.read() == f"interrupted by {signum.name}\n".encode()
+    proc.stderr.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_handles_sigterm_only_while_it_runs(monkeypatch):
+    during = []
+    monkeypatch.setattr(cli, "cmd_protocol", lambda args: during.append(signal.getsignal(signal.SIGTERM)) or 0)
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["protocol", "--n", "2"]) == 0
+    assert during == [cli._terminate]
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_an_ignored_sigterm_stays_ignored(monkeypatch):
+    during = []
+    monkeypatch.setattr(cli, "cmd_protocol", lambda args: during.append(signal.getsignal(signal.SIGTERM)) or 0)
+    previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    try:
+        assert main(["protocol", "--n", "2"]) == 0
+        after = signal.getsignal(signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert during == [signal.SIG_IGN]
+    assert after is signal.SIG_IGN
+
+
+def test_main_off_the_main_thread_leaves_sigterm_alone(monkeypatch):
+    during, codes = [], []
+    monkeypatch.setattr(cli, "cmd_protocol", lambda args: during.append(signal.getsignal(signal.SIGTERM)) or 0)
+    thread = threading.Thread(target=lambda: codes.append(main(["protocol", "--n", "2"])))
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert during == [signal.getsignal(signal.SIGTERM)]
+
+
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     # numpy is the only runtime dependency: with scipy made unimportable, the
-    # README commands (montecarlo at 1e4 trials) and the gaussian double curve
+    # README rows and the family sweeps (the gaussian double curve among them)
     # exit 0 and leave scipy unloaded; importing the CLI loads no concurrent.futures
-    commands = [
-        ["tradeoff", "--family", "optimal", "--g", "0.1:0.9:0.1"],
-        ["double", "--family", "gaussian", "--g", "0.005:0.995:0.005"],
-        ["double", "--family", "analytic", "--g", "0.005:0.995:0.005"],
-        ["protocol", "--n", "8", "--auto-bias"],
-        ["montecarlo", "--scenario", "double", "--g", "0.8", "--trials", "1e4", "--seed", "7"],
-        ["pointer-dump", "--family", "optimal", "--g", "0.8"],
-        ["triple-scan", "--resolution", "0.01"],
-    ]
-    commands = [argv + ["--out", str(tmp_path / f"out{k}")] for k, argv in enumerate(commands)]
+    commands = [[*row["argv"], "--out", str(tmp_path / row["name"])] for row in FAMILY_ROWS]
     script = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -932,10 +957,7 @@ def test_importing_the_package_or_its_cli_loads_no_compute_module(statement):
 
 
 def test_readme_protocol_commands_run_without_numpy(tmp_path):
-    commands = {
-        "schedule.csv": ["protocol", "--n", "8", "--auto-bias"],
-        "limit.csv": ["protocol", "--n", "12", "--limit"],
-    }
+    commands = {row["name"]: row["argv"] for row in README_ROWS if row["argv"][0] == "protocol"}
     script = (
         "import json, sys\n"
         "sys.modules['numpy'] = None\n"
@@ -945,7 +967,7 @@ def test_readme_protocol_commands_run_without_numpy(tmp_path):
         "print(sorted(name for name in sys.modules if name.startswith('numpy')))\n"
     )
     stdout = _run_python(script, json.dumps(commands), str(tmp_path))
-    assert stdout.splitlines() == ["0", "0", "['numpy']"]
+    assert stdout.splitlines() == ["0"] * len(commands) + ["['numpy']"]
     for name, argv in commands.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / f"blocked_{name}").read_bytes() == (tmp_path / name).read_bytes()
@@ -1003,29 +1025,19 @@ def test_the_parser_is_built_once_and_not_at_import():
 
 
 def test_each_command_repeats_its_bytes_in_one_process(tmp_path, capsys):
-    # runs in between that set flags through a config file, set a switch
-    # (--auto-bias, then --limit, which would clash with a leftover
-    # --auto-bias) or stop at a usage error leave no state in the parser
-    commands = [
-        ["tradeoff", "--family", "optimal", "--g", "0.1:0.9:0.1"],
-        ["double", "--family", "analytic", "--g", "0.005:0.995:0.005"],
-        ["protocol", "--n", "8", "--auto-bias"],
-        ["montecarlo", "--scenario", "double", "--g", "0.8", "--trials", "1e4", "--seed", "7"],
-        ["pointer-dump", "--family", "optimal", "--g", "0.8"],
-        ["triple-scan", "--resolution", "0.05"],
-    ]
-    for argv in commands:
-        assert main([*argv, "--out", str(tmp_path / f"first_{argv[0]}")]) == 0
+    # the README rows set a switch (--auto-bias, then --limit, which would clash
+    # with a leftover --auto-bias); runs in between that set flags through a
+    # config file or stop at a usage error leave no state in the parser either
+    for row in README_ROWS:
+        assert main([*row["argv"], "--out", str(tmp_path / f"first_{row['name']}")]) == 0
     cfg = tmp_path / "spacing.json"
     cfg.write_text(json.dumps({"spacing": 2 * DEFAULT_GRID_SPACING, "g": "0.5"}))
     assert main(["pointer-dump", "--family", "optimal", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
-    assert main(["protocol", "--n", "8", "--auto-bias", "--out", str(tmp_path / "auto")]) == 0
-    assert main(["protocol", "--n", "12", "--limit", "--out", str(tmp_path / "limit")]) == 0
     assert main(["double", "--family", "bogus", "--g", "0.5"]) == 2
-    for argv in commands:
-        assert main([*argv, "--out", str(tmp_path / f"second_{argv[0]}")]) == 0
-    for argv in commands:
-        assert (tmp_path / f"first_{argv[0]}").read_bytes() == (tmp_path / f"second_{argv[0]}").read_bytes()
+    for row in README_ROWS:
+        assert main([*row["argv"], "--out", str(tmp_path / f"second_{row['name']}")]) == 0
+    for row in README_ROWS:
+        assert (tmp_path / f"first_{row['name']}").read_bytes() == (tmp_path / f"second_{row['name']}").read_bytes()
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
