@@ -2,12 +2,14 @@
 
 Commands: tradeoff, double, protocol, montecarlo, pointer-dump,
 triple-scan.  Numeric sweeps use the range syntax start:stop:step with
-inclusive endpoints.  Outputs are written atomically (temp file then
-rename); WEAKBELL_OUTDIR sets the default output directory.  pointer-dump
-and double hand their output over as text blocks (a pointer's runs of
-nodes, 4,096 rows of a sweep), and each block is written, to the
-temporary file or to stdout, as it is formatted, so the whole text is
-never held; every input is checked before the first block is written.
+inclusive endpoints.  Every output file is written by _write_blocks: to a
+temporary file in its directory, created exclusively, then renamed into
+place; a temporary name that is already taken exits 2.  WEAKBELL_OUTDIR
+sets the default output directory.  pointer-dump and double hand their
+output over as text blocks (a pointer's runs of nodes, 4,096 rows of a
+sweep), and each block is written, to the temporary file or to stdout,
+as it is formatted, so the whole text is never held; every input is
+checked before the first block is written.
 Each command imports the package modules it runs when it runs, so
 importing this module and parsing a command line load no numpy, and
 protocol never does; --spacing is None when not given and stands for
@@ -36,8 +38,6 @@ from pathlib import Path
 from .errors import InvalidParameterError, InvalidStateError, NodeCapError, PhysicalityError
 
 OUTDIR_ENV = "WEAKBELL_OUTDIR"
-# random temporary-file names atomic_write tries before it gives up on clashes
-_TEMP_NAME_ATTEMPTS = 100
 
 _VALIDATION_ERRORS = (InvalidParameterError, InvalidStateError, PhysicalityError, ValueError)
 
@@ -90,26 +90,23 @@ def _default_out(name: str) -> Path:
 def _write_blocks(path: Path, blocks) -> None:
     """Write each text block to a temporary file in path's directory as it comes, then rename it into place.
 
-    The temporary file is created with mode 0o666 less the umask, as open()
-    would create the output itself; a failed write, or blocks raising,
-    removes it and leaves path as it was.
+    The one function that creates an output file. open(temp, "x") creates
+    the temporary file exclusively, with mode 0o666 less the umask, inside
+    the try that removes it: a failed write, blocks raising or a signal
+    from then on leave path as it was and no temporary file. A temporary
+    name that is already another file's raises FileExistsError and leaves
+    that file as it is.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
-    for attempt in range(_TEMP_NAME_ATTEMPTS):
-        temp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
-        try:
-            fd = os.open(temp, flags, 0o666)
-            break
-        except FileExistsError:  # a name clash: draw another name
-            if attempt == _TEMP_NAME_ATTEMPTS - 1:
-                raise
+    temp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(fd, "w") as handle:
+        with open(temp, "x") as handle:
             for block in blocks:
                 handle.write(block)
         os.replace(temp, path)
+    except FileExistsError:  # the name is another file's
+        raise
     except BaseException:
         try:
             os.unlink(temp)
@@ -118,26 +115,21 @@ def _write_blocks(path: Path, blocks) -> None:
         raise
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write text to path through a temporary file in its directory, then rename it into place."""
-    _write_blocks(path, (text,))
-
-
 def _emit(args, output, default_name: str) -> None:
     """Write output, one text or an iterable of text blocks, to --out ('-' for stdout).
 
-    One text goes through atomic_write; blocks are written one at a time
-    as they are formatted.
+    One text is one block; blocks are written one at a time as they are
+    formatted, to stdout or through _write_blocks.
     """
-    one_text = isinstance(output, str)
+    blocks = (output,) if isinstance(output, str) else output
     out = args.out
     if out == "-":
-        for block in (output,) if one_text else output:
+        for block in blocks:
             sys.stdout.write(block)
         return
     path = Path(out) if out else _default_out(default_name)
     try:
-        (atomic_write if one_text else _write_blocks)(path, output)
+        _write_blocks(path, blocks)
     except OSError as exc:
         where = "--out" if out else f"--out (default under ${OUTDIR_ENV})"
         reason = exc.strerror or str(exc)

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -640,9 +641,63 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
     out.write_text("kept\n")
     # a lone surrogate cannot be encoded, so the write fails after the temporary file exists
     with pytest.raises(UnicodeEncodeError):
-        cli.atomic_write(out, "q,phi\n\ud800\n")
+        cli._write_blocks(out, ["q,phi\n\ud800\n"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
     assert out.read_text() == "kept\n"
+
+
+def test_a_temporary_name_that_is_another_files_exits_2_and_leaves_that_file(tmp_path, monkeypatch, capsys):
+    # a clash of 48-bit random names, made certain: the name is drawn from pinned bytes
+    monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(range(n)))
+    out = tmp_path / "p.csv"
+    clash = tmp_path / f".p.csv.{bytes(range(6)).hex()}.tmp"
+    clash.write_bytes(b"another file\n")
+    assert run_cli("protocol", "--n", "2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write --out {str(out)!r}: File exists\n"
+    assert list(tmp_path.iterdir()) == [clash]
+    assert clash.read_bytes() == b"another file\n"
+
+
+# an audit hook on the child's open of its temporary file creates that file and
+# then raises, as a SIGINT that arrives just after the file is created would
+_INTERRUPT_AT_CREATION = """
+import sys
+from weakbell.cli import main
+
+fired = []
+
+def interrupt_at_creation(event, args):
+    if event == "open" and str(args[0]).endswith(".tmp") and not fired:
+        fired.append(args[0])
+        open(args[0], "x").close()
+        raise KeyboardInterrupt
+
+sys.addaudithook(interrupt_at_creation)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_an_interrupt_just_after_the_temporary_file_is_created_leaves_no_file(tmp_path):
+    # audit hooks cannot be removed, so only the child installs one
+    argv = ["protocol", "--n", "2", "--out", str(tmp_path / "p.csv")]
+    proc = subprocess.run([sys.executable, "-c", _INTERRUPT_AT_CREATION, *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (130, "interrupted by SIGINT\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dump_past_the_file_size_limit_exits_2_and_leaves_no_file(tmp_path):
+    # the limit holds in the child only; Python ignores SIGXFSZ, so the write fails with EFBIG
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    out = tmp_path / "pointer.csv"  # the 1.2 MB README dump, past the 64 KiB limit
+    argv = ["pointer-dump", "--family", "optimal", "--g", "0.8", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakbell", *argv], capture_output=True, text=True, preexec_fn=limit_file_size
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write --out {str(out)!r}: File too large\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _raising_after_one_block():
