@@ -330,9 +330,9 @@ def cmd_montecarlo(args) -> int:
         raise InvalidParameterError(f"--seed must lie in 0..2**128-1 (a Philox key), got {args.seed}")
     cfg = _montecarlo_config(args.scenario, args.g)
     report = montecarlo.run_chain(cfg, int(args.trials), args.seed)
-    # analytic_joint's keys of the joint the run split its counts by: the chain is walked once
-    expected = montecarlo._keyed_joint(report.joint)
-    chi2 = montecarlo.chi_square_report(report.outcome_counts, expected, report.trials)
+    # the run's table against the joint it split its counts by, on the table's axes: the
+    # chain is walked once, and C order is the sorted key order chi_square_report fits in
+    chi2 = montecarlo._chi_square(report.table, montecarlo._table_axes(report.joint), report.trials)
     payload = report.to_dict()
     payload["chi_square"] = chi2.to_dict()
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

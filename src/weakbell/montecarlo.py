@@ -19,37 +19,48 @@ bell._chain_joint gives the law as one array over the walk's bits (x,
 a, y_1, b_1, .., y_n, b_n), index 1 for input 1 or outcome +1, the
 one joint that bell builds for every chain; analytic_joint keys it,
 and run_chain draws from it and hands it on in its report, so a caller
-that fits a run to its law keys that array and builds the law once.
-The splits are the chain rule on that array: a split sends count n of
-prefix cell c to cells 2c and 2c + 1, the latter holding Binomial(n, p)
-with p = mass(2c + 1) / mass(c), a cell's mass being the joint summed
-over the bits after it.  run_chain first zeroes every cell of mass at
-most ZERO_MASS, the cells chi_square_report counts as impossible, so the
-sampler and the fit share one definition of impossible: no trial reaches
-such a cell, every p lies in [0, 1], and a prefix of no mass, which no
-trial reaches, splits with p = 0.
+that fits a run to its law builds the law once.  The splits are the
+chain rule on that array, laid out as a heap: node 1 is the whole
+trial count, node i has children 2i and 2i + 1, and the 2^j nodes of
+level j are the prefix cells of the first j bits, so the leaves are the
+joint's cells in walk order.  A split sends count n of node i to its
+children, the latter holding Binomial(n, p_i) with p_i = mass(2i + 1)
+/ mass(i), a node's mass being the joint summed over its leaves.
+Before the first draw, run_chain zeroes every cell of mass at most
+ZERO_MASS, the cells the fit counts as impossible, sums the mass
+pyramid up the heap and divides out every split's p_i.  So the sampler
+and the fit share one definition of impossible: no trial reaches such
+a cell, every p lies in [0, 1], and a node of no mass, which no trial
+reaches, splits with p = 0.
 
-Randomness comes from a Philox generator keyed by the seed.  The counts
-start as [T], and each split is one vectorized Generator.binomial call
-over all cells, in walk order: x, a, then each stage's y_k and b_k.
-After the last split a cell's index bits read (x, a, y_1, b_1, .., y_n,
-b_n); transposed to (x, y_1..y_n, a, b_1..b_n) they are the outcome
-table.  One thread does it all.  A seed reproduces its report bit for
-bit on one numpy version: NEP 19 does not promise the stream of
-Generator.binomial across numpy releases.
+Randomness comes from a Philox generator keyed by the seed.  Each level
+of splits is one vectorized Generator.binomial call over all its nodes,
+in walk order: x, a, then each stage's y_k and b_k, and it writes the
+next level's counts into one heap of counts.  The leaves' counts,
+transposed from (x, a, y_1, b_1, .., y_n, b_n) to (x, y_1..y_n, a,
+b_1..b_n), are the outcome table.  One thread does it all.  A seed
+reproduces its report bit for bit on one numpy version: NEP 19 does not
+promise the stream of Generator.binomial across numpy releases.
 
-The per-Bob reports are the table's marginals and outcome_counts its
-non-zero cells in index order.  analytic_joint keys run in index order
-with +1 first.  chi_square_report sums its cells in sorted key order, so
-neither order reaches its statistic, counts a cell of analytic mass at
-most ZERO_MASS as impossible, and reads its p-value from the closed
-forms of the chi-square tail at integer degrees of freedom (Abramowitz
-& Stegun 26.4.4-26.4.5): a Poisson sum for even dof, erfc plus a
-half-integer sum for odd dof.
+The report keeps the table, as it keeps the joint.  The per-Bob reports
+are the table's marginals, read as Python ints, and outcome_counts its
+non-zero cells in index order, keyed only when asked.  analytic_joint
+keys run in index order with +1 first.  The fit is one core, _chi_square,
+which walks (count, probability) pairs in order: it counts a cell of
+analytic mass at most ZERO_MASS as impossible, and reads its p-value
+from the closed forms of the chi-square tail at integer degrees of
+freedom (Abramowitz & Stegun 26.4.4-26.4.5): a Poisson sum for even
+dof, erfc plus a half-integer sum for odd dof.  The command hands it
+the table and the joint on the table's axes, in C order;
+chi_square_report hands it two dicts' cells in sorted key order.  The
+two orders are one: tuples sort entry by entry, and on every axis of the
+table index order is value order (input 0 before 1, and outcome index 0
+is -1), so a run fits to the same bits either way.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -62,7 +73,7 @@ from .bell import BellChainConfig, _chain_joint
 from .channel import strength_pair
 
 # an analytic cell probability at most this is an impossible outcome, which
-# run_chain never draws and chi_square_report drops: the joint of an exactly
+# run_chain never draws and the chi-square fit drops: the joint of an exactly
 # impossible cell (two strong Bobs reading one direction with different
 # outcomes) is rounding noise of either sign, ~1e-17, and a cell this
 # unlikely expects 1e-6 counts in cli.MAX_TRIALS = 1e9 trials
@@ -89,14 +100,26 @@ class BobReport:
 
 @dataclass(frozen=True)
 class EmpiricalReport:
+    """A run: its outcome table, the per-Bob reports read from it and, from run_chain, the joint it was drawn from.
+
+    The table holds the trial counts of every cell; outcome_counts keys
+    its non-zero cells at the first call and keeps them.
+    """
+
     config_digest: str
     seed: int
     trials: int
     per_bob: tuple[BobReport, ...]
-    outcome_counts: dict
-    # the exact joint run_chain split the counts by, on bell._chain_joint's axes
-    # (None in a report drawn otherwise); to_dict and == leave it out
+    # the outcome table, trial counts over (x, y_1..y_n, a, b_1..b_n), and the
+    # exact joint run_chain split them by, on bell._chain_joint's axes (None in
+    # a report drawn otherwise); to_dict and == leave both out
+    table: np.ndarray = field(repr=False, compare=False)
     joint: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def outcome_counts(self) -> dict:
+        """The table's non-zero cells in index order, keyed (x, y_1..y_n, a, b_1..b_n) with outcomes +-1."""
+        return _keyed(self.table, np.argwhere(self.table))
 
     def to_dict(self) -> dict:
         """JSON-ready summary; empty cells and the CHSH they leave undefined are None.
@@ -121,18 +144,19 @@ class EmpiricalReport:
 
 
 def _config_digest(cfg: BellChainConfig) -> str:
+    # tolist() hands json Python floats, whose repr is that of the numpy scalars
     parts = {
-        "alice": [list(cfg.alice_dir0.vector), list(cfg.alice_dir1.vector)],
+        "alice": [cfg.alice_dir0.vector.tolist(), cfg.alice_dir1.vector.tolist()],
         "stages": [
             {
-                "dir0": list(stage.dir0.vector),
-                "dir1": list(stage.dir1.vector),
+                "dir0": stage.dir0.vector.tolist(),
+                "dir1": stage.dir1.vector.tolist(),
                 "strength": list(strength_pair(stage.strength)),
                 "bias": stage.bias,
             }
             for stage in cfg.stages
         ],
-        "initial_state": [[c.real, c.imag] for c in np.asarray(cfg.initial_state).ravel()],
+        "initial_state": [[c.real, c.imag] for c in np.asarray(cfg.initial_state).ravel().tolist()],
     }
     payload = json.dumps(parts, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
@@ -144,10 +168,37 @@ def _table_axes(cells: np.ndarray) -> np.ndarray:
     return cells.transpose(0, *range(2, 2 * n_stages + 2, 2), 1, *range(3, 2 * n_stages + 2, 2))
 
 
-def _split(rng: np.random.Generator, counts: np.ndarray, p) -> np.ndarray:
-    """Count n of cell c sent to cells 2c and 2c + 1, the latter Binomial(n, p); p is read as 0 where n is 0."""
-    ones = rng.binomial(counts, np.where(counts > 0, p, 0.0))
-    return np.stack([counts - ones, ones], axis=-1).ravel()
+def _split_probabilities(joint: np.ndarray) -> np.ndarray:
+    """Every split's probability of index 1 on a heap over joint's cells in walk order.
+
+    Node i has children 2i and 2i + 1; the leaves joint.size..2 joint.size - 1
+    hold the cells, each zeroed where its mass is at most ZERO_MASS, and an
+    inner node the sum of its children.  Entry i of the result is
+    mass(2i + 1) / mass(i), 0 where node i has no mass; entry 0 is unused.
+    """
+    size = joint.size
+    mass = np.empty(2 * size)
+    mass[size:] = np.where(joint > ZERO_MASS, joint, 0.0).ravel()
+    level = size // 2
+    while level:
+        np.add(mass[2 * level : 4 * level : 2], mass[2 * level + 1 : 4 * level : 2], out=mass[level : 2 * level])
+        level //= 2
+    p = np.zeros(size)
+    inner = mass[1:size]
+    p[1:] = mass[3::2] / np.where(inner > 0.0, inner, 1.0)
+    return p
+
+
+def _split(rng: np.random.Generator, counts: np.ndarray, p: np.ndarray, level: int) -> None:
+    """Count n of node i, level <= i < 2 level, sent to nodes 2i and 2i + 1, the latter Binomial(n, p[i]).
+
+    counts and p are heaps as _split_probabilities orders them; the
+    children's counts are written in place, and p is read as 0 where n is 0.
+    """
+    n = counts[level : 2 * level]
+    ones = rng.binomial(n, np.where(n > 0, p[level : 2 * level], 0.0))
+    counts[2 * level + 1 : 4 * level : 2] = ones
+    counts[2 * level : 4 * level : 2] = n - ones
 
 
 def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
@@ -155,27 +206,29 @@ def run_chain(cfg: BellChainConfig, trials: int, seed: int) -> EmpiricalReport:
 
     Draws the outcome table by binomial splits along the chain, the chain
     rule on bell._chain_joint in the order the module docstring gives;
-    the work does not grow with trials.  The report carries that joint.
+    the work does not grow with trials.  Every split probability is
+    computed before the first draw, and each level of splits is one
+    Generator.binomial call that writes its counts into one heap.  The
+    report carries the table and that joint.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
     joint = _chain_joint(cfg)
-    # the masses of every prefix, level by level from the whole cells up to the total
-    masses = [np.where(joint > ZERO_MASS, joint, 0.0).ravel()]
-    while masses[-1].size > 1:
-        masses.append(masses[-1].reshape(-1, 2).sum(axis=1))
+    p = _split_probabilities(joint)
+    counts = np.zeros(2 * joint.size, dtype=np.int64)
+    counts[1] = trials
     rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = np.array([trials])
-    for prefix, cells in zip(masses[:0:-1], masses[-2::-1]):
-        # a prefix of no mass holds no count and splits with p = 0
-        counts = _split(rng, counts, cells[1::2] / np.where(prefix > 0.0, prefix, 1.0))
-    per_bob, outcome_counts = _reports(_table_axes(counts.reshape(joint.shape)))
+    level = 1
+    while level < joint.size:
+        _split(rng, counts, p, level)
+        level *= 2
+    table = _table_axes(counts[joint.size :].reshape(joint.shape))
     return EmpiricalReport(
         config_digest=_config_digest(cfg),
         seed=seed,
         trials=trials,
-        per_bob=per_bob,
-        outcome_counts=outcome_counts,
+        per_bob=_reports(table),
+        table=table,
         joint=joint,
     )
 
@@ -187,19 +240,23 @@ def _keyed(table: np.ndarray, cells: np.ndarray) -> dict:
     return dict(zip(map(tuple, keys.tolist()), table[tuple(cells.T)].tolist()))
 
 
-def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:
-    """Per-Bob reports and outcome counts from an outcome table."""
+def _reports(table: np.ndarray) -> tuple[BobReport, ...]:
+    """Per-Bob reports from an outcome table."""
     n_stages = table.ndim // 2 - 1
     per_bob = []
     for k in range(1, n_stages + 1):
         kept = (0, k, n_stages + 1, n_stages + 1 + k)
-        marginal = table.sum(axis=tuple(i for i in range(table.ndim) if i not in kept))  # (x, y_k, a, b_k)
-        n_xy = marginal.sum(axis=(2, 3)).tolist()
-        # sum of a b over each input cell: agreements minus disagreements
-        net = (marginal[..., 0, 0] + marginal[..., 1, 1] - marginal[..., 0, 1] - marginal[..., 1, 0]).tolist()
-        counts = {(x, y): n_xy[x][y] for x, y in np.ndindex(2, 2)}
-        # an integer ratio rounds once, to the same float as the mean of the +-1 products
-        e = {(x, y): net[x][y] / n if n else math.nan for (x, y), n in counts.items()}
+        # the 16 counts of (x, y_k, a, b_k), as Python ints
+        marginal = table.sum(axis=tuple(i for i in range(table.ndim) if i not in kept)).tolist()
+        counts = {}
+        e = {}
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            (minus_minus, minus_plus), (plus_minus, plus_plus) = marginal[x][y]
+            n = minus_minus + minus_plus + plus_minus + plus_plus
+            counts[(x, y)] = n
+            # sum of a b over the input cell, agreements minus disagreements: an
+            # integer ratio rounds once, to the same float as the mean of the +-1 products
+            e[(x, y)] = (minus_minus + plus_plus - minus_plus - plus_minus) / n if n else math.nan
         insufficient = 0 in counts.values()
         chsh_val, stderr = math.nan, math.nan
         if not insufficient:
@@ -209,7 +266,7 @@ def _reports(table: np.ndarray) -> tuple[tuple[BobReport, ...], dict]:
             chsh_val = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
             stderr = math.sqrt(variance)
         per_bob.append(BobReport(e, counts, chsh_val, stderr, insufficient))
-    return tuple(per_bob), _keyed(table, np.argwhere(table))
+    return tuple(per_bob)
 
 
 def analytic_joint(cfg: BellChainConfig) -> dict:
@@ -223,12 +280,7 @@ def analytic_joint(cfg: BellChainConfig) -> dict:
     the paper's weak-then-strong formula (conftest.oracle_triple_closed_form)
     and the CHSH closed forms of acceptance claim c11.
     """
-    return _keyed_joint(_chain_joint(cfg))
-
-
-def _keyed_joint(joint: np.ndarray) -> dict:
-    """bell._chain_joint's array keyed as analytic_joint keys it."""
-    table = _table_axes(joint)
+    table = _table_axes(_chain_joint(cfg))
     cells = np.argwhere(np.ones(table.shape, dtype=bool))
     cells[:, table.ndim // 2 :] ^= 1  # +1 first on the outcome axes
     return _keyed(table, cells)
@@ -282,23 +334,38 @@ def _chi_square_tail(statistic: float, dof: int) -> float:
 def chi_square_report(observed: dict, expected_probs: dict, trials: int) -> ChiSquareReport:
     """Pearson goodness of fit of observed counts against exact cell weights.
 
+    The fit is _chi_square's, over the union of the two dicts' keys in
+    sorted order (keys must be mutually comparable, as the outcome tuples
+    are); a key missing from a dict counts 0.  So the report depends only
+    on the contents of the two dicts, not on their insertion order or on
+    hash randomization, and on a run's outcome_counts and analytic_joint it
+    is the fit of the run's table against its joint.
+    """
+    keys = sorted(set(observed) | set(expected_probs))
+    return _chi_square(
+        np.array([observed.get(key, 0) for key in keys], dtype=float),
+        np.array([expected_probs.get(key, 0.0) for key in keys], dtype=float),
+        trials,
+    )
+
+
+def _chi_square(observed: np.ndarray, probabilities: np.ndarray, trials: int) -> ChiSquareReport:
+    """Pearson goodness of fit of counts against exact cell weights of one shape, cells walked in C order.
+
     The fit passes when p > 1e-3, p being the chi-square tail at the
     fit's integer dof in closed form (_chi_square_tail).  A cell whose
     expected probability is at most ZERO_MASS is impossible: it is
     dropped when it holds no observations, and an observation in it
-    fails the fit outright (p = 0).  Cells are visited in sorted key
-    order (keys must be mutually comparable, as the outcome tuples are),
-    so the report depends only on the contents of the two dicts, not on
-    their insertion order or on hash randomization.
+    fails the fit outright (p = 0).  The statistic is summed in cell
+    order, so an outcome table and its joint on the table's axes fit as
+    their keyed dicts do: C order is sorted key order.
     """
     if trials < 1:
         raise InvalidParameterError(f"trial count must be >= 1, got {trials}")
     statistic = 0.0
     dropped = 0
     used = 0
-    for key in sorted(set(observed) | set(expected_probs)):
-        count = observed.get(key, 0)
-        probability = expected_probs.get(key, 0.0)
+    for count, probability in zip(observed.ravel().tolist(), probabilities.ravel().tolist(), strict=True):
         if probability <= ZERO_MASS:
             if count > 0:
                 return ChiSquareReport(math.inf, max(1, used - 1), 0.0, False, dropped)

@@ -834,6 +834,15 @@ def oracle_reading_cdf(pointer: PointerState) -> np.ndarray:
     return cdf
 
 
+def oracle_keyed_table(outcome_counts: dict, n_stages: int) -> np.ndarray:
+    """The outcome table of a dict of counts keyed (x, y_1..y_n, a, b_1..b_n), outcomes +-1."""
+    table = np.zeros((2,) * (2 * n_stages + 2), dtype=np.int64)
+    for key, count in outcome_counts.items():
+        inputs, outcomes = key[: n_stages + 1], key[n_stages + 1 :]
+        table[(*inputs, *((1 + v) // 2 for v in outcomes))] = count
+    return table
+
+
 def oracle_outcome_table(bits: list) -> np.ndarray:
     """Trial counts over the axes of bits, [x, y_1..y_n, a, b_1..b_n], each boolean or 0/1; index 1 is true."""
     code = np.zeros(len(bits[0]), dtype=np.intp)
@@ -911,8 +920,8 @@ def oracle_run_chain(cfg, grids, trials: int, seed: int) -> EmpiricalReport:
         stage_outcomes.append(np.where(readings > 0.0, 1, -1).astype(np.int8))
 
     bits = [x_bits, *stage_inputs, a > 0, *(b > 0 for b in stage_outcomes)]
-    per_bob, outcome_counts = _reports(oracle_outcome_table(bits))
-    return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, outcome_counts)
+    table = oracle_outcome_table(bits)
+    return EmpiricalReport(_config_digest(cfg), seed, trials, _reports(table), table)
 
 
 def oracle_chain_rule(cfg) -> list:
@@ -965,5 +974,5 @@ def oracle_split_run(cfg, trials: int, seed: int, chunk: int, steps: list) -> Em
     stage_inputs = list(bits[:, 2::2].T)
     stage_outcomes = [2 * b - 1 for b in bits[:, 3::2].T]
     per_bob = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
-    outcome_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)
-    return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, outcome_counts)
+    table = oracle_keyed_table(oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes), len(cfg.stages))
+    return EmpiricalReport(_config_digest(cfg), seed, trials, per_bob, table)

@@ -36,6 +36,7 @@ from conftest import (
 from weakbell import (
     BellChainConfig,
     BobStage,
+    EmpiricalReport,
     InvalidParameterError,
     MeasurementStrength,
     PointerState,
@@ -54,7 +55,7 @@ from weakbell import (
 from weakbell import bell, montecarlo
 from weakbell.bell import propagate
 from weakbell.channel import DIR_X, DIR_Z
-from weakbell.cli import _montecarlo_config
+from weakbell.cli import _montecarlo_config, main
 from weakbell.montecarlo import (
     ZERO_MASS,
     _chi_square_tail,
@@ -240,9 +241,12 @@ def test_outcome_table_tally_matches_the_mask_loop(n_stages, trials, bias):
     # the tally takes 0/1 inputs and boolean outcomes in axis order; the mask
     # loops read the +-1 signs
     bits = [x_bits, *stage_inputs, a > 0, *(b > 0 for b in stage_outcomes)]
-    per_bob, outcome_counts = _reports(oracle_outcome_table(bits))
+    table = oracle_outcome_table(bits)
+    per_bob = _reports(table)
     oracle = oracle_bob_reports(x_bits, a, stage_inputs, stage_outcomes)
     assert [_report_fields(bob) for bob in per_bob] == [_report_fields(bob) for bob in oracle]
+    # a report keys its table's non-zero cells only when asked
+    outcome_counts = EmpiricalReport("", 0, trials, per_bob, table).outcome_counts
     oracle_counts = oracle_count_outcomes(x_bits, a, stage_inputs, stage_outcomes)
     assert list(outcome_counts.items()) == list(oracle_counts.items())
 
@@ -425,18 +429,20 @@ def test_run_chain_matches_analytic_joint(chain, seed):
 
 
 def walk_steps(cfg: BellChainConfig) -> list:
-    """The probabilities of index 1 that run_chain hands _split, in walk order: x, a, then y_k and b_k of each stage.
+    """The probabilities of index 1 that run_chain's _split draws each level by, in walk order: x, a, then y_k and b_k of each stage.
 
     Split j holds one probability per prefix cell, the bits before it
     read as a binary number; a b_k split's prefix is the key state*2 + y_k.
+    They are read from the heap of every split's probability, which
+    run_chain computes before its first draw.
     """
     steps = []
     split = montecarlo._split
 
-    def recording(rng, counts, p):
-        assert np.shape(p) == counts.shape
-        steps.append(np.array(p, dtype=float))
-        return split(rng, counts, p)
+    def recording(rng, counts, p, level):
+        assert counts.shape == (2 * p.size,) and level == 2 ** len(steps)
+        steps.append(p[level : 2 * level].copy())
+        return split(rng, counts, p, level)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_split", recording)
@@ -641,12 +647,35 @@ def test_unreachable_branches_split_with_zero_and_stay_empty():
 
 
 def test_split_reads_empty_cells_as_zero():
-    # p = 0 and 1 send a whole count one way; a cell with no count may hold any p
+    # p = 0 and 1 send a whole count one way; a cell with no count may hold any p.
+    # The level of nodes 4..7 writes nodes 8..15 of the heap and no other
     rng = np.random.Generator(np.random.Philox(key=3))
+    counts = np.array([-1, -1, -1, -1, 10, 10, 0, 0, *[-1] * 8])
+    p = np.array([-1.0] * 4 + [0.0, 1.0, math.nan, 7.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = _split(rng, np.array([10, 10, 0, 0]), np.array([0.0, 1.0, math.nan, 7.0]))
-    assert counts.tolist() == [10, 0, 0, 10, 0, 0, 0, 0]
+        _split(rng, counts, p, 4)
+    assert counts.tolist() == [-1, -1, -1, -1, 10, 10, 0, 0, 10, 0, 0, 10, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+def test_a_run_makes_one_binomial_call_per_split_level(monkeypatch, n_stages):
+    # 2n + 2 splits, x, a, then y_k and b_k of each stage: one
+    # Generator.binomial call each, over all 2**j prefix cells of split j
+    calls = []
+
+    class Counting(np.random.Generator):
+        def binomial(self, n, p, size=None):
+            calls.append((np.array(n), np.array(p)))
+            return super().binomial(n, p, size)
+
+    cfg = chain_config(n_stages)
+    expected = run_chain(cfg, 100_000, 17)
+    monkeypatch.setattr(montecarlo.np.random, "Generator", Counting)
+    report = run_chain(cfg, 100_000, 17)
+    assert len(calls) == 2 * n_stages + 2
+    assert [(n.size, p.size, int(n.sum())) for n, p in calls] == [(2**j, 2**j, 100_000) for j in range(len(calls))]
+    assert list(report.outcome_counts.items()) == list(expected.outcome_counts.items())
 
 
 def test_strong_double_leaves_every_impossible_cell_empty():
@@ -873,6 +902,60 @@ def test_chi_square_ignores_insertion_order():
             dict(reversed(report.outcome_counts.items())), dict(reversed(joint.items())), report.trials
         )
         assert repr(forward) == repr(backward)
+
+
+def dict_path_bob_blocks(outcome_counts: dict, n_stages: int) -> list:
+    """Each Bob's to_dict block from a run's keyed counts, tallied key by key: a and b_k times the count."""
+    blocks = []
+    for k in range(n_stages):
+        n = {(x, y): 0 for x in (0, 1) for y in (0, 1)}
+        net = dict.fromkeys(n, 0)
+        for key, count in outcome_counts.items():
+            cell = (key[0], key[1 + k])
+            n[cell] += count
+            net[cell] += key[n_stages + 1] * key[n_stages + 2 + k] * count
+        e = {cell: net[cell] / n[cell] if n[cell] else math.nan for cell in n}
+        chsh = stderr = math.nan
+        if 0 not in n.values():
+            variance = 0.0
+            for cell in n:
+                variance += (1.0 - e[cell] * e[cell]) / n[cell]
+            chsh = e[(0, 0)] + e[(0, 1)] + e[(1, 0)] - e[(1, 1)]
+            stderr = math.sqrt(variance)
+        blocks.append(
+            {
+                "E": {f"{x}{y}": value if math.isfinite(value) else None for (x, y), value in e.items()},
+                "chsh": chsh if math.isfinite(chsh) else None,
+                "stderr": stderr if math.isfinite(stderr) else None,
+                "counts": {f"{x}{y}": count for (x, y), count in n.items()},
+                "insufficient": 0 in n.values(),
+            }
+        )
+    return blocks
+
+
+@pytest.mark.parametrize("scenario", ["single", "double"])
+@pytest.mark.parametrize("g", ["0.8", "0.002", "1.0"])
+def test_command_fit_and_reports_equal_the_dict_path(tmp_path, scenario, g):
+    # the command fits the run's table against its joint cell by cell in C
+    # order and reads each Bob's marginal counts; the keyed dicts, fitted
+    # in sorted key order and tallied key by key, give the same bits. Three
+    # trials leave input cells empty; two strong Bobs (--g 1.0, double)
+    # leave 16 impossible cells, which the fit drops
+    cfg = _montecarlo_config(scenario, float(g))
+    joint = analytic_joint(cfg)
+    for seed in (1, 530, 1302, 2739):
+        for trials in ("1", "3", "32771", "1e6", "1e9"):
+            out = tmp_path / f"{seed}_{trials}.json"
+            argv = ["montecarlo", "--scenario", scenario, "--g", g, "--trials", trials, "--seed", str(seed)]
+            assert main([*argv, "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            report = run_chain(cfg, int(float(trials)), seed)
+            chi2 = chi_square_report(report.outcome_counts, joint, report.trials).to_dict()
+            bobs = dict_path_bob_blocks(report.outcome_counts, len(cfg.stages))
+            assert json.dumps(payload["chi_square"], sort_keys=True) == json.dumps(chi2, sort_keys=True), argv
+            assert json.dumps(payload["per_bob"], sort_keys=True) == json.dumps(bobs, sort_keys=True), argv
+    assert chi2["dropped_cells"] == (16 if (scenario, g) == ("double", "1.0") else 0)
 
 
 def test_chi_square_early_return_ignores_hash_seed():
